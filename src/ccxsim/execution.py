@@ -256,6 +256,8 @@ def _switch_in(m, vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) ->
 def _switch_out(m, vcpu, secs, tcs) -> None:
     tcs.busy = False
     secs.entered_counts[vcpu.entry_epoch] -= 1
+    if not secs.entered_counts[vcpu.entry_epoch]:
+        del secs.entered_counts[vcpu.entry_epoch]
     vcpu.cur_eid = None
     vcpu.cur_tcs = None
     vcpu.security_state = SecurityState.NORMAL

@@ -1,19 +1,21 @@
 """Physical memory, granule protection tables, and the EPC page map.
 
 Physical memory is a flat array of 4 KiB granules.  Isolation is enforced by
-a set of granule protection tables: one system table plus one table per live
-enclave.  Every simulated load/store funnels through :meth:`MachineMemory.read_granule`
-or :meth:`MachineMemory.write_granule`, which consult the active table for the
-accessing context.  Enclave page metadata lives in the EPCM, which is modeled
-as simulator-private state outside the addressable granule space (equivalent
-to keeping it in root-world memory: no non-root accessor could ever reach it).
+granule protection tables: one stored system table, plus one view per live
+enclave that is derived from the system table and the set of granules the
+enclave owns.  Every simulated load/store funnels through
+:meth:`MachineMemory.read_granule` or :meth:`MachineMemory.write_granule`,
+which consult the active table for the accessing context.  Enclave page
+metadata lives in the EPCM, which is modeled as simulator-private state
+outside the addressable granule space (equivalent to keeping it in root-world
+memory: no non-root accessor could ever reach it).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import GranuleProtectionFault, ModelError
 
@@ -206,99 +208,96 @@ INVALID_EPCM_ENTRY = EpcmEntry()
 
 
 class GptSet:
-    """The system granule protection table plus one table per enclave.
+    """The system granule protection table plus each live enclave's owned set.
 
-    Tables are dense byte arrays of :class:`Pas` values covering every
-    granule.  The cross-table invariant (a granule owned by enclave E is
-    realm in E's table and inaccessible in every other table) is maintained
-    by :meth:`assign` / :meth:`unassign` and checked by :meth:`audit`.
+    The system table is a dense byte array of :class:`Pas` values covering
+    every granule.  An enclave's table is not stored: it is derived as the
+    system table with that enclave's ``owned`` granules marked realm.  An
+    assigned granule is NO_ACCESS in the system table and sits in exactly one
+    owned set, so it is realm for its owner and unreachable from every other
+    view by construction.
     """
 
     def __init__(self, granule_count: int):
         self.granule_count = granule_count
         self.system: bytearray = bytearray(granule_count)  # Pas.NORMAL == 0
-        self.enclave: Dict[int, bytearray] = {}
+        # live enclave id -> granules it owns; also the registry of tables
+        self.owned: Dict[int, Set[int]] = {}
 
     # -- table lifecycle ---------------------------------------------------
 
     def create_enclave_table(self, eid: int) -> None:
-        if eid in self.enclave:
+        if eid in self.owned:
             raise ModelError(f"enclave {eid} already has a table")
-        # A fresh table mirrors the system view, so pages of other enclaves
-        # (NO_ACCESS in the system table) stay unreachable from this one.
-        self.enclave[eid] = bytearray(self.system)
+        self.owned[eid] = set()
 
     def drop_enclave_table(self, eid: int) -> None:
-        table = self.enclave.pop(eid, None)
-        if table is None:
-            raise ModelError(f"enclave {eid} has no table")
-        if Pas.REALM in (Pas(v) for v in set(table)):
+        if self._owned(eid):
             raise ModelError(f"dropping table of enclave {eid} with realm pages")
+        del self.owned[eid]
 
-    def _table(self, selector: Optional[int]) -> bytearray:
-        if selector is None:
-            return self.system
+    def _owned(self, eid: int) -> Set[int]:
         try:
-            return self.enclave[selector]
+            return self.owned[eid]
         except KeyError:
-            raise ModelError(f"no such GPT: {selector}") from None
+            raise ModelError(f"no such GPT: {eid}") from None
 
     def entry(self, selector: Optional[int], granule: int) -> Pas:
         if not 0 <= granule < self.granule_count:
             raise ModelError(f"granule {granule} out of range")
-        return Pas(self._table(selector)[granule])
+        if selector is not None and granule in self._owned(selector):
+            return Pas.REALM
+        return Pas(self.system[granule])
 
-    def set_entry(self, selector: Optional[int], granule: int, pas: Pas) -> None:
-        """Raw table poke; for fixture setup and tests, not the normal path."""
+    def set_entry(self, granule: int, pas: Pas) -> None:
+        """Raw system-table poke; for fixture setup and tests, not the normal path."""
         if not 0 <= granule < self.granule_count:
             raise ModelError(f"granule {granule} out of range")
-        self._table(selector)[granule] = int(pas)
+        self.system[granule] = int(pas)
+
+    def table(self, eid: int) -> bytes:
+        """Enclave `eid`'s derived table as dense :class:`Pas` bytes."""
+        view = bytearray(self.system)
+        for granule in self._owned(eid):
+            view[granule] = Pas.REALM
+        return bytes(view)
+
+    @property
+    def enclave(self) -> Dict[int, bytes]:
+        """Read-only dense views of every live enclave's table."""
+        return {eid: self.table(eid) for eid in self.owned}
 
     # -- protocol operations ----------------------------------------------
 
     def assign(self, eid: int, granule: int) -> None:
-        if eid not in self.enclave:
-            raise ModelError(f"enclave {eid} has no table")
+        owned = self._owned(eid)
         if self.system[granule] != Pas.NORMAL:
             raise ModelError(f"granule {granule} not normal in system table")
-        self.enclave[eid][granule] = int(Pas.REALM)
+        owned.add(granule)
         self.system[granule] = int(Pas.NO_ACCESS)
-        for other, table in self.enclave.items():
-            if other != eid:
-                table[granule] = int(Pas.NO_ACCESS)
 
     def unassign(self, eid: int, granule: int) -> None:
-        if self.entry(eid, granule) != Pas.REALM:
+        owned = self._owned(eid)
+        if granule not in owned:
             raise ModelError(f"granule {granule} not realm in table of {eid}")
+        owned.remove(granule)
         self.system[granule] = int(Pas.NORMAL)
-        for table in self.enclave.values():
-            table[granule] = int(Pas.NORMAL)
 
     def seclude(self, granule: int) -> None:
         """Make a granule microcode-only (used for version-array pages)."""
         if self.system[granule] != Pas.NORMAL:
             raise ModelError(f"granule {granule} not normal in system table")
         self.system[granule] = int(Pas.NO_ACCESS)
-        for table in self.enclave.values():
-            table[granule] = int(Pas.NO_ACCESS)
 
     def unseclude(self, granule: int) -> None:
         if self.system[granule] != Pas.NO_ACCESS:
             raise ModelError(f"granule {granule} was not secluded")
         self.system[granule] = int(Pas.NORMAL)
-        for table in self.enclave.values():
-            table[granule] = int(Pas.NORMAL)
-
-    def owner_of(self, granule: int) -> Optional[int]:
-        for eid, table in self.enclave.items():
-            if table[granule] == Pas.REALM:
-                return eid
-        return None
 
     def snapshot_counts(self) -> Dict[str, Dict[str, int]]:
         out: Dict[str, Dict[str, int]] = {}
         for name, table in [("system", self.system)] + [
-            (f"enclave:{eid}", t) for eid, t in sorted(self.enclave.items())
+            (f"enclave:{eid}", self.table(eid)) for eid in sorted(self.owned)
         ]:
             out[name] = {
                 pas.name: table.count(int(pas)) for pas in Pas if table.count(int(pas))
@@ -448,48 +447,33 @@ class MachineMemory:
     # -- invariants -----------------------------------------------------------
 
     def audit(self) -> None:
-        """Cross-check tables against the EPCM; raises ModelError on breakage.
+        """Cross-check the tables against the EPCM; raises ModelError on breakage.
 
-        Checks: every EPCM-valid enclave page is realm in exactly its owner's
-        table and inaccessible everywhere else; version-array pages are
-        inaccessible everywhere; no table marks granules outside the tracked
-        set; fixed-EPC confinement.
+        Checks: every EPCM-valid page is inaccessible in the system table and,
+        if enclave-owned, in its owner's set; the system table marks no
+        granule outside the EPCM; owned sets hold only granules the EPCM gives
+        their enclave; fixed-EPC confinement.  Per-enclave views need no check
+        of their own: they are derived from these two.
         """
-        tracked = {g for g, e in self.epcm.items() if e.valid}
+        owned = self.gpts.owned
         for granule, entry in self.epcm.items():
             if not entry.valid:
                 raise ModelError("invalid entry stored in EPCM map")
             if self.mode.is_fixed and not self.epc_admissible(granule):
                 raise ModelError(f"EPCM-valid granule {granule} outside fixed EPC")
-            if entry.owner is not None:
-                if self.gpts.entry(entry.owner, granule) != Pas.REALM:
-                    raise ModelError(
-                        f"granule {granule} not realm in owner table {entry.owner}"
-                    )
-                for eid in self.gpts.enclave:
-                    if eid != entry.owner and self.gpts.entry(eid, granule) != Pas.NO_ACCESS:
-                        raise ModelError(
-                            f"granule {granule} reachable from foreign table {eid}"
-                        )
-                if self.gpts.entry(None, granule) != Pas.NO_ACCESS:
-                    raise ModelError(f"granule {granule} reachable from system table")
-            else:
-                # Version arrays: microcode only.
-                if self.gpts.entry(None, granule) != Pas.NO_ACCESS:
-                    raise ModelError(f"VA granule {granule} reachable from system table")
-                for eid in self.gpts.enclave:
-                    if self.gpts.entry(eid, granule) != Pas.NO_ACCESS:
-                        raise ModelError(f"VA granule {granule} reachable from table {eid}")
-        # Only tracked granules may be non-normal anywhere.
-        n_special = self.granule_count - self.gpts.system.count(int(Pas.NORMAL))
-        if n_special != len(tracked):
-            raise ModelError(
-                f"system table has {n_special} non-normal granules, expected {len(tracked)}"
-            )
-        for eid, table in self.gpts.enclave.items():
-            realm = table.count(int(Pas.REALM))
-            owned = sum(1 for g in tracked if self.epcm[g].owner == eid)
-            if realm != owned:
+            if self.gpts.system[granule] != Pas.NO_ACCESS:
+                raise ModelError(f"granule {granule} reachable from system table")
+            if entry.owner is not None and granule not in owned.get(entry.owner, ()):
                 raise ModelError(
-                    f"table {eid} has {realm} realm granules, owns {owned} pages"
+                    f"granule {granule} not realm in owner table {entry.owner}"
                 )
+        n_special = self.granule_count - self.gpts.system.count(int(Pas.NORMAL))
+        if n_special != len(self.epcm):
+            raise ModelError(
+                f"system table has {n_special} non-normal granules, expected {len(self.epcm)}"
+            )
+        for eid, granules in owned.items():
+            for granule in granules:
+                entry = self.epcm.get(granule)
+                if entry is None or entry.owner != eid:
+                    raise ModelError(f"table {eid} holds granule {granule} it does not own")

@@ -27,7 +27,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import AuthenticationFailure, ModelError, SgxError
 from .machine import Machine
@@ -189,6 +189,21 @@ class SwapStore:
             )
 
 
+def _build_plan(
+    manifest: EnclaveManifest,
+) -> Iterator[Tuple[str, int, SecInfo, bytes, bool]]:
+    """Every page the loader adds, in build order, as
+    (label, enclave offset, secinfo, page bytes, measured)."""
+    for idx, spec in enumerate(manifest.pages):
+        for i in range(spec.page_count):
+            page = spec.content[i * GRANULE_SIZE : (i + 1) * GRANULE_SIZE]
+            yield (f"page[{idx}]+{i}", spec.vaddr + i * GRANULE_SIZE,
+                   SecInfo(spec.perms, PageType.REG), page, spec.measured)
+    for idx, spec in enumerate(manifest.tcs):
+        yield (f"tcs[{idx}]", spec.vaddr, SecInfo(Perms.NONE, PageType.TCS),
+               spec.build(manifest.nssa).pack(), spec.measured)
+
+
 class HostRuntime:
     """Loader, call dispatcher, and swap manager over one machine."""
 
@@ -204,7 +219,6 @@ class HostRuntime:
         self.swap_out_events = 0
         self.swap_in_events = 0
         self._fifo: List[int] = []  # resident EPC granules, oldest first
-        self._va_pages: List[int] = []
         self._free_slots: List[Tuple[int, int]] = []
         self._next_host_granule = 2  # skip reserved granules
 
@@ -240,11 +254,13 @@ class HostRuntime:
                 # Last free granule and no version capacity left: convert it
                 # to a version array so the writeback protocol stays possible,
                 # then evict for the actual request.
-                self.machine.leaf("EPA", g)
-                self._va_pages.append(g)
-                self._free_slots.extend((g, s) for s in range(VA_SLOT_COUNT))
+                self._add_version_array(g)
                 continue
             return g
+
+    def _add_version_array(self, g: int) -> None:
+        self.machine.leaf("EPA", g)
+        self._free_slots.extend((g, s) for s in range(VA_SLOT_COUNT))
 
     def _host_usable(self, g: int) -> bool:
         # In fixed mode host allocations stay out of the EPC window; in
@@ -266,6 +282,13 @@ class HostRuntime:
                 return g
         raise ModelError("no free host granule")
 
+    def take_page_granule(self) -> int:
+        """A granule to hold a new enclave page: from the fixed EPC in sgx
+        mode, from host memory (assigned in place) in ccx mode."""
+        if self.machine.memory.mode.is_fixed:
+            return self.take_epc_granule()
+        return self.take_host_granule()
+
     # ------------------------------------------------------------------ victim
 
     def _default_victim_filter(self, granule: int) -> bool:
@@ -283,7 +306,7 @@ class HostRuntime:
         # Never touch an enclave that currently has threads inside, and keep
         # interrupted thread state (TCS with saved frames, its SSA pages)
         # resident so resume paths stay simple.
-        if any(n > 0 for n in secs.entered_counts.values()):
+        if secs.entered_counts:
             return False
         if entry.page_type == PageType.TCS:
             tcs = m.tcs_registry.get(granule)
@@ -338,36 +361,24 @@ class HostRuntime:
         """What the build measurement will be; signer-side tooling."""
         state = self.machine.crypto.hash_init()
         state.absorb(ecreate_record(manifest.ssa_frame_size, manifest.size))
-        for spec in manifest.pages:
-            for i in range(spec.page_count):
-                off = spec.vaddr + i * GRANULE_SIZE
-                page = spec.content[i * GRANULE_SIZE : (i + 1) * GRANULE_SIZE]
-                state.absorb(eadd_record(off, SecInfo(spec.perms, PageType.REG)))
-                if spec.measured:
-                    for chunk in range(0, GRANULE_SIZE, 256):
-                        state.absorb(eextend_record(off + chunk))
-                        for blk in range(0, 256, 64):
-                            state.absorb(page[chunk + blk : chunk + blk + 64])
-        for spec in manifest.tcs:
-            page = spec.build(manifest.nssa).pack()
-            state.absorb(eadd_record(spec.vaddr, SecInfo(Perms.NONE, PageType.TCS)))
-            if spec.measured:
+        for _label, off, secinfo, page, measured in _build_plan(manifest):
+            state.absorb(eadd_record(off, secinfo))
+            if measured:
                 for chunk in range(0, GRANULE_SIZE, 256):
-                    state.absorb(eextend_record(spec.vaddr + chunk))
+                    state.absorb(eextend_record(off + chunk))
                     for blk in range(0, 256, 64):
                         state.absorb(page[chunk + blk : chunk + blk + 64])
         return state.final()
 
     def _add_page(self, eid: int, vaddr: int, secinfo: SecInfo, content: bytes) -> int:
         m = self.machine
+        target = self.take_page_granule()
         if m.memory.mode.is_fixed:
-            target = self.take_epc_granule()
             m.leaf("EADD", eid, vaddr, secinfo, target, content)
         else:
             # Dynamic assignment in place: the page keeps its physical granule,
             # and the host records a second mapping at the enclave address so
             # its own bookkeeping matches what a copying implementation shows.
-            target = self.take_host_granule()
             m.host_write(target, 0, content)
             m.leaf("EADD", eid, vaddr, secinfo, target)
         self._fifo.append(target)
@@ -389,39 +400,22 @@ class HostRuntime:
             raise LoadError(step, exc) from exc
 
         mappings: List[dict] = []
+        tcs_vaddrs: List[int] = []
         try:
-            for idx, spec in enumerate(manifest.pages):
-                for i in range(spec.page_count):
-                    off = spec.vaddr + i * GRANULE_SIZE
-                    step = f"eadd page[{idx}]+{i} at {off:#x}"
-                    page = spec.content[i * GRANULE_SIZE : (i + 1) * GRANULE_SIZE]
-                    g = self._add_page(eid, base + off, SecInfo(spec.perms, PageType.REG), page)
-                    if not m.memory.mode.is_fixed:
-                        mappings.append(
-                            {"vaddr": base + off, "granule": g,
-                             "host_alias": g * GRANULE_SIZE}
-                        )
-                    if spec.measured:
-                        step = f"eextend page[{idx}]+{i}"
-                        for chunk in range(0, GRANULE_SIZE, 256):
-                            m.leaf("EEXTEND", eid, base + off + chunk)
-            tcs_vaddrs = []
-            for idx, spec in enumerate(manifest.tcs):
-                step = f"eadd tcs[{idx}] at {spec.vaddr:#x}"
-                page = spec.build(manifest.nssa).pack()
-                g = self._add_page(
-                    eid, base + spec.vaddr, SecInfo(Perms.NONE, PageType.TCS), page
-                )
+            for label, off, secinfo, page, measured in _build_plan(manifest):
+                step = f"eadd {label} at {off:#x}"
+                g = self._add_page(eid, base + off, secinfo, page)
                 if not m.memory.mode.is_fixed:
                     mappings.append(
-                        {"vaddr": base + spec.vaddr, "granule": g,
+                        {"vaddr": base + off, "granule": g,
                          "host_alias": g * GRANULE_SIZE}
                     )
-                tcs_vaddrs.append(base + spec.vaddr)
-                if spec.measured:
-                    step = f"eextend tcs[{idx}]"
+                if secinfo.page_type == PageType.TCS:
+                    tcs_vaddrs.append(base + off)
+                if measured:
+                    step = f"eextend {label}"
                     for chunk in range(0, GRANULE_SIZE, 256):
-                        m.leaf("EEXTEND", eid, base + spec.vaddr + chunk)
+                        m.leaf("EEXTEND", eid, base + off + chunk)
 
             step = "sigstruct"
             signer_label: Optional[str] = None
@@ -487,10 +481,7 @@ class HostRuntime:
         if g is None:
             raise ModelError(f"no resident page at {vaddr:#x}")
         if not self._free_slots:
-            va_g = self.take_epc_granule()
-            m.leaf("EPA", va_g)
-            self._va_pages.append(va_g)
-            self._free_slots.extend((va_g, s) for s in range(VA_SLOT_COUNT))
+            self._add_version_array(self.take_epc_granule())
         va_g, slot = self._free_slots.pop(0)
         try:
             m.leaf("EBLOCK", g)
@@ -776,12 +767,8 @@ class OcallContext:
 def _ocall_eaug(ctx: OcallContext, vaddr: int, _arg2: int) -> int:
     """Builtin: the enclave asks the host to augment a page at `vaddr`."""
     rt = ctx.runtime
-    m = rt.machine
-    if m.memory.mode.is_fixed:
-        target = rt.take_epc_granule()
-    else:
-        target = rt.take_host_granule()
-    m.leaf("EAUG", ctx.handle.eid, vaddr, target)
+    target = rt.take_page_granule()
+    rt.machine.leaf("EAUG", ctx.handle.eid, vaddr, target)
     rt._fifo.append(target)
     return 0
 

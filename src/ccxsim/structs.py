@@ -98,6 +98,8 @@ class Secs:
     isv_prod_id: int = 0
     isv_svn: int = 0
     track_epoch: int = 0
+    # entry epoch -> threads inside that entered in it; drained epochs are
+    # dropped, so this never holds more keys than there are threads inside
     entered_counts: Dict[int, int] = field(default_factory=dict)
     crashed: bool = False
 
@@ -109,7 +111,7 @@ class Secs:
         return self.base <= vaddr and vaddr + length <= self.base + self.size
 
     def threads_before(self, epoch: int) -> int:
-        return sum(n for e, n in self.entered_counts.items() if e < epoch and n > 0)
+        return sum(n for e, n in self.entered_counts.items() if e < epoch)
 
 
 # --------------------------------------------------------------------------

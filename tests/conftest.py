@@ -1,9 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Subprocesses that run `python -m ccxsim.cli` import the same sources as the
+# tests themselves, whether or not the package is installed.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 from ccxsim.machine import Machine
 from ccxsim.runtime import HostRuntime

@@ -91,13 +91,13 @@ def test_criterion_02_access_matrix():
         probe = 5
         cells = 0
         for pas in Pas:
-            mem.gpts.set_entry(None, probe, pas)
+            mem.gpts.set_entry(probe, pas)
             for accessor in SecurityState:
                 got = mem.check_access(accessor, probe, None)
                 assert got == ACCESS_TRUTH[accessor.name][pas.name], (accessor, pas)
                 cells += 1
         assert cells == 20
-        mem.gpts.set_entry(None, probe, Pas.NORMAL)
+        mem.gpts.set_entry(probe, Pas.NORMAL)
 
 
 # ---------------------------------------------------------------------------

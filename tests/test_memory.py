@@ -20,7 +20,7 @@ from ccxsim.memory import (
     access_allowed,
 )
 
-from helpers import build_raw_enclave, small_config
+from helpers import build_raw_enclave, free_epc_granules, small_config
 from oracles import ACCESS_TRUTH
 
 
@@ -42,22 +42,22 @@ def test_access_matrix_matches_hand_transcription():
 def test_check_access_over_all_pas_values():
     mem = fresh_memory()
     for pas in Pas:
-        mem.gpts.set_entry(None, 5, pas)
+        mem.gpts.set_entry(5, pas)
         for accessor in SecurityState:
             assert mem.check_access(accessor, 5, None) == ACCESS_TRUTH[accessor.name][pas.name]
-    mem.gpts.set_entry(None, 5, Pas.NORMAL)
+    mem.gpts.set_entry(5, Pas.NORMAL)
 
 
 def test_normal_accessor_denied_on_realm_page():
     mem = fresh_memory()
-    mem.gpts.set_entry(None, 7, Pas.REALM)
+    mem.gpts.set_entry(7, Pas.REALM)
     assert mem.check_access(SecurityState.NORMAL, 7, None) is False
 
 
 def test_root_accessor_always_allowed():
     mem = fresh_memory()
     for pas in Pas:
-        mem.gpts.set_entry(None, 9, pas)
+        mem.gpts.set_entry(9, pas)
         assert mem.check_access(SecurityState.ROOT, 9, None) is True
 
 
@@ -273,9 +273,50 @@ def test_audit_catches_planted_inconsistency(machine):
     enc = build_raw_enclave(machine)
     machine.audit()
     g = enc.granule(0x0)
-    machine.memory.gpts.set_entry(None, g, Pas.NORMAL)  # host window onto enclave page
+    machine.memory.gpts.set_entry(g, Pas.NORMAL)  # host window onto enclave page
     with pytest.raises(ModelError):
         machine.audit()
+
+
+def test_audit_catches_owned_granule_without_epcm_entry(machine):
+    enc = build_raw_enclave(machine)
+    machine.audit()
+    stray = free_epc_granules(machine, 1)[0]
+    machine.memory.gpts.owned[enc.eid].add(stray)  # realm view of a free granule
+    assert machine.memory.gpts.entry(enc.eid, stray) == Pas.REALM
+    with pytest.raises(ModelError):
+        machine.audit()
+
+
+def test_audit_catches_granule_in_two_owned_sets(machine):
+    a = build_raw_enclave(machine)
+    b = build_raw_enclave(machine)
+    machine.audit()
+    g = a.granule(0x0)
+    machine.memory.gpts.owned[b.eid].add(g)  # b's view now reaches a's page
+    assert machine.memory.gpts.entry(b.eid, g) == Pas.REALM
+    with pytest.raises(ModelError):
+        machine.audit()
+
+
+def test_enclave_views_derive_from_system_table_and_owned_set():
+    mem = fresh_memory()
+    mem.gpts.create_enclave_table(1)
+    mem.gpts.create_enclave_table(2)
+    mem.assign_granule(1, 20)
+    mem.seclude_granule(21)
+    view = mem.gpts.enclave[1]
+    assert view == mem.gpts.table(1)
+    assert Pas(view[20]) == Pas.REALM and Pas(view[21]) == Pas.NO_ACCESS
+    assert Pas(mem.gpts.enclave[2][20]) == Pas.NO_ACCESS
+    with pytest.raises(ModelError):
+        mem.gpts.entry(3, 20)  # no such table
+    with pytest.raises(ModelError):
+        mem.gpts.drop_enclave_table(1)  # still owns granule 20
+    assert 1 in mem.gpts.enclave
+    mem.unassign_granule(1, 20)
+    mem.gpts.drop_enclave_table(1)
+    assert set(mem.gpts.enclave) == {2}
 
 
 def test_mode_confinement_audit():

@@ -143,6 +143,25 @@ def test_hand_traced_two_thread_epoch_table(swap_env):
     machine.enclu(t1, 0x4, RETURN_GATE)
 
 
+def test_epoch_table_keeps_only_live_epochs(swap_env):
+    """Drained epochs leave no entry, however many ETRACKs a run issues."""
+    machine, enc, _va = swap_env
+    vcpu = machine.vcpus[0]
+    secs = machine.enclaves[enc.eid]
+    tcs_g = enc.pages[0x4000]
+    for _ in range(100):
+        machine.leaf("ETRACK", enc.eid)
+        machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+        machine.leaf("ETRACK", enc.eid)
+        machine.inject_interrupt(vcpu)  # AEX leaves, ERESUME re-enters
+        machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)
+        assert len(secs.entered_counts) <= 1
+        machine.enclu(vcpu, 0x4, RETURN_GATE)
+        assert len(secs.entered_counts) <= 1
+    assert secs.entered_counts == {}
+    assert secs.threads_before(secs.track_epoch) == 0
+
+
 # ---------------------------------------------------------------------------
 # EPA / version arrays
 
