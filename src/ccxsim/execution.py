@@ -192,14 +192,22 @@ def mem_write(m, vcpu, addr: int, data: bytes) -> None:
     m.memory.write_granule(vcpu.access_context(), granule, offset, data)
 
 
+def _user_buffer(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
+    # A caller-supplied buffer that cannot be reached fails the leaf.
+    try:
+        return _enclave_translate(m, vcpu, addr, size, kind)
+    except _PageAccessFault as exc:
+        raise SgxError(E.BAD_VADDR, str(exc)) from None
+
+
 def user_read(m, vcpu, addr: int, size: int) -> bytes:
     """Microprogram read of a caller-supplied enclave buffer (perms apply)."""
-    granule, offset = _enclave_translate(m, vcpu, addr, size, "r")
+    granule, offset = _user_buffer(m, vcpu, addr, size, "r")
     return m.memory.read_granule(MICROCODE, granule, offset, size)
 
 
 def user_write(m, vcpu, addr: int, data: bytes) -> None:
-    granule, offset = _enclave_translate(m, vcpu, addr, len(data), "w")
+    granule, offset = _user_buffer(m, vcpu, addr, len(data), "w")
     m.memory.write_granule(MICROCODE, granule, offset, data)
 
 
@@ -435,26 +443,14 @@ def _own_page_granule(m, vcpu, vaddr: int) -> int:
 def _dispatch_enclu_frame(m, vcpu, frame: TrapFrame) -> None:
     leaf = frame.leaf
     if leaf == 0x0:  # EREPORT
-        try:
-            tinfo = TargetInfo.unpack(user_read(m, vcpu, frame.arg1, TARGETINFO_SIZE))
-            rdata = user_read(m, vcpu, frame.arg2, 64)
-        except _PageAccessFault as exc:
-            raise SgxError(E.BAD_VADDR, str(exc)) from None
+        tinfo = TargetInfo.unpack(user_read(m, vcpu, frame.arg1, TARGETINFO_SIZE))
+        rdata = user_read(m, vcpu, frame.arg2, 64)
         report = m.enclu(vcpu, 0x0, tinfo, rdata)
-        try:
-            user_write(m, vcpu, frame.arg3, report.to_bytes())
-        except _PageAccessFault as exc:
-            raise SgxError(E.BAD_VADDR, str(exc)) from None
+        user_write(m, vcpu, frame.arg3, report.to_bytes())
     elif leaf == 0x1:  # EGETKEY
-        try:
-            request = KeyRequest.unpack(user_read(m, vcpu, frame.arg1, KEYREQUEST_SIZE))
-        except _PageAccessFault as exc:
-            raise SgxError(E.BAD_VADDR, str(exc)) from None
+        request = KeyRequest.unpack(user_read(m, vcpu, frame.arg1, KEYREQUEST_SIZE))
         key = m.enclu(vcpu, 0x1, request)
-        try:
-            user_write(m, vcpu, frame.arg2, key)
-        except _PageAccessFault as exc:
-            raise SgxError(E.BAD_VADDR, str(exc)) from None
+        user_write(m, vcpu, frame.arg2, key)
     elif leaf in (0x2, 0x3):  # EENTER / ERESUME
         m.enclu(vcpu, leaf, frame.arg1, frame.arg2)
         return

@@ -9,6 +9,10 @@ which consult the active table for the accessing context.  Enclave page
 metadata lives in the EPCM, which is modeled as simulator-private state
 outside the addressable granule space (equivalent to keeping it in root-world
 memory: no non-root accessor could ever reach it).
+
+Allocation reads the same state: free granules are found in the system
+table, an enclave's page list is its owned set, and
+:meth:`MachineMemory.epc_span` is the one place that knows the EPC window.
 """
 
 from __future__ import annotations
@@ -367,16 +371,21 @@ class MachineMemory:
 
     # -- GPT protocol -------------------------------------------------------
 
-    def epc_admissible(self, granule: int) -> bool:
-        if granule < RESERVED_GRANULES:
-            return False
+    def epc_span(self) -> Tuple[int, int]:
+        """EPC-capable granules [lo, hi): the fixed window, or all unreserved."""
         if self.mode.is_fixed:
-            return (
-                self.mode.epc_base
-                <= granule
-                < self.mode.epc_base + self.mode.epc_size
-            )
-        return granule < self.granule_count
+            return self.mode.epc_base, self.mode.epc_base + self.mode.epc_size
+        return RESERVED_GRANULES, self.granule_count
+
+    def epc_admissible(self, granule: int) -> bool:
+        lo, hi = self.epc_span()
+        return lo <= granule < hi
+
+    def first_free(self, lo: int, hi: int) -> Optional[int]:
+        """Lowest free granule in [lo, hi), or None: one normal in the system
+        table, where every EPCM-valid granule is NO_ACCESS (the audit checks)."""
+        g = self.gpts.system.find(Pas.NORMAL, max(lo, RESERVED_GRANULES), hi)
+        return None if g < 0 else g
 
     def assign_granule(self, eid: int, granule: int) -> None:
         self._check_range(granule)
@@ -429,12 +438,9 @@ class MachineMemory:
     def find_page(self, eid: int, vaddr: int) -> Optional[int]:
         return self.vaddr_index.get((eid, vaddr & ~(GRANULE_SIZE - 1)))
 
-    def valid_pages(self, eid: Optional[int] = None) -> List[int]:
-        return sorted(
-            g
-            for g, e in self.epcm.items()
-            if e.valid and (eid is None or e.owner == eid)
-        )
+    def valid_pages(self) -> List[int]:
+        """EPCM-valid granules, ascending; one enclave's are ``gpts.owned[eid]``."""
+        return sorted(self.epcm)
 
     def is_free(self, granule: int) -> bool:
         if granule < RESERVED_GRANULES:

@@ -229,11 +229,9 @@ def eremove(m, granule: int) -> None:
 
     if entry.page_type == PageType.SECS:
         eid = entry.owner
-        children = [
-            g for g in m.memory.valid_pages(eid) if g != granule
-        ]
+        children = len(m.memory.gpts.owned[eid]) - 1  # all but the SECS
         if children:
-            raise SgxError(E.CHILD_PRESENT, f"enclave {eid} still owns {len(children)} pages")
+            raise SgxError(E.CHILD_PRESENT, f"enclave {eid} still owns {children} pages")
         m.memory.epcm_update(granule, m.memory.epcm_lookup(granule).__class__())
         m.memory.unassign_granule(eid, granule)
         m.memory.gpts.drop_enclave_table(eid)

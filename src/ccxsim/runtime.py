@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import hmac as hmac_mod
 import json
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .errors import AuthenticationFailure, ModelError, SgxError
 from .machine import Machine
 from .manifest import EnclaveManifest
-from .memory import GRANULE_SIZE, PageType, Perms
+from .memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE
 from .structs import (
     EXIT_IRQ,
@@ -218,29 +219,21 @@ class HostRuntime:
         self.victim_filter: Callable = self._default_victim_filter
         self.swap_out_events = 0
         self.swap_in_events = 0
-        self._fifo: List[int] = []  # resident EPC granules, oldest first
-        self._free_slots: List[Tuple[int, int]] = []
-        self._next_host_granule = 2  # skip reserved granules
+        # resident EPC granules, oldest first; kept only in fixed mode, the
+        # one mode that evicts
+        self._fifo: Deque[int] = deque()
+        self._free_slots: Deque[Tuple[int, int]] = deque()
+        self._next_host_granule = RESERVED_GRANULES
 
     # ------------------------------------------------------------------ alloc
-
-    def _free_epc_granule(self, after: int = -1) -> Optional[int]:
-        mem = self.machine.memory
-        if mem.mode.is_fixed:
-            span = range(mem.mode.epc_base, mem.mode.epc_base + mem.mode.epc_size)
-        else:
-            span = range(2, mem.granule_count)
-        for g in span:
-            if g > after and mem.is_free(g):
-                return g
-        return None
 
     def take_epc_granule(self) -> int:
         """A free EPC granule, evicting through the writeback protocol when
         the fixed window is exhausted.  Dynamic mode never needs eviction."""
         mem = self.machine.memory
+        lo, hi = mem.epc_span()
         while True:
-            g = self._free_epc_granule()
+            g = mem.first_free(lo, hi)
             if g is None:
                 if not mem.mode.is_fixed:
                     raise ModelError("physical memory exhausted in dynamic mode")
@@ -249,7 +242,7 @@ class HostRuntime:
             if (
                 mem.mode.is_fixed
                 and not self._free_slots
-                and self._free_epc_granule(after=g) is None
+                and mem.first_free(g + 1, hi) is None
             ):
                 # Last free granule and no version capacity left: convert it
                 # to a version array so the writeback protocol stays possible,
@@ -262,25 +255,30 @@ class HostRuntime:
         self.machine.leaf("EPA", g)
         self._free_slots.extend((g, s) for s in range(VA_SLOT_COUNT))
 
-    def _host_usable(self, g: int) -> bool:
-        # In fixed mode host allocations stay out of the EPC window; in
-        # dynamic mode any free granule serves.
+    def _first_host_free(self, start: int) -> Optional[int]:
+        # Fixed mode keeps host allocations out of the EPC window; in dynamic
+        # mode any free granule serves.
         mem = self.machine.memory
-        if not mem.is_free(g):
-            return False
-        return not (mem.mode.is_fixed and mem.epc_admissible(g))
+        n = mem.granule_count
+        lo, hi = mem.epc_span() if mem.mode.is_fixed else (n, n)
+        g = mem.first_free(start, lo)
+        return g if g is not None else mem.first_free(max(start, hi), n)
 
     def take_host_granule(self) -> int:
-        mem = self.machine.memory
-        for g in range(self._next_host_granule, mem.granule_count):
-            if self._host_usable(g):
-                self._next_host_granule = g + 1
-                return g
-        # wrap around: earlier granules may have been freed
-        for g in range(2, mem.granule_count):
-            if self._host_usable(g):
-                return g
-        raise ModelError("no free host granule")
+        g = self._first_host_free(self._next_host_granule)
+        if g is not None:
+            self._next_host_granule = g + 1
+            return g
+        # wrap around without moving the cursor: earlier granules may have
+        # been freed
+        g = self._first_host_free(RESERVED_GRANULES)
+        if g is None:
+            raise ModelError("no free host granule")
+        return g
+
+    def _track_resident(self, g: int) -> None:
+        if self.machine.memory.mode.is_fixed:
+            self._fifo.append(g)
 
     def take_page_granule(self) -> int:
         """A granule to hold a new enclave page: from the fixed EPC in sgx
@@ -328,7 +326,7 @@ class HostRuntime:
         m = self.machine
         rotated = 0
         while self._fifo:
-            g = self._fifo.pop(0)
+            g = self._fifo.popleft()
             entry = m.memory.epcm.get(g)
             if entry is None or not entry.valid:
                 continue  # stale
@@ -342,13 +340,13 @@ class HostRuntime:
             vaddr = entry.vaddr
             if not self._free_slots:
                 raise ModelError("no version slot free for eviction")
-            va_g, slot = self._free_slots.pop(0)
+            va_g, slot = self._free_slots.popleft()
             try:
                 m.leaf("EBLOCK", g)
                 m.leaf("ETRACK", owner)
                 blob = m.leaf("EWB", g, va_g, slot)
             except SgxError:
-                self._free_slots.insert(0, (va_g, slot))
+                self._free_slots.appendleft((va_g, slot))
                 raise
             self.store.put(owner, vaddr, _StoredBlob(blob, va_g, slot))
             self.swap_out_events += 1
@@ -381,7 +379,7 @@ class HostRuntime:
             # its own bookkeeping matches what a copying implementation shows.
             m.host_write(target, 0, content)
             m.leaf("EADD", eid, vaddr, secinfo, target)
-        self._fifo.append(target)
+        self._track_resident(target)
         return target
 
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
@@ -467,7 +465,7 @@ class HostRuntime:
         for vaddr in self.store.keys_for(handle.eid):
             self.swap_in(handle, vaddr)
         secs_granule = m.enclaves[handle.eid].secs_granule
-        for g in m.memory.valid_pages(handle.eid):
+        for g in sorted(m.memory.gpts.owned[handle.eid]):
             if g != secs_granule:
                 m.leaf("EREMOVE", g)
         m.leaf("EREMOVE", secs_granule)
@@ -482,13 +480,13 @@ class HostRuntime:
             raise ModelError(f"no resident page at {vaddr:#x}")
         if not self._free_slots:
             self._add_version_array(self.take_epc_granule())
-        va_g, slot = self._free_slots.pop(0)
+        va_g, slot = self._free_slots.popleft()
         try:
             m.leaf("EBLOCK", g)
             m.leaf("ETRACK", handle.eid)
             blob = m.leaf("EWB", g, va_g, slot)
         except SgxError:
-            self._free_slots.insert(0, (va_g, slot))
+            self._free_slots.appendleft((va_g, slot))
             raise
         self.store.put(handle.eid, vaddr, _StoredBlob(blob, va_g, slot))
         self.swap_out_events += 1
@@ -507,7 +505,7 @@ class HostRuntime:
             handle.eid,
         )
         self._free_slots.append((stored.va_granule, stored.slot))
-        self._fifo.append(target)
+        self._track_resident(target)
         self.swap_in_events += 1
 
     def _ensure_resident(self, handle: EnclaveHandle, vaddr: int) -> None:
@@ -769,7 +767,7 @@ def _ocall_eaug(ctx: OcallContext, vaddr: int, _arg2: int) -> int:
     rt = ctx.runtime
     target = rt.take_page_granule()
     rt.machine.leaf("EAUG", ctx.handle.eid, vaddr, target)
-    rt._fifo.append(target)
+    rt._track_resident(target)
     return 0
 
 

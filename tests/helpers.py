@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ccxsim.config import Config
 from ccxsim.machine import Machine
-from ccxsim.memory import GRANULE_SIZE, PageType, Perms
+from ccxsim.memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
 from ccxsim.structs import Attributes, SecInfo, Tcs
 
 BASE = 1 << 33
@@ -24,18 +24,14 @@ def small_config(**overrides) -> Config:
 
 def free_epc_granules(m: Machine, n: int) -> List[int]:
     mem = m.memory
-    if mem.mode.is_fixed:
-        span = range(mem.mode.epc_base, mem.mode.epc_base + mem.mode.epc_size)
-    else:
-        span = range(2, mem.granule_count)
-    out = [g for g in span if mem.is_free(g)][:n]
+    out = [g for g in range(*mem.epc_span()) if mem.is_free(g)][:n]
     assert len(out) == n, "fixture ran out of EPC granules"
     return out
 
 
 def free_host_granule(m: Machine) -> int:
     mem = m.memory
-    for g in range(2, mem.granule_count):
+    for g in range(RESERVED_GRANULES, mem.granule_count):
         if mem.is_free(g) and not (mem.mode.is_fixed and mem.epc_admissible(g)):
             return g
     raise AssertionError("no free host granule")

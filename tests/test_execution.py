@@ -471,6 +471,63 @@ def test_inprogram_report_and_key_buffers(machine, fixture_dir):
     assert machine.crypto.report_mac(key, report.body_bytes()) == report.mac
 
 
+def _run_in_enclave(machine, h, prog):
+    """Enter `h` at its code page running `prog`; stop at the first halt."""
+    machine.leaf("EDBGWR", machine.memory.find_page(h.eid, h.base), 0,
+                 isa.assemble(prog, origin=h.base))
+    vcpu = machine.vcpus[0]
+    tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
+    machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+    return vcpu, machine.step(vcpu, 100)
+
+
+def test_report_to_unmapped_output_buffer_is_bad_vaddr(machine, fixture_dir):
+    _, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "r")
+    from ccxsim.structs import TargetInfo
+
+    scratch = h.base + fixtures.SCRATCH_OFF
+    scratch_g = machine.memory.find_page(h.eid, scratch)
+    machine.leaf("EDBGWR", scratch_g, 1024, TargetInfo(h.mrenclave).pack())
+    unmapped = h.base + 0x40000
+    assert machine.memory.find_page(h.eid, unmapped) is None
+    vcpu, report = _run_in_enclave(machine, h, [
+        ("movi", 2, scratch + 1024),
+        ("movi", 3, scratch + 1088),
+        ("movi", 4, unmapped),
+        ("movi", 1, 0x0),  # report leaf
+        ("movi", 0, 0x1),
+        ("gadget",),
+        ("halt",),
+    ])
+    assert report.stop == "halt"
+    errors = [e for e in report.events if e["kind"] == "leaf_error"]
+    assert errors == [{"step": 6, "vcpu": 0, "kind": "leaf_error", "leaf": 0x0,
+                       "code": "BAD_VADDR"}]
+    assert vcpu.regs[0] == int(E.BAD_VADDR)
+
+
+def test_key_to_read_only_buffer_is_bad_vaddr(machine, fixture_dir):
+    _, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "k")
+    from ccxsim.structs import KeyName, KeyRequest
+
+    scratch = h.base + fixtures.SCRATCH_OFF
+    scratch_g = machine.memory.find_page(h.eid, scratch)
+    machine.leaf("EDBGWR", scratch_g, 2048, KeyRequest(KeyName.REPORT).pack())
+    vcpu, report = _run_in_enclave(machine, h, [
+        ("movi", 2, scratch + 2048),
+        ("movi", 3, h.base),  # the code page is r-x
+        ("movi", 1, 0x1),  # key leaf
+        ("movi", 0, 0x1),
+        ("gadget",),
+        ("halt",),
+    ])
+    assert report.stop == "halt"
+    errors = [e for e in report.events if e["kind"] == "leaf_error"]
+    assert errors == [{"step": 5, "vcpu": 0, "kind": "leaf_error", "leaf": 0x1,
+                       "code": "BAD_VADDR"}]
+    assert vcpu.regs[0] == int(E.BAD_VADDR)
+
+
 def test_encls_register_path_with_staged_parameters(machine):
     """The privileged service decodes word arguments directly and reaches
     structured arguments through staged-parameter tokens."""

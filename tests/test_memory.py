@@ -329,3 +329,54 @@ def test_mode_confinement_audit():
     m.memory.epcm[300] = entry
     with pytest.raises(ModelError):
         m.memory.audit()
+
+
+# ---------------------------------------------------------------------------
+# Free-granule search
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fixed=st.booleans(),
+    ops=st.lists(
+        st.tuples(st.sampled_from(["assign", "unassign", "seclude", "unseclude"]),
+                  st.integers(0, 63)),
+        max_size=60,
+    ),
+    bounds=st.lists(st.tuples(st.integers(0, 64), st.integers(0, 64)), max_size=6),
+)
+def test_first_free_matches_scan_over_is_free(fixed, ops, bounds):
+    mode = MemoryMode.sgx_fixed(16, 24) if fixed else MemoryMode.cca_dynamic()
+    mem = MachineMemory(64, mode)
+    mem.gpts.create_enclave_table(1)
+    for op, g in ops:
+        entry = mem.epcm.get(g)
+        usable = mem.is_free(g) and mem.epc_admissible(g)
+        if op == "assign" and usable:
+            mem.assign_granule(1, g)
+            mem.epcm_update(g, EpcmEntry(valid=True, page_type=PageType.REG, owner=1,
+                                         vaddr=g * GRANULE_SIZE, perms=Perms.R))
+        elif op == "seclude" and usable:
+            mem.seclude_granule(g)
+            mem.epcm_update(g, EpcmEntry(valid=True, page_type=PageType.VA))
+        elif op == "unassign" and entry is not None and entry.owner == 1:
+            mem.epcm_update(g, EpcmEntry())
+            mem.unassign_granule(1, g)
+        elif op == "unseclude" and entry is not None and entry.owner is None:
+            mem.epcm_update(g, EpcmEntry())
+            mem.unseclude_granule(g)
+    mem.audit()
+    for lo, hi in bounds + [mem.epc_span(), (0, 64)]:
+        scan = next((g for g in range(lo, hi) if mem.is_free(g)), None)
+        assert mem.first_free(lo, hi) == scan, (lo, hi)
+
+
+def test_epc_span_bounds_admissibility():
+    fixed = fresh_memory()
+    assert fixed.epc_span() == (16, 144)
+    assert [fixed.epc_admissible(g) for g in (15, 16, 143, 144)] == [
+        False, True, True, False]
+    dynamic = fresh_memory(mode=MemoryMode.cca_dynamic())
+    assert dynamic.epc_span() == (2, 256)
+    assert [dynamic.epc_admissible(g) for g in (1, 2, 255, 256)] == [
+        False, True, True, False]
