@@ -234,7 +234,7 @@ def cpuid_emulate(m, leaf: int, subleaf: int) -> Tuple[int, int, int, int]:
 
 def _tcs_for_entry(m, tcs_granule: int):
     entry = m.memory.epcm_lookup(tcs_granule)
-    if not entry.valid or entry.page_type != PageType.TCS:
+    if entry is None or entry.page_type != PageType.TCS:
         raise SgxError(E.PAGE_INVALID, f"granule {tcs_granule} is not a TCS page")
     if entry.blocked:
         raise SgxError(E.PAGE_INVALID, "TCS page is blocked")

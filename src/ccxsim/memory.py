@@ -8,7 +8,10 @@ enclave owns.  Every simulated load/store funnels through
 which consult the active table for the accessing context.  Enclave page
 metadata lives in the EPCM, which is modeled as simulator-private state
 outside the addressable granule space (equivalent to keeping it in root-world
-memory: no non-root accessor could ever reach it).
+memory: no non-root accessor could ever reach it).  EPCM entries are
+immutable and exist only for valid pages: a granule is EPCM-valid exactly
+when the map holds an entry for it, and a leaf changes an entry by storing a
+new one.
 
 Allocation reads the same state: free granules are found in the system
 table, an enclave's page list is its owned set, and
@@ -18,7 +21,7 @@ table, an enclave's page list is its owned set, and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import GranuleProtectionFault, ModelError
@@ -160,17 +163,21 @@ class MemoryMode:
                 raise ModelError("EPC window exceeds physical memory")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpcmEntry:
-    """Per-granule EPC metadata.
+    """EPC metadata of one valid granule.
 
-    ``staged_type`` and ``blocked_epoch`` are microprogram bookkeeping for
-    type changes in flight and for blocked-page tracking; both ride along in
-    swap metadata so a reloaded page resumes in the same state.
+    Entries are immutable and stored only for valid pages, so a looked-up
+    entry can be shared without a copy.  Leaves build a new entry with the
+    constructor or ``dataclasses.replace`` and store it with
+    :meth:`MachineMemory.epcm_update`; a leaf refused before that store leaves
+    the EPCM as it was.  ``staged_type`` and ``blocked_epoch`` are
+    microprogram bookkeeping for type changes in flight and for blocked-page
+    tracking; both ride along in swap metadata so a reloaded page resumes in
+    the same state.
     """
 
-    valid: bool = False
-    page_type: Optional[PageType] = None
+    page_type: PageType
     owner: Optional[int] = None
     vaddr: int = 0
     perms: Perms = Perms.NONE
@@ -183,32 +190,10 @@ class EpcmEntry:
     def validate(self) -> None:
         if self.pending and self.modified:
             raise ModelError("EPCM entry has pending and modified both set")
-        if not self.valid:
-            if (
-                self.page_type is not None
-                or self.owner is not None
-                or self.vaddr != 0
-                or self.perms != Perms.NONE
-                or self.blocked
-                or self.pending
-                or self.modified
-                or self.staged_type is not None
-                or self.blocked_epoch is not None
-            ):
-                raise ModelError("invalid EPCM entry must be fully cleared")
-        else:
-            if self.page_type is None:
-                raise ModelError("valid EPCM entry needs a page type")
-            if self.page_type == PageType.VA and self.owner is not None:
-                raise ModelError("VA pages are not enclave-owned")
-            if self.page_type not in (PageType.VA,) and self.owner is None:
-                raise ModelError("non-VA EPCM entry needs an owner")
-
-    def copy(self) -> "EpcmEntry":
-        return replace(self)
-
-
-INVALID_EPCM_ENTRY = EpcmEntry()
+        if self.page_type == PageType.VA and self.owner is not None:
+            raise ModelError("VA pages are not enclave-owned")
+        if self.page_type != PageType.VA and self.owner is None:
+            raise ModelError("non-VA EPCM entry needs an owner")
 
 
 class GptSet:
@@ -389,8 +374,7 @@ class MachineMemory:
 
     def assign_granule(self, eid: int, granule: int) -> None:
         self._check_range(granule)
-        entry = self.epcm.get(granule)
-        if entry is not None and entry.valid:
+        if granule in self.epcm:
             raise ModelError(f"granule {granule} is EPCM-valid, cannot assign")
         if not self.epc_admissible(granule):
             raise ModelError(f"granule {granule} not admissible as EPC")
@@ -415,25 +399,29 @@ class MachineMemory:
 
     # -- EPCM ----------------------------------------------------------------
 
-    def epcm_lookup(self, granule: int) -> EpcmEntry:
+    def epcm_lookup(self, granule: int) -> Optional[EpcmEntry]:
+        """The granule's stored entry, or None if it is not EPCM-valid."""
         self._check_range(granule)
-        return self.epcm.get(granule, INVALID_EPCM_ENTRY).copy()
+        return self.epcm.get(granule)
 
-    def epcm_update(self, granule: int, entry: EpcmEntry) -> None:
+    def epcm_update(self, granule: int, entry: Optional[EpcmEntry]) -> None:
+        """Store ``entry`` for the granule, or clear the granule with None."""
         self._check_range(granule)
-        entry.validate()
-        old = self.epcm.get(granule)
-        if old is not None and old.valid and old.owner is not None:
-            self.vaddr_index.pop((old.owner, old.vaddr), None)
-        if entry.valid:
-            self.epcm[granule] = entry.copy()
+        if entry is not None:
+            entry.validate()
             if entry.owner is not None:
-                key = (entry.owner, entry.vaddr)
-                if self.vaddr_index.get(key, granule) != granule:
+                mapped = self.vaddr_index.get((entry.owner, entry.vaddr), granule)
+                if mapped != granule:
                     raise ModelError(f"vaddr {entry.vaddr:#x} double-mapped in {entry.owner}")
-                self.vaddr_index[key] = granule
-        else:
+        old = self.epcm.get(granule)
+        if old is not None and old.owner is not None:
+            self.vaddr_index.pop((old.owner, old.vaddr), None)
+        if entry is None:
             self.epcm.pop(granule, None)
+            return
+        self.epcm[granule] = entry
+        if entry.owner is not None:
+            self.vaddr_index[(entry.owner, entry.vaddr)] = granule
 
     def find_page(self, eid: int, vaddr: int) -> Optional[int]:
         return self.vaddr_index.get((eid, vaddr & ~(GRANULE_SIZE - 1)))
@@ -443,10 +431,7 @@ class MachineMemory:
         return sorted(self.epcm)
 
     def is_free(self, granule: int) -> bool:
-        if granule < RESERVED_GRANULES:
-            return False
-        entry = self.epcm.get(granule)
-        if entry is not None and entry.valid:
+        if granule < RESERVED_GRANULES or granule in self.epcm:
             return False
         return self.gpts.entry(None, granule) == Pas.NORMAL
 
@@ -463,8 +448,6 @@ class MachineMemory:
         """
         owned = self.gpts.owned
         for granule, entry in self.epcm.items():
-            if not entry.valid:
-                raise ModelError("invalid entry stored in EPCM map")
             if self.mode.is_fixed and not self.epc_admissible(granule):
                 raise ModelError(f"EPCM-valid granule {granule} outside fixed EPC")
             if self.gpts.system[granule] != Pas.NO_ACCESS:

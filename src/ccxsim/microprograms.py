@@ -9,10 +9,11 @@ tables in :mod:`ccxsim.machine` stitch both together.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .errors import AuthenticationFailure, ModelError, SgxError, SgxErrorCode as E
-from .memory import GRANULE_SIZE, MICROCODE, PageType, Perms
+from .memory import GRANULE_SIZE, MICROCODE, EpcmEntry, PageType, Perms
 from .structs import (
     ATTR_INIT,
     Attributes,
@@ -49,7 +50,7 @@ def _secs(m, eid: int) -> Secs:
 
 def _valid_entry(m, granule: int):
     entry = m.memory.epcm_lookup(granule)
-    if not entry.valid:
+    if entry is None:
         raise SgxError(E.PAGE_INVALID, f"granule {granule} has no valid EPCM entry")
     return entry
 
@@ -100,13 +101,7 @@ def ecreate(
     m.memory.gpts.create_enclave_table(eid)
     m.memory.assign_granule(eid, secs_granule)
     m.memory.zero_granule(secs_granule)
-    entry = m.memory.epcm_lookup(secs_granule)
-    entry.valid = True
-    entry.page_type = PageType.SECS
-    entry.owner = eid
-    entry.vaddr = 0
-    entry.perms = Perms.NONE
-    m.memory.epcm_update(secs_granule, entry)
+    m.memory.epcm_update(secs_granule, EpcmEntry(PageType.SECS, owner=eid))
 
     state = m.crypto.hash_init()
     state.absorb(ecreate_record(ssa_frame_size, size))
@@ -156,26 +151,29 @@ def eadd(
         if source_bytes is not None:
             raise ModelError("ccx-mode EADD assigns in place; write content first")
 
-    m.memory.assign_granule(eid, target_granule)
-    if source_bytes is not None:
-        m.memory.write_granule(MICROCODE, target_granule, 0, source_bytes)
-
-    effective = effective_secinfo(secinfo)
+    tcs = None
     if secinfo.page_type == PageType.TCS:
-        content = m.memory.read_granule(MICROCODE, target_granule, 0, GRANULE_SIZE)
-        tcs = Tcs.unpack(content)
+        # A bad TCS is refused before the granule changes hands.
+        if source_bytes is None:
+            source = m.memory.read_granule(MICROCODE, target_granule, 0, GRANULE_SIZE)
+        else:
+            source = source_bytes
+        tcs = Tcs.unpack(source)
         if tcs.cssa != 0:
             raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
         tcs.validate(secs)
+
+    m.memory.assign_granule(eid, target_granule)
+    if source_bytes is not None:
+        m.memory.write_granule(MICROCODE, target_granule, 0, source_bytes)
+    if tcs is not None:
         m.tcs_registry[target_granule] = tcs
 
-    entry = m.memory.epcm_lookup(target_granule)
-    entry.valid = True
-    entry.page_type = secinfo.page_type
-    entry.owner = eid
-    entry.vaddr = vaddr
-    entry.perms = effective.perms
-    m.memory.epcm_update(target_granule, entry)
+    effective = effective_secinfo(secinfo)
+    m.memory.epcm_update(
+        target_granule,
+        EpcmEntry(secinfo.page_type, owner=eid, vaddr=vaddr, perms=effective.perms),
+    )
 
     secs.mrenclave_state.absorb(eadd_record(vaddr - secs.base, effective))
     m.trace_event("eadd", eid=eid, vaddr=vaddr, granule=target_granule,
@@ -232,7 +230,7 @@ def eremove(m, granule: int) -> None:
         children = len(m.memory.gpts.owned[eid]) - 1  # all but the SECS
         if children:
             raise SgxError(E.CHILD_PRESENT, f"enclave {eid} still owns {children} pages")
-        m.memory.epcm_update(granule, m.memory.epcm_lookup(granule).__class__())
+        m.memory.epcm_update(granule, None)
         m.memory.unassign_granule(eid, granule)
         m.memory.gpts.drop_enclave_table(eid)
         del m.enclaves[eid]
@@ -245,7 +243,7 @@ def eremove(m, granule: int) -> None:
             raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
         m.tcs_registry.pop(granule, None)
 
-    m.memory.epcm_update(granule, m.memory.epcm_lookup(granule).__class__())
+    m.memory.epcm_update(granule, None)
     if entry.owner is not None:
         m.memory.unassign_granule(entry.owner, granule)
     else:
@@ -287,10 +285,8 @@ def eblock(m, granule: int) -> None:
         raise SgxError(E.PAGE_INVALID, f"{entry.page_type.name} pages cannot be blocked")
     if entry.blocked:
         raise SgxError(E.ALREADY_BLOCKED, f"granule {granule} already blocked")
-    entry.blocked = True
-    if entry.owner is not None:
-        entry.blocked_epoch = _secs(m, entry.owner).track_epoch
-    m.memory.epcm_update(granule, entry)
+    epoch = entry.blocked_epoch if entry.owner is None else _secs(m, entry.owner).track_epoch
+    m.memory.epcm_update(granule, replace(entry, blocked=True, blocked_epoch=epoch))
 
 
 def etrack(m, eid: int) -> None:
@@ -306,18 +302,13 @@ def epa(m, granule: int) -> None:
     _require_free(m, granule)
     m.memory.seclude_granule(granule)
     m.memory.zero_granule(granule)
-    entry = m.memory.epcm_lookup(granule)
-    entry.valid = True
-    entry.page_type = PageType.VA
-    entry.owner = None
-    entry.perms = Perms.NONE
-    m.memory.epcm_update(granule, entry)
+    m.memory.epcm_update(granule, EpcmEntry(PageType.VA))
     m.trace_event("epa", granule=granule)
 
 
 def _va_entry(m, va_granule: int):
     entry = m.memory.epcm_lookup(va_granule)
-    if not entry.valid or entry.page_type != PageType.VA:
+    if entry is None or entry.page_type != PageType.VA:
         raise SgxError(E.VA_SLOT_INVALID, f"granule {va_granule} is not a version array")
     return entry
 
@@ -383,7 +374,7 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
 
     _va_slot_write(m, va_granule, slot, version)
     m.tcs_registry.pop(granule, None)
-    m.memory.epcm_update(granule, type(entry)())
+    m.memory.epcm_update(granule, None)
     if entry.owner is not None:
         m.memory.unassign_granule(entry.owner, granule)
     else:
@@ -429,19 +420,17 @@ def _eld_common(
         m.memory.seclude_granule(target_granule)
     m.memory.write_granule(MICROCODE, target_granule, 0, plaintext)
 
-    entry = m.memory.epcm_lookup(target_granule)
-    entry.valid = True
-    entry.page_type = pcmd.page_type
-    entry.owner = pcmd.owner
-    entry.vaddr = pcmd.vaddr
-    entry.perms = pcmd.perms
-    entry.pending = pcmd.pending
-    entry.modified = pcmd.modified
-    entry.staged_type = pcmd.staged_type
-    entry.blocked = mark_blocked
-    if mark_blocked and secs is not None:
-        entry.blocked_epoch = secs.track_epoch
-    m.memory.epcm_update(target_granule, entry)
+    m.memory.epcm_update(target_granule, EpcmEntry(
+        pcmd.page_type,
+        owner=pcmd.owner,
+        vaddr=pcmd.vaddr,
+        perms=pcmd.perms,
+        blocked=mark_blocked,
+        pending=pcmd.pending,
+        modified=pcmd.modified,
+        staged_type=pcmd.staged_type,
+        blocked_epoch=secs.track_epoch if mark_blocked and secs is not None else None,
+    ))
 
     if pcmd.page_type == PageType.TCS:
         m.tcs_registry[target_granule] = Tcs.unpack(plaintext)
@@ -477,14 +466,9 @@ def eaug(m, eid: int, vaddr: int, target_granule: int) -> None:
 
     m.memory.assign_granule(eid, target_granule)
     m.memory.zero_granule(target_granule)
-    entry = m.memory.epcm_lookup(target_granule)
-    entry.valid = True
-    entry.page_type = PageType.REG
-    entry.owner = eid
-    entry.vaddr = vaddr
-    entry.perms = Perms.R | Perms.W
-    entry.pending = True
-    m.memory.epcm_update(target_granule, entry)
+    m.memory.epcm_update(target_granule, EpcmEntry(
+        PageType.REG, owner=eid, vaddr=vaddr, perms=Perms.R | Perms.W, pending=True
+    ))
     m.trace_event("eaug", eid=eid, vaddr=vaddr, granule=target_granule)
 
 
@@ -503,18 +487,15 @@ def emodpr(m, granule: int, new_perms: Perms) -> None:
     entry = _settled_reg_entry(m, granule)
     if new_perms & ~entry.perms:
         raise SgxError(E.PERM_EXPANSION_ATTEMPT, "EMODPR only restricts permissions")
-    entry.perms = new_perms  # restriction takes effect immediately
-    entry.modified = True
-    m.memory.epcm_update(granule, entry)
+    # the restriction takes effect immediately
+    m.memory.epcm_update(granule, replace(entry, perms=new_perms, modified=True))
 
 
 def emodt(m, granule: int, new_type: PageType) -> None:
     entry = _settled_reg_entry(m, granule)
     if new_type not in (PageType.TCS, PageType.TRIM):
         raise SgxError(E.ILLEGAL_TRANSITION, f"REG pages become TCS or TRIM, not {new_type.name}")
-    entry.staged_type = new_type
-    entry.modified = True
-    m.memory.epcm_update(granule, entry)
+    m.memory.epcm_update(granule, replace(entry, staged_type=new_type, modified=True))
 
 
 def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
@@ -531,13 +512,11 @@ def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
             f"expected {expected.page_type.name}/{expected.perms.text()},"
             f" staged {staged.page_type.name}/{staged.perms.text()}",
         )
-    entry.pending = False
-    entry.modified = False
+    entry = replace(entry, pending=False, modified=False)
     if entry.staged_type is not None:
-        entry.page_type = entry.staged_type
-        entry.staged_type = None
+        entry = replace(entry, page_type=entry.staged_type, staged_type=None)
         if entry.page_type == PageType.TCS:
-            entry.perms = Perms.NONE
+            entry = replace(entry, perms=Perms.NONE)
             content = m.memory.read_granule(MICROCODE, granule, 0, GRANULE_SIZE)
             tcs = Tcs.unpack(content)
             if tcs.cssa != 0:
@@ -571,9 +550,7 @@ def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInf
 
     content = m.memory.read_granule(MICROCODE, src_granule, 0, GRANULE_SIZE)
     m.memory.write_granule(MICROCODE, target_granule, 0, content)
-    entry.pending = False
-    entry.perms = secinfo.perms
-    m.memory.epcm_update(target_granule, entry)
+    m.memory.epcm_update(target_granule, replace(entry, pending=False, perms=secinfo.perms))
 
 
 def emodpe(m, vcpu, granule: int, add_perms: Perms) -> None:
@@ -590,8 +567,7 @@ def emodpe(m, vcpu, granule: int, add_perms: Perms) -> None:
             f"{new_perms.text()} exceeds signed ceiling "
             f"{secs.attributes.max_page_perms.text()}",
         )
-    entry.perms = new_perms
-    m.memory.epcm_update(granule, entry)
+    m.memory.epcm_update(granule, replace(entry, perms=new_perms))
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,7 @@ class HostRuntime:
     def _default_victim_filter(self, granule: int) -> bool:
         m = self.machine
         entry = m.memory.epcm.get(granule)
-        if entry is None or not entry.valid or entry.blocked:
+        if entry is None or entry.blocked:
             return False
         if entry.page_type not in (PageType.REG, PageType.TCS):
             return False
@@ -328,7 +328,7 @@ class HostRuntime:
         while self._fifo:
             g = self._fifo.popleft()
             entry = m.memory.epcm.get(g)
-            if entry is None or not entry.valid:
+            if entry is None:
                 continue  # stale
             if not self.victim_filter(g):
                 self._fifo.append(g)
@@ -336,22 +336,26 @@ class HostRuntime:
                 if rotated > len(self._fifo) + 1:
                     break
                 continue
-            owner = entry.owner
-            vaddr = entry.vaddr
             if not self._free_slots:
                 raise ModelError("no version slot free for eviction")
-            va_g, slot = self._free_slots.popleft()
-            try:
-                m.leaf("EBLOCK", g)
-                m.leaf("ETRACK", owner)
-                blob = m.leaf("EWB", g, va_g, slot)
-            except SgxError:
-                self._free_slots.appendleft((va_g, slot))
-                raise
-            self.store.put(owner, vaddr, _StoredBlob(blob, va_g, slot))
-            self.swap_out_events += 1
+            self._write_back(g, entry.owner, entry.vaddr)
             return
         raise ModelError("EPC exhausted and no evictable page found")
+
+    def _write_back(self, g: int, owner: int, vaddr: int) -> None:
+        """Block, track and write back page `g` into the next free version
+        slot, and keep its blob; the slot goes back if a leaf refuses."""
+        m = self.machine
+        va_g, slot = self._free_slots.popleft()
+        try:
+            m.leaf("EBLOCK", g)
+            m.leaf("ETRACK", owner)
+            blob = m.leaf("EWB", g, va_g, slot)
+        except SgxError:
+            self._free_slots.appendleft((va_g, slot))
+            raise
+        self.store.put(owner, vaddr, _StoredBlob(blob, va_g, slot))
+        self.swap_out_events += 1
 
     # ------------------------------------------------------------------ loader
 
@@ -480,16 +484,7 @@ class HostRuntime:
             raise ModelError(f"no resident page at {vaddr:#x}")
         if not self._free_slots:
             self._add_version_array(self.take_epc_granule())
-        va_g, slot = self._free_slots.popleft()
-        try:
-            m.leaf("EBLOCK", g)
-            m.leaf("ETRACK", handle.eid)
-            blob = m.leaf("EWB", g, va_g, slot)
-        except SgxError:
-            self._free_slots.appendleft((va_g, slot))
-            raise
-        self.store.put(handle.eid, vaddr, _StoredBlob(blob, va_g, slot))
-        self.swap_out_events += 1
+        self._write_back(g, handle.eid, vaddr)
 
     def swap_in(self, handle: EnclaveHandle, vaddr: int) -> None:
         m = self.machine
@@ -516,17 +511,28 @@ class HostRuntime:
             self.swap_in(handle, page)
 
     def _ensure_tcs_ready(self, handle: EnclaveHandle, tcs_vaddr: int) -> int:
-        self._ensure_resident(handle, tcs_vaddr)
+        """Page in the TCS and the save-state frames an entry can touch:
+        0..cssa-1 hold saved contexts, and the next AEX writes frame cssa
+        (if cssa < nssa).  Paging one in may evict another, the TCS included,
+        so repeat until none of them is swapped out."""
         m = self.machine
-        tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
-        if tcs_granule is None:
-            raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
-        tcs = m.tcs_registry[tcs_granule]
         secs = m.enclaves[handle.eid]
-        for i in range(tcs.cssa):
-            frame_vaddr = secs.base + tcs.ossa + i * secs.ssa_frame_size * GRANULE_SIZE
-            self._ensure_resident(handle, frame_vaddr)
-        return tcs_granule
+        while True:
+            self._ensure_resident(handle, tcs_vaddr)
+            tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
+            if tcs_granule is None:
+                raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
+            tcs = m.tcs_registry[tcs_granule]
+            pages = [tcs_vaddr] + [
+                secs.base + tcs.ossa + i * secs.ssa_frame_size * GRANULE_SIZE
+                for i in range(min(tcs.cssa + 1, tcs.nssa))
+            ]
+            for vaddr in pages[1:]:
+                self._ensure_resident(handle, vaddr)
+            if not any(
+                self.store.has(handle.eid, vaddr & ~(GRANULE_SIZE - 1)) for vaddr in pages
+            ):
+                return tcs_granule
 
     # ------------------------------------------------------------------ calls
 

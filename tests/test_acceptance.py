@@ -492,7 +492,7 @@ def test_criterion_10_sgx2_dynamics(tmp_path):
         with rt.entered(h) as vcpu:
             machine.enclu(vcpu, 0x5, gt, SecInfo(Perms.R | Perms.W, PageType.TRIM))
         machine.leaf("EREMOVE", gt)
-        assert not machine.memory.epcm_lookup(gt).valid
+        assert machine.memory.epcm_lookup(gt) is None
         tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
         with pytest.raises(SgxError) as exc:
             machine.leaf("EMODT", tcs_g, PageType.REG)

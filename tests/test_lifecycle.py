@@ -28,7 +28,7 @@ def test_ecreate_establishes_secs_and_table(machine):
     g = free_epc_granules(machine, 1)[0]
     eid = machine.leaf("ECREATE", g, 1 << 21, 1, Attributes(), BASE)
     entry = machine.memory.epcm_lookup(g)
-    assert entry.valid and entry.page_type == PageType.SECS and entry.owner == eid
+    assert entry is not None and entry.page_type == PageType.SECS and entry.owner == eid
     assert eid in machine.memory.gpts.enclave
     assert not machine.enclaves[eid].initialized
 
@@ -116,6 +116,21 @@ def test_eadd_bad_tcs_layout_rejected(machine):
         machine.leaf("EADD", enc.eid, BASE + 0x8000,
                      SecInfo(Perms.NONE, PageType.TCS), g, bad.pack())
     assert exc.value.code == E.BAD_TCS_LAYOUT
+    assert machine.memory.is_free(g) and g not in machine.tcs_registry
+    machine.audit()
+
+
+def test_ccx_refused_tcs_eadd_leaves_granule_free(ccx_machine):
+    enc = build_raw_enclave(ccx_machine, init=False)
+    g = free_epc_granules(ccx_machine, 1)[0]
+    bad = Tcs(oentry=1 << 22, ossa=0x2000, nssa=2)  # entry point outside
+    ccx_machine.host_write(g, 0, bad.pack())  # ccx EADD reads the granule in place
+    with pytest.raises(SgxError) as exc:
+        ccx_machine.leaf("EADD", enc.eid, BASE + 0x8000,
+                         SecInfo(Perms.NONE, PageType.TCS), g)
+    assert exc.value.code == E.BAD_TCS_LAYOUT
+    assert ccx_machine.memory.is_free(g) and g not in ccx_machine.tcs_registry
+    ccx_machine.audit()
 
 
 def test_eadd_in_dynamic_mode_assigns_in_place(ccx_machine):
@@ -257,7 +272,7 @@ def test_remove_reg_page(machine):
     enc = build_raw_enclave(machine)
     g = enc.granule(0x1000)
     machine.leaf("EREMOVE", g)
-    assert not machine.memory.epcm_lookup(g).valid
+    assert machine.memory.epcm_lookup(g) is None
     assert machine.host_read(g, 0, 8) == b"\0" * 8  # scrubbed and reachable
 
 

@@ -1,6 +1,7 @@
 """Granule protection tables, access checking, and the EPC page map."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,27 +219,27 @@ def test_seclusion_round_trip():
 
 def test_lookup_of_never_added_granule_is_invalid():
     mem = fresh_memory()
-    entry = mem.epcm_lookup(50)
-    assert not entry.valid
-    assert entry.owner is None and entry.page_type is None
+    assert mem.epcm_lookup(50) is None
 
 
 def test_epcm_update_rejects_invariant_violations():
     mem = fresh_memory()
-    bad = EpcmEntry(valid=True, page_type=PageType.REG, owner=1, vaddr=0,
+    bad = EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0,
                     perms=Perms.R, pending=True, modified=True)
     with pytest.raises(ModelError):
         mem.epcm_update(60, bad)
-    half_cleared = EpcmEntry(valid=False, vaddr=0x1000)
-    with pytest.raises(ModelError):
-        mem.epcm_update(60, half_cleared)
+    for bad in (EpcmEntry(page_type=PageType.VA, owner=1),
+                EpcmEntry(page_type=PageType.REG, owner=None)):
+        with pytest.raises(ModelError):
+            mem.epcm_update(60, bad)
+    assert mem.epcm_lookup(60) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=20))
 def test_fuzzed_epcm_updates_never_hold_pending_and_modified(flips):
     mem = fresh_memory()
-    entry = EpcmEntry(valid=True, page_type=PageType.REG, owner=1, vaddr=0x1000,
+    entry = EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x1000,
                       perms=Perms.R | Perms.W)
     mem.gpts.create_enclave_table(1)
     mem.assign_granule(1, 70)
@@ -246,12 +247,11 @@ def test_fuzzed_epcm_updates_never_hold_pending_and_modified(flips):
     for set_pending, set_modified, clear in flips:
         e = mem.epcm_lookup(70)
         if clear:
-            e.pending = False
-            e.modified = False
+            e = replace(e, pending=False, modified=False)
         if set_pending and not e.modified:
-            e.pending = True
+            e = replace(e, pending=True)
         if set_modified and not e.pending:
-            e.modified = True
+            e = replace(e, modified=True)
         mem.epcm_update(70, e)
         stored = mem.epcm_lookup(70)
         assert not (stored.pending and stored.modified)
@@ -261,12 +261,20 @@ def test_epcm_update_maintains_vaddr_index():
     mem = fresh_memory()
     mem.gpts.create_enclave_table(1)
     mem.assign_granule(1, 80)
-    mem.epcm_update(80, EpcmEntry(valid=True, page_type=PageType.REG, owner=1,
+    mem.epcm_update(80, EpcmEntry(page_type=PageType.REG, owner=1,
                                   vaddr=0x4000, perms=Perms.R))
     assert mem.find_page(1, 0x4000) == 80
     assert mem.find_page(1, 0x4008) == 80  # same page
-    mem.epcm_update(80, EpcmEntry())
+    mem.epcm_update(80, None)
     assert mem.find_page(1, 0x4000) is None
+    # a refused double mapping leaves both the entry and its index in place
+    mem.assign_granule(1, 81)
+    mem.epcm_update(81, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x5000))
+    mem.assign_granule(1, 82)
+    mem.epcm_update(82, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x6000))
+    with pytest.raises(ModelError):
+        mem.epcm_update(82, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x5000))
+    assert mem.find_page(1, 0x5000) == 81 and mem.find_page(1, 0x6000) == 82
 
 
 def test_audit_catches_planted_inconsistency(machine):
@@ -354,16 +362,16 @@ def test_first_free_matches_scan_over_is_free(fixed, ops, bounds):
         usable = mem.is_free(g) and mem.epc_admissible(g)
         if op == "assign" and usable:
             mem.assign_granule(1, g)
-            mem.epcm_update(g, EpcmEntry(valid=True, page_type=PageType.REG, owner=1,
+            mem.epcm_update(g, EpcmEntry(page_type=PageType.REG, owner=1,
                                          vaddr=g * GRANULE_SIZE, perms=Perms.R))
         elif op == "seclude" and usable:
             mem.seclude_granule(g)
-            mem.epcm_update(g, EpcmEntry(valid=True, page_type=PageType.VA))
+            mem.epcm_update(g, EpcmEntry(page_type=PageType.VA))
         elif op == "unassign" and entry is not None and entry.owner == 1:
-            mem.epcm_update(g, EpcmEntry())
+            mem.epcm_update(g, None)
             mem.unassign_granule(1, g)
         elif op == "unseclude" and entry is not None and entry.owner is None:
-            mem.epcm_update(g, EpcmEntry())
+            mem.epcm_update(g, None)
             mem.unseclude_granule(g)
     mem.audit()
     for lo, hi in bounds + [mem.epc_span(), (0, 64)]:

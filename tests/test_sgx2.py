@@ -1,5 +1,6 @@
 """Dynamic page management: grow, accept, permission and type changes."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -233,7 +234,7 @@ def test_emodt_reg_to_trim_then_remove(env):
     accept(machine, enc, rt, g, SecInfo(Perms.R | Perms.W, PageType.TRIM))
     assert machine.memory.epcm_lookup(g).page_type == PageType.TRIM
     machine.leaf("EREMOVE", g)
-    assert not machine.memory.epcm_lookup(g).valid
+    assert machine.memory.epcm_lookup(g) is None
 
 
 def test_emodt_illegal_transitions(env):
@@ -250,15 +251,28 @@ def test_emodt_illegal_transitions(env):
 
 
 def test_emodt_reg_to_tcs_then_enter(env):
-    """A dynamic thread: the enclave materializes a TCS in a data page."""
+    """A dynamic thread: the enclave materializes a TCS in a data page.  A bad
+    TCS image is refused at EACCEPT and leaves the staged change in place."""
     machine, enc, rt = env
     g = augment(machine, enc)
     accept(machine, enc, rt, g, SecInfo(Perms.R | Perms.W, PageType.REG))
-    # write a valid TCS image into the page (debug write models the enclave
-    # runtime preparing the structure)
+    # debug writes model the enclave runtime preparing the structure; the
+    # first image's entry point lies outside the enclave
+    bad = Tcs(oentry=1 << 22, ossa=0x3000, nssa=1, tls_base=0x1000)
+    machine.leaf("EDBGWR", g, 0, bad.pack()[:64])
+    machine.leaf("EMODT", g, PageType.TCS)
+    staged = machine.memory.epcm_lookup(g)
+    with pytest.raises(SgxError) as exc:
+        accept(machine, enc, rt, g, SecInfo(Perms.R | Perms.W, PageType.TCS))
+    assert exc.value.code == E.BAD_TCS_LAYOUT
+    entry = machine.memory.epcm_lookup(g)
+    assert entry == staged
+    assert entry.page_type == PageType.REG and entry.staged_type == PageType.TCS
+    assert entry.modified and g not in machine.tcs_registry
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.modified = False
     tcs = Tcs(oentry=0x0, ossa=0x3000, nssa=1, tls_base=0x1000)
     machine.leaf("EDBGWR", g, 0, tcs.pack()[:64])
-    machine.leaf("EMODT", g, PageType.TCS)
     accept(machine, enc, rt, g, SecInfo(Perms.R | Perms.W, PageType.TCS))
     entry = machine.memory.epcm_lookup(g)
     assert entry.page_type == PageType.TCS and entry.perms == Perms.NONE

@@ -170,7 +170,7 @@ def test_epa_creates_unowned_va_page(machine):
     g = free_epc_granules(machine, 1)[0]
     machine.leaf("EPA", g)
     entry = machine.memory.epcm_lookup(g)
-    assert entry.valid and entry.page_type == PageType.VA and entry.owner is None
+    assert entry is not None and entry.page_type == PageType.VA and entry.owner is None
     machine.audit()
 
 
@@ -213,7 +213,7 @@ def test_swap_round_trip_restores_page_bit_exact(swap_env):
     machine.leaf("EDBGWR", g, 0, b"precious data")
     original = machine.leaf("EDBGRD", g, 0, GRANULE_SIZE)
     blob = swap_out(machine, enc, 0x1000, va, 0)
-    assert not machine.memory.epcm_lookup(g).valid
+    assert machine.memory.epcm_lookup(g) is None
     assert machine.host_read(g, 0, 16) == b"\0" * 16  # scrubbed
     target = free_epc_granules(machine, 1)[0]
     machine.leaf("ELDU", blob.ciphertext, blob.pcmd, va, 0, target, enc.eid)
@@ -387,3 +387,18 @@ def test_block_swap_reload_restores_enclave_access(machine):
     # access faults, the driver demand-pages it back in, value intact
     assert rt.ecall(h, 0, fixtures.SEL_PEEK, scratch + 64) == 777
     assert rt.swap_in_events >= 1
+
+
+def test_entry_pages_in_the_frame_the_next_aex_saves_to(machine, fixture_dir):
+    """With save-state frame 0 swapped out, an interrupted ecall still saves
+    its context there instead of crashing the enclave."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    rt = HostRuntime(machine)
+    path = fixtures.write_compute_manifest(fixture_dir, "ssa0")
+    h = rt.load_enclave(EnclaveManifest.load(path))
+    frame0 = h.base + fixtures.SSA_OFF
+    rt.swap_out(h, frame0)
+    assert rt.ecall(h, 0, 0, 40, inject_at={30}) == fixtures.compute_expected(40)
+    assert machine.memory.find_page(h.eid, frame0) is not None
