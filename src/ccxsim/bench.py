@@ -67,6 +67,24 @@ class BenchReport:
         return "\n".join(lines)
 
 
+def _report(config: Config, iterations: int, machine: Machine, start: float) -> BenchReport:
+    """Per-leaf counts and costs of everything `machine` ran since `start`."""
+    per_leaf = {
+        name: {
+            "count": machine.counters[name],
+            "cost_total": machine.cost_tally[name],
+            "cost_per_op": machine.leaf_cost[name],
+        }
+        for name in ALL_LEAF_NAMES
+    }
+    return BenchReport(
+        config=config.to_dict(),
+        iterations=iterations,
+        per_leaf=per_leaf,
+        wall_seconds=time.monotonic() - start,
+    )
+
+
 def _bench_dynamics(m: Machine, rt: HostRuntime, handle, iterations: int) -> None:
     """EAUG/EACCEPT/EMODPE/EMODPR/EMODT/EACCEPTCOPY/EREMOVE cycles."""
     base = handle.base
@@ -153,13 +171,13 @@ def _bench_entry(m: Machine, rt: HostRuntime, handle, iterations: int) -> None:
     vcpu = m.vcpus[0]
     tcs_granule = m.memory.find_page(handle.eid, handle.tcs_vaddrs[0])
     for _ in range(iterations):
-        m.enclu(vcpu, 0x2, tcs_granule, AEP_GATE)
+        m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
         m.inject_interrupt(vcpu)  # AEX with context save
-        m.enclu(vcpu, 0x3, tcs_granule, AEP_GATE)  # restore
+        m.leaf("ERESUME", tcs_granule, AEP_GATE, vcpu=vcpu)  # restore
         m.inject_interrupt(vcpu)
-        m.enclu(vcpu, 0x2, tcs_granule, AEP_GATE)  # exception-style entry, cssa=1
-        m.enclu(vcpu, 0x9)  # EDECCSSA retires the slot
-        m.enclu(vcpu, 0x4, RETURN_GATE)
+        m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)  # exception-style entry, cssa=1
+        m.leaf("EDECCSSA", vcpu=vcpu)  # retires the slot
+        m.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
 
 
 def run_leaf_bench(config: Config, iterations: int = 100) -> BenchReport:
@@ -182,22 +200,11 @@ def run_leaf_bench(config: Config, iterations: int = 100) -> BenchReport:
         _bench_dynamics(machine, rt, handle, iterations)
         _bench_swap(machine, rt, handle, iterations)
 
-    per_leaf = {}
     for name in ALL_LEAF_NAMES:
         count = machine.counters[name]
         if count < iterations:
             raise ModelError(f"bench under-exercised {name}: {count} < {iterations}")
-        per_leaf[name] = {
-            "count": count,
-            "cost_total": machine.cost_tally[name],
-            "cost_per_op": machine.leaf_cost[name],
-        }
-    return BenchReport(
-        config=config.to_dict(),
-        iterations=iterations,
-        per_leaf=per_leaf,
-        wall_seconds=time.monotonic() - start,
-    )
+    return _report(config, iterations, machine, start)
 
 
 def run_scenario_bench(config: Config, scenario_path, mode_override=None):
@@ -208,18 +215,4 @@ def run_scenario_bench(config: Config, scenario_path, mode_override=None):
     result = run_scenario(scenario_path, config=config, mode_override=mode_override)
     if not result.ok:
         raise ModelError(f"bench scenario failed: {result.summary.get('failure')}")
-    machine = result.machine
-    per_leaf = {
-        name: {
-            "count": machine.counters[name],
-            "cost_total": machine.cost_tally[name],
-            "cost_per_op": machine.leaf_cost[name],
-        }
-        for name in ALL_LEAF_NAMES
-    }
-    return BenchReport(
-        config=config.to_dict(),
-        iterations=1,
-        per_leaf=per_leaf,
-        wall_seconds=time.monotonic() - start,
-    )
+    return _report(config, 1, result.machine, start)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from . import isa
@@ -35,10 +36,14 @@ from .structs import (
     EXIT_IRQ,
     EXIT_PAGEFAULT,
     EXIT_REASON_NAMES,
+    Attributes,
     KeyRequest,
     KEYREQUEST_SIZE,
+    Pcmd,
+    Report,
     SSA_FRAME_BYTES,
     SecInfo,
+    SigStruct,
     SsaFrame,
     TargetInfo,
     TARGETINFO_SIZE,
@@ -113,10 +118,6 @@ class TrapFrame:
     arg1: int = 0
     arg2: int = 0
     arg3: int = 0
-
-    @classmethod
-    def from_regs(cls, regs: List[int]) -> "TrapFrame":
-        return cls(regs[0], regs[1], regs[2], regs[3], regs[4])
 
 
 @dataclass
@@ -193,22 +194,12 @@ def mem_write(m, vcpu, addr: int, data: bytes) -> None:
 
 
 def _user_buffer(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
-    # A caller-supplied buffer that cannot be reached fails the leaf.
+    """Where a caller-supplied enclave buffer lies; the caller's page
+    permissions apply, and a buffer that cannot be reached fails the leaf."""
     try:
         return _enclave_translate(m, vcpu, addr, size, kind)
     except _PageAccessFault as exc:
         raise SgxError(E.BAD_VADDR, str(exc)) from None
-
-
-def user_read(m, vcpu, addr: int, size: int) -> bytes:
-    """Microprogram read of a caller-supplied enclave buffer (perms apply)."""
-    granule, offset = _user_buffer(m, vcpu, addr, size, "r")
-    return m.memory.read_granule(MICROCODE, granule, offset, size)
-
-
-def user_write(m, vcpu, addr: int, data: bytes) -> None:
-    granule, offset = _user_buffer(m, vcpu, addr, len(data), "w")
-    m.memory.write_granule(MICROCODE, granule, offset, data)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,12 @@ def _tcs_for_entry(m, tcs_granule: int):
         raise SgxError(E.UNKNOWN_ENCLAVE, f"no enclave {entry.owner}")
     if secs.crashed:
         raise SgxError(E.ENCLAVE_CRASHED, f"enclave {secs.eid} is crashed")
-    return secs, m.tcs_registry[tcs_granule]
+    if not secs.initialized:
+        raise SgxError(E.NOT_INITIALIZED, f"enclave {secs.eid} is not initialized")
+    tcs = m.tcs_registry[tcs_granule]
+    if tcs.busy:
+        raise SgxError(E.TCS_BUSY, "TCS already occupied")
+    return secs, tcs
 
 
 def _switch_in(m, vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> None:
@@ -274,13 +270,7 @@ def _switch_out(m, vcpu, secs, tcs) -> None:
 
 
 def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
-    if vcpu.in_enclave:
-        raise SgxError(E.INVALID_MODE, "EENTER requires host mode")
     secs, tcs = _tcs_for_entry(m, tcs_granule)
-    if not secs.initialized:
-        raise SgxError(E.NOT_INITIALIZED, f"enclave {secs.eid} is not initialized")
-    if tcs.busy:
-        raise SgxError(E.TCS_BUSY, "TCS already occupied")
     if tcs.cssa >= tcs.nssa:
         raise SgxError(E.CSSA_FULL, "no free save-state slot")
     # Host registers flow into the enclave (unified-state emulation); x0
@@ -292,8 +282,6 @@ def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
 
 
 def eexit(m, vcpu, target: int) -> None:
-    if not vcpu.in_enclave:
-        raise SgxError(E.INVALID_MODE, "EEXIT requires enclave mode")
     secs = m.enclaves[vcpu.cur_eid]
     tcs = m.tcs_registry[vcpu.cur_tcs]
     _switch_out(m, vcpu, secs, tcs)
@@ -304,13 +292,7 @@ def eexit(m, vcpu, target: int) -> None:
 
 
 def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
-    if vcpu.in_enclave:
-        raise SgxError(E.INVALID_MODE, "ERESUME requires host mode")
     secs, tcs = _tcs_for_entry(m, tcs_granule)
-    if not secs.initialized:
-        raise SgxError(E.NOT_INITIALIZED, f"enclave {secs.eid} is not initialized")
-    if tcs.busy:
-        raise SgxError(E.TCS_BUSY, "TCS already occupied")
     if tcs.cssa == 0:
         raise SgxError(E.NO_SAVED_STATE, "no interrupted context to resume")
 
@@ -406,11 +388,144 @@ def inject_interrupt(m, vcpu) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Gadget trap decode
+# Gadget trap decode: one register-ABI row per leaf
+#
+# A kind turns one guest word (a register, or a field of a staged record) into
+# a leaf argument, or refuses it with an SgxError, so a word the leaf cannot
+# accept reaches the guest as a code in x0 and never as a simulator error.
 
-# Leaves whose effects rewrite the register file themselves; the dispatcher
-# must not write a success code afterwards.
-_CONTEXT_SWITCH_LEAVES = {0x2, 0x3, 0x4}
+
+def _is(*types):
+    """Kind of a staged-record field: an object of one of ``types``."""
+    def check(m, vcpu, value):
+        if not isinstance(value, types):
+            raise SgxError(E.PAGE_INVALID, f"a staged {type(value).__name__} is misplaced")
+        return value
+    return check
+
+
+_word = _is(int)
+
+
+def _granule(m, vcpu, word) -> int:
+    if not 0 <= _word(m, vcpu, word) < m.memory.granule_count:
+        raise SgxError(E.PAGE_INVALID, f"granule {word} is outside physical memory")
+    return word
+
+
+def _own_page(m, vcpu, vaddr: int) -> int:
+    granule = m.memory.find_page(vcpu.cur_eid, vaddr)
+    if granule is None:
+        raise SgxError(E.BAD_VADDR, f"no own page at {vaddr:#x}")
+    return granule
+
+
+def _perms(m, vcpu, word: int) -> Perms:
+    return Perms(word & 0x7)
+
+
+def _page_type(m, vcpu, word: int) -> PageType:
+    try:
+        return PageType(word & 0xFF)
+    except ValueError:
+        raise SgxError(E.PAGE_INVALID, f"no page type {word & 0xFF}") from None
+
+
+def _secinfo(m, vcpu, word: int) -> SecInfo:
+    try:
+        return SecInfo.from_word(word)
+    except ValueError:
+        raise SgxError(E.PAGE_INVALID, f"SECINFO {word:#x} names no page type") from None
+
+
+def _value8(m, vcpu, word: int) -> bytes:
+    return (word & MASK64).to_bytes(8, "little")
+
+
+def _buffer(size: int, unpack=bytes):
+    """An enclave buffer of ``size`` bytes at the address in the word."""
+    def read(m, vcpu, addr: int):
+        granule, offset = _user_buffer(m, vcpu, addr, size, "r")
+        return unpack(m.memory.read_granule(MICROCODE, granule, offset, size))
+    return read
+
+
+def _sigstruct(m, vcpu, token: int) -> SigStruct:
+    return _is(SigStruct)(m, vcpu, m.take_params(token))
+
+
+def _record(*fields, optional: int = 0):
+    """A token in x2 for a staged tuple of all the arguments, one kind per
+    field; the last ``optional`` fields may be left out."""
+    def decode(m, vcpu, token: int) -> tuple:
+        record = m.take_params(token)
+        if not (isinstance(record, tuple)
+                and len(fields) - optional <= len(record) <= len(fields)):
+            raise SgxError(E.PAGE_INVALID, f"token {token} holds no {len(fields)}-field record")
+        return tuple(kind(m, vcpu, value) for kind, value in zip(fields, record))
+    return decode
+
+
+_ELD_RECORD = _record(_is(bytes), _is(Pcmd), _granule, _word, _granule, _is(int, type(None)))
+
+
+# Result slots store a successful leaf's result, given the words x2..x4, and
+# x0 becomes 0.  None stores nothing; _SWITCH, for the context-switch leaves
+# that rewrite the register file themselves, leaves even x0 alone.
+_SWITCH = "switch"
+
+
+def _x1(convert=lambda m, result: result):
+    """Result slot: x1 holds ``convert(m, result)``."""
+    def store(m, vcpu, result, words) -> None:
+        vcpu.regs[1] = convert(m, result) & MASK64
+    return store
+
+
+def _buffer_at(reg: int):
+    """Result slot: the enclave buffer whose address is in x``reg``."""
+    def store(m, vcpu, result, words) -> None:
+        data = result.to_bytes() if isinstance(result, Report) else result
+        granule, offset = _user_buffer(m, vcpu, words[reg - 2], len(data), "w")
+        m.memory.write_granule(MICROCODE, granule, offset, data)
+    return store
+
+
+# Leaf number -> (kinds of x2, x3, x4 in order, or a staged record; result slot).
+ENCLS_ABI = {
+    0x0: (_record(_granule, _word, _word, _is(Attributes), _word, optional=1),
+          _x1()),  # ECREATE: record (page, size, ssa frame size, attributes[, base])
+    0x1: (_record(_word, _word, _is(SecInfo), _granule, _is(bytes, type(None)), optional=1),
+          None),  # EADD: record (eid, vaddr, secinfo, page[, source bytes])
+    0x2: ((_word, _sigstruct), None),  # EINIT: eid, staged sigstruct
+    0x3: ((_granule,), None),  # EREMOVE
+    0x4: ((_granule, _word),
+          _x1(lambda m, data: int.from_bytes(data, "little"))),  # EDBGRD: page, offset
+    0x5: ((_granule, _word, _value8), None),  # EDBGWR: page, offset, value
+    0x6: ((_word, _word), None),  # EEXTEND: eid, chunk vaddr
+    0x7: (_ELD_RECORD, None),  # ELDB: record (blob, pcmd, va page, slot, page, eid)
+    0x8: (_ELD_RECORD, None),  # ELDU: as ELDB
+    0x9: ((_granule,), None),  # EBLOCK
+    0xA: ((_granule,), None),  # EPA
+    0xB: ((_granule, _granule, _word),
+          _x1(lambda m, blob: m.stage_params(blob))),  # EWB: page, va page, slot; blob token
+    0xC: ((_word,), None),  # ETRACK: eid
+    0xD: ((_word, _word, _granule), None),  # EAUG: eid, vaddr, page
+    0xE: ((_granule, _perms), None),  # EMODPR
+    0xF: ((_granule, _page_type), None),  # EMODT
+}
+
+ENCLU_ABI = {
+    0x0: ((_buffer(TARGETINFO_SIZE, TargetInfo.unpack), _buffer(64)), _buffer_at(4)),  # EREPORT
+    0x1: ((_buffer(KEYREQUEST_SIZE, KeyRequest.unpack),), _buffer_at(3)),  # EGETKEY
+    0x2: ((_granule, _word), _SWITCH),  # EENTER: TCS, async exit pointer
+    0x3: ((_granule, _word), _SWITCH),  # ERESUME: TCS, async exit pointer
+    0x4: ((_word,), _SWITCH),  # EEXIT: target
+    0x5: ((_own_page, _secinfo), None),  # EACCEPT
+    0x6: ((_own_page, _perms), None),  # EMODPE
+    0x7: ((_own_page, _word, _secinfo), None),  # EACCEPTCOPY: page, source vaddr, secinfo
+    0x9: ((), None),  # EDECCSSA
+}
 
 
 def gadget_trap(m, vcpu, frame: TrapFrame) -> None:
@@ -421,102 +536,27 @@ def gadget_trap(m, vcpu, frame: TrapFrame) -> None:
         vcpu.regs[0:4] = [w & MASK64 for w in words]
         return
     if frame.smc_id == SMC_ID_ENCLU:
-        _dispatch_enclu_frame(m, vcpu, frame)
-        return
-    if frame.smc_id == SMC_ID_ENCLS:
+        abi, call = ENCLU_ABI, partial(m.enclu, vcpu)
+    elif frame.smc_id == SMC_ID_ENCLS:
         if vcpu.in_enclave:
             raise SgxError(E.INVALID_SERVICE, "ENCLS service is host-privileged")
-        _dispatch_encls_frame(m, vcpu, frame)
-        return
-    raise SgxError(E.INVALID_SERVICE, f"unknown service id {frame.smc_id:#x}")
-
-
-def _own_page_granule(m, vcpu, vaddr: int) -> int:
-    if not vcpu.in_enclave:
-        raise SgxError(E.INVALID_MODE, "leaf requires enclave mode")
-    granule = m.memory.find_page(vcpu.cur_eid, vaddr)
-    if granule is None:
-        raise SgxError(E.BAD_VADDR, f"no own page at {vaddr:#x}")
-    return granule
-
-
-def _dispatch_enclu_frame(m, vcpu, frame: TrapFrame) -> None:
-    leaf = frame.leaf
-    if leaf == 0x0:  # EREPORT
-        tinfo = TargetInfo.unpack(user_read(m, vcpu, frame.arg1, TARGETINFO_SIZE))
-        rdata = user_read(m, vcpu, frame.arg2, 64)
-        report = m.enclu(vcpu, 0x0, tinfo, rdata)
-        user_write(m, vcpu, frame.arg3, report.to_bytes())
-    elif leaf == 0x1:  # EGETKEY
-        request = KeyRequest.unpack(user_read(m, vcpu, frame.arg1, KEYREQUEST_SIZE))
-        key = m.enclu(vcpu, 0x1, request)
-        user_write(m, vcpu, frame.arg2, key)
-    elif leaf in (0x2, 0x3):  # EENTER / ERESUME
-        m.enclu(vcpu, leaf, frame.arg1, frame.arg2)
-        return
-    elif leaf == 0x4:  # EEXIT
-        m.enclu(vcpu, leaf, frame.arg1)
-        return
-    elif leaf == 0x5:  # EACCEPT
-        granule = _own_page_granule(m, vcpu, frame.arg1)
-        m.enclu(vcpu, leaf, granule, SecInfo.from_word(frame.arg2))
-    elif leaf == 0x6:  # EMODPE
-        granule = _own_page_granule(m, vcpu, frame.arg1)
-        m.enclu(vcpu, leaf, granule, Perms(frame.arg2 & 0x7))
-    elif leaf == 0x7:  # EACCEPTCOPY
-        granule = _own_page_granule(m, vcpu, frame.arg1)
-        m.enclu(vcpu, leaf, granule, frame.arg2, SecInfo.from_word(frame.arg3))
-    elif leaf == 0x9:  # EDECCSSA
-        m.enclu(vcpu, leaf)
+        abi, call = ENCLS_ABI, m.encls
     else:
-        m.enclu(vcpu, leaf)  # raises INVALID_LEAF with counting in one place
-        raise ModelError("unreachable")
-    vcpu.regs[0] = 0
+        raise SgxError(E.INVALID_SERVICE, f"unknown service id {frame.smc_id:#x}")
+    # An undefined leaf has no row; the dispatch refuses it before decoding.
+    kinds, store = abi.get(frame.leaf, ((), None))
+    words = (frame.arg1, frame.arg2, frame.arg3)
 
+    def decode() -> tuple:
+        if callable(kinds):  # a staged record
+            return kinds(m, vcpu, words[0])
+        return tuple(kind(m, vcpu, word) for kind, word in zip(kinds, words))
 
-def _dispatch_encls_frame(m, vcpu, frame: TrapFrame) -> None:
-    leaf = frame.leaf
-    a1, a2, a3 = frame.arg1, frame.arg2, frame.arg3
-    result_reg1: Optional[int] = None
-
-    if leaf == 0x0:  # ECREATE: staged record (granule, geometry, attributes)
-        eid = m.encls(leaf, *m.take_params(a1))
-        result_reg1 = eid
-    elif leaf == 0x1:  # EADD: staged parameter record
-        params = m.take_params(a1)
-        m.encls(leaf, *params)
-    elif leaf == 0x2:  # EINIT: eid, staged sigstruct
-        m.encls(leaf, a1, m.take_params(a2))
-    elif leaf in (0x3, 0x9, 0xA):  # EREMOVE / EBLOCK / EPA: granule
-        m.encls(leaf, a1)
-    elif leaf == 0x4:  # EDBGRD: granule, offset -> 8 bytes in x1
-        data = m.encls(leaf, a1, a2, 8)
-        result_reg1 = int.from_bytes(data, "little")
-    elif leaf == 0x5:  # EDBGWR: granule, offset, 8-byte value
-        m.encls(leaf, a1, a2, int(a3 & MASK64).to_bytes(8, "little"))
-    elif leaf == 0x6:  # EEXTEND: eid, chunk vaddr
-        m.encls(leaf, a1, a2)
-    elif leaf in (0x7, 0x8):  # ELDB / ELDU: staged record
-        params = m.take_params(a1)
-        m.encls(leaf, *params)
-    elif leaf == 0xB:  # EWB: granule, va granule, slot -> staged blob token
-        blob = m.encls(leaf, a1, a2, a3)
-        result_reg1 = m.stage_params(blob)
-    elif leaf == 0xC:  # ETRACK: eid
-        m.encls(leaf, a1)
-    elif leaf == 0xD:  # EAUG: eid, vaddr, granule
-        m.encls(leaf, a1, a2, a3)
-    elif leaf == 0xE:  # EMODPR: granule, perms
-        m.encls(leaf, a1, Perms(a2 & 0x7))
-    elif leaf == 0xF:  # EMODT: granule, type
-        m.encls(leaf, a1, PageType(a2 & 0xFF))
-    else:
-        m.encls(leaf)
-        raise ModelError("unreachable")
-
-    vcpu.regs[0] = 0
-    if result_reg1 is not None:
-        vcpu.regs[1] = result_reg1 & MASK64
+    result = call(frame.leaf, decode=decode)
+    if store is not _SWITCH:
+        if store is not None:
+            store(m, vcpu, result, words)
+        vcpu.regs[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -579,36 +619,21 @@ def step(m, vcpu, max_steps: int) -> RunReport:
         if vcpu.pending_irq and not vcpu.in_enclave:
             vcpu.pending_irq = False  # host takes the interrupt invisibly
 
+        fetching = True
         try:
             raw = mem_read(m, vcpu, vcpu.pc, isa.INSTR_SIZE, kind="x")
-        except GranuleProtectionFault as exc:
-            note("gpf", granule=exc.granule, accessor=exc.accessor.name,
-                 pas=exc.pas.name, at="fetch", addr=vcpu.pc)
-            if vcpu.in_enclave:
-                aex(m, vcpu, EXIT_GPF, vcpu.pc)
-                note("aex", reason="gpf")
-                continue
-            return RunReport("fault", executed, events)
-        except _PageAccessFault as exc:
-            note("pagefault", addr=exc.vaddr, why=exc.why, at="fetch")
-            if vcpu.in_enclave:
-                aex(m, vcpu, EXIT_PAGEFAULT, exc.vaddr)
-                note("aex", reason="pagefault")
-                continue
-            return RunReport("fault", executed, events)
+            fetching = False
+            op, rd, rs1, rs2, imm = isa.decode(raw)
+            executed += 1
+            next_pc = (vcpu.pc + isa.INSTR_SIZE) & MASK64
 
-        op, rd, rs1, rs2, imm = isa.decode(raw)
-        executed += 1
-        next_pc = (vcpu.pc + isa.INSTR_SIZE) & MASK64
+            if op == isa.OP_HALT:
+                note("halt", pc=vcpu.pc)
+                return RunReport("halt", executed, events)
+            if op == isa.OP_ABORT:
+                note("abort", pc=vcpu.pc)
+                return RunReport("abort", executed, events)
 
-        if op == isa.OP_HALT:
-            note("halt", pc=vcpu.pc)
-            return RunReport("halt", executed, events)
-        if op == isa.OP_ABORT:
-            note("abort", pc=vcpu.pc)
-            return RunReport("abort", executed, events)
-
-        try:
             if op == isa.OP_MOVI:
                 vcpu.regs[rd] = imm
             elif op == isa.OP_ADD:
@@ -634,7 +659,7 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                 next_pc = vcpu.regs[rs1]
             elif op == isa.OP_GADGET:
                 vcpu.pc = next_pc  # trap returns past the gadget
-                frame = TrapFrame.from_regs(vcpu.regs)
+                frame = TrapFrame(*vcpu.regs[:5])
                 try:
                     gadget_trap(m, vcpu, frame)
                     note("gadget", leaf=frame.leaf, smc=frame.smc_id)
@@ -648,21 +673,21 @@ def step(m, vcpu, max_steps: int) -> RunReport:
             else:
                 note("bad_opcode", op=op, pc=vcpu.pc)
                 return RunReport("fault", executed, events)
-        except GranuleProtectionFault as exc:
-            note("gpf", granule=exc.granule, accessor=exc.accessor.name,
-                 pas=exc.pas.name, addr=(vcpu.regs[rs1] + imm) & MASK64)
-            if vcpu.in_enclave:
-                aex(m, vcpu, EXIT_GPF, (vcpu.regs[rs1] + imm) & MASK64)
-                note("aex", reason="gpf")
-                continue
-            return RunReport("fault", executed, events)
-        except _PageAccessFault as exc:
-            note("pagefault", addr=exc.vaddr, why=exc.why)
-            if vcpu.in_enclave:
-                aex(m, vcpu, EXIT_PAGEFAULT, exc.vaddr)
-                note("aex", reason="pagefault")
-                continue
-            return RunReport("fault", executed, events)
+        except (GranuleProtectionFault, _PageAccessFault) as exc:
+            at = {"at": "fetch"} if fetching else {}
+            if isinstance(exc, GranuleProtectionFault):
+                addr = vcpu.pc if fetching else (vcpu.regs[rs1] + imm) & MASK64
+                note("gpf", granule=exc.granule, accessor=exc.accessor.name,
+                     pas=exc.pas.name, **at, addr=addr)
+                reason, payload, label = EXIT_GPF, addr, "gpf"
+            else:
+                note("pagefault", addr=exc.vaddr, why=exc.why, **at)
+                reason, payload, label = EXIT_PAGEFAULT, exc.vaddr, "pagefault"
+            if not vcpu.in_enclave:
+                return RunReport("fault", executed, events)
+            aex(m, vcpu, reason, payload)
+            note("aex", reason=label)
+            continue
 
         vcpu.pc = next_pc
 

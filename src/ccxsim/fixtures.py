@@ -20,7 +20,9 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ModelError
+from .execution import SMC_ID_ENCLU as SMC_ENCLU
 from .isa import assemble
+from .machine import LEAF_NUMBERS
 from .memory import GRANULE_SIZE
 from .microprograms import DEFAULT_ENCLAVE_BASE as BASE
 from .runtime import OCALL_EAUG, OCALL_HOSTADD, OCALL_RESUME
@@ -36,10 +38,9 @@ SCRATCH_NOTIFY_RAN = 8
 SCRATCH_NOTIFY_REASON = 16
 SCRATCH_NOTIFY_CSSA = 24
 
-SMC_ENCLU = 0x1
-LEAF_EEXIT = 0x4
-LEAF_EACCEPT = 0x5
-LEAF_EDECCSSA = 0x9
+LEAF_EEXIT = LEAF_NUMBERS["EEXIT"][1]
+LEAF_EACCEPT = LEAF_NUMBERS["EACCEPT"][1]
+LEAF_EDECCSSA = LEAF_NUMBERS["EDECCSSA"][1]
 
 SECINFO_REG_RW = 0x203  # perms r|w, page type REG
 
@@ -60,18 +61,40 @@ def _eexit_to(reg_target_src: int) -> list:
     ]
 
 
+# Re-entry after an ocall (x2 == OCALL_RESUME) jumps to the continuation
+# stored on the scratch page; a fresh call goes on at label "fresh".
+_RESUME_OR_FRESH = [
+    ("movi", 12, OCALL_RESUME),
+    ("xor", 12, 12, 2),
+    ("bnz", 12, "@fresh"),
+    ("movi", 13, BASE + SCRATCH_OFF),
+    ("load", 14, 13, SCRATCH_CONT),
+    ("jmpr", 14),
+    ("label", "fresh"),
+]
+
+# acc := 3*acc + i over i in [0, x3), returned in x3 through the x10 gate.
+_COMPUTE = [
+    ("movi", 5, 0),
+    ("movi", 6, 0),
+    ("addi", 7, 3, 0),
+    ("label", "loop"),
+    ("movi", 8, 3),
+    ("mul", 5, 5, 8),
+    ("add", 5, 5, 6),
+    ("addi", 6, 6, 1),
+    ("xor", 9, 6, 7),
+    ("bnz", 9, "@loop"),
+    ("addi", 3, 5, 0),
+    *_eexit_to(10),
+]
+
+
 def standard_program() -> bytes:
     """Selector-dispatching program: echo, add, ocall round trip, peek, poke."""
     scratch = BASE + SCRATCH_OFF
     prog = [
-        # Re-entry after an ocall jumps to the stored continuation.
-        ("movi", 12, OCALL_RESUME),
-        ("xor", 12, 12, 2),
-        ("bnz", 12, "@fresh"),
-        ("movi", 13, scratch),
-        ("load", 14, 13, SCRATCH_CONT),
-        ("jmpr", 14),
-        ("label", "fresh"),
+        *_RESUME_OR_FRESH,
         ("movi", 12, SEL_ECHO),
         ("xor", 12, 12, 2),
         ("bnz", 12, "@not1"),
@@ -124,21 +147,7 @@ def compute_program() -> bytes:
     acc := 3*acc + i over i in [0, n); six instructions per iteration, so
     n=165 gives a run just under a thousand steps.
     """
-    prog = [
-        ("movi", 5, 0),
-        ("movi", 6, 0),
-        ("addi", 7, 3, 0),
-        ("label", "loop"),
-        ("movi", 8, 3),
-        ("mul", 5, 5, 8),
-        ("add", 5, 5, 6),
-        ("addi", 6, 6, 1),
-        ("xor", 9, 6, 7),
-        ("bnz", 9, "@loop"),
-        ("addi", 3, 5, 0),
-        *_eexit_to(10),
-    ]
-    return assemble(prog, origin=BASE + CODE_OFF)
+    return assemble(_COMPUTE, origin=BASE + CODE_OFF)
 
 
 def compute_expected(iterations: int) -> int:
@@ -160,19 +169,7 @@ def notify_program() -> bytes:
     frame0 = BASE + SSA_OFF
     prog = [
         ("bnz", 0, "@handler"),
-        # main body: same accumulator loop as compute_program
-        ("movi", 5, 0),
-        ("movi", 6, 0),
-        ("addi", 7, 3, 0),
-        ("label", "loop"),
-        ("movi", 8, 3),
-        ("mul", 5, 5, 8),
-        ("add", 5, 5, 6),
-        ("addi", 6, 6, 1),
-        ("xor", 9, 6, 7),
-        ("bnz", 9, "@loop"),
-        ("addi", 3, 5, 0),
-        *_eexit_to(10),
+        *_COMPUTE,  # main body
         ("label", "handler"),
         ("movi", 20, frame0),
         ("movi", 22, scratch),
@@ -207,13 +204,7 @@ def toucher_program(dyn_off: int) -> bytes:
     scratch = BASE + SCRATCH_OFF
     dyn_start = BASE + dyn_off
     prog = [
-        ("movi", 12, OCALL_RESUME),
-        ("xor", 12, 12, 2),
-        ("bnz", 12, "@fresh"),
-        ("movi", 13, scratch),
-        ("load", 14, 13, SCRATCH_CONT),
-        ("jmpr", 14),
-        ("label", "fresh"),
+        *_RESUME_OR_FRESH,
         ("movi", 16, 0),  # i
         ("addi", 17, 3, 0),  # n = arg1
         ("movi", 18, dyn_start),
@@ -335,33 +326,29 @@ def build_manifest_text(
     return "\n".join(lines) + "\n"
 
 
-def write_standard_manifest(directory: Path, name: str = "standard", **kw) -> Path:
+def _write_manifest(directory: Path, name: str, program: bytes, **kw) -> Path:
     path = Path(directory) / f"{name}.manifest"
-    path.write_text(build_manifest_text(standard_program(), name=name, **kw))
+    path.write_text(build_manifest_text(program, name=name, **kw))
     return path
+
+
+def write_standard_manifest(directory: Path, name: str = "standard", **kw) -> Path:
+    return _write_manifest(directory, name, standard_program(), **kw)
 
 
 def write_compute_manifest(directory: Path, name: str = "compute", **kw) -> Path:
-    path = Path(directory) / f"{name}.manifest"
-    path.write_text(build_manifest_text(compute_program(), name=name, **kw))
-    return path
+    return _write_manifest(directory, name, compute_program(), **kw)
 
 
 def write_notify_manifest(directory: Path, name: str = "notify", **kw) -> Path:
     kw.setdefault("aexnotify", True)
-    path = Path(directory) / f"{name}.manifest"
-    path.write_text(build_manifest_text(notify_program(), name=name, **kw))
-    return path
+    return _write_manifest(directory, name, notify_program(), **kw)
 
 
 def write_toucher_manifest(
     directory: Path, name: str = "toucher", dyn_off: int = 0x100000, size: int = 1 << 23, **kw
 ) -> Path:
-    path = Path(directory) / f"{name}.manifest"
-    path.write_text(
-        build_manifest_text(toucher_program(dyn_off), name=name, size=size, **kw)
-    )
-    return path
+    return _write_manifest(directory, name, toucher_program(dyn_off), size=size, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 One Machine is one simulated platform.  All microprogram execution funnels
 through :meth:`Machine.encls` / :meth:`Machine.enclu`, which take the global
-execution token, count and cost the invocation, run the handler atomically,
-and optionally audit the protection-table invariants afterwards.  vCPUs may
-be driven from separate threads; the token serializes every mutation.
+execution token, count and cost the invocation, check the ENCLU mode rule,
+run the handler atomically, and optionally audit the protection-table
+invariants afterwards.  vCPUs may be driven from separate threads; the token
+serializes every mutation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
 from .errors import ModelError, SgxError, SgxErrorCode as E
 from .execution import VCpu
-from .memory import GRANULE_SIZE, MachineMemory, PageType
+from .memory import GRANULE_SIZE, AccessContext, MachineMemory, PageType, SecurityState
 from .structs import Secs, Tcs
 
 # Leaf tables: number -> (name, handler).  Handlers take the machine first;
@@ -54,15 +55,18 @@ ENCLU_TABLE: Dict[int, Tuple[str, Callable]] = {
     0x9: ("EDECCSSA", mp.edeccssa),
 }
 
-ALL_LEAF_NAMES = sorted(
-    {name for name, _ in ENCLS_TABLE.values()} | {name for name, _ in ENCLU_TABLE.values()}
-)
+# The ENCLU leaves that run in host mode; every other one runs in an enclave.
+HOST_MODE_LEAVES = frozenset({"EENTER", "ERESUME"})
 
-LEAF_NUMBERS: Dict[str, Tuple[str, int]] = {}
-for num, (name, _) in ENCLS_TABLE.items():
-    LEAF_NUMBERS[name] = ("encls", num)
-for num, (name, _) in ENCLU_TABLE.items():
-    LEAF_NUMBERS[name] = ("enclu", num)
+_HOST = AccessContext(SecurityState.NORMAL, None)
+
+LEAF_NUMBERS: Dict[str, Tuple[str, int]] = {
+    name: (cls, num)
+    for cls, table in (("encls", ENCLS_TABLE), ("enclu", ENCLU_TABLE))
+    for num, (name, _) in table.items()
+}
+
+ALL_LEAF_NAMES = sorted(LEAF_NUMBERS)
 
 
 def _leaf_costs(config: Config) -> Dict[str, int]:
@@ -133,7 +137,7 @@ class Machine:
 
     # -- leaf dispatch ----------------------------------------------------------
 
-    def _dispatch(self, table, cls: str, leaf: int, args) -> Any:
+    def _dispatch(self, table, cls: str, leaf: int, args, decode) -> Any:
         with self._token:
             entry = table.get(leaf)
             if entry is None:
@@ -141,16 +145,24 @@ class Machine:
             name, handler = entry
             self.counters[name] += 1
             self.cost_tally[name] += self.leaf_cost[name]
+            if cls == "ENCLU" and args[0].in_enclave == (name in HOST_MODE_LEAVES):
+                need = "host" if name in HOST_MODE_LEAVES else "enclave"
+                raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
+            if decode is not None:
+                args += decode()
             result = handler(self, *args)
             if self.audit_after_leaf:
                 self.audit()
             return result
 
-    def encls(self, leaf: int, *args) -> Any:
-        return self._dispatch(ENCLS_TABLE, "ENCLS", leaf, args)
+    # The trap gadget's ``decode`` returns the leaf's arguments once the call
+    # is counted and its mode checked, so it reads enclave memory only there.
 
-    def enclu(self, vcpu: VCpu, leaf: int, *args) -> Any:
-        return self._dispatch(ENCLU_TABLE, "ENCLU", leaf, (vcpu,) + args)
+    def encls(self, leaf: int, *args, decode: Optional[Callable] = None) -> Any:
+        return self._dispatch(ENCLS_TABLE, "ENCLS", leaf, args, decode)
+
+    def enclu(self, vcpu: VCpu, leaf: int, *args, decode: Optional[Callable] = None) -> Any:
+        return self._dispatch(ENCLU_TABLE, "ENCLU", leaf, (vcpu,) + args, decode)
 
     def leaf(self, name: str, *args, vcpu: Optional[VCpu] = None) -> Any:
         """Dispatch by name; convenience for drivers and tests."""
@@ -176,18 +188,10 @@ class Machine:
     # -- host-visible memory helpers (normal-world access, checked) -------------
 
     def host_read(self, granule: int, offset: int, length: int) -> bytes:
-        from .memory import AccessContext, SecurityState
-
-        return self.memory.read_granule(
-            AccessContext(SecurityState.NORMAL, None), granule, offset, length
-        )
+        return self.memory.read_granule(_HOST, granule, offset, length)
 
     def host_write(self, granule: int, offset: int, data: bytes) -> None:
-        from .memory import AccessContext, SecurityState
-
-        self.memory.write_granule(
-            AccessContext(SecurityState.NORMAL, None), granule, offset, data
-        )
+        self.memory.write_granule(_HOST, granule, offset, data)
 
     # -- invariants and snapshots ---------------------------------------------
 

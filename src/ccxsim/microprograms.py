@@ -1,15 +1,16 @@
 """Leaf microprograms: atomic state transitions over machine state.
 
-Each function implements one leaf.  Handlers assume the caller holds the
-machine execution token (the Machine dispatch wrappers take it), so a leaf
-runs to completion before any other vCPU observes its effects.  Handlers for
-the entry/exit/resume leaves live in :mod:`ccxsim.execution`; the dispatch
-tables in :mod:`ccxsim.machine` stitch both together.
+Each function implements one leaf.  Handlers assume the Machine dispatch
+holds the execution token, so a leaf runs to completion before any other vCPU
+observes its effects, and has checked the ENCLU mode rule.  Handlers for the
+entry/exit/resume leaves live in :mod:`ccxsim.execution`; the dispatch tables
+in :mod:`ccxsim.machine` stitch both together.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 from .errors import AuthenticationFailure, ModelError, SgxError, SgxErrorCode as E
@@ -62,10 +63,13 @@ def _require_free(m, granule: int) -> None:
         raise SgxError(E.NOT_IN_EPC, f"granule {granule} outside the EPC window")
 
 
-def _require_enclave_mode(m, vcpu) -> Secs:
-    if not vcpu.in_enclave:
-        raise SgxError(E.INVALID_MODE, "leaf requires enclave mode")
-    return _secs(m, vcpu.cur_eid)
+def _release(m, granule: int, entry) -> None:
+    """Clear the granule's EPCM entry and return it, scrubbed, to the host."""
+    m.memory.epcm_update(granule, None)
+    if entry.owner is not None:
+        m.memory.unassign_granule(entry.owner, granule)
+    else:
+        m.memory.unseclude_granule(granule)
 
 
 def effective_secinfo(secinfo: SecInfo) -> SecInfo:
@@ -143,13 +147,13 @@ def eadd(
     if m.memory.mode.is_fixed:
         # Fixed EPC: page content is copied into the protected window.
         if source_bytes is None:
-            raise ModelError("sgx-mode EADD requires source bytes")
+            raise SgxError(E.PAGE_INVALID, "sgx-mode EADD requires source bytes")
         if len(source_bytes) != GRANULE_SIZE:
-            raise ModelError("EADD source must be one full page")
+            raise SgxError(E.PAGE_INVALID, "EADD source must be one full page")
     else:
         # Dynamic mode assigns the source granule in place; no copy happens.
         if source_bytes is not None:
-            raise ModelError("ccx-mode EADD assigns in place; write content first")
+            raise SgxError(E.PAGE_INVALID, "ccx-mode EADD assigns in place; write content first")
 
     tcs = None
     if secinfo.page_type == PageType.TCS:
@@ -230,8 +234,7 @@ def eremove(m, granule: int) -> None:
         children = len(m.memory.gpts.owned[eid]) - 1  # all but the SECS
         if children:
             raise SgxError(E.CHILD_PRESENT, f"enclave {eid} still owns {children} pages")
-        m.memory.epcm_update(granule, None)
-        m.memory.unassign_granule(eid, granule)
+        _release(m, granule, entry)
         m.memory.gpts.drop_enclave_table(eid)
         del m.enclaves[eid]
         m.trace_event("eremove_secs", eid=eid, granule=granule)
@@ -243,11 +246,7 @@ def eremove(m, granule: int) -> None:
             raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
         m.tcs_registry.pop(granule, None)
 
-    m.memory.epcm_update(granule, None)
-    if entry.owner is not None:
-        m.memory.unassign_granule(entry.owner, granule)
-    else:
-        m.memory.unseclude_granule(granule)
+    _release(m, granule, entry)
     m.trace_event("eremove", granule=granule)
 
 
@@ -255,23 +254,24 @@ def eremove(m, granule: int) -> None:
 # Debug access
 
 
-def _debug_entry(m, granule: int):
+def _check_debug_access(m, granule: int, offset: int, length: int) -> None:
     entry = _valid_entry(m, granule)
     if entry.owner is None or entry.page_type not in (PageType.REG, PageType.TCS):
         raise SgxError(E.PAGE_INVALID, "debug access targets REG or TCS pages")
     secs = _secs(m, entry.owner)
     if not secs.attributes.debug:
         raise SgxError(E.NON_DEBUG_ENCLAVE, f"enclave {entry.owner} lacks DEBUG")
-    return entry
+    if not 0 <= offset <= GRANULE_SIZE - length:
+        raise SgxError(E.BAD_VADDR, f"{length} bytes at offset {offset} leave the page")
 
 
-def edbgrd(m, granule: int, offset: int, length: int) -> bytes:
-    _debug_entry(m, granule)
+def edbgrd(m, granule: int, offset: int, length: int = 8) -> bytes:
+    _check_debug_access(m, granule, offset, length)
     return m.memory.read_granule(MICROCODE, granule, offset, length)
 
 
 def edbgwr(m, granule: int, offset: int, data: bytes) -> None:
-    _debug_entry(m, granule)
+    _check_debug_access(m, granule, offset, len(data))
     m.memory.write_granule(MICROCODE, granule, offset, data)
 
 
@@ -374,17 +374,13 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
 
     _va_slot_write(m, va_granule, slot, version)
     m.tcs_registry.pop(granule, None)
-    m.memory.epcm_update(granule, None)
-    if entry.owner is not None:
-        m.memory.unassign_granule(entry.owner, granule)
-    else:
-        m.memory.unseclude_granule(granule)
+    _release(m, granule, entry)
     m.trace_event("ewb", granule=granule, vaddr=entry.vaddr,
                   owner=entry.owner, va=va_granule, slot=slot)
     return SwapBlob(ciphertext=ciphertext, pcmd=pcmd)
 
 
-def _eld_common(
+def _eld(
     m,
     ciphertext: bytes,
     pcmd: Pcmd,
@@ -440,12 +436,9 @@ def _eld_common(
                   owner=pcmd.owner, blocked=mark_blocked)
 
 
-def eldu(m, ciphertext, pcmd, va_granule, slot, target_granule, eid) -> None:
-    _eld_common(m, ciphertext, pcmd, va_granule, slot, target_granule, eid, False)
-
-
-def eldb(m, ciphertext, pcmd, va_granule, slot, target_granule, eid) -> None:
-    _eld_common(m, ciphertext, pcmd, va_granule, slot, target_granule, eid, True)
+# Both take (ciphertext, pcmd, va_granule, slot, target_granule, eid).
+eldu = partial(_eld, mark_blocked=False)
+eldb = partial(_eld, mark_blocked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +492,7 @@ def emodt(m, granule: int, new_type: PageType) -> None:
 
 
 def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
-    secs = _require_enclave_mode(m, vcpu)
+    secs = _secs(m, vcpu.cur_eid)
     entry = _valid_entry(m, granule)
     if entry.owner != secs.eid:
         raise SgxError(E.PAGE_INVALID, "page belongs to another enclave")
@@ -527,7 +520,7 @@ def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
 
 
 def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInfo) -> None:
-    secs = _require_enclave_mode(m, vcpu)
+    secs = _secs(m, vcpu.cur_eid)
     entry = _valid_entry(m, target_granule)
     if entry.owner != secs.eid:
         raise SgxError(E.PAGE_INVALID, "page belongs to another enclave")
@@ -554,7 +547,7 @@ def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInf
 
 
 def emodpe(m, vcpu, granule: int, add_perms: Perms) -> None:
-    secs = _require_enclave_mode(m, vcpu)
+    secs = _secs(m, vcpu.cur_eid)
     entry = _valid_entry(m, granule)
     if entry.owner != secs.eid or entry.page_type != PageType.REG:
         raise SgxError(E.PAGE_INVALID, "EMODPE extends own REG pages")
@@ -575,7 +568,7 @@ def emodpe(m, vcpu, granule: int, add_perms: Perms) -> None:
 
 
 def ereport(m, vcpu, targetinfo: TargetInfo, reportdata: bytes) -> Report:
-    secs = _require_enclave_mode(m, vcpu)
+    secs = _secs(m, vcpu.cur_eid)
     if len(reportdata) != 64:
         raise ModelError("reportdata must be exactly 64 bytes")
     if len(targetinfo.mrenclave) != 32:
@@ -598,7 +591,7 @@ def ereport(m, vcpu, targetinfo: TargetInfo, reportdata: bytes) -> Report:
 
 
 def egetkey(m, vcpu, request: KeyRequest) -> bytes:
-    secs = _require_enclave_mode(m, vcpu)
+    secs = _secs(m, vcpu.cur_eid)
     if request.key_name not in KeyName.NAMES:
         raise SgxError(E.POLICY_DENIED, f"unknown key name {request.key_name}")
     if request.key_name in (KeyName.PROVISION, KeyName.PROVISION_SEAL):
@@ -621,7 +614,6 @@ def egetkey(m, vcpu, request: KeyRequest) -> bytes:
 
 
 def edeccssa(m, vcpu) -> None:
-    _require_enclave_mode(m, vcpu)
     tcs = m.tcs_registry[vcpu.cur_tcs]
     if tcs.cssa == 0:
         raise SgxError(E.NO_SAVED_STATE, "cssa is already zero")

@@ -61,8 +61,6 @@ OCALL_RESUME = 0xFFFF_FFFF
 OCALL_EAUG = 0x10  # enclave asks the host to add a dynamic page at x6
 OCALL_HOSTADD = 0x42  # demo host function: returns 2*a + b + 5
 
-LEAF_ERESUME = 0x3
-
 
 class LoadError(Exception):
     """An enclave build step failed; identifies the failing step."""
@@ -545,12 +543,12 @@ class HostRuntime:
         m = self.machine
         vcpu = m.vcpus[vcpu_index]
         tcs_granule = self._ensure_tcs_ready(handle, handle.tcs_vaddrs[tcs_index])
-        m.enclu(vcpu, 0x2, tcs_granule, AEP_GATE)
+        m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
         try:
             yield vcpu
         finally:
             if vcpu.in_enclave:
-                m.enclu(vcpu, 0x4, RETURN_GATE)
+                m.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
 
     def ecall(
         self,
@@ -585,7 +583,7 @@ class HostRuntime:
         vcpu.regs[4] = arg2
         vcpu.regs[10] = RETURN_GATE
         vcpu.regs[11] = OCALL_GATE
-        m.enclu(vcpu, 0x2, tcs_granule, AEP_GATE)
+        m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
 
         events: List[dict] = []
         steps = 0
@@ -633,7 +631,7 @@ class HostRuntime:
                 self._handle_ocall(handle, vcpu, events)
                 # the idle TCS may have been evicted while the handler ran
                 tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
-                m.enclu(vcpu, 0x2, tcs_granule, AEP_GATE)
+                m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
                 continue
             if vcpu.pc == AEP_GATE:
                 done = self._handle_aex(handle, vcpu, tcs_granule, events)
@@ -676,7 +674,7 @@ class HostRuntime:
             pass  # scheduled injection; just resume
         else:
             return FaultReport("gpf", f"enclave fault at {payload:#x}", payload, events)
-        m.enclu(vcpu, LEAF_ERESUME, tcs_granule, AEP_GATE)
+        m.leaf("ERESUME", tcs_granule, AEP_GATE, vcpu=vcpu)
         return None
 
     # ------------------------------------------------------------------ attest
@@ -685,15 +683,15 @@ class HostRuntime:
         self, handle: EnclaveHandle, target: EnclaveHandle, reportdata: bytes
     ) -> Report:
         with self.entered(handle) as vcpu:
-            return self.machine.enclu(
-                vcpu, 0x0, TargetInfo(target.mrenclave), reportdata
+            return self.machine.leaf(
+                "EREPORT", TargetInfo(target.mrenclave), reportdata, vcpu=vcpu
             )
 
     def verify_report(self, handle: EnclaveHandle, report: Report) -> bool:
         """Target-side verification: rederive the report key, compare MACs."""
         with self.entered(handle) as vcpu:
-            key = self.machine.enclu(
-                vcpu, 0x1, KeyRequest(KeyName.REPORT, keyid=report.keyid)
+            key = self.machine.leaf(
+                "EGETKEY", KeyRequest(KeyName.REPORT, keyid=report.keyid), vcpu=vcpu
             )
         expected = self.machine.crypto.report_mac(key, report.body_bytes())
         return hmac_mod.compare_digest(expected, report.mac)
@@ -725,7 +723,7 @@ class HostRuntime:
         keyid = m.rand_bytes(32)
         request = KeyRequest(KeyName.SEAL, policy, isv_svn, keyid)
         with self.entered(handle) as vcpu:
-            key = m.enclu(vcpu, 0x1, request)
+            key = m.leaf("EGETKEY", request, vcpu=vcpu)
         nonce = m.rand_bytes(12)
         aad = bytes([policy, isv_svn & 0xFF])
         ct, mac = m.crypto.blob_seal(key, nonce, payload, aad)
@@ -736,7 +734,7 @@ class HostRuntime:
         request = KeyRequest(KeyName.SEAL, blob.policy, blob.isv_svn, blob.keyid)
         try:
             with self.entered(handle) as vcpu:
-                key = m.enclu(vcpu, 0x1, request)
+                key = m.leaf("EGETKEY", request, vcpu=vcpu)
         except SgxError:
             return None
         aad = bytes([blob.policy, blob.isv_svn & 0xFF])

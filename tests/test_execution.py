@@ -116,6 +116,105 @@ def test_undefined_leaves_fault(machine):
         assert exc.value.code == E.INVALID_LEAF
 
 
+def test_every_leaf_has_one_register_abi_row():
+    from ccxsim.machine import ENCLS_TABLE, ENCLU_TABLE
+
+    assert execution.ENCLS_ABI.keys() == ENCLS_TABLE.keys()
+    assert execution.ENCLU_ABI.keys() == ENCLU_TABLE.keys()
+
+
+OUT_OF_RANGE = 99999999
+ENCLU, ENCLS = execution.SMC_ID_ENCLU, execution.SMC_ID_ENCLS
+
+# (case, runs inside the enclave, service, leaf, words x2..x4 from the machine
+# and the enclave, refusal code)
+MALFORMED_FRAMES = [
+    ("ereport-from-host", False, ENCLU, 0x0, lambda m, enc: (BASE, BASE, BASE), E.INVALID_MODE),
+    ("egetkey-from-host", False, ENCLU, 0x1, lambda m, enc: (BASE, BASE, 0), E.INVALID_MODE),
+    ("emodt-page-type-9", False, ENCLS, 0xF,
+     lambda m, enc: (enc.granule(0x1000), 9, 0), E.PAGE_INVALID),
+    ("eaccept-secinfo-page-type-9", True, ENCLU, 0x5,
+     lambda m, enc: (BASE + 0x1000, 0x903, 0), E.PAGE_INVALID),
+    ("eremove-granule-out-of-range", False, ENCLS, 0x3,
+     lambda m, enc: (OUT_OF_RANGE, 0, 0), E.PAGE_INVALID),
+    ("eblock-granule-out-of-range", False, ENCLS, 0x9,
+     lambda m, enc: (OUT_OF_RANGE, 0, 0), E.PAGE_INVALID),
+    ("epa-granule-out-of-range", False, ENCLS, 0xA,
+     lambda m, enc: (OUT_OF_RANGE, 0, 0), E.PAGE_INVALID),
+    ("edbgrd-granule-out-of-range", False, ENCLS, 0x4,
+     lambda m, enc: (OUT_OF_RANGE, 0, 0), E.PAGE_INVALID),
+    ("eenter-granule-out-of-range", False, ENCLU, 0x2,
+     lambda m, enc: (OUT_OF_RANGE, AEP_GATE, 0), E.PAGE_INVALID),
+    ("edbgrd-past-granule-end", False, ENCLS, 0x4,
+     lambda m, enc: (enc.granule(0x1000), 5000, 0), E.BAD_VADDR),
+    ("edbgwr-past-granule-end", False, ENCLS, 0x5,
+     lambda m, enc: (enc.granule(0x1000), 4090, 7), E.BAD_VADDR),
+    ("ecreate-token-holds-an-int", False, ENCLS, 0x0,
+     lambda m, enc: (m.stage_params(5), 0, 0), E.PAGE_INVALID),
+    ("einit-token-holds-an-int", False, ENCLS, 0x2,
+     lambda m, enc: (enc.eid, m.stage_params(5), 0), E.PAGE_INVALID),
+    ("eadd-source-not-a-page", False, ENCLS, 0x1,
+     lambda m, enc: (_staged_eadd(m, b"short"), 0, 0), E.PAGE_INVALID),
+    ("eadd-without-source-in-sgx-mode", False, ENCLS, 0x1,
+     lambda m, enc: (_staged_eadd(m), 0, 0), E.PAGE_INVALID),
+]
+
+
+def _staged_eadd(m, *source):
+    """A token for an EADD record into a fresh, uninitialized enclave."""
+    secs_g, page_g = free_epc_granules(m, 2)
+    eid = m.leaf("ECREATE", secs_g, 1 << 21, 1, Attributes(debug=True), BASE)
+    return m.stage_params((eid, BASE, SecInfo(Perms.R, PageType.REG), page_g, *source))
+
+
+@pytest.mark.parametrize(
+    "inside, smc, leaf, words, code",
+    [case[1:] for case in MALFORMED_FRAMES],
+    ids=[case[0] for case in MALFORMED_FRAMES],
+)
+def test_malformed_gadget_frame_is_refused_with_a_code(machine, inside, smc, leaf, words, code):
+    """A register word the leaf cannot accept ends as an SgxError code, both
+    from gadget_trap and from a program executing the gadget."""
+    program = [("gadget",), ("halt",)]
+    enc = build_raw_enclave(
+        machine,
+        page_specs=[
+            (0x0000, "rx", isa.assemble(program, origin=BASE)),
+            (0x1000, "rw", b"\x22" * GRANULE_SIZE),
+            (0x2000, "rw", b""),
+        ],
+        tcs_specs=[{"vaddr": 0x3000, "ossa": 0x2000, "nssa": 1}],
+    )
+    vcpu = machine.vcpus[0]
+    for run in ("trap", "step"):
+        if inside:
+            machine.enclu(vcpu, 0x2, enc.granule(0x3000), AEP_GATE)
+        else:
+            g = free_host_granule(machine)
+            machine.host_write(g, 0, isa.assemble(program, origin=g * GRANULE_SIZE))
+            vcpu.pc = g * GRANULE_SIZE
+        frame = execution.TrapFrame(smc, leaf, *words(machine, enc))
+        if run == "trap":
+            with pytest.raises(SgxError) as exc:
+                execution.gadget_trap(machine, vcpu, frame)
+            assert exc.value.code == code
+        else:
+            vcpu.regs[0:5] = [frame.smc_id, frame.leaf, frame.arg1, frame.arg2, frame.arg3]
+            report = machine.step(vcpu, 2)
+            if code == E.INVALID_MODE:
+                assert report.stop == "fault"
+                assert report.events[-1]["kind"] == "dispatch_fault"
+                assert report.events[-1]["code"] == code.name
+            else:
+                assert report.stop == "halt"
+                assert report.events[0]["kind"] == "leaf_error"
+                assert report.events[0]["code"] == code.name
+                assert vcpu.regs[0] == int(code)
+        if vcpu.in_enclave:
+            machine.enclu(vcpu, 0x4, RETURN_GATE)
+    machine.audit()
+
+
 def test_encls_service_not_available_from_enclave(entered_env):
     machine, enc, tcs_g = entered_env
     vcpu = machine.vcpus[0]
