@@ -1,8 +1,10 @@
 """Simulated cores, the trap gadget, world switches, and the instruction pump.
 
-A vCPU runs either as host (normal world, system table active) or inside an
-enclave (realm state, that enclave's table active); the two invariants are
-re-checked at every step boundary.  Traps from fixture programs arrive as a
+A vCPU's one record of where it runs is ``cur_eid``/``cur_tcs``: with no
+current enclave it is the host (normal world, system table active), and
+inside an enclave its world (realm) and active table (that enclave's) derive
+from ``cur_eid``, so nothing can fall out of step.  A TCS is busy exactly
+while some vCPU's ``cur_tcs`` names it.  Traps from fixture programs arrive as a
 register frame mirroring the gadget sequence: x0 service id, x1 leaf, x2..x4
 arguments.  Interrupts in enclave mode save the full context to the thread's
 save-state area and hand control to the host at its async exit pointer; the
@@ -26,6 +28,7 @@ from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode a
 from .memory import (
     GRANULE_SIZE,
     MICROCODE,
+    HOST,
     AccessContext,
     PageType,
     Perms,
@@ -76,13 +79,15 @@ MASK64 = (1 << 64) - 1
 
 @dataclass
 class VCpu:
+    """One core.  ``cur_eid``/``cur_tcs`` say which enclave and thread it
+    runs, or ``None`` for host mode; the world and the active protection
+    table follow from ``cur_eid`` (see :meth:`access_context`)."""
+
     id: int
     regs: List[int] = field(default_factory=lambda: [0] * 32)  # x0..x30, sp
     pc: int = 0
     pstate: int = 0
     tpidr: int = 0
-    security_state: SecurityState = SecurityState.NORMAL
-    active_gpt: Optional[int] = None
     cur_eid: Optional[int] = None
     cur_tcs: Optional[int] = None
     aep: int = 0
@@ -94,19 +99,10 @@ class VCpu:
     def in_enclave(self) -> bool:
         return self.cur_eid is not None
 
-    def check_invariants(self) -> None:
-        if self.in_enclave:
-            if self.security_state != SecurityState.REALM or self.active_gpt != self.cur_eid:
-                raise ModelError(f"vcpu {self.id}: enclave mode without realm/enclave table")
-        else:
-            if self.security_state != SecurityState.NORMAL or self.active_gpt is not None:
-                raise ModelError(f"vcpu {self.id}: host mode without normal/system table")
-
     def access_context(self) -> AccessContext:
-        return AccessContext(
-            SecurityState.REALM if self.in_enclave else SecurityState.NORMAL,
-            self.active_gpt,
-        )
+        if self.cur_eid is None:
+            return HOST
+        return AccessContext(SecurityState.REALM, self.cur_eid)
 
 
 @dataclass
@@ -236,18 +232,14 @@ def _tcs_for_entry(m, tcs_granule: int):
         raise SgxError(E.ENCLAVE_CRASHED, f"enclave {secs.eid} is crashed")
     if not secs.initialized:
         raise SgxError(E.NOT_INITIALIZED, f"enclave {secs.eid} is not initialized")
-    tcs = m.tcs_registry[tcs_granule]
-    if tcs.busy:
+    if m.tcs_busy(tcs_granule):
         raise SgxError(E.TCS_BUSY, "TCS already occupied")
-    return secs, tcs
+    return secs, m.tcs_registry[tcs_granule]
 
 
 def _switch_in(m, vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> None:
-    tcs.busy = True
     vcpu.cur_eid = secs.eid
     vcpu.cur_tcs = tcs_granule
-    vcpu.security_state = SecurityState.REALM
-    vcpu.active_gpt = secs.eid
     vcpu.aep = aep
     vcpu.pc = entry_pc
     vcpu.tpidr = secs.base + tcs.tls_base
@@ -257,15 +249,12 @@ def _switch_in(m, vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) ->
     )
 
 
-def _switch_out(m, vcpu, secs, tcs) -> None:
-    tcs.busy = False
+def _switch_out(vcpu, secs) -> None:
     secs.entered_counts[vcpu.entry_epoch] -= 1
     if not secs.entered_counts[vcpu.entry_epoch]:
         del secs.entered_counts[vcpu.entry_epoch]
     vcpu.cur_eid = None
     vcpu.cur_tcs = None
-    vcpu.security_state = SecurityState.NORMAL
-    vcpu.active_gpt = None
     vcpu.entry_epoch = None
 
 
@@ -283,8 +272,7 @@ def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
 
 def eexit(m, vcpu, target: int) -> None:
     secs = m.enclaves[vcpu.cur_eid]
-    tcs = m.tcs_registry[vcpu.cur_tcs]
-    _switch_out(m, vcpu, secs, tcs)
+    _switch_out(vcpu, secs)
     # Registers are deliberately not scrubbed here: clearing on a synchronous
     # exit is the in-enclave runtime's job.
     vcpu.pc = target
@@ -358,7 +346,7 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
         m.trace_event("enclave_crash", vcpu=vcpu.id, eid=secs.eid,
                       reason=EXIT_REASON_NAMES.get(reason, str(reason)))
 
-    _switch_out(m, vcpu, secs, tcs)
+    _switch_out(vcpu, secs)
     # Synthetic register state: everything scrubbed, then just enough for the
     # host trampoline to resume (leaf, TCS, async exit pointer).
     vcpu.regs = [SCRUB_PATTERN] * 32
@@ -615,7 +603,6 @@ def step(m, vcpu, max_steps: int) -> RunReport:
         events.append({"step": executed, "vcpu": vcpu.id, "kind": kind, **payload})
 
     while executed < max_steps:
-        vcpu.check_invariants()
         if vcpu.pending_irq and not vcpu.in_enclave:
             vcpu.pending_irq = False  # host takes the interrupt invisibly
 

@@ -19,7 +19,7 @@ from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
 from .errors import ModelError, SgxError, SgxErrorCode as E
 from .execution import VCpu
-from .memory import GRANULE_SIZE, AccessContext, MachineMemory, PageType, SecurityState
+from .memory import GRANULE_SIZE, HOST, MachineMemory, PageType
 from .structs import Secs, Tcs
 
 # Leaf tables: number -> (name, handler).  Handlers take the machine first;
@@ -57,8 +57,6 @@ ENCLU_TABLE: Dict[int, Tuple[str, Callable]] = {
 
 # The ENCLU leaves that run in host mode; every other one runs in an enclave.
 HOST_MODE_LEAVES = frozenset({"EENTER", "ERESUME"})
-
-_HOST = AccessContext(SecurityState.NORMAL, None)
 
 LEAF_NUMBERS: Dict[str, Tuple[str, int]] = {
     name: (cls, num)
@@ -173,6 +171,13 @@ class Machine:
             raise ModelError(f"{name} is an ENCLU leaf and needs a vcpu")
         return self.enclu(vcpu, num, *args)
 
+    def tcs_busy(self, granule: int) -> bool:
+        """A TCS is busy exactly while some vCPU runs on it."""
+        for vcpu in self.vcpus:
+            if vcpu.cur_tcs == granule:
+                return True
+        return False
+
     def cpuid(self, leaf: int, subleaf: int) -> Tuple[int, int, int, int]:
         with self._token:
             return execution.cpuid_emulate(self, leaf, subleaf)
@@ -188,26 +193,23 @@ class Machine:
     # -- host-visible memory helpers (normal-world access, checked) -------------
 
     def host_read(self, granule: int, offset: int, length: int) -> bytes:
-        return self.memory.read_granule(_HOST, granule, offset, length)
+        return self.memory.read_granule(HOST, granule, offset, length)
 
     def host_write(self, granule: int, offset: int, data: bytes) -> None:
-        self.memory.write_granule(_HOST, granule, offset, data)
+        self.memory.write_granule(HOST, granule, offset, data)
 
     # -- invariants and snapshots ---------------------------------------------
 
     def audit(self) -> None:
+        """Check the memory invariants and each SECS page's link to its
+        enclave.  vCPU state needs no check: a core's world, active table
+        and TCS occupancy all derive from its ``cur_eid``/``cur_tcs``."""
         self.memory.audit()
         for granule, entry in self.memory.epcm.items():
             if entry.page_type == PageType.SECS:
                 secs = self.enclaves.get(entry.owner)
                 if secs is None or secs.secs_granule != granule:
                     raise ModelError(f"SECS granule {granule} owner link broken")
-        busy_tcs = [g for g, t in self.tcs_registry.items() if t.busy]
-        occupants = [v.cur_tcs for v in self.vcpus if v.in_enclave]
-        if sorted(busy_tcs) != sorted(occupants):
-            raise ModelError("busy TCS set does not match vcpu occupancy")
-        for vcpu in self.vcpus:
-            vcpu.check_invariants()
 
     def snapshot(self) -> dict:
         """Full structural dump; the inspect command redacts as needed."""

@@ -121,6 +121,7 @@ class AccessContext:
 
 
 MICROCODE = AccessContext(SecurityState.ROOT, None)
+HOST = AccessContext(SecurityState.NORMAL, None)
 
 
 @dataclass(frozen=True)

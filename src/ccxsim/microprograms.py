@@ -241,8 +241,7 @@ def eremove(m, granule: int) -> None:
         return
 
     if entry.page_type == PageType.TCS:
-        tcs = m.tcs_registry.get(granule)
-        if tcs is not None and tcs.busy:
+        if m.tcs_busy(granule):
             raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
         m.tcs_registry.pop(granule, None)
 
@@ -333,8 +332,7 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
     if granule == va_granule:
         raise SgxError(E.VA_SLOT_INVALID, "a version array cannot version itself")
     if entry.page_type == PageType.TCS:
-        tcs = m.tcs_registry.get(granule)
-        if tcs is not None and tcs.busy:
+        if m.tcs_busy(granule):
             raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
 
     if entry.owner is not None:

@@ -306,14 +306,14 @@ class HostRuntime:
             return False
         if entry.page_type == PageType.TCS:
             tcs = m.tcs_registry.get(granule)
-            if tcs is None or tcs.busy or tcs.cssa > 0:
+            if tcs is None or tcs.cssa > 0:
                 return False
         else:
             for tg, tcs in m.tcs_registry.items():
                 towner = m.memory.epcm.get(tg)
                 if towner is None or towner.owner != entry.owner:
                     continue
-                if tcs.cssa > 0 or tcs.busy:
+                if tcs.cssa > 0:
                     lo = secs.base + tcs.ossa
                     hi = lo + tcs.nssa * secs.ssa_frame_size * GRANULE_SIZE
                     if lo <= entry.vaddr < hi:

@@ -132,7 +132,6 @@ class Tcs:
     cssa: int = 0
     dbgoptin: bool = False
     aexnotify: bool = False
-    busy: bool = False  # runtime only, never serialized as set
 
     def pack(self) -> bytes:
         flags = (TCS_FLAG_DBGOPTIN if self.dbgoptin else 0) | (

@@ -9,7 +9,7 @@ from ccxsim import execution, fixtures, isa
 from ccxsim.errors import ModelError, SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.manifest import EnclaveManifest
-from ccxsim.memory import GRANULE_SIZE, PageType, Perms, SecurityState
+from ccxsim.memory import GRANULE_SIZE, HOST, AccessContext, PageType, Perms, SecurityState
 from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime, RETURN_GATE
 from ccxsim.structs import Attributes, EXIT_IRQ, SecInfo
 
@@ -261,10 +261,9 @@ def test_eenter_sets_up_enclave_context(entered_env):
     assert vcpu.in_enclave
     assert vcpu.pc == BASE + 0x0
     assert vcpu.tpidr == BASE + 0x1000
-    assert vcpu.active_gpt == enc.eid
-    assert vcpu.security_state == SecurityState.REALM
+    assert vcpu.access_context() == AccessContext(SecurityState.REALM, enc.eid)
     assert vcpu.regs[0] == 0  # save-state index at entry
-    assert machine.tcs_registry[tcs_g].busy
+    assert machine.tcs_busy(tcs_g)
     machine.enclu(vcpu, 0x4, RETURN_GATE)
 
 
@@ -308,8 +307,8 @@ def test_eexit_restores_host_world(entered_env):
     machine.enclu(vcpu, 0x4, 0x1234560)
     assert not vcpu.in_enclave
     assert vcpu.pc == 0x1234560
-    assert vcpu.active_gpt is None
-    assert not machine.tcs_registry[tcs_g].busy
+    assert vcpu.access_context() == HOST
+    assert not machine.tcs_busy(tcs_g)
     # host can reach its own granules again through this context
     machine.host_read(3, 0, 8)
 
@@ -792,10 +791,3 @@ def test_scheduler_interleaving_is_seeded_and_commutes():
     assert v1 == v2 == v3  # disjoint effects commute
     assert order1 == order2  # same seed, same interleaving
     assert order1 != order3  # different seed, different interleaving
-
-
-def test_vcpu_invariant_checker_catches_corruption(machine):
-    vcpu = machine.vcpus[0]
-    vcpu.security_state = SecurityState.REALM  # host mode must stay normal
-    with pytest.raises(ModelError):
-        vcpu.check_invariants()
