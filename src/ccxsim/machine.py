@@ -92,7 +92,6 @@ class Machine:
         self.tcs_registry: Dict[int, Tcs] = {}
         self.vcpus: List[VCpu] = [VCpu(id=i) for i in range(self.config.vcpu_count)]
         self.counters: Dict[str, int] = {name: 0 for name in ALL_LEAF_NAMES}
-        self.cost_tally: Dict[str, int] = {name: 0 for name in ALL_LEAF_NAMES}
         self.leaf_cost = _leaf_costs(self.config)
         self.trace: List[dict] = []
         self._rng = random.Random(f"machine:{self.config.crypto_seed}")
@@ -103,6 +102,11 @@ class Machine:
         self.audit_after_leaf = self.config.audit_after_leaf
 
     # -- plumbing -------------------------------------------------------------
+
+    @property
+    def cost_tally(self) -> Dict[str, int]:
+        """Cost units per leaf: each invocation costs its fixed ``leaf_cost``."""
+        return {name: n * self.leaf_cost[name] for name, n in self.counters.items()}
 
     def alloc_eid(self) -> int:
         eid = self._next_eid
@@ -142,7 +146,6 @@ class Machine:
                 raise SgxError(E.INVALID_LEAF, f"{cls} leaf {leaf:#x} is undefined")
             name, handler = entry
             self.counters[name] += 1
-            self.cost_tally[name] += self.leaf_cost[name]
             if cls == "ENCLU" and args[0].in_enclave == (name in HOST_MODE_LEAVES):
                 need = "host" if name in HOST_MODE_LEAVES else "enclave"
                 raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
