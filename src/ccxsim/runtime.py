@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hmac as hmac_mod
 import json
-from collections import deque
+from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -214,12 +214,12 @@ class HostRuntime:
             OCALL_EAUG: _ocall_eaug,
             OCALL_HOSTADD: _ocall_hostadd,
         }
-        self.victim_filter: Callable = self._default_victim_filter
         self.swap_out_events = 0
         self.swap_in_events = 0
-        # resident EPC granules, oldest first; kept only in fixed mode, the
-        # one mode that evicts
-        self._fifo: Deque[int] = deque()
+        # resident EPC granules, oldest first, each once (a granule that has
+        # since left the EPC stays until eviction skips it); kept only in
+        # fixed mode, the one mode that evicts
+        self._fifo: "OrderedDict[int, None]" = OrderedDict()
         self._free_slots: Deque[Tuple[int, int]] = deque()
         self._next_host_granule = RESERVED_GRANULES
 
@@ -276,7 +276,8 @@ class HostRuntime:
 
     def _track_resident(self, g: int) -> None:
         if self.machine.memory.mode.is_fixed:
-            self._fifo.append(g)
+            self._fifo[g] = None
+            self._fifo.move_to_end(g)
 
     def take_page_granule(self) -> int:
         """A granule to hold a new enclave page: from the fixed EPC in sgx
@@ -287,7 +288,7 @@ class HostRuntime:
 
     # ------------------------------------------------------------------ victim
 
-    def _default_victim_filter(self, granule: int) -> bool:
+    def victim_filter(self, granule: int) -> bool:
         m = self.machine
         entry = m.memory.epcm.get(granule)
         if entry is None or entry.blocked:
@@ -324,12 +325,12 @@ class HostRuntime:
         m = self.machine
         rotated = 0
         while self._fifo:
-            g = self._fifo.popleft()
+            g, _ = self._fifo.popitem(last=False)
             entry = m.memory.epcm.get(g)
             if entry is None:
                 continue  # stale
             if not self.victim_filter(g):
-                self._fifo.append(g)
+                self._fifo[g] = None
                 rotated += 1
                 if rotated > len(self._fifo) + 1:
                     break
