@@ -38,8 +38,12 @@ class ManifestError(Exception):
         super().__init__(f"manifest line {line_no}: {message}")
 
 
-def _num(text: str) -> int:
-    return int(text, 0)
+def _num(text: str, bits: int = 64) -> int:
+    """An unsigned number of at most `bits` bits, the widest field it fills."""
+    value = int(text, 0)
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{text} is not a {bits}-bit unsigned number")
+    return value
 
 
 @dataclass
@@ -146,9 +150,9 @@ class EnclaveManifest:
                 elif key == "max_page_perms":
                     manifest.attributes.max_page_perms = Perms.parse(rest)
                 elif key == "isv_prod_id":
-                    manifest.isv_prod_id = _num(rest)
+                    manifest.isv_prod_id = _num(rest, 16)
                 elif key == "isv_svn":
-                    manifest.isv_svn = _num(rest)
+                    manifest.isv_svn = _num(rest, 16)
                 elif key == "page":
                     manifest.pages.append(cls._parse_page(rest, base_dir))
                 elif key == "tcs":

@@ -158,7 +158,10 @@ class SwapStore:
             self._path(key).write_text(json.dumps(doc, sort_keys=True))
 
     def pop(self, eid: Optional[int], vaddr: int) -> _StoredBlob:
-        stored = self._blobs.pop((eid, vaddr))
+        try:
+            stored = self._blobs.pop((eid, vaddr))
+        except KeyError:
+            raise ModelError(f"swap store holds no page {vaddr:#x} of enclave {eid}") from None
         if self.directory:
             self._path((eid, vaddr)).unlink(missing_ok=True)
         return stored
@@ -538,12 +541,20 @@ class HostRuntime:
     def register_ocall(self, selector: int, handler: Callable) -> None:
         self.ocall_handlers[selector] = handler
 
+    def _thread(self, handle: EnclaveHandle, tcs_index: int, vcpu_index: int):
+        """The vCPU and TCS address a call names, refusing an index out of range."""
+        if not 0 <= vcpu_index < len(self.machine.vcpus):
+            raise ModelError(f"no vcpu {vcpu_index}")
+        if not 0 <= tcs_index < len(handle.tcs_vaddrs):
+            raise ModelError(f"enclave {handle.name} has no TCS {tcs_index}")
+        return self.machine.vcpus[vcpu_index], handle.tcs_vaddrs[tcs_index]
+
     @contextmanager
     def entered(self, handle: EnclaveHandle, tcs_index: int = 0, vcpu_index: int = 0):
         """Enter an enclave for driver-level leaf calls, exit on the way out."""
         m = self.machine
-        vcpu = m.vcpus[vcpu_index]
-        tcs_granule = self._ensure_tcs_ready(handle, handle.tcs_vaddrs[tcs_index])
+        vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
+        tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
         m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
         try:
             yield vcpu
@@ -569,7 +580,7 @@ class HostRuntime:
         call).  Raises :class:`EnclaveFault` on any unrecovered fault.
         """
         m = self.machine
-        vcpu = m.vcpus[vcpu_index]
+        vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
         if vcpu.in_enclave:
             raise ModelError(f"vcpu {vcpu.id} is already inside an enclave")
         budget = step_budget or m.config.max_ecall_steps
@@ -577,7 +588,6 @@ class HostRuntime:
         if schedule is not None and schedule != "every":
             schedule = set(schedule)
 
-        tcs_vaddr = handle.tcs_vaddrs[tcs_index]
         tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
         vcpu.regs[2] = selector
         vcpu.regs[3] = arg1

@@ -28,7 +28,7 @@ the failing position plus a machine-state snapshot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -37,6 +37,7 @@ from .errors import ModelError, SgxError
 from .machine import Machine
 from .manifest import EnclaveManifest, ManifestError
 from .runtime import EnclaveFault, HostRuntime, LoadError, SealedBlob
+from .structs import KeyPolicy
 
 _OPS = {
     "==": lambda a, b: a == b,
@@ -46,6 +47,23 @@ _OPS = {
     ">": lambda a, b: a > b,
     "<": lambda a, b: a < b,
 }
+
+# Command -> (fewest, most) arguments.
+_ARITY = {
+    "mode": (1, 1),
+    "create": (2, 2),
+    "destroy": (1, 1),
+    "ecall": (3, 5),
+    "inject_irq": (1, 2),
+    "swap_out": (2, 2),
+    "swap_in": (2, 2),
+    "attest": (2, 2),
+    "seal": (3, 3),
+    "unseal": (1, 1),
+    "expect": (3, 3),
+}
+
+_POLICIES = {"mrenclave": KeyPolicy.MRENCLAVE, "mrsigner": KeyPolicy.MRSIGNER}
 
 
 class ScenarioError(Exception):
@@ -82,7 +100,7 @@ class ScenarioRunner:
         mode_override: Optional[str] = None,
         swap_dir: Optional[Path] = None,
     ):
-        self.config = config
+        self.config = replace(config)  # a copy: the mode line and override set its mode
         self.base_dir = Path(base_dir) if base_dir else Path(".")
         self.mode_override = mode_override
         self.swap_dir = swap_dir
@@ -112,6 +130,13 @@ class ScenarioRunner:
             return self.handles[name]
         except KeyError:
             raise ScenarioError(line_no, f"unknown enclave {name!r}") from None
+
+    @staticmethod
+    def _int(text: str, line_no: int) -> int:
+        try:
+            return int(text, 0)
+        except ValueError:
+            raise ScenarioError(line_no, f"{text!r} is not a number") from None
 
     # -- probes ------------------------------------------------------------------
 
@@ -205,6 +230,12 @@ class ScenarioRunner:
     def _execute(self, line: str, line_no: int) -> Optional[object]:
         parts = line.split()
         cmd, args = parts[0], parts[1:]
+        if cmd not in _ARITY:
+            raise ScenarioError(line_no, f"unknown command {cmd!r}")
+        fewest, most = _ARITY[cmd]
+        if not fewest <= len(args) <= most:
+            count = fewest if fewest == most else f"{fewest} to {most}"
+            raise ScenarioError(line_no, f"{cmd} takes {count} arguments, got {len(args)}")
 
         if cmd == "mode":
             if self.machine is not None:
@@ -232,9 +263,8 @@ class ScenarioRunner:
             return None
 
         if cmd == "ecall":
-            name, tcs, selector = args[0], int(args[1], 0), int(args[2], 0)
-            a = int(args[3], 0) if len(args) > 3 else 0
-            b = int(args[4], 0) if len(args) > 4 else 0
+            name, *numbers = args + ["0"] * (5 - len(args))  # a and b default to 0
+            tcs, selector, a, b = (self._int(v, line_no) for v in numbers)
             handle = self._handle(name, line_no)
             inject = None
             vcpu = 0
@@ -252,12 +282,12 @@ class ScenarioRunner:
             for token in args:
                 key, _, value = token.partition("=")
                 if key == "vcpu":
-                    pending.vcpu = int(value, 0)
+                    pending.vcpu = self._int(value, line_no)
                 elif key == "at":
                     pending.at = (
                         "every"
                         if value == "every"
-                        else {int(v, 0) for v in value.split(",")}
+                        else {self._int(v, line_no) for v in value.split(",")}
                     )
                 else:
                     raise ScenarioError(line_no, f"unknown inject field {key!r}")
@@ -268,7 +298,7 @@ class ScenarioRunner:
 
         if cmd in ("swap_out", "swap_in"):
             handle = self._handle(args[0], line_no)
-            vaddr = handle.base + int(args[1], 0)
+            vaddr = handle.base + self._int(args[1], line_no)
             if cmd == "swap_out":
                 self.runtime.swap_out(handle, vaddr)
             else:
@@ -284,13 +314,14 @@ class ScenarioRunner:
             return {"a_to_b": self.last_attest.a_to_b, "b_to_a": self.last_attest.b_to_a}
 
         if cmd == "seal":
-            from .structs import KeyPolicy
-
             handle = self._handle(args[0], line_no)
-            policy = {"mrenclave": KeyPolicy.MRENCLAVE, "mrsigner": KeyPolicy.MRSIGNER}[
-                args[1]
-            ]
-            payload = bytes.fromhex(args[2])
+            if args[1] not in _POLICIES:
+                raise ScenarioError(line_no, f"unknown seal policy {args[1]!r}")
+            try:
+                payload = bytes.fromhex(args[2])
+            except ValueError:
+                raise ScenarioError(line_no, f"payload {args[2]!r} is not hex") from None
+            policy = _POLICIES[args[1]]
             self.sealed = self.runtime.seal(handle, policy, payload)
             self.sealed_payload = payload
             self.last = 1
@@ -316,7 +347,7 @@ class ScenarioRunner:
                         f" != {b.mrenclave.hex()[:16]}...",
                     )
                 return True
-            probe, op, value = args[0], args[1], int(args[2], 0)
+            probe, op, value = args[0], args[1], self._int(args[2], line_no)
             if op not in _OPS:
                 raise ScenarioError(line_no, f"unknown operator {op!r}")
             actual = self.probe(probe, line_no)
@@ -325,8 +356,6 @@ class ScenarioRunner:
                     line_no, f"expectation failed: {probe} is {actual}, wanted {op} {value}"
                 )
             return True
-
-        raise ScenarioError(line_no, f"unknown command {cmd!r}")
 
 
 def run_scenario(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ccxsim import fixtures
+from ccxsim import cli, fixtures
 from ccxsim.scenario import ScenarioRunner, run_scenario
 
 from helpers import small_config
@@ -92,6 +92,44 @@ def test_mode_directive_and_override(demo_dir):
     assert result.machine.config.mode == "ccx"
     result = run_text(text, demo_dir, mode_override="sgx")
     assert result.machine.config.mode == "sgx"
+
+
+def test_mode_line_and_override_leave_the_callers_config_alone(demo_dir):
+    config = small_config(granule_count=1024, epc_base=32, epc_size=512)
+    for kw, text in (({}, "mode ccx\n"), ({"mode_override": "ccx"}, "")):
+        r = ScenarioRunner(config, base_dir=demo_dir, **kw)
+        result = r.run_text(text + "create app standard.manifest\n")
+        assert result.ok and result.machine.config.mode == "ccx"
+        assert config.mode == "sgx"
+
+
+# Each input used to end `ccxsim run --json` in a Python traceback:
+# name -> (scenario text, line it fails at, part of the reported error).
+BAD_INPUTS = {
+    "create_arity": ("create a", 1, "create takes 2 arguments, got 1"),
+    "ecall_arity": ("ecall a", 1, "ecall takes 3 to 5 arguments, got 1"),
+    "seal_policy": ("create a standard.manifest\nseal a foo 00", 2,
+                    "unknown seal policy 'foo'"),
+    "expect_value": ("expect last == zz", 1, "'zz' is not a number"),
+    "manifest_nssa": ("create a negative_nssa.manifest", 1,
+                      "manifest line 3: -1 is not a 64-bit unsigned number"),
+    "tcs_index": ("create a standard.manifest\necall a 9 1 2 3", 2, "has no TCS 9"),
+    "vcpu_index": ("create a standard.manifest\ninject_irq vcpu=99 at=1\necall a 0 1 2 3", 3,
+                   "no vcpu 99"),
+    "swap_in_resident": ("create a standard.manifest\nswap_in a 0", 2,
+                         "swap store holds no page"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_reported_with_its_line(name, demo_dir, capsys):
+    text, line, message = BAD_INPUTS[name]
+    (demo_dir / "negative_nssa.manifest").write_text("name bad\nsize 0x100000\nnssa -1\n")
+    (demo_dir / "bad.scenario").write_text(text + "\n")
+    assert cli.main(["run", str(demo_dir / "bad.scenario"), "--json"]) == cli.EXIT_FAILED
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+    assert summary["failed_at"] == line
+    assert message in summary["failure"]
 
 
 def test_mode_after_create_rejected(demo_dir):
