@@ -69,10 +69,11 @@ class BenchReport:
 
 def _report(config: Config, iterations: int, machine: Machine, start: float) -> BenchReport:
     """Per-leaf counts and costs of everything `machine` ran since `start`."""
+    tally = machine.cost_tally
     per_leaf = {
         name: {
             "count": machine.counters[name],
-            "cost_total": machine.cost_tally[name],
+            "cost_total": tally[name],
             "cost_per_op": machine.leaf_cost[name],
         }
         for name in ALL_LEAF_NAMES

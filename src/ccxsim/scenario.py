@@ -205,7 +205,7 @@ class ScenarioRunner:
             "ok": ok,
             "commands": len(events),
             "counters": dict(self.machine.counters) if self.machine else {},
-            "cost_tally": dict(self.machine.cost_tally) if self.machine else {},
+            "cost_tally": self.machine.cost_tally if self.machine else {},
             "gpf_count": len(self.machine.memory.gpf_log) if self.machine else 0,
             "swap_out_events": self.runtime.swap_out_events if self.runtime else 0,
             "swap_in_events": self.runtime.swap_in_events if self.runtime else 0,
