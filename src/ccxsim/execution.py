@@ -4,11 +4,11 @@ A vCPU's one record of where it runs is ``cur_eid``/``cur_tcs``: with no
 current enclave it is the host (normal world, system table active), and
 inside an enclave its world (realm) and active table (that enclave's) derive
 from ``cur_eid``, so nothing can fall out of step.  A TCS is busy exactly
-while some vCPU's ``cur_tcs`` names it.  Traps from fixture programs arrive as a
-register frame mirroring the gadget sequence: x0 service id, x1 leaf, x2..x4
-arguments.  Interrupts in enclave mode save the full context to the thread's
-save-state area and hand control to the host at its async exit pointer; the
-recorded delivery path is trampoline -> monitor -> host.
+while some vCPU's ``cur_tcs`` names it.  Traps from fixture programs arrive
+as a register frame mirroring the gadget sequence: x0 service id, x1 leaf,
+x2..x4 arguments.  Interrupts in enclave mode save the full context to the
+thread's save-state area and hand control to the host at its async exit
+pointer; the recorded delivery path is trampoline -> monitor -> host.
 
 There is deliberately no hook point between an enclave trap or interrupt and
 the monitor: nothing at hypervisor level can observe or intercept the switch.
@@ -27,8 +27,8 @@ from . import isa
 from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode as E
 from .memory import (
     GRANULE_SIZE,
-    MICROCODE,
     HOST,
+    MICROCODE,
     AccessContext,
     PageType,
     Perms,
@@ -237,7 +237,7 @@ def _tcs_for_entry(m, tcs_granule: int):
     return secs, m.tcs_registry[tcs_granule]
 
 
-def _switch_in(m, vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> None:
+def _switch_in(vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> None:
     vcpu.cur_eid = secs.eid
     vcpu.cur_tcs = tcs_granule
     vcpu.aep = aep
@@ -265,7 +265,7 @@ def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
     # Host registers flow into the enclave (unified-state emulation); x0
     # reports the current save-state index so entry code can tell a fresh
     # call from exception/notify handling.
-    _switch_in(m, vcpu, secs, tcs, tcs_granule, aep, secs.base + tcs.oentry)
+    _switch_in(vcpu, secs, tcs, tcs_granule, aep, secs.base + tcs.oentry)
     vcpu.regs[0] = tcs.cssa
     m.trace_event("eenter", vcpu=vcpu.id, eid=secs.eid, cssa=tcs.cssa)
 
@@ -288,7 +288,7 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
         # Re-entry lands in the enclave's notify handler at the current
         # save-state index; the handler restores context itself and uses
         # EDECCSSA to retire the slot.
-        _switch_in(m, vcpu, secs, tcs, tcs_granule, aep, secs.base + tcs.oentry)
+        _switch_in(vcpu, secs, tcs, tcs_granule, aep, secs.base + tcs.oentry)
         vcpu.regs[0] = tcs.cssa
         m.trace_event("eresume_notify", vcpu=vcpu.id, eid=secs.eid, cssa=tcs.cssa)
         return
@@ -302,7 +302,7 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
     )
     frame = SsaFrame.unpack(raw)
     tcs.cssa -= 1
-    _switch_in(m, vcpu, secs, tcs, tcs_granule, aep, frame.pc)
+    _switch_in(vcpu, secs, tcs, tcs_granule, aep, frame.pc)
     vcpu.regs = list(frame.regs)
     vcpu.pstate = frame.pstate
     vcpu.tpidr = frame.tpidr

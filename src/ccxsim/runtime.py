@@ -222,7 +222,7 @@ class HostRuntime:
         # resident EPC granules, oldest first, each once (a granule that has
         # since left the EPC stays until eviction skips it); kept only in
         # fixed mode, the one mode that evicts
-        self._fifo: "OrderedDict[int, None]" = OrderedDict()
+        self._fifo: OrderedDict[int, None] = OrderedDict()
         self._free_slots: Deque[Tuple[int, int]] = deque()
         self._next_host_granule = RESERVED_GRANULES
 
