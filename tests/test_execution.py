@@ -287,6 +287,24 @@ def test_eenter_busy_tcs_rejected(entered_env):
     machine.enclu(v0, 0x4, RETURN_GATE)
 
 
+def test_occupied_tcs_cannot_be_removed_or_written_back(entered_env):
+    machine, enc, tcs_g = entered_env
+    vcpu = machine.vcpus[0]
+    (va,) = free_epc_granules(machine, 1)
+    machine.leaf("EPA", va)
+    machine.leaf("EENTER", tcs_g, AEP_GATE, vcpu=vcpu)
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("EREMOVE", tcs_g)
+    assert exc.value.code == E.PAGE_IN_USE
+    machine.leaf("EBLOCK", tcs_g)
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("EWB", tcs_g, va, 0)
+    assert exc.value.code == E.PAGE_IN_USE
+    machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
+    machine.leaf("EREMOVE", tcs_g)  # free once no vCPU runs on it
+    assert tcs_g not in machine.tcs_registry
+
+
 def test_eenter_with_exhausted_ssa_rejected(entered_env):
     machine, enc, tcs_g = entered_env
     vcpu = machine.vcpus[0]
