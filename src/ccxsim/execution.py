@@ -10,6 +10,15 @@ x2..x4 arguments.  Interrupts in enclave mode save the full context to the
 thread's save-state area and hand control to the host at its async exit
 pointer; the recorded delivery path is trampoline -> monitor -> host.
 
+Memory accesses go through a translation cache and instruction fetches
+also through a decode cache (both kept in :class:`~ccxsim.memory.MachineMemory`).
+A cache entry is filled only by a successful checked access (address
+translation, EPCM checks, then the protection-table check), the translation
+cache is dropped on any EPCM or protection-table change, and a granule's
+decodes are dropped on any write to it.  A miss, or an access that crosses a
+page, takes the checked path, so every fault and GPF is raised as without
+the caches.
+
 There is deliberately no hook point between an enclave trap or interrupt and
 the monitor: nothing at hypervisor level can observe or intercept the switch.
 ``EL2_HOOKS`` stays an empty, immutable tuple and the dispatch below consults
@@ -75,6 +84,7 @@ CAP_AEXNOTIFY = 1 << 2
 MAX_ENCLAVE_SIZE_LOG2 = 33
 
 MASK64 = (1 << 64) - 1
+_PAGE_MASK = GRANULE_SIZE - 1
 
 
 @dataclass
@@ -179,14 +189,56 @@ def _resolve(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
     return granule, offset
 
 
+def _cached(mem, vcpu, addr: int, size: int, kind: str) -> Optional[int]:
+    """The granule a checked access of this kind to addr's page reached in
+    the current memory generation, or None."""
+    if mem.tlb_generation != mem.gpts.generation:
+        mem.tlb.clear()
+        mem.tlb_generation = mem.gpts.generation
+        return None
+    if (addr & _PAGE_MASK) + size > GRANULE_SIZE:
+        return None
+    return mem.tlb.get((vcpu.cur_eid, addr & ~_PAGE_MASK, kind))
+
+
 def mem_read(m, vcpu, addr: int, size: int, kind: str = "r") -> bytes:
+    mem = m.memory
+    granule = _cached(mem, vcpu, addr, size, kind)
+    if granule is not None:
+        base = granule * GRANULE_SIZE + (addr & _PAGE_MASK)
+        return bytes(mem.data[base : base + size])
     granule, offset = _resolve(m, vcpu, addr, size, kind)
-    return m.memory.read_granule(vcpu.access_context(), granule, offset, size)
+    data = mem.read_granule(vcpu.access_context(), granule, offset, size)
+    mem.tlb[(vcpu.cur_eid, addr - offset, kind)] = granule
+    return data
 
 
 def mem_write(m, vcpu, addr: int, data: bytes) -> None:
+    mem = m.memory
+    granule = _cached(mem, vcpu, addr, len(data), "w")
+    if granule is not None:
+        mem.store(granule, addr & _PAGE_MASK, data)
+        return
     granule, offset = _resolve(m, vcpu, addr, len(data), "w")
-    m.memory.write_granule(vcpu.access_context(), granule, offset, data)
+    mem.write_granule(vcpu.access_context(), granule, offset, data)
+    mem.tlb[(vcpu.cur_eid, addr - offset, "w")] = granule
+
+
+def fetch(m, vcpu, pc: int) -> Tuple[int, int, int, int, int]:
+    """The decoded instruction at ``pc``; a granule's decodes are kept until
+    something writes to it."""
+    mem = m.memory
+    granule = _cached(mem, vcpu, pc, isa.INSTR_SIZE, "x")
+    if granule is None:
+        mem_read(m, vcpu, pc, isa.INSTR_SIZE, "x")  # the checked path fills the cache
+        granule = mem.tlb[(vcpu.cur_eid, pc & ~_PAGE_MASK, "x")]
+    decodes = mem.decoded.setdefault(granule, {})
+    offset = pc & _PAGE_MASK
+    instr = decodes.get(offset)
+    if instr is None:
+        base = granule * GRANULE_SIZE + offset
+        instr = decodes[offset] = isa.decode(mem.data[base : base + isa.INSTR_SIZE])
+    return instr
 
 
 def _user_buffer(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
@@ -608,9 +660,8 @@ def step(m, vcpu, max_steps: int) -> RunReport:
 
         fetching = True
         try:
-            raw = mem_read(m, vcpu, vcpu.pc, isa.INSTR_SIZE, kind="x")
+            op, rd, rs1, rs2, imm = fetch(m, vcpu, vcpu.pc)
             fetching = False
-            op, rd, rs1, rs2, imm = isa.decode(raw)
             executed += 1
             next_pc = (vcpu.pc + isa.INSTR_SIZE) & MASK64
 

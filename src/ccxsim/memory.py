@@ -16,6 +16,17 @@ new one.
 Allocation reads the same state: free granules are found in the system
 table, an enclave's page list is its owned set, and
 :meth:`MachineMemory.epc_span` is the one place that knows the EPC window.
+
+The enclave interpreter caches its work in two places here, and neither may
+change anything but wall time.  The translation cache (``tlb``) maps an
+accessor, a page address and an access kind to the granule that a full
+checked access of that kind reached; only a successful checked access fills
+it, and it is emptied whenever the memory generation moves.  The generation
+(``GptSet.generation``) is bumped by every EPCM update and every protection
+table change.  The decode cache (``decoded``) holds each granule's decoded
+instructions by offset; any write to the granule drops them, and
+:meth:`MachineMemory.store` and :meth:`MachineMemory.zero_granule` are the
+only byte writers.
 """
 
 from __future__ import annotations
@@ -206,6 +217,9 @@ class GptSet:
     assigned granule is NO_ACCESS in the system table and sits in exactly one
     owned set, so it is realm for its owner and unreachable from every other
     view by construction.
+
+    ``generation`` is the memory generation: every method here that changes
+    a table, and :meth:`MachineMemory.epcm_update`, bumps it.
     """
 
     def __init__(self, granule_count: int):
@@ -213,6 +227,7 @@ class GptSet:
         self.system: bytearray = bytearray(granule_count)  # Pas.NORMAL == 0
         # live enclave id -> granules it owns; also the registry of tables
         self.owned: Dict[int, Set[int]] = {}
+        self.generation = 0
 
     # -- table lifecycle ---------------------------------------------------
 
@@ -220,11 +235,13 @@ class GptSet:
         if eid in self.owned:
             raise ModelError(f"enclave {eid} already has a table")
         self.owned[eid] = set()
+        self.generation += 1
 
     def drop_enclave_table(self, eid: int) -> None:
         if self._owned(eid):
             raise ModelError(f"dropping table of enclave {eid} with realm pages")
         del self.owned[eid]
+        self.generation += 1
 
     def _owned(self, eid: int) -> Set[int]:
         try:
@@ -244,6 +261,7 @@ class GptSet:
         if not 0 <= granule < self.granule_count:
             raise ModelError(f"granule {granule} out of range")
         self.system[granule] = int(pas)
+        self.generation += 1
 
     def table(self, eid: int) -> bytes:
         """Enclave `eid`'s derived table as dense :class:`Pas` bytes."""
@@ -265,6 +283,7 @@ class GptSet:
             raise ModelError(f"granule {granule} not normal in system table")
         owned.add(granule)
         self.system[granule] = int(Pas.NO_ACCESS)
+        self.generation += 1
 
     def unassign(self, eid: int, granule: int) -> None:
         owned = self._owned(eid)
@@ -272,17 +291,20 @@ class GptSet:
             raise ModelError(f"granule {granule} not realm in table of {eid}")
         owned.remove(granule)
         self.system[granule] = int(Pas.NORMAL)
+        self.generation += 1
 
     def seclude(self, granule: int) -> None:
         """Make a granule microcode-only (used for version-array pages)."""
         if self.system[granule] != Pas.NORMAL:
             raise ModelError(f"granule {granule} not normal in system table")
         self.system[granule] = int(Pas.NO_ACCESS)
+        self.generation += 1
 
     def unseclude(self, granule: int) -> None:
         if self.system[granule] != Pas.NO_ACCESS:
             raise ModelError(f"granule {granule} was not secluded")
         self.system[granule] = int(Pas.NORMAL)
+        self.generation += 1
 
     def snapshot_counts(self) -> Dict[str, Dict[str, int]]:
         out: Dict[str, Dict[str, int]] = {}
@@ -314,6 +336,11 @@ class MachineMemory:
         # (owner eid, page-aligned vaddr) -> granule, kept in sync by epcm_update
         self.vaddr_index: Dict[Tuple[int, int], int] = {}
         self.gpf_log: List[GpfRecord] = []
+        # (cur_eid, page address, access kind) -> granule, as of generation
+        # ``tlb_generation``; granule -> {offset: decoded instruction}
+        self.tlb: Dict[Tuple[Optional[int], int, str], int] = {}
+        self.tlb_generation = 0
+        self.decoded: Dict[int, Dict[int, tuple]] = {}
 
     # -- access checking ----------------------------------------------------
 
@@ -347,11 +374,19 @@ class MachineMemory:
     def write_granule(
         self, ctx: AccessContext, granule: int, offset: int, data: bytes
     ) -> None:
-        base = self._checked(ctx, granule, offset, len(data))
+        self._checked(ctx, granule, offset, len(data))
+        self.store(granule, offset, data)
+
+    def store(self, granule: int, offset: int, data: bytes) -> None:
+        """Write bytes that a checked access has cleared, dropping the
+        granule's cached decodes."""
+        self.decoded.pop(granule, None)
+        base = granule * GRANULE_SIZE + offset
         self.data[base : base + len(data)] = data
 
     def zero_granule(self, granule: int) -> None:
         self._check_range(granule)
+        self.decoded.pop(granule, None)
         base = granule * GRANULE_SIZE
         self.data[base : base + GRANULE_SIZE] = bytes(GRANULE_SIZE)
 
@@ -414,6 +449,7 @@ class MachineMemory:
                 mapped = self.vaddr_index.get((entry.owner, entry.vaddr), granule)
                 if mapped != granule:
                     raise ModelError(f"vaddr {entry.vaddr:#x} double-mapped in {entry.owner}")
+        self.gpts.generation += 1
         old = self.epcm.get(granule)
         if old is not None and old.owner is not None:
             self.vaddr_index.pop((old.owner, old.vaddr), None)

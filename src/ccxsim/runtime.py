@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .errors import AuthenticationFailure, ModelError, SgxError
+from .execution import MASK64
 from .machine import Machine
 from .manifest import EnclaveManifest
 from .memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
@@ -589,9 +590,9 @@ class HostRuntime:
             schedule = set(schedule)
 
         tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
-        vcpu.regs[2] = selector
-        vcpu.regs[3] = arg1
-        vcpu.regs[4] = arg2
+        vcpu.regs[2] = selector & MASK64
+        vcpu.regs[3] = arg1 & MASK64
+        vcpu.regs[4] = arg2 & MASK64
         vcpu.regs[10] = RETURN_GATE
         vcpu.regs[11] = OCALL_GATE
         m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)

@@ -249,7 +249,11 @@ class ScenarioRunner:
         if cmd == "create":
             name, path = args
             rt = self._ensure_machine()
-            manifest = EnclaveManifest.load(self.base_dir / path)
+            try:
+                manifest = EnclaveManifest.load(self.base_dir / path)
+            except OSError as exc:
+                reason = exc.strerror or type(exc).__name__
+                raise ScenarioError(line_no, f"cannot read manifest {path!r}: {reason}") from None
             handle = rt.load_enclave(manifest)
             self.handles[name] = handle
             self.last = handle.eid

@@ -1,0 +1,270 @@
+"""The interpreter's translation and decode caches change nothing but wall
+time.  Each targeted case warms the caches, changes memory behind them, and
+runs again; the differential test compares a machine whose caches are
+dropped before every step with one that keeps them."""
+
+from functools import partial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ccxsim import isa
+from ccxsim.errors import SgxError
+from ccxsim.machine import Machine
+from ccxsim.memory import GRANULE_SIZE, GpfRecord, Pas, Perms, SecurityState
+from ccxsim.runtime import AEP_GATE, RETURN_GATE
+from ccxsim.structs import EXIT_IRQ
+
+from helpers import BASE, build_raw_enclave, free_epc_granules, free_host_granule, small_config
+
+CODE, DATA, TCS = 0x0000, 0x1000, 0x4000
+DATA_WORD = 0x2222222222222222
+
+EEXIT_TO_RETURN_GATE = [
+    ("movi", 2, RETURN_GATE),
+    ("movi", 1, 0x4),
+    ("movi", 0, 0x1),
+    ("gadget",),
+]
+
+
+@pytest.fixture(params=["sgx", "ccx"])
+def m(request):
+    return Machine(small_config(mode=request.param))
+
+
+def _enclave(m, program):
+    """A debug enclave running ``program`` from an rwx code page, with an rw
+    data page and two save-state frames."""
+    return build_raw_enclave(
+        m,
+        page_specs=[
+            (CODE, "rwx", isa.assemble(program + EEXIT_TO_RETURN_GATE, origin=BASE)),
+            (DATA, "rw", b"\x22" * GRANULE_SIZE),
+            (0x2000, "rw", b""),
+            (0x3000, "rw", b""),
+        ],
+        tcs_specs=[{"vaddr": TCS, "ossa": 0x2000}],
+    )
+
+
+def _call(m, enc):
+    """Enter at the code page and run to the first host halt; returns the
+    step report and x3."""
+    vcpu = m.vcpus[0]
+    m.enclu(vcpu, 0x2, enc.pages[TCS], AEP_GATE)
+    report = m.step(vcpu, 200)
+    assert report.stop == "halt" and not vcpu.in_enclave
+    return report, vcpu.regs[3]
+
+
+def _event(report, kind):
+    return next(e for e in report.events if e["kind"] == kind)
+
+
+def _reload_elsewhere(m, eid, g, va):
+    """EWB granule ``g`` out through slot 0 of version array ``va`` and ELDU
+    it back into another granule, which is returned."""
+    target = free_epc_granules(m, 1)[0]
+    m.leaf("EBLOCK", g)
+    m.leaf("ETRACK", eid)
+    blob = m.leaf("EWB", g, va, 0)
+    m.leaf("ELDU", blob.ciphertext, blob.pcmd, va, 0, target, eid)
+    return target
+
+
+def test_enclave_store_of_an_instruction_is_fetched_next(m):
+    new = isa.encode(isa.OP_MOVI, rd=3, imm=222)
+    enc = _enclave(m, [
+        ("movi", 5, 0),
+        ("label", "slot"),
+        ("movi", 3, 111),  # runs once, then is overwritten and runs again
+        ("bnz", 5, "@done"),
+        ("movi", 5, 1),
+        ("movi", 6, int.from_bytes(new[:8], "little")),
+        ("movi", 7, int.from_bytes(new[8:], "little")),
+        ("movi", 8, "@slot"),
+        ("store", 6, 8, 0),
+        ("store", 7, 8, 8),
+        ("jmp", "@slot"),
+        ("label", "done"),
+    ])
+    assert _call(m, enc)[1] == 222
+
+
+def test_edbgwr_between_ecalls_is_fetched_next(m):
+    enc = _enclave(m, [("movi", 3, 111)])
+    assert _call(m, enc)[1] == 111
+    m.leaf("EDBGWR", enc.pages[CODE], 0, isa.encode(isa.OP_MOVI, rd=3, imm=222))
+    assert _call(m, enc)[1] == 222
+
+
+def test_emodpr_dropping_x_faults_the_next_fetch(m):
+    enc = _enclave(m, [("movi", 3, 111)])
+    assert _call(m, enc)[1] == 111
+    m.leaf("EMODPR", enc.pages[CODE], Perms.R | Perms.W)
+    fault = _event(_call(m, enc)[0], "pagefault")
+    assert fault["at"] == "fetch" and fault["why"] == "missing x permission"
+
+
+def test_code_page_reloaded_into_another_granule_still_runs(m):
+    enc = _enclave(m, [("movi", 3, 111)])
+    assert _call(m, enc)[1] == 111
+    va = free_epc_granules(m, 1)[0]
+    m.leaf("EPA", va)
+    target = _reload_elsewhere(m, enc.eid, enc.pages[CODE], va)
+    assert target != enc.pages[CODE] and m.memory.find_page(enc.eid, BASE + CODE) == target
+    report, x3 = _call(m, enc)
+    assert x3 == 111 and report.kinds() == ["gadget", "halt"]
+
+
+def test_removed_data_page_faults_the_next_load(m):
+    enc = _enclave(m, [("movi", 13, BASE + DATA), ("load", 3, 13, 0)])
+    assert _call(m, enc)[1] == DATA_WORD
+    m.leaf("EREMOVE", enc.pages[DATA])
+    fault = _event(_call(m, enc)[0], "pagefault")
+    assert fault["addr"] == BASE + DATA and fault["why"] == "no page mapped"
+
+
+def test_host_fetch_after_set_entry_no_access_is_a_logged_gpf(m):
+    g = free_host_granule(m)
+    m.host_write(g, 0, isa.assemble([("movi", 3, 7), ("halt",)], origin=g * GRANULE_SIZE))
+    vcpu = m.vcpus[0]
+    vcpu.pc = g * GRANULE_SIZE
+    assert m.step(vcpu, 10).stop == "halt" and vcpu.regs[3] == 7
+    m.memory.gpts.set_entry(g, Pas.NO_ACCESS)
+    vcpu.pc = g * GRANULE_SIZE
+    report = m.step(vcpu, 10)
+    assert report.stop == "fault"
+    gpf = _event(report, "gpf")
+    assert gpf["at"] == "fetch" and gpf["pas"] == "NO_ACCESS"
+    assert m.memory.gpf_log == [GpfRecord(g, SecurityState.NORMAL, Pas.NO_ACCESS, None)]
+
+
+def test_scrubbed_granule_loses_its_decoded_instructions(m):
+    enc = _enclave(m, [])
+    g = free_epc_granules(m, 1)[0]
+    m.host_write(g, 0, isa.assemble([("movi", 3, 7), ("halt",)], origin=g * GRANULE_SIZE))
+    vcpu = m.vcpus[0]
+    vcpu.pc = g * GRANULE_SIZE
+    assert m.step(vcpu, 10).stop == "halt" and vcpu.regs[3] == 7
+    m.leaf("EAUG", enc.eid, BASE + 0x8000, g)  # zeroes the granule
+    m.leaf("EREMOVE", g)  # and scrubs it again
+    vcpu.regs[3] = 0
+    vcpu.pc = g * GRANULE_SIZE
+    report = m.step(vcpu, 10)
+    assert report.kinds() == ["halt"] and vcpu.regs[3] == 0  # zeroes decode as halt
+
+
+# ---------------------------------------------------------------------------
+# Differential: caches kept against caches dropped before every step
+
+# acc := data[0]; repeat x3 times: acc += x3; data[0] := acc; then x3 := acc.
+LOOP = [
+    ("movi", 13, BASE + DATA),
+    ("label", "loop"),
+    ("load", 5, 13, 0),
+    ("label", "slot"),
+    ("add", 5, 5, 3),
+    ("store", 5, 13, 0),
+    ("addi", 3, 3, -1),
+    ("bnz", 3, "@loop"),
+    ("load", 3, 13, 0),
+]
+SLOT = 2 * isa.INSTR_SIZE  # the add, which the code rewrite replaces
+REWRITES = [isa.encode(op, rd=5, rs1=5, rs2=3) for op in (isa.OP_ADD, isa.OP_XOR, isa.OP_MUL)]
+
+MUTATIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("rewrite"), st.just(CODE), st.sampled_from(REWRITES)),
+    st.sampled_from([("emodpr", CODE, Perms.R | Perms.W), ("emodpr", CODE, Perms.R | Perms.X),
+                     ("emodpr", DATA, Perms.R)]),
+    st.tuples(st.sampled_from(["swap", "eremove", "host_peek"]), st.sampled_from([CODE, DATA]),
+              st.none()),
+)
+# Each round changes memory (or not), then makes one ecall of n loop
+# iterations with interrupts after the given enclave steps.
+ROUNDS = st.lists(
+    st.tuples(MUTATIONS, st.integers(1, 6), st.sets(st.integers(1, 30), max_size=3)),
+    min_size=1, max_size=8,
+)
+
+
+def _drive(mode, rounds, drop_caches):
+    """Run a warm-up ecall and then ``rounds`` on a fresh machine, one
+    instruction per step; returns what a run can observe.  With
+    ``drop_caches`` the generation moves and both caches are emptied before
+    every step, so every access takes the checked path."""
+    m = Machine(small_config(mode=mode))
+    enc = _enclave(m, LOOP)
+    va = free_epc_granules(m, 1)[0]
+    m.leaf("EPA", va)
+    vcpu = m.vcpus[0]
+    seen = []
+
+    def run(budget, irqs=(), done=0):
+        """Step up to ``budget`` instructions, interrupting the enclave after
+        each step number in ``irqs`` (counted from ``done``)."""
+        for _ in range(budget):
+            if drop_caches:
+                m.memory.gpts.generation += 1
+                m.memory.tlb.clear()
+                m.memory.decoded.clear()
+            report = m.step(vcpu, 1)
+            seen.extend(report.events)
+            done += 1
+            if report.stop != "limit":
+                return report.stop, done
+            if vcpu.in_enclave and done in irqs:
+                m.inject_interrupt(vcpu)
+        return "limit", done
+
+    def page(off):
+        return m.memory.find_page(enc.eid, BASE + off)
+
+    def ecall(n, irqs):
+        vcpu.regs[3] = n
+        m.enclu(vcpu, 0x2, enc.pages[TCS], AEP_GATE)
+        stop, done = run(200, irqs)
+        while stop == "halt" and vcpu.pc == AEP_GATE and vcpu.last_exit[0] == EXIT_IRQ:
+            m.enclu(vcpu, 0x3, vcpu.regs[2], AEP_GATE)
+            stop, done = run(200, irqs, done)
+        seen.append(("x3", vcpu.regs[3]))
+
+    def mutate(kind, off, arg):
+        g = page(off)
+        if kind == "host_peek":
+            probe = free_host_granule(m)
+            m.host_write(probe, 0, isa.assemble(
+                [("movi", 5, (g or 0) * GRANULE_SIZE), ("load", 6, 5, 0), ("halt",)],
+                origin=probe * GRANULE_SIZE))
+            vcpu.pc = probe * GRANULE_SIZE
+            run(10)
+        elif g is None:
+            pass
+        elif kind == "rewrite":
+            m.leaf("EDBGWR", g, SLOT, arg)
+        elif kind == "emodpr":
+            m.leaf("EMODPR", g, arg)
+        elif kind == "eremove":
+            m.leaf("EREMOVE", g)
+        else:
+            _reload_elsewhere(m, enc.eid, g, va)
+
+    steps = [partial(ecall, 3, ())]
+    for mutation, n, irqs in rounds:
+        if mutation is not None:
+            steps.append(partial(mutate, *mutation))
+        steps.append(partial(ecall, n, irqs))
+    for action in steps:
+        try:
+            action()
+        except SgxError as err:
+            seen.append(("refused", err.code.name))
+    return seen, list(vcpu.regs), m.trace, m.memory.gpf_log
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sgx", "ccx"]), ROUNDS)
+def test_cached_run_equals_a_run_with_caches_dropped_every_step(mode, rounds):
+    assert _drive(mode, rounds, drop_caches=False) == _drive(mode, rounds, drop_caches=True)

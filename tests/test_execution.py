@@ -809,3 +809,10 @@ def test_scheduler_interleaving_is_seeded_and_commutes():
     assert v1 == v2 == v3  # disjoint effects commute
     assert order1 == order2  # same seed, same interleaving
     assert order1 != order3  # different seed, different interleaving
+
+
+def test_ecall_words_enter_the_registers_as_64_bit_values(machine, fixture_dir):
+    rt, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "mask")
+    assert rt.ecall(h, 0, fixtures.SEL_ECHO, -1) == MASK64
+    assert rt.ecall(h, 0, fixtures.SEL_ECHO, -1, inject_at={1, 2, 3, 4, 5}) == MASK64
+    assert rt.ecall(h, 0, fixtures.SEL_ADD - (1 << 64), 2, -1) == 1

@@ -118,6 +118,8 @@ BAD_INPUTS = {
                    "no vcpu 99"),
     "swap_in_resident": ("create a standard.manifest\nswap_in a 0", 2,
                          "swap store holds no page"),
+    "manifest_missing": ("create a standard.manifest\ncreate b nonexist.manifest", 2,
+                         "cannot read manifest 'nonexist.manifest': No such file or directory"),
 }
 
 
