@@ -26,7 +26,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives import serialization
 
 from .errors import AuthenticationFailure, ModelError
-from .structs import SigStruct
+from .structs import MEASURE_BLOCK, SigStruct
 
 HASH_ALGORITHM = "sha256"
 SIGN_ALGORITHM = "ed25519"
@@ -41,19 +41,22 @@ GCM_IV_SIZE = 12
 
 
 class RunningHash:
-    """Incremental measurement hash over fixed 64-byte blocks.
+    """Incremental measurement hash over whole 64-byte blocks.
 
-    Copies are independent: finalizing a copy does not disturb the original,
-    which keeps the running enclave measurement extendable after peeking.
+    One absorb takes any non-empty run of whole blocks in one update, so a
+    record and the content that follows it can go in together.  Copies are
+    independent: finalizing a copy does not disturb the original, which keeps
+    the running enclave measurement extendable after peeking.
     """
 
     def __init__(self, _state=None):
         self._h = _state if _state is not None else hashlib.sha256()
 
-    def absorb(self, block: bytes) -> "RunningHash":
-        if len(block) != 64:
-            raise ModelError(f"measurement blocks are 64 bytes, got {len(block)}")
-        self._h.update(block)
+    def absorb(self, blocks: bytes) -> "RunningHash":
+        n = len(blocks)
+        if not n or n % MEASURE_BLOCK:
+            raise ModelError(f"measurement input is whole 64-byte blocks, got {n} bytes")
+        self._h.update(blocks)
         return self
 
     def copy(self) -> "RunningHash":

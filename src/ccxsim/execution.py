@@ -206,7 +206,7 @@ def mem_read(m, vcpu, addr: int, size: int, kind: str = "r") -> bytes:
     granule = _cached(mem, vcpu, addr, size, kind)
     if granule is not None:
         base = granule * GRANULE_SIZE + (addr & _PAGE_MASK)
-        return bytes(mem.data[base : base + size])
+        return mem.data[base : base + size]
     granule, offset = _resolve(m, vcpu, addr, size, kind)
     data = mem.read_granule(vcpu.access_context(), granule, offset, size)
     mem.tlb[(vcpu.cur_eid, addr - offset, kind)] = granule

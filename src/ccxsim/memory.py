@@ -1,9 +1,11 @@
 """Physical memory, granule protection tables, and the EPC page map.
 
-Physical memory is a flat array of 4 KiB granules.  Isolation is enforced by
-granule protection tables: one stored system table, plus one view per live
-enclave that is derived from the system table and the set of granules the
-enclave owns.  Every simulated load/store funnels through
+Physical memory is a flat array of 4 KiB granules in a private anonymous
+memory map: it reads as zeros, and a granule takes host memory only once it
+is written.  Isolation is enforced by granule protection tables: one stored
+system table, plus one view per live enclave that is derived from the system
+table and the set of granules the enclave owns.  Every simulated load/store
+funnels through
 :meth:`MachineMemory.read_granule` or :meth:`MachineMemory.write_granule`,
 which consult the active table for the accessing context.  Enclave page
 metadata lives in the EPCM, which is modeled as simulator-private state
@@ -32,6 +34,7 @@ only byte writers.
 from __future__ import annotations
 
 import enum
+import mmap
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -52,6 +55,10 @@ class Pas(enum.IntEnum):
     REALM = 2
     ROOT = 3
     NO_ACCESS = 4
+
+
+# Pas members by value, so a table byte maps to its member without a call.
+_PAS = tuple(Pas)
 
 
 class SecurityState(enum.IntEnum):
@@ -254,7 +261,7 @@ class GptSet:
             raise ModelError(f"granule {granule} out of range")
         if selector is not None and granule in self._owned(selector):
             return Pas.REALM
-        return Pas(self.system[granule])
+        return _PAS[self.system[granule]]
 
     def set_entry(self, granule: int, pas: Pas) -> None:
         """Raw system-table poke; for fixture setup and tests, not the normal path."""
@@ -330,7 +337,8 @@ class MachineMemory:
         mode.validate(granule_count)
         self.granule_count = granule_count
         self.mode = mode
-        self.data = bytearray(granule_count * GRANULE_SIZE)
+        # zero-filled lazily by the host; a slice write must keep its length
+        self.data = mmap.mmap(-1, granule_count * GRANULE_SIZE, flags=mmap.MAP_PRIVATE)
         self.gpts = GptSet(granule_count)
         self.epcm: Dict[int, EpcmEntry] = {}
         # (owner eid, page-aligned vaddr) -> granule, kept in sync by epcm_update
@@ -369,7 +377,7 @@ class MachineMemory:
         self, ctx: AccessContext, granule: int, offset: int, length: int
     ) -> bytes:
         base = self._checked(ctx, granule, offset, length)
-        return bytes(self.data[base : base + length])
+        return self.data[base : base + length]
 
     def write_granule(
         self, ctx: AccessContext, granule: int, offset: int, data: bytes

@@ -199,9 +199,7 @@ def eextend(m, eid: int, vaddr_chunk: int) -> None:
 
     page_off = vaddr_chunk & (GRANULE_SIZE - 1)
     content = m.memory.read_granule(MICROCODE, granule, page_off, EEXTEND_CHUNK)
-    secs.mrenclave_state.absorb(eextend_record(vaddr_chunk - secs.base))
-    for i in range(0, EEXTEND_CHUNK, 64):
-        secs.mrenclave_state.absorb(content[i : i + 64])
+    secs.mrenclave_state.absorb(eextend_record(vaddr_chunk - secs.base) + content)
 
 
 def einit(m, eid: int, sigstruct: SigStruct) -> None:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from .crypto import RunningHash
 from .errors import AuthenticationFailure, ModelError, SgxError
 from .execution import MASK64
 from .machine import Machine
@@ -46,9 +47,8 @@ from .structs import (
     SwapBlob,
     TargetInfo,
     VA_SLOT_COUNT,
-    eadd_record,
     ecreate_record,
-    eextend_record,
+    page_measurement,
 )
 
 GATE_GRANULE = 1
@@ -362,17 +362,17 @@ class HostRuntime:
 
     # ------------------------------------------------------------------ loader
 
+    def _signer_hash(self, manifest: EnclaveManifest) -> RunningHash:
+        """A signer-side measurement holding the creation record; feed it
+        each page's :func:`page_measurement` in build order."""
+        state = self.machine.crypto.hash_init()
+        return state.absorb(ecreate_record(manifest.ssa_frame_size, manifest.size))
+
     def predict_measurement(self, manifest: EnclaveManifest) -> bytes:
         """What the build measurement will be; signer-side tooling."""
-        state = self.machine.crypto.hash_init()
-        state.absorb(ecreate_record(manifest.ssa_frame_size, manifest.size))
+        state = self._signer_hash(manifest)
         for _label, off, secinfo, page, measured in _build_plan(manifest):
-            state.absorb(eadd_record(off, secinfo))
-            if measured:
-                for chunk in range(0, GRANULE_SIZE, 256):
-                    state.absorb(eextend_record(off + chunk))
-                    for blk in range(0, 256, 64):
-                        state.absorb(page[chunk + blk : chunk + blk + 64])
+            state.absorb(page_measurement(off, secinfo, page, measured))
         return state.final()
 
     def _add_page(self, eid: int, vaddr: int, secinfo: SecInfo, content: bytes) -> int:
@@ -404,6 +404,9 @@ class HostRuntime:
         except SgxError as exc:
             raise LoadError(step, exc) from exc
 
+        # The signer-side measurement grows in the same walk that builds the
+        # enclave, from the same page bytes.
+        signer_hash = self._signer_hash(manifest)
         mappings: List[dict] = []
         tcs_vaddrs: List[int] = []
         try:
@@ -421,6 +424,7 @@ class HostRuntime:
                     step = f"eextend {label}"
                     for chunk in range(0, GRANULE_SIZE, 256):
                         m.leaf("EEXTEND", eid, base + off + chunk)
+                signer_hash.absorb(page_measurement(off, secinfo, page, measured))
 
             step = "sigstruct"
             signer_label: Optional[str] = None
@@ -428,7 +432,7 @@ class HostRuntime:
             if source == "test-key" or source.startswith("test-key:"):
                 signer_label = source.partition(":")[2] or "default"
                 sig = m.crypto.sign_sigstruct(
-                    self.predict_measurement(manifest),
+                    signer_hash.final(),
                     manifest.attributes.signed_view(),
                     manifest.isv_prod_id,
                     manifest.isv_svn,

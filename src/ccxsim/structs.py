@@ -474,21 +474,47 @@ class SwapBlob:
 
 
 # --------------------------------------------------------------------------
-# Measurement records.  Each absorbed record is one 64-byte block: an 8-byte
-# tag, an 8-byte offset field, then record-specific fields, zero padded.
-# EEXTEND absorbs its header block plus four 64-byte content blocks.
+# Measurement records.  Each record is one 64-byte block: an 8-byte tag, an
+# 8-byte offset field, then record-specific fields, zero padded.  EEXTEND
+# absorbs its record followed by the four 64-byte blocks of its chunk.
 
 MEASURE_BLOCK = 64
 EEXTEND_CHUNK = 256
+_CHUNKS_PER_PAGE = GRANULE_SIZE // EEXTEND_CHUNK
+_ECREATE_RECORD = struct.Struct("<8sQQQ32x")
+_EADD_FMT = "8sQQ40x"
+_EEXTEND_FMT = "8sQ48x"
+_EADD_RECORD = struct.Struct("<" + _EADD_FMT)
+_EEXTEND_RECORD = struct.Struct("<" + _EEXTEND_FMT)
+# A measured page's whole stream: its EADD record, then per chunk the EEXTEND
+# record and the chunk's bytes.
+_MEASURED_PAGE = struct.Struct(
+    "<" + _EADD_FMT + f"{_EEXTEND_FMT}{EEXTEND_CHUNK}s" * _CHUNKS_PER_PAGE
+)
+_PAGE_CHUNKS = struct.Struct(f"{EEXTEND_CHUNK}s" * _CHUNKS_PER_PAGE)
 
 
 def ecreate_record(ssa_frame_size: int, size: int) -> bytes:
-    return struct.pack("<8sQQQ32x", b"ECREATE", 0, ssa_frame_size, size)
+    return _ECREATE_RECORD.pack(b"ECREATE", 0, ssa_frame_size, size)
 
 
 def eadd_record(offset: int, secinfo: SecInfo) -> bytes:
-    return struct.pack("<8sQQ40x", b"EADD", offset, secinfo.word())
+    return _EADD_RECORD.pack(b"EADD", offset, secinfo.word())
 
 
 def eextend_record(offset: int) -> bytes:
-    return struct.pack("<8sQ48x", b"EEXTEND", offset)
+    return _EEXTEND_RECORD.pack(b"EEXTEND", offset)
+
+
+def page_measurement(offset: int, secinfo: SecInfo, page: bytes, measured: bool) -> bytes:
+    """The records one loaded page adds to a measurement, as one stream: its
+    EADD record, then, if measured, each chunk's EEXTEND record and content,
+    the same bytes the build leaves absorb for that page."""
+    if not measured:
+        return eadd_record(offset, secinfo)
+    args = [b"EADD", offset, secinfo.word()]
+    for chunk, content in zip(
+        range(offset, offset + GRANULE_SIZE, EEXTEND_CHUNK), _PAGE_CHUNKS.unpack(page)
+    ):
+        args += (b"EEXTEND", chunk, content)
+    return _MEASURED_PAGE.pack(*args)

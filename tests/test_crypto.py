@@ -48,6 +48,20 @@ def test_blocks_must_be_exactly_64_bytes(engine):
         engine.hash_init().absorb(b"short")
 
 
+def test_one_absorb_of_five_blocks_equals_five_absorbs(engine):
+    blocks = [bytes([i]) * 64 for i in range(5)]
+    state = engine.hash_init()
+    for block in blocks:
+        state.absorb(block)
+    assert engine.hash_init().absorb(b"".join(blocks)).final() == state.final()
+
+
+@pytest.mark.parametrize("size", [0, 65, 100])
+def test_absorb_refuses_anything_but_whole_blocks(engine, size):
+    with pytest.raises(ModelError):
+        engine.hash_init().absorb(bytes(size))
+
+
 def test_running_hash_equals_one_shot_sha256():
     blocks = [bytes([i]) * 64 for i in range(10)]
     state = RunningHash()

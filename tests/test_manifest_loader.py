@@ -2,7 +2,7 @@
 
 import pytest
 
-from ccxsim import fixtures
+from ccxsim import fixtures, runtime as runtime_module
 from ccxsim.errors import SgxError
 from ccxsim.machine import Machine
 from ccxsim.manifest import EnclaveManifest, ManifestError
@@ -135,6 +135,48 @@ def test_unmeasured_page_changes_nothing(runtime):
     # the add record is always measured; only content blocks are skipped, so
     # the two measurements must differ exactly because content was skipped
     assert reference_measurement(with_hole) == h2.mrenclave
+
+
+def test_load_walks_the_build_plan_once(runtime, monkeypatch):
+    walks = []
+    build_plan = runtime_module._build_plan
+
+    def counted(manifest):
+        walks.append(manifest)
+        return build_plan(manifest)
+
+    monkeypatch.setattr(runtime_module, "_build_plan", counted)
+    manifest = EnclaveManifest.parse(minimal_text())
+    runtime.load_enclave(manifest)
+    assert walks == [manifest]
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_signed_hash_of_partly_measured_manifest_matches_oracle(mode, monkeypatch):
+    # unmeasured pages before and after measured ones, and an unmeasured TCS
+    # next to a measured one
+    text = minimal_text().replace(
+        "page vaddr=0x1000 perms=rw content=zero",
+        "page vaddr=0x1000 perms=rw content=hex:5a5a measured=no",
+    ) + (
+        "page vaddr=0x5000 perms=r content=hex:0102 measured=no\n"
+        "page vaddr=0x6000 perms=rw content=hex:0304\n"
+        "tcs vaddr=0x7000 oentry=0x0 ossa=0x2000 tls=0x1000 measured=no\n"
+    )
+    manifest = EnclaveManifest.parse(text)
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    signed = []
+    sign = rt.machine.crypto.sign_sigstruct
+
+    def recording_sign(enclavehash, *args):
+        signed.append(enclavehash)
+        return sign(enclavehash, *args)
+
+    monkeypatch.setattr(rt.machine.crypto, "sign_sigstruct", recording_sign)
+    handle = rt.load_enclave(manifest)
+    assert signed == [reference_measurement(manifest)]
+    assert signed == [rt.predict_measurement(manifest)]
+    assert handle.mrenclave == signed[0]
 
 
 def test_signer_label_selects_identity(runtime):

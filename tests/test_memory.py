@@ -83,6 +83,18 @@ def test_host_reads_own_world():
     assert mem.read_granule(HOST, 3, 10, 5) == b"hello"
 
 
+def test_fresh_machine_memory_reads_zero_until_stored():
+    mem = Machine(small_config(mode="ccx")).memory
+    last = mem.granule_count - 1
+    assert mem.read_granule(HOST, last, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
+    page = bytes(range(256)) * (GRANULE_SIZE // 256)
+    mem.write_granule(HOST, last, 0, page)
+    mem.write_granule(HOST, last, 100, b"patch")
+    expected = page[:100] + b"patch" + page[105:]
+    assert mem.read_granule(HOST, last, 0, GRANULE_SIZE) == expected
+    assert mem.read_granule(HOST, last - 1, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
+
+
 def test_offset_overflow_is_model_error():
     mem = fresh_memory()
     with pytest.raises(ModelError):
