@@ -33,6 +33,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from . import isa
+from .crypto import KEY_SIZE
 from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode as E
 from .memory import (
     GRANULE_SIZE,
@@ -51,14 +52,22 @@ from .structs import (
     Attributes,
     KeyRequest,
     KEYREQUEST_SIZE,
+    PAGEINFO_SIZE,
+    PCMD_SIZE,
+    PageInfo,
     Pcmd,
+    REPORT_SIZE,
     Report,
+    SECS_IMAGE_SIZE,
+    SIGSTRUCT_SIZE,
     SSA_FRAME_BYTES,
     SecInfo,
+    SecsImage,
     SigStruct,
     SsaFrame,
     TargetInfo,
     TARGETINFO_SIZE,
+    VA_SLOT_SIZE,
 )
 
 # Structural property: no hypervisor-level interception exists on the enclave
@@ -430,25 +439,21 @@ def inject_interrupt(m, vcpu) -> None:
 # ---------------------------------------------------------------------------
 # Gadget trap decode: one register-ABI row per leaf
 #
-# A kind turns one guest word (a register, or a field of a staged record) into
-# a leaf argument, or refuses it with an SgxError, so a word the leaf cannot
-# accept reaches the guest as a code in x0 and never as a simulator error.
+# A kind turns one guest register word into leaf arguments, or refuses it with
+# an SgxError, so a word the leaf cannot accept reaches the guest as a code in
+# x0 and never as a simulator error.  A kind returns one positional argument,
+# or a dict of keyword arguments where a word does not give one argument in
+# register order: a PAGEINFO gives several, a version-slot address two, the
+# page a load leaf fills one by name, and an output address, which the result
+# slot checks, none.
 
 
-def _is(*types):
-    """Kind of a staged-record field: an object of one of ``types``."""
-    def check(m, vcpu, value):
-        if not isinstance(value, types):
-            raise SgxError(E.PAGE_INVALID, f"a staged {type(value).__name__} is misplaced")
-        return value
-    return check
+def _word(m, vcpu, word: int) -> int:
+    return word
 
 
-_word = _is(int)
-
-
-def _granule(m, vcpu, word) -> int:
-    if not 0 <= _word(m, vcpu, word) < m.memory.granule_count:
+def _granule(m, vcpu, word: int) -> int:
+    if not 0 <= word < m.memory.granule_count:
         raise SgxError(E.PAGE_INVALID, f"granule {word} is outside physical memory")
     return word
 
@@ -490,65 +495,131 @@ def _buffer(size: int, unpack=bytes):
     return read
 
 
-def _sigstruct(m, vcpu, token: int) -> SigStruct:
-    return _is(SigStruct)(m, vcpu, m.take_params(token))
+def _host_struct(m, addr: int, size: int) -> Tuple[int, int]:
+    """Granule and offset of the ``size``-byte host structure at physical
+    ``addr``.  One outside memory, crossing its granule's end, or in a granule
+    the normal world cannot reach fails the leaf before it runs, and is no
+    protection fault."""
+    granule, offset = divmod(addr, GRANULE_SIZE)
+    if not (0 <= granule < m.memory.granule_count and offset + size <= GRANULE_SIZE
+            and m.memory.check_access(SecurityState.NORMAL, granule, None)):
+        raise SgxError(E.BAD_VADDR, f"no {size}-byte host structure at {addr:#x}")
+    return granule, offset
 
 
-def _record(*fields, optional: int = 0):
-    """A token in x2 for a staged tuple of all the arguments, one kind per
-    field; the last ``optional`` fields may be left out."""
-    def decode(m, vcpu, token: int) -> tuple:
-        record = m.take_params(token)
-        if not (isinstance(record, tuple)
-                and len(fields) - optional <= len(record) <= len(fields)):
-            raise SgxError(E.PAGE_INVALID, f"token {token} holds no {len(fields)}-field record")
-        return tuple(kind(m, vcpu, value) for kind, value in zip(fields, record))
-    return decode
+def _host_read(m, addr: int, size: int) -> bytes:
+    return m.host_read(*_host_struct(m, addr, size), size)
 
 
-_ELD_RECORD = _record(_is(bytes), _is(Pcmd), _granule, _word, _granule, _is(int, type(None)))
+def _pageinfo(m, addr: int) -> PageInfo:
+    return PageInfo.unpack(_host_read(m, addr, PAGEINFO_SIZE))
 
 
-# Result slots store a successful leaf's result, given the words x2..x4, and
-# x0 becomes 0.  None stores nothing; _SWITCH, for the context-switch leaves
-# that rewrite the register file themselves, leaves even x0 alone.
+def _ecreate_info(m, vcpu, addr: int) -> dict:
+    """A PAGEINFO whose SRCPGE is the SECS image."""
+    secs = SecsImage.unpack(_host_read(m, _pageinfo(m, addr).srcpge, SECS_IMAGE_SIZE))
+    return {"size": secs.size, "base": secs.base, "ssa_frame_size": secs.ssa_frame_size,
+            "attributes": Attributes.decode(secs.attributes)}
+
+
+def _eadd_info(m, vcpu, addr: int) -> dict:
+    """A PAGEINFO for EADD: the source page at SRCPGE, none if it is 0."""
+    info = _pageinfo(m, addr)
+    source = _host_read(m, info.srcpge, GRANULE_SIZE) if info.srcpge else None
+    return {"eid": info.secs, "vaddr": info.linaddr,
+            "secinfo": _secinfo(m, vcpu, info.secinfo), "source_bytes": source}
+
+
+def _eld_info(m, vcpu, addr: int) -> dict:
+    """A PAGEINFO for ELDB/ELDU: the sealed page at SRCPGE, the PCMD image at
+    the PCMD address."""
+    info = _pageinfo(m, addr)
+    return {"ciphertext": _host_read(m, info.srcpge, GRANULE_SIZE),
+            "pcmd": Pcmd.unpack(_host_read(m, info.secinfo, PCMD_SIZE)),
+            "eid": info.secs or None}
+
+
+def _sigstruct_at(m, vcpu, addr: int) -> SigStruct:
+    return SigStruct.from_bytes(_host_read(m, addr, SIGSTRUCT_SIZE))
+
+
+def _target(m, vcpu, word: int) -> dict:
+    """The EPC page a load leaf fills."""
+    return {"target_granule": _granule(m, vcpu, word)}
+
+
+def _va_slot(m, vcpu, addr: int) -> dict:
+    """The version array page and slot index of a slot's address."""
+    granule, offset = divmod(addr, GRANULE_SIZE)
+    if offset % VA_SLOT_SIZE:
+        raise SgxError(E.VA_SLOT_INVALID, f"slot address {addr:#x} is not 8-byte aligned")
+    return {"va_granule": _granule(m, vcpu, granule), "slot": offset // VA_SLOT_SIZE}
+
+
+def _output(m, vcpu, word: int) -> dict:
+    """An output address ahead of other arguments: the result slot checks and
+    writes it."""
+    return {}
+
+
+# A result slot is called with the words x2..x4 after the arguments decode and
+# before the leaf runs, so it refuses an output it cannot write while the
+# leaf has done nothing.  It returns the store that takes a successful leaf's
+# result, and x0 becomes 0.  None stores nothing; _SWITCH, for the
+# context-switch leaves that rewrite the register file themselves, leaves even
+# x0 alone.
 _SWITCH = "switch"
 
 
-def _x1(convert=lambda m, result: result):
-    """Result slot: x1 holds ``convert(m, result)``."""
-    def store(m, vcpu, result, words) -> None:
-        vcpu.regs[1] = convert(m, result) & MASK64
+def _x1(convert=lambda result: result):
+    """Result slot: x1 holds ``convert(result)``."""
+    def prepare(m, vcpu, words):
+        def store(result) -> None:
+            vcpu.regs[1] = convert(result) & MASK64
+        return store
+    return prepare
+
+
+def _buffer_at(reg: int, size: int, pack=bytes):
+    """Result slot: the enclave buffer of ``size`` bytes at the address in
+    x``reg`` takes ``pack(result)``."""
+    def prepare(m, vcpu, words):
+        granule, offset = _user_buffer(m, vcpu, words[reg - 2], size, "w")
+
+        def store(result) -> None:
+            m.memory.write_granule(MICROCODE, granule, offset, pack(result))
+        return store
+    return prepare
+
+
+def _swap_out(m, vcpu, words):
+    """Result slot of EWB: the sealed page goes to SRCPGE and the PCMD image
+    to the PCMD address of the PAGEINFO at x2."""
+    info = _pageinfo(m, words[0])
+    page_at = _host_struct(m, info.srcpge, GRANULE_SIZE)
+    pcmd_at = _host_struct(m, info.secinfo, PCMD_SIZE)
+
+    def store(blob) -> None:
+        m.host_write(*page_at, blob.ciphertext)
+        m.host_write(*pcmd_at, blob.pcmd.pack())
     return store
 
 
-def _buffer_at(reg: int):
-    """Result slot: the enclave buffer whose address is in x``reg``."""
-    def store(m, vcpu, result, words) -> None:
-        data = result.to_bytes() if isinstance(result, Report) else result
-        granule, offset = _user_buffer(m, vcpu, words[reg - 2], len(data), "w")
-        m.memory.write_granule(MICROCODE, granule, offset, data)
-    return store
-
-
-# Leaf number -> (kinds of x2, x3, x4 in order, or a staged record; result slot).
+# Leaf number -> (kinds of x2, x3, x4 in order; result slot).
 ENCLS_ABI = {
-    0x0: (_record(_granule, _word, _word, _is(Attributes), _word, optional=1),
-          _x1()),  # ECREATE: record (page, size, ssa frame size, attributes[, base])
-    0x1: (_record(_word, _word, _is(SecInfo), _granule, _is(bytes, type(None)), optional=1),
-          None),  # EADD: record (eid, vaddr, secinfo, page[, source bytes])
-    0x2: ((_word, _sigstruct), None),  # EINIT: eid, staged sigstruct
+    0x0: ((_ecreate_info, _granule), _x1()),  # ECREATE: PAGEINFO, SECS page
+    0x1: ((_eadd_info, _target), None),  # EADD: PAGEINFO, page
+    0x2: ((_word, _sigstruct_at), None),  # EINIT: eid, SIGSTRUCT address
     0x3: ((_granule,), None),  # EREMOVE
     0x4: ((_granule, _word),
-          _x1(lambda m, data: int.from_bytes(data, "little"))),  # EDBGRD: page, offset
+          _x1(lambda data: int.from_bytes(data, "little"))),  # EDBGRD: page, offset
     0x5: ((_granule, _word, _value8), None),  # EDBGWR: page, offset, value
     0x6: ((_word, _word), None),  # EEXTEND: eid, chunk vaddr
-    0x7: (_ELD_RECORD, None),  # ELDB: record (blob, pcmd, va page, slot, page, eid)
-    0x8: (_ELD_RECORD, None),  # ELDU: as ELDB
+    0x7: ((_eld_info, _target, _va_slot), None),  # ELDB: PAGEINFO, page, VA slot
+    0x8: ((_eld_info, _target, _va_slot), None),  # ELDU: as ELDB
     0x9: ((_granule,), None),  # EBLOCK
     0xA: ((_granule,), None),  # EPA
-    0xB: ((_granule, _granule, _word),
-          _x1(lambda m, blob: m.stage_params(blob))),  # EWB: page, va page, slot; blob token
+    0xB: ((_output, _granule, _va_slot), _swap_out),  # EWB: PAGEINFO, page, VA slot
     0xC: ((_word,), None),  # ETRACK: eid
     0xD: ((_word, _word, _granule), None),  # EAUG: eid, vaddr, page
     0xE: ((_granule, _perms), None),  # EMODPR
@@ -556,8 +627,9 @@ ENCLS_ABI = {
 }
 
 ENCLU_ABI = {
-    0x0: ((_buffer(TARGETINFO_SIZE, TargetInfo.unpack), _buffer(64)), _buffer_at(4)),  # EREPORT
-    0x1: ((_buffer(KEYREQUEST_SIZE, KeyRequest.unpack),), _buffer_at(3)),  # EGETKEY
+    0x0: ((_buffer(TARGETINFO_SIZE, TargetInfo.unpack), _buffer(64)),
+          _buffer_at(4, REPORT_SIZE, Report.to_bytes)),  # EREPORT
+    0x1: ((_buffer(KEYREQUEST_SIZE, KeyRequest.unpack),), _buffer_at(3, KEY_SIZE)),  # EGETKEY
     0x2: ((_granule, _word), _SWITCH),  # EENTER: TCS, async exit pointer
     0x3: ((_granule, _word), _SWITCH),  # ERESUME: TCS, async exit pointer
     0x4: ((_word,), _SWITCH),  # EEXIT: target
@@ -584,18 +656,27 @@ def gadget_trap(m, vcpu, frame: TrapFrame) -> None:
     else:
         raise SgxError(E.INVALID_SERVICE, f"unknown service id {frame.smc_id:#x}")
     # An undefined leaf has no row; the dispatch refuses it before decoding.
-    kinds, store = abi.get(frame.leaf, ((), None))
+    kinds, slot = abi.get(frame.leaf, ((), None))
     words = (frame.arg1, frame.arg2, frame.arg3)
+    store = None
 
-    def decode() -> tuple:
-        if callable(kinds):  # a staged record
-            return kinds(m, vcpu, words[0])
-        return tuple(kind(m, vcpu, word) for kind, word in zip(kinds, words))
+    def decode() -> Tuple[tuple, dict]:
+        nonlocal store
+        args, named = [], {}
+        for kind, word in zip(kinds, words):
+            value = kind(m, vcpu, word)
+            if type(value) is dict:
+                named.update(value)
+            else:
+                args.append(value)
+        if slot is not None and slot is not _SWITCH:
+            store = slot(m, vcpu, words)
+        return tuple(args), named
 
     result = call(frame.leaf, decode=decode)
-    if store is not _SWITCH:
+    if slot is not _SWITCH:
         if store is not None:
-            store(m, vcpu, result, words)
+            store(result)
         vcpu.regs[0] = 0
 
 

@@ -97,9 +97,6 @@ class Machine:
         self._rng = random.Random(f"machine:{self.config.crypto_seed}")
         self._token = threading.RLock()
         self._next_eid = 1
-        self._staged: Dict[int, Any] = {}
-        self._next_stage_token = 1
-        self.audit_after_leaf = self.config.audit_after_leaf
 
     # -- plumbing -------------------------------------------------------------
 
@@ -119,24 +116,6 @@ class Machine:
     def trace_event(self, kind: str, **payload) -> None:
         self.trace.append({"seq": len(self.trace), "kind": kind, **payload})
 
-    def stage_params(self, obj: Any) -> int:
-        """Hold a structured argument for a register-level leaf invocation.
-
-        Stands in for a pointer to a kernel-memory parameter structure: the
-        host stages the record, passes the token in a register, and the leaf
-        consumes it exactly once.
-        """
-        token = self._next_stage_token
-        self._next_stage_token += 1
-        self._staged[token] = obj
-        return token
-
-    def take_params(self, token: int) -> Any:
-        try:
-            return self._staged.pop(token)
-        except KeyError:
-            raise SgxError(E.PAGE_INVALID, f"no staged parameters for token {token}") from None
-
     # -- leaf dispatch ----------------------------------------------------------
 
     def _dispatch(self, table, cls: str, leaf: int, args, decode) -> Any:
@@ -149,15 +128,18 @@ class Machine:
             if cls == "ENCLU" and args[0].in_enclave == (name in HOST_MODE_LEAVES):
                 need = "host" if name in HOST_MODE_LEAVES else "enclave"
                 raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
-            if decode is not None:
-                args += decode()
-            result = handler(self, *args)
-            if self.audit_after_leaf:
+            if decode is None:
+                result = handler(self, *args)
+            else:
+                more, named = decode()
+                result = handler(self, *args, *more, **named)
+            if self.config.audit_after_leaf:
                 self.audit()
             return result
 
-    # The trap gadget's ``decode`` returns the leaf's arguments once the call
-    # is counted and its mode checked, so it reads enclave memory only there.
+    # The trap gadget's ``decode`` returns the leaf's positional and keyword
+    # arguments once the call is counted and its mode checked, so it reads
+    # memory only there.
 
     def encls(self, leaf: int, *args, decode: Optional[Callable] = None) -> Any:
         return self._dispatch(ENCLS_TABLE, "ENCLS", leaf, args, decode)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .errors import ModelError, SgxError, SgxErrorCode
 from .memory import GRANULE_SIZE, PageType, Perms
@@ -260,6 +260,7 @@ EMPTY_SLOT = bytes(VA_SLOT_SIZE)
 
 _SIG_BODY_FMT = "<32sQHH"
 SIG_BODY_SIZE = struct.calcsize(_SIG_BODY_FMT)
+SIGSTRUCT_SIZE = SIG_BODY_SIZE + 32 + 64  # body, public key, signature
 
 
 @dataclass
@@ -285,8 +286,8 @@ class SigStruct:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SigStruct":
-        if len(data) != SIG_BODY_SIZE + 32 + 64:
-            raise ModelError(f"sigstruct must be {SIG_BODY_SIZE + 96} bytes")
+        if len(data) != SIGSTRUCT_SIZE:
+            raise ModelError(f"sigstruct must be {SIGSTRUCT_SIZE} bytes")
         enclavehash, attributes, prod, svn = struct.unpack_from(_SIG_BODY_FMT, data)
         return cls(
             enclavehash=enclavehash,
@@ -399,6 +400,7 @@ class Report:
 # version nonce held by the version-array slot.
 
 _PCMD_FMT = "<BBBBB3xQQ"
+PCMD_SIZE = struct.calcsize(_PCMD_FMT) + 16  # the metadata, then its 16-byte MAC
 
 
 @dataclass
@@ -471,6 +473,47 @@ class SwapBlob:
 
     ciphertext: bytes
     pcmd: Pcmd
+
+
+# --------------------------------------------------------------------------
+# Parameter blocks a driver passes to the structured ENCLS leaves through the
+# trap gadget, both four little-endian u64 words.  x2 holds the physical
+# address of a PAGEINFO.  Its SRCPGE is the address of the SECS image
+# (ECREATE), of the source page (EADD in sgx mode, else 0) or of the sealed
+# page (EWB, ELDB, ELDU).
+
+_PARAM_BLOCK = struct.Struct("<4Q")
+PAGEINFO_SIZE = SECS_IMAGE_SIZE = _PARAM_BLOCK.size  # 32
+
+
+class PageInfo(NamedTuple):
+    linaddr: int
+    srcpge: int
+    secinfo: int  # SECINFO word (EADD), or the PCMD address (EWB, ELDB, ELDU)
+    secs: int  # enclave id, 0 for none
+
+    def pack(self) -> bytes:
+        return _PARAM_BLOCK.pack(*self)
+
+    @classmethod
+    def unpack(cls, data: bytes) -> "PageInfo":
+        return cls(*_PARAM_BLOCK.unpack(data))
+
+
+class SecsImage(NamedTuple):
+    """The enclave geometry ECREATE reads."""
+
+    size: int
+    base: int
+    ssa_frame_size: int  # pages per save-state frame
+    attributes: int  # Attributes.encode() word
+
+    def pack(self) -> bytes:
+        return _PARAM_BLOCK.pack(*self)
+
+    @classmethod
+    def unpack(cls, data: bytes) -> "SecsImage":
+        return cls(*_PARAM_BLOCK.unpack(data))
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,18 @@ def free_host_granule(m: Machine) -> int:
     raise AssertionError("no free host granule")
 
 
+def host_scratch_granules(m: Machine, n: int) -> List[int]:
+    """Free host granules from the top of memory down, clear of the granules
+    ``free_epc_granules`` and ``free_host_granule`` hand out from the bottom."""
+    mem = m.memory
+    out = [
+        g for g in range(mem.granule_count - 1, RESERVED_GRANULES - 1, -1)
+        if mem.is_free(g) and not (mem.mode.is_fixed and mem.epc_admissible(g))
+    ][:n]
+    assert len(out) == n, "fixture ran out of host granules"
+    return out
+
+
 @dataclass
 class RawEnclave:
     """An enclave built directly through the leaf interface."""

@@ -9,11 +9,35 @@ from ccxsim import execution, fixtures, isa
 from ccxsim.errors import ModelError, SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.manifest import EnclaveManifest
-from ccxsim.memory import GRANULE_SIZE, HOST, AccessContext, PageType, Perms, SecurityState
+from ccxsim.memory import (
+    GRANULE_SIZE,
+    HOST,
+    MICROCODE,
+    AccessContext,
+    PageType,
+    Perms,
+    SecurityState,
+)
 from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime, RETURN_GATE
-from ccxsim.structs import Attributes, EXIT_IRQ, SecInfo
+from ccxsim.structs import (
+    Attributes,
+    EXIT_IRQ,
+    PCMD_SIZE,
+    PageInfo,
+    Pcmd,
+    SecInfo,
+    SecsImage,
+    VA_SLOT_SIZE,
+)
 
-from helpers import BASE, build_raw_enclave, free_epc_granules, free_host_granule, small_config
+from helpers import (
+    BASE,
+    build_raw_enclave,
+    free_epc_granules,
+    free_host_granule,
+    host_scratch_granules,
+    small_config,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -149,22 +173,33 @@ MALFORMED_FRAMES = [
      lambda m, enc: (enc.granule(0x1000), 5000, 0), E.BAD_VADDR),
     ("edbgwr-past-granule-end", False, ENCLS, 0x5,
      lambda m, enc: (enc.granule(0x1000), 4090, 7), E.BAD_VADDR),
-    ("ecreate-token-holds-an-int", False, ENCLS, 0x0,
-     lambda m, enc: (m.stage_params(5), 0, 0), E.PAGE_INVALID),
-    ("einit-token-holds-an-int", False, ENCLS, 0x2,
-     lambda m, enc: (enc.eid, m.stage_params(5), 0), E.PAGE_INVALID),
-    ("eadd-source-not-a-page", False, ENCLS, 0x1,
-     lambda m, enc: (_staged_eadd(m, b"short"), 0, 0), E.PAGE_INVALID),
+    ("ecreate-pageinfo-outside-memory", False, ENCLS, 0x0,
+     lambda m, enc: (OUT_OF_RANGE * GRANULE_SIZE, free_epc_granules(m, 1)[0], 0), E.BAD_VADDR),
+    ("eadd-pageinfo-crosses-granule-end", False, ENCLS, 0x1,
+     lambda m, enc: _eadd_frame(m, at=GRANULE_SIZE - 16), E.BAD_VADDR),
+    ("eldu-pageinfo-in-an-epc-page", False, ENCLS, 0x8,
+     lambda m, enc: (enc.granule(0x1000) * GRANULE_SIZE, free_epc_granules(m, 1)[0], 0),
+     E.BAD_VADDR),
+    ("einit-sigstruct-in-an-epc-page", False, ENCLS, 0x2,
+     lambda m, enc: (enc.eid, enc.granule(0x1000) * GRANULE_SIZE, 0), E.BAD_VADDR),
+    ("eadd-secinfo-page-type-9", False, ENCLS, 0x1,
+     lambda m, enc: _eadd_frame(m, secinfo=0x903, source=True), E.PAGE_INVALID),
     ("eadd-without-source-in-sgx-mode", False, ENCLS, 0x1,
-     lambda m, enc: (_staged_eadd(m), 0, 0), E.PAGE_INVALID),
+     lambda m, enc: _eadd_frame(m), E.PAGE_INVALID),
 ]
 
 
-def _staged_eadd(m, *source):
-    """A token for an EADD record into a fresh, uninitialized enclave."""
+def _eadd_frame(m, at=0, secinfo=SecInfo(Perms.R, PageType.REG).word(), source=False):
+    """Words for a gadget EADD into a fresh, uninitialized enclave, with the
+    PAGEINFO at offset ``at`` of a host granule; its SRCPGE is a zero host
+    page if ``source``, else 0."""
     secs_g, page_g = free_epc_granules(m, 2)
     eid = m.leaf("ECREATE", secs_g, 1 << 21, 1, Attributes(debug=True), BASE)
-    return m.stage_params((eid, BASE, SecInfo(Perms.R, PageType.REG), page_g, *source))
+    params, page = host_scratch_granules(m, 2)
+    srcpge = page * GRANULE_SIZE if source else 0
+    info = PageInfo(BASE, srcpge, secinfo, eid).pack()
+    m.host_write(params, at, info[: GRANULE_SIZE - at])
+    return params * GRANULE_SIZE + at, page_g, 0
 
 
 @pytest.mark.parametrize(
@@ -622,6 +657,34 @@ def test_report_to_unmapped_output_buffer_is_bad_vaddr(machine, fixture_dir):
     assert vcpu.regs[0] == int(E.BAD_VADDR)
 
 
+def test_refused_report_draws_no_randomness(fixture_dir):
+    """An EREPORT refused for its output buffer is refused before the leaf
+    draws its key id, so the next report gets the key id that a same-seed
+    machine without the refused call gets."""
+    from ccxsim.structs import REPORT_SIZE, Report, TargetInfo
+
+    keyids = []
+    for refused_first in (True, False):
+        machine = Machine(small_config())
+        _, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "d")
+        scratch = h.base + fixtures.SCRATCH_OFF
+        scratch_g = machine.memory.find_page(h.eid, scratch)
+        machine.leaf("EDBGWR", scratch_g, 1024, TargetInfo(h.mrenclave).pack())
+
+        def report_to(out):
+            return [("movi", 2, scratch + 1024), ("movi", 3, scratch + 1088),
+                    ("movi", 4, out), ("movi", 1, 0x0), ("movi", 0, 0x1), ("gadget",)]
+
+        prog = report_to(h.base) if refused_first else []  # the code page is r-x
+        vcpu, report = _run_in_enclave(machine, h, prog + report_to(scratch + 1536) + [("halt",)])
+        codes = [e["code"] for e in report.events if e["kind"] == "leaf_error"]
+        assert codes == (["BAD_VADDR"] if refused_first else [])
+        assert report.stop == "halt" and vcpu.regs[0] == 0
+        raw = machine.leaf("EDBGRD", scratch_g, 1536, REPORT_SIZE)
+        keyids.append(Report.from_bytes(raw).keyid)
+    assert keyids[0] == keyids[1]
+
+
 def test_key_to_read_only_buffer_is_bad_vaddr(machine, fixture_dir):
     _, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "k")
     from ccxsim.structs import KeyName, KeyRequest
@@ -644,60 +707,131 @@ def test_key_to_read_only_buffer_is_bad_vaddr(machine, fixture_dir):
     assert vcpu.regs[0] == int(E.BAD_VADDR)
 
 
-def test_encls_register_path_with_staged_parameters(machine):
-    """The privileged service decodes word arguments directly and reaches
-    structured arguments through staged-parameter tokens."""
-    from ccxsim.structs import Attributes
+def _encls(machine, leaf, a1=0, a2=0, a3=0):
+    execution.gadget_trap(
+        machine, machine.vcpus[0],
+        execution.TrapFrame(execution.SMC_ID_ENCLS, leaf, a1, a2, a3),
+    )
 
+
+def _slot_address(va_g, slot):
+    return va_g * GRANULE_SIZE + slot * VA_SLOT_SIZE
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_encls_register_path_through_host_memory(mode):
+    """The privileged service decodes word arguments directly and reads and
+    writes structured arguments in host memory: PAGEINFO, SECS image, source
+    page, SIGSTRUCT, sealed page and PCMD."""
+    machine = Machine(small_config(mode=mode))
     vcpu = machine.vcpus[0]
+    params, source, sealed = host_scratch_granules(machine, 3)
+    info_at = params * GRANULE_SIZE
+    secs_at, sig_at, pcmd_at = info_at + 64, info_at + 128, info_at + 512
     secs_g, page_g = free_epc_granules(machine, 2)
 
-    def encls(leaf, a1=0, a2=0, a3=0):
-        execution.gadget_trap(
-            machine, vcpu,
-            execution.TrapFrame(execution.SMC_ID_ENCLS, leaf, a1, a2, a3),
-        )
-
-    encls(0x0, machine.stage_params(
-        (secs_g, 1 << 21, 1, Attributes(debug=True))))  # create
+    machine.host_write(params, 0, PageInfo(0, secs_at, 0, 0).pack())
+    machine.host_write(params, 64, SecsImage(1 << 21, BASE, 1, Attributes(debug=True).encode()).pack())
+    _encls(machine, 0x0, info_at, secs_g)  # create
     assert vcpu.regs[0] == 0
     eid = vcpu.regs[1]
-    assert eid in machine.enclaves
+    assert eid in machine.enclaves and machine.enclaves[eid].base == BASE
 
-    token = machine.stage_params(
-        (eid, BASE, SecInfo(Perms.R | Perms.W, PageType.REG), page_g,
-         b"\x5c" * GRANULE_SIZE)
-    )
-    encls(0x1, token)  # add
+    secinfo = SecInfo(Perms.R | Perms.W, PageType.REG).word()
+    if machine.memory.mode.is_fixed:  # the content is copied from a source page
+        machine.host_write(source, 0, b"\x5c" * GRANULE_SIZE)
+        srcpge = source * GRANULE_SIZE
+    else:  # the page is assigned in place, so SRCPGE is 0
+        machine.host_write(page_g, 0, b"\x5c" * GRANULE_SIZE)
+        srcpge = 0
+    machine.host_write(params, 0, PageInfo(BASE, srcpge, secinfo, eid).pack())
+    _encls(machine, 0x1, info_at, page_g)  # add
     assert machine.memory.find_page(eid, BASE) == page_g
-    encls(0x6, eid, BASE)  # extend one chunk
+    _encls(machine, 0x6, eid, BASE)  # extend one chunk
 
     sig = machine.crypto.sign_sigstruct(
         machine.enclaves[eid].mrenclave_state.copy().final(),
         machine.enclaves[eid].attributes.signed_view(), 0, 0)
-    encls(0x2, eid, machine.stage_params(sig))  # init
+    machine.host_write(params, 128, sig.to_bytes())
+    _encls(machine, 0x2, eid, sig_at)  # init
     assert machine.enclaves[eid].initialized
 
-    encls(0x4, page_g, 8)  # debug read: 8 bytes land in x1
+    _encls(machine, 0x4, page_g, 8)  # debug read: 8 bytes land in x1
     assert vcpu.regs[1] == int.from_bytes(b"\x5c" * 8, "little")
-    encls(0x5, page_g, 16, 0xABCD)  # debug write
+    _encls(machine, 0x5, page_g, 16, 0xABCD)  # debug write
     assert machine.leaf("EDBGRD", page_g, 16, 8) == (0xABCD).to_bytes(8, "little")
 
     va_g = free_epc_granules(machine, 1)[0]
-    encls(0xA, va_g)  # version array
-    encls(0x9, page_g)  # block
-    encls(0xC, eid)  # track
-    encls(0xB, page_g, va_g, 3)  # writeback: blob token lands in x1
-    blob = machine.take_params(vcpu.regs[1])
+    _encls(machine, 0xA, va_g)  # version array
+    _encls(machine, 0x9, page_g)  # block
+    _encls(machine, 0xC, eid)  # track
+    machine.host_write(params, 0, PageInfo(0, sealed * GRANULE_SIZE, pcmd_at, 0).pack())
+    _encls(machine, 0xB, info_at, page_g, _slot_address(va_g, 3))  # writeback to host memory
+    assert machine.memory.epcm_lookup(page_g) is None
+    pcmd = Pcmd.unpack(machine.host_read(params, 512, PCMD_SIZE))
+    assert (pcmd.owner, pcmd.vaddr) == (eid, BASE)
+    assert machine.host_read(sealed, 0, 8) != b"\x5c" * 8
+
     target = free_epc_granules(machine, 1)[0]
-    encls(0x8, machine.stage_params(
-        (blob.ciphertext, blob.pcmd, va_g, 3, target, eid)))  # reload
+    machine.host_write(params, 0, PageInfo(0, sealed * GRANULE_SIZE, pcmd_at, eid).pack())
+    _encls(machine, 0x8, info_at, target, _slot_address(va_g, 3))  # reload
     assert machine.leaf("EDBGRD", target, 0, 8) == b"\x5c" * 8
 
-    encls(0x3, target)  # remove page
-    encls(0x3, va_g)
-    encls(0x3, secs_g)
+    _encls(machine, 0x3, target)  # remove page
+    _encls(machine, 0x3, va_g)
+    _encls(machine, 0x3, secs_g)
     assert eid not in machine.enclaves
+    machine.audit()
+
+
+def _ready_to_write_back(machine):
+    """An enclave whose page at 0x1000 is blocked and tracked, an empty version
+    array, and two free host granules: (enclave, page, VA page, params, sealed)."""
+    enc = build_raw_enclave(machine)
+    page_g = enc.granule(0x1000)
+    (va_g,) = free_epc_granules(machine, 1)
+    machine.leaf("EPA", va_g)
+    machine.leaf("EBLOCK", page_g)
+    machine.leaf("ETRACK", enc.eid)
+    params, sealed = host_scratch_granules(machine, 2)
+    return enc, page_g, va_g, params, sealed
+
+
+@pytest.mark.parametrize("flipped", ["ciphertext", "pcmd"])
+def test_eldu_of_a_tampered_host_copy_fails_authentication(machine, flipped):
+    enc, page_g, va_g, params, sealed = _ready_to_write_back(machine)
+    info_at, pcmd_at = params * GRANULE_SIZE, params * GRANULE_SIZE + 512
+    machine.host_write(params, 0, PageInfo(0, sealed * GRANULE_SIZE, pcmd_at, 0).pack())
+    _encls(machine, 0xB, info_at, page_g, _slot_address(va_g, 0))
+    granule, offset = (sealed, 100) if flipped == "ciphertext" else (params, 512 + 8)
+    byte = machine.host_read(granule, offset, 1)[0]
+    machine.host_write(granule, offset, bytes([byte ^ 0x01]))
+    machine.host_write(params, 0, PageInfo(0, sealed * GRANULE_SIZE, pcmd_at, enc.eid).pack())
+    (target,) = free_epc_granules(machine, 1)
+    with pytest.raises(SgxError) as exc:
+        _encls(machine, 0x8, info_at, target, _slot_address(va_g, 0))
+    assert exc.value.code == E.MAC_COMPARE_FAIL
+    assert machine.memory.find_page(enc.eid, BASE + 0x1000) is None
+    machine.audit()
+
+
+@pytest.mark.parametrize("unwritable", ["ciphertext", "pcmd"])
+def test_ewb_to_an_unwritable_output_is_bad_vaddr(machine, unwritable):
+    """An output EWB cannot write to is refused before the page leaves."""
+    enc, page_g, va_g, params, sealed = _ready_to_write_back(machine)
+    epc_page = enc.granule(0x0) * GRANULE_SIZE  # an enclave page: not host-writable
+    srcpge = epc_page if unwritable == "ciphertext" else sealed * GRANULE_SIZE
+    pcmd_at = epc_page if unwritable == "pcmd" else params * GRANULE_SIZE + 512
+    machine.host_write(params, 0, PageInfo(0, srcpge, pcmd_at, 0).pack())
+    entry = machine.memory.epcm_lookup(page_g)
+    versions = machine.memory.read_granule(MICROCODE, va_g, 0, GRANULE_SIZE)
+    with pytest.raises(SgxError) as exc:
+        _encls(machine, 0xB, params * GRANULE_SIZE, page_g, _slot_address(va_g, 5))
+    assert exc.value.code == E.BAD_VADDR
+    assert machine.memory.find_page(enc.eid, BASE + 0x1000) == page_g
+    assert machine.memory.epcm_lookup(page_g) == entry
+    assert machine.memory.read_granule(MICROCODE, va_g, 0, GRANULE_SIZE) == versions
+    assert not machine.memory.gpf_log
     machine.audit()
 
 
