@@ -93,9 +93,9 @@ def _bench_dynamics(m: Machine, rt: HostRuntime, handle, iterations: int) -> Non
     for i in range(iterations):
         vaddr = base + dyn + i * 2 * GRANULE_SIZE
         copy_vaddr = vaddr + GRANULE_SIZE
-        g = rt.take_page_granule()
+        g = rt.take_epc_granule()
         m.leaf("EAUG", handle.eid, vaddr, g)
-        g2 = rt.take_page_granule()
+        g2 = rt.take_epc_granule()
         m.leaf("EAUG", handle.eid, copy_vaddr, g2)
         with rt.entered(handle) as vcpu:
             m.leaf("EACCEPT", g, SecInfo(Perms.R | Perms.W, PageType.REG), vcpu=vcpu)
@@ -120,16 +120,16 @@ def _bench_dynamics(m: Machine, rt: HostRuntime, handle, iterations: int) -> Non
 def _bench_swap(m: Machine, rt: HostRuntime, handle, iterations: int) -> None:
     """EBLOCK/ETRACK/EWB/ELDU plus ELDB cycles on one victim page."""
     vaddr = handle.base + 0x300000
-    g = rt.take_page_granule()
+    g = rt.take_epc_granule()
     m.leaf("EAUG", handle.eid, vaddr, g)
     with rt.entered(handle) as vcpu:
         m.leaf("EACCEPT", g, SecInfo(Perms.R | Perms.W, PageType.REG), vcpu=vcpu)
 
-    va = rt.take_page_granule()
+    va = rt.take_epc_granule()
     m.leaf("EPA", va)
     for _ in range(iterations):
         # a fresh version array each round keeps EPA in the exercised set
-        va_extra = rt.take_page_granule()
+        va_extra = rt.take_epc_granule()
         m.leaf("EPA", va_extra)
         m.leaf("EREMOVE", va_extra)
         g = m.memory.find_page(handle.eid, vaddr)
@@ -138,11 +138,11 @@ def _bench_swap(m: Machine, rt: HostRuntime, handle, iterations: int) -> None:
         blob = m.leaf("EWB", g, va, 0)
         # reload blocked, push it straight back out, bring it back unblocked
         # so the next round starts settled
-        target = rt.take_page_granule()
+        target = rt.take_epc_granule()
         m.leaf("ELDB", blob.ciphertext, blob.pcmd, va, 0, target, handle.eid)
         m.leaf("ETRACK", handle.eid)
         blob2 = m.leaf("EWB", target, va, 1)
-        target2 = rt.take_page_granule()
+        target2 = rt.take_epc_granule()
         m.leaf("ELDU", blob2.ciphertext, blob2.pcmd, va, 1, target2, handle.eid)
     m.leaf("EREMOVE", m.memory.find_page(handle.eid, vaddr))
 

@@ -125,12 +125,6 @@ class CryptoEngine:
     def hash_init(self) -> RunningHash:
         return RunningHash()
 
-    def hash_absorb(self, state: RunningHash, block: bytes) -> RunningHash:
-        return state.absorb(block)
-
-    def hash_final(self, state: RunningHash) -> bytes:
-        return state.final()
-
     def digest(self, data: bytes) -> bytes:
         return hashlib.sha256(data).digest()
 

@@ -18,6 +18,12 @@ Driver ABI (documented contract with fixture programs):
 
 Gate addresses live on a reserved host granule that reads as zeroes, so a
 vCPU arriving there halts and hands control back to the driver loop.
+
+Allocation: every enclave page (SECS, added, augmented, reloaded, version
+array) is the lowest free granule of the EPC span, in both memory modes, so
+freed granules are reused before fresh ones.  Nothing is reserved between
+the choice and its use: a taken granule stays free until a leaf assigns it,
+so take one, use it, then take the next.
 """
 
 from __future__ import annotations
@@ -118,7 +124,6 @@ class EnclaveHandle:
     mrsigner: bytes
     signer_label: Optional[str]
     tcs_vaddrs: List[int]  # absolute
-    double_mappings: List[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -225,13 +230,15 @@ class HostRuntime:
         # fixed mode, the one mode that evicts
         self._fifo: OrderedDict[int, None] = OrderedDict()
         self._free_slots: Deque[Tuple[int, int]] = deque()
-        self._next_host_granule = RESERVED_GRANULES
 
     # ------------------------------------------------------------------ alloc
 
     def take_epc_granule(self) -> int:
-        """A free EPC granule, evicting through the writeback protocol when
-        the fixed window is exhausted.  Dynamic mode never needs eviction."""
+        """The lowest free EPC-capable granule, for any enclave page: in the
+        fixed window in sgx mode, evicting through the writeback protocol
+        when it is exhausted; anywhere outside the reserved granules in ccx
+        mode, which never evicts.  The granule stays free until a leaf
+        assigns it, so use it before taking the next."""
         mem = self.machine.memory
         lo, hi = mem.epc_span()
         while True:
@@ -257,23 +264,16 @@ class HostRuntime:
         self.machine.leaf("EPA", g)
         self._free_slots.extend((g, s) for s in range(VA_SLOT_COUNT))
 
-    def _first_host_free(self, start: int) -> Optional[int]:
-        # Fixed mode keeps host allocations out of the EPC window; in dynamic
-        # mode any free granule serves.
+    def take_host_granule(self) -> int:
+        """The lowest free granule outside the fixed EPC window (any free
+        granule in ccx mode), for host data such as a shared buffer.  Like
+        :meth:`take_epc_granule` it reserves nothing."""
         mem = self.machine.memory
         n = mem.granule_count
         lo, hi = mem.epc_span() if mem.mode.is_fixed else (n, n)
-        g = mem.first_free(start, lo)
-        return g if g is not None else mem.first_free(max(start, hi), n)
-
-    def take_host_granule(self) -> int:
-        g = self._first_host_free(self._next_host_granule)
-        if g is not None:
-            self._next_host_granule = g + 1
-            return g
-        # wrap around without moving the cursor: earlier granules may have
-        # been freed
-        g = self._first_host_free(RESERVED_GRANULES)
+        g = mem.first_free(RESERVED_GRANULES, lo)
+        if g is None:
+            g = mem.first_free(hi, n)
         if g is None:
             raise ModelError("no free host granule")
         return g
@@ -282,13 +282,6 @@ class HostRuntime:
         if self.machine.memory.mode.is_fixed:
             self._fifo[g] = None
             self._fifo.move_to_end(g)
-
-    def take_page_granule(self) -> int:
-        """A granule to hold a new enclave page: from the fixed EPC in sgx
-        mode, from host memory (assigned in place) in ccx mode."""
-        if self.machine.memory.mode.is_fixed:
-            return self.take_epc_granule()
-        return self.take_host_granule()
 
     # ------------------------------------------------------------------ victim
 
@@ -375,19 +368,17 @@ class HostRuntime:
             state.absorb(page_measurement(off, secinfo, page, measured))
         return state.final()
 
-    def _add_page(self, eid: int, vaddr: int, secinfo: SecInfo, content: bytes) -> int:
+    def _add_page(self, eid: int, vaddr: int, secinfo: SecInfo, content: bytes) -> None:
         m = self.machine
-        target = self.take_page_granule()
+        target = self.take_epc_granule()
         if m.memory.mode.is_fixed:
             m.leaf("EADD", eid, vaddr, secinfo, target, content)
         else:
-            # Dynamic assignment in place: the page keeps its physical granule,
-            # and the host records a second mapping at the enclave address so
-            # its own bookkeeping matches what a copying implementation shows.
+            # Dynamic assignment in place: the host writes the page into a
+            # normal granule, which EADD then turns into enclave memory.
             m.host_write(target, 0, content)
             m.leaf("EADD", eid, vaddr, secinfo, target)
         self._track_resident(target)
-        return target
 
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
         m = self.machine
@@ -407,17 +398,11 @@ class HostRuntime:
         # The signer-side measurement grows in the same walk that builds the
         # enclave, from the same page bytes.
         signer_hash = self._signer_hash(manifest)
-        mappings: List[dict] = []
         tcs_vaddrs: List[int] = []
         try:
             for label, off, secinfo, page, measured in _build_plan(manifest):
                 step = f"eadd {label} at {off:#x}"
-                g = self._add_page(eid, base + off, secinfo, page)
-                if not m.memory.mode.is_fixed:
-                    mappings.append(
-                        {"vaddr": base + off, "granule": g,
-                         "host_alias": g * GRANULE_SIZE}
-                    )
+                self._add_page(eid, base + off, secinfo, page)
                 if secinfo.page_type == PageType.TCS:
                     tcs_vaddrs.append(base + off)
                 if measured:
@@ -464,7 +449,6 @@ class HostRuntime:
             mrsigner=secs.mrsigner,
             signer_label=signer_label,
             tcs_vaddrs=tcs_vaddrs,
-            double_mappings=mappings,
         )
         self.handles[eid] = handle
         return handle
@@ -485,17 +469,20 @@ class HostRuntime:
     # ------------------------------------------------------------------ swap
 
     def swap_out(self, handle: EnclaveHandle, vaddr: int) -> None:
+        """Evict the page holding `vaddr`; its blob is filed under the page
+        address, where demand paging looks for it."""
         m = self.machine
-        g = m.memory.find_page(handle.eid, vaddr)
+        page = vaddr & ~(GRANULE_SIZE - 1)
+        g = m.memory.find_page(handle.eid, page)
         if g is None:
             raise ModelError(f"no resident page at {vaddr:#x}")
         if not self._free_slots:
             self._add_version_array(self.take_epc_granule())
-        self._write_back(g, handle.eid, vaddr)
+        self._write_back(g, handle.eid, page)
 
     def swap_in(self, handle: EnclaveHandle, vaddr: int) -> None:
         m = self.machine
-        stored = self.store.pop(handle.eid, vaddr)
+        stored = self.store.pop(handle.eid, vaddr & ~(GRANULE_SIZE - 1))
         target = self.take_epc_granule()
         m.leaf(
             "ELDU",
@@ -785,7 +772,7 @@ class OcallContext:
 def _ocall_eaug(ctx: OcallContext, vaddr: int, _arg2: int) -> int:
     """Builtin: the enclave asks the host to augment a page at `vaddr`."""
     rt = ctx.runtime
-    target = rt.take_page_granule()
+    target = rt.take_epc_granule()
     rt.machine.leaf("EAUG", ctx.handle.eid, vaddr, target)
     rt._track_resident(target)
     return 0

@@ -1,9 +1,9 @@
-"""Host runtime allocation: host granules, EPC granules, and the swap FIFO."""
+"""Host runtime allocation: lowest free granule first, and the swap FIFO."""
 
 from ccxsim import fixtures
 from ccxsim.machine import Machine
 from ccxsim.manifest import EnclaveManifest
-from ccxsim.memory import PageType
+from ccxsim.memory import RESERVED_GRANULES, Pas, PageType
 from ccxsim.runtime import HostRuntime
 
 from helpers import small_config
@@ -14,24 +14,36 @@ def load_standard(rt, fixture_dir):
     return rt.load_enclave(EnclaveManifest.load(path))
 
 
-def test_sgx_host_allocation_skips_the_epc_window(runtime):
-    lo, hi = runtime.machine.memory.epc_span()
-    below = [runtime.take_host_granule() for _ in range(2, lo)]
-    assert below == list(range(2, lo))
+def test_sgx_host_allocation_takes_the_lowest_free_granule_below_the_window(runtime):
+    mem = runtime.machine.memory
+    lo, hi = mem.epc_span()
+    assert lo > RESERVED_GRANULES
+    for g in range(RESERVED_GRANULES, lo):
+        assert runtime.take_host_granule() == g
+        assert runtime.take_host_granule() == g  # taking reserves nothing
+        mem.gpts.set_entry(g, Pas.NO_ACCESS)  # put it to use
     assert runtime.take_host_granule() == hi
 
 
-def test_host_cursor_wraps_to_a_freed_granule_below_it(fixture_dir):
+def test_ccx_reload_after_destroy_gets_the_freed_granules(fixture_dir):
     m = Machine(small_config(mode="ccx"))
     rt = HostRuntime(m)
+    first = load_standard(rt, fixture_dir)
+    freed = set(m.memory.gpts.owned[first.eid])
+    rt.destroy(first)
+    second = load_standard(rt, fixture_dir)
+    assert set(m.memory.gpts.owned[second.eid]) == freed
+
+
+def test_ccx_load_destroy_cycles_stay_below_the_first_loads_top_granule(fixture_dir):
+    m = Machine(small_config(mode="ccx", audit_after_leaf=False))
+    rt = HostRuntime(m)
     h = load_standard(rt, fixture_dir)
-    low = min(m.memory.gpts.owned[h.eid])
-    while rt.take_host_granule() != m.memory.granule_count - 1:
-        pass  # run the cursor to the top of memory
-    rt.destroy(h)
-    assert rt.take_host_granule() == low
-    # the wrapped search leaves the cursor at the top: it finds `low` again
-    assert rt.take_host_granule() == low
+    top = max(m.memory.gpts.owned[h.eid])
+    for _ in range(50):
+        rt.destroy(h)
+        h = load_standard(rt, fixture_dir)
+        assert max(m.memory.gpts.owned[h.eid]) <= top
 
 
 def test_last_free_epc_granule_becomes_a_version_array(runtime, fixture_dir):

@@ -25,7 +25,7 @@ def engine() -> CryptoEngine:
 
 
 def test_empty_finalize_matches_reference_vector(engine):
-    assert engine.hash_final(engine.hash_init()) == SHA256_EMPTY
+    assert engine.hash_init().final() == SHA256_EMPTY
 
 
 def test_absorb_order_matters(engine):

@@ -228,23 +228,6 @@ def test_load_failure_identifies_failing_step(runtime):
     assert "eadd page" in exc.value.step
 
 
-def test_double_mapping_recorded_in_dynamic_mode(fixture_dir):
-    machine = Machine(small_config(mode="ccx"))
-    rt = HostRuntime(machine)
-    path = fixtures.write_standard_manifest(fixture_dir, "dm")
-    h = rt.load_enclave(EnclaveManifest.load(path))
-    assert h.double_mappings, "dynamic mode records the page aliases"
-    for record in h.double_mappings:
-        assert record["host_alias"] == record["granule"] * GRANULE_SIZE
-        assert machine.memory.find_page(h.eid, record["vaddr"]) == record["granule"]
-
-
-def test_fixed_mode_records_no_double_mappings(runtime, fixture_dir):
-    path = fixtures.write_standard_manifest(fixture_dir, "nodm")
-    h = runtime.load_enclave(EnclaveManifest.load(path))
-    assert h.double_mappings == []
-
-
 def test_destroy_releases_everything(runtime):
     machine = runtime.machine
     system_before = bytes(machine.memory.gpts.system)

@@ -389,6 +389,23 @@ def test_block_swap_reload_restores_enclave_access(machine):
     assert rt.swap_in_events >= 1
 
 
+def test_swap_out_inside_a_page_files_the_blob_under_the_page(machine, fixture_dir):
+    """An offset into the page evicts that page, and demand paging finds it."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    rt = HostRuntime(machine)
+    path = fixtures.write_standard_manifest(fixture_dir, "midpage")
+    h = rt.load_enclave(EnclaveManifest.load(path))
+    scratch = h.base + fixtures.SCRATCH_OFF
+    assert rt.ecall(h, 0, fixtures.SEL_POKE, scratch + 64, 555) == 555
+    rt.swap_out(h, scratch + 8)
+    assert rt.store.keys_for(h.eid) == [scratch]
+    assert rt.ecall(h, 0, fixtures.SEL_PEEK, scratch + 64) == 555
+    assert rt.swap_in_events == 1
+    assert rt.store.keys_for(h.eid) == []
+
+
 def test_entry_pages_in_the_frame_the_next_aex_saves_to(machine, fixture_dir):
     """With save-state frame 0 swapped out, an interrupted ecall still saves
     its context there instead of crashing the enclave."""
