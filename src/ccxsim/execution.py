@@ -4,11 +4,15 @@ A vCPU's one record of where it runs is ``cur_eid``/``cur_tcs``: with no
 current enclave it is the host (normal world, system table active), and
 inside an enclave its world (realm) and active table (that enclave's) derive
 from ``cur_eid``, so nothing can fall out of step.  A TCS is busy exactly
-while some vCPU's ``cur_tcs`` names it.  Traps from fixture programs arrive
-as a register frame mirroring the gadget sequence: x0 service id, x1 leaf,
-x2..x4 arguments.  Interrupts in enclave mode save the full context to the
-thread's save-state area and hand control to the host at its async exit
-pointer; the recorded delivery path is trampoline -> monitor -> host.
+while some vCPU's ``cur_tcs`` names it.  A thread's own state lives only in
+its TCS page: entry and resume unpack the page, and AEX, ERESUME and
+EDECCSSA store the save-state index (CSSA) back into it, so a debug read, a
+snapshot and a sealed swap blob all see the live value.  Traps from fixture
+programs arrive as a register frame mirroring the gadget sequence: x0
+service id, x1 leaf, x2..x4 arguments.  Interrupts in enclave mode save the
+full context to the thread's save-state area and hand control to the host at
+its async exit pointer; the recorded delivery path is trampoline -> monitor
+-> host.
 
 Memory accesses go through a translation cache and instruction fetches
 also through a decode cache (both kept in :class:`~ccxsim.memory.MachineMemory`).
@@ -295,7 +299,7 @@ def _tcs_for_entry(m, tcs_granule: int):
         raise SgxError(E.NOT_INITIALIZED, f"enclave {secs.eid} is not initialized")
     if m.tcs_busy(tcs_granule):
         raise SgxError(E.TCS_BUSY, "TCS already occupied")
-    return secs, m.tcs_registry[tcs_granule]
+    return secs, m.read_tcs(tcs_granule)
 
 
 def _switch_in(vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> None:
@@ -362,12 +366,13 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
         MICROCODE, granule, frame_vaddr & (GRANULE_SIZE - 1), SSA_FRAME_BYTES
     )
     frame = SsaFrame.unpack(raw)
-    tcs.cssa -= 1
+    cssa = tcs.cssa - 1
+    m.store_cssa(tcs_granule, cssa)
     _switch_in(vcpu, secs, tcs, tcs_granule, aep, frame.pc)
     vcpu.regs = list(frame.regs)
     vcpu.pstate = frame.pstate
     vcpu.tpidr = frame.tpidr
-    m.trace_event("eresume", vcpu=vcpu.id, eid=secs.eid, cssa=tcs.cssa)
+    m.trace_event("eresume", vcpu=vcpu.id, eid=secs.eid, cssa=cssa)
 
 
 def _ssa_frame_vaddr(secs, tcs, index: int) -> int:
@@ -379,8 +384,8 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
     if not vcpu.in_enclave:
         raise ModelError("AEX outside enclave mode")
     secs = m.enclaves[vcpu.cur_eid]
-    tcs = m.tcs_registry[vcpu.cur_tcs]
     tcs_granule = vcpu.cur_tcs
+    tcs = m.read_tcs(tcs_granule)
 
     fatal = tcs.cssa >= tcs.nssa
     if not fatal:
@@ -400,7 +405,7 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
             m.memory.write_granule(
                 MICROCODE, granule, frame_vaddr & (GRANULE_SIZE - 1), frame.pack()
             )
-            tcs.cssa += 1
+            m.store_cssa(tcs_granule, tcs.cssa + 1)
 
     if fatal:
         secs.crashed = True

@@ -19,8 +19,8 @@ from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
 from .errors import ModelError, SgxError, SgxErrorCode as E
 from .execution import VCpu
-from .memory import GRANULE_SIZE, HOST, MachineMemory, PageType
-from .structs import Secs, Tcs
+from .memory import GRANULE_SIZE, HOST, MICROCODE, MachineMemory, PageType
+from .structs import TCS_OFF_CSSA, TCS_SIZE, Secs, Tcs
 
 # Leaf tables: number -> (name, handler).  Handlers take the machine first;
 # ENCLU handlers additionally take the executing vcpu.
@@ -89,7 +89,6 @@ class Machine:
         self.memory = MachineMemory(self.config.granule_count, self.config.memory_mode())
         self.crypto = CryptoEngine(DeviceSecrets.from_seed_int(self.config.crypto_seed))
         self.enclaves: Dict[int, Secs] = {}
-        self.tcs_registry: Dict[int, Tcs] = {}
         self.vcpus: List[VCpu] = [VCpu(id=i) for i in range(self.config.vcpu_count)]
         self.counters: Dict[str, int] = {name: 0 for name in ALL_LEAF_NAMES}
         self.leaf_cost = _leaf_costs(self.config)
@@ -162,6 +161,13 @@ class Machine:
             if vcpu.cur_tcs == granule:
                 return True
         return False
+
+    def read_tcs(self, granule: int) -> Tcs:
+        """The thread state in a TCS page, which is its only record."""
+        return Tcs.unpack(self.memory.read_granule(MICROCODE, granule, 0, TCS_SIZE))
+
+    def store_cssa(self, granule: int, cssa: int) -> None:
+        self.memory.write_granule(MICROCODE, granule, TCS_OFF_CSSA, cssa.to_bytes(8, "little"))
 
     def cpuid(self, leaf: int, subleaf: int) -> Tuple[int, int, int, int]:
         with self._token:

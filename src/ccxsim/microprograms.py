@@ -155,14 +155,12 @@ def eadd(
         if source_bytes is not None:
             raise SgxError(E.PAGE_INVALID, "ccx-mode EADD assigns in place; write content first")
 
-    tcs = None
     if secinfo.page_type == PageType.TCS:
         # A bad TCS is refused before the granule changes hands.
         if source_bytes is None:
-            source = m.memory.read_granule(MICROCODE, target_granule, 0, GRANULE_SIZE)
+            tcs = m.read_tcs(target_granule)
         else:
-            source = source_bytes
-        tcs = Tcs.unpack(source)
+            tcs = Tcs.unpack(source_bytes)
         if tcs.cssa != 0:
             raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
         tcs.validate(secs)
@@ -170,8 +168,6 @@ def eadd(
     m.memory.assign_granule(eid, target_granule)
     if source_bytes is not None:
         m.memory.write_granule(MICROCODE, target_granule, 0, source_bytes)
-    if tcs is not None:
-        m.tcs_registry[target_granule] = tcs
 
     effective = effective_secinfo(secinfo)
     m.memory.epcm_update(
@@ -238,10 +234,8 @@ def eremove(m, granule: int) -> None:
         m.trace_event("eremove_secs", eid=eid, granule=granule)
         return
 
-    if entry.page_type == PageType.TCS:
-        if m.tcs_busy(granule):
-            raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
-        m.tcs_registry.pop(granule, None)
+    if entry.page_type == PageType.TCS and m.tcs_busy(granule):
+        raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
 
     _release(m, granule, entry)
     m.trace_event("eremove", granule=granule)
@@ -329,9 +323,8 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
         raise SgxError(E.NOT_BLOCKED, f"granule {granule} is not blocked")
     if granule == va_granule:
         raise SgxError(E.VA_SLOT_INVALID, "a version array cannot version itself")
-    if entry.page_type == PageType.TCS:
-        if m.tcs_busy(granule):
-            raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
+    if entry.page_type == PageType.TCS and m.tcs_busy(granule):
+        raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
 
     if entry.owner is not None:
         secs = _secs(m, entry.owner)
@@ -342,12 +335,6 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
 
     if _va_slot_read(m, va_granule, slot) != EMPTY_SLOT:
         raise SgxError(E.VA_SLOT_OCCUPIED, f"slot {slot} already holds a version")
-
-    if entry.page_type == PageType.TCS:
-        # Persist live thread state (cssa) so a reloaded TCS resumes correctly.
-        m.memory.write_granule(
-            MICROCODE, granule, 0, m.tcs_registry[granule].pack()
-        )
 
     version = m.rand_bytes(VA_SLOT_SIZE)
     while version == EMPTY_SLOT:
@@ -369,7 +356,6 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
     pcmd.mac = mac
 
     _va_slot_write(m, va_granule, slot, version)
-    m.tcs_registry.pop(granule, None)
     _release(m, granule, entry)
     m.trace_event("ewb", granule=granule, vaddr=entry.vaddr,
                   owner=entry.owner, va=va_granule, slot=slot)
@@ -423,9 +409,6 @@ def _eld(
         staged_type=pcmd.staged_type,
         blocked_epoch=secs.track_epoch if mark_blocked and secs is not None else None,
     ))
-
-    if pcmd.page_type == PageType.TCS:
-        m.tcs_registry[target_granule] = Tcs.unpack(plaintext)
 
     _va_slot_write(m, va_granule, slot, EMPTY_SLOT)
     m.trace_event("eld", granule=target_granule, vaddr=pcmd.vaddr,
@@ -506,12 +489,10 @@ def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
         entry = replace(entry, page_type=entry.staged_type, staged_type=None)
         if entry.page_type == PageType.TCS:
             entry = replace(entry, perms=Perms.NONE)
-            content = m.memory.read_granule(MICROCODE, granule, 0, GRANULE_SIZE)
-            tcs = Tcs.unpack(content)
+            tcs = m.read_tcs(granule)
             if tcs.cssa != 0:
                 raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
             tcs.validate(secs)
-            m.tcs_registry[granule] = tcs
     m.memory.epcm_update(granule, entry)
 
 
@@ -610,7 +591,7 @@ def egetkey(m, vcpu, request: KeyRequest) -> bytes:
 
 
 def edeccssa(m, vcpu) -> None:
-    tcs = m.tcs_registry[vcpu.cur_tcs]
-    if tcs.cssa == 0:
+    cssa = m.read_tcs(vcpu.cur_tcs).cssa
+    if cssa == 0:
         raise SgxError(E.NO_SAVED_STATE, "cssa is already zero")
-    tcs.cssa -= 1
+    m.store_cssa(vcpu.cur_tcs, cssa - 1)

@@ -299,23 +299,23 @@ class HostRuntime:
             return False
         # Never touch an enclave that currently has threads inside, and keep
         # interrupted thread state (TCS with saved frames, its SSA pages)
-        # resident so resume paths stay simple.
+        # resident so resume paths stay simple.  The runtime enters only the
+        # TCSs of a handle, so those are the only ones with saved frames.
         if secs.entered_counts:
             return False
         if entry.page_type == PageType.TCS:
-            tcs = m.tcs_registry.get(granule)
-            if tcs is None or tcs.cssa > 0:
-                return False
-        else:
-            for tg, tcs in m.tcs_registry.items():
-                towner = m.memory.epcm.get(tg)
-                if towner is None or towner.owner != entry.owner:
-                    continue
-                if tcs.cssa > 0:
-                    lo = secs.base + tcs.ossa
-                    hi = lo + tcs.nssa * secs.ssa_frame_size * GRANULE_SIZE
-                    if lo <= entry.vaddr < hi:
-                        return False
+            return m.read_tcs(granule).cssa == 0
+        handle = self.handles.get(entry.owner)
+        for tcs_vaddr in handle.tcs_vaddrs if handle else ():
+            tg = m.memory.find_page(entry.owner, tcs_vaddr)
+            if tg is None:
+                continue
+            tcs = m.read_tcs(tg)
+            if tcs.cssa > 0:
+                lo = secs.base + tcs.ossa
+                hi = lo + tcs.nssa * secs.ssa_frame_size * GRANULE_SIZE
+                if lo <= entry.vaddr < hi:
+                    return False
         return True
 
     def _evict_one(self) -> None:
@@ -516,7 +516,7 @@ class HostRuntime:
             tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
             if tcs_granule is None:
                 raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
-            tcs = m.tcs_registry[tcs_granule]
+            tcs = m.read_tcs(tcs_granule)
             pages = [tcs_vaddr] + [
                 secs.base + tcs.ossa + i * secs.ssa_frame_size * GRANULE_SIZE
                 for i in range(min(tcs.cssa + 1, tcs.nssa))

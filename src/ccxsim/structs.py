@@ -120,11 +120,17 @@ class Secs:
 TCS_FLAG_DBGOPTIN = 1 << 0
 TCS_FLAG_AEXNOTIFY = 1 << 1
 
-_TCS_FMT = "<QQQQQQ"  # oentry, ossa, cssa, nssa, tls_base, flags
+# oentry, ossa, cssa, nssa, tls_base, flags; the rest of the page is zero
+_TCS = struct.Struct("<6Q")
+TCS_SIZE = _TCS.size
+TCS_OFF_CSSA = 16
 
 
-@dataclass
-class Tcs:
+class Tcs(NamedTuple):
+    """One thread's control page.  The page itself is the only record of a
+    thread's state: leaves unpack it when they need it and store CSSA back
+    into it (see :meth:`ccxsim.machine.Machine.store_cssa`)."""
+
     oentry: int
     ossa: int
     nssa: int
@@ -137,23 +143,14 @@ class Tcs:
         flags = (TCS_FLAG_DBGOPTIN if self.dbgoptin else 0) | (
             TCS_FLAG_AEXNOTIFY if self.aexnotify else 0
         )
-        body = struct.pack(
-            _TCS_FMT, self.oentry, self.ossa, self.cssa, self.nssa, self.tls_base, flags
-        )
+        body = _TCS.pack(self.oentry, self.ossa, self.cssa, self.nssa, self.tls_base, flags)
         return body.ljust(GRANULE_SIZE, b"\0")
 
     @classmethod
     def unpack(cls, data: bytes) -> "Tcs":
-        oentry, ossa, cssa, nssa, tls_base, flags = struct.unpack_from(_TCS_FMT, data)
-        return cls(
-            oentry=oentry,
-            ossa=ossa,
-            nssa=nssa,
-            tls_base=tls_base,
-            cssa=cssa,
-            dbgoptin=bool(flags & TCS_FLAG_DBGOPTIN),
-            aexnotify=bool(flags & TCS_FLAG_AEXNOTIFY),
-        )
+        oentry, ossa, cssa, nssa, tls_base, flags = _TCS.unpack_from(data)
+        return cls(oentry, ossa, nssa, tls_base, cssa,
+                   bool(flags & TCS_FLAG_DBGOPTIN), bool(flags & TCS_FLAG_AEXNOTIFY))
 
     def validate(self, secs: Secs) -> None:
         if self.nssa < 1:

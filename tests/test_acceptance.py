@@ -417,7 +417,7 @@ def test_criterion_09_notify_flow(tmp_path):
         assert read(fixtures.SCRATCH_NOTIFY_RAN) == 1
         assert read(fixtures.SCRATCH_NOTIFY_CSSA) == 1
         tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
-        assert machine.tcs_registry[tcs_g].cssa == 0  # retired via EDECCSSA
+        assert machine.read_tcs(tcs_g).cssa == 0  # retired via EDECCSSA
 
         # flag clear: plain resume semantics, handler never runs
         h2 = rt.load_enclave(EnclaveManifest.load(

@@ -27,6 +27,7 @@ from ccxsim.structs import (
     Pcmd,
     SecInfo,
     SecsImage,
+    TCS_OFF_CSSA,
     VA_SLOT_SIZE,
 )
 
@@ -42,8 +43,7 @@ from helpers import (
 MASK64 = (1 << 64) - 1
 
 
-@pytest.fixture
-def entered_env(machine):
+def _thread_enclave(machine):
     enc = build_raw_enclave(
         machine,
         page_specs=[
@@ -55,6 +55,11 @@ def entered_env(machine):
         tcs_specs=[{"vaddr": 0x4000, "ossa": 0x2000, "tls_base": 0x1000}],
     )
     return machine, enc, enc.pages[0x4000]
+
+
+@pytest.fixture
+def entered_env(machine):
+    return _thread_enclave(machine)
 
 
 def load_fixture(machine, fixture_dir, writer, name):
@@ -337,20 +342,39 @@ def test_occupied_tcs_cannot_be_removed_or_written_back(entered_env):
     assert exc.value.code == E.PAGE_IN_USE
     machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
     machine.leaf("EREMOVE", tcs_g)  # free once no vCPU runs on it
-    assert tcs_g not in machine.tcs_registry
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("EENTER", tcs_g, AEP_GATE, vcpu=vcpu)
+    assert exc.value.code == E.PAGE_INVALID
 
 
 def test_eenter_with_exhausted_ssa_rejected(entered_env):
     machine, enc, tcs_g = entered_env
     vcpu = machine.vcpus[0]
-    tcs = machine.tcs_registry[tcs_g]
+    tcs = machine.read_tcs(tcs_g)
     for _ in range(tcs.nssa):
         machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
         machine.inject_interrupt(vcpu)
-    assert tcs.cssa == tcs.nssa
+    assert machine.read_tcs(tcs_g).cssa == tcs.nssa
     with pytest.raises(SgxError) as exc:
         machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
     assert exc.value.code == E.CSSA_FULL
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_tcs_page_shows_live_cssa(mode):
+    """The TCS page is the thread's one record: a debug read sees the save-state
+    index an AEX stored, and the page holds nothing else that changed."""
+    machine, enc, tcs_g = _thread_enclave(Machine(small_config(mode=mode)))
+    vcpu = machine.vcpus[0]
+    before = machine.leaf("EDBGRD", tcs_g, 0, 64)
+    machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+    machine.inject_interrupt(vcpu)
+    cssa = machine.leaf("EDBGRD", tcs_g, TCS_OFF_CSSA, 8)
+    assert int.from_bytes(cssa, "little") == 1
+    after = machine.leaf("EDBGRD", tcs_g, 0, 64)
+    assert after == before[:TCS_OFF_CSSA] + cssa + before[TCS_OFF_CSSA + 8:]
+    machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)
+    assert machine.leaf("EDBGRD", tcs_g, 0, 64) == before
 
 
 def test_eexit_restores_host_world(entered_env):
@@ -451,12 +475,12 @@ def test_ssa_overflow_crashes_enclave(machine):
     )
     tcs_g = enc.pages[0x4000]
     vcpu = machine.vcpus[0]
-    tcs = machine.tcs_registry[tcs_g]
+    tcs = machine.read_tcs(tcs_g)
     machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
     for _ in range(tcs.nssa):
         machine.inject_interrupt(vcpu)
         machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)  # handler entry, cssa pinned
-    assert tcs.cssa == tcs.nssa
+    assert machine.read_tcs(tcs_g).cssa == tcs.nssa
     machine.inject_interrupt(vcpu)  # no slot left: fatal
     assert machine.enclaves[enc.eid].crashed
     assert not vcpu.in_enclave
@@ -536,7 +560,7 @@ def test_notify_flow_handler_observes_and_retires(machine, fixture_dir):
     assert cssa == 1
     # the handler retired the slot on its way back
     tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
-    assert machine.tcs_registry[tcs_g].cssa == 0
+    assert machine.read_tcs(tcs_g).cssa == 0
 
 
 def test_edeccssa_at_zero_faults(entered_env):

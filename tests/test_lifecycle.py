@@ -4,6 +4,7 @@ import pytest
 
 from ccxsim.errors import GranuleProtectionFault, SgxError, SgxErrorCode as E
 from ccxsim.memory import GRANULE_SIZE, PageType, Pas, Perms
+from ccxsim.runtime import AEP_GATE
 from ccxsim.structs import Attributes, SecInfo, Tcs
 
 from helpers import BASE, build_raw_enclave, free_epc_granules
@@ -116,7 +117,10 @@ def test_eadd_bad_tcs_layout_rejected(machine):
         machine.leaf("EADD", enc.eid, BASE + 0x8000,
                      SecInfo(Perms.NONE, PageType.TCS), g, bad.pack())
     assert exc.value.code == E.BAD_TCS_LAYOUT
-    assert machine.memory.is_free(g) and g not in machine.tcs_registry
+    assert machine.memory.is_free(g)
+    with pytest.raises(SgxError) as exc:  # no thread was added
+        machine.leaf("EENTER", g, AEP_GATE, vcpu=machine.vcpus[0])
+    assert exc.value.code == E.PAGE_INVALID
     machine.audit()
 
 
@@ -129,7 +133,10 @@ def test_ccx_refused_tcs_eadd_leaves_granule_free(ccx_machine):
         ccx_machine.leaf("EADD", enc.eid, BASE + 0x8000,
                          SecInfo(Perms.NONE, PageType.TCS), g)
     assert exc.value.code == E.BAD_TCS_LAYOUT
-    assert ccx_machine.memory.is_free(g) and g not in ccx_machine.tcs_registry
+    assert ccx_machine.memory.is_free(g)
+    with pytest.raises(SgxError) as exc:  # no thread was added
+        ccx_machine.leaf("EENTER", g, AEP_GATE, vcpu=ccx_machine.vcpus[0])
+    assert exc.value.code == E.PAGE_INVALID
     ccx_machine.audit()
 
 

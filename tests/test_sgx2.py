@@ -268,7 +268,10 @@ def test_emodt_reg_to_tcs_then_enter(env):
     entry = machine.memory.epcm_lookup(g)
     assert entry == staged
     assert entry.page_type == PageType.REG and entry.staged_type == PageType.TCS
-    assert entry.modified and g not in machine.tcs_registry
+    assert entry.modified
+    with pytest.raises(SgxError) as exc:  # still no thread to enter
+        machine.enclu(machine.vcpus[0], 0x2, g, AEP_GATE)
+    assert exc.value.code == E.PAGE_INVALID
     with pytest.raises(dataclasses.FrozenInstanceError):
         entry.modified = False
     tcs = Tcs(oentry=0x0, ossa=0x3000, nssa=1, tls_base=0x1000)

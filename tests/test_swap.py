@@ -355,13 +355,13 @@ def test_swapped_tcs_preserves_thread_state(swap_env):
     vcpu = machine.vcpus[0]
     machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
     machine.inject_interrupt(vcpu)  # cssa -> 1 on an aex
-    assert machine.tcs_registry[tcs_g].cssa == 1
+    assert machine.read_tcs(tcs_g).cssa == 1
     machine.leaf("EBLOCK", tcs_g)
     machine.leaf("ETRACK", enc.eid)
     blob = machine.leaf("EWB", tcs_g, va, 0)
     target = free_epc_granules(machine, 1)[0]
     machine.leaf("ELDU", blob.ciphertext, blob.pcmd, va, 0, target, enc.eid)
-    assert machine.tcs_registry[target].cssa == 1
+    assert machine.read_tcs(target).cssa == 1
     machine.enclu(vcpu, 0x3, target, AEP_GATE)  # resume through the moved TCS
     assert vcpu.in_enclave
     machine.enclu(vcpu, 0x4, RETURN_GATE)
