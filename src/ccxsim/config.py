@@ -63,6 +63,41 @@ DEFAULT_COST_FACTORS: Dict[str, int] = {
 }
 
 
+# Upper bounds that keep a config from asking for more host memory than a
+# desk-scale run needs: 65,536 granules are 256 MiB of simulated memory.
+MAX_GRANULE_COUNT = 1 << 16
+MAX_VCPU_COUNT = 64
+
+# Integer fields -> (lowest, highest) accepted value; None leaves a side open.
+# Seeds take any integer: the crypto seed is masked to 64 bits.
+_INT_RANGES = {
+    "granule_count": (16, MAX_GRANULE_COUNT),
+    "epc_base": (0, None),
+    "epc_size": (0, None),
+    "crypto_seed": (None, None),
+    "scheduler_seed": (None, None),
+    "vcpu_count": (1, MAX_VCPU_COUNT),
+    "max_ecall_steps": (1, None),
+}
+
+
+def _check_int(name: str, value, lo: Optional[int], hi: Optional[int]) -> None:
+    if type(value) is not int:
+        raise ModelError(f"config field {name!r} must be an integer, not {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f"{'' if lo is None else lo}..{'' if hi is None else hi}"
+        raise ModelError(f"config field {name!r} is {value}, outside {bounds}")
+
+
+def _check_table(name: str, table, known: Dict[str, int]) -> None:
+    if not isinstance(table, dict):
+        raise ModelError(f"config field {name!r} must be an object, not {table!r}")
+    for key, value in table.items():
+        if key not in known:
+            raise ModelError(f"config field {name!r} has unknown entry {key!r}")
+        _check_int(f"{name}.{key}", value, 0, None)
+
+
 @dataclass
 class Config:
     granule_count: int = 16384
@@ -82,12 +117,18 @@ class Config:
     )
 
     def validate(self) -> None:
+        """Check every field's type and range; a bad one is a ModelError that
+        names it."""
         if self.mode not in ("sgx", "ccx"):
             raise ModelError(f"mode must be 'sgx' or 'ccx', not {self.mode!r}")
-        if self.granule_count < 16:
-            raise ModelError("granule_count too small to be useful")
-        if self.vcpu_count < 1:
-            raise ModelError("need at least one vcpu")
+        for name, (lo, hi) in _INT_RANGES.items():
+            _check_int(name, getattr(self, name), lo, hi)
+        if type(self.audit_after_leaf) is not bool:
+            raise ModelError(
+                f"config field 'audit_after_leaf' must be true or false, not {self.audit_after_leaf!r}"
+            )
+        _check_table("leaf_base_cost", self.leaf_base_cost, DEFAULT_LEAF_BASE_COST)
+        _check_table("cost_factors", self.cost_factors, DEFAULT_COST_FACTORS)
         self.memory_mode().validate(self.granule_count)
 
     def memory_mode(self) -> MemoryMode:
@@ -102,6 +143,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        if not isinstance(data, dict):
+            raise ModelError(f"a config is a JSON object, not {type(data).__name__}")
         cfg = cls()
         known = set(cfg.__dataclass_fields__)
         for key, value in data.items():
@@ -109,14 +152,11 @@ class Config:
                 raise ModelError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
         # Merge partial cost tables over the defaults.
-        if "leaf_base_cost" in data:
-            merged = dict(DEFAULT_LEAF_BASE_COST)
-            merged.update(data["leaf_base_cost"])
-            cfg.leaf_base_cost = merged
-        if "cost_factors" in data:
-            merged = dict(DEFAULT_COST_FACTORS)
-            merged.update(data["cost_factors"])
-            cfg.cost_factors = merged
+        for name, defaults in (("leaf_base_cost", DEFAULT_LEAF_BASE_COST),
+                               ("cost_factors", DEFAULT_COST_FACTORS)):
+            if name in data:
+                _check_table(name, data[name], defaults)
+                setattr(cfg, name, {**defaults, **data[name]})
         cfg.validate()
         return cfg
 
@@ -125,7 +165,11 @@ class Config:
 
     @classmethod
     def from_json(cls, text: str) -> "Config":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ModelError(f"config is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
     @classmethod
     def load(cls, path: Optional[str]) -> "Config":

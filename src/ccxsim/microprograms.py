@@ -245,10 +245,10 @@ def eremove(m, granule: int) -> None:
 # Debug access
 
 
-def _check_debug_access(m, granule: int, offset: int, length: int) -> None:
+def _check_debug_access(m, granule: int, offset: int, length: int, types) -> None:
     entry = _valid_entry(m, granule)
-    if entry.owner is None or entry.page_type not in (PageType.REG, PageType.TCS):
-        raise SgxError(E.PAGE_INVALID, "debug access targets REG or TCS pages")
+    if entry.owner is None or entry.page_type not in types:
+        raise SgxError(E.PAGE_INVALID, f"{entry.page_type.name} page refuses this debug access")
     secs = _secs(m, entry.owner)
     if not secs.attributes.debug:
         raise SgxError(E.NON_DEBUG_ENCLAVE, f"enclave {entry.owner} lacks DEBUG")
@@ -257,12 +257,13 @@ def _check_debug_access(m, granule: int, offset: int, length: int) -> None:
 
 
 def edbgrd(m, granule: int, offset: int, length: int = 8) -> bytes:
-    _check_debug_access(m, granule, offset, length)
+    _check_debug_access(m, granule, offset, length, (PageType.REG, PageType.TCS))
     return m.memory.read_granule(MICROCODE, granule, offset, length)
 
 
 def edbgwr(m, granule: int, offset: int, data: bytes) -> None:
-    _check_debug_access(m, granule, offset, len(data))
+    # A TCS page is the live record of its thread, which no write may bypass.
+    _check_debug_access(m, granule, offset, len(data), (PageType.REG,))
     m.memory.write_granule(MICROCODE, granule, offset, data)
 
 

@@ -135,7 +135,8 @@ class _StoredBlob:
 
 class SwapStore:
     """Host-side store for evicted pages, optionally mirrored to a directory
-    of blob files (one JSON file per page: ciphertext, metadata, slot ref)."""
+    of blob files (one JSON file per page: ciphertext, metadata, slot ref).
+    The files are an export for inspection; the store never reads them."""
 
     def __init__(self, directory: Optional[Path] = None):
         self.directory = Path(directory) if directory else None
@@ -177,24 +178,6 @@ class SwapStore:
 
     def keys_for(self, eid: Optional[int]) -> List[int]:
         return sorted(v for (e, v) in self._blobs if e == eid)
-
-    def refresh_from_directory(self) -> None:
-        """Re-read blob files; lets tests exercise on-disk tampering."""
-        if not self.directory:
-            raise ModelError("swap store has no backing directory")
-        from .structs import Pcmd
-
-        self._blobs.clear()
-        for path in sorted(self.directory.glob("*.blob")):
-            doc = json.loads(path.read_text())
-            eid = doc["eid"]
-            blob = SwapBlob(
-                ciphertext=bytes.fromhex(doc["ciphertext"]),
-                pcmd=Pcmd.unpack(bytes.fromhex(doc["pcmd"])),
-            )
-            self._blobs[(eid, doc["vaddr"])] = _StoredBlob(
-                blob=blob, va_granule=doc["va_granule"], slot=doc["slot"]
-            )
 
 
 def _build_plan(

@@ -1,6 +1,7 @@
 """The cost-model bench and the command-line front end."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,8 @@ import pytest
 
 from ccxsim import cli, fixtures
 from ccxsim.bench import run_leaf_bench, run_scenario_bench
-from ccxsim.config import Config
+from ccxsim.config import MAX_GRANULE_COUNT, Config
+from ccxsim.errors import ModelError
 
 from helpers import small_config
 
@@ -231,6 +233,38 @@ def test_config_round_trips(tmp_path):
     again = Config.from_json(text)
     assert again.to_json() == text
     assert again.mode == "ccx" and again.crypto_seed == 42
+
+
+# Each malformed config is refused with a ModelError that names its field.
+BAD_CONFIGS = [
+    ({"granule_count": "abc"}, "granule_count"),
+    ({"vcpu_count": 2.5}, "vcpu_count"),
+    ({"crypto_seed": "x"}, "crypto_seed"),
+    ({"leaf_base_cost": {"EADD": "7"}}, "leaf_base_cost.EADD"),
+    ({"cost_factors": 3}, "cost_factors"),
+    ([1, 2], "JSON object"),
+    ({"leaf_base_cost": {"EFOO": 1}}, "EFOO"),
+    ({"leaf_base_cost": {"EADD": -1}}, "leaf_base_cost.EADD"),
+    ({"audit_after_leaf": "no"}, "audit_after_leaf"),
+    ({"granule_count": MAX_GRANULE_COUNT + 1}, "granule_count"),
+]
+
+
+@pytest.mark.parametrize("data, named", BAD_CONFIGS,
+                         ids=[named for _, named in BAD_CONFIGS])
+def test_malformed_config_is_refused_by_field(data, named, tmp_path, capsys):
+    with pytest.raises(ModelError, match=re.escape(named)):
+        Config.from_json(json.dumps(data))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "nope.scenario", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_cap_admits_its_bound():
+    cfg = Config.from_dict({"granule_count": MAX_GRANULE_COUNT, "leaf_base_cost": {"EADD": 0}})
+    assert cfg.granule_count == MAX_GRANULE_COUNT and cfg.leaf_base_cost["EADD"] == 0
+    assert cfg.leaf_base_cost["EWB"] == Config().leaf_base_cost["EWB"]
 
 
 def test_console_entry_point_runs(demo_dir, tmp_path):

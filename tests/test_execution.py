@@ -377,6 +377,17 @@ def test_tcs_page_shows_live_cssa(mode):
     assert machine.leaf("EDBGRD", tcs_g, 0, 64) == before
 
 
+def test_edbgwr_refuses_tcs_pages(entered_env):
+    """A debug write could otherwise set CSSA or NSSA to values the TCS checks
+    never saw; reads stay allowed."""
+    machine, enc, tcs_g = entered_env
+    before = machine.leaf("EDBGRD", tcs_g, 0, 64)
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("EDBGWR", tcs_g, TCS_OFF_CSSA, (7).to_bytes(8, "little"))
+    assert exc.value.code == E.PAGE_INVALID
+    assert machine.leaf("EDBGRD", tcs_g, 0, 64) == before
+
+
 def test_eexit_restores_host_world(entered_env):
     machine, enc, tcs_g = entered_env
     vcpu = machine.vcpus[0]

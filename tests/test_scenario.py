@@ -299,18 +299,18 @@ def test_swap_store_directory_and_tamper(demo_dir, tmp_path):
         f"swap_out app {fixtures.SCRATCH_OFF:#x}\n"
     )
     assert result.ok
-    blobs = sorted(store_dir.glob("*.blob"))
-    assert len(blobs) == 1
-    doc = json.loads(blobs[0].read_text())
-    ct = bytearray(bytes.fromhex(doc["ciphertext"]))
-    ct[77] ^= 1
-    doc["ciphertext"] = bytes(ct).hex()
-    blobs[0].write_text(json.dumps(doc))
+    assert len(list(store_dir.glob("*.blob"))) == 1
+    # tamper with the stored blob: one flipped ciphertext bit fails the MAC
     rt = result.runtime
-    rt.store.refresh_from_directory()
     handle = next(iter(rt.handles.values()))
+    scratch = handle.base + fixtures.SCRATCH_OFF
+    stored = rt.store.pop(handle.eid, scratch)
+    ct = bytearray(stored.blob.ciphertext)
+    ct[77] ^= 1
+    stored.blob.ciphertext = bytes(ct)
+    rt.store.put(handle.eid, scratch, stored)
     from ccxsim.errors import SgxError, SgxErrorCode
 
     with pytest.raises(SgxError) as exc:
-        rt.swap_in(handle, handle.base + fixtures.SCRATCH_OFF)
+        rt.swap_in(handle, scratch)
     assert exc.value.code == SgxErrorCode.MAC_COMPARE_FAIL

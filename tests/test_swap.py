@@ -6,7 +6,7 @@ from ccxsim.errors import SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Perms
 from ccxsim.runtime import AEP_GATE, HostRuntime, RETURN_GATE
-from ccxsim.structs import Pcmd, VA_SLOT_COUNT
+from ccxsim.structs import EXIT_IRQ, Pcmd, VA_SLOT_COUNT
 
 from helpers import BASE, build_raw_enclave, free_epc_granules, small_config
 
@@ -419,3 +419,33 @@ def test_entry_pages_in_the_frame_the_next_aex_saves_to(machine, fixture_dir):
     rt.swap_out(h, frame0)
     assert rt.ecall(h, 0, 0, 40, inject_at={30}) == fixtures.compute_expected(40)
     assert machine.memory.find_page(h.eid, frame0) is not None
+
+
+def test_eviction_keeps_an_interrupted_thread_resident(fixture_dir):
+    """A runtime thread left interrupted (one saved context) keeps its TCS and
+    save-state frames resident while loads press the EPC; the enclave's other
+    pages are still evicted, and the thread resumes afterwards."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(epc_size=16))
+    rt = HostRuntime(machine)
+    manifest = EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "held"))
+    h = rt.load_enclave(manifest)
+    with rt.entered(h) as vcpu:
+        machine.inject_interrupt(vcpu)
+    assert vcpu.last_exit == (EXIT_IRQ, 0) and not vcpu.in_enclave
+    ssa = h.base + manifest.tcs[0].ossa
+    held = [h.tcs_vaddrs[0]] + [
+        ssa + i * GRANULE_SIZE for i in range(manifest.nssa * manifest.ssa_frame_size)
+    ]
+    for _ in range(3):
+        rt.load_enclave(manifest)
+    assert rt.swap_out_events > 0
+    assert rt.store.keys_for(h.eid)  # pages outside the SSA range went out
+    for vaddr in held:
+        assert machine.memory.find_page(h.eid, vaddr) is not None
+    tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
+    machine.leaf("ERESUME", tcs_g, AEP_GATE, vcpu=vcpu)
+    assert vcpu.in_enclave
+    machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
