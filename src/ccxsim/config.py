@@ -124,9 +124,8 @@ class Config:
         for name, (lo, hi) in _INT_RANGES.items():
             _check_int(name, getattr(self, name), lo, hi)
         if type(self.audit_after_leaf) is not bool:
-            raise ModelError(
-                f"config field 'audit_after_leaf' must be true or false, not {self.audit_after_leaf!r}"
-            )
+            raise ModelError("config field 'audit_after_leaf' must be true or false,"
+                             f" not {self.audit_after_leaf!r}")
         _check_table("leaf_base_cost", self.leaf_base_cost, DEFAULT_LEAF_BASE_COST)
         _check_table("cost_factors", self.cost_factors, DEFAULT_COST_FACTORS)
         self.memory_mode().validate(self.granule_count)

@@ -288,8 +288,7 @@ class HostRuntime:
             return False
         if entry.page_type == PageType.TCS:
             return m.read_tcs(granule).cssa == 0
-        handle = self.handles.get(entry.owner)
-        for tcs_vaddr in handle.tcs_vaddrs if handle else ():
+        for tcs_vaddr in self.handles[entry.owner].tcs_vaddrs:
             tg = m.memory.find_page(entry.owner, tcs_vaddr)
             if tg is None:
                 continue

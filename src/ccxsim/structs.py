@@ -120,7 +120,7 @@ class Secs:
 TCS_FLAG_DBGOPTIN = 1 << 0
 TCS_FLAG_AEXNOTIFY = 1 << 1
 
-# oentry, ossa, cssa, nssa, tls_base, flags; the rest of the page is zero
+# oentry, ossa, cssa, nssa, tls_base, flags, at the start of the page
 _TCS = struct.Struct("<6Q")
 TCS_SIZE = _TCS.size
 TCS_OFF_CSSA = 16
