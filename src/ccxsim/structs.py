@@ -122,7 +122,6 @@ TCS_FLAG_AEXNOTIFY = 1 << 1
 
 # oentry, ossa, cssa, nssa, tls_base, flags, at the start of the page
 _TCS = struct.Struct("<6Q")
-TCS_SIZE = _TCS.size
 TCS_OFF_CSSA = 16
 
 
@@ -147,10 +146,11 @@ class Tcs(NamedTuple):
         return body.ljust(GRANULE_SIZE, b"\0")
 
     @classmethod
-    def unpack(cls, data: bytes) -> "Tcs":
-        oentry, ossa, cssa, nssa, tls_base, flags = _TCS.unpack_from(data)
-        return cls(oentry, ossa, nssa, tls_base, cssa,
-                   bool(flags & TCS_FLAG_DBGOPTIN), bool(flags & TCS_FLAG_AEXNOTIFY))
+    def unpack(cls, data, offset: int = 0) -> "Tcs":
+        oentry, ossa, cssa, nssa, tls_base, flags = _TCS.unpack_from(data, offset)
+        return tuple.__new__(cls, (oentry, ossa, nssa, tls_base, cssa,
+                                   flags & TCS_FLAG_DBGOPTIN != 0,
+                                   flags & TCS_FLAG_AEXNOTIFY != 0))
 
     def validate(self, secs: Secs) -> None:
         if self.nssa < 1:
