@@ -174,4 +174,8 @@ class Config:
     def load(cls, path: Optional[str]) -> "Config":
         if path is None:
             return cls()
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+            raise ModelError(f"cannot read config {path}: {exc}") from None
+        return cls.from_json(text)

@@ -261,6 +261,20 @@ def test_malformed_config_is_refused_by_field(data, named, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"{"],
+                         ids=["directory", "not-utf8", "not-json"])
+def test_unreadable_config_is_refused(content, tmp_path, capsys):
+    path = tmp_path / "cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ModelError, match="config"):
+        Config.load(str(path))
+    assert cli.main(["run", "nope.scenario", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_cap_admits_its_bound():
     cfg = Config.from_dict({"granule_count": MAX_GRANULE_COUNT, "leaf_base_cost": {"EADD": 0}})
     assert cfg.granule_count == MAX_GRANULE_COUNT and cfg.leaf_base_cost["EADD"] == 0
