@@ -332,7 +332,6 @@ def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
     # call from exception/notify handling.
     _switch_in(vcpu, secs, tcs, tcs_granule, aep, secs.base + tcs.oentry)
     vcpu.regs[0] = tcs.cssa
-    m.trace_event("eenter", vcpu=vcpu.id, eid=secs.eid, cssa=tcs.cssa)
 
 
 def eexit(m, vcpu, target: int) -> None:
@@ -341,7 +340,6 @@ def eexit(m, vcpu, target: int) -> None:
     # Registers are deliberately not scrubbed here: clearing on a synchronous
     # exit is the in-enclave runtime's job.
     vcpu.pc = target
-    m.trace_event("eexit", vcpu=vcpu.id, eid=secs.eid, target=target)
 
 
 def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
@@ -355,10 +353,9 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
         # EDECCSSA to retire the slot.
         _switch_in(vcpu, secs, tcs, tcs_granule, aep, secs.base + tcs.oentry)
         vcpu.regs[0] = tcs.cssa
-        m.trace_event("eresume_notify", vcpu=vcpu.id, eid=secs.eid, cssa=tcs.cssa)
         return
 
-    frame_vaddr = _ssa_frame_vaddr(secs, tcs, tcs.cssa - 1)
+    frame_vaddr = ssa_frame_vaddr(secs, tcs, tcs.cssa - 1)
     granule = m.memory.find_page(secs.eid, frame_vaddr)
     if granule is None:
         raise SgxError(E.PAGE_INVALID, "save-state page is not resident")
@@ -372,10 +369,9 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
     vcpu.regs = list(frame.regs)
     vcpu.pstate = frame.pstate
     vcpu.tpidr = frame.tpidr
-    m.trace_event("eresume", vcpu=vcpu.id, eid=secs.eid, cssa=cssa)
 
 
-def _ssa_frame_vaddr(secs, tcs, index: int) -> int:
+def ssa_frame_vaddr(secs, tcs, index: int) -> int:
     return secs.base + tcs.ossa + index * secs.ssa_frame_size * GRANULE_SIZE
 
 
@@ -389,7 +385,7 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
 
     fatal = tcs.cssa >= tcs.nssa
     if not fatal:
-        frame_vaddr = _ssa_frame_vaddr(secs, tcs, tcs.cssa)
+        frame_vaddr = ssa_frame_vaddr(secs, tcs, tcs.cssa)
         granule = m.memory.find_page(secs.eid, frame_vaddr)
         if granule is None:
             fatal = True

@@ -3,15 +3,16 @@
 One Machine is one simulated platform.  All microprogram execution funnels
 through :meth:`Machine.encls` / :meth:`Machine.enclu`, which take the global
 execution token, count and cost the invocation, check the ENCLU mode rule,
-run the handler atomically, and optionally audit the protection-table
-invariants afterwards.  vCPUs may be driven from separate threads; the token
-serializes every mutation.
+run the handler atomically, record the invocation, and optionally audit the
+protection-table invariants afterwards.  vCPUs may be driven from separate
+threads; the token serializes every mutation.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import execution, microprograms as mp
@@ -92,7 +93,9 @@ class Machine:
         self.vcpus: List[VCpu] = [VCpu(id=i) for i in range(self.config.vcpu_count)]
         self.counters: Dict[str, int] = {name: 0 for name in ALL_LEAF_NAMES}
         self.leaf_cost = _leaf_costs(self.config)
-        self.trace: List[dict] = []
+        # Records go to whatever is here: by default a deque that keeps none,
+        # so observation nobody reads holds no memory.  A reader puts a list.
+        self.trace = deque(maxlen=0)
         self._rng = random.Random(f"machine:{self.config.crypto_seed}")
         self._token = threading.RLock()
         self._next_eid = 1
@@ -115,6 +118,11 @@ class Machine:
     def trace_event(self, kind: str, **payload) -> None:
         self.trace.append({"seq": len(self.trace), "kind": kind, **payload})
 
+    def _record_leaf(self, name: str, vcpu: Optional[int], outcome: str) -> None:
+        trace = self.trace  # trace_event written out: every leaf comes here
+        trace.append({"seq": len(trace), "kind": name.lower(), "vcpu": vcpu,
+                      "outcome": outcome, "cost": self.leaf_cost[name]})
+
     # -- leaf dispatch ----------------------------------------------------------
 
     def _dispatch(self, table, cls: str, leaf: int, args, decode) -> Any:
@@ -124,14 +132,20 @@ class Machine:
                 raise SgxError(E.INVALID_LEAF, f"{cls} leaf {leaf:#x} is undefined")
             name, handler = entry
             self.counters[name] += 1
-            if cls == "ENCLU" and args[0].in_enclave == (name in HOST_MODE_LEAVES):
-                need = "host" if name in HOST_MODE_LEAVES else "enclave"
-                raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
-            if decode is None:
-                result = handler(self, *args)
-            else:
-                more, named = decode()
-                result = handler(self, *args, *more, **named)
+            vcpu = args[0].id if cls == "ENCLU" else None
+            try:
+                if cls == "ENCLU" and args[0].in_enclave == (name in HOST_MODE_LEAVES):
+                    need = "host" if name in HOST_MODE_LEAVES else "enclave"
+                    raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
+                if decode is None:
+                    result = handler(self, *args)
+                else:
+                    more, named = decode()
+                    result = handler(self, *args, *more, **named)
+            except SgxError as err:
+                self._record_leaf(name, vcpu, err.code.name)
+                raise
+            self._record_leaf(name, vcpu, "ok")
             if self.config.audit_after_leaf:
                 self.audit()
             return result

@@ -119,7 +119,6 @@ def ecreate(
         mrenclave_state=state,
     )
     m.enclaves[eid] = secs
-    m.trace_event("ecreate", eid=eid, size=size, secs_granule=secs_granule)
     return eid
 
 
@@ -176,8 +175,6 @@ def eadd(
     )
 
     secs.mrenclave_state.absorb(eadd_record(vaddr - secs.base, effective))
-    m.trace_event("eadd", eid=eid, vaddr=vaddr, granule=target_granule,
-                  type=secinfo.page_type.name)
 
 
 def eextend(m, eid: int, vaddr_chunk: int) -> None:
@@ -217,7 +214,7 @@ def einit(m, eid: int, sigstruct: SigStruct) -> None:
     secs.isv_prod_id = sigstruct.isv_prod_id
     secs.isv_svn = sigstruct.isv_svn
     secs.attributes.init = True
-    m.trace_event("einit", eid=eid, mrenclave=mrenclave.hex())
+    m.trace_event("measured", eid=eid, mrenclave=mrenclave.hex())
 
 
 def eremove(m, granule: int) -> None:
@@ -231,14 +228,12 @@ def eremove(m, granule: int) -> None:
         _release(m, granule, entry)
         m.memory.gpts.drop_enclave_table(eid)
         del m.enclaves[eid]
-        m.trace_event("eremove_secs", eid=eid, granule=granule)
         return
 
     if entry.page_type == PageType.TCS and m.tcs_busy(granule):
         raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
 
     _release(m, granule, entry)
-    m.trace_event("eremove", granule=granule)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +290,6 @@ def epa(m, granule: int) -> None:
     m.memory.seclude_granule(granule)
     m.memory.zero_granule(granule)
     m.memory.epcm_update(granule, EpcmEntry(PageType.VA))
-    m.trace_event("epa", granule=granule)
 
 
 def _va_entry(m, va_granule: int):
@@ -358,8 +352,6 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
 
     _va_slot_write(m, va_granule, slot, version)
     _release(m, granule, entry)
-    m.trace_event("ewb", granule=granule, vaddr=entry.vaddr,
-                  owner=entry.owner, va=va_granule, slot=slot)
     return SwapBlob(ciphertext=ciphertext, pcmd=pcmd)
 
 
@@ -412,8 +404,6 @@ def _eld(
     ))
 
     _va_slot_write(m, va_granule, slot, EMPTY_SLOT)
-    m.trace_event("eld", granule=target_granule, vaddr=pcmd.vaddr,
-                  owner=pcmd.owner, blocked=mark_blocked)
 
 
 # Both take (ciphertext, pcmd, va_granule, slot, target_granule, eid).
@@ -442,7 +432,6 @@ def eaug(m, eid: int, vaddr: int, target_granule: int) -> None:
     m.memory.epcm_update(target_granule, EpcmEntry(
         PageType.REG, owner=eid, vaddr=vaddr, perms=Perms.R | Perms.W, pending=True
     ))
-    m.trace_event("eaug", eid=eid, vaddr=vaddr, granule=target_granule)
 
 
 def _settled_reg_entry(m, granule: int):

@@ -32,13 +32,13 @@ import hmac as hmac_mod
 import json
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from .crypto import RunningHash
 from .errors import AuthenticationFailure, ModelError, SgxError
-from .execution import MASK64
+from .execution import MASK64, ssa_frame_vaddr
 from .machine import Machine
 from .manifest import EnclaveManifest
 from .memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
@@ -83,7 +83,6 @@ class FaultReport:
     kind: str  # gpf | pagefault | ssa_overflow | abort | timeout | halt_inside | dispatch_fault
     detail: str = ""
     vaddr: Optional[int] = None
-    events: List[dict] = field(default_factory=list)
 
 
 class EnclaveFault(Exception):
@@ -213,19 +212,29 @@ class HostRuntime:
         # fixed mode, the one mode that evicts
         self._fifo: OrderedDict[int, None] = OrderedDict()
         self._free_slots: Deque[Tuple[int, int]] = deque()
+        # granules the host took for its own data; no enclave page goes there
+        self._host_held: Set[int] = set()
 
     # ------------------------------------------------------------------ alloc
+
+    def _first_free(self, lo: int, hi: int) -> Optional[int]:
+        """The lowest free granule in [lo, hi) that the host does not hold."""
+        g = self.machine.memory.first_free(lo, hi)
+        while g is not None and g in self._host_held:
+            g = self.machine.memory.first_free(g + 1, hi)
+        return g
 
     def take_epc_granule(self) -> int:
         """The lowest free EPC-capable granule, for any enclave page: in the
         fixed window in sgx mode, evicting through the writeback protocol
-        when it is exhausted; anywhere outside the reserved granules in ccx
-        mode, which never evicts.  The granule stays free until a leaf
-        assigns it, so use it before taking the next."""
+        when it is exhausted; anywhere outside the reserved granules and the
+        host's own granules in ccx mode, which never evicts.  The granule
+        stays free until a leaf assigns it, so use it before taking the
+        next."""
         mem = self.machine.memory
         lo, hi = mem.epc_span()
         while True:
-            g = mem.first_free(lo, hi)
+            g = self._first_free(lo, hi)
             if g is None:
                 if not mem.mode.is_fixed:
                     raise ModelError("physical memory exhausted in dynamic mode")
@@ -234,7 +243,7 @@ class HostRuntime:
             if (
                 mem.mode.is_fixed
                 and not self._free_slots
-                and mem.first_free(g + 1, hi) is None
+                and self._first_free(g + 1, hi) is None
             ):
                 # Last free granule and no version capacity left: convert it
                 # to a version array so the writeback protocol stays possible,
@@ -249,16 +258,17 @@ class HostRuntime:
 
     def take_host_granule(self) -> int:
         """The lowest free granule outside the fixed EPC window (any free
-        granule in ccx mode), for host data such as a shared buffer.  Like
-        :meth:`take_epc_granule` it reserves nothing."""
+        granule in ccx mode), for host data such as a shared buffer.  The
+        host holds it from then on, so no later take hands it out again."""
         mem = self.machine.memory
         n = mem.granule_count
         lo, hi = mem.epc_span() if mem.mode.is_fixed else (n, n)
-        g = mem.first_free(RESERVED_GRANULES, lo)
+        g = self._first_free(RESERVED_GRANULES, lo)
         if g is None:
-            g = mem.first_free(hi, n)
+            g = self._first_free(hi, n)
         if g is None:
             raise ModelError("no free host granule")
+        self._host_held.add(g)
         return g
 
     def _track_resident(self, g: int) -> None:
@@ -294,8 +304,7 @@ class HostRuntime:
                 continue
             tcs = m.read_tcs(tg)
             if tcs.cssa > 0:
-                lo = secs.base + tcs.ossa
-                hi = lo + tcs.nssa * secs.ssa_frame_size * GRANULE_SIZE
+                lo, hi = ssa_frame_vaddr(secs, tcs, 0), ssa_frame_vaddr(secs, tcs, tcs.nssa)
                 if lo <= entry.vaddr < hi:
                     return False
         return True
@@ -500,8 +509,7 @@ class HostRuntime:
                 raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
             tcs = m.read_tcs(tcs_granule)
             pages = [tcs_vaddr] + [
-                secs.base + tcs.ossa + i * secs.ssa_frame_size * GRANULE_SIZE
-                for i in range(min(tcs.cssa + 1, tcs.nssa))
+                ssa_frame_vaddr(secs, tcs, i) for i in range(min(tcs.cssa + 1, tcs.nssa))
             ]
             for vaddr in pages[1:]:
                 self._ensure_resident(handle, vaddr)
@@ -570,11 +578,10 @@ class HostRuntime:
         vcpu.regs[11] = OCALL_GATE
         m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
 
-        events: List[dict] = []
         steps = 0
         while True:
             if steps >= budget:
-                raise EnclaveFault(FaultReport("timeout", f"{steps} steps", events=events))
+                raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
 
             if vcpu.in_enclave and schedule is not None:
                 if schedule == "every":
@@ -586,7 +593,6 @@ class HostRuntime:
                 chunk = budget - steps
             report = m.step(vcpu, max(1, min(chunk, budget - steps)))
             steps += report.steps
-            events.extend(report.events)
 
             if (
                 vcpu.in_enclave
@@ -600,40 +606,34 @@ class HostRuntime:
             if report.stop == "limit":
                 continue
             if report.stop == "abort":
-                raise EnclaveFault(FaultReport("abort", events=events))
+                raise EnclaveFault(FaultReport("abort"))
             if report.stop == "fault":
                 kind = report.events[-1]["kind"] if report.events else "fault"
-                raise EnclaveFault(FaultReport(kind, str(report.events[-1:]), events=events))
+                raise EnclaveFault(FaultReport(kind, str(report.events[-1:])))
             # stop == halt; gate pages read as zeroes, so the pc still points
             # at the gate the program landed on
             if vcpu.in_enclave:
-                raise EnclaveFault(
-                    FaultReport("halt_inside", f"pc={vcpu.pc:#x}", events=events)
-                )
+                raise EnclaveFault(FaultReport("halt_inside", f"pc={vcpu.pc:#x}"))
             if vcpu.pc == RETURN_GATE:
                 return vcpu.regs[3]
             if vcpu.pc == OCALL_GATE:
-                self._handle_ocall(handle, vcpu, events)
+                self._handle_ocall(handle, vcpu)
                 # the idle TCS may have been evicted while the handler ran
                 tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
                 m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
                 continue
             if vcpu.pc == AEP_GATE:
-                done = self._handle_aex(handle, vcpu, tcs_granule, events)
+                done = self._handle_aex(handle, vcpu, tcs_granule)
                 if done is not None:
                     raise EnclaveFault(done)
                 continue
-            raise EnclaveFault(
-                FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}", events=events)
-            )
+            raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
 
-    def _handle_ocall(self, handle: EnclaveHandle, vcpu, events: List[dict]) -> None:
+    def _handle_ocall(self, handle: EnclaveHandle, vcpu) -> None:
         selector = vcpu.regs[5]
         handler = self.ocall_handlers.get(selector)
         if handler is None:
-            raise EnclaveFault(
-                FaultReport("dispatch_fault", f"no ocall handler {selector:#x}", events=events)
-            )
+            raise EnclaveFault(FaultReport("dispatch_fault", f"no ocall handler {selector:#x}"))
         ctx = OcallContext(runtime=self, handle=handle)
         result = handler(ctx, vcpu.regs[6], vcpu.regs[7])
         vcpu.regs[2] = OCALL_RESUME
@@ -641,24 +641,22 @@ class HostRuntime:
         vcpu.regs[10] = RETURN_GATE
         vcpu.regs[11] = OCALL_GATE
 
-    def _handle_aex(
-        self, handle: EnclaveHandle, vcpu, tcs_granule: int, events: List[dict]
-    ) -> Optional[FaultReport]:
+    def _handle_aex(self, handle: EnclaveHandle, vcpu, tcs_granule: int) -> Optional[FaultReport]:
         m = self.machine
         secs = m.enclaves.get(handle.eid)
         if secs is None or secs.crashed:
-            return FaultReport("ssa_overflow", "enclave crashed", events=events)
+            return FaultReport("ssa_overflow", "enclave crashed")
         reason, payload = vcpu.last_exit or (0, 0)
         if reason == EXIT_PAGEFAULT:
             page = payload & ~(GRANULE_SIZE - 1)
             if self.store.has(handle.eid, page):
                 self.swap_in(handle, page)
             else:
-                return FaultReport("pagefault", f"at {payload:#x}", payload, events)
+                return FaultReport("pagefault", f"at {payload:#x}", payload)
         elif reason == EXIT_IRQ:
             pass  # scheduled injection; just resume
         else:
-            return FaultReport("gpf", f"enclave fault at {payload:#x}", payload, events)
+            return FaultReport("gpf", f"enclave fault at {payload:#x}", payload)
         m.leaf("ERESUME", tcs_granule, AEP_GATE, vcpu=vcpu)
         return None
 

@@ -122,6 +122,7 @@ class ScenarioRunner:
                 self.config.mode = self.mode_override
             self.config.validate()
             self.machine = Machine(self.config)
+            self.machine.trace = []  # kept for `ccxsim run --trace`
             self.runtime = HostRuntime(self.machine, swap_dir=self.swap_dir)
         return self.runtime
 

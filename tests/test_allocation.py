@@ -19,10 +19,23 @@ def test_sgx_host_allocation_takes_the_lowest_free_granule_below_the_window(runt
     lo, hi = mem.epc_span()
     assert lo > RESERVED_GRANULES
     for g in range(RESERVED_GRANULES, lo):
-        assert runtime.take_host_granule() == g
-        assert runtime.take_host_granule() == g  # taking reserves nothing
-        mem.gpts.set_entry(g, Pas.NO_ACCESS)  # put it to use
+        if g % 2:
+            mem.gpts.set_entry(g, Pas.NO_ACCESS)  # put to use by something else
+        else:
+            assert runtime.take_host_granule() == g  # the host holds it from now on
     assert runtime.take_host_granule() == hi
+
+
+def test_ccx_reload_leaves_a_host_granule_to_the_host(fixture_dir):
+    m = Machine(small_config(mode="ccx"))
+    rt = HostRuntime(m)
+    load_standard(rt, fixture_dir)
+    g = rt.take_host_granule()
+    m.host_write(g, 0, b"host data")
+    second = load_standard(rt, fixture_dir)
+    assert g not in m.memory.gpts.owned[second.eid] and g not in m.memory.epcm
+    assert m.host_read(g, 0, 9) == b"host data"
+    assert rt.take_epc_granule() != g and rt.take_host_granule() != g
 
 
 def test_ccx_reload_after_destroy_gets_the_freed_granules(fixture_dir):

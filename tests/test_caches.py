@@ -196,6 +196,7 @@ def _drive(mode, rounds, drop_caches):
     ``drop_caches`` the generation moves and both caches are emptied before
     every step, so every access takes the checked path."""
     m = Machine(small_config(mode=mode))
+    m.trace = []  # keep the records, so the two runs compare them
     enc = _enclave(m, LOOP)
     va = free_epc_granules(m, 1)[0]
     m.leaf("EPA", va)

@@ -450,6 +450,7 @@ def test_aex_scrubs_registers(entered_env):
 
 def test_aex_records_trampoline_delivery_path(entered_env):
     machine, enc, tcs_g = entered_env
+    machine.trace = []  # a bare machine keeps no records
     vcpu = machine.vcpus[0]
     machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
     machine.inject_interrupt(vcpu)
