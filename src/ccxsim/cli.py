@@ -54,6 +54,7 @@ def cmd_run(args) -> int:
         config,
         mode_override=args.mode,
         swap_dir=Path(args.swap_dir) if args.swap_dir else None,
+        trace=[] if args.trace else None,
     )
     result = runner.run_file(args.scenario)
 

@@ -14,6 +14,10 @@ full context to the thread's save-state area and hand control to the host at
 its async exit pointer; the recorded delivery path is trampoline -> monitor
 -> host.
 
+The pump keeps no event list of its own.  Each fact of a run is one record
+in the machine's trace: the dispatch records leaves, :func:`aex` exits, and
+:func:`step` each page fault or GPF where it is taken, before its exit.
+
 Memory accesses go through a translation cache and instruction fetches
 also through a decode cache (both kept in :class:`~ccxsim.memory.MachineMemory`).
 A cache entry is filled only by a successful checked access (address
@@ -143,10 +147,7 @@ class TrapFrame:
 class RunReport:
     stop: str  # halt | abort | fault | limit
     steps: int
-    events: List[dict]
-
-    def kinds(self) -> List[str]:
-        return [e["kind"] for e in self.events]
+    fault: Optional[dict] = None  # what stopped a "fault" run: step, vcpu, kind, details
 
 
 class _PageAccessFault(Exception):
@@ -405,8 +406,6 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
 
     if fatal:
         secs.crashed = True
-        m.trace_event("enclave_crash", vcpu=vcpu.id, eid=secs.eid,
-                      reason=EXIT_REASON_NAMES.get(reason, str(reason)))
 
     _switch_out(vcpu, secs)
     # Synthetic register state: everything scrubbed, then just enough for the
@@ -703,9 +702,7 @@ class Scheduler:
         self.pick_trace: List[int] = []
 
     def run(self, vcpus: List[VCpu], budget: int) -> Dict[int, RunReport]:
-        reports: Dict[int, RunReport] = {
-            v.id: RunReport("limit", 0, []) for v in vcpus
-        }
+        reports: Dict[int, RunReport] = {v.id: RunReport("limit", 0) for v in vcpus}
         runnable = list(vcpus)
         spent = 0
         while runnable and spent < budget:
@@ -713,29 +710,27 @@ class Scheduler:
             self.pick_trace.append(vcpu.id)
             report = step(self.machine, vcpu, 1)
             spent += max(report.steps, 1)
-            merged = reports[vcpu.id]
-            merged.steps += report.steps
-            merged.events.extend(report.events)
-            merged.stop = report.stop
+            report.steps += reports[vcpu.id].steps
+            reports[vcpu.id] = report
             if report.stop != "limit":
                 runnable.remove(vcpu)
         return reports
 
 
+def _stopped(vcpu, executed: int, kind: str, **details) -> RunReport:
+    """The report of a run that a fault stops."""
+    return RunReport("fault", executed, {"step": executed, "vcpu": vcpu.id, "kind": kind, **details})
+
+
 def step(m, vcpu, max_steps: int) -> RunReport:
     """Run the loaded fixture program for up to `max_steps` instructions.
 
-    Stops on halt, abort, a host-mode fault, or exhaustion.  Faults taken in
-    enclave mode become asynchronous exits; execution then continues at the
-    host's async exit pointer (typically a halt gate), so the caller sees the
-    fault event followed by a halt.
+    Stops on halt or abort (``vcpu.pc`` stays on it), a host-mode fault, whose
+    details the report keeps, or exhaustion.  A fault in enclave mode becomes
+    an asynchronous exit, and execution continues at the host's async exit
+    pointer (typically a halt gate): the trace shows the fault, then the exit.
     """
-    events: List[dict] = []
     executed = 0
-
-    def note(kind: str, **payload):
-        events.append({"step": executed, "vcpu": vcpu.id, "kind": kind, **payload})
-
     while executed < max_steps:
         if vcpu.pending_irq and not vcpu.in_enclave:
             vcpu.pending_irq = False  # host takes the interrupt invisibly
@@ -748,11 +743,9 @@ def step(m, vcpu, max_steps: int) -> RunReport:
             next_pc = (vcpu.pc + isa.INSTR_SIZE) & MASK64
 
             if op == isa.OP_HALT:
-                note("halt", pc=vcpu.pc)
-                return RunReport("halt", executed, events)
+                return RunReport("halt", executed)
             if op == isa.OP_ABORT:
-                note("abort", pc=vcpu.pc)
-                return RunReport("abort", executed, events)
+                return RunReport("abort", executed)
 
             if op == isa.OP_MOVI:
                 vcpu.regs[rd] = imm
@@ -779,36 +772,32 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                 next_pc = vcpu.regs[rs1]
             elif op == isa.OP_GADGET:
                 vcpu.pc = next_pc  # trap returns past the gadget
-                frame = TrapFrame(*vcpu.regs[:5])
                 try:
-                    gadget_trap(m, vcpu, frame)
-                    note("gadget", leaf=frame.leaf, smc=frame.smc_id)
+                    gadget_trap(m, vcpu, TrapFrame(*vcpu.regs[:5]))
                 except SgxError as err:
                     if err.code in _DISPATCH_FAULTS:
-                        note("dispatch_fault", code=err.code.name, detail=err.detail)
-                        return RunReport("fault", executed, events)
+                        return _stopped(vcpu, executed, "dispatch_fault",
+                                        code=err.code.name, detail=err.detail)
                     vcpu.regs[0] = int(err.code)
-                    note("leaf_error", leaf=frame.leaf, code=err.code.name)
                 continue
             else:
-                note("bad_opcode", op=op, pc=vcpu.pc)
-                return RunReport("fault", executed, events)
+                return _stopped(vcpu, executed, "bad_opcode", op=op, pc=vcpu.pc)
         except (GranuleProtectionFault, _PageAccessFault) as exc:
             at = {"at": "fetch"} if fetching else {}
             if isinstance(exc, GranuleProtectionFault):
                 addr = vcpu.pc if fetching else (vcpu.regs[rs1] + imm) & MASK64
-                note("gpf", granule=exc.granule, accessor=exc.accessor.name,
-                     pas=exc.pas.name, **at, addr=addr)
-                reason, payload, label = EXIT_GPF, addr, "gpf"
+                details = {"granule": exc.granule, "accessor": exc.accessor.name,
+                           "pas": exc.pas.name, **at, "addr": addr}
+                kind, reason, payload = "gpf", EXIT_GPF, addr
             else:
-                note("pagefault", addr=exc.vaddr, why=exc.why, **at)
-                reason, payload, label = EXIT_PAGEFAULT, exc.vaddr, "pagefault"
+                details = {"addr": exc.vaddr, "why": exc.why, **at}
+                kind, reason, payload = "pagefault", EXIT_PAGEFAULT, exc.vaddr
+            m.trace_event(kind, vcpu=vcpu.id, **details)
             if not vcpu.in_enclave:
-                return RunReport("fault", executed, events)
+                return _stopped(vcpu, executed, kind, **details)
             aex(m, vcpu, reason, payload)
-            note("aex", reason=label)
             continue
 
         vcpu.pc = next_pc
 
-    return RunReport("limit", executed, events)
+    return RunReport("limit", executed)

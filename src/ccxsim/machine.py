@@ -67,6 +67,9 @@ LEAF_NUMBERS: Dict[str, Tuple[str, int]] = {
 
 ALL_LEAF_NAMES = sorted(LEAF_NUMBERS)
 
+# The default trace sink, which keeps nothing.
+NO_TRACE = deque(maxlen=0)
+
 
 def _leaf_costs(config: Config) -> Dict[str, int]:
     base = config.leaf_base_cost
@@ -93,9 +96,9 @@ class Machine:
         self.vcpus: List[VCpu] = [VCpu(id=i) for i in range(self.config.vcpu_count)]
         self.counters: Dict[str, int] = {name: 0 for name in ALL_LEAF_NAMES}
         self.leaf_cost = _leaf_costs(self.config)
-        # Records go to whatever is here: by default a deque that keeps none,
-        # so observation nobody reads holds no memory.  A reader puts a list.
-        self.trace = deque(maxlen=0)
+        # Records go to whatever is here: by default NO_TRACE, so observation
+        # nobody reads costs no record and holds no memory.  A reader puts a list.
+        self.trace = NO_TRACE
         self._rng = random.Random(f"machine:{self.config.crypto_seed}")
         self._token = threading.RLock()
         self._next_eid = 1
@@ -116,12 +119,10 @@ class Machine:
         return self._rng.randbytes(n)
 
     def trace_event(self, kind: str, **payload) -> None:
-        self.trace.append({"seq": len(self.trace), "kind": kind, **payload})
-
-    def _record_leaf(self, name: str, vcpu: Optional[int], outcome: str) -> None:
-        trace = self.trace  # trace_event written out: every leaf comes here
-        trace.append({"seq": len(trace), "kind": name.lower(), "vcpu": vcpu,
-                      "outcome": outcome, "cost": self.leaf_cost[name]})
+        """The one writer of trace records; none is built for ``NO_TRACE``."""
+        trace = self.trace
+        if trace is not NO_TRACE:
+            trace.append({"seq": len(trace), "kind": kind, **payload})
 
     # -- leaf dispatch ----------------------------------------------------------
 
@@ -143,9 +144,12 @@ class Machine:
                     more, named = decode()
                     result = handler(self, *args, *more, **named)
             except SgxError as err:
-                self._record_leaf(name, vcpu, err.code.name)
+                if self.trace is not NO_TRACE:
+                    self.trace_event(name.lower(), vcpu=vcpu, outcome=err.code.name,
+                                     cost=self.leaf_cost[name])
                 raise
-            self._record_leaf(name, vcpu, "ok")
+            if self.trace is not NO_TRACE:  # every leaf comes here: skip the call too
+                self.trace_event(name.lower(), vcpu=vcpu, outcome="ok", cost=self.leaf_cost[name])
             if self.config.audit_after_leaf:
                 self.audit()
             return result

@@ -608,8 +608,7 @@ class HostRuntime:
             if report.stop == "abort":
                 raise EnclaveFault(FaultReport("abort"))
             if report.stop == "fault":
-                kind = report.events[-1]["kind"] if report.events else "fault"
-                raise EnclaveFault(FaultReport(kind, str(report.events[-1:])))
+                raise EnclaveFault(FaultReport(report.fault["kind"], str([report.fault])))
             # stop == halt; gate pages read as zeroes, so the pc still points
             # at the gate the program landed on
             if vcpu.in_enclave:

@@ -99,11 +99,13 @@ class ScenarioRunner:
         base_dir: Optional[Path] = None,
         mode_override: Optional[str] = None,
         swap_dir: Optional[Path] = None,
+        trace: Optional[list] = None,
     ):
         self.config = replace(config)  # a copy: the mode line and override set its mode
         self.base_dir = Path(base_dir) if base_dir else Path(".")
         self.mode_override = mode_override
         self.swap_dir = swap_dir
+        self.trace = trace  # the machine's trace sink; with none it keeps no records
         self.machine: Optional[Machine] = None
         self.runtime: Optional[HostRuntime] = None
         self.handles: Dict[str, object] = {}
@@ -122,7 +124,8 @@ class ScenarioRunner:
                 self.config.mode = self.mode_override
             self.config.validate()
             self.machine = Machine(self.config)
-            self.machine.trace = []  # kept for `ccxsim run --trace`
+            if self.trace is not None:
+                self.machine.trace = self.trace
             self.runtime = HostRuntime(self.machine, swap_dir=self.swap_dir)
         return self.runtime
 

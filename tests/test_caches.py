@@ -58,8 +58,9 @@ def _call(m, enc):
     return report, vcpu.regs[3]
 
 
-def _event(report, kind):
-    return next(e for e in report.events if e["kind"] == kind)
+def _record(m, kind):
+    """The last trace record of ``kind``."""
+    return next(r for r in reversed(m.trace) if r["kind"] == kind)
 
 
 def _reload_elsewhere(m, eid, g, va):
@@ -100,10 +101,12 @@ def test_edbgwr_between_ecalls_is_fetched_next(m):
 
 
 def test_emodpr_dropping_x_faults_the_next_fetch(m):
+    m.trace = []
     enc = _enclave(m, [("movi", 3, 111)])
     assert _call(m, enc)[1] == 111
     m.leaf("EMODPR", enc.pages[CODE], Perms.R | Perms.W)
-    fault = _event(_call(m, enc)[0], "pagefault")
+    _call(m, enc)
+    fault = _record(m, "pagefault")
     assert fault["at"] == "fetch" and fault["why"] == "missing x permission"
 
 
@@ -114,15 +117,19 @@ def test_code_page_reloaded_into_another_granule_still_runs(m):
     m.leaf("EPA", va)
     target = _reload_elsewhere(m, enc.eid, enc.pages[CODE], va)
     assert target != enc.pages[CODE] and m.memory.find_page(enc.eid, BASE + CODE) == target
+    m.trace = []
     report, x3 = _call(m, enc)
-    assert x3 == 111 and report.kinds() == ["gadget", "halt"]
+    assert x3 == 111 and report.stop == "halt"
+    assert [(r["kind"], r["outcome"]) for r in m.trace] == [("eenter", "ok"), ("eexit", "ok")]
 
 
 def test_removed_data_page_faults_the_next_load(m):
+    m.trace = []
     enc = _enclave(m, [("movi", 13, BASE + DATA), ("load", 3, 13, 0)])
     assert _call(m, enc)[1] == DATA_WORD
     m.leaf("EREMOVE", enc.pages[DATA])
-    fault = _event(_call(m, enc)[0], "pagefault")
+    _call(m, enc)
+    fault = _record(m, "pagefault")
     assert fault["addr"] == BASE + DATA and fault["why"] == "no page mapped"
 
 
@@ -136,8 +143,8 @@ def test_host_fetch_after_set_entry_no_access_is_a_logged_gpf(m):
     vcpu.pc = g * GRANULE_SIZE
     report = m.step(vcpu, 10)
     assert report.stop == "fault"
-    gpf = _event(report, "gpf")
-    assert gpf["at"] == "fetch" and gpf["pas"] == "NO_ACCESS"
+    gpf = report.fault
+    assert gpf["kind"] == "gpf" and gpf["at"] == "fetch" and gpf["pas"] == "NO_ACCESS"
     assert m.memory.gpf_log == [GpfRecord(g, SecurityState.NORMAL, Pas.NO_ACCESS, None)]
 
 
@@ -153,7 +160,8 @@ def test_scrubbed_granule_loses_its_decoded_instructions(m):
     vcpu.regs[3] = 0
     vcpu.pc = g * GRANULE_SIZE
     report = m.step(vcpu, 10)
-    assert report.kinds() == ["halt"] and vcpu.regs[3] == 0  # zeroes decode as halt
+    # zeroes decode as halt
+    assert (report.stop, report.steps, vcpu.pc, vcpu.regs[3]) == ("halt", 1, g * GRANULE_SIZE, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +220,7 @@ def _drive(mode, rounds, drop_caches):
                 m.memory.tlb.clear()
                 m.memory.decoded.clear()
             report = m.step(vcpu, 1)
-            seen.extend(report.events)
+            seen.append((report.stop, report.fault, vcpu.pc))
             done += 1
             if report.stop != "limit":
                 return report.stop, done

@@ -7,7 +7,7 @@ import pytest
 
 from ccxsim import execution, fixtures, isa
 from ccxsim.errors import ModelError, SgxError, SgxErrorCode as E
-from ccxsim.machine import Machine
+from ccxsim.machine import ENCLS_TABLE, ENCLU_TABLE, Machine
 from ccxsim.manifest import EnclaveManifest
 from ccxsim.memory import (
     GRANULE_SIZE,
@@ -225,6 +225,7 @@ def test_malformed_gadget_frame_is_refused_with_a_code(machine, inside, smc, lea
         ],
         tcs_specs=[{"vaddr": 0x3000, "ossa": 0x2000, "nssa": 1}],
     )
+    machine.trace = []
     vcpu = machine.vcpus[0]
     for run in ("trap", "step"):
         if inside:
@@ -243,12 +244,13 @@ def test_malformed_gadget_frame_is_refused_with_a_code(machine, inside, smc, lea
             report = machine.step(vcpu, 2)
             if code == E.INVALID_MODE:
                 assert report.stop == "fault"
-                assert report.events[-1]["kind"] == "dispatch_fault"
-                assert report.events[-1]["code"] == code.name
+                assert report.fault["kind"] == "dispatch_fault"
+                assert report.fault["code"] == code.name
             else:
                 assert report.stop == "halt"
-                assert report.events[0]["kind"] == "leaf_error"
-                assert report.events[0]["code"] == code.name
+                table = ENCLU_TABLE if smc == execution.SMC_ID_ENCLU else ENCLS_TABLE
+                assert machine.trace[-1]["kind"] == table[leaf][0].lower()
+                assert machine.trace[-1]["outcome"] == code.name
                 assert vcpu.regs[0] == int(code)
         if vcpu.in_enclave:
             machine.enclu(vcpu, 0x4, RETURN_GATE)
@@ -518,7 +520,7 @@ def test_host_program_reading_enclave_page_faults(machine):
     vcpu.pc = g_prog * GRANULE_SIZE
     report = machine.step(vcpu, 10)
     assert report.stop == "fault"
-    assert "gpf" in report.kinds()
+    assert report.fault["kind"] == "gpf"
     assert machine.memory.gpf_log[-1].granule == enc.granule(0x0)
 
 
@@ -540,6 +542,24 @@ def test_enclave_program_reading_other_enclave_faults(machine, fixture_dir):
     assert record.granule == other.granule(0x1000)
     assert record.accessor == SecurityState.REALM
     assert record.gpt == h.eid
+
+
+@pytest.mark.parametrize("prog, fault", [
+    ([("movi", 0, 0x2), ("movi", 1, 0x0), ("gadget",)],  # ENCLS from the enclave
+     {"step": 3, "vcpu": 0, "kind": "dispatch_fault", "code": "INVALID_SERVICE",
+      "detail": "ENCLS service is host-privileged"}),
+    ([("movi", 2, 1 << 50), ("movi", 1, 0x4), ("movi", 0, 0x1), ("gadget",)],  # EEXIT to nowhere
+     {"step": 4, "vcpu": 0, "kind": "pagefault", "addr": 1 << 50,
+      "why": "address outside physical memory", "at": "fetch"}),
+], ids=["dispatch_fault", "host_pagefault"])
+def test_fault_that_stops_a_call_is_reported_with_its_details(machine, prog, fault):
+    rt = HostRuntime(machine)
+    program = isa.assemble(prog, origin=fixtures.BASE)
+    h = rt.load_enclave(EnclaveManifest.parse(fixtures.build_manifest_text(program, name="f")))
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(h, 0, 1)
+    assert exc.value.report.kind == fault["kind"]
+    assert str(exc.value) == f"enclave fault: {fault['kind']} {[fault]}"
 
 
 def test_interrupt_transparency_schedules(machine, fixture_dir):
@@ -659,13 +679,19 @@ def test_inprogram_report_and_key_buffers(machine, fixture_dir):
 
 
 def _run_in_enclave(machine, h, prog):
-    """Enter `h` at its code page running `prog`; stop at the first halt."""
+    """Enter `h` at its code page running `prog`; stop at the first halt.
+    The trace keeps the records of the run, the entry's included."""
     machine.leaf("EDBGWR", machine.memory.find_page(h.eid, h.base), 0,
                  isa.assemble(prog, origin=h.base))
     vcpu = machine.vcpus[0]
     tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
+    machine.trace = []
     machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
     return vcpu, machine.step(vcpu, 100)
+
+
+def _refusals(machine):
+    return [(r["kind"], r["outcome"]) for r in machine.trace if r["outcome"] != "ok"]
 
 
 def test_report_to_unmapped_output_buffer_is_bad_vaddr(machine, fixture_dir):
@@ -686,10 +712,9 @@ def test_report_to_unmapped_output_buffer_is_bad_vaddr(machine, fixture_dir):
         ("gadget",),
         ("halt",),
     ])
-    assert report.stop == "halt"
-    errors = [e for e in report.events if e["kind"] == "leaf_error"]
-    assert errors == [{"step": 6, "vcpu": 0, "kind": "leaf_error", "leaf": 0x0,
-                       "code": "BAD_VADDR"}]
+    assert report.stop == "halt" and report.steps == 7  # the gadget is step 6
+    assert _refusals(machine) == [("ereport", "BAD_VADDR")]
+    assert machine.trace[-1]["vcpu"] == 0
     assert vcpu.regs[0] == int(E.BAD_VADDR)
 
 
@@ -713,7 +738,7 @@ def test_refused_report_draws_no_randomness(fixture_dir):
 
         prog = report_to(h.base) if refused_first else []  # the code page is r-x
         vcpu, report = _run_in_enclave(machine, h, prog + report_to(scratch + 1536) + [("halt",)])
-        codes = [e["code"] for e in report.events if e["kind"] == "leaf_error"]
+        codes = [outcome for _, outcome in _refusals(machine)]
         assert codes == (["BAD_VADDR"] if refused_first else [])
         assert report.stop == "halt" and vcpu.regs[0] == 0
         raw = machine.leaf("EDBGRD", scratch_g, 1536, REPORT_SIZE)
@@ -736,10 +761,9 @@ def test_key_to_read_only_buffer_is_bad_vaddr(machine, fixture_dir):
         ("gadget",),
         ("halt",),
     ])
-    assert report.stop == "halt"
-    errors = [e for e in report.events if e["kind"] == "leaf_error"]
-    assert errors == [{"step": 5, "vcpu": 0, "kind": "leaf_error", "leaf": 0x1,
-                       "code": "BAD_VADDR"}]
+    assert report.stop == "halt" and report.steps == 6  # the gadget is step 5
+    assert _refusals(machine) == [("egetkey", "BAD_VADDR")]
+    assert machine.trace[-1]["vcpu"] == 0
     assert vcpu.regs[0] == int(E.BAD_VADDR)
 
 

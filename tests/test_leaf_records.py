@@ -1,5 +1,6 @@
-"""Leaf records: one per invocation, written by the dispatch and kept only
-where a reader puts a list in ``Machine.trace``."""
+"""Trace records: one per leaf invocation, written by the dispatch, one per
+exit and one per fault, kept only where a reader puts a list in
+``Machine.trace``."""
 
 import json
 from collections import Counter
@@ -10,12 +11,14 @@ from ccxsim import cli, fixtures
 from ccxsim.errors import SgxError, SgxErrorCode as E
 from ccxsim.machine import ALL_LEAF_NAMES, Machine
 from ccxsim.manifest import EnclaveManifest
-from ccxsim.runtime import AEP_GATE, HostRuntime
+from ccxsim.memory import GRANULE_SIZE
+from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime
+from ccxsim.structs import Attributes
 
-from helpers import small_config
+from helpers import build_raw_enclave, small_config
 
 # Records for facts that are not leaf invocations.
-OTHER_KINDS = {"aex", "enclave_crash", "measured"}
+OTHER_KINDS = {"aex", "gpf", "measured", "pagefault"}
 LEAF_KINDS = {name.lower(): name for name in ALL_LEAF_NAMES}
 
 
@@ -84,3 +87,45 @@ def test_bare_machine_keeps_no_records(demo_dir):
         assert rt.ecall(h, 0, fixtures.SEL_ADD, i, 1) == i + 1
     assert m.counters["EENTER"] >= 2000
     assert len(m.trace) == 0
+
+
+@pytest.mark.parametrize("kind", ["pagefault", "gpf"])
+def test_enclave_fault_is_recorded_just_before_its_exit(demo_dir, kind):
+    m, rt, h = _recording_runtime(demo_dir)
+    if kind == "pagefault":
+        addr = h.base + m.enclaves[h.eid].size - GRANULE_SIZE  # in range, never mapped
+        assert m.memory.find_page(h.eid, addr) is None
+    else:
+        addr = build_raw_enclave(m).granule(0x1000) * GRANULE_SIZE  # another enclave's page
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(h, 0, fixtures.SEL_PEEK, addr)
+    assert exc.value.report.kind == kind
+    at = [i for i, r in enumerate(m.trace) if r["kind"] == kind]
+    assert len(at) == 1
+    fault, exit_ = m.trace[at[0]], m.trace[at[0] + 1]
+    assert fault["addr"] == addr and fault["vcpu"] == exit_["vcpu"]
+    assert exit_["kind"] == "aex" and exit_["reason"] == kind and exit_["payload"] == addr
+    assert not exit_["fatal"]
+
+
+def test_fatal_exit_is_an_aex_record_marked_fatal(demo_dir):
+    """Notify re-entries pin the save-state index, so the exit after the
+    last one finds no free frame and crashes the enclave."""
+    m = Machine(small_config())
+    enc = build_raw_enclave(
+        m,
+        attributes=Attributes(debug=True, aexnotify_allowed=True),
+        page_specs=[(0x0000, "rx", b"\x11" * GRANULE_SIZE), (0x1000, "rw", b"")],
+        tcs_specs=[{"vaddr": 0x2000, "ossa": 0x1000, "nssa": 1, "aexnotify": True}],
+    )
+    m.trace = []
+    tcs, vcpu = enc.pages[0x2000], m.vcpus[0]
+    m.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
+    m.inject_interrupt(vcpu)
+    m.leaf("ERESUME", tcs, AEP_GATE, vcpu=vcpu)  # the notify handler, still at cssa 1
+    m.inject_interrupt(vcpu)
+    assert m.enclaves[enc.eid].crashed
+    exits = [r for r in m.trace if r["kind"] == "aex"]
+    assert [r["fatal"] for r in exits] == [False, True]
+    assert exits[-1]["eid"] == enc.eid and exits[-1]["reason"] == "irq"
+    assert {r["kind"] for r in m.trace} - set(LEAF_KINDS) == {"aex"}

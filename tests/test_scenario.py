@@ -49,6 +49,16 @@ def test_attest_scenario_passes(demo_dir):
     assert result.ok
 
 
+def test_scenario_keeps_trace_records_only_in_a_sink_it_is_given(demo_dir):
+    result = run_scenario(demo_dir / "mode_diff.scenario", mode_override="sgx")
+    assert result.ok and result.summary["counters"]["EWB"] > 0
+    assert len(result.machine.trace) == 0
+    sink = []
+    traced = ScenarioRunner(small_config(), trace=sink).run_file(demo_dir / "lifecycle.scenario")
+    assert traced.ok and traced.machine.trace is sink
+    assert len(sink) >= sum(traced.summary["counters"].values()) > 0
+
+
 def test_failing_expect_aborts_with_position(demo_dir):
     text = (
         "create app standard.manifest\n"
