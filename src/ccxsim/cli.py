@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import Config
-from .errors import ModelError
+from .errors import ModelError, read_input
 from .machine import Machine
 from .manifest import EnclaveManifest, ManifestError
 from .runtime import HostRuntime, LoadError
@@ -125,7 +125,12 @@ def _redact(snapshot: dict, show_debug_content: bool) -> dict:
 
 
 def cmd_inspect(args) -> int:
-    snapshot = json.loads(Path(args.snapshot).read_text())
+    try:
+        snapshot = json.loads(read_input(args.snapshot, f"snapshot {args.snapshot}"))
+    except ValueError:
+        snapshot = None
+    if not isinstance(snapshot, dict):
+        raise ModelError(f"snapshot {args.snapshot} is not a JSON object")
     filtered = _redact(snapshot, args.debug_enclave)
     if args.json:
         print(json.dumps(filtered, sort_keys=True, indent=2))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 from typing import Dict, Optional
 
-from .errors import ModelError
+from .errors import ModelError, read_input
 from .memory import MemoryMode
 
 # Abstract cost units per leaf invocation.  The table models relative expense
@@ -174,8 +173,4 @@ class Config:
     def load(cls, path: Optional[str]) -> "Config":
         if path is None:
             return cls()
-        try:
-            text = Path(path).read_text()
-        except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
-            raise ModelError(f"cannot read config {path}: {exc}") from None
-        return cls.from_json(text)
+        return cls.from_json(read_input(path, f"config {path}"))

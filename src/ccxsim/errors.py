@@ -13,6 +13,7 @@ Three families are deliberately kept apart:
 from __future__ import annotations
 
 import enum
+from pathlib import Path
 
 
 class SgxErrorCode(enum.IntEnum):
@@ -111,3 +112,16 @@ class AuthenticationFailure(Exception):
 
 class ModelError(Exception):
     """The simulation was driven outside its contract; not a simulated fault."""
+
+
+def read_input(path, what: str, binary: bool = False):
+    """The contents of an input file, as text unless `binary`.  A file that
+    is missing, is a directory or is not UTF-8 text is a ModelError that
+    names it as `what`."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text()
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise ModelError(f"cannot read {what}: {reason}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from .errors import ModelError
+from .errors import ModelError, read_input
 from .memory import GRANULE_SIZE, Perms
 from .structs import Attributes, Tcs
 
@@ -172,7 +172,7 @@ class EnclaveManifest:
     @classmethod
     def load(cls, path) -> "EnclaveManifest":
         path = Path(path)
-        return cls.parse(path.read_text(), base_dir=path.parent)
+        return cls.parse(read_input(path, f"manifest {path}"), base_dir=path.parent)
 
     @staticmethod
     def _fields(rest: str) -> dict:
@@ -202,7 +202,8 @@ class EnclaveManifest:
         elif content_src.startswith("file:"):
             if base_dir is None:
                 raise ValueError("file content needs a manifest directory")
-            content = (base_dir / content_src[5:]).read_bytes()
+            content = read_input(base_dir / content_src[5:],
+                                 f"content file {content_src[5:]!r}", binary=True)
         else:
             raise ValueError(f"unknown content source {content_src!r}")
         if len(content) == 0 or len(content) % GRANULE_SIZE:

@@ -13,7 +13,8 @@ outside the addressable granule space (equivalent to keeping it in root-world
 memory: no non-root accessor could ever reach it).  EPCM entries are
 immutable and exist only for valid pages: a granule is EPCM-valid exactly
 when the map holds an entry for it, and a leaf changes an entry by storing a
-new one.
+new one.  The map keeps valid pages in the order they became valid (a new
+entry for a valid granule keeps its place); eviction relies on this order.
 
 Allocation reads the same state: free granules are found in the system
 table, an enclave's page list is its owned set, and

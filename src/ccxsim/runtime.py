@@ -3,7 +3,9 @@
 Plays the kernel driver plus the untrusted runtime library: loads enclaves
 from manifests, dispatches calls into enclaves and outside calls back to host
 handlers, demand-pages swapped content back in, and manages the fixed EPC by
-evicting pages through the block/track/writeback protocol.
+evicting pages through the block/track/writeback protocol.  The victim is the
+oldest resident page the victim filter admits, in EPCM order; the runtime
+keeps no residency list of its own.
 
 Driver ABI (documented contract with fixture programs):
 
@@ -30,14 +32,14 @@ from __future__ import annotations
 
 import hmac as hmac_mod
 import json
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from .crypto import RunningHash
-from .errors import AuthenticationFailure, ModelError, SgxError
+from .errors import AuthenticationFailure, ModelError, SgxError, read_input
 from .execution import MASK64, ssa_frame_vaddr
 from .machine import Machine
 from .manifest import EnclaveManifest
@@ -50,6 +52,7 @@ from .structs import (
     KeyRequest,
     Report,
     SecInfo,
+    SigStruct,
     SwapBlob,
     TargetInfo,
     VA_SLOT_COUNT,
@@ -207,10 +210,6 @@ class HostRuntime:
         }
         self.swap_out_events = 0
         self.swap_in_events = 0
-        # resident EPC granules, oldest first, each once (a granule that has
-        # since left the EPC stays until eviction skips it); kept only in
-        # fixed mode, the one mode that evicts
-        self._fifo: OrderedDict[int, None] = OrderedDict()
         self._free_slots: Deque[Tuple[int, int]] = deque()
         # granules the host took for its own data; no enclave page goes there
         self._host_held: Set[int] = set()
@@ -271,11 +270,6 @@ class HostRuntime:
         self._host_held.add(g)
         return g
 
-    def _track_resident(self, g: int) -> None:
-        if self.machine.memory.mode.is_fixed:
-            self._fifo[g] = None
-            self._fifo.move_to_end(g)
-
     # ------------------------------------------------------------------ victim
 
     def victim_filter(self, granule: int) -> bool:
@@ -285,10 +279,10 @@ class HostRuntime:
             return False
         if entry.page_type not in (PageType.REG, PageType.TCS):
             return False
-        if entry.owner is None:
-            return False
+        # only enclaves this runtime loaded: it pages them back in by handle
+        handle = self.handles.get(entry.owner)
         secs = m.enclaves.get(entry.owner)
-        if secs is None or not secs.initialized or secs.crashed:
+        if handle is None or secs is None or not secs.initialized or secs.crashed:
             return False
         # Never touch an enclave that currently has threads inside, and keep
         # interrupted thread state (TCS with saved frames, its SSA pages)
@@ -298,7 +292,7 @@ class HostRuntime:
             return False
         if entry.page_type == PageType.TCS:
             return m.read_tcs(granule).cssa == 0
-        for tcs_vaddr in self.handles[entry.owner].tcs_vaddrs:
+        for tcs_vaddr in handle.tcs_vaddrs:
             tg = m.memory.find_page(entry.owner, tcs_vaddr)
             if tg is None:
                 continue
@@ -310,24 +304,19 @@ class HostRuntime:
         return True
 
     def _evict_one(self) -> None:
+        """Write back the oldest resident page that :meth:`victim_filter`
+        admits: the first one in the EPCM map, which holds valid pages in the
+        order they became valid.  A page the filter skips keeps its place."""
         m = self.machine
-        rotated = 0
-        while self._fifo:
-            g, _ = self._fifo.popitem(last=False)
-            entry = m.memory.epcm.get(g)
-            if entry is None:
-                continue  # stale
-            if not self.victim_filter(g):
-                self._fifo[g] = None
-                rotated += 1
-                if rotated > len(self._fifo) + 1:
-                    break
-                continue
-            if not self._free_slots:
-                raise ModelError("no version slot free for eviction")
-            self._write_back(g, entry.owner, entry.vaddr)
-            return
-        raise ModelError("EPC exhausted and no evictable page found")
+        for g, entry in m.memory.epcm.items():
+            if self.victim_filter(g):
+                break
+        else:
+            raise ModelError("EPC exhausted and no evictable page found")
+        if not self._free_slots:
+            raise ModelError("no version slot free for eviction")
+        m.trace_event("evict", eid=entry.owner, vaddr=entry.vaddr)
+        self._write_back(g, entry.owner, entry.vaddr)
 
     def _write_back(self, g: int, owner: int, vaddr: int) -> None:
         """Block, track and write back page `g` into the next free version
@@ -369,7 +358,6 @@ class HostRuntime:
             # normal granule, which EADD then turns into enclave memory.
             m.host_write(target, 0, content)
             m.leaf("EADD", eid, vaddr, secinfo, target)
-        self._track_resident(target)
 
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
         m = self.machine
@@ -417,11 +405,9 @@ class HostRuntime:
             elif source.startswith("file:"):
                 if manifest.base_dir is None:
                     raise ModelError("sigstruct file needs a manifest directory")
-                from .structs import SigStruct
-
-                sig = SigStruct.from_bytes(
-                    (manifest.base_dir / source[5:]).read_bytes()
-                )
+                sig = SigStruct.from_bytes(read_input(
+                    manifest.base_dir / source[5:], f"sigstruct file {source[5:]!r}", binary=True
+                ))
             else:
                 raise ModelError(f"unknown sigstruct source {source!r}")
 
@@ -485,7 +471,6 @@ class HostRuntime:
             handle.eid,
         )
         self._free_slots.append((stored.va_granule, stored.slot))
-        self._track_resident(target)
         self.swap_in_events += 1
 
     def _ensure_resident(self, handle: EnclaveHandle, vaddr: int) -> None:
@@ -559,13 +544,14 @@ class HostRuntime:
 
         ``inject_at`` is either "every" or a collection of step numbers at
         which to inject an interrupt (counted over enclave-mode steps of this
-        call).  Raises :class:`EnclaveFault` on any unrecovered fault.
+        call).  ``step_budget`` replaces ``Config.max_ecall_steps`` for this
+        call.  Raises :class:`EnclaveFault` on any unrecovered fault.
         """
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
         if vcpu.in_enclave:
             raise ModelError(f"vcpu {vcpu.id} is already inside an enclave")
-        budget = step_budget or m.config.max_ecall_steps
+        budget = m.config.max_ecall_steps if step_budget is None else step_budget
         schedule = inject_at
         if schedule is not None and schedule != "every":
             schedule = set(schedule)
@@ -753,7 +739,6 @@ def _ocall_eaug(ctx: OcallContext, vaddr: int, _arg2: int) -> int:
     rt = ctx.runtime
     target = rt.take_epc_granule()
     rt.machine.leaf("EAUG", ctx.handle.eid, vaddr, target)
-    rt._track_resident(target)
     return 0
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .config import Config
-from .errors import ModelError, SgxError
+from .errors import ModelError, SgxError, read_input
 from .machine import Machine
 from .manifest import EnclaveManifest, ManifestError
 from .runtime import EnclaveFault, HostRuntime, LoadError, SealedBlob
@@ -229,7 +229,7 @@ class ScenarioRunner:
     def run_file(self, path) -> ScenarioResult:
         path = Path(path)
         self.base_dir = path.parent
-        return self.run_text(path.read_text())
+        return self.run_text(read_input(path, f"scenario {path}"))
 
     def _execute(self, line: str, line_no: int) -> Optional[object]:
         parts = line.split()
@@ -253,12 +253,9 @@ class ScenarioRunner:
         if cmd == "create":
             name, path = args
             rt = self._ensure_machine()
-            try:
-                manifest = EnclaveManifest.load(self.base_dir / path)
-            except OSError as exc:
-                reason = exc.strerror or type(exc).__name__
-                raise ScenarioError(line_no, f"cannot read manifest {path!r}: {reason}") from None
-            handle = rt.load_enclave(manifest)
+            manifest_path = self.base_dir / path
+            text = read_input(manifest_path, f"manifest {path!r}")
+            handle = rt.load_enclave(EnclaveManifest.parse(text, base_dir=manifest_path.parent))
             self.handles[name] = handle
             self.last = handle.eid
             return handle.eid

@@ -1,4 +1,5 @@
-"""Host runtime allocation: lowest free granule first, and the swap FIFO."""
+"""Host runtime allocation: lowest free granule first, in both memory modes,
+and the version array that keeps eviction possible."""
 
 from ccxsim import fixtures
 from ccxsim.machine import Machine
@@ -73,27 +74,3 @@ def test_last_free_epc_granule_becomes_a_version_array(runtime, fixture_dir):
     assert m.memory.is_free(g) and g not in m.memory.gpts.owned[h.eid]
     m.audit()
 
-
-def test_ccx_load_destroy_cycles_keep_the_fifo_bounded(fixture_dir):
-    m = Machine(small_config(mode="ccx", audit_after_leaf=False))
-    rt = HostRuntime(m)
-    for _ in range(50):
-        rt.destroy(load_standard(rt, fixture_dir))
-    h = load_standard(rt, fixture_dir)
-    assert len(rt._fifo) <= len(m.memory.epcm)
-    rt.destroy(h)
-    assert len(rt._fifo) <= len(m.memory.epcm) == 0
-
-
-def test_sgx_fifo_holds_each_granule_once_in_latest_tracking_order(fixture_dir):
-    m = Machine(small_config(audit_after_leaf=False))
-    rt = HostRuntime(m)
-    for _ in range(50):
-        rt.destroy(load_standard(rt, fixture_dir))
-    h = load_standard(rt, fixture_dir)
-    assert len(rt._fifo) <= len(m.memory.epcm)
-    # a re-tracked granule moves behind the others instead of being queued twice
-    first, second = list(rt._fifo)[:2]
-    rt._track_resident(first)
-    assert list(rt._fifo)[-1] == first and list(rt._fifo)[0] == second
-    assert len(rt._fifo) == len(set(rt._fifo)) == len(m.memory.gpts.owned[h.eid]) - 1

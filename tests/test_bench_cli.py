@@ -275,6 +275,35 @@ def test_unreadable_config_is_refused(content, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Each unreadable front-end input used to end in a Python traceback:
+# name -> (subcommand, bytes of the input file, or None for a directory).
+UNREADABLE_INPUTS = {
+    "inspect-not-json": ("inspect", b"{"),
+    "inspect-json-list": ("inspect", b"[1, 2]"),
+    "inspect-directory": ("inspect", None),
+    "run-directory": ("run", None),
+    "run-not-utf8": ("run", b"\xff\xfe create a x.manifest\n"),
+    "bench-directory": ("bench", None),
+    "attest-directory": ("attest", None),
+    "attest-not-utf8": ("attest", b"name \xff\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_is_a_usage_error(name, demo_dir, tmp_path, capsys):
+    command, content = UNREADABLE_INPUTS[name]
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = [command, str(path)]
+    if command == "attest":
+        argv.append(str(demo_dir / "standard_b.manifest"))
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
 def test_config_cap_admits_its_bound():
     cfg = Config.from_dict({"granule_count": MAX_GRANULE_COUNT, "leaf_base_cost": {"EADD": 0}})
     assert cfg.granule_count == MAX_GRANULE_COUNT and cfg.leaf_base_cost["EADD"] == 0

@@ -562,6 +562,13 @@ def test_fault_that_stops_a_call_is_reported_with_its_details(machine, prog, fau
     assert str(exc.value) == f"enclave fault: {fault['kind']} {[fault]}"
 
 
+@pytest.mark.parametrize("budget", [0, 5])
+def test_an_explicit_step_budget_holds_even_at_zero(machine, fixture_dir, budget):
+    rt, h = load_fixture(machine, fixture_dir, fixtures.write_compute_manifest, "budget")
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(h, 0, 0, 165, step_budget=budget)
+    assert (exc.value.report.kind, exc.value.report.detail) == ("timeout", f"{budget} steps")
+
 def test_interrupt_transparency_schedules(machine, fixture_dir):
     rt, h = load_fixture(machine, fixture_dir, fixtures.write_compute_manifest, "c")
     expected = fixtures.compute_expected(165)

@@ -1,6 +1,6 @@
 """Trace records: one per leaf invocation, written by the dispatch, one per
-exit and one per fault, kept only where a reader puts a list in
-``Machine.trace``."""
+exit, one per fault and one per eviction the runtime chooses, kept only where
+a reader puts a list in ``Machine.trace``."""
 
 import json
 from collections import Counter
@@ -18,7 +18,7 @@ from ccxsim.structs import Attributes
 from helpers import build_raw_enclave, small_config
 
 # Records for facts that are not leaf invocations.
-OTHER_KINDS = {"aex", "gpf", "measured", "pagefault"}
+OTHER_KINDS = {"aex", "evict", "gpf", "measured", "pagefault"}
 LEAF_KINDS = {name.lower(): name for name in ALL_LEAF_NAMES}
 
 
@@ -129,3 +129,24 @@ def test_fatal_exit_is_an_aex_record_marked_fatal(demo_dir):
     assert [r["fatal"] for r in exits] == [False, True]
     assert exits[-1]["eid"] == enc.eid and exits[-1]["reason"] == "irq"
     assert {r["kind"] for r in m.trace} - set(LEAF_KINDS) == {"aex"}
+
+
+def test_each_eviction_names_its_victim_just_before_blocking_it(demo_dir, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    rc = cli.main(["run", str(demo_dir / "mode_diff.scenario"), "--mode", "sgx", "--json",
+                   "--trace", str(trace)])
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+    assert rc == 0 and summary["swap_out_events"] > 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    evicts = [i for i, r in enumerate(records) if r["kind"] == "evict"]
+    assert len(evicts) == summary["swap_out_events"]
+    for i in evicts:
+        assert set(records[i]) == {"seq", "kind", "eid", "vaddr"}
+        assert records[i + 1]["kind"] == "eblock" and records[i + 1]["outcome"] == "ok"
+
+
+def test_explicit_swap_out_writes_no_evict_record(demo_dir):
+    m, rt, h = _recording_runtime(demo_dir)
+    rt.swap_out(h, h.base + fixtures.SCRATCH_OFF)
+    assert rt.swap_out_events == 1
+    assert [r["kind"] for r in m.trace if r["kind"] in ("evict", "eblock")] == ["eblock"]

@@ -83,6 +83,17 @@ def test_file_content_source(tmp_path):
     assert len(m.pages[0].content) == GRANULE_SIZE
 
 
+@pytest.mark.parametrize("source", ["nonexist.bin", "bindir"])
+def test_unreadable_content_file_is_reported_with_its_line(tmp_path, source):
+    (tmp_path / "bindir").mkdir()
+    inline = "content=hex:" + (b"\x0c" + bytes(15)).hex()
+    text = minimal_text().replace(inline, f"content=file:{source}")
+    (tmp_path / "m.manifest").write_text(text)
+    with pytest.raises(ManifestError, match=f"cannot read content file {source!r}") as exc:
+        EnclaveManifest.load(tmp_path / "m.manifest")
+    assert exc.value.line_no == 5  # the first page line
+
+
 # ---------------------------------------------------------------------------
 # Loading
 
@@ -216,6 +227,16 @@ def test_wrong_file_sigstruct_fails_at_einit_step(runtime, tmp_path):
     assert exc.value.step == "einit"
     assert isinstance(exc.value.cause, SgxError)
 
+
+@pytest.mark.parametrize("source", ["nonexist.sig", "sigdir"])
+def test_unreadable_sigstruct_file_fails_at_sigstruct_step(runtime, tmp_path, source):
+    (tmp_path / "sigdir").mkdir()
+    text = minimal_text().replace("sigstruct test-key", f"sigstruct file:{source}")
+    (tmp_path / "m.manifest").write_text(text)
+    with pytest.raises(LoadError) as exc:
+        runtime.load_enclave(EnclaveManifest.load(tmp_path / "m.manifest"))
+    assert exc.value.step == "sigstruct"
+    assert f"cannot read sigstruct file {source!r}" in str(exc.value.cause)
 
 def test_load_failure_identifies_failing_step(runtime):
     # 200 pages exceed the 128-granule EPC of the small config and nothing

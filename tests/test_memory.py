@@ -289,6 +289,22 @@ def test_epcm_update_maintains_vaddr_index():
     assert mem.find_page(1, 0x5000) == 81 and mem.find_page(1, 0x6000) == 82
 
 
+def test_epcm_keeps_valid_granules_in_the_order_they_became_valid():
+    """Eviction takes the oldest resident page from the front of the map: a
+    replaced entry keeps its granule's place, a cleared and revalidated
+    granule goes to the end."""
+    mem = fresh_memory()
+    mem.gpts.create_enclave_table(1)
+    for i, g in enumerate((90, 91, 92)):
+        mem.assign_granule(1, g)
+        mem.epcm_update(g, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=i * 0x1000))
+    mem.epcm_update(90, replace(mem.epcm[90], blocked=True))
+    assert list(mem.epcm) == [90, 91, 92]
+    mem.epcm_update(90, None)
+    mem.epcm_update(90, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0))
+    assert list(mem.epcm) == [91, 92, 90]
+
+
 def test_audit_catches_planted_inconsistency(machine):
     enc = build_raw_enclave(machine)
     machine.audit()

@@ -130,6 +130,12 @@ BAD_INPUTS = {
                          "swap store holds no page"),
     "manifest_missing": ("create a standard.manifest\ncreate b nonexist.manifest", 2,
                          "cannot read manifest 'nonexist.manifest': No such file or directory"),
+    "manifest_not_utf8": ("create a latin1.manifest", 1,
+                          "cannot read manifest 'latin1.manifest': not UTF-8 text"),
+    "sigstruct_missing": ("create a sig_missing.manifest", 1,
+                          "LoadError: sigstruct: cannot read sigstruct file 'nonexist.sig'"),
+    "sigstruct_directory": ("create a sig_directory.manifest", 1,
+                            "LoadError: sigstruct: cannot read sigstruct file 'sigdir'"),
 }
 
 
@@ -137,6 +143,13 @@ BAD_INPUTS = {
 def test_bad_input_is_reported_with_its_line(name, demo_dir, capsys):
     text, line, message = BAD_INPUTS[name]
     (demo_dir / "negative_nssa.manifest").write_text("name bad\nsize 0x100000\nnssa -1\n")
+    (demo_dir / "latin1.manifest").write_bytes("name caf\u00e9\n".encode("latin-1"))
+    standard = (demo_dir / "standard.manifest").read_text().splitlines()
+    unsigned = [entry for entry in standard if not entry.startswith("sigstruct")]
+    for manifest, source in (("sig_missing", "nonexist.sig"), ("sig_directory", "sigdir")):
+        (demo_dir / f"{manifest}.manifest").write_text(
+            "\n".join(unsigned + [f"sigstruct file:{source}"]) + "\n")
+    (demo_dir / "sigdir").mkdir(exist_ok=True)
     (demo_dir / "bad.scenario").write_text(text + "\n")
     assert cli.main(["run", str(demo_dir / "bad.scenario"), "--json"]) == cli.EXIT_FAILED
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]

@@ -449,3 +449,46 @@ def test_eviction_keeps_an_interrupted_thread_resident(fixture_dir):
     machine.leaf("ERESUME", tcs_g, AEP_GATE, vcpu=vcpu)
     assert vcpu.in_enclave
     machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
+
+
+def test_eviction_after_an_interrupted_thread_exits_takes_the_oldest_admitted_page(fixture_dir):
+    """The pages eviction skipped while a thread was interrupted keep their
+    place; once the thread exits, the next eviction writes back the first
+    EPCM entry the filter admits, the thread's own save-state frame."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(epc_size=16))
+    rt = HostRuntime(machine)
+    manifest = EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "aged"))
+    h = rt.load_enclave(manifest)
+    with rt.entered(h) as vcpu:
+        machine.inject_interrupt(vcpu)
+    for _ in range(3):
+        rt.load_enclave(manifest)
+    tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
+    machine.leaf("ERESUME", tcs_g, AEP_GATE, vcpu=vcpu)
+    machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
+    oldest = next(g for g in machine.memory.epcm if rt.victim_filter(g))
+    entry = machine.memory.epcm[oldest]
+    assert (entry.owner, entry.vaddr) == (h.eid, h.base + fixtures.SSA_OFF)
+    rt._evict_one()
+    assert oldest not in machine.memory.epcm
+    assert h.base + fixtures.SSA_OFF in rt.store.keys_for(h.eid)
+
+
+def test_eviction_passes_over_an_enclave_the_runtime_did_not_load(fixture_dir):
+    """The runtime pages back in only through its own handles, so an enclave
+    built with raw leaves stays resident while loads press the EPC."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(epc_size=16))
+    raw = build_raw_enclave(machine)
+    resident = set(machine.memory.gpts.owned[raw.eid])
+    rt = HostRuntime(machine)
+    manifest = EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "beside"))
+    for _ in range(3):
+        rt.load_enclave(manifest)
+    assert rt.swap_out_events > 0
+    assert set(machine.memory.gpts.owned[raw.eid]) == resident
