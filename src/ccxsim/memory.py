@@ -399,7 +399,7 @@ class MachineMemory:
         base = granule * GRANULE_SIZE
         self.data[base : base + GRANULE_SIZE] = bytes(GRANULE_SIZE)
 
-    # -- GPT protocol -------------------------------------------------------
+    # -- EPC window and free granules ---------------------------------------
 
     def epc_span(self) -> Tuple[int, int]:
         """EPC-capable granules [lo, hi): the fixed window, or all unreserved."""
@@ -417,31 +417,6 @@ class MachineMemory:
         g = self.gpts.system.find(Pas.NORMAL, max(lo, RESERVED_GRANULES), hi)
         return None if g < 0 else g
 
-    def assign_granule(self, eid: int, granule: int) -> None:
-        self._check_range(granule)
-        if granule in self.epcm:
-            raise ModelError(f"granule {granule} is EPCM-valid, cannot assign")
-        if not self.epc_admissible(granule):
-            raise ModelError(f"granule {granule} not admissible as EPC")
-        self.gpts.assign(eid, granule)
-
-    def unassign_granule(self, eid: int, granule: int) -> None:
-        self._check_range(granule)
-        # Scrub before the granule becomes reachable again: no data residue.
-        self.zero_granule(granule)
-        self.gpts.unassign(eid, granule)
-
-    def seclude_granule(self, granule: int) -> None:
-        self._check_range(granule)
-        if not self.epc_admissible(granule):
-            raise ModelError(f"granule {granule} not admissible as EPC")
-        self.gpts.seclude(granule)
-
-    def unseclude_granule(self, granule: int) -> None:
-        self._check_range(granule)
-        self.zero_granule(granule)
-        self.gpts.unseclude(granule)
-
     # -- EPCM ----------------------------------------------------------------
 
     def epcm_lookup(self, granule: int) -> Optional[EpcmEntry]:
@@ -450,16 +425,49 @@ class MachineMemory:
         return self.epcm.get(granule)
 
     def epcm_update(self, granule: int, entry: Optional[EpcmEntry]) -> None:
-        """Store ``entry`` for the granule, or clear the granule with None."""
+        """Store ``entry`` for the granule, or clear the granule with None.
+
+        This is the one page-state transition: the granule's tables move with
+        its entry.  A first entry takes the granule out of the normal world,
+        realm for its owner (a SECS entry first opens the owner's table) or,
+        with no owner, microcode-only.  Clearing an entry scrubs the granule
+        and returns it to the normal world; clearing a SECS entry then closes
+        its owner's table.  Replacing an entry changes metadata only, so it
+        keeps the owner and whether the page is a SECS.  Page content is the
+        caller's to write.
+        """
         self._check_range(granule)
+        old = self.epcm.get(granule)
+        gpts = self.gpts
         if entry is not None:
             entry.validate()
             if entry.owner is not None:
                 mapped = self.vaddr_index.get((entry.owner, entry.vaddr), granule)
                 if mapped != granule:
                     raise ModelError(f"vaddr {entry.vaddr:#x} double-mapped in {entry.owner}")
-        self.gpts.generation += 1
-        old = self.epcm.get(granule)
+            if old is None:
+                if not self.epc_admissible(granule):
+                    raise ModelError(f"granule {granule} not admissible as EPC")
+                if entry.owner is None:
+                    gpts.seclude(granule)
+                else:
+                    if entry.page_type == PageType.SECS:
+                        gpts.create_enclave_table(entry.owner)
+                    gpts.assign(entry.owner, granule)
+            elif entry.owner != old.owner or (entry.page_type == PageType.SECS) != (
+                old.page_type == PageType.SECS
+            ):
+                raise ModelError(f"granule {granule} cannot change owner or SECS role")
+        elif old is not None:
+            # Scrub before the granule becomes reachable again: no data residue.
+            self.zero_granule(granule)
+            if old.owner is None:
+                gpts.unseclude(granule)
+            else:
+                gpts.unassign(old.owner, granule)
+                if old.page_type == PageType.SECS:
+                    gpts.drop_enclave_table(old.owner)
+        gpts.generation += 1
         if old is not None and old.owner is not None:
             self.vaddr_index.pop((old.owner, old.vaddr), None)
         if entry is None:

@@ -63,15 +63,6 @@ def _require_free(m, granule: int) -> None:
         raise SgxError(E.NOT_IN_EPC, f"granule {granule} outside the EPC window")
 
 
-def _release(m, granule: int, entry) -> None:
-    """Clear the granule's EPCM entry and return it, scrubbed, to the host."""
-    m.memory.epcm_update(granule, None)
-    if entry.owner is not None:
-        m.memory.unassign_granule(entry.owner, granule)
-    else:
-        m.memory.unseclude_granule(granule)
-
-
 def effective_secinfo(secinfo: SecInfo) -> SecInfo:
     """TCS pages carry no software-visible permissions."""
     if secinfo.page_type == PageType.TCS:
@@ -102,8 +93,6 @@ def ecreate(
         raise SgxError(E.BAD_GEOMETRY, "attributes cannot request INIT at creation")
 
     eid = m.alloc_eid()
-    m.memory.gpts.create_enclave_table(eid)
-    m.memory.assign_granule(eid, secs_granule)
     m.memory.zero_granule(secs_granule)
     m.memory.epcm_update(secs_granule, EpcmEntry(PageType.SECS, owner=eid))
 
@@ -164,15 +153,13 @@ def eadd(
             raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
         tcs.validate(secs)
 
-    m.memory.assign_granule(eid, target_granule)
-    if source_bytes is not None:
-        m.memory.write_granule(MICROCODE, target_granule, 0, source_bytes)
-
     effective = effective_secinfo(secinfo)
     m.memory.epcm_update(
         target_granule,
         EpcmEntry(secinfo.page_type, owner=eid, vaddr=vaddr, perms=effective.perms),
     )
+    if source_bytes is not None:
+        m.memory.write_granule(MICROCODE, target_granule, 0, source_bytes)
 
     secs.mrenclave_state.absorb(eadd_record(vaddr - secs.base, effective))
 
@@ -225,15 +212,14 @@ def eremove(m, granule: int) -> None:
         children = len(m.memory.gpts.owned[eid]) - 1  # all but the SECS
         if children:
             raise SgxError(E.CHILD_PRESENT, f"enclave {eid} still owns {children} pages")
-        _release(m, granule, entry)
-        m.memory.gpts.drop_enclave_table(eid)
+        m.memory.epcm_update(granule, None)
         del m.enclaves[eid]
         return
 
     if entry.page_type == PageType.TCS and m.tcs_busy(granule):
         raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
 
-    _release(m, granule, entry)
+    m.memory.epcm_update(granule, None)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +273,6 @@ def etrack(m, eid: int) -> None:
 
 def epa(m, granule: int) -> None:
     _require_free(m, granule)
-    m.memory.seclude_granule(granule)
     m.memory.zero_granule(granule)
     m.memory.epcm_update(granule, EpcmEntry(PageType.VA))
 
@@ -351,7 +336,7 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
     pcmd.mac = mac
 
     _va_slot_write(m, va_granule, slot, version)
-    _release(m, granule, entry)
+    m.memory.epcm_update(granule, None)
     return SwapBlob(ciphertext=ciphertext, pcmd=pcmd)
 
 
@@ -385,12 +370,6 @@ def _eld(
     if eid is not None and m.memory.find_page(eid, pcmd.vaddr) is not None:
         raise SgxError(E.VADDR_COLLISION, f"vaddr {pcmd.vaddr:#x} already mapped")
 
-    if eid is not None:
-        m.memory.assign_granule(eid, target_granule)
-    else:
-        m.memory.seclude_granule(target_granule)
-    m.memory.write_granule(MICROCODE, target_granule, 0, plaintext)
-
     m.memory.epcm_update(target_granule, EpcmEntry(
         pcmd.page_type,
         owner=pcmd.owner,
@@ -402,6 +381,7 @@ def _eld(
         staged_type=pcmd.staged_type,
         blocked_epoch=secs.track_epoch if mark_blocked and secs is not None else None,
     ))
+    m.memory.write_granule(MICROCODE, target_granule, 0, plaintext)
 
     _va_slot_write(m, va_granule, slot, EMPTY_SLOT)
 
@@ -427,7 +407,6 @@ def eaug(m, eid: int, vaddr: int, target_granule: int) -> None:
         raise SgxError(E.VADDR_COLLISION, f"vaddr {vaddr:#x} already mapped")
     _require_free(m, target_granule)
 
-    m.memory.assign_granule(eid, target_granule)
     m.memory.zero_granule(target_granule)
     m.memory.epcm_update(target_granule, EpcmEntry(
         PageType.REG, owner=eid, vaddr=vaddr, perms=Perms.R | Perms.W, pending=True

@@ -139,90 +139,147 @@ def test_enclave_can_read_normal_world(machine):
 # Assignment protocol
 
 
+def open_table(mem, eid, granule):
+    """Store enclave `eid`'s SECS entry at `granule`, which opens its table."""
+    mem.epcm_update(granule, EpcmEntry(page_type=PageType.SECS, owner=eid))
+
+
+def reg(eid, vaddr=0x1000, **fields):
+    """A REG entry; its default address stays clear of the SECS entry's 0."""
+    return EpcmEntry(page_type=PageType.REG, owner=eid, vaddr=vaddr, **fields)
+
+
+def test_epcm_update_moves_a_granule_into_and_out_of_the_enclave_world():
+    mem = fresh_memory()
+    assert 1 not in mem.gpts.owned
+    open_table(mem, 1, 16)
+    assert mem.gpts.owned[1] == {16}
+    assert mem.gpts.entry(None, 16) == Pas.NO_ACCESS
+    mem.write_granule(HOST, 30, 0, b"in place")
+    mem.epcm_update(30, reg(1, 0x3000))
+    assert mem.gpts.entry(1, 30) == Pas.REALM
+    assert mem.gpts.entry(None, 30) == Pas.NO_ACCESS
+    assert mem.gpts.owned[1] == {16, 30}
+    root = AccessContext(SecurityState.ROOT, None)
+    assert mem.read_granule(root, 30, 0, 8) == b"in place"  # no copy, no scrub
+    mem.audit()
+    with pytest.raises(ModelError):
+        mem.epcm_update(30, replace(mem.epcm[30], page_type=PageType.SECS))
+    with pytest.raises(ModelError):
+        mem.epcm_update(16, replace(mem.epcm[16], page_type=PageType.REG))
+    mem.epcm_update(30, None)
+    assert mem.gpts.entry(None, 30) == Pas.NORMAL
+    assert mem.gpts.owned[1] == {16}
+    assert mem.read_granule(HOST, 30, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
+    mem.epcm_update(16, None)
+    assert 1 not in mem.gpts.owned
+    assert mem.gpts.entry(None, 16) == Pas.NORMAL
+    assert not mem.epcm
+    mem.audit()
+
+
 def test_assign_then_unassign_restores_host_access():
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
+    open_table(mem, 1, 16)
     mem.write_granule(HOST, 20, 0, b"secret")
-    mem.assign_granule(1, 20)
+    mem.epcm_update(20, reg(1))
     with pytest.raises(GranuleProtectionFault):
         mem.read_granule(HOST, 20, 0, 6)
-    mem.unassign_granule(1, 20)
+    mem.epcm_update(20, None)
     assert mem.read_granule(HOST, 20, 0, 6) == b"\0" * 6  # scrubbed
 
 
 def test_unassign_scrubs_content():
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
-    mem.assign_granule(1, 21)
+    open_table(mem, 1, 16)
+    mem.epcm_update(21, reg(1))
     mem.write_granule(AccessContext(SecurityState.ROOT, None), 21, 0, b"\xff" * GRANULE_SIZE)
-    mem.unassign_granule(1, 21)
+    mem.epcm_update(21, None)
     assert mem.read_granule(HOST, 21, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
 
 
 def test_assign_twice_rejected():
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
-    mem.gpts.create_enclave_table(2)
-    mem.assign_granule(1, 22)
+    open_table(mem, 1, 16)
+    open_table(mem, 2, 17)
+    mem.epcm_update(22, reg(1))
     with pytest.raises(ModelError):
-        mem.assign_granule(2, 22)
+        mem.epcm_update(22, reg(2))  # a valid page keeps its owner
+    assert mem.epcm[22].owner == 1 and mem.gpts.owned[2] == {17}
     with pytest.raises(ModelError):
-        mem.assign_granule(1, 22)
+        mem.gpts.assign(2, 22)
+    with pytest.raises(ModelError):
+        mem.gpts.assign(1, 22)
+    mem.audit()
 
 
 def test_unassign_never_assigned_rejected():
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
+    open_table(mem, 1, 16)
     with pytest.raises(ModelError):
-        mem.unassign_granule(1, 30)
+        mem.gpts.unassign(1, 30)
+    system = bytes(mem.gpts.system)
+    mem.epcm_update(30, None)  # clearing an invalid granule moves no table
+    assert bytes(mem.gpts.system) == system and mem.gpts.owned[1] == {16}
 
 
 def test_fixed_mode_rejects_out_of_epc_assignment():
     mem = fresh_memory(256, MemoryMode.sgx_fixed(16, 32))
-    mem.gpts.create_enclave_table(1)
+    open_table(mem, 1, 16)
     with pytest.raises(ModelError):
-        mem.assign_granule(1, 100)  # outside [16, 48)
-    mem.assign_granule(1, 17)
+        mem.epcm_update(100, reg(1))  # outside [16, 48)
+    assert mem.epcm_lookup(100) is None and mem.gpts.entry(None, 100) == Pas.NORMAL
+    with pytest.raises(ModelError):
+        open_table(mem, 2, 100)
+    assert 2 not in mem.gpts.owned
+    mem.epcm_update(17, reg(1))
+    mem.audit()
 
 
 def test_random_assignment_storm_keeps_invariants_and_round_trips():
     mem = fresh_memory(256, MemoryMode.sgx_fixed(16, 200))
     for eid in (1, 2, 3):
-        mem.gpts.create_enclave_table(eid)
+        open_table(mem, eid, 15 + eid)
     initial_system = bytes(mem.gpts.system)
     rng = random.Random(7)
     owned = {}
     for _ in range(1000):
         if owned and rng.random() < 0.5:
             g = rng.choice(sorted(owned))
-            mem.unassign_granule(owned.pop(g), g)
+            del owned[g]
+            mem.epcm_update(g, None)
         else:
-            g = rng.randrange(16, 216)
+            g = rng.randrange(19, 216)
             if g in owned:
                 continue
             eid = rng.choice((1, 2, 3))
-            mem.assign_granule(eid, g)
+            mem.epcm_update(g, reg(eid, g * GRANULE_SIZE))
             owned[g] = eid
         for g2, eid2 in owned.items():
             assert mem.gpts.entry(eid2, g2) == Pas.REALM
             assert mem.gpts.entry(None, g2) == Pas.NO_ACCESS
+    mem.audit()
     for g in sorted(owned):
-        mem.unassign_granule(owned[g], g)
+        mem.epcm_update(g, None)
     assert bytes(mem.gpts.system) == initial_system
     for eid in (1, 2, 3):
-        assert mem.gpts.enclave[eid].count(int(Pas.REALM)) == 0
+        assert mem.gpts.enclave[eid].count(int(Pas.REALM)) == 1  # its SECS
+    mem.audit()
 
 
 def test_seclusion_round_trip():
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
-    mem.seclude_granule(40)
+    open_table(mem, 1, 16)
+    mem.epcm_update(40, EpcmEntry(page_type=PageType.VA))
+    assert mem.gpts.owned[1] == {16}
     for accessor in (SecurityState.NORMAL, SecurityState.REALM, SecurityState.SECURE):
         assert not mem.check_access(accessor, 40, None)
         assert not mem.check_access(accessor, 40, 1)
     assert mem.check_access(SecurityState.ROOT, 40, None)
-    mem.unseclude_granule(40)
+    mem.write_granule(AccessContext(SecurityState.ROOT, None), 40, 0, b"version")
+    mem.epcm_update(40, None)
     assert mem.check_access(SecurityState.NORMAL, 40, None)
+    assert mem.read_granule(HOST, 40, 0, 7) == bytes(7)  # scrubbed
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +310,7 @@ def test_fuzzed_epcm_updates_never_hold_pending_and_modified(flips):
     mem = fresh_memory()
     entry = EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x1000,
                       perms=Perms.R | Perms.W)
-    mem.gpts.create_enclave_table(1)
-    mem.assign_granule(1, 70)
+    open_table(mem, 1, 16)
     mem.epcm_update(70, entry)
     for set_pending, set_modified, clear in flips:
         e = mem.epcm_lookup(70)
@@ -271,8 +327,7 @@ def test_fuzzed_epcm_updates_never_hold_pending_and_modified(flips):
 
 def test_epcm_update_maintains_vaddr_index():
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
-    mem.assign_granule(1, 80)
+    open_table(mem, 1, 16)
     mem.epcm_update(80, EpcmEntry(page_type=PageType.REG, owner=1,
                                   vaddr=0x4000, perms=Perms.R))
     assert mem.find_page(1, 0x4000) == 80
@@ -280,9 +335,7 @@ def test_epcm_update_maintains_vaddr_index():
     mem.epcm_update(80, None)
     assert mem.find_page(1, 0x4000) is None
     # a refused double mapping leaves both the entry and its index in place
-    mem.assign_granule(1, 81)
     mem.epcm_update(81, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x5000))
-    mem.assign_granule(1, 82)
     mem.epcm_update(82, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x6000))
     with pytest.raises(ModelError):
         mem.epcm_update(82, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x5000))
@@ -294,15 +347,14 @@ def test_epcm_keeps_valid_granules_in_the_order_they_became_valid():
     replaced entry keeps its granule's place, a cleared and revalidated
     granule goes to the end."""
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
+    open_table(mem, 1, 16)
     for i, g in enumerate((90, 91, 92)):
-        mem.assign_granule(1, g)
-        mem.epcm_update(g, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=i * 0x1000))
+        mem.epcm_update(g, reg(1, (i + 1) * 0x1000))
     mem.epcm_update(90, replace(mem.epcm[90], blocked=True))
-    assert list(mem.epcm) == [90, 91, 92]
+    assert list(mem.epcm) == [16, 90, 91, 92]
     mem.epcm_update(90, None)
-    mem.epcm_update(90, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0))
-    assert list(mem.epcm) == [91, 92, 90]
+    mem.epcm_update(90, reg(1))
+    assert list(mem.epcm) == [16, 91, 92, 90]
 
 
 def test_audit_catches_planted_inconsistency(machine):
@@ -337,10 +389,10 @@ def test_audit_catches_granule_in_two_owned_sets(machine):
 
 def test_enclave_views_derive_from_system_table_and_owned_set():
     mem = fresh_memory()
-    mem.gpts.create_enclave_table(1)
-    mem.gpts.create_enclave_table(2)
-    mem.assign_granule(1, 20)
-    mem.seclude_granule(21)
+    open_table(mem, 1, 16)
+    open_table(mem, 2, 17)
+    mem.epcm_update(20, reg(1))
+    mem.epcm_update(21, EpcmEntry(page_type=PageType.VA))
     view = mem.gpts.enclave[1]
     assert view == mem.gpts.table(1)
     assert Pas(view[20]) == Pas.REALM and Pas(view[21]) == Pas.NO_ACCESS
@@ -350,8 +402,9 @@ def test_enclave_views_derive_from_system_table_and_owned_set():
     with pytest.raises(ModelError):
         mem.gpts.drop_enclave_table(1)  # still owns granule 20
     assert 1 in mem.gpts.enclave
-    mem.unassign_granule(1, 20)
-    mem.gpts.drop_enclave_table(1)
+    mem.epcm_update(20, None)
+    assert 1 in mem.gpts.enclave  # its SECS keeps the table open
+    mem.epcm_update(16, None)
     assert set(mem.gpts.enclave) == {2}
 
 
@@ -384,23 +437,20 @@ def test_mode_confinement_audit():
 def test_first_free_matches_scan_over_is_free(fixed, ops, bounds):
     mode = MemoryMode.sgx_fixed(16, 24) if fixed else MemoryMode.cca_dynamic()
     mem = MachineMemory(64, mode)
-    mem.gpts.create_enclave_table(1)
+    secs = mem.epc_span()[0]
+    open_table(mem, 1, secs)
     for op, g in ops:
         entry = mem.epcm.get(g)
         usable = mem.is_free(g) and mem.epc_admissible(g)
         if op == "assign" and usable:
-            mem.assign_granule(1, g)
-            mem.epcm_update(g, EpcmEntry(page_type=PageType.REG, owner=1,
-                                         vaddr=g * GRANULE_SIZE, perms=Perms.R))
+            mem.epcm_update(g, reg(1, g * GRANULE_SIZE, perms=Perms.R))
         elif op == "seclude" and usable:
-            mem.seclude_granule(g)
             mem.epcm_update(g, EpcmEntry(page_type=PageType.VA))
-        elif op == "unassign" and entry is not None and entry.owner == 1:
+        elif (
+            op in ("unassign", "unseclude") and g != secs and entry is not None
+            and (entry.owner is None) == (op == "unseclude")
+        ):
             mem.epcm_update(g, None)
-            mem.unassign_granule(1, g)
-        elif op == "unseclude" and entry is not None and entry.owner is None:
-            mem.epcm_update(g, None)
-            mem.unseclude_granule(g)
     mem.audit()
     for lo, hi in bounds + [mem.epc_span(), (0, 64)]:
         scan = next((g for g in range(lo, hi) if mem.is_free(g)), None)
