@@ -103,6 +103,41 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_NONE = type(None)
+
+# The snapshot lists that inspect reports and the members it reads from each
+# record, with their types.
+_SNAPSHOT_RECORDS = {
+    "enclaves": {
+        "eid": int, "size": int, "mrenclave": (str, _NONE), "mrsigner": (str, _NONE),
+        "isv_prod_id": int, "isv_svn": int,
+    },
+    "epcm": {
+        "granule": int, "type": str, "owner": (int, _NONE), "vaddr": int, "perms": str,
+        "blocked": bool, "pending": bool, "modified": bool,
+    },
+}
+
+
+def _check_snapshot(snapshot: dict, path: str) -> None:
+    """Refuse a snapshot whose members that inspect reads have the wrong shape."""
+    for key in ("gpt", "granule_contents"):
+        if not isinstance(snapshot.get(key, {}), dict):
+            raise ModelError(f"snapshot {path}: member {key!r} is not an object")
+    for key, members in _SNAPSHOT_RECORDS.items():
+        records = snapshot.get(key, [])
+        if not isinstance(records, list):
+            raise ModelError(f"snapshot {path}: member {key!r} is not a list")
+        for i, record in enumerate(records):
+            if not isinstance(record, dict):
+                raise ModelError(f"snapshot {path}: {key}[{i}] is not an object")
+            for name, kind in members.items():
+                if not isinstance(record.get(name), kind):
+                    raise ModelError(
+                        f"snapshot {path}: {key}[{i}] member {name!r} is missing or of the wrong type"
+                    )
+
+
 def _redact(snapshot: dict, show_debug_content: bool) -> dict:
     """Granule contents of enclave pages are visible only for DEBUG enclaves
     and only when explicitly requested (mirrors debug-read gating)."""
@@ -131,6 +166,7 @@ def cmd_inspect(args) -> int:
         snapshot = None
     if not isinstance(snapshot, dict):
         raise ModelError(f"snapshot {args.snapshot} is not a JSON object")
+    _check_snapshot(snapshot, args.snapshot)
     filtered = _redact(snapshot, args.debug_enclave)
     if args.json:
         print(json.dumps(filtered, sort_keys=True, indent=2))

@@ -16,6 +16,16 @@ when the map holds an entry for it, and a leaf changes an entry by storing a
 new one.  The map keeps valid pages in the order they became valid (a new
 entry for a valid granule keeps its place); eviction relies on this order.
 
+:meth:`MachineMemory.epcm_update` is the one page-state transition, and the
+tables follow the entry.  An invalid granule that gets an entry leaves the
+normal world: it becomes realm for the entry's owner (a SECS entry first
+opens the owner's table), or microcode-only for an entry with no owner (a
+version array).  A valid granule whose entry is cleared is scrubbed and
+returned to the normal world (clearing a SECS entry also closes its owner's
+table).  A valid granule that gets a new entry only changes metadata, and no
+table moves.  So a granule enters and leaves an enclave's table only with
+its EPCM entry, and :meth:`MachineMemory.audit` checks that they agree.
+
 Allocation reads the same state: free granules are found in the system
 table, an enclave's page list is its owned set, and
 :meth:`MachineMemory.epc_span` is the one place that knows the EPC window.
@@ -226,8 +236,11 @@ class GptSet:
     owned set, so it is realm for its owner and unreachable from every other
     view by construction.
 
-    ``generation`` is the memory generation: every method here that changes
-    a table, and :meth:`MachineMemory.epcm_update`, bumps it.
+    The methods that change a table are primitives of
+    :meth:`MachineMemory.epcm_update`, which calls them as an EPCM entry is
+    stored or cleared; ``set_entry`` is a raw poke for tests.
+    ``generation`` is the memory generation: every table change and every
+    EPCM update bumps it.
     """
 
     def __init__(self, granule_count: int):
@@ -427,14 +440,12 @@ class MachineMemory:
     def epcm_update(self, granule: int, entry: Optional[EpcmEntry]) -> None:
         """Store ``entry`` for the granule, or clear the granule with None.
 
-        This is the one page-state transition: the granule's tables move with
-        its entry.  A first entry takes the granule out of the normal world,
-        realm for its owner (a SECS entry first opens the owner's table) or,
-        with no owner, microcode-only.  Clearing an entry scrubs the granule
-        and returns it to the normal world; clearing a SECS entry then closes
-        its owner's table.  Replacing an entry changes metadata only, so it
-        keeps the owner and whether the page is a SECS.  Page content is the
-        caller's to write.
+        The granule's tables move with its entry, as the module docstring
+        sets out: a first entry takes it out of the normal world, clearing
+        scrubs it and gives it back, and a SECS entry opens and closes its
+        owner's table.  A new entry for a valid granule changes metadata
+        only, so it must keep the owner and the SECS role.  Any other page
+        content is the caller's to write.
         """
         self._check_range(granule)
         old = self.epcm.get(granule)

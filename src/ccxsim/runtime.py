@@ -43,7 +43,7 @@ from .errors import AuthenticationFailure, ModelError, SgxError, read_input
 from .execution import MASK64, ssa_frame_vaddr
 from .machine import Machine
 from .manifest import EnclaveManifest
-from .memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
+from .memory import GRANULE_SIZE, RESERVED_GRANULES, EpcmEntry, PageType, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE
 from .structs import (
     EXIT_IRQ,
@@ -246,7 +246,9 @@ class HostRuntime:
             ):
                 # Last free granule and no version capacity left: convert it
                 # to a version array so the writeback protocol stays possible,
-                # then evict for the actual request.
+                # then evict for the actual request.  With nothing to evict,
+                # fail here and leave the granule free.
+                self._victim()
                 self._add_version_array(g)
                 continue
             return g
@@ -303,16 +305,19 @@ class HostRuntime:
                     return False
         return True
 
-    def _evict_one(self) -> None:
-        """Write back the oldest resident page that :meth:`victim_filter`
-        admits: the first one in the EPCM map, which holds valid pages in the
-        order they became valid.  A page the filter skips keeps its place."""
-        m = self.machine
-        for g, entry in m.memory.epcm.items():
+    def _victim(self) -> Tuple[int, EpcmEntry]:
+        """The oldest resident page that :meth:`victim_filter` admits: the
+        first one in the EPCM map, which holds valid pages in the order they
+        became valid.  A page the filter skips keeps its place."""
+        for g, entry in self.machine.memory.epcm.items():
             if self.victim_filter(g):
-                break
-        else:
-            raise ModelError("EPC exhausted and no evictable page found")
+                return g, entry
+        raise ModelError("EPC exhausted and no evictable page found")
+
+    def _evict_one(self) -> None:
+        """Write back the page :meth:`_victim` picks."""
+        m = self.machine
+        g, entry = self._victim()
         if not self._free_slots:
             raise ModelError("no version slot free for eviction")
         m.trace_event("evict", eid=entry.owner, vaddr=entry.vaddr)
@@ -414,6 +419,9 @@ class HostRuntime:
             step = "einit"
             m.leaf("EINIT", eid, sig)
         except (SgxError, ModelError) as exc:
+            # The half-built enclave has no handle and is never evicted, so
+            # nothing could free its pages later.
+            self._remove_pages(eid)
             raise LoadError(step, exc) from exc
 
         secs = m.enclaves[eid]
@@ -431,17 +439,21 @@ class HostRuntime:
         return handle
 
     def destroy(self, handle: EnclaveHandle) -> None:
-        m = self.machine
         # Swapped pages are reloaded first so their version slots retire
         # through the architectural path.
         for vaddr in self.store.keys_for(handle.eid):
             self.swap_in(handle, vaddr)
-        secs_granule = m.enclaves[handle.eid].secs_granule
-        for g in sorted(m.memory.gpts.owned[handle.eid]):
+        self._remove_pages(handle.eid)
+        self.handles.pop(handle.eid, None)
+
+    def _remove_pages(self, eid: int) -> None:
+        """EREMOVE every resident page of enclave `eid`, then its SECS."""
+        m = self.machine
+        secs_granule = m.enclaves[eid].secs_granule
+        for g in sorted(m.memory.gpts.owned[eid]):
             if g != secs_granule:
                 m.leaf("EREMOVE", g)
         m.leaf("EREMOVE", secs_granule)
-        self.handles.pop(handle.eid, None)
 
     # ------------------------------------------------------------------ swap
 

@@ -280,6 +280,8 @@ def test_unreadable_config_is_refused(content, tmp_path, capsys):
 UNREADABLE_INPUTS = {
     "inspect-not-json": ("inspect", b"{"),
     "inspect-json-list": ("inspect", b"[1, 2]"),
+    "inspect-enclave-not-object": ("inspect", b'{"enclaves": [1]}'),
+    "inspect-epcm-without-type": ("inspect", b'{"epcm": [{"granule": 3}]}'),
     "inspect-directory": ("inspect", None),
     "run-directory": ("run", None),
     "run-not-utf8": ("run", b"\xff\xfe create a x.manifest\n"),

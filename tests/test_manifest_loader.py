@@ -214,39 +214,55 @@ def test_sigstruct_from_file(runtime, tmp_path):
     assert runtime.machine.enclaves[h.eid].initialized
 
 
-def test_wrong_file_sigstruct_fails_at_einit_step(runtime, tmp_path):
-    manifest = EnclaveManifest.parse(minimal_text())
-    sig = runtime.machine.crypto.sign_sigstruct(
-        b"\x13" * 32, manifest.attributes.signed_view(), 0, 0
-    )
-    (tmp_path / "identity.sig").write_bytes(sig.to_bytes())
+def failed_load(runtime, manifest) -> LoadError:
+    """Load `manifest`, which must fail, and check that the half-built
+    enclave left nothing behind."""
+    machine = runtime.machine
+    system_before = bytes(machine.memory.gpts.system)
+    with pytest.raises(LoadError) as exc:
+        runtime.load_enclave(manifest)
+    assert not machine.enclaves
+    assert bytes(machine.memory.gpts.system) == system_before
+    machine.audit()
+    return exc.value
+
+
+def test_wrong_file_sigstruct_fails_at_einit_step(tmp_path):
     text = minimal_text().replace("sigstruct test-key", "sigstruct file:identity.sig")
     (tmp_path / "m.manifest").write_text(text)
-    with pytest.raises(LoadError) as exc:
-        runtime.load_enclave(EnclaveManifest.load(tmp_path / "m.manifest"))
-    assert exc.value.step == "einit"
-    assert isinstance(exc.value.cause, SgxError)
+    for mode in ("sgx", "ccx"):
+        runtime = HostRuntime(Machine(small_config(mode=mode)))
+        manifest = EnclaveManifest.load(tmp_path / "m.manifest")
+        sig = runtime.machine.crypto.sign_sigstruct(
+            b"\x13" * 32, manifest.attributes.signed_view(), 0, 0
+        )
+        (tmp_path / "identity.sig").write_bytes(sig.to_bytes())
+        err = failed_load(runtime, manifest)
+        assert err.step == "einit", mode
+        assert isinstance(err.cause, SgxError)
 
 
 @pytest.mark.parametrize("source", ["nonexist.sig", "sigdir"])
-def test_unreadable_sigstruct_file_fails_at_sigstruct_step(runtime, tmp_path, source):
+def test_unreadable_sigstruct_file_fails_at_sigstruct_step(tmp_path, source):
     (tmp_path / "sigdir").mkdir()
     text = minimal_text().replace("sigstruct test-key", f"sigstruct file:{source}")
     (tmp_path / "m.manifest").write_text(text)
-    with pytest.raises(LoadError) as exc:
-        runtime.load_enclave(EnclaveManifest.load(tmp_path / "m.manifest"))
-    assert exc.value.step == "sigstruct"
-    assert f"cannot read sigstruct file {source!r}" in str(exc.value.cause)
+    for mode in ("sgx", "ccx"):
+        runtime = HostRuntime(Machine(small_config(mode=mode)))
+        err = failed_load(runtime, EnclaveManifest.load(tmp_path / "m.manifest"))
+        assert err.step == "sigstruct", mode
+        assert f"cannot read sigstruct file {source!r}" in str(err.cause)
+
 
 def test_load_failure_identifies_failing_step(runtime):
     # 200 pages exceed the 128-granule EPC of the small config and nothing
     # is initialized yet, so eviction cannot help; the failing add step is
-    # named in the error
+    # named in the error, and no version array is made for the lost cause
     big = minimal_text().replace("size 0x100000", "size 0x200000")
     big += "page vaddr=0x10000 perms=rw content=zero count=200\n"
-    with pytest.raises(LoadError) as exc:
-        runtime.load_enclave(EnclaveManifest.parse(big))
-    assert "eadd page" in exc.value.step
+    err = failed_load(runtime, EnclaveManifest.parse(big))
+    assert "eadd page" in err.step
+    assert "no evictable page" in str(err.cause)
 
 
 def test_destroy_releases_everything(runtime):
