@@ -53,7 +53,6 @@ def cmd_run(args) -> int:
     runner = ScenarioRunner(
         config,
         mode_override=args.mode,
-        swap_dir=Path(args.swap_dir) if args.swap_dir else None,
         trace=[] if args.trace else None,
     )
     result = runner.run_file(args.scenario)
@@ -252,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--trace", help="write machine trace records to this path")
     p_run.add_argument("--snapshot", help="write a machine state snapshot to this path")
-    p_run.add_argument("--swap-dir", help="directory for swap-store blob files")
     p_run.set_defaults(fn=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run benchmarks")

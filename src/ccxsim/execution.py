@@ -108,7 +108,9 @@ _PAGE_MASK = GRANULE_SIZE - 1
 class VCpu:
     """One core.  ``cur_eid``/``cur_tcs`` say which enclave and thread it
     runs, or ``None`` for host mode; the world and the active protection
-    table follow from ``cur_eid`` (see :meth:`access_context`)."""
+    table follow from ``cur_eid`` (see :meth:`access_context`).  It keeps
+    no pending interrupt: one sent in host mode is taken by the host at once
+    (see :func:`inject_interrupt`)."""
 
     id: int
     regs: List[int] = field(default_factory=lambda: [0] * 32)  # x0..x30, sp
@@ -118,7 +120,6 @@ class VCpu:
     cur_eid: Optional[int] = None
     cur_tcs: Optional[int] = None
     aep: int = 0
-    pending_irq: bool = False
     entry_epoch: Optional[int] = None
     last_exit: Optional[Tuple[int, int]] = None  # (reason code, payload)
 
@@ -430,10 +431,11 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
 
 
 def inject_interrupt(m, vcpu) -> None:
+    """Deliver an interrupt to `vcpu`.  In an enclave it forces an
+    asynchronous exit; in host mode the host takes it at once and nothing
+    changes: no register, no exit record, no trace record."""
     if vcpu.in_enclave:
         aex(m, vcpu, EXIT_IRQ)
-    else:
-        vcpu.pending_irq = True
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +734,6 @@ def step(m, vcpu, max_steps: int) -> RunReport:
     """
     executed = 0
     while executed < max_steps:
-        if vcpu.pending_irq and not vcpu.in_enclave:
-            vcpu.pending_irq = False  # host takes the interrupt invisibly
-
         fetching = True
         try:
             op, rd, rs1, rs2, imm = fetch(m, vcpu, vcpu.pc)

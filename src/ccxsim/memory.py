@@ -35,8 +35,9 @@ change anything but wall time.  The translation cache (``tlb``) maps an
 accessor, a page address and an access kind to the granule that a full
 checked access of that kind reached; only a successful checked access fills
 it, and it is emptied whenever the memory generation moves.  The generation
-(``GptSet.generation``) is bumped by every EPCM update and every protection
-table change.  The decode cache (``decoded``) holds each granule's decoded
+(``GptSet.generation``) is bumped once by every EPCM update, which is the
+only path that moves a table (the raw test poke ``GptSet.set_entry`` bumps it
+too).  The decode cache (``decoded``) holds each granule's decoded
 instructions by offset; any write to the granule drops them, and
 :meth:`MachineMemory.store` and :meth:`MachineMemory.zero_granule` are the
 only byte writers.
@@ -226,6 +227,15 @@ class EpcmEntry:
             raise ModelError("non-VA EPCM entry needs an owner")
 
 
+def _page_key(entry: EpcmEntry) -> Optional[Tuple[int, int]]:
+    """The (owner, page address) under which :meth:`MachineMemory.find_page`
+    finds the entry's page, or None for a page with no linear address: a
+    version array has no owner, and a SECS is not mapped into its enclave."""
+    if entry.owner is None or entry.page_type == PageType.SECS:
+        return None
+    return (entry.owner, entry.vaddr)
+
+
 class GptSet:
     """The system granule protection table plus each live enclave's owned set.
 
@@ -239,8 +249,9 @@ class GptSet:
     The methods that change a table are primitives of
     :meth:`MachineMemory.epcm_update`, which calls them as an EPCM entry is
     stored or cleared; ``set_entry`` is a raw poke for tests.
-    ``generation`` is the memory generation: every table change and every
-    EPCM update bumps it.
+    ``generation`` is the memory generation.  The primitives leave it alone:
+    ``epcm_update`` bumps it once per call, whatever tables move, and
+    ``set_entry`` bumps it for its own poke.
     """
 
     def __init__(self, granule_count: int):
@@ -256,13 +267,11 @@ class GptSet:
         if eid in self.owned:
             raise ModelError(f"enclave {eid} already has a table")
         self.owned[eid] = set()
-        self.generation += 1
 
     def drop_enclave_table(self, eid: int) -> None:
         if self._owned(eid):
             raise ModelError(f"dropping table of enclave {eid} with realm pages")
         del self.owned[eid]
-        self.generation += 1
 
     def _owned(self, eid: int) -> Set[int]:
         try:
@@ -304,7 +313,6 @@ class GptSet:
             raise ModelError(f"granule {granule} not normal in system table")
         owned.add(granule)
         self.system[granule] = int(Pas.NO_ACCESS)
-        self.generation += 1
 
     def unassign(self, eid: int, granule: int) -> None:
         owned = self._owned(eid)
@@ -312,20 +320,17 @@ class GptSet:
             raise ModelError(f"granule {granule} not realm in table of {eid}")
         owned.remove(granule)
         self.system[granule] = int(Pas.NORMAL)
-        self.generation += 1
 
     def seclude(self, granule: int) -> None:
         """Make a granule microcode-only (used for version-array pages)."""
         if self.system[granule] != Pas.NORMAL:
             raise ModelError(f"granule {granule} not normal in system table")
         self.system[granule] = int(Pas.NO_ACCESS)
-        self.generation += 1
 
     def unseclude(self, granule: int) -> None:
         if self.system[granule] != Pas.NO_ACCESS:
             raise ModelError(f"granule {granule} was not secluded")
         self.system[granule] = int(Pas.NORMAL)
-        self.generation += 1
 
     def snapshot_counts(self) -> Dict[str, Dict[str, int]]:
         out: Dict[str, Dict[str, int]] = {}
@@ -450,10 +455,11 @@ class MachineMemory:
         self._check_range(granule)
         old = self.epcm.get(granule)
         gpts = self.gpts
+        key = None if entry is None else _page_key(entry)
         if entry is not None:
             entry.validate()
-            if entry.owner is not None:
-                mapped = self.vaddr_index.get((entry.owner, entry.vaddr), granule)
+            if key is not None:
+                mapped = self.vaddr_index.get(key, granule)
                 if mapped != granule:
                     raise ModelError(f"vaddr {entry.vaddr:#x} double-mapped in {entry.owner}")
             if old is None:
@@ -479,14 +485,16 @@ class MachineMemory:
                 if old.page_type == PageType.SECS:
                     gpts.drop_enclave_table(old.owner)
         gpts.generation += 1
-        if old is not None and old.owner is not None:
-            self.vaddr_index.pop((old.owner, old.vaddr), None)
+        if old is not None:
+            old_key = _page_key(old)
+            if old_key is not None:
+                self.vaddr_index.pop(old_key, None)
         if entry is None:
             self.epcm.pop(granule, None)
             return
         self.epcm[granule] = entry
-        if entry.owner is not None:
-            self.vaddr_index[(entry.owner, entry.vaddr)] = granule
+        if key is not None:
+            self.vaddr_index[key] = granule
 
     def find_page(self, eid: int, vaddr: int) -> Optional[int]:
         return self.vaddr_index.get((eid, vaddr & ~(GRANULE_SIZE - 1)))

@@ -31,11 +31,9 @@ so take one, use it, then take the next.
 from __future__ import annotations
 
 import hmac as hmac_mod
-import json
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from .crypto import RunningHash
@@ -118,13 +116,15 @@ class AttestOutcome:
 
 @dataclass
 class EnclaveHandle:
+    """What the host keeps of a loaded enclave: its name, id, base address,
+    identities and TCS addresses.  It keeps no reference to the manifest,
+    so the page bytes a manifest carries are freed once the caller drops it."""
+
     name: str
     eid: int
     base: int
-    manifest: EnclaveManifest
     mrenclave: bytes
     mrsigner: bytes
-    signer_label: Optional[str]
     tcs_vaddrs: List[int]  # absolute
 
 
@@ -136,44 +136,24 @@ class _StoredBlob:
 
 
 class SwapStore:
-    """Host-side store for evicted pages, optionally mirrored to a directory
-    of blob files (one JSON file per page: ciphertext, metadata, slot ref).
-    The files are an export for inspection; the store never reads them."""
+    """Host-side store for evicted pages, in memory only: each sealed page
+    and the version-array slot of its version, keyed by (enclave, page
+    address)."""
 
-    def __init__(self, directory: Optional[Path] = None):
-        self.directory = Path(directory) if directory else None
-        if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
+    def __init__(self):
         self._blobs: Dict[Tuple[Optional[int], int], _StoredBlob] = {}
-
-    def _path(self, key) -> Path:
-        eid, vaddr = key
-        return self.directory / f"e{0 if eid is None else eid}_v{vaddr:012x}.blob"
 
     def put(self, eid: Optional[int], vaddr: int, stored: _StoredBlob) -> None:
         key = (eid, vaddr)
         if key in self._blobs:
             raise ModelError(f"swap store already holds {key}")
         self._blobs[key] = stored
-        if self.directory:
-            doc = {
-                "eid": eid,
-                "vaddr": vaddr,
-                "va_granule": stored.va_granule,
-                "slot": stored.slot,
-                "ciphertext": stored.blob.ciphertext.hex(),
-                "pcmd": stored.blob.pcmd.pack().hex(),
-            }
-            self._path(key).write_text(json.dumps(doc, sort_keys=True))
 
     def pop(self, eid: Optional[int], vaddr: int) -> _StoredBlob:
         try:
-            stored = self._blobs.pop((eid, vaddr))
+            return self._blobs.pop((eid, vaddr))
         except KeyError:
             raise ModelError(f"swap store holds no page {vaddr:#x} of enclave {eid}") from None
-        if self.directory:
-            self._path((eid, vaddr)).unlink(missing_ok=True)
-        return stored
 
     def has(self, eid: Optional[int], vaddr: int) -> bool:
         return (eid, vaddr) in self._blobs
@@ -198,11 +178,12 @@ def _build_plan(
 
 
 class HostRuntime:
-    """Loader, call dispatcher, and swap manager over one machine."""
+    """Loader, call dispatcher, and swap manager over one machine.  Evicted
+    pages wait in an in-memory :class:`SwapStore`; nothing goes to disk."""
 
-    def __init__(self, machine: Machine, swap_dir: Optional[Path] = None):
+    def __init__(self, machine: Machine):
         self.machine = machine
-        self.store = SwapStore(swap_dir)
+        self.store = SwapStore()
         self.handles: Dict[int, EnclaveHandle] = {}
         self.ocall_handlers: Dict[int, Callable] = {
             OCALL_EAUG: _ocall_eaug,
@@ -396,7 +377,6 @@ class HostRuntime:
                 signer_hash.absorb(page_measurement(off, secinfo, page, measured))
 
             step = "sigstruct"
-            signer_label: Optional[str] = None
             source = manifest.sigstruct_source
             if source == "test-key" or source.startswith("test-key:"):
                 signer_label = source.partition(":")[2] or "default"
@@ -429,10 +409,8 @@ class HostRuntime:
             name=manifest.name,
             eid=eid,
             base=base,
-            manifest=manifest,
             mrenclave=secs.mrenclave,
             mrsigner=secs.mrsigner,
-            signer_label=signer_label,
             tcs_vaddrs=tcs_vaddrs,
         )
         self.handles[eid] = handle

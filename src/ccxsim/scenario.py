@@ -98,13 +98,11 @@ class ScenarioRunner:
         config: Config,
         base_dir: Optional[Path] = None,
         mode_override: Optional[str] = None,
-        swap_dir: Optional[Path] = None,
         trace: Optional[list] = None,
     ):
         self.config = replace(config)  # a copy: the mode line and override set its mode
         self.base_dir = Path(base_dir) if base_dir else Path(".")
         self.mode_override = mode_override
-        self.swap_dir = swap_dir
         self.trace = trace  # the machine's trace sink; with none it keeps no records
         self.machine: Optional[Machine] = None
         self.runtime: Optional[HostRuntime] = None
@@ -126,7 +124,7 @@ class ScenarioRunner:
             self.machine = Machine(self.config)
             if self.trace is not None:
                 self.machine.trace = self.trace
-            self.runtime = HostRuntime(self.machine, swap_dir=self.swap_dir)
+            self.runtime = HostRuntime(self.machine)
         return self.runtime
 
     def _handle(self, name: str, line_no: int):
@@ -367,9 +365,6 @@ def run_scenario(
     path,
     config: Optional[Config] = None,
     mode_override: Optional[str] = None,
-    swap_dir=None,
 ) -> ScenarioResult:
-    runner = ScenarioRunner(
-        config or Config(), mode_override=mode_override, swap_dir=swap_dir
-    )
+    runner = ScenarioRunner(config or Config(), mode_override=mode_override)
     return runner.run_file(path)

@@ -462,15 +462,24 @@ def test_aex_records_trampoline_delivery_path(entered_env):
     machine.enclu(vcpu, 0x4, RETURN_GATE)
 
 
-def test_host_mode_injection_is_noop_flag(machine):
-    vcpu = machine.vcpus[0]
-    machine.inject_interrupt(vcpu)
-    assert vcpu.pending_irq and not vcpu.in_enclave
-    g = free_host_granule(machine)
-    machine.host_write(g, 0, isa.assemble([("halt",)], origin=0))
-    vcpu.pc = g * GRANULE_SIZE
-    machine.step(vcpu, 5)
-    assert not vcpu.pending_irq  # host consumed it silently
+def test_host_mode_interrupt_changes_nothing(machine):
+    program = isa.assemble([("movi", 3, 7), ("add", 4, 3, 3), ("halt",)], origin=0)
+    granules = host_scratch_granules(machine, 2)
+    for vcpu, g in zip(machine.vcpus, granules):
+        machine.host_write(g, 0, program)
+        vcpu.regs = [0x1000 + i for i in range(32)]
+        vcpu.pc = g * GRANULE_SIZE
+    quiet, interrupted = machine.vcpus[:2]
+    machine.trace = []
+    before = (list(interrupted.regs), interrupted.pc, interrupted.last_exit)
+    machine.inject_interrupt(interrupted)
+    assert (interrupted.regs, interrupted.pc, interrupted.last_exit) == before
+    assert machine.trace == []
+    # the next step runs the program as a vCPU that got no interrupt does
+    report = machine.step(interrupted, 5)
+    assert report == machine.step(quiet, 5)
+    assert interrupted.regs[4] == 14 and interrupted.regs == quiet.regs
+    assert interrupted.pc - granules[1] * GRANULE_SIZE == quiet.pc - granules[0] * GRANULE_SIZE
 
 
 def test_ssa_overflow_crashes_enclave(machine):

@@ -1,5 +1,8 @@
 """Manifest parsing and the enclave loader."""
 
+import gc
+import weakref
+
 import pytest
 
 from ccxsim import fixtures, runtime as runtime_module
@@ -197,6 +200,16 @@ def test_signer_label_selects_identity(runtime):
     h2 = runtime.load_enclave(EnclaveManifest.parse(t2))
     assert h1.mrenclave == h2.mrenclave
     assert h1.mrsigner != h2.mrsigner
+
+
+def test_loaded_enclave_keeps_no_reference_to_its_manifest(runtime):
+    manifest = EnclaveManifest.parse(minimal_text())
+    ref = weakref.ref(manifest)
+    handle = runtime.load_enclave(manifest)
+    del manifest
+    gc.collect()
+    assert ref() is None
+    assert runtime.handles[handle.eid] is handle
 
 
 def test_sigstruct_from_file(runtime, tmp_path):

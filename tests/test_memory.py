@@ -20,6 +20,8 @@ from ccxsim.memory import (
     SecurityState,
     access_allowed,
 )
+from ccxsim.microprograms import DEFAULT_ENCLAVE_BASE
+from ccxsim.structs import Attributes, SecInfo
 
 from helpers import build_raw_enclave, free_epc_granules, small_config
 from oracles import ACCESS_TRUTH
@@ -145,7 +147,7 @@ def open_table(mem, eid, granule):
 
 
 def reg(eid, vaddr=0x1000, **fields):
-    """A REG entry; its default address stays clear of the SECS entry's 0."""
+    """A REG entry of enclave `eid` at linear address `vaddr`."""
     return EpcmEntry(page_type=PageType.REG, owner=eid, vaddr=vaddr, **fields)
 
 
@@ -340,6 +342,43 @@ def test_epcm_update_maintains_vaddr_index():
     with pytest.raises(ModelError):
         mem.epcm_update(82, EpcmEntry(page_type=PageType.REG, owner=1, vaddr=0x5000))
     assert mem.find_page(1, 0x5000) == 81 and mem.find_page(1, 0x6000) == 82
+
+
+def test_secs_has_no_linear_address():
+    mem = fresh_memory()
+    open_table(mem, 1, 16)
+    assert mem.find_page(1, 0) is None
+    mem.epcm_update(80, reg(1, 0))
+    assert mem.find_page(1, 0) == 80
+    # new metadata for the SECS leaves the page at address 0 where it is
+    mem.epcm_update(16, replace(mem.epcm[16], blocked=True))
+    assert mem.find_page(1, 0) == 80
+    mem.epcm_update(80, None)
+    mem.epcm_update(16, None)
+    assert mem.vaddr_index == {}
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_enclave_based_at_zero_builds_like_one_at_the_default_base(mode):
+    def measure_one_page(base):
+        m = Machine(small_config(mode=mode))
+        secs_g, page_g = free_epc_granules(m, 2)
+        eid = m.leaf("ECREATE", secs_g, 1 << 21, 1, Attributes(debug=True), base)
+        assert m.memory.find_page(eid, base) is None
+        content = b"\x5a" * GRANULE_SIZE
+        secinfo = SecInfo(Perms.R | Perms.W, PageType.REG)
+        if m.memory.mode.is_fixed:
+            m.leaf("EADD", eid, base, secinfo, page_g, content)
+        else:
+            m.host_write(page_g, 0, content)
+            m.leaf("EADD", eid, base, secinfo, page_g)
+        assert m.memory.find_page(eid, base) == page_g
+        for chunk in range(0, GRANULE_SIZE, 256):
+            m.leaf("EEXTEND", eid, base + chunk)
+        m.audit()
+        return m.enclaves[eid].mrenclave_state.copy().final()
+
+    assert measure_one_page(0) == measure_one_page(DEFAULT_ENCLAVE_BASE)
 
 
 def test_epcm_keeps_valid_granules_in_the_order_they_became_valid():
