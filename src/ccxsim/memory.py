@@ -227,11 +227,12 @@ class EpcmEntry:
             raise ModelError("non-VA EPCM entry needs an owner")
 
 
-def _page_key(entry: EpcmEntry) -> Optional[Tuple[int, int]]:
+def _page_key(entry: Optional[EpcmEntry]) -> Optional[Tuple[int, int]]:
     """The (owner, page address) under which :meth:`MachineMemory.find_page`
-    finds the entry's page, or None for a page with no linear address: a
-    version array has no owner, and a SECS is not mapped into its enclave."""
-    if entry.owner is None or entry.page_type == PageType.SECS:
+    finds the entry's page, or None for no entry or a page with no linear
+    address: a version array has no owner, and a SECS is not mapped into its
+    enclave."""
+    if entry is None or entry.owner is None or entry.page_type == PageType.SECS:
         return None
     return (entry.owner, entry.vaddr)
 
@@ -455,7 +456,7 @@ class MachineMemory:
         self._check_range(granule)
         old = self.epcm.get(granule)
         gpts = self.gpts
-        key = None if entry is None else _page_key(entry)
+        key = _page_key(entry)
         if entry is not None:
             entry.validate()
             if key is not None:
@@ -485,10 +486,9 @@ class MachineMemory:
                 if old.page_type == PageType.SECS:
                     gpts.drop_enclave_table(old.owner)
         gpts.generation += 1
-        if old is not None:
-            old_key = _page_key(old)
-            if old_key is not None:
-                self.vaddr_index.pop(old_key, None)
+        old_key = _page_key(old)
+        if old_key is not None:
+            self.vaddr_index.pop(old_key, None)
         if entry is None:
             self.epcm.pop(granule, None)
             return
