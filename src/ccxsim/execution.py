@@ -525,7 +525,8 @@ def _ecreate_info(m, vcpu, addr: int) -> dict:
 
 
 def _eadd_info(m, vcpu, addr: int) -> dict:
-    """A PAGEINFO for EADD: the source page at SRCPGE, none if it is 0."""
+    """A PAGEINFO for EADD: the source page at SRCPGE, none if it is 0,
+    which EADD refuses."""
     info = _pageinfo(m, addr)
     source = _host_read(m, info.srcpge, GRANULE_SIZE) if info.srcpge else None
     return {"eid": info.secs, "vaddr": info.linaddr,

@@ -48,7 +48,7 @@ from __future__ import annotations
 import enum
 import mmap
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import GranuleProtectionFault, ModelError
 
@@ -194,13 +194,12 @@ class MemoryMode:
                 raise ModelError("EPC window exceeds physical memory")
 
 
-@dataclass(frozen=True)
-class EpcmEntry:
+class EpcmEntry(NamedTuple):
     """EPC metadata of one valid granule.
 
     Entries are immutable and stored only for valid pages, so a looked-up
     entry can be shared without a copy.  Leaves build a new entry with the
-    constructor or ``dataclasses.replace`` and store it with
+    constructor or ``_replace`` and store it with
     :meth:`MachineMemory.epcm_update`; a leaf refused before that store leaves
     the EPCM as it was.  ``staged_type`` and ``blocked_epoch`` are
     microprogram bookkeeping for type changes in flight and for blocked-page
@@ -516,13 +515,14 @@ class MachineMemory:
         Checks: every EPCM-valid page is inaccessible in the system table and,
         if enclave-owned, in its owner's set; the system table marks no
         granule outside the EPCM; owned sets hold only granules the EPCM gives
-        their enclave; fixed-EPC confinement.  Per-enclave views need no check
-        of their own: they are derived from these two.
+        their enclave; every EPCM-valid granule lies in the EPC span.
+        Per-enclave views need no check of their own: they are derived from
+        these two.
         """
         owned = self.gpts.owned
         for granule, entry in self.epcm.items():
-            if self.mode.is_fixed and not self.epc_admissible(granule):
-                raise ModelError(f"EPCM-valid granule {granule} outside fixed EPC")
+            if not self.epc_admissible(granule):
+                raise ModelError(f"EPCM-valid granule {granule} outside the EPC span")
             if self.gpts.system[granule] != Pas.NO_ACCESS:
                 raise ModelError(f"granule {granule} reachable from system table")
             if entry.owner is not None and granule not in owned.get(entry.owner, ()):

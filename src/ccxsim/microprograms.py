@@ -9,7 +9,6 @@ in :mod:`ccxsim.machine` stitch both together.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from typing import Optional
 
@@ -131,24 +130,13 @@ def eadd(
     if m.memory.find_page(eid, vaddr) is not None:
         raise SgxError(E.VADDR_COLLISION, f"vaddr {vaddr:#x} already mapped")
     _require_free(m, target_granule)
-
-    if m.memory.mode.is_fixed:
-        # Fixed EPC: page content is copied into the protected window.
-        if source_bytes is None:
-            raise SgxError(E.PAGE_INVALID, "sgx-mode EADD requires source bytes")
-        if len(source_bytes) != GRANULE_SIZE:
-            raise SgxError(E.PAGE_INVALID, "EADD source must be one full page")
-    else:
-        # Dynamic mode assigns the source granule in place; no copy happens.
-        if source_bytes is not None:
-            raise SgxError(E.PAGE_INVALID, "ccx-mode EADD assigns in place; write content first")
-
+    # The page is copied from a source page, as RMI_DATA_CREATE fills a
+    # delegated granule from a non-secure one.
+    if source_bytes is None or len(source_bytes) != GRANULE_SIZE:
+        raise SgxError(E.PAGE_INVALID, "EADD needs one full source page")
     if secinfo.page_type == PageType.TCS:
         # A bad TCS is refused before the granule changes hands.
-        if source_bytes is None:
-            tcs = m.read_tcs(target_granule)
-        else:
-            tcs = Tcs.unpack(source_bytes)
+        tcs = Tcs.unpack(source_bytes)
         if tcs.cssa != 0:
             raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
         tcs.validate(secs)
@@ -158,8 +146,7 @@ def eadd(
         target_granule,
         EpcmEntry(secinfo.page_type, owner=eid, vaddr=vaddr, perms=effective.perms),
     )
-    if source_bytes is not None:
-        m.memory.write_granule(MICROCODE, target_granule, 0, source_bytes)
+    m.memory.write_granule(MICROCODE, target_granule, 0, source_bytes)
 
     secs.mrenclave_state.absorb(eadd_record(vaddr - secs.base, effective))
 
@@ -259,7 +246,7 @@ def eblock(m, granule: int) -> None:
     if entry.blocked:
         raise SgxError(E.ALREADY_BLOCKED, f"granule {granule} already blocked")
     epoch = entry.blocked_epoch if entry.owner is None else _secs(m, entry.owner).track_epoch
-    m.memory.epcm_update(granule, replace(entry, blocked=True, blocked_epoch=epoch))
+    m.memory.epcm_update(granule, entry._replace(blocked=True, blocked_epoch=epoch))
 
 
 def etrack(m, eid: int) -> None:
@@ -429,14 +416,14 @@ def emodpr(m, granule: int, new_perms: Perms) -> None:
     if new_perms & ~entry.perms:
         raise SgxError(E.PERM_EXPANSION_ATTEMPT, "EMODPR only restricts permissions")
     # the restriction takes effect immediately
-    m.memory.epcm_update(granule, replace(entry, perms=new_perms, modified=True))
+    m.memory.epcm_update(granule, entry._replace(perms=new_perms, modified=True))
 
 
 def emodt(m, granule: int, new_type: PageType) -> None:
     entry = _settled_reg_entry(m, granule)
     if new_type not in (PageType.TCS, PageType.TRIM):
         raise SgxError(E.ILLEGAL_TRANSITION, f"REG pages become TCS or TRIM, not {new_type.name}")
-    m.memory.epcm_update(granule, replace(entry, staged_type=new_type, modified=True))
+    m.memory.epcm_update(granule, entry._replace(staged_type=new_type, modified=True))
 
 
 def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
@@ -453,11 +440,11 @@ def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
             f"expected {expected.page_type.name}/{expected.perms.text()},"
             f" staged {staged.page_type.name}/{staged.perms.text()}",
         )
-    entry = replace(entry, pending=False, modified=False)
+    entry = entry._replace(pending=False, modified=False)
     if entry.staged_type is not None:
-        entry = replace(entry, page_type=entry.staged_type, staged_type=None)
+        entry = entry._replace(page_type=entry.staged_type, staged_type=None)
         if entry.page_type == PageType.TCS:
-            entry = replace(entry, perms=Perms.NONE)
+            entry = entry._replace(perms=Perms.NONE)
             tcs = m.read_tcs(granule)
             if tcs.cssa != 0:
                 raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
@@ -489,7 +476,7 @@ def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInf
 
     content = m.memory.read_granule(MICROCODE, src_granule, 0, GRANULE_SIZE)
     m.memory.write_granule(MICROCODE, target_granule, 0, content)
-    m.memory.epcm_update(target_granule, replace(entry, pending=False, perms=secinfo.perms))
+    m.memory.epcm_update(target_granule, entry._replace(pending=False, perms=secinfo.perms))
 
 
 def emodpe(m, vcpu, granule: int, add_perms: Perms) -> None:
@@ -506,7 +493,7 @@ def emodpe(m, vcpu, granule: int, add_perms: Perms) -> None:
             f"{new_perms.text()} exceeds signed ceiling "
             f"{secs.attributes.max_page_perms.text()}",
         )
-    m.memory.epcm_update(granule, replace(entry, perms=new_perms))
+    m.memory.epcm_update(granule, entry._replace(perms=new_perms))
 
 
 # ---------------------------------------------------------------------------

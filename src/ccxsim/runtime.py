@@ -2,10 +2,10 @@
 
 Plays the kernel driver plus the untrusted runtime library: loads enclaves
 from manifests, dispatches calls into enclaves and outside calls back to host
-handlers, demand-pages swapped content back in, and manages the fixed EPC by
-evicting pages through the block/track/writeback protocol.  The victim is the
-oldest resident page the victim filter admits, in EPCM order; the runtime
-keeps no residency list of its own.
+handlers, demand-pages swapped content back in, and makes room in a full EPC
+span by evicting pages through the block/track/writeback protocol.  The
+victim is the oldest resident page the victim filter admits, in EPCM order;
+the runtime keeps no residency list of its own.
 
 Driver ABI (documented contract with fixture programs):
 
@@ -206,25 +206,17 @@ class HostRuntime:
 
     def take_epc_granule(self) -> int:
         """The lowest free EPC-capable granule, for any enclave page: in the
-        fixed window in sgx mode, evicting through the writeback protocol
-        when it is exhausted; anywhere outside the reserved granules and the
-        host's own granules in ccx mode, which never evicts.  The granule
-        stays free until a leaf assigns it, so use it before taking the
-        next."""
-        mem = self.machine.memory
-        lo, hi = mem.epc_span()
+        fixed window in sgx mode, anywhere outside the reserved granules and
+        the host's own granules in ccx mode.  When the span is full, a page
+        is evicted through the writeback protocol.  The granule stays free
+        until a leaf assigns it, so use it before taking the next."""
+        lo, hi = self.machine.memory.epc_span()
         while True:
             g = self._first_free(lo, hi)
             if g is None:
-                if not mem.mode.is_fixed:
-                    raise ModelError("physical memory exhausted in dynamic mode")
                 self._evict_one()
                 continue
-            if (
-                mem.mode.is_fixed
-                and not self._free_slots
-                and self._first_free(g + 1, hi) is None
-            ):
+            if not self._free_slots and self._first_free(g + 1, hi) is None:
                 # Last free granule and no version capacity left: convert it
                 # to a version array so the writeback protocol stays possible,
                 # then evict for the actual request.  With nothing to evict,
@@ -335,15 +327,7 @@ class HostRuntime:
         return state.final()
 
     def _add_page(self, eid: int, vaddr: int, secinfo: SecInfo, content: bytes) -> None:
-        m = self.machine
-        target = self.take_epc_granule()
-        if m.memory.mode.is_fixed:
-            m.leaf("EADD", eid, vaddr, secinfo, target, content)
-        else:
-            # Dynamic assignment in place: the host writes the page into a
-            # normal granule, which EADD then turns into enclave memory.
-            m.host_write(target, 0, content)
-            m.leaf("EADD", eid, vaddr, secinfo, target)
+        self.machine.leaf("EADD", eid, vaddr, secinfo, self.take_epc_granule(), content)
 
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
         m = self.machine

@@ -476,8 +476,8 @@ class SwapBlob:
 # Parameter blocks a driver passes to the structured ENCLS leaves through the
 # trap gadget, both four little-endian u64 words.  x2 holds the physical
 # address of a PAGEINFO.  Its SRCPGE is the address of the SECS image
-# (ECREATE), of the source page (EADD in sgx mode, else 0) or of the sealed
-# page (EWB, ELDB, ELDU).
+# (ECREATE), of the source page (EADD) or of the sealed page (EWB, ELDB,
+# ELDU).
 
 _PARAM_BLOCK = struct.Struct("<4Q")
 PAGEINFO_SIZE = SECS_IMAGE_SIZE = _PARAM_BLOCK.size  # 32

@@ -92,12 +92,7 @@ def build_raw_enclave(
 
     def add(off: int, secinfo: SecInfo, content: bytes) -> int:
         g = granules.pop(0)
-        if m.memory.mode.is_fixed:
-            m.leaf("EADD", eid, BASE + off, secinfo, g, content)
-        else:
-            # dynamic mode assigns in place: stage the content first
-            m.host_write(g, 0, content)
-            m.leaf("EADD", eid, BASE + off, secinfo, g)
+        m.leaf("EADD", eid, BASE + off, secinfo, g, content)
         pages[off] = g
         if measure:
             for chunk in range(0, GRANULE_SIZE, 256):

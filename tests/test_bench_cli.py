@@ -306,6 +306,17 @@ def test_unreadable_input_is_a_usage_error(name, demo_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
 
+
+@pytest.mark.parametrize("flag", ["--trace", "--snapshot"])
+def test_run_output_path_that_is_a_directory_is_a_usage_error(flag, demo_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["run", str(demo_dir / "lifecycle.scenario"), flag, str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_config_cap_admits_its_bound():
     cfg = Config.from_dict({"granule_count": MAX_GRANULE_COUNT, "leaf_base_cost": {"EADD": 0}})
     assert cfg.granule_count == MAX_GRANULE_COUNT and cfg.leaf_base_cost["EADD"] == 0

@@ -22,6 +22,7 @@ from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime, RETURN_GATE
 from ccxsim.structs import (
     Attributes,
     EXIT_IRQ,
+    PAGEINFO_SIZE,
     PCMD_SIZE,
     PageInfo,
     Pcmd,
@@ -189,7 +190,7 @@ MALFORMED_FRAMES = [
      lambda m, enc: (enc.eid, enc.granule(0x1000) * GRANULE_SIZE, 0), E.BAD_VADDR),
     ("eadd-secinfo-page-type-9", False, ENCLS, 0x1,
      lambda m, enc: _eadd_frame(m, secinfo=0x903, source=True), E.PAGE_INVALID),
-    ("eadd-without-source-in-sgx-mode", False, ENCLS, 0x1,
+    ("eadd-without-source", False, ENCLS, 0x1,
      lambda m, enc: _eadd_frame(m), E.PAGE_INVALID),
 ]
 
@@ -255,6 +256,42 @@ def test_malformed_gadget_frame_is_refused_with_a_code(machine, inside, smc, lea
         if vcpu.in_enclave:
             machine.enclu(vcpu, 0x4, RETURN_GATE)
     machine.audit()
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_eadd_without_a_full_source_page_is_refused_in_both_modes(mode):
+    """EADD copies its page from a source page in both memory modes: a frame
+    whose SRCPGE is 0, or a leaf call with a short page, is refused before
+    the target granule changes hands."""
+    m = Machine(small_config(mode=mode))
+    info_at, page_g, _ = _eadd_frame(m)
+    with pytest.raises(SgxError) as exc:
+        _encls(m, 0x1, info_at, page_g)
+    assert exc.value.code == E.PAGE_INVALID
+    (eid,) = m.enclaves
+    with pytest.raises(SgxError) as exc:
+        m.leaf("EADD", eid, BASE, SecInfo(Perms.R, PageType.REG), page_g,
+               b"\x5c" * (GRANULE_SIZE - 1))
+    assert exc.value.code == E.PAGE_INVALID
+    assert m.memory.is_free(page_g)
+    assert m.memory.find_page(eid, BASE) is None
+    m.audit()
+
+
+def test_gadget_eadd_with_a_source_page_measures_alike_in_both_modes():
+    def measure(mode):
+        m = Machine(small_config(mode=mode))
+        info_at, page_g, _ = _eadd_frame(m, source=True)
+        info = PageInfo.unpack(m.host_read(info_at // GRANULE_SIZE, 0, PAGEINFO_SIZE))
+        m.host_write(info.srcpge // GRANULE_SIZE, 0, b"\x5c" * GRANULE_SIZE)
+        _encls(m, 0x1, info_at, page_g)
+        assert m.memory.read_granule(MICROCODE, page_g, 0, GRANULE_SIZE) == b"\x5c" * GRANULE_SIZE
+        for chunk in range(0, GRANULE_SIZE, 256):
+            _encls(m, 0x6, info.secs, BASE + chunk)
+        m.audit()
+        return m.enclaves[info.secs].mrenclave_state.copy().final()
+
+    assert measure("sgx") == measure("ccx")
 
 
 def test_encls_service_not_available_from_enclave(entered_env):
@@ -814,13 +851,8 @@ def test_encls_register_path_through_host_memory(mode):
     assert eid in machine.enclaves and machine.enclaves[eid].base == BASE
 
     secinfo = SecInfo(Perms.R | Perms.W, PageType.REG).word()
-    if machine.memory.mode.is_fixed:  # the content is copied from a source page
-        machine.host_write(source, 0, b"\x5c" * GRANULE_SIZE)
-        srcpge = source * GRANULE_SIZE
-    else:  # the page is assigned in place, so SRCPGE is 0
-        machine.host_write(page_g, 0, b"\x5c" * GRANULE_SIZE)
-        srcpge = 0
-    machine.host_write(params, 0, PageInfo(BASE, srcpge, secinfo, eid).pack())
+    machine.host_write(source, 0, b"\x5c" * GRANULE_SIZE)
+    machine.host_write(params, 0, PageInfo(BASE, source * GRANULE_SIZE, secinfo, eid).pack())
     _encls(machine, 0x1, info_at, page_g)  # add
     assert machine.memory.find_page(eid, BASE) == page_g
     _encls(machine, 0x6, eid, BASE)  # extend one chunk

@@ -3,11 +3,12 @@
 import pytest
 
 from ccxsim.errors import GranuleProtectionFault, SgxError, SgxErrorCode as E
+from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Pas, Perms
 from ccxsim.runtime import AEP_GATE
 from ccxsim.structs import Attributes, SecInfo, Tcs
 
-from helpers import BASE, build_raw_enclave, free_epc_granules
+from helpers import BASE, build_raw_enclave, free_epc_granules, small_config
 
 
 def sign_for(m, eid, signer="default", prod=1, svn=1, attributes=None, enclavehash=None):
@@ -109,7 +110,9 @@ def test_eadd_outside_enclave_range_rejected(machine):
     assert exc.value.code == E.BAD_VADDR
 
 
-def test_eadd_bad_tcs_layout_rejected(machine):
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_eadd_bad_tcs_layout_rejected(mode):
+    machine = Machine(small_config(mode=mode))
     enc = build_raw_enclave(machine, init=False)
     g = free_epc_granules(machine, 1)[0]
     bad = Tcs(oentry=1 << 22, ossa=0x2000, nssa=2)  # entry point outside
@@ -124,27 +127,12 @@ def test_eadd_bad_tcs_layout_rejected(machine):
     machine.audit()
 
 
-def test_ccx_refused_tcs_eadd_leaves_granule_free(ccx_machine):
-    enc = build_raw_enclave(ccx_machine, init=False)
-    g = free_epc_granules(ccx_machine, 1)[0]
-    bad = Tcs(oentry=1 << 22, ossa=0x2000, nssa=2)  # entry point outside
-    ccx_machine.host_write(g, 0, bad.pack())  # ccx EADD reads the granule in place
-    with pytest.raises(SgxError) as exc:
-        ccx_machine.leaf("EADD", enc.eid, BASE + 0x8000,
-                         SecInfo(Perms.NONE, PageType.TCS), g)
-    assert exc.value.code == E.BAD_TCS_LAYOUT
-    assert ccx_machine.memory.is_free(g)
-    with pytest.raises(SgxError) as exc:  # no thread was added
-        ccx_machine.leaf("EENTER", g, AEP_GATE, vcpu=ccx_machine.vcpus[0])
-    assert exc.value.code == E.PAGE_INVALID
-    ccx_machine.audit()
-
-
 def test_eadd_in_dynamic_mode_assigns_in_place(ccx_machine):
     m = ccx_machine
     enc = build_raw_enclave(m, init=False)
     g = enc.granule(0x0)
-    # same physical granule, now realm in the enclave table
+    # the target granule itself turns realm in the enclave table and holds
+    # the copied source page
     assert m.memory.gpts.entry(enc.eid, g) == Pas.REALM
     from ccxsim.memory import MICROCODE
 

@@ -1,7 +1,6 @@
 """Granule protection tables, access checking, and the EPC page map."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,9 +165,9 @@ def test_epcm_update_moves_a_granule_into_and_out_of_the_enclave_world():
     assert mem.read_granule(root, 30, 0, 8) == b"in place"  # no copy, no scrub
     mem.audit()
     with pytest.raises(ModelError):
-        mem.epcm_update(30, replace(mem.epcm[30], page_type=PageType.SECS))
+        mem.epcm_update(30, mem.epcm[30]._replace(page_type=PageType.SECS))
     with pytest.raises(ModelError):
-        mem.epcm_update(16, replace(mem.epcm[16], page_type=PageType.REG))
+        mem.epcm_update(16, mem.epcm[16]._replace(page_type=PageType.REG))
     mem.epcm_update(30, None)
     assert mem.gpts.entry(None, 30) == Pas.NORMAL
     assert mem.gpts.owned[1] == {16}
@@ -317,11 +316,11 @@ def test_fuzzed_epcm_updates_never_hold_pending_and_modified(flips):
     for set_pending, set_modified, clear in flips:
         e = mem.epcm_lookup(70)
         if clear:
-            e = replace(e, pending=False, modified=False)
+            e = e._replace(pending=False, modified=False)
         if set_pending and not e.modified:
-            e = replace(e, pending=True)
+            e = e._replace(pending=True)
         if set_modified and not e.pending:
-            e = replace(e, modified=True)
+            e = e._replace(modified=True)
         mem.epcm_update(70, e)
         stored = mem.epcm_lookup(70)
         assert not (stored.pending and stored.modified)
@@ -351,7 +350,7 @@ def test_secs_has_no_linear_address():
     mem.epcm_update(80, reg(1, 0))
     assert mem.find_page(1, 0) == 80
     # new metadata for the SECS leaves the page at address 0 where it is
-    mem.epcm_update(16, replace(mem.epcm[16], blocked=True))
+    mem.epcm_update(16, mem.epcm[16]._replace(blocked=True))
     assert mem.find_page(1, 0) == 80
     mem.epcm_update(80, None)
     mem.epcm_update(16, None)
@@ -367,11 +366,7 @@ def test_enclave_based_at_zero_builds_like_one_at_the_default_base(mode):
         assert m.memory.find_page(eid, base) is None
         content = b"\x5a" * GRANULE_SIZE
         secinfo = SecInfo(Perms.R | Perms.W, PageType.REG)
-        if m.memory.mode.is_fixed:
-            m.leaf("EADD", eid, base, secinfo, page_g, content)
-        else:
-            m.host_write(page_g, 0, content)
-            m.leaf("EADD", eid, base, secinfo, page_g)
+        m.leaf("EADD", eid, base, secinfo, page_g, content)
         assert m.memory.find_page(eid, base) == page_g
         for chunk in range(0, GRANULE_SIZE, 256):
             m.leaf("EEXTEND", eid, base + chunk)
@@ -389,7 +384,7 @@ def test_epcm_keeps_valid_granules_in_the_order_they_became_valid():
     open_table(mem, 1, 16)
     for i, g in enumerate((90, 91, 92)):
         mem.epcm_update(g, reg(1, (i + 1) * 0x1000))
-    mem.epcm_update(90, replace(mem.epcm[90], blocked=True))
+    mem.epcm_update(90, mem.epcm[90]._replace(blocked=True))
     assert list(mem.epcm) == [16, 90, 91, 92]
     mem.epcm_update(90, None)
     mem.epcm_update(90, reg(1))

@@ -1,6 +1,5 @@
 """Dynamic page management: grow, accept, permission and type changes."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -272,7 +271,7 @@ def test_emodt_reg_to_tcs_then_enter(env):
     with pytest.raises(SgxError) as exc:  # still no thread to enter
         machine.enclu(machine.vcpus[0], 0x2, g, AEP_GATE)
     assert exc.value.code == E.PAGE_INVALID
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):  # entries are immutable
         entry.modified = False
     tcs = Tcs(oentry=0x0, ossa=0x3000, nssa=1, tls_base=0x1000)
     machine.leaf("EDBGWR", g, 0, tcs.pack()[:64])

@@ -492,3 +492,19 @@ def test_eviction_passes_over_an_enclave_the_runtime_did_not_load(fixture_dir):
         rt.load_enclave(manifest)
     assert rt.swap_out_events > 0
     assert set(machine.memory.gpts.owned[raw.eid]) == resident
+
+
+def test_ccx_mode_writes_back_once_all_of_memory_is_full(fixture_dir):
+    """In ccx mode the EPC span is all of memory.  A workload larger than
+    that evicts through the same writeback protocol as sgx mode and still
+    gets its answer."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(mode="ccx", granule_count=256))
+    rt = HostRuntime(machine)
+    path = fixtures.write_toucher_manifest(fixture_dir, "overfull", size=1 << 23)
+    h = rt.load_enclave(EnclaveManifest.load(path))
+    assert rt.ecall(h, 0, 1, 300, step_budget=20_000_000) == fixtures.toucher_expected(300)
+    assert rt.swap_out_events > 0
+    machine.audit()
