@@ -18,14 +18,24 @@ The pump keeps no event list of its own.  Each fact of a run is one record
 in the machine's trace: the dispatch records leaves, :func:`aex` exits, and
 :func:`step` each page fault or GPF where it is taken, before its exit.
 
-Memory accesses go through a translation cache and instruction fetches
-also through a decode cache (both kept in :class:`~ccxsim.memory.MachineMemory`).
-A cache entry is filled only by a successful checked access (address
-translation, EPCM checks, then the protection-table check), the translation
-cache is dropped on any EPCM or protection-table change, and a granule's
-decodes are dropped on any write to it.  A miss, or an access that crosses a
-page, takes the checked path, so every fault and GPF is raised as without
-the caches.
+The pump runs code as blocks.  A block is the decoded run of ALU ops
+(``movi``, ``add``, ``addi``, ``xor``, ``mul``) that starts at one address,
+plus the one instruction that ends it: a branch, load, store, gadget, halt,
+abort or bad opcode.  A run that reaches the end of its page ends there with
+no such instruction, so a block never crosses its page.  ALU ops touch
+registers only, so they can neither fault nor change memory, and
+:func:`step` takes one fetch per block, runs the ALU ops in a tight loop and
+then the instruction that ends the block.  A budget may end inside a block;
+every count, pc and trace record is what one instruction at a time gives.
+
+Memory accesses go through a translation cache and block fetches also
+through a decode cache of blocks (both kept in
+:class:`~ccxsim.memory.MachineMemory`).  A cache entry is filled only by a
+successful checked access (address translation, EPCM checks, then the
+protection-table check), the translation cache is dropped on any EPCM or
+protection-table change, and a granule's blocks are dropped on any write to
+it.  A miss, or an access that crosses a page, takes the checked path, so
+every fault and GPF is raised as without the caches.
 
 There is deliberately no hook point between an enclave trap or interrupt and
 the monitor: nothing at hypervisor level can observe or intercept the switch.
@@ -41,6 +51,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from . import isa
+from .isa import OP_ADD, OP_ADDI, OP_MOVI, OP_MUL, OP_XOR
 from .crypto import KEY_SIZE
 from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode as E
 from .memory import (
@@ -239,21 +250,41 @@ def mem_write(m, vcpu, addr: int, data: bytes) -> None:
     mem.tlb[(vcpu.cur_eid, addr - offset, "w")] = granule
 
 
-def fetch(m, vcpu, pc: int) -> Tuple[int, int, int, int, int]:
-    """The decoded instruction at ``pc``; a granule's decodes are kept until
-    something writes to it."""
+# Opcodes a block runs in its tight loop: they touch registers only, so they
+# can neither fault nor change memory, and nothing can happen between them.
+_ALU_OPS = frozenset((OP_MOVI, OP_ADD, OP_ADDI, OP_XOR, OP_MUL))
+
+
+def _decode_block(data, base: int, offset: int) -> Tuple[tuple, Optional[tuple]]:
+    """The block at ``offset`` of the granule at ``base``: the decoded ALU
+    ops from there, and the decoded instruction that ends them, or None if
+    the run reaches the page end first."""
+    run = []
+    while offset + isa.INSTR_SIZE <= GRANULE_SIZE:
+        instr = isa.decode(data[base + offset : base + offset + isa.INSTR_SIZE])
+        if instr[0] not in _ALU_OPS:
+            return tuple(run), instr
+        run.append(instr)
+        offset += isa.INSTR_SIZE
+    return tuple(run), None
+
+
+def _block(m, vcpu, pc: int) -> Tuple[tuple, Optional[tuple]]:
+    """The block at ``pc``, after one checked or cached fetch of its first
+    instruction; a granule's blocks are kept until something writes to it."""
     mem = m.memory
     granule = _cached(mem, vcpu, pc, isa.INSTR_SIZE, "x")
     if granule is None:
         mem_read(m, vcpu, pc, isa.INSTR_SIZE, "x")  # the checked path fills the cache
         granule = mem.tlb[(vcpu.cur_eid, pc & ~_PAGE_MASK, "x")]
-    decodes = mem.decoded.setdefault(granule, {})
+    blocks = mem.decoded.get(granule)
+    if blocks is None:
+        blocks = mem.decoded[granule] = {}
     offset = pc & _PAGE_MASK
-    instr = decodes.get(offset)
-    if instr is None:
-        base = granule * GRANULE_SIZE + offset
-        instr = decodes[offset] = isa.decode(mem.data[base : base + isa.INSTR_SIZE])
-    return instr
+    block = blocks.get(offset)
+    if block is None:
+        block = blocks[offset] = _decode_block(mem.data, granule * GRANULE_SIZE, offset)
+    return block
 
 
 def _user_buffer(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
@@ -729,35 +760,49 @@ def step(m, vcpu, max_steps: int) -> RunReport:
     """Run the loaded fixture program for up to `max_steps` instructions.
 
     Stops on halt or abort (``vcpu.pc`` stays on it), a host-mode fault, whose
-    details the report keeps, or exhaustion.  A fault in enclave mode becomes
-    an asynchronous exit, and execution continues at the host's async exit
-    pointer (typically a halt gate): the trace shows the fault, then the exit.
+    details the report keeps, or exhaustion, which may come inside a block
+    and leaves ``vcpu.pc`` on the next instruction.  A fault in enclave mode
+    becomes an asynchronous exit, and execution continues at the host's async
+    exit pointer (typically a halt gate): the trace shows the fault, then the
+    exit.
     """
     executed = 0
     while executed < max_steps:
+        pc = vcpu.pc
         fetching = True
         try:
-            op, rd, rs1, rs2, imm = fetch(m, vcpu, vcpu.pc)
+            run, end = _block(m, vcpu, pc)
             fetching = False
+            if run:
+                room = max_steps - executed
+                if len(run) >= room:
+                    run, end = run[:room], None
+                regs = vcpu.regs
+                for op, rd, rs1, rs2, imm in run:
+                    if op == OP_MOVI:
+                        regs[rd] = imm
+                    elif op == OP_ADDI:
+                        regs[rd] = (regs[rs1] + imm) & MASK64
+                    elif op == OP_ADD:
+                        regs[rd] = (regs[rs1] + regs[rs2]) & MASK64
+                    elif op == OP_XOR:
+                        regs[rd] = regs[rs1] ^ regs[rs2]
+                    else:
+                        regs[rd] = (regs[rs1] * regs[rs2]) & MASK64
+                executed += len(run)
+                pc = vcpu.pc = (pc + len(run) * isa.INSTR_SIZE) & MASK64
+            if end is None:
+                continue  # the budget ran out, or the next instruction is on another page
+            op, rd, rs1, rs2, imm = end
             executed += 1
-            next_pc = (vcpu.pc + isa.INSTR_SIZE) & MASK64
+            next_pc = (pc + isa.INSTR_SIZE) & MASK64
 
             if op == isa.OP_HALT:
                 return RunReport("halt", executed)
             if op == isa.OP_ABORT:
                 return RunReport("abort", executed)
 
-            if op == isa.OP_MOVI:
-                vcpu.regs[rd] = imm
-            elif op == isa.OP_ADD:
-                vcpu.regs[rd] = (vcpu.regs[rs1] + vcpu.regs[rs2]) & MASK64
-            elif op == isa.OP_ADDI:
-                vcpu.regs[rd] = (vcpu.regs[rs1] + imm) & MASK64
-            elif op == isa.OP_XOR:
-                vcpu.regs[rd] = vcpu.regs[rs1] ^ vcpu.regs[rs2]
-            elif op == isa.OP_MUL:
-                vcpu.regs[rd] = (vcpu.regs[rs1] * vcpu.regs[rs2]) & MASK64
-            elif op == isa.OP_LOAD:
+            if op == isa.OP_LOAD:
                 addr = (vcpu.regs[rs1] + imm) & MASK64
                 vcpu.regs[rd] = int.from_bytes(mem_read(m, vcpu, addr, 8), "little")
             elif op == isa.OP_STORE:
@@ -781,11 +826,11 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                     vcpu.regs[0] = int(err.code)
                 continue
             else:
-                return _stopped(vcpu, executed, "bad_opcode", op=op, pc=vcpu.pc)
+                return _stopped(vcpu, executed, "bad_opcode", op=op, pc=pc)
         except (GranuleProtectionFault, _PageAccessFault) as exc:
             at = {"at": "fetch"} if fetching else {}
             if isinstance(exc, GranuleProtectionFault):
-                addr = vcpu.pc if fetching else (vcpu.regs[rs1] + imm) & MASK64
+                addr = pc if fetching else (vcpu.regs[rs1] + imm) & MASK64
                 details = {"granule": exc.granule, "accessor": exc.accessor.name,
                            "pas": exc.pas.name, **at, "addr": addr}
                 kind, reason, payload = "gpf", EXIT_GPF, addr

@@ -37,10 +37,13 @@ checked access of that kind reached; only a successful checked access fills
 it, and it is emptied whenever the memory generation moves.  The generation
 (``GptSet.generation``) is bumped once by every EPCM update, which is the
 only path that moves a table (the raw test poke ``GptSet.set_entry`` bumps it
-too).  The decode cache (``decoded``) holds each granule's decoded
-instructions by offset; any write to the granule drops them, and
-:meth:`MachineMemory.store` and :meth:`MachineMemory.zero_granule` are the
-only byte writers.
+too).  The decode cache (``decoded``) holds each granule's blocks by the
+offset they start at: a block is the decoded run of ALU ops from there plus
+the instruction that ends it (see :mod:`ccxsim.execution`).  A block never
+crosses its page, so a granule holds at most one entry per instruction
+start, 256 for code at 16-byte offsets.  Any write to the granule drops its
+blocks, and :meth:`MachineMemory.store` and
+:meth:`MachineMemory.zero_granule` are the only byte writers.
 """
 
 from __future__ import annotations
@@ -364,7 +367,7 @@ class MachineMemory:
         self.vaddr_index: Dict[Tuple[int, int], int] = {}
         self.gpf_log: List[GpfRecord] = []
         # (cur_eid, page address, access kind) -> granule, as of generation
-        # ``tlb_generation``; granule -> {offset: decoded instruction}
+        # ``tlb_generation``; granule -> {offset: block starting there}
         self.tlb: Dict[Tuple[Optional[int], int, str], int] = {}
         self.tlb_generation = 0
         self.decoded: Dict[int, Dict[int, tuple]] = {}
@@ -406,7 +409,7 @@ class MachineMemory:
 
     def store(self, granule: int, offset: int, data: bytes) -> None:
         """Write bytes that a checked access has cleared, dropping the
-        granule's cached decodes."""
+        granule's cached blocks."""
         self.decoded.pop(granule, None)
         base = granule * GRANULE_SIZE + offset
         self.data[base : base + len(data)] = data

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccxsim import isa
 from ccxsim.errors import SgxError
+from ccxsim.execution import RunReport
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, GpfRecord, Pas, Perms, SecurityState
 from ccxsim.runtime import AEP_GATE, RETURN_GATE
@@ -93,6 +94,40 @@ def test_enclave_store_of_an_instruction_is_fetched_next(m):
     assert _call(m, enc)[1] == 222
 
 
+def test_store_rewriting_a_later_instruction_of_a_cached_block_is_fetched_next(m):
+    """The first pass writes back the old ``slot`` and runs and caches the
+    ALU run from ``top``; the second rewrites ``slot`` just before running
+    it again, whatever budget each step call has."""
+    old = isa.encode(isa.OP_ADDI, rd=3, rs1=3, imm=100)
+    new = isa.encode(isa.OP_ADDI, rd=3, rs1=3, imm=1)
+    enc = _enclave(m, [
+        ("movi", 3, 0),
+        ("movi", 5, 2),
+        ("movi", 6, int.from_bytes(old[:8], "little")),
+        ("movi", 7, int.from_bytes(old[8:], "little")),
+        ("movi", 8, "@slot"),
+        ("label", "loop"),
+        ("store", 6, 8, 0),
+        ("store", 7, 8, 8),
+        ("label", "top"),
+        ("addi", 4, 4, 1),
+        ("label", "slot"),
+        ("addi", 3, 3, 100),
+        ("movi", 6, int.from_bytes(new[:8], "little")),
+        ("movi", 7, int.from_bytes(new[8:], "little")),
+        ("addi", 5, 5, -1),
+        ("bnz", 5, "@loop"),
+    ])
+    vcpu = m.vcpus[0]
+    for budget in range(1, 10):
+        m.enclu(vcpu, 0x2, enc.pages[TCS], AEP_GATE)
+        report = m.step(vcpu, budget)
+        while report.stop == "limit":
+            report = m.step(vcpu, budget)
+        assert report.stop == "halt" and not vcpu.in_enclave
+        assert vcpu.regs[3] == 101, budget
+
+
 def test_edbgwr_between_ecalls_is_fetched_next(m):
     enc = _enclave(m, [("movi", 3, 111)])
     assert _call(m, enc)[1] == 111
@@ -167,13 +202,18 @@ def test_scrubbed_granule_loses_its_decoded_instructions(m):
 # ---------------------------------------------------------------------------
 # Differential: caches kept against caches dropped before every step
 
-# acc := data[0]; repeat x3 times: acc += x3; data[0] := acc; then x3 := acc.
+# acc := data[0]; repeat x3 times: acc := f(acc + x3); data[0] := acc; then
+# x3 := acc.  The five ALU ops from the add on are one block.
 LOOP = [
     ("movi", 13, BASE + DATA),
     ("label", "loop"),
     ("load", 5, 13, 0),
     ("label", "slot"),
     ("add", 5, 5, 3),
+    ("movi", 6, 5),
+    ("mul", 7, 5, 6),
+    ("xor", 5, 5, 7),
+    ("addi", 5, 5, 1),
     ("store", 5, 13, 0),
     ("addi", 3, 3, -1),
     ("bnz", 3, "@loop"),
@@ -191,18 +231,22 @@ MUTATIONS = st.one_of(
               st.none()),
 )
 # Each round changes memory (or not), then makes one ecall of n loop
-# iterations with interrupts after the given enclave steps.
+# iterations in budgets of up to ``chunk`` steps, with interrupts after the
+# given enclave steps.  Budgets of 1 to 12 end inside blocks, on the
+# instruction that ends one, and past it.
 ROUNDS = st.lists(
-    st.tuples(MUTATIONS, st.integers(1, 6), st.sets(st.integers(1, 30), max_size=3)),
+    st.tuples(MUTATIONS, st.integers(1, 6), st.sets(st.integers(1, 40), max_size=3),
+              st.integers(1, 12)),
     min_size=1, max_size=8,
 )
 
 
 def _drive(mode, rounds, drop_caches):
-    """Run a warm-up ecall and then ``rounds`` on a fresh machine, one
-    instruction per step; returns what a run can observe.  With
-    ``drop_caches`` the generation moves and both caches are emptied before
-    every step, so every access takes the checked path."""
+    """Run a warm-up ecall and then ``rounds`` on a fresh machine; returns
+    what a run can observe.  With ``drop_caches`` each budget is taken one
+    instruction at a time, and the generation moves and both caches are
+    emptied before every step, so every access takes the checked path;
+    without, each budget is one call of ``step``."""
     m = Machine(small_config(mode=mode))
     m.trace = []  # keep the records, so the two runs compare them
     enc = _enclave(m, LOOP)
@@ -211,17 +255,32 @@ def _drive(mode, rounds, drop_caches):
     vcpu = m.vcpus[0]
     seen = []
 
-    def run(budget, irqs=(), done=0):
-        """Step up to ``budget`` instructions, interrupting the enclave after
-        each step number in ``irqs`` (counted from ``done``)."""
+    def advance(budget):
+        """Step up to ``budget`` instructions; the report of the whole run."""
+        if not drop_caches:
+            return m.step(vcpu, budget)
+        steps = 0
         for _ in range(budget):
-            if drop_caches:
-                m.memory.gpts.generation += 1
-                m.memory.tlb.clear()
-                m.memory.decoded.clear()
+            m.memory.gpts.generation += 1
+            m.memory.tlb.clear()
+            m.memory.decoded.clear()
             report = m.step(vcpu, 1)
-            seen.append((report.stop, report.fault, vcpu.pc))
-            done += 1
+            steps += report.steps
+            if report.stop != "limit":
+                break
+        fault = report.fault and {**report.fault, "step": steps}
+        return RunReport(report.stop, steps, fault)
+
+    def run(budget, chunk=1, irqs=(), done=0):
+        """Step up to ``budget`` instructions in budgets of up to ``chunk``,
+        interrupting the enclave after each step number in ``irqs``
+        (counted from ``done``)."""
+        end = done + budget
+        while done < end:
+            due = min((i for i in irqs if i > done), default=end)
+            report = advance(min(chunk, due - done, end - done))
+            seen.append((report.stop, report.steps, report.fault, vcpu.pc))
+            done += report.steps
             if report.stop != "limit":
                 return report.stop, done
             if vcpu.in_enclave and done in irqs:
@@ -231,13 +290,13 @@ def _drive(mode, rounds, drop_caches):
     def page(off):
         return m.memory.find_page(enc.eid, BASE + off)
 
-    def ecall(n, irqs):
+    def ecall(n, irqs, chunk):
         vcpu.regs[3] = n
         m.enclu(vcpu, 0x2, enc.pages[TCS], AEP_GATE)
-        stop, done = run(200, irqs)
+        stop, done = run(300, chunk, irqs)
         while stop == "halt" and vcpu.pc == AEP_GATE and vcpu.last_exit[0] == EXIT_IRQ:
             m.enclu(vcpu, 0x3, vcpu.regs[2], AEP_GATE)
-            stop, done = run(200, irqs, done)
+            stop, done = run(300, chunk, irqs, done)
         seen.append(("x3", vcpu.regs[3]))
 
     def mutate(kind, off, arg):
@@ -260,11 +319,11 @@ def _drive(mode, rounds, drop_caches):
         else:
             _reload_elsewhere(m, enc.eid, g, va)
 
-    steps = [partial(ecall, 3, ())]
-    for mutation, n, irqs in rounds:
+    steps = [partial(ecall, 3, (), 1)]
+    for mutation, n, irqs, chunk in rounds:
         if mutation is not None:
             steps.append(partial(mutate, *mutation))
-        steps.append(partial(ecall, n, irqs))
+        steps.append(partial(ecall, n, irqs, chunk))
     for action in steps:
         try:
             action()

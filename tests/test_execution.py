@@ -111,6 +111,46 @@ def test_host_program_runs_arithmetic(machine):
     assert report.stop == "halt" and vcpu.regs[7] == 42
 
 
+def test_a_budget_of_k_steps_equals_k_single_steps(machine):
+    """Wherever a budget ends, inside an ALU run, on the instruction that
+    ends a block, across a page end or at a fault, one call of
+    ``step(k)`` leaves the registers, pc and report of ``k`` calls of
+    ``step(1)``."""
+    g = free_host_granule(machine)
+    assert machine.memory.is_free(g + 1)
+    start = (g + 1) * GRANULE_SIZE - 4 * isa.INSTR_SIZE  # four ALU ops, then the page end
+    program = [
+        ("movi", 5, 6), ("addi", 5, 5, 1), ("mul", 6, 5, 5), ("xor", 7, 6, 5),
+        ("add", 8, 7, 5), ("movi", 9, 0), ("bnz", 9, "@out"),
+        ("addi", 8, 8, 3), ("mul", 8, 8, 8), ("movi", 11, start), ("load", 10, 11, 0),
+        ("movi", 12, 1 << 50), ("addi", 13, 12, 0), ("load", 10, 12, 0),  # outside memory
+        ("label", "out"), ("halt",),
+    ]
+    code = isa.assemble(program, origin=start)
+    machine.host_write(g, GRANULE_SIZE - 64, code[:64])
+    machine.host_write(g + 1, 0, code[64:])
+    vcpu = machine.vcpus[0]
+
+    def run(k, single):
+        vcpu.regs = [0] * 32
+        vcpu.pc = start
+        if not single:
+            return machine.step(vcpu, k), list(vcpu.regs), vcpu.pc
+        steps, report = 0, execution.RunReport("limit", 0)
+        for _ in range(k):
+            report = machine.step(vcpu, 1)
+            steps += report.steps
+            if report.stop != "limit":
+                break
+        fault = report.fault and {**report.fault, "step": steps}
+        return execution.RunReport(report.stop, steps, fault), list(vcpu.regs), vcpu.pc
+
+    for k in range(len(program) + 1):
+        assert run(k, single=False) == run(k, single=True), k
+    report = run(len(program), single=False)[0]
+    assert (report.stop, report.steps, report.fault["kind"]) == ("fault", 14, "pagefault")
+
+
 # ---------------------------------------------------------------------------
 # Gadget routing and CPUID
 
