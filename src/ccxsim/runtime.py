@@ -137,29 +137,36 @@ class _StoredBlob:
 
 class SwapStore:
     """Host-side store for evicted pages, in memory only: each sealed page
-    and the version-array slot of its version, keyed by (enclave, page
-    address)."""
+    and the version-array slot of its version, by enclave and then by page
+    address.  An enclave with nothing swapped out has no entry."""
 
     def __init__(self):
-        self._blobs: Dict[Tuple[Optional[int], int], _StoredBlob] = {}
+        self._blobs: Dict[Optional[int], Dict[int, _StoredBlob]] = {}
 
     def put(self, eid: Optional[int], vaddr: int, stored: _StoredBlob) -> None:
-        key = (eid, vaddr)
-        if key in self._blobs:
-            raise ModelError(f"swap store already holds {key}")
-        self._blobs[key] = stored
+        pages = self._blobs.setdefault(eid, {})
+        if vaddr in pages:
+            raise ModelError(f"swap store already holds {(eid, vaddr)}")
+        pages[vaddr] = stored
 
     def pop(self, eid: Optional[int], vaddr: int) -> _StoredBlob:
+        pages = self._blobs.get(eid, {})
         try:
-            return self._blobs.pop((eid, vaddr))
+            stored = pages.pop(vaddr)
         except KeyError:
             raise ModelError(f"swap store holds no page {vaddr:#x} of enclave {eid}") from None
+        if not pages:
+            del self._blobs[eid]
+        return stored
 
     def has(self, eid: Optional[int], vaddr: int) -> bool:
-        return (eid, vaddr) in self._blobs
+        return vaddr in self._blobs.get(eid, ())
+
+    def holds_any(self, eid: Optional[int]) -> bool:
+        return eid in self._blobs
 
     def keys_for(self, eid: Optional[int]) -> List[int]:
-        return sorted(v for (e, v) in self._blobs if e == eid)
+        return sorted(self._blobs.get(eid, ()))
 
 
 def _build_plan(
@@ -231,17 +238,22 @@ class HostRuntime:
         self._free_slots.extend((g, s) for s in range(VA_SLOT_COUNT))
 
     def take_host_granule(self) -> int:
-        """The lowest free granule outside the fixed EPC window (any free
-        granule in ccx mode), for host data such as a shared buffer.  The
-        host holds it from then on, so no later take hands it out again."""
+        """The lowest free granule outside the fixed EPC window, for host
+        data such as a shared buffer.  In ccx mode host data shares the span
+        with enclave pages, so the granule is taken as
+        :meth:`take_epc_granule` takes one, evicting a page when the span is
+        full.  The host holds it from then on, so no later take hands it
+        out again."""
         mem = self.machine.memory
-        n = mem.granule_count
-        lo, hi = mem.epc_span() if mem.mode.is_fixed else (n, n)
-        g = self._first_free(RESERVED_GRANULES, lo)
-        if g is None:
-            g = self._first_free(hi, n)
-        if g is None:
-            raise ModelError("no free host granule")
+        if mem.mode.is_fixed:
+            lo, hi = mem.epc_span()
+            g = self._first_free(RESERVED_GRANULES, lo)
+            if g is None:
+                g = self._first_free(hi, mem.granule_count)
+            if g is None:
+                raise ModelError("no free host granule")
+        else:
+            g = self.take_epc_granule()
         self._host_held.add(g)
         return g
 
@@ -458,7 +470,9 @@ class HostRuntime:
         """Page in the TCS and the save-state frames an entry can touch:
         0..cssa-1 hold saved contexts, and the next AEX writes frame cssa
         (if cssa < nssa).  Paging one in may evict another, the TCS included,
-        so repeat until none of them is swapped out."""
+        so repeat until none of them is swapped out.  With nothing of the
+        enclave swapped out all of them are resident, and the TCS is not
+        read: the entry leaf reads it."""
         m = self.machine
         secs = m.enclaves[handle.eid]
         while True:
@@ -466,6 +480,8 @@ class HostRuntime:
             tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
             if tcs_granule is None:
                 raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
+            if not self.store.holds_any(handle.eid):
+                return tcs_granule
             tcs = m.read_tcs(tcs_granule)
             pages = [tcs_vaddr] + [
                 ssa_frame_vaddr(secs, tcs, i) for i in range(min(tcs.cssa + 1, tcs.nssa))

@@ -39,6 +39,24 @@ def test_ccx_reload_leaves_a_host_granule_to_the_host(fixture_dir):
     assert rt.take_epc_granule() != g and rt.take_host_granule() != g
 
 
+def test_ccx_host_granule_from_a_full_memory_evicts_an_enclave_page(fixture_dir):
+    """Host data shares the span with enclave pages in ccx mode, so with
+    every granule taken the host gets one by a writeback."""
+    m = Machine(small_config(mode="ccx", granule_count=256))
+    rt = HostRuntime(m)
+    path = fixtures.write_toucher_manifest(fixture_dir, "overfull", size=1 << 23)
+    h = rt.load_enclave(EnclaveManifest.load(path))
+    assert rt.ecall(h, 0, 1, 300, step_budget=20_000_000) == fixtures.toucher_expected(300)
+    assert m.memory.first_free(RESERVED_GRANULES, m.memory.granule_count) is None
+    evictions = rt.swap_out_events
+    g = rt.take_host_granule()
+    assert rt.swap_out_events > evictions and g not in m.memory.epcm
+    m.host_write(g, 0, b"host data")
+    m.audit()
+    assert rt.ecall(h, 0, 1, 0) == fixtures.toucher_expected(0)
+    assert m.host_read(g, 0, 9) == b"host data"
+
+
 def test_ccx_reload_after_destroy_gets_the_freed_granules(fixture_dir):
     m = Machine(small_config(mode="ccx"))
     rt = HostRuntime(m)

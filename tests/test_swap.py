@@ -421,6 +421,26 @@ def test_entry_pages_in_the_frame_the_next_aex_saves_to(machine, fixture_dir):
     assert machine.memory.find_page(h.eid, frame0) is not None
 
 
+def test_an_ecall_of_an_enclave_with_nothing_swapped_out_reads_its_tcs_once(
+        machine, fixture_dir, monkeypatch):
+    """Only the entry leaf reads the TCS when no page of the enclave is
+    swapped out; with one out, the runtime reads it to find the frames."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "once")))
+    reads = []
+    read_tcs = Machine.read_tcs
+    monkeypatch.setattr(Machine, "read_tcs", lambda m, g: reads.append(g) or read_tcs(m, g))
+    assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
+    assert len(reads) == 1
+    rt.swap_out(h, h.base + fixtures.SCRATCH_OFF)
+    reads.clear()
+    assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
+    assert len(reads) == 2
+
+
 def test_eviction_keeps_an_interrupted_thread_resident(fixture_dir):
     """A runtime thread left interrupted (one saved context) keeps its TCS and
     save-state frames resident while loads press the EPC; the enclave's other
