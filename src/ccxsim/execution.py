@@ -787,7 +787,7 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                         regs[rd] = (regs[rs1] + regs[rs2]) & MASK64
                     elif op == OP_XOR:
                         regs[rd] = regs[rs1] ^ regs[rs2]
-                    else:
+                    else:  # OP_MUL
                         regs[rd] = (regs[rs1] * regs[rs2]) & MASK64
                 executed += len(run)
                 pc = vcpu.pc = (pc + len(run) * isa.INSTR_SIZE) & MASK64

@@ -1,7 +1,8 @@
 """The interpreter's translation and decode caches change nothing but wall
 time.  Each targeted case warms the caches, changes memory behind them, and
 runs again; the differential test compares a machine whose caches are
-dropped before every step with one that keeps them."""
+dropped before every single step with one that keeps them and runs whole
+budgets."""
 
 from functools import partial
 
