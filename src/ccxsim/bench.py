@@ -183,6 +183,8 @@ def _bench_entry(m: Machine, rt: HostRuntime, handle, iterations: int) -> None:
 
 def run_leaf_bench(config: Config, iterations: int = 100) -> BenchReport:
     """Exercise every leaf `iterations` times in a canonical fixture."""
+    if iterations < 1:
+        raise ModelError(f"bench needs at least 1 iteration, not {iterations}")
     start = time.monotonic()
     machine = Machine(config)
     rt = HostRuntime(machine)

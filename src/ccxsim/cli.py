@@ -233,6 +233,16 @@ def cmd_attest(args) -> int:
     return EXIT_OK if outcome.mutual else EXIT_FAILED
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccxsim",
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", nargs="?", default="leaves",
         help="'leaves' for per-leaf microbenchmarks, or a scenario path",
     )
-    p_bench.add_argument("--iterations", type=int, default=100)
+    p_bench.add_argument("--iterations", type=_positive_int, default=100)
     p_bench.set_defaults(fn=cmd_bench)
 
     p_inspect = sub.add_parser("inspect", help="report over a state snapshot")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .errors import ModelError, read_input
-from .memory import MemoryMode
+from .memory import RESERVED_GRANULES
 
 # Abstract cost units per leaf invocation.  The table models relative expense
 # only: table rebuild work scales with granule count, crypto-heavy leaves
@@ -127,12 +127,23 @@ class Config:
                              f" not {self.audit_after_leaf!r}")
         _check_table("leaf_base_cost", self.leaf_base_cost, DEFAULT_LEAF_BASE_COST)
         _check_table("cost_factors", self.cost_factors, DEFAULT_COST_FACTORS)
-        self.memory_mode().validate(self.granule_count)
-
-    def memory_mode(self) -> MemoryMode:
         if self.mode == "sgx":
-            return MemoryMode.sgx_fixed(self.epc_base, self.epc_size)
-        return MemoryMode.cca_dynamic()
+            if self.epc_size == 0:
+                raise ModelError("config field 'epc_size' is 0, and sgx mode needs an EPC")
+            if self.epc_base < RESERVED_GRANULES:
+                raise ModelError(f"config field 'epc_base' is {self.epc_base}, inside the"
+                                 f" {RESERVED_GRANULES} reserved granules")
+            if self.epc_base + self.epc_size > self.granule_count:
+                raise ModelError(f"config field 'epc_size' is {self.epc_size}: the EPC"
+                                 f" window from {self.epc_base} runs past granule_count"
+                                 f" {self.granule_count}")
+
+    def epc_span(self) -> Tuple[int, int]:
+        """The granules [lo, hi) that may become enclave pages: the fixed
+        window in sgx mode, every unreserved granule in ccx mode."""
+        if self.mode == "sgx":
+            return self.epc_base, self.epc_base + self.epc_size
+        return RESERVED_GRANULES, self.granule_count
 
     # -- serialization -------------------------------------------------------
 

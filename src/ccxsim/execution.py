@@ -32,10 +32,10 @@ Memory accesses go through a translation cache and block fetches also
 through a decode cache of blocks (both kept in
 :class:`~ccxsim.memory.MachineMemory`).  A cache entry is filled only by a
 successful checked access (address translation, EPCM checks, then the
-protection-table check), the translation cache is dropped on any EPCM or
-protection-table change, and a granule's blocks are dropped on any write to
-it.  A miss, or an access that crosses a page, takes the checked path, so
-every fault and GPF is raised as without the caches.
+protection-table check), every EPCM update (the one path that moves a
+table) empties the translation cache, and a granule's blocks are dropped on
+any write to it.  A miss, or an access that crosses a page, takes the
+checked path, so every fault and GPF is raised as without the caches.
 
 There is deliberately no hook point between an enclave trap or interrupt and
 the monitor: nothing at hypervisor level can observe or intercept the switch.
@@ -216,12 +216,8 @@ def _resolve(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
 
 
 def _cached(mem, vcpu, addr: int, size: int, kind: str) -> Optional[int]:
-    """The granule a checked access of this kind to addr's page reached in
-    the current memory generation, or None."""
-    if mem.tlb_generation != mem.gpts.generation:
-        mem.tlb.clear()
-        mem.tlb_generation = mem.gpts.generation
-        return None
+    """The granule a checked access of this kind to addr's page reached
+    since the last EPCM update, or None."""
     if (addr & _PAGE_MASK) + size > GRANULE_SIZE:
         return None
     return mem.tlb.get((vcpu.cur_eid, addr & ~_PAGE_MASK, kind))
@@ -306,10 +302,10 @@ def cpuid_emulate(m, leaf: int, subleaf: int) -> Tuple[int, int, int, int]:
     if subleaf == 0:
         return (CAP_SGX1 | CAP_SGX2 | CAP_AEXNOTIFY, MAX_ENCLAVE_SIZE_LOG2, 0, 0)
     if subleaf == 2:
-        mode = m.memory.mode
-        if mode.is_fixed:
-            return (mode.epc_base * GRANULE_SIZE, mode.epc_size * GRANULE_SIZE, 0, 0)
-        return (0, m.memory.granule_count * GRANULE_SIZE, 0, 0)
+        cfg = m.config
+        if cfg.mode == "sgx":
+            return (cfg.epc_base * GRANULE_SIZE, cfg.epc_size * GRANULE_SIZE, 0, 0)
+        return (0, cfg.granule_count * GRANULE_SIZE, 0, 0)
     return (0, 0, 0, 0)
 
 

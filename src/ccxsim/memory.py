@@ -27,23 +27,24 @@ table moves.  So a granule enters and leaves an enclave's table only with
 its EPCM entry, and :meth:`MachineMemory.audit` checks that they agree.
 
 Allocation reads the same state: free granules are found in the system
-table, an enclave's page list is its owned set, and
-:meth:`MachineMemory.epc_span` is the one place that knows the EPC window.
+table, and an enclave's page list is its owned set.  Memory knows no memory
+mode: it is given the EPC span, the granules that may become enclave pages
+(a fixed window in sgx, every unreserved granule in ccx), and
+:meth:`MachineMemory.epcm_update` admits a first entry only inside it.
 
 The enclave interpreter caches its work in two places here, and neither may
 change anything but wall time.  The translation cache (``tlb``) maps an
 accessor, a page address and an access kind to the granule that a full
 checked access of that kind reached; only a successful checked access fills
-it, and it is emptied whenever the memory generation moves.  The generation
-(``GptSet.generation``) is bumped once by every EPCM update, which is the
-only path that moves a table (the raw test poke ``GptSet.set_entry`` bumps it
-too).  The decode cache (``decoded``) holds each granule's blocks by the
-offset they start at: a block is the decoded run of ALU ops from there plus
-the instruction that ends it (see :mod:`ccxsim.execution`).  A block never
-crosses its page, so a granule holds at most one entry per instruction
-start, 256 for code at 16-byte offsets.  Any write to the granule drops its
-blocks, and :meth:`MachineMemory.store` and
-:meth:`MachineMemory.zero_granule` are the only byte writers.
+it, and every EPCM update empties it, since that is the only path that moves
+a table (the raw test poke ``GptSet.set_entry`` empties it too).  The decode
+cache (``decoded``) holds each granule's blocks by the offset they start at:
+a block is the decoded run of ALU ops from there plus the instruction that
+ends it (see :mod:`ccxsim.execution`).  A block never crosses its page, so a
+granule holds at most one entry per instruction start, 256 for code at
+16-byte offsets.  Any write to the granule drops its blocks, and
+:meth:`MachineMemory.store` and :meth:`MachineMemory.zero_granule` are the
+only byte writers.
 """
 
 from __future__ import annotations
@@ -165,38 +166,6 @@ class GpfRecord:
     gpt: Optional[int]
 
 
-@dataclass
-class MemoryMode:
-    """EPC geometry: a fixed window (sgx) or the whole granule space (ccx)."""
-
-    kind: str  # "sgx" or "ccx"
-    epc_base: int = 0
-    epc_size: int = 0
-
-    @classmethod
-    def sgx_fixed(cls, epc_base: int, epc_size: int) -> "MemoryMode":
-        return cls("sgx", epc_base, epc_size)
-
-    @classmethod
-    def cca_dynamic(cls) -> "MemoryMode":
-        return cls("ccx")
-
-    @property
-    def is_fixed(self) -> bool:
-        return self.kind == "sgx"
-
-    def validate(self, granule_count: int) -> None:
-        if self.kind not in ("sgx", "ccx"):
-            raise ModelError(f"unknown memory mode {self.kind!r}")
-        if self.is_fixed:
-            if self.epc_size <= 0:
-                raise ModelError("sgx mode needs a positive epc_size")
-            if self.epc_base < RESERVED_GRANULES:
-                raise ModelError("EPC overlaps reserved granules")
-            if self.epc_base + self.epc_size > granule_count:
-                raise ModelError("EPC window exceeds physical memory")
-
-
 class EpcmEntry(NamedTuple):
     """EPC metadata of one valid granule.
 
@@ -252,9 +221,9 @@ class GptSet:
     The methods that change a table are primitives of
     :meth:`MachineMemory.epcm_update`, which calls them as an EPCM entry is
     stored or cleared; ``set_entry`` is a raw poke for tests.
-    ``generation`` is the memory generation.  The primitives leave it alone:
-    ``epcm_update`` bumps it once per call, whatever tables move, and
-    ``set_entry`` bumps it for its own poke.
+    ``tlb`` is the translation cache that :class:`MachineMemory` reads.  The
+    primitives leave it alone: ``epcm_update`` empties it once per call,
+    whatever tables move, and ``set_entry`` empties it for its own poke.
     """
 
     def __init__(self, granule_count: int):
@@ -262,7 +231,8 @@ class GptSet:
         self.system: bytearray = bytearray(granule_count)  # Pas.NORMAL == 0
         # live enclave id -> granules it owns; also the registry of tables
         self.owned: Dict[int, Set[int]] = {}
-        self.generation = 0
+        # (cur_eid, page address, access kind) -> granule
+        self.tlb: Dict[Tuple[Optional[int], int, str], int] = {}
 
     # -- table lifecycle ---------------------------------------------------
 
@@ -294,7 +264,7 @@ class GptSet:
         if not 0 <= granule < self.granule_count:
             raise ModelError(f"granule {granule} out of range")
         self.system[granule] = int(pas)
-        self.generation += 1
+        self.tlb.clear()
 
     def table(self, eid: int) -> bytes:
         """Enclave `eid`'s derived table as dense :class:`Pas` bytes."""
@@ -349,16 +319,21 @@ class GptSet:
 class MachineMemory:
     """Granule-array memory with protection-table checked access.
 
-    All state mutation happens inside microprogram execution which the machine
+    ``epc_span`` is the EPC span [lo, hi): a non-empty range of unreserved
+    granules, the only ones that may take a first EPCM entry.  All state
+    mutation happens inside microprogram execution which the machine
     serializes; this class itself does no locking.
     """
 
-    def __init__(self, granule_count: int, mode: MemoryMode):
+    def __init__(self, granule_count: int, epc_span: Tuple[int, int]):
         if granule_count <= RESERVED_GRANULES:
             raise ModelError("granule count too small")
-        mode.validate(granule_count)
+        lo, hi = epc_span
+        if not RESERVED_GRANULES <= lo < hi <= granule_count:
+            raise ModelError(f"EPC span [{lo}, {hi}) is empty or outside"
+                             f" [{RESERVED_GRANULES}, {granule_count})")
         self.granule_count = granule_count
-        self.mode = mode
+        self._epc_span = (lo, hi)
         # zero-filled lazily by the host; a slice write must keep its length
         self.data = mmap.mmap(-1, granule_count * GRANULE_SIZE, flags=mmap.MAP_PRIVATE)
         self.gpts = GptSet(granule_count)
@@ -366,10 +341,8 @@ class MachineMemory:
         # (owner eid, page-aligned vaddr) -> granule, kept in sync by epcm_update
         self.vaddr_index: Dict[Tuple[int, int], int] = {}
         self.gpf_log: List[GpfRecord] = []
-        # (cur_eid, page address, access kind) -> granule, as of generation
-        # ``tlb_generation``; granule -> {offset: block starting there}
-        self.tlb: Dict[Tuple[Optional[int], int, str], int] = {}
-        self.tlb_generation = 0
+        self.tlb = self.gpts.tlb  # one dict, so set_entry empties it too
+        # granule -> {offset: block starting there}
         self.decoded: Dict[int, Dict[int, tuple]] = {}
 
     # -- access checking ----------------------------------------------------
@@ -423,10 +396,8 @@ class MachineMemory:
     # -- EPC window and free granules ---------------------------------------
 
     def epc_span(self) -> Tuple[int, int]:
-        """EPC-capable granules [lo, hi): the fixed window, or all unreserved."""
-        if self.mode.is_fixed:
-            return self.mode.epc_base, self.mode.epc_base + self.mode.epc_size
-        return RESERVED_GRANULES, self.granule_count
+        """EPC-capable granules [lo, hi), as given at construction."""
+        return self._epc_span
 
     def epc_admissible(self, granule: int) -> bool:
         lo, hi = self.epc_span()
@@ -487,7 +458,7 @@ class MachineMemory:
                 gpts.unassign(old.owner, granule)
                 if old.page_type == PageType.SECS:
                     gpts.drop_enclave_table(old.owner)
-        gpts.generation += 1
+        self.tlb.clear()
         old_key = _page_key(old)
         if old_key is not None:
             self.vaddr_index.pop(old_key, None)

@@ -238,21 +238,19 @@ class HostRuntime:
         self._free_slots.extend((g, s) for s in range(VA_SLOT_COUNT))
 
     def take_host_granule(self) -> int:
-        """The lowest free granule outside the fixed EPC window, for host
-        data such as a shared buffer.  In ccx mode host data shares the span
-        with enclave pages, so the granule is taken as
+        """A granule for host data such as a shared buffer: the lowest free
+        one below the EPC span, else above it, else one taken as
         :meth:`take_epc_granule` takes one, evicting a page when the span is
-        full.  The host holds it from then on, so no later take hands it
+        full.  In ccx mode no granule lies outside the span, so it is always
+        the last.  A free span granule is ordinary normal-world memory, and
+        the host holds the granule from then on, so no later take hands it
         out again."""
         mem = self.machine.memory
-        if mem.mode.is_fixed:
-            lo, hi = mem.epc_span()
-            g = self._first_free(RESERVED_GRANULES, lo)
-            if g is None:
-                g = self._first_free(hi, mem.granule_count)
-            if g is None:
-                raise ModelError("no free host granule")
-        else:
+        lo, hi = mem.epc_span()
+        g = self._first_free(RESERVED_GRANULES, lo)
+        if g is None:
+            g = self._first_free(hi, mem.granule_count)
+        if g is None:
             g = self.take_epc_granule()
         self._host_held.add(g)
         return g
@@ -460,10 +458,10 @@ class HostRuntime:
         self.swap_in_events += 1
 
     def _ensure_resident(self, handle: EnclaveHandle, vaddr: int) -> None:
+        """Page in the page holding ``vaddr`` if it is swapped out; a page
+        in the swap store is never resident."""
         page = vaddr & ~(GRANULE_SIZE - 1)
-        if self.machine.memory.find_page(handle.eid, page) is None and self.store.has(
-            handle.eid, page
-        ):
+        if self.store.has(handle.eid, page):
             self.swap_in(handle, page)
 
     def _ensure_tcs_ready(self, handle: EnclaveHandle, tcs_vaddr: int) -> int:

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 from .config import Config
 from .errors import ModelError, SgxError, read_input
-from .machine import Machine
+from .machine import ALL_LEAF_NAMES, Machine
 from .manifest import EnclaveManifest, ManifestError
 from .runtime import EnclaveFault, HostRuntime, LoadError, SealedBlob
 from .structs import KeyPolicy
@@ -156,9 +156,9 @@ class ScenarioRunner:
             return self.last_unseal_ok
         if name.startswith("count:"):
             leaf = name.split(":", 1)[1]
-            if m is None or leaf not in m.counters:
+            if leaf not in ALL_LEAF_NAMES:
                 raise ScenarioError(line_no, f"unknown leaf counter {leaf!r}")
-            return m.counters[leaf]
+            return m.counters[leaf] if m else 0
         if name in ("attest_ab", "attest_ba", "attest_mutual"):
             if self.last_attest is None:
                 raise ScenarioError(line_no, "no attestation has run")

@@ -32,7 +32,7 @@ def free_epc_granules(m: Machine, n: int) -> List[int]:
 def free_host_granule(m: Machine) -> int:
     mem = m.memory
     for g in range(RESERVED_GRANULES, mem.granule_count):
-        if mem.is_free(g) and not (mem.mode.is_fixed and mem.epc_admissible(g)):
+        if mem.is_free(g) and not (m.config.mode == "sgx" and mem.epc_admissible(g)):
             return g
     raise AssertionError("no free host granule")
 
@@ -43,7 +43,7 @@ def host_scratch_granules(m: Machine, n: int) -> List[int]:
     mem = m.memory
     out = [
         g for g in range(mem.granule_count - 1, RESERVED_GRANULES - 1, -1)
-        if mem.is_free(g) and not (mem.mode.is_fixed and mem.epc_admissible(g))
+        if mem.is_free(g) and not (m.config.mode == "sgx" and mem.epc_admissible(g))
     ][:n]
     assert len(out) == n, "fixture ran out of host granules"
     return out

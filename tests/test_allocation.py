@@ -27,6 +27,24 @@ def test_sgx_host_allocation_takes_the_lowest_free_granule_below_the_window(runt
     assert runtime.take_host_granule() == hi
 
 
+def test_sgx_host_granule_comes_from_the_window_when_nothing_outside_is_free(
+        runtime, fixture_dir):
+    """A free window granule is ordinary normal-world memory, so with every
+    granule outside the window taken the host gets one of those instead."""
+    m = runtime.machine
+    mem = m.memory
+    lo, hi = mem.epc_span()
+    outside = list(range(RESERVED_GRANULES, lo)) + list(range(hi, mem.granule_count))
+    assert [runtime.take_host_granule() for _ in outside] == outside
+    g = runtime.take_host_granule()
+    assert g == lo and mem.is_free(g)
+    m.host_write(g, 0, b"host data")
+    h = load_standard(runtime, fixture_dir)
+    assert g not in mem.gpts.owned[h.eid] and g not in mem.epcm
+    assert m.host_read(g, 0, 9) == b"host data"
+    m.audit()
+
+
 def test_ccx_reload_leaves_a_host_granule_to_the_host(fixture_dir):
     m = Machine(small_config(mode="ccx"))
     rt = HostRuntime(m)

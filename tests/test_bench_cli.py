@@ -64,6 +64,16 @@ def test_scenario_bench_in_ccx_mode_reports_zero_writebacks(demo_dir):
     assert report.per_leaf["EENTER"]["count"] >= 1
 
 
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_bench_refuses_fewer_than_one_iteration(iterations, capsys):
+    with pytest.raises(ModelError, match="at least 1 iteration"):
+        run_leaf_bench(bench_config(2048), iterations=iterations)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--iterations", str(iterations)])
+    assert exc.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
 def test_bench_structured_output_has_no_wall_time():
     report = run_leaf_bench(bench_config(2048), iterations=1)
     doc = json.loads(report.to_json())
@@ -247,6 +257,9 @@ BAD_CONFIGS = [
     ({"leaf_base_cost": {"EADD": -1}}, "leaf_base_cost.EADD"),
     ({"audit_after_leaf": "no"}, "audit_after_leaf"),
     ({"granule_count": MAX_GRANULE_COUNT + 1}, "granule_count"),
+    ({"epc_size": 0}, "epc_size"),
+    ({"epc_base": 1}, "epc_base"),
+    ({"granule_count": 1024, "epc_base": 1000, "epc_size": 32}, "epc_size"),
 ]
 
 

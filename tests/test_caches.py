@@ -245,9 +245,9 @@ ROUNDS = st.lists(
 def _drive(mode, rounds, drop_caches):
     """Run a warm-up ecall and then ``rounds`` on a fresh machine; returns
     what a run can observe.  With ``drop_caches`` each budget is taken one
-    instruction at a time, and the generation moves and both caches are
-    emptied before every step, so every access takes the checked path;
-    without, each budget is one call of ``step``."""
+    instruction at a time, and both caches are emptied before every step, so
+    every access takes the checked path; without, each budget is one call of
+    ``step``."""
     m = Machine(small_config(mode=mode))
     m.trace = []  # keep the records, so the two runs compare them
     enc = _enclave(m, LOOP)
@@ -262,7 +262,6 @@ def _drive(mode, rounds, drop_caches):
             return m.step(vcpu, budget)
         steps = 0
         for _ in range(budget):
-            m.memory.gpts.generation += 1
             m.memory.tlb.clear()
             m.memory.decoded.clear()
             report = m.step(vcpu, 1)

@@ -1001,9 +1001,8 @@ def test_cpuid_from_a_running_program(machine):
     vcpu.pc = origin
     report = machine.step(vcpu, 10)
     assert report.stop == "halt"
-    mode = machine.memory.mode
-    assert vcpu.regs[0] == mode.epc_base * GRANULE_SIZE
-    assert vcpu.regs[1] == mode.epc_size * GRANULE_SIZE
+    assert vcpu.regs[0] == machine.config.epc_base * GRANULE_SIZE
+    assert vcpu.regs[1] == machine.config.epc_size * GRANULE_SIZE
 
 
 # ---------------------------------------------------------------------------

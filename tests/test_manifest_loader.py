@@ -126,7 +126,7 @@ def test_same_manifest_twice_same_measurement_distinct_ids(runtime):
     assert h1.mrenclave == h2.mrenclave
 
 
-def test_measurement_identical_across_memory_modes(fixture_dir):
+def test_measurement_identical_in_both_modes(fixture_dir):
     path = fixtures.write_standard_manifest(fixture_dir, "modes")
     results = {}
     for mode in ("sgx", "ccx"):

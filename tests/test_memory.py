@@ -12,7 +12,6 @@ from ccxsim.memory import (
     AccessContext,
     EpcmEntry,
     MachineMemory,
-    MemoryMode,
     PageType,
     Pas,
     Perms,
@@ -26,8 +25,8 @@ from helpers import build_raw_enclave, free_epc_granules, small_config
 from oracles import ACCESS_TRUTH
 
 
-def fresh_memory(granules=256, mode=None):
-    return MachineMemory(granules, mode or MemoryMode.sgx_fixed(16, 128))
+def fresh_memory(granules=256, span=(16, 144)):
+    return MachineMemory(granules, span)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ def test_root_accessor_always_allowed():
 
 
 def test_out_of_range_granule_is_model_error_not_denial():
-    mem = fresh_memory(64, MemoryMode.sgx_fixed(16, 32))
+    mem = fresh_memory(64, (16, 48))
     with pytest.raises(ModelError):
         mem.check_access(SecurityState.NORMAL, 64, None)
     with pytest.raises(ModelError):
@@ -225,7 +224,7 @@ def test_unassign_never_assigned_rejected():
 
 
 def test_fixed_mode_rejects_out_of_epc_assignment():
-    mem = fresh_memory(256, MemoryMode.sgx_fixed(16, 32))
+    mem = fresh_memory(256, (16, 48))
     open_table(mem, 1, 16)
     with pytest.raises(ModelError):
         mem.epcm_update(100, reg(1))  # outside [16, 48)
@@ -238,7 +237,7 @@ def test_fixed_mode_rejects_out_of_epc_assignment():
 
 
 def test_random_assignment_storm_keeps_invariants_and_round_trips():
-    mem = fresh_memory(256, MemoryMode.sgx_fixed(16, 200))
+    mem = fresh_memory(256, (16, 216))
     for eid in (1, 2, 3):
         open_table(mem, eid, 15 + eid)
     initial_system = bytes(mem.gpts.system)
@@ -469,8 +468,7 @@ def test_mode_confinement_audit():
     bounds=st.lists(st.tuples(st.integers(0, 64), st.integers(0, 64)), max_size=6),
 )
 def test_first_free_matches_scan_over_is_free(fixed, ops, bounds):
-    mode = MemoryMode.sgx_fixed(16, 24) if fixed else MemoryMode.cca_dynamic()
-    mem = MachineMemory(64, mode)
+    mem = MachineMemory(64, (16, 40) if fixed else (2, 64))
     secs = mem.epc_span()[0]
     open_table(mem, 1, secs)
     for op, g in ops:
@@ -491,12 +489,18 @@ def test_first_free_matches_scan_over_is_free(fixed, ops, bounds):
         assert mem.first_free(lo, hi) == scan, (lo, hi)
 
 
+@pytest.mark.parametrize("span", [(20, 20), (30, 20), (0, 40), (1, 40), (16, 257)])
+def test_memory_refuses_an_empty_span_or_one_outside_the_unreserved_granules(span):
+    with pytest.raises(ModelError, match="EPC span"):
+        MachineMemory(256, span)
+
+
 def test_epc_span_bounds_admissibility():
     fixed = fresh_memory()
     assert fixed.epc_span() == (16, 144)
     assert [fixed.epc_admissible(g) for g in (15, 16, 143, 144)] == [
         False, True, True, False]
-    dynamic = fresh_memory(mode=MemoryMode.cca_dynamic())
+    dynamic = fresh_memory(span=(2, 256))
     assert dynamic.epc_span() == (2, 256)
     assert [dynamic.epc_admissible(g) for g in (1, 2, 255, 256)] == [
         False, True, True, False]

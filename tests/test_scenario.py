@@ -75,6 +75,14 @@ def test_failing_expect_aborts_with_position(demo_dir):
     assert result.events[-1]["line"] == 3
 
 
+def test_leaf_counter_reads_zero_before_any_machine_exists(demo_dir):
+    result = run_text("expect count:EADD == 0\ncreate app standard.manifest\n", demo_dir)
+    assert result.ok
+    result = run_text("expect count:EFOO == 0\n", demo_dir)
+    assert not result.ok and result.summary["failed_at"] == 1
+    assert "unknown leaf counter 'EFOO'" in result.summary["failure"]
+
+
 def test_unknown_entity_reported(demo_dir):
     result = run_text("ecall ghost 0 1\n", demo_dir)
     assert not result.ok

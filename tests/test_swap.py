@@ -441,6 +441,25 @@ def test_an_ecall_of_an_enclave_with_nothing_swapped_out_reads_its_tcs_once(
     assert len(reads) == 2
 
 
+def test_a_warm_ecall_with_nothing_swapped_out_looks_its_tcs_up_once(
+        machine, fixture_dir, monkeypatch):
+    """The runtime asks the swap store, not memory, whether the TCS is
+    swapped out, so finding its granule is the one page lookup."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+    from ccxsim.memory import MachineMemory
+
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "look")))
+    assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
+    lookups = []
+    find_page = MachineMemory.find_page
+    monkeypatch.setattr(MachineMemory, "find_page",
+                        lambda mem, eid, vaddr: lookups.append(vaddr) or find_page(mem, eid, vaddr))
+    assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
+    assert lookups == [h.tcs_vaddrs[0]]
+
+
 def test_eviction_keeps_an_interrupted_thread_resident(fixture_dir):
     """A runtime thread left interrupted (one saved context) keeps its TCS and
     save-state frames resident while loads press the EPC; the enclave's other
