@@ -119,6 +119,8 @@ class CryptoEngine:
 
     def __init__(self, secrets: DeviceSecrets):
         self.secrets = secrets
+        # Every EWB and ELDU seals with this key, so it is derived once.
+        self._swap_key = secrets.root_mac_key(b"page-swap")[:KEY_SIZE]
 
     # -- measurement hashing -------------------------------------------------
 
@@ -187,7 +189,7 @@ class CryptoEngine:
         ).digest()[:KEY_SIZE]
 
     def swap_key(self) -> bytes:
-        return self.secrets.root_mac_key(b"page-swap")[:KEY_SIZE]
+        return self._swap_key
 
     # -- authenticated encryption -------------------------------------------------
 

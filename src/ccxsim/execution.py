@@ -32,9 +32,9 @@ Memory accesses go through a translation cache and block fetches also
 through a decode cache of blocks (both kept in
 :class:`~ccxsim.memory.MachineMemory`).  A cache entry is filled only by a
 successful checked access (address translation, EPCM checks, then the
-protection-table check), every EPCM update (the one path that moves a
-table) empties the translation cache, and a granule's blocks are dropped on
-any write to it.  A miss, or an access that crosses a page, takes the
+protection-table check), an EPCM update of a granule (the one path that
+moves a table) drops the translations that reach that granule, and a
+granule's blocks are dropped on any write to it.  A miss, or an access that crosses a page, takes the
 checked path, so every fault and GPF is raised as without the caches.
 
 There is deliberately no hook point between an enclave trap or interrupt and
@@ -217,7 +217,7 @@ def _resolve(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
 
 def _cached(mem, vcpu, addr: int, size: int, kind: str) -> Optional[int]:
     """The granule a checked access of this kind to addr's page reached
-    since the last EPCM update, or None."""
+    since that granule's last EPCM update, or None."""
     if (addr & _PAGE_MASK) + size > GRANULE_SIZE:
         return None
     return mem.tlb.get((vcpu.cur_eid, addr & ~_PAGE_MASK, kind))
@@ -231,7 +231,7 @@ def mem_read(m, vcpu, addr: int, size: int, kind: str = "r") -> bytes:
         return mem.data[base : base + size]
     granule, offset = _resolve(m, vcpu, addr, size, kind)
     data = mem.read_granule(vcpu.access_context(), granule, offset, size)
-    mem.tlb[(vcpu.cur_eid, addr - offset, kind)] = granule
+    mem.cache_translation((vcpu.cur_eid, addr - offset, kind), granule)
     return data
 
 
@@ -243,7 +243,7 @@ def mem_write(m, vcpu, addr: int, data: bytes) -> None:
         return
     granule, offset = _resolve(m, vcpu, addr, len(data), "w")
     mem.write_granule(vcpu.access_context(), granule, offset, data)
-    mem.tlb[(vcpu.cur_eid, addr - offset, "w")] = granule
+    mem.cache_translation((vcpu.cur_eid, addr - offset, "w"), granule)
 
 
 # Opcodes a block runs in its tight loop: they touch registers only, so they

@@ -36,8 +36,13 @@ The enclave interpreter caches its work in two places here, and neither may
 change anything but wall time.  The translation cache (``tlb``) maps an
 accessor, a page address and an access kind to the granule that a full
 checked access of that kind reached; only a successful checked access fills
-it, and every EPCM update empties it, since that is the only path that moves
-a table (the raw test poke ``GptSet.set_entry`` empties it too).  The decode
+it, through :meth:`MachineMemory.cache_translation`, and an EPCM update of a
+granule drops the translations that reach that granule, since that is the
+only path that moves a table.  A translation depends on nothing but the
+entry and tables of the granule it reaches, and a miss is never cached, so
+no other translation can go stale.  Clearing a SECS empties the whole cache,
+so that the translations of a dead enclave do not pile up (enclave ids are
+never reused), and so does the raw test poke ``GptSet.set_entry``.  The decode
 cache (``decoded``) holds each granule's blocks by the offset they start at:
 a block is the decoded run of ALU ops from there plus the instruction that
 ends it (see :mod:`ccxsim.execution`).  A block never crosses its page, so a
@@ -221,9 +226,11 @@ class GptSet:
     The methods that change a table are primitives of
     :meth:`MachineMemory.epcm_update`, which calls them as an EPCM entry is
     stored or cleared; ``set_entry`` is a raw poke for tests.
-    ``tlb`` is the translation cache that :class:`MachineMemory` reads.  The
-    primitives leave it alone: ``epcm_update`` empties it once per call,
-    whatever tables move, and ``set_entry`` empties it for its own poke.
+    ``tlb`` is the translation cache that :class:`MachineMemory` reads, and
+    ``tlb_keys`` its reverse map, from a granule to the keys that reach it;
+    :meth:`MachineMemory.cache_translation` fills both.  The primitives leave
+    them alone: ``epcm_update`` drops the keys of the granule it updates, and
+    ``set_entry`` empties both for its own poke.
     """
 
     def __init__(self, granule_count: int):
@@ -233,6 +240,13 @@ class GptSet:
         self.owned: Dict[int, Set[int]] = {}
         # (cur_eid, page address, access kind) -> granule
         self.tlb: Dict[Tuple[Optional[int], int, str], int] = {}
+        # granule -> the tlb keys that reach it
+        self.tlb_keys: Dict[int, List[Tuple[Optional[int], int, str]]] = {}
+
+    def flush_translations(self) -> None:
+        """Empty the translation cache and its reverse map."""
+        self.tlb.clear()
+        self.tlb_keys.clear()
 
     # -- table lifecycle ---------------------------------------------------
 
@@ -264,7 +278,7 @@ class GptSet:
         if not 0 <= granule < self.granule_count:
             raise ModelError(f"granule {granule} out of range")
         self.system[granule] = int(pas)
-        self.tlb.clear()
+        self.flush_translations()
 
     def table(self, eid: int) -> bytes:
         """Enclave `eid`'s derived table as dense :class:`Pas` bytes."""
@@ -387,6 +401,12 @@ class MachineMemory:
         base = granule * GRANULE_SIZE + offset
         self.data[base : base + len(data)] = data
 
+    def cache_translation(self, key: Tuple[Optional[int], int, str], granule: int) -> None:
+        """Remember that a checked access keyed ``key`` reached ``granule``;
+        only a miss comes here, so the key is new."""
+        self.tlb[key] = granule
+        self.gpts.tlb_keys.setdefault(granule, []).append(key)
+
     def zero_granule(self, granule: int) -> None:
         self._check_range(granule)
         self.decoded.pop(granule, None)
@@ -458,7 +478,10 @@ class MachineMemory:
                 gpts.unassign(old.owner, granule)
                 if old.page_type == PageType.SECS:
                     gpts.drop_enclave_table(old.owner)
-        self.tlb.clear()
+                    # enclave ids are never reused: its translations go too
+                    gpts.flush_translations()
+        for stale in gpts.tlb_keys.pop(granule, ()):
+            self.tlb.pop(stale, None)
         old_key = _page_key(old)
         if old_key is not None:
             self.vaddr_index.pop(old_key, None)

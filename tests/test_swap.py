@@ -511,7 +511,7 @@ def test_eviction_after_an_interrupted_thread_exits_takes_the_oldest_admitted_pa
     oldest = next(g for g in machine.memory.epcm if rt.victim_filter(g))
     entry = machine.memory.epcm[oldest]
     assert (entry.owner, entry.vaddr) == (h.eid, h.base + fixtures.SSA_OFF)
-    rt._evict_one()
+    rt._reclaim()
     assert oldest not in machine.memory.epcm
     assert h.base + fixtures.SSA_OFF in rt.store.keys_for(h.eid)
 
