@@ -34,8 +34,9 @@ through a decode cache of blocks (both kept in
 successful checked access (address translation, EPCM checks, then the
 protection-table check), an EPCM update of a granule (the one path that
 moves a table) drops the translations that reach that granule, and a
-granule's blocks are dropped on any write to it.  A miss, or an access that crosses a page, takes the
-checked path, so every fault and GPF is raised as without the caches.
+granule's blocks are dropped on any write to it.  A miss, or an access that
+crosses a page, takes the checked path, so every fault and GPF is raised as
+without the caches.
 
 There is deliberately no hook point between an enclave trap or interrupt and
 the monitor: nothing at hypervisor level can observe or intercept the switch.

@@ -38,18 +38,19 @@ accessor, a page address and an access kind to the granule that a full
 checked access of that kind reached; only a successful checked access fills
 it, through :meth:`MachineMemory.cache_translation`, and an EPCM update of a
 granule drops the translations that reach that granule, since that is the
-only path that moves a table.  A translation depends on nothing but the
-entry and tables of the granule it reaches, and a miss is never cached, so
-no other translation can go stale.  Clearing a SECS empties the whole cache,
-so that the translations of a dead enclave do not pile up (enclave ids are
-never reused), and so does the raw test poke ``GptSet.set_entry``.  The decode
-cache (``decoded``) holds each granule's blocks by the offset they start at:
-a block is the decoded run of ALU ops from there plus the instruction that
-ends it (see :mod:`ccxsim.execution`).  A block never crosses its page, so a
-granule holds at most one entry per instruction start, 256 for code at
-16-byte offsets.  Any write to the granule drops its blocks, and
-:meth:`MachineMemory.store` and :meth:`MachineMemory.zero_granule` are the
-only byte writers.
+only path that moves a table.  A cached translation depends only on the
+entry and tables of the granule it reaches (a page address moves to another
+granule only after the old granule's entry is cleared), and a miss is never
+cached, so no other translation can go stale.  Clearing a SECS empties the
+whole cache, so that the translations of a dead enclave do not pile up
+(enclave ids are never reused), and so does the raw test poke
+``GptSet.set_entry``.  The decode cache (``decoded``) holds each granule's
+blocks by the offset they start at: a block is the decoded run of ALU ops
+from there plus the instruction that ends it (see :mod:`ccxsim.execution`).
+A block never crosses its page, so a granule holds at most one entry per
+instruction start, 256 for code at 16-byte offsets.  Any write to the
+granule drops its blocks, and :meth:`MachineMemory.store` and
+:meth:`MachineMemory.zero_granule` are the only byte writers.
 """
 
 from __future__ import annotations

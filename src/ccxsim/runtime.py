@@ -459,12 +459,13 @@ class HostRuntime:
         m = self.machine
         page = vaddr & ~(GRANULE_SIZE - 1)
         g = m.memory.find_page(handle.eid, page)
-        if g is not None and not self._free_slots:
-            # room for the version array may be made by evicting this page
-            self._add_version_array(self.take_epc_granule())
-            g = m.memory.find_page(handle.eid, page)
         if g is None:
             raise ModelError(f"no resident page at {vaddr:#x}")
+        if not self._free_slots:
+            self._add_version_array(self.take_epc_granule())
+            g = m.memory.find_page(handle.eid, page)
+            if g is None:  # the reclaim that made room wrote it back
+                return
         self._write_back([(g, m.memory.epcm[g])], evict=False)
 
     def swap_in(self, handle: EnclaveHandle, vaddr: int) -> None:

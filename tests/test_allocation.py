@@ -114,3 +114,20 @@ def test_last_free_epc_granule_becomes_a_version_array(runtime, fixture_dir):
     assert m.memory.is_free(g) and g not in m.memory.gpts.owned[h.eid]
     m.audit()
 
+
+
+def test_swap_out_of_a_page_the_room_for_its_version_array_wrote_back(runtime, fixture_dir):
+    """With one free granule and no version slot, an explicit swap-out first
+    turns that granule into a version array and reclaims room for the one it
+    asked for; if that reclaim wrote the page back, the page stays out."""
+    m = runtime.machine
+    h = load_standard(runtime, fixture_dir)
+    lo, hi = m.memory.epc_span()
+    for g in [g for g in range(lo, hi) if m.memory.is_free(g)][:-1]:
+        m.leaf("EPA", g)  # version arrays the runtime holds no slots in
+    oldest = next(g for g in m.memory.epcm if runtime.victim_filter(g))
+    vaddr = m.memory.epcm[oldest].vaddr
+    runtime.swap_out(h, vaddr)
+    assert runtime.swap_out_events == RECLAIM_BATCH
+    assert runtime.store.has(h.eid, vaddr) and m.memory.find_page(h.eid, vaddr) is None
+    m.audit()

@@ -9,13 +9,13 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccxsim import isa
+from ccxsim import execution, isa
 from ccxsim.errors import SgxError
 from ccxsim.execution import RunReport
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, GpfRecord, Pas, Perms, SecurityState
 from ccxsim.runtime import AEP_GATE, RETURN_GATE
-from ccxsim.structs import EXIT_IRQ
+from ccxsim.structs import EXIT_IRQ, EXIT_PAGEFAULT
 
 from helpers import BASE, build_raw_enclave, free_epc_granules, free_host_granule, small_config
 
@@ -159,6 +159,27 @@ def test_code_page_reloaded_into_another_granule_still_runs(m):
     assert [(r["kind"], r["outcome"]) for r in m.trace] == [("eenter", "ok"), ("eexit", "ok")]
 
 
+def test_writing_back_a_page_drops_its_translations_and_keeps_the_others(m, monkeypatch):
+    """After the data page goes out and comes back into another granule, the
+    next call translates the data address again and nothing else: the code
+    page's translations were kept."""
+    enc = _enclave(m, [("movi", 13, BASE + DATA), ("load", 3, 13, 0)])
+    assert _call(m, enc)[1] == DATA_WORD
+    va = free_epc_granules(m, 1)[0]
+    m.leaf("EPA", va)
+    _reload_elsewhere(m, enc.eid, enc.pages[DATA], va)
+    translated = []
+    translate = execution._enclave_translate
+
+    def counting_translate(mach, vcpu, addr, size, kind):
+        translated.append((addr, kind))
+        return translate(mach, vcpu, addr, size, kind)
+
+    monkeypatch.setattr(execution, "_enclave_translate", counting_translate)
+    assert _call(m, enc)[1] == DATA_WORD
+    assert translated == [(BASE + DATA, "r")]
+
+
 def test_removed_data_page_faults_the_next_load(m):
     m.trace = []
     enc = _enclave(m, [("movi", 13, BASE + DATA), ("load", 3, 13, 0)])
@@ -234,10 +255,12 @@ MUTATIONS = st.one_of(
 # Each round changes memory (or not), then makes one ecall of n loop
 # iterations in budgets of up to ``chunk`` steps, with interrupts after the
 # given enclave steps.  Budgets of 1 to 12 end inside blocks, on the
-# instruction that ends one, and past it.
+# instruction that ends one, and past it.  At each interrupt the page given
+# (if any) is written back, and the page fault it causes later loads it into
+# another granule, as demand paging does.
 ROUNDS = st.lists(
     st.tuples(MUTATIONS, st.integers(1, 6), st.sets(st.integers(1, 40), max_size=3),
-              st.integers(1, 12)),
+              st.integers(1, 12), st.sampled_from([None, CODE, DATA])),
     min_size=1, max_size=8,
 )
 
@@ -262,7 +285,7 @@ def _drive(mode, rounds, drop_caches):
             return m.step(vcpu, budget)
         steps = 0
         for _ in range(budget):
-            m.memory.tlb.clear()
+            m.memory.gpts.flush_translations()
             m.memory.decoded.clear()
             report = m.step(vcpu, 1)
             steps += report.steps
@@ -290,11 +313,25 @@ def _drive(mode, rounds, drop_caches):
     def page(off):
         return m.memory.find_page(enc.eid, BASE + off)
 
-    def ecall(n, irqs, chunk):
+    swapped = []  # the page written back at an interrupt: (granule, blob)
+
+    def ecall(n, irqs, chunk, evict=None):
         vcpu.regs[3] = n
         m.enclu(vcpu, 0x2, enc.pages[TCS], AEP_GATE)
         stop, done = run(300, chunk, irqs)
-        while stop == "halt" and vcpu.pc == AEP_GATE and vcpu.last_exit[0] == EXIT_IRQ:
+        while stop == "halt" and vcpu.pc == AEP_GATE:
+            if vcpu.last_exit[0] == EXIT_IRQ:
+                if evict is not None and page(evict) is not None and not swapped:
+                    g = page(evict)
+                    m.leaf("EBLOCK", g)
+                    m.leaf("ETRACK", enc.eid)
+                    swapped.append((g, m.leaf("EWB", g, va, 1)))
+            elif vcpu.last_exit[0] == EXIT_PAGEFAULT and swapped:
+                g, blob = swapped.pop()
+                target = next(t for t in free_epc_granules(m, 2) if t != g)
+                m.leaf("ELDU", blob.ciphertext, blob.pcmd, va, 1, target, enc.eid)
+            else:
+                break
             m.enclu(vcpu, 0x3, vcpu.regs[2], AEP_GATE)
             stop, done = run(300, chunk, irqs, done)
         seen.append(("x3", vcpu.regs[3]))
@@ -320,10 +357,10 @@ def _drive(mode, rounds, drop_caches):
             _reload_elsewhere(m, enc.eid, g, va)
 
     steps = [partial(ecall, 3, (), 1)]
-    for mutation, n, irqs, chunk in rounds:
+    for mutation, n, irqs, chunk, evict in rounds:
         if mutation is not None:
             steps.append(partial(mutate, *mutation))
-        steps.append(partial(ecall, n, irqs, chunk))
+        steps.append(partial(ecall, n, irqs, chunk, evict))
     for action in steps:
         try:
             action()

@@ -5,7 +5,7 @@ import pytest
 from ccxsim.errors import SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Perms
-from ccxsim.runtime import AEP_GATE, HostRuntime, RETURN_GATE
+from ccxsim.runtime import AEP_GATE, RECLAIM_BATCH, HostRuntime, RETURN_GATE
 from ccxsim.structs import EXIT_IRQ, Pcmd, VA_SLOT_COUNT
 
 from helpers import BASE, build_raw_enclave, free_epc_granules, small_config
@@ -514,6 +514,69 @@ def test_eviction_after_an_interrupted_thread_exits_takes_the_oldest_admitted_pa
     rt._reclaim()
     assert oldest not in machine.memory.epcm
     assert h.base + fixtures.SSA_OFF in rt.store.keys_for(h.eid)
+
+
+def _reclaims(records):
+    """Split the ``evict`` records and the ``writeback`` records of
+    :func:`test_a_reclaim_blocks_a_batch_then_tracks_each_owner_once` into
+    reclaims: (pages named, pages blocked, owners tracked, pages written
+    back), each page as (eid, vaddr)."""
+    out = []
+    for r in records:
+        if r["kind"] == "evict" and (not out or out[-1][3]):
+            out.append(([], [], [], []))
+        named, blocked, tracked, written = out[-1]
+        if r["kind"] == "evict":
+            named.append((r["eid"], r["vaddr"]))
+        elif r["leaf"] == "EBLOCK":
+            blocked.append((r["eid"], r["vaddr"]))
+        elif r["leaf"] == "ETRACK":
+            tracked.append(r["eid"])
+        else:
+            written.append((r["eid"], r["vaddr"]))
+    return out
+
+
+def test_a_reclaim_blocks_a_batch_then_tracks_each_owner_once(fixture_dir):
+    """Four enclaves take turns in an EPC of 16 granules.  Each reclaim
+    names at most ``RECLAIM_BATCH`` pages, each ``evict`` record just before
+    its page's EBLOCK; then it runs one ETRACK for each owner among them,
+    and then one EWB per page, in the same order."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(epc_size=16))
+    machine.trace = []
+    rt = HostRuntime(machine)
+    leaf = machine.leaf
+
+    def recording_leaf(name, *args, **kwargs):
+        if name in ("EBLOCK", "EWB"):
+            entry = machine.memory.epcm[args[0]]
+            machine.trace_event("writeback", leaf=name, eid=entry.owner, vaddr=entry.vaddr)
+        elif name == "ETRACK":
+            machine.trace_event("writeback", leaf=name, eid=args[0])
+        return leaf(name, *args, **kwargs)
+
+    machine.leaf = recording_leaf
+    manifest = EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "batch"))
+    handles = [rt.load_enclave(manifest) for _ in range(4)]
+    for _ in range(3):
+        for h in handles:
+            assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
+
+    kinds = [r["kind"] for r in machine.trace]
+    for i, kind in enumerate(kinds):
+        if kind == "evict":
+            assert kinds[i + 1: i + 3] == ["writeback", "eblock"]
+    reclaims = _reclaims([r for r in machine.trace if r["kind"] in ("evict", "writeback")])
+    for named, blocked, tracked, written in reclaims:
+        assert 1 <= len(named) <= RECLAIM_BATCH
+        assert blocked == named and written == named
+        assert tracked == list(dict.fromkeys(eid for eid, _ in named))
+    assert sum(len(named) for named, _, _, _ in reclaims) == rt.swap_out_events
+    assert max(len(tracked) for _, _, tracked, _ in reclaims) > 1
+    assert len(reclaims) < rt.swap_out_events
 
 
 def test_eviction_passes_over_an_enclave_the_runtime_did_not_load(fixture_dir):
