@@ -39,6 +39,20 @@ KEY_SIZE = 16
 MAC_SIZE = 16
 GCM_IV_SIZE = 12
 
+SIGNATURE_MEMO_SIZE = 64
+"""Most entries each of :class:`CryptoEngine`'s two signature memos holds;
+the oldest goes first.  A host builds the same few signed enclaves again and
+again (``sgx_sign`` signs once, at build time), so a few distinct SIGSTRUCTs
+make up nearly every load: the ``enclave_churn`` benchmark loads 8.  A bound
+keeps a long run that signs ever new bodies from growing the memos."""
+
+
+def _remember(memo: Dict, key, value) -> None:
+    """Store ``value`` under ``key``, dropping the oldest entry past the bound."""
+    memo[key] = value
+    if len(memo) > SIGNATURE_MEMO_SIZE:
+        del memo[next(iter(memo))]
+
 
 class RunningHash:
     """Incremental measurement hash over whole 64-byte blocks.
@@ -115,12 +129,22 @@ class DeviceSecrets:
 
 
 class CryptoEngine:
-    """All measurement, signing, derivation, sealing, and MAC operations."""
+    """All measurement, signing, derivation, sealing, and MAC operations.
+
+    Signing and verifying a SIGSTRUCT are pure functions of their inputs
+    (ed25519 signatures are deterministic), so each keeps a bounded memo.
+    The sign memo maps a signer label and body to the signature bytes, never
+    to a mutable :class:`SigStruct`.  The verify memo holds only the exact
+    (public key, signature, body) triples that verified, so a signature that
+    fails always pays the full check.
+    """
 
     def __init__(self, secrets: DeviceSecrets):
         self.secrets = secrets
         # Every EWB and ELDU seals with this key, so it is derived once.
         self._swap_key = secrets.root_mac_key(b"page-swap")[:KEY_SIZE]
+        self._signed: Dict[Tuple[str, bytes], bytes] = {}
+        self._verified: Dict[Tuple[bytes, bytes, bytes], bytes] = {}
 
     # -- measurement hashing -------------------------------------------------
 
@@ -148,17 +172,27 @@ class CryptoEngine:
             public_key=self.secrets.public_bytes(signer_label),
             signature=b"",
         )
-        sig.signature = self.secrets.signing_key(signer_label).sign(sig.body_bytes())
+        key = (signer_label, sig.body_bytes())
+        signature = self._signed.get(key)
+        if signature is None:
+            signature = self.secrets.signing_key(signer_label).sign(key[1])
+            _remember(self._signed, key, signature)
+        sig.signature = signature
         return sig
 
     def verify_sigstruct(self, sig: SigStruct) -> Tuple[bool, bytes]:
         """Returns (ok, signer digest); the digest is valid either way."""
+        key = (bytes(sig.public_key), bytes(sig.signature), sig.body_bytes())
+        signer_digest = self._verified.get(key)
+        if signer_digest is not None:
+            return True, signer_digest
         signer_digest = self.digest(sig.public_key)
         try:
             pub = ed25519.Ed25519PublicKey.from_public_bytes(sig.public_key)
-            pub.verify(sig.signature, sig.body_bytes())
+            pub.verify(sig.signature, key[2])
         except (InvalidSignature, ValueError):
             return False, signer_digest
+        _remember(self._verified, key, signer_digest)
         return True, signer_digest
 
     def mrsigner(self, signer_label: str = "default") -> bytes:

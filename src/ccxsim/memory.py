@@ -41,10 +41,10 @@ granule drops the translations that reach that granule, since that is the
 only path that moves a table.  A cached translation depends only on the
 entry and tables of the granule it reaches (a page address moves to another
 granule only after the old granule's entry is cleared), and a miss is never
-cached, so no other translation can go stale.  Clearing a SECS empties the
-whole cache, so that the translations of a dead enclave do not pile up
-(enclave ids are never reused), and so does the raw test poke
-``GptSet.set_entry``.  The decode cache (``decoded``) holds each granule's
+cached, so no other translation can go stale.  Clearing a SECS drops every
+translation its enclave made, so that those of a dead enclave do not pile up
+(enclave ids are never reused); the raw test poke ``GptSet.set_entry``
+empties the whole cache.  The decode cache (``decoded``) holds each granule's
 blocks by the offset they start at: a block is the decoded run of ALU ops
 from there plus the instruction that ends it (see :mod:`ccxsim.execution`).
 A block never crosses its page, so a granule holds at most one entry per
@@ -230,7 +230,8 @@ class GptSet:
     ``tlb`` is the translation cache that :class:`MachineMemory` reads, and
     ``tlb_keys`` its reverse map, from a granule to the keys that reach it;
     :meth:`MachineMemory.cache_translation` fills both.  The primitives leave
-    them alone: ``epcm_update`` drops the keys of the granule it updates, and
+    them alone: ``epcm_update`` drops the keys of the granule it updates
+    (and, for a SECS it clears, the keys of the dead enclave), and
     ``set_entry`` empties both for its own poke.
     """
 
@@ -248,6 +249,16 @@ class GptSet:
         """Empty the translation cache and its reverse map."""
         self.tlb.clear()
         self.tlb_keys.clear()
+
+    def drop_translations_of(self, eid: int) -> None:
+        """Drop the translations made by enclave ``eid``, the keys whose
+        first field is ``eid``, from the cache and its reverse map."""
+        for key in [key for key in self.tlb if key[0] == eid]:
+            granule = self.tlb.pop(key)
+            keys = self.tlb_keys[granule]
+            keys.remove(key)
+            if not keys:
+                del self.tlb_keys[granule]
 
     # -- table lifecycle ---------------------------------------------------
 
@@ -480,7 +491,7 @@ class MachineMemory:
                 if old.page_type == PageType.SECS:
                     gpts.drop_enclave_table(old.owner)
                     # enclave ids are never reused: its translations go too
-                    gpts.flush_translations()
+                    gpts.drop_translations_of(old.owner)
         for stale in gpts.tlb_keys.pop(granule, ()):
             self.tlb.pop(stale, None)
         old_key = _page_key(old)

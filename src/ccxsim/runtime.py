@@ -44,7 +44,7 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 from .crypto import RunningHash
 from .errors import AuthenticationFailure, ModelError, SgxError, read_input
 from .execution import MASK64, ssa_frame_vaddr
-from .machine import Machine
+from .machine import LEAF_NUMBERS, Machine
 from .manifest import EnclaveManifest
 from .memory import GRANULE_SIZE, RESERVED_GRANULES, EpcmEntry, PageType, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE
@@ -58,6 +58,7 @@ from .structs import (
     SigStruct,
     SwapBlob,
     TargetInfo,
+    EEXTEND_CHUNK,
     VA_SLOT_COUNT,
     ecreate_record,
     page_measurement,
@@ -69,6 +70,8 @@ OCALL_GATE = GATE_GRANULE * GRANULE_SIZE + 0x100
 AEP_GATE = GATE_GRANULE * GRANULE_SIZE + 0x200
 
 OCALL_RESUME = 0xFFFF_FFFF
+
+EEXTEND_LEAF = LEAF_NUMBERS["EEXTEND"][1]
 
 RECLAIM_BATCH = 4
 """Most pages one reclaim writes back.  A batch shares one victim scan and
@@ -238,10 +241,12 @@ class HostRuntime:
             if not self._free_slots and self._first_free(g + 1, hi) is None:
                 # Last free granule and no version capacity left: convert it
                 # to a version array so the writeback protocol stays possible,
-                # then reclaim for the actual request.  With nothing to evict,
-                # fail here and leave the granule free.
-                self._victims(1)
+                # then reclaim for the actual request, with the victims found
+                # before the conversion (a version array is never one).  With
+                # nothing to evict, fail here and leave the granule free.
+                victims = self._victims(RECLAIM_BATCH)
                 self._add_version_array(g)
+                self._reclaim(victims)
                 continue
             return g
 
@@ -315,10 +320,10 @@ class HostRuntime:
             raise ModelError("EPC exhausted and no evictable page found")
         return victims
 
-    def _reclaim(self) -> None:
-        """Write back the pages :meth:`_victims` picks, one version slot
-        each, writing an ``evict`` record for each."""
-        victims = self._victims(RECLAIM_BATCH)
+    def _reclaim(self, victims: Optional[List[Tuple[int, EpcmEntry]]] = None) -> None:
+        """Write back the pages :meth:`_victims` picks, or ``victims`` if
+        given, one version slot each, writing an ``evict`` record for each."""
+        victims = victims or self._victims(RECLAIM_BATCH)
         if not self._free_slots:
             raise ModelError("no version slot free for eviction")
         self._write_back(victims[: len(self._free_slots)], evict=True)
@@ -390,8 +395,9 @@ class HostRuntime:
                     tcs_vaddrs.append(base + off)
                 if measured:
                     step = f"eextend {label}"
-                    for chunk in range(0, GRANULE_SIZE, 256):
-                        m.leaf("EEXTEND", eid, base + off + chunk)
+                    # 16 leaves a page: ENCLS by number skips the name lookup
+                    for chunk in range(0, GRANULE_SIZE, EEXTEND_CHUNK):
+                        m.encls(EEXTEND_LEAF, eid, base + off + chunk)
                 signer_hash.absorb(page_measurement(off, secinfo, page, measured))
 
             step = "sigstruct"
