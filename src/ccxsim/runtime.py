@@ -49,6 +49,7 @@ from .manifest import EnclaveManifest
 from .memory import GRANULE_SIZE, RESERVED_GRANULES, EpcmEntry, PageType, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE
 from .structs import (
+    EEXTEND_CHUNK,
     EXIT_IRQ,
     EXIT_PAGEFAULT,
     KeyName,
@@ -58,7 +59,6 @@ from .structs import (
     SigStruct,
     SwapBlob,
     TargetInfo,
-    EEXTEND_CHUNK,
     VA_SLOT_COUNT,
     ecreate_record,
     page_measurement,

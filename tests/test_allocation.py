@@ -115,6 +115,26 @@ def test_last_free_epc_granule_becomes_a_version_array(runtime, fixture_dir):
     m.audit()
 
 
+def test_turning_the_last_free_granule_into_a_version_array_scans_the_epcm_once(
+    runtime, fixture_dir, monkeypatch
+):
+    """The victims found before the conversion are the ones written back."""
+    m = runtime.machine
+    load_standard(runtime, fixture_dir)
+    lo, hi = m.memory.epc_span()
+    for g in [g for g in range(lo, hi) if m.memory.is_free(g)][:-1]:
+        m.leaf("EPA", g)  # version arrays the runtime holds no slots in
+    expected = [(e.owner, e.vaddr) for g, e in m.memory.epcm.items()
+                if runtime.victim_filter(g)][:RECLAIM_BATCH]
+    scans = []
+    victims = runtime._victims
+    monkeypatch.setattr(runtime, "_victims", lambda limit: scans.append(limit) or victims(limit))
+    m.trace = []
+    runtime.take_epc_granule()
+    assert scans == [RECLAIM_BATCH]
+    assert [(r["eid"], r["vaddr"]) for r in m.trace if r["kind"] == "evict"] == expected
+
+
 
 def test_swap_out_of_a_page_the_room_for_its_version_array_wrote_back(runtime, fixture_dir):
     """With one free granule and no version slot, an explicit swap-out first

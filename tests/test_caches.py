@@ -9,12 +9,13 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccxsim import execution, isa
+from ccxsim import execution, fixtures, isa
 from ccxsim.errors import SgxError
 from ccxsim.execution import RunReport
 from ccxsim.machine import Machine
+from ccxsim.manifest import EnclaveManifest
 from ccxsim.memory import GRANULE_SIZE, GpfRecord, Pas, Perms, SecurityState
-from ccxsim.runtime import AEP_GATE, RETURN_GATE
+from ccxsim.runtime import AEP_GATE, RETURN_GATE, HostRuntime
 from ccxsim.structs import EXIT_IRQ, EXIT_PAGEFAULT
 
 from helpers import BASE, build_raw_enclave, free_epc_granules, free_host_granule, small_config
@@ -178,6 +179,33 @@ def test_writing_back_a_page_drops_its_translations_and_keeps_the_others(m, monk
     monkeypatch.setattr(execution, "_enclave_translate", counting_translate)
     assert _call(m, enc)[1] == DATA_WORD
     assert translated == [(BASE + DATA, "r")]
+
+
+def test_destroying_an_enclave_keeps_the_translations_of_the_others(m, tmp_path, monkeypatch):
+    """A destroy drops the dead enclave's translations, those to host memory
+    included, and no others: the next identical call into a live enclave
+    resolves nothing."""
+    rt = HostRuntime(m)
+    manifest = EnclaveManifest.load(fixtures.write_standard_manifest(tmp_path))
+    a, b = rt.load_enclave(manifest), rt.load_enclave(manifest)
+    host = rt.take_host_granule()
+    m.host_write(host, 0, DATA_WORD.to_bytes(8, "little"))
+    for h in (b, a):  # each enclave reads the host granule
+        assert rt.ecall(h, 0, fixtures.SEL_PEEK, host * GRANULE_SIZE) == DATA_WORD
+    assert (a.eid, host * GRANULE_SIZE, "r") in m.memory.tlb
+    rt.destroy(a)
+    assert not any(key[0] == a.eid for key in m.memory.tlb)
+    assert not any(key[0] == a.eid for keys in m.memory.gpts.tlb_keys.values() for key in keys)
+    resolved = []
+    resolve = execution._resolve
+
+    def counting_resolve(mach, vcpu, addr, size, kind):
+        resolved.append((addr, kind))
+        return resolve(mach, vcpu, addr, size, kind)
+
+    monkeypatch.setattr(execution, "_resolve", counting_resolve)
+    assert rt.ecall(b, 0, fixtures.SEL_PEEK, host * GRANULE_SIZE) == DATA_WORD
+    assert resolved == []
 
 
 def test_removed_data_page_faults_the_next_load(m):

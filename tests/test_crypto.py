@@ -5,7 +5,7 @@ import hmac
 
 import pytest
 
-from ccxsim.crypto import CryptoEngine, DeviceSecrets, RunningHash
+from ccxsim.crypto import SIGNATURE_MEMO_SIZE, CryptoEngine, DeviceSecrets, RunningHash
 from ccxsim.errors import AuthenticationFailure, ModelError
 from ccxsim.structs import SigStruct
 
@@ -105,6 +105,66 @@ def test_sigstruct_serialization_round_trip(engine):
     sig = engine.sign_sigstruct(b"\x17" * 32, 0x705, 19, 4)
     again = SigStruct.from_bytes(sig.to_bytes())
     assert again == sig
+
+
+# A good SIGSTRUCT verified once sits in the verify memo; each of these
+# changes one input, which must miss the memo and fail the full check.
+def _flip_signature(sig, _engine):
+    sig.signature = bytes([sig.signature[0] ^ 1]) + sig.signature[1:]
+
+
+def _change_body(sig, _engine):
+    sig.isv_svn ^= 1
+
+
+def _other_signer(sig, engine):
+    sig.public_key = engine.secrets.public_bytes("vendor-b")
+
+
+@pytest.mark.parametrize("tamper", [_flip_signature, _change_body, _other_signer])
+def test_a_tampered_sigstruct_fails_after_the_good_one_was_verified(engine, tamper):
+    good = engine.sign_sigstruct(b"\x42" * 32, 0x5, 7, 3)
+    assert engine.verify_sigstruct(good)[0]
+    assert engine.verify_sigstruct(SigStruct.from_bytes(good.to_bytes()))[0]
+    bad = SigStruct.from_bytes(good.to_bytes())
+    tamper(bad, engine)
+    for _ in range(2):  # a failure is not remembered either
+        ok, signer = engine.verify_sigstruct(bad)
+        assert not ok and signer == hashlib.sha256(bad.public_key).digest()
+    assert engine.verify_sigstruct(good)[0]
+
+
+def test_a_remembered_signature_equals_a_fresh_one(engine):
+    first = engine.sign_sigstruct(b"\x42" * 32, 0x5, 7, 3, "vendor-a")
+    fresh = CryptoEngine(DeviceSecrets.from_seed_int(2024))
+    assert engine.sign_sigstruct(b"\x42" * 32, 0x5, 7, 3, "vendor-a") == first
+    assert fresh.sign_sigstruct(b"\x42" * 32, 0x5, 7, 3, "vendor-a") == first
+    # the same body under another signer is signed by that signer
+    other = engine.sign_sigstruct(b"\x42" * 32, 0x5, 7, 3, "vendor-b")
+    assert other.public_key != first.public_key and other.signature != first.signature
+    assert engine.verify_sigstruct(other)[0]
+
+
+def test_mutating_a_returned_sigstruct_leaves_the_next_signing_alone(engine):
+    first = engine.sign_sigstruct(b"\x42" * 32, 0x5, 7, 3)
+    signature = first.signature
+    first.signature = bytes(64)
+    first.enclavehash = b"\x00" * 32
+    again = engine.sign_sigstruct(b"\x42" * 32, 0x5, 7, 3)
+    assert again.signature == signature and again.enclavehash == b"\x42" * 32
+    assert engine.verify_sigstruct(again)[0]
+
+
+def test_neither_signature_memo_outgrows_its_bound(engine):
+    for i in range(SIGNATURE_MEMO_SIZE + 20):
+        sig = engine.sign_sigstruct(i.to_bytes(32, "little"), 0x5, 7, 3)
+        assert engine.verify_sigstruct(sig)[0]
+        assert len(engine._signed) <= SIGNATURE_MEMO_SIZE
+        assert len(engine._verified) <= SIGNATURE_MEMO_SIZE
+    assert len(engine._signed) == len(engine._verified) == SIGNATURE_MEMO_SIZE
+    # a body the memos dropped still signs and verifies
+    oldest = engine.sign_sigstruct((0).to_bytes(32, "little"), 0x5, 7, 3)
+    assert engine.verify_sigstruct(oldest)[0]
 
 
 # ---------------------------------------------------------------------------

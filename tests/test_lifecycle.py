@@ -2,10 +2,12 @@
 
 import pytest
 
+from ccxsim import fixtures
 from ccxsim.errors import GranuleProtectionFault, SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
+from ccxsim.manifest import EnclaveManifest
 from ccxsim.memory import GRANULE_SIZE, PageType, Pas, Perms
-from ccxsim.runtime import AEP_GATE
+from ccxsim.runtime import AEP_GATE, LoadError
 from ccxsim.structs import Attributes, SecInfo, Tcs
 
 from helpers import BASE, build_raw_enclave, free_epc_granules, small_config
@@ -215,6 +217,30 @@ def test_einit_rejects_flipped_signature(machine):
         machine.leaf("EINIT", enc.eid, sig)
     assert exc.value.code == E.SIG_INVALID
     assert not machine.enclaves[enc.eid].initialized
+
+
+def test_einit_refuses_a_forged_sigstruct_after_a_good_load_of_the_same_manifest(
+    runtime, tmp_path, monkeypatch
+):
+    """The good load leaves its signature in both memos; a forged copy of it
+    still fails EINIT, and the good one is signed again untouched."""
+    manifest = EnclaveManifest.load(fixtures.write_compute_manifest(tmp_path))
+    good = runtime.load_enclave(manifest)
+    crypto = runtime.machine.crypto
+    sign = crypto.sign_sigstruct
+
+    def forged(*args):
+        sig = sign(*args)
+        sig.signature = bytes([sig.signature[0] ^ 1]) + sig.signature[1:]
+        return sig
+
+    monkeypatch.setattr(crypto, "sign_sigstruct", forged)
+    with pytest.raises(LoadError) as exc:
+        runtime.load_enclave(manifest)
+    assert exc.value.step == "einit" and exc.value.cause.code == E.SIG_INVALID
+    monkeypatch.undo()
+    again = runtime.load_enclave(manifest)
+    assert (again.mrenclave, again.mrsigner) == (good.mrenclave, good.mrsigner)
 
 
 def test_einit_rejects_swapped_sigstructs(machine):

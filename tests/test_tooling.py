@@ -50,3 +50,31 @@ def test_per_layer_counts_see_the_miss_path_and_not_the_hits(monkeypatch, tmp_pa
                        ("isa.decode", "memory.read_granule", "memory.find_page")})
     assert all(counts[0].values()), counts[0]
     assert counts[1]["isa.decode"] == 0
+
+
+def test_traced_leaf_counts_of_a_load_equal_the_machine_counters(monkeypatch, tmp_path):
+    """Every leaf of a load goes through ``Machine.encls`` or ``enclu``,
+    where the tracer times it: a path around them would count here as a
+    leaf the tracer missed."""
+    from ccxsim import fixtures
+    from ccxsim.machine import Machine
+    from ccxsim.manifest import EnclaveManifest
+    from ccxsim.runtime import HostRuntime
+
+    from helpers import small_config
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    rt = HostRuntime(Machine(small_config()))
+    manifest = EnclaveManifest.load(fixtures.write_standard_manifest(tmp_path))
+    rt.load_enclave(manifest)  # the second load hits the signature memos
+    before = dict(rt.machine.counters)
+    with tracing.Tracer().installed() as tracer:
+        rt.load_enclave(manifest)
+    stats, _ = tracer.aggregate()
+    counted = {name: n - before[name] for name, n in rt.machine.counters.items()
+               if n != before[name]}
+    traced = {name[len("machine.leaf."):]: s[0] for name, s in stats.items()
+              if name.startswith("machine.leaf.")}
+    assert counted == traced
+    assert counted["EEXTEND"] > 0 and counted["EINIT"] == 1
