@@ -104,7 +104,8 @@ class DeviceSecrets:
         self._seed = bytes(seed)
         self._root_seal = _expand(self._seed, b"root-seal", 32)
         self.owner_epoch = _expand(self._seed, b"owner-epoch", 16)
-        self._signers: Dict[str, ed25519.Ed25519PrivateKey] = {}
+        # label -> (signing key, raw public key), both made on first use
+        self._signers: Dict[str, Tuple[ed25519.Ed25519PrivateKey, bytes]] = {}
 
     @classmethod
     def from_seed_int(cls, seed: int) -> "DeviceSecrets":
@@ -114,18 +115,22 @@ class DeviceSecrets:
         # Internal per-purpose keys; still never exported raw.
         return hmac.new(self._root_seal, b"purpose:" + label, hashlib.sha256).digest()
 
-    def signing_key(self, label: str = "default") -> ed25519.Ed25519PrivateKey:
-        key = self._signers.get(label)
-        if key is None:
+    def _signer(self, label: str) -> Tuple[ed25519.Ed25519PrivateKey, bytes]:
+        signer = self._signers.get(label)
+        if signer is None:
             raw = _expand(self._seed, b"signer:" + label.encode(), 32)
             key = ed25519.Ed25519PrivateKey.from_private_bytes(raw)
-            self._signers[label] = key
-        return key
+            public = key.public_key().public_bytes(
+                serialization.Encoding.Raw, serialization.PublicFormat.Raw
+            )
+            signer = self._signers[label] = (key, public)
+        return signer
+
+    def signing_key(self, label: str = "default") -> ed25519.Ed25519PrivateKey:
+        return self._signer(label)[0]
 
     def public_bytes(self, label: str = "default") -> bytes:
-        return self.signing_key(label).public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        return self._signer(label)[1]
 
 
 class CryptoEngine:

@@ -41,12 +41,12 @@ TRACED_COMMAND = "python3 perfbench/run.py --workload W --seed S --trace 1"
 METHOD = (
     "Each pair runs the parent and the change once, one after the other, from fresh "
     "checkouts of the committed files; the side that runs first alternates.  Quartiles "
-    "are over each side's runs.  A metric is 'better' when the change wins at least "
-    "nine tenths of the pairs and its median beats the parent's by more than the "
-    "parent's interquartile range; 'worse' when its median is worse than the parent's "
-    "by more than the BENCHMARK.json bound (relative); 'unresolved' when the parent's "
-    "interquartile range is wider than the bound and the runs do not separate; 'same' "
-    "otherwise."
+    "are over each side's runs.  A metric is 'better' when at least ten pairs ran, the "
+    "change wins at least nine tenths of them and its median beats the parent's by "
+    "more than the parent's interquartile range; 'worse' when its median is worse than "
+    "the parent's by more than the BENCHMARK.json bound (relative); 'unresolved' when "
+    "the parent's interquartile range is wider than the bound and the runs do not "
+    "separate; 'same' otherwise."
 )
 
 TRACED_WHAT = (
@@ -112,7 +112,7 @@ def verdict(spec: dict, parent, change) -> dict:
     iqr = p["q3"] - p["q1"]
     gain = sign * (c["median"] - p["median"])
     base = abs(p["median"]) or 1.0
-    if wins >= 0.9 * len(parent) and gain > iqr:
+    if len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > iqr:
         word = "better"
     elif -gain > spec["bound"] * base:
         word = "worse"
