@@ -1,6 +1,7 @@
 """The benchmark's tracer (``perfbench/tracing.py``) patches simulator
-attributes by name; a renamed attribute must fail here, not in a traced
-benchmark run."""
+attributes by name; a renamed attribute, or a leaf path around the
+methods it wraps, must fail here, not in a traced benchmark run.  The
+recorder's verdicts (``tools/bench_record.py``) are checked here too."""
 
 import importlib
 from pathlib import Path
@@ -78,3 +79,25 @@ def test_traced_leaf_counts_of_a_load_equal_the_machine_counters(monkeypatch, tm
               if name.startswith("machine.leaf.")}
     assert counted == traced
     assert counted["EEXTEND"] > 0 and counted["EINIT"] == 1
+
+
+def test_bench_record_verdicts_follow_its_method(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    record = importlib.import_module("bench_record")
+    higher = {"unit": "1/s", "better": "higher", "bound": 0.2}
+    lower = {"unit": "ms", "better": "lower", "bound": 0.25}
+    parent = [100.0 + i % 3 for i in range(10)]
+
+    def word(spec, p, c):
+        return record.verdict(spec, p, c)["verdict"]
+
+    assert word(higher, parent, [v + 10 for v in parent]) == "better"
+    assert word(lower, parent, [v - 10 for v in parent]) == "better"
+    assert word(higher, parent, [v + 1.5 for v in parent]) == "same"  # within the spread
+    assert word(higher, parent[:9], [v + 10 for v in parent[:9]]) == "same"  # too few pairs
+    assert word(higher, parent, [v * 0.7 for v in parent]) == "worse"
+    assert word(lower, parent, [v * 1.3 for v in parent]) == "worse"
+    assert word(higher, [100.0, 150.0] * 5, [125.0] * 10) == "unresolved"
+    summary = record.verdict(higher, parent, [v + 10 for v in parent])
+    assert (summary["wins"], summary["losses"]) == (10, 0)
+    assert summary["parent"] == {"median": 101.0, "q1": 100.0, "q3": 101.75}
