@@ -58,7 +58,6 @@ from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode a
 from .memory import (
     GRANULE_SIZE,
     HOST,
-    MICROCODE,
     AccessContext,
     PageType,
     Perms,
@@ -389,10 +388,9 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
     granule = m.memory.find_page(secs.eid, frame_vaddr)
     if granule is None:
         raise SgxError(E.PAGE_INVALID, "save-state page is not resident")
-    raw = m.memory.read_granule(
-        MICROCODE, granule, frame_vaddr & (GRANULE_SIZE - 1), SSA_FRAME_BYTES
+    frame = SsaFrame.unpack(
+        m.memory.load(granule, frame_vaddr & (GRANULE_SIZE - 1), SSA_FRAME_BYTES)
     )
-    frame = SsaFrame.unpack(raw)
     cssa = tcs.cssa - 1
     m.store_cssa(tcs_granule, cssa)
     _switch_in(vcpu, secs, tcs, tcs_granule, aep, frame.pc)
@@ -428,9 +426,7 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
                 exit_reason=reason,
                 exit_payload=payload,
             )
-            m.memory.write_granule(
-                MICROCODE, granule, frame_vaddr & (GRANULE_SIZE - 1), frame.pack()
-            )
+            m.memory.store(granule, frame_vaddr & (GRANULE_SIZE - 1), frame.pack())
             m.store_cssa(tcs_granule, tcs.cssa + 1)
 
     if fatal:
@@ -521,7 +517,7 @@ def _buffer(size: int, unpack=bytes):
     """An enclave buffer of ``size`` bytes at the address in the word."""
     def read(m, vcpu, addr: int):
         granule, offset = _user_buffer(m, vcpu, addr, size, "r")
-        return unpack(m.memory.read_granule(MICROCODE, granule, offset, size))
+        return unpack(m.memory.load(granule, offset, size))
     return read
 
 
@@ -529,7 +525,7 @@ def _host_struct(m, addr: int, size: int) -> Tuple[int, int]:
     """Granule and offset of the ``size``-byte host structure at physical
     ``addr``.  One outside memory, crossing its granule's end, or in a granule
     the normal world cannot reach fails the leaf before it runs, and is no
-    protection fault."""
+    protection fault; the leaf then reads and writes it unchecked."""
     granule, offset = divmod(addr, GRANULE_SIZE)
     if not (0 <= granule < m.memory.granule_count and offset + size <= GRANULE_SIZE
             and m.memory.check_access(SecurityState.NORMAL, granule, None)):
@@ -538,7 +534,7 @@ def _host_struct(m, addr: int, size: int) -> Tuple[int, int]:
 
 
 def _host_read(m, addr: int, size: int) -> bytes:
-    return m.host_read(*_host_struct(m, addr, size), size)
+    return m.memory.load(*_host_struct(m, addr, size), size)
 
 
 def _pageinfo(m, addr: int) -> PageInfo:
@@ -618,7 +614,7 @@ def _buffer_at(reg: int, size: int, pack=bytes):
         granule, offset = _user_buffer(m, vcpu, words[reg - 2], size, "w")
 
         def store(result) -> None:
-            m.memory.write_granule(MICROCODE, granule, offset, pack(result))
+            m.memory.store(granule, offset, pack(result))
         return store
     return prepare
 
@@ -631,8 +627,8 @@ def _swap_out(m, vcpu, words):
     pcmd_at = _host_struct(m, info.secinfo, PCMD_SIZE)
 
     def store(blob) -> None:
-        m.host_write(*page_at, blob.ciphertext)
-        m.host_write(*pcmd_at, blob.pcmd.pack())
+        m.memory.store(*page_at, blob.ciphertext)
+        m.memory.store(*pcmd_at, blob.pcmd.pack())
     return store
 
 

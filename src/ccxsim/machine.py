@@ -20,7 +20,7 @@ from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
 from .errors import ModelError, SgxError, SgxErrorCode as E
 from .execution import VCpu
-from .memory import GRANULE_SIZE, HOST, MICROCODE, MachineMemory, PageType
+from .memory import GRANULE_SIZE, HOST, MachineMemory, PageType
 from .structs import TCS_OFF_CSSA, Secs, Tcs
 
 # Leaf tables: number -> (name, handler).  Handlers take the machine first;
@@ -186,7 +186,7 @@ class Machine:
         return Tcs.unpack(self.memory.data, granule * GRANULE_SIZE)
 
     def store_cssa(self, granule: int, cssa: int) -> None:
-        self.memory.write_granule(MICROCODE, granule, TCS_OFF_CSSA, cssa.to_bytes(8, "little"))
+        self.memory.store(granule, TCS_OFF_CSSA, cssa.to_bytes(8, "little"))
 
     def cpuid(self, leaf: int, subleaf: int) -> Tuple[int, int, int, int]:
         with self._token:
@@ -259,10 +259,7 @@ class Machine:
                     "staged_type": e.staged_type.name if e.staged_type else None,
                 }
             )
-            base = granule * GRANULE_SIZE
-            contents[str(granule)] = bytes(
-                self.memory.data[base : base + GRANULE_SIZE]
-            ).hex()
+            contents[str(granule)] = self.memory.load(granule, 0, GRANULE_SIZE).hex()
         return {
             "config": self.config.to_dict(),
             "enclaves": enclaves,

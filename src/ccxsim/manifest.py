@@ -17,8 +17,9 @@ Line-oriented, diffable, self-contained.  Grammar (one directive per line,
 
 Content sources: ``zero`` (zero-filled), ``hex:<hexbytes>`` (inline, padded to
 a page multiple), ``file:<relpath>`` (raw bytes, padded).  Multi-page content
-spreads across consecutive pages; ``count`` repeats zero pages.  Numbers
-accept 0x-prefixed hex.  Pages and TCS entries are measured in file order.
+spreads across consecutive pages; ``count`` repeats a zero page, ``zero``
+only.  Numbers accept 0x-prefixed hex.  Pages and TCS entries are measured in
+file order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .memory import GRANULE_SIZE, Perms
 from .structs import Attributes, Tcs
 
 
-class ManifestError(Exception):
+class ManifestError(ModelError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"manifest line {line_no}: {message}")
@@ -52,10 +53,16 @@ class PageSpec:
     perms: Perms
     content: bytes  # padded to a page multiple
     measured: bool = True
+    count: int = 1  # copies of the content laid end to end
+    line: int = 0  # the directive's manifest line; 0 for one built in code
 
     @property
     def page_count(self) -> int:
-        return len(self.content) // GRANULE_SIZE
+        return self.count * len(self.content) // GRANULE_SIZE
+
+    def page(self, i: int) -> bytes:
+        at = i * GRANULE_SIZE % len(self.content)
+        return self.content[at : at + GRANULE_SIZE]
 
 
 @dataclass
@@ -67,6 +74,7 @@ class TcsSpec:
     aexnotify: bool = False
     dbgoptin: bool = False
     measured: bool = True
+    line: int = 0
 
     def build(self, nssa: int) -> Tcs:
         return Tcs(
@@ -92,36 +100,39 @@ class EnclaveManifest:
     tcs: List[TcsSpec] = field(default_factory=list)
     sigstruct_source: str = "test-key"
     base_dir: Optional[Path] = None
+    size_line: int = 0  # the line of the size directive, as PageSpec.line
 
     def validate(self) -> None:
+        """Refuse a misfit naming the line of the directive at fault."""
         if self.size < GRANULE_SIZE or self.size & (self.size - 1):
-            raise ModelError(f"size {self.size:#x} must be a power-of-two page multiple")
+            raise ManifestError(self.size_line,
+                                f"size {self.size:#x} must be a power-of-two page multiple")
         used = {}
         for spec in self.pages:
+            end = spec.vaddr + spec.page_count * GRANULE_SIZE  # before any page is counted
+            if spec.vaddr % GRANULE_SIZE or end > self.size:
+                raise ManifestError(spec.line, f"run of {spec.page_count} pages at {spec.vaddr:#x}"
+                                    f" is unaligned or exceeds size {self.size:#x}")
             for i in range(spec.page_count):
                 off = spec.vaddr + i * GRANULE_SIZE
-                if off % GRANULE_SIZE or off + GRANULE_SIZE > self.size:
-                    raise ModelError(f"page offset {off:#x} invalid")
                 if off in used:
-                    raise ModelError(f"page offset {off:#x} specified twice")
+                    raise ManifestError(spec.line, f"page offset {off:#x} specified twice")
                 used[off] = spec
         for spec in self.tcs:
             if spec.vaddr % GRANULE_SIZE or spec.vaddr + GRANULE_SIZE > self.size:
-                raise ModelError(f"tcs offset {spec.vaddr:#x} invalid")
+                raise ManifestError(spec.line, f"tcs offset {spec.vaddr:#x} invalid")
             if spec.vaddr in used:
-                raise ModelError(f"tcs offset {spec.vaddr:#x} collides with a page")
+                raise ManifestError(spec.line, f"tcs offset {spec.vaddr:#x} collides with a page")
             used[spec.vaddr] = spec
             if spec.oentry >= self.size:
-                raise ModelError("tcs entry point outside enclave")
+                raise ManifestError(spec.line, "tcs entry point outside enclave")
             ssa_bytes = self.nssa * self.ssa_frame_size * GRANULE_SIZE
             if spec.ossa % GRANULE_SIZE or spec.ossa + ssa_bytes > self.size:
-                raise ModelError("tcs save-state area outside enclave")
+                raise ManifestError(spec.line, "tcs save-state area outside enclave")
             for i in range(self.nssa * self.ssa_frame_size):
                 if spec.ossa + i * GRANULE_SIZE not in used:
-                    raise ModelError(
-                        f"tcs at {spec.vaddr:#x}: save-state page "
-                        f"{spec.ossa + i * GRANULE_SIZE:#x} is not declared"
-                    )
+                    raise ManifestError(spec.line, f"tcs at {spec.vaddr:#x}: save-state page "
+                                        f"{spec.ossa + i * GRANULE_SIZE:#x} is not declared")
 
     # -- parsing ---------------------------------------------------------------
 
@@ -140,7 +151,7 @@ class EnclaveManifest:
                 if key == "name":
                     manifest.name = rest
                 elif key == "size":
-                    manifest.size = _num(rest)
+                    manifest.size, manifest.size_line = _num(rest), line_no
                 elif key == "ssa_frame_size":
                     manifest.ssa_frame_size = _num(rest)
                 elif key == "nssa":
@@ -154,19 +165,16 @@ class EnclaveManifest:
                 elif key == "isv_svn":
                     manifest.isv_svn = _num(rest, 16)
                 elif key == "page":
-                    manifest.pages.append(cls._parse_page(rest, base_dir))
+                    manifest.pages.append(cls._parse_page(rest, base_dir, line_no))
                 elif key == "tcs":
-                    manifest.tcs.append(cls._parse_tcs(rest))
+                    manifest.tcs.append(cls._parse_tcs(rest, line_no))
                 elif key == "sigstruct":
                     manifest.sigstruct_source = rest
                 else:
                     raise ValueError(f"unknown directive {key!r}")
             except (ValueError, ModelError) as exc:
                 raise ManifestError(line_no, str(exc)) from None
-        try:
-            manifest.validate()
-        except ModelError as exc:
-            raise ManifestError(0, str(exc)) from None
+        manifest.validate()
         return manifest
 
     @classmethod
@@ -185,18 +193,23 @@ class EnclaveManifest:
         return out
 
     @classmethod
-    def _parse_page(cls, rest: str, base_dir: Optional[Path]) -> PageSpec:
+    def _parse_page(cls, rest: str, base_dir: Optional[Path], line: int) -> PageSpec:
         f = cls._fields(rest)
         vaddr = _num(f.pop("vaddr"))
         perms = Perms.parse(f.pop("perms", "rw"))
         content_src = f.pop("content", "zero")
         measured = f.pop("measured", "yes") == "yes"
-        count = _num(f.pop("count", "1"))
+        count = f.pop("count", None)
         if f:
             raise ValueError(f"unknown page fields {sorted(f)}")
+        if count is not None and content_src != "zero":
+            raise ValueError(f"count repeats zero pages, not content {content_src!r}")
+        count = _num("1" if count is None else count)
+        if count < 1:
+            raise ValueError("count must be at least 1")
 
         if content_src == "zero":
-            content = bytes(count * GRANULE_SIZE)
+            content = bytes(GRANULE_SIZE)
         elif content_src.startswith("hex:"):
             content = bytes.fromhex(content_src[4:])
         elif content_src.startswith("file:"):
@@ -209,12 +222,13 @@ class EnclaveManifest:
         if len(content) == 0 or len(content) % GRANULE_SIZE:
             pad = GRANULE_SIZE - (len(content) % GRANULE_SIZE or GRANULE_SIZE)
             content = content + bytes(pad)
-        return PageSpec(vaddr=vaddr, perms=perms, content=content, measured=measured)
+        return PageSpec(vaddr, perms, content, measured, count, line)
 
     @classmethod
-    def _parse_tcs(cls, rest: str) -> TcsSpec:
+    def _parse_tcs(cls, rest: str, line: int) -> TcsSpec:
         f = cls._fields(rest)
         spec = TcsSpec(
+            line=line,
             vaddr=_num(f.pop("vaddr")),
             oentry=_num(f.pop("oentry")),
             ossa=_num(f.pop("ossa")),

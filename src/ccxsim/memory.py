@@ -4,10 +4,12 @@ Physical memory is a flat array of 4 KiB granules in a private anonymous
 memory map: it reads as zeros, and a granule takes host memory only once it
 is written.  Isolation is enforced by granule protection tables: one stored
 system table, plus one view per live enclave that is derived from the system
-table and the set of granules the enclave owns.  Every simulated load/store
-funnels through
-:meth:`MachineMemory.read_granule` or :meth:`MachineMemory.write_granule`,
-which consult the active table for the accessing context.  Enclave page
+table and the set of granules the enclave owns.  Software accesses (programs,
+the host driver, ocall handlers) go through :meth:`MachineMemory.read_granule`
+or :meth:`MachineMemory.write_granule`, which consult the active table for the
+accessing context.  Microcode runs as the root world, which every table
+admits: a leaf bounds its granule and offset and uses the unchecked
+:meth:`MachineMemory.load` and :meth:`MachineMemory.store`.  Enclave page
 metadata lives in the EPCM, which is modeled as simulator-private state
 outside the addressable granule space (equivalent to keeping it in root-world
 memory: no non-root accessor could ever reach it).  EPCM entries are
@@ -49,8 +51,8 @@ blocks by the offset they start at: a block is the decoded run of ALU ops
 from there plus the instruction that ends it (see :mod:`ccxsim.execution`).
 A block never crosses its page, so a granule holds at most one entry per
 instruction start, 256 for code at 16-byte offsets.  Any write to the
-granule drops its blocks, and :meth:`MachineMemory.store` and
-:meth:`MachineMemory.zero_granule` are the only byte writers.
+granule drops its blocks: :meth:`MachineMemory.store` is the only byte
+writer.
 """
 
 from __future__ import annotations
@@ -153,14 +155,14 @@ class AccessContext:
     """Who is accessing: a security state plus the active table selector.
 
     ``gpt`` is ``None`` for the system table or an enclave id for that
-    enclave's table.  Microprogram-internal accesses use ``MICROCODE``.
+    enclave's table.  Only software accesses carry one: microcode passes
+    every check, so it reads and writes unchecked.
     """
 
     accessor: SecurityState
     gpt: Optional[int]
 
 
-MICROCODE = AccessContext(SecurityState.ROOT, None)
 HOST = AccessContext(SecurityState.NORMAL, None)
 
 
@@ -385,30 +387,29 @@ class MachineMemory:
         self._check_range(granule)
         return access_allowed(accessor, self.gpts.entry(gpt, granule))
 
-    def _checked(self, ctx: AccessContext, granule: int, offset: int, length: int):
+    def _checked(self, ctx: AccessContext, granule: int, offset: int, length: int) -> None:
         self._check_range(granule, offset, length)
         pas = self.gpts.entry(ctx.gpt, granule)
         if not access_allowed(ctx.accessor, pas):
             record = GpfRecord(granule, ctx.accessor, pas, ctx.gpt)
             self.gpf_log.append(record)
             raise GranuleProtectionFault(granule, ctx.accessor, pas, ctx.gpt)
-        return granule * GRANULE_SIZE + offset
 
-    def read_granule(
-        self, ctx: AccessContext, granule: int, offset: int, length: int
-    ) -> bytes:
-        base = self._checked(ctx, granule, offset, length)
-        return self.data[base : base + length]
+    def read_granule(self, ctx: AccessContext, granule: int, offset: int, length: int) -> bytes:
+        self._checked(ctx, granule, offset, length)
+        return self.load(granule, offset, length)
 
-    def write_granule(
-        self, ctx: AccessContext, granule: int, offset: int, data: bytes
-    ) -> None:
+    def write_granule(self, ctx: AccessContext, granule: int, offset: int, data: bytes) -> None:
         self._checked(ctx, granule, offset, len(data))
         self.store(granule, offset, data)
 
+    def load(self, granule: int, offset: int, length: int) -> bytes:
+        """Read bytes unchecked: a microcode access, or one already checked."""
+        base = granule * GRANULE_SIZE + offset
+        return self.data[base : base + length]
+
     def store(self, granule: int, offset: int, data: bytes) -> None:
-        """Write bytes that a checked access has cleared, dropping the
-        granule's cached blocks."""
+        """Write bytes unchecked, as :meth:`load` reads; drops the granule's blocks."""
         self.decoded.pop(granule, None)
         base = granule * GRANULE_SIZE + offset
         self.data[base : base + len(data)] = data
@@ -421,9 +422,7 @@ class MachineMemory:
 
     def zero_granule(self, granule: int) -> None:
         self._check_range(granule)
-        self.decoded.pop(granule, None)
-        base = granule * GRANULE_SIZE
-        self.data[base : base + GRANULE_SIZE] = bytes(GRANULE_SIZE)
+        self.store(granule, 0, bytes(GRANULE_SIZE))
 
     # -- EPC window and free granules ---------------------------------------
 

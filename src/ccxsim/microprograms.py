@@ -13,7 +13,7 @@ from functools import partial
 from typing import Optional
 
 from .errors import AuthenticationFailure, ModelError, SgxError, SgxErrorCode as E
-from .memory import GRANULE_SIZE, MICROCODE, EpcmEntry, PageType, Perms
+from .memory import GRANULE_SIZE, EpcmEntry, PageType, Perms
 from .structs import (
     ATTR_INIT,
     Attributes,
@@ -146,7 +146,7 @@ def eadd(
         target_granule,
         EpcmEntry(secinfo.page_type, owner=eid, vaddr=vaddr, perms=effective.perms),
     )
-    m.memory.store(target_granule, 0, source_bytes)  # microcode: no check to make
+    m.memory.store(target_granule, 0, source_bytes)
 
     secs.mrenclave_state.absorb(eadd_record(vaddr - secs.base, effective))
 
@@ -164,9 +164,7 @@ def eextend(m, eid: int, vaddr_chunk: int) -> None:
     if entry.blocked:
         raise SgxError(E.UNMEASURABLE_PAGE, "blocked page cannot be measured")
 
-    # A microcode read passes every protection check, so none is made.
-    base = granule * GRANULE_SIZE + (vaddr_chunk & (GRANULE_SIZE - 1))
-    content = m.memory.data[base : base + EEXTEND_CHUNK]
+    content = m.memory.load(granule, vaddr_chunk & (GRANULE_SIZE - 1), EEXTEND_CHUNK)
     secs.mrenclave_state.absorb(eextend_record(vaddr_chunk - secs.base) + content)
 
 
@@ -221,19 +219,19 @@ def _check_debug_access(m, granule: int, offset: int, length: int, types) -> Non
     secs = _secs(m, entry.owner)
     if not secs.attributes.debug:
         raise SgxError(E.NON_DEBUG_ENCLAVE, f"enclave {entry.owner} lacks DEBUG")
-    if not 0 <= offset <= GRANULE_SIZE - length:
+    if not 0 <= offset <= offset + length <= GRANULE_SIZE:
         raise SgxError(E.BAD_VADDR, f"{length} bytes at offset {offset} leave the page")
 
 
 def edbgrd(m, granule: int, offset: int, length: int = 8) -> bytes:
     _check_debug_access(m, granule, offset, length, (PageType.REG, PageType.TCS))
-    return m.memory.read_granule(MICROCODE, granule, offset, length)
+    return m.memory.load(granule, offset, length)
 
 
 def edbgwr(m, granule: int, offset: int, data: bytes) -> None:
     # A TCS page is the live record of its thread, which no write may bypass.
     _check_debug_access(m, granule, offset, len(data), (PageType.REG,))
-    m.memory.write_granule(MICROCODE, granule, offset, data)
+    m.memory.store(granule, offset, data)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +274,7 @@ def _va_slot_read(m, va_granule: int, slot: int) -> bytes:
     _va_entry(m, va_granule)
     if not 0 <= slot < VA_SLOT_COUNT:
         raise SgxError(E.VA_SLOT_INVALID, f"slot {slot} out of range")
-    return m.memory.read_granule(MICROCODE, va_granule, slot * VA_SLOT_SIZE, VA_SLOT_SIZE)
-
-
-def _va_slot_write(m, va_granule: int, slot: int, value: bytes) -> None:
-    m.memory.write_granule(MICROCODE, va_granule, slot * VA_SLOT_SIZE, value)
+    return m.memory.load(va_granule, slot * VA_SLOT_SIZE, VA_SLOT_SIZE)
 
 
 def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
@@ -308,7 +302,7 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
     while version == EMPTY_SLOT:
         version = m.rand_bytes(VA_SLOT_SIZE)
 
-    plaintext = m.memory.read_granule(MICROCODE, granule, 0, GRANULE_SIZE)
+    plaintext = m.memory.load(granule, 0, GRANULE_SIZE)
     pcmd = Pcmd(
         page_type=entry.page_type,
         perms=entry.perms,
@@ -323,7 +317,7 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
     )
     pcmd.mac = mac
 
-    _va_slot_write(m, va_granule, slot, version)
+    m.memory.store(va_granule, slot * VA_SLOT_SIZE, version)
     m.memory.epcm_update(granule, None)
     return SwapBlob(ciphertext=ciphertext, pcmd=pcmd)
 
@@ -369,9 +363,9 @@ def _eld(
         staged_type=pcmd.staged_type,
         blocked_epoch=secs.track_epoch if mark_blocked and secs is not None else None,
     ))
-    m.memory.write_granule(MICROCODE, target_granule, 0, plaintext)
+    m.memory.store(target_granule, 0, plaintext)
 
-    _va_slot_write(m, va_granule, slot, EMPTY_SLOT)
+    m.memory.store(va_granule, slot * VA_SLOT_SIZE, EMPTY_SLOT)
 
 
 # Both take (ciphertext, pcmd, va_granule, slot, target_granule, eid).
@@ -475,8 +469,7 @@ def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInf
     ):
         raise SgxError(E.BAD_VADDR, "source page is not readable enclave memory")
 
-    content = m.memory.read_granule(MICROCODE, src_granule, 0, GRANULE_SIZE)
-    m.memory.write_granule(MICROCODE, target_granule, 0, content)
+    m.memory.store(target_granule, 0, m.memory.load(src_granule, 0, GRANULE_SIZE))
     m.memory.epcm_update(target_granule, entry._replace(pending=False, perms=secinfo.perms))
 
 

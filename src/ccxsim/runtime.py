@@ -191,9 +191,8 @@ def _build_plan(
     (label, enclave offset, secinfo, page bytes, measured)."""
     for idx, spec in enumerate(manifest.pages):
         for i in range(spec.page_count):
-            page = spec.content[i * GRANULE_SIZE : (i + 1) * GRANULE_SIZE]
             yield (f"page[{idx}]+{i}", spec.vaddr + i * GRANULE_SIZE,
-                   SecInfo(spec.perms, PageType.REG), page, spec.measured)
+                   SecInfo(spec.perms, PageType.REG), spec.page(i), spec.measured)
     for idx, spec in enumerate(manifest.tcs):
         yield (f"tcs[{idx}]", spec.vaddr, SecInfo(Perms.NONE, PageType.TCS),
                spec.build(manifest.nssa).pack(), spec.measured)
@@ -530,12 +529,16 @@ class HostRuntime:
         self.ocall_handlers[selector] = handler
 
     def _thread(self, handle: EnclaveHandle, tcs_index: int, vcpu_index: int):
-        """The vCPU and TCS address a call names, refusing an index out of range."""
+        """The vCPU and TCS address a call names, refusing an index out of
+        range or a vCPU already inside an enclave before any leaf runs."""
         if not 0 <= vcpu_index < len(self.machine.vcpus):
             raise ModelError(f"no vcpu {vcpu_index}")
         if not 0 <= tcs_index < len(handle.tcs_vaddrs):
             raise ModelError(f"enclave {handle.name} has no TCS {tcs_index}")
-        return self.machine.vcpus[vcpu_index], handle.tcs_vaddrs[tcs_index]
+        vcpu = self.machine.vcpus[vcpu_index]
+        if vcpu.in_enclave:
+            raise ModelError(f"vcpu {vcpu.id} is already inside an enclave")
+        return vcpu, handle.tcs_vaddrs[tcs_index]
 
     @contextmanager
     def entered(self, handle: EnclaveHandle, tcs_index: int = 0, vcpu_index: int = 0):
@@ -570,8 +573,6 @@ class HostRuntime:
         """
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
-        if vcpu.in_enclave:
-            raise ModelError(f"vcpu {vcpu.id} is already inside an enclave")
         budget = m.config.max_ecall_steps if step_budget is None else step_budget
         schedule = inject_at
         if schedule is not None and schedule != "every":

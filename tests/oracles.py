@@ -69,7 +69,7 @@ def reference_measurement(manifest) -> bytes:
             measure_page(
                 spec.vaddr + i * PAGE,
                 _perm_bits(spec.perms) | (REG << 8),
-                spec.content[i * PAGE : (i + 1) * PAGE],
+                (spec.content * spec.count)[i * PAGE : (i + 1) * PAGE],
                 spec.measured,
             )
     for spec in manifest.tcs:

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from ccxsim import fixtures
-from ccxsim.errors import SgxError, SgxErrorCode as E
+from ccxsim.errors import ModelError, SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.manifest import EnclaveManifest
 from ccxsim.runtime import HostRuntime
@@ -51,6 +51,27 @@ def test_report_requires_enclave_mode(attest_env):
     with pytest.raises(SgxError) as exc:
         machine.enclu(machine.vcpus[0], 0x0, TargetInfo(b.mrenclave), bytes(64))
     assert exc.value.code == E.INVALID_MODE
+
+
+@pytest.mark.parametrize("call", ["seal", "unseal", "get_report", "ecall"])
+def test_every_driver_entry_refuses_a_busy_vcpu_before_any_leaf(attest_env, call):
+    """A vCPU that is already inside an enclave is refused with a ModelError
+    by each driver entry, and no EENTER is counted: unseal does not pass the
+    refusal off as a key policy that said no."""
+    machine, rt, a, b, _ = attest_env
+    blob = rt.seal(b, KeyPolicy.MRENCLAVE, b"payload")
+    entries = {
+        "seal": lambda: rt.seal(b, KeyPolicy.MRENCLAVE, b"payload"),
+        "unseal": lambda: rt.unseal(b, blob),
+        "get_report": lambda: rt.get_report(b, a, bytes(64)),
+        "ecall": lambda: rt.ecall(b, 0, 0),
+    }
+    with rt.entered(a) as vcpu:
+        entered = dict(machine.counters)
+        with pytest.raises(ModelError, match=f"vcpu {vcpu.id} is already inside an enclave"):
+            entries[call]()
+        assert machine.counters == entered
+    assert rt.unseal(b, blob) == b"payload"
 
 
 def test_any_tampered_report_field_fails(attest_env):

@@ -109,6 +109,17 @@ def test_cli_run_failing_expect_exits_one(demo_dir, tmp_path, capsys):
     assert "failed at line 3" in out
 
 
+def test_cli_run_with_an_oversized_page_count_fails_at_the_manifest_line(tmp_path, capsys):
+    """A manifest run of 2**40 zero pages fails its scenario's create line
+    with the manifest line named, as any other manifest error does."""
+    (tmp_path / "huge.manifest").write_text("name huge\npage vaddr=0 count=1099511627776\n")
+    (tmp_path / "huge.scenario").write_text("create app huge.manifest\n")
+    rc = cli.main(["run", str(tmp_path / "huge.scenario"), "--config", str(write_config(tmp_path))])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "failed at line 1: manifest line 2: run of 1099511627776 pages" in out
+
+
 def test_cli_mode_override_flips_swap_behavior(demo_dir, tmp_path, capsys):
     scenario = demo_dir / "small_diff.scenario"
     scenario.write_text(

@@ -12,7 +12,6 @@ from ccxsim.manifest import EnclaveManifest
 from ccxsim.memory import (
     GRANULE_SIZE,
     HOST,
-    MICROCODE,
     AccessContext,
     PageType,
     Perms,
@@ -325,7 +324,7 @@ def test_gadget_eadd_with_a_source_page_measures_alike_in_both_modes():
         info = PageInfo.unpack(m.host_read(info_at // GRANULE_SIZE, 0, PAGEINFO_SIZE))
         m.host_write(info.srcpge // GRANULE_SIZE, 0, b"\x5c" * GRANULE_SIZE)
         _encls(m, 0x1, info_at, page_g)
-        assert m.memory.read_granule(MICROCODE, page_g, 0, GRANULE_SIZE) == b"\x5c" * GRANULE_SIZE
+        assert m.memory.load(page_g, 0, GRANULE_SIZE) == b"\x5c" * GRANULE_SIZE
         for chunk in range(0, GRANULE_SIZE, 256):
             _encls(m, 0x6, info.secs, BASE + chunk)
         m.audit()
@@ -972,13 +971,13 @@ def test_ewb_to_an_unwritable_output_is_bad_vaddr(machine, unwritable):
     pcmd_at = epc_page if unwritable == "pcmd" else params * GRANULE_SIZE + 512
     machine.host_write(params, 0, PageInfo(0, srcpge, pcmd_at, 0).pack())
     entry = machine.memory.epcm_lookup(page_g)
-    versions = machine.memory.read_granule(MICROCODE, va_g, 0, GRANULE_SIZE)
+    versions = machine.memory.load(va_g, 0, GRANULE_SIZE)
     with pytest.raises(SgxError) as exc:
         _encls(machine, 0xB, params * GRANULE_SIZE, page_g, _slot_address(va_g, 5))
     assert exc.value.code == E.BAD_VADDR
     assert machine.memory.find_page(enc.eid, BASE + 0x1000) == page_g
     assert machine.memory.epcm_lookup(page_g) == entry
-    assert machine.memory.read_granule(MICROCODE, va_g, 0, GRANULE_SIZE) == versions
+    assert machine.memory.load(va_g, 0, GRANULE_SIZE) == versions
     assert not machine.memory.gpf_log
     machine.audit()
 

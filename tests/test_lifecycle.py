@@ -136,9 +136,7 @@ def test_eadd_in_dynamic_mode_assigns_in_place(ccx_machine):
     # the target granule itself turns realm in the enclave table and holds
     # the copied source page
     assert m.memory.gpts.entry(enc.eid, g) == Pas.REALM
-    from ccxsim.memory import MICROCODE
-
-    assert m.memory.read_granule(MICROCODE, g, 0, 4) == b"\x11" * 4
+    assert m.memory.load(g, 0, 4) == b"\x11" * 4
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,50 @@ def test_non_power_of_two_size_rejected():
         EnclaveManifest.parse(minimal_text().replace("0x100000", "0x180000"))
 
 
+@pytest.mark.parametrize("count", ["1099511627776", "0"])
+def test_a_page_count_that_cannot_fit_is_refused_on_its_line(count):
+    """A run of zero pages is checked against the enclave size before any
+    page of it is built: a count of 2**40 ends in a ManifestError, not a
+    MemoryError, and so does an empty run."""
+    text = minimal_text().replace("content=zero count=2", f"content=zero count={count}")
+    with pytest.raises(ManifestError) as exc:
+        EnclaveManifest.parse(text)
+    assert exc.value.line_no == 7
+
+
+@pytest.mark.parametrize("content", ["hex:00", "file:code.bin"])
+def test_a_count_with_content_other_than_zero_is_refused(content):
+    text = minimal_text().replace("content=zero count=2", f"content={content} count=1")
+    with pytest.raises(ManifestError, match="count repeats zero pages") as exc:
+        EnclaveManifest.parse(text)
+    assert exc.value.line_no == 7
+
+
+def test_a_zero_run_yields_its_pages_without_building_them():
+    page = EnclaveManifest.parse(minimal_text()).pages[2]
+    assert (page.page_count, len(page.content)) == (2, GRANULE_SIZE)
+    assert page.page(0) == page.page(1) == bytes(GRANULE_SIZE)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    # a run past the end of the enclave names its page line
+    ("size 0x100000", "size 0x1000", 6),
+    # a size that is no power of two names the size line
+    ("size 0x100000", "size 0x180000", 3),
+    # a TCS whose save-state pages are not declared names the tcs line
+    ("page vaddr=0x2000 perms=rw content=zero count=2\n", "", 7),
+    # a TCS that lands on a page names the tcs line
+    ("tcs vaddr=0x4000", "tcs vaddr=0x1000", 8),
+], ids=["page-past-size", "size", "tcs-save-state", "tcs-collision"])
+def test_a_geometry_error_names_the_line_of_its_directive(old, new, line):
+    text = minimal_text().replace(old, new)
+    assert text != minimal_text()
+    with pytest.raises(ManifestError) as exc:
+        EnclaveManifest.parse(text)
+    assert exc.value.line_no == line
+    assert str(exc.value).startswith(f"manifest line {line}: ")
+
+
 def test_file_content_source(tmp_path):
     (tmp_path / "code.bin").write_bytes(b"\x0c" + bytes(15))
     inline = "content=hex:" + (b"\x0c" + bytes(15)).hex()
