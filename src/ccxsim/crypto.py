@@ -146,8 +146,10 @@ class CryptoEngine:
 
     def __init__(self, secrets: DeviceSecrets):
         self.secrets = secrets
-        # Every EWB and ELDU seals with this key, so it is derived once.
+        # Every EWB and ELDU seals with this key, so it and its cipher are
+        # built once.
         self._swap_key = secrets.root_mac_key(b"page-swap")[:KEY_SIZE]
+        self._swap_cipher = AESGCM(self._swap_key)
         self._signed: Dict[Tuple[str, bytes], bytes] = {}
         self._verified: Dict[Tuple[bytes, bytes, bytes], bytes] = {}
 
@@ -237,16 +239,19 @@ class CryptoEngine:
     ) -> Tuple[bytes, bytes]:
         if len(nonce) != GCM_IV_SIZE:
             raise ModelError("GCM nonce must be 12 bytes")
-        sealed = AESGCM(key).encrypt(nonce, plaintext, aad)
+        sealed = self._cipher(key).encrypt(nonce, plaintext, aad)
         return sealed[:-MAC_SIZE], sealed[-MAC_SIZE:]
 
     def blob_unseal(
         self, key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes, mac: bytes
     ) -> bytes:
         try:
-            return AESGCM(key).decrypt(nonce, ciphertext + mac, aad)
+            return self._cipher(key).decrypt(nonce, ciphertext + mac, aad)
         except InvalidTag:
             raise AuthenticationFailure("AEAD authentication failed") from None
+
+    def _cipher(self, key: bytes) -> AESGCM:
+        return self._swap_cipher if key == self._swap_key else AESGCM(key)
 
     def _page_iv(self, aad: bytes) -> bytes:
         # The version nonce rides at the tail of the aad, so distinct versions

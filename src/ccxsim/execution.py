@@ -23,10 +23,24 @@ The pump runs code as blocks.  A block is the decoded run of ALU ops
 plus the one instruction that ends it: a branch, load, store, gadget, halt,
 abort or bad opcode.  A run that reaches the end of its page ends there with
 no such instruction, so a block never crosses its page.  ALU ops touch
-registers only, so they can neither fault nor change memory, and
-:func:`step` takes one fetch per block, runs the ALU ops in a tight loop and
-then the instruction that ends the block.  A budget may end inside a block;
+registers only, so they can neither fault nor change memory.  Each block is
+compiled once into one Python function of the register list, generated from
+the decoded integer fields alone: the ALU run as list assignments masked to
+64 bits, and an ending ``bnz``, ``jmp`` or ``jmpr``, whose function returns
+the taken target or None to fall through.  A bounded memo of
+:data:`BLOCK_MEMO_SIZE` functions, oldest out first, is keyed by the decoded
+instructions, so code decoded again in another granule (a new enclave of the
+same image, or a page swapped back in) compiles nothing.  A budget that ends
+inside a block runs the compiled prefix of its ALU run from the same memo;
 every count, pc and trace record is what one instruction at a time gives.
+
+:func:`step` takes one checked or cached fetch per block, with one
+exception: after a block that ends in a branch, a successor on the same page
+comes straight from that granule's blocks, with no translation lookup.  That
+is sound because since this call's last checked or cached fetch only ALU
+ops and branches have run, and the call holds the machine's token, so no
+translation, EPCM entry or byte can have changed.  Any other instruction, a
+fault, a page change or the end of the budget breaks the chain.
 
 Memory accesses go through a translation cache and block fetches also
 through a decode cache of blocks (both kept in
@@ -52,7 +66,22 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from . import isa
-from .isa import OP_ADD, OP_ADDI, OP_MOVI, OP_MUL, OP_XOR
+from .isa import (
+    INSTR_SIZE,
+    OP_ABORT,
+    OP_ADD,
+    OP_ADDI,
+    OP_BNZ,
+    OP_GADGET,
+    OP_HALT,
+    OP_JMP,
+    OP_JMPR,
+    OP_LOAD,
+    OP_MOVI,
+    OP_MUL,
+    OP_STORE,
+    OP_XOR,
+)
 from .crypto import KEY_SIZE
 from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode as E
 from .memory import (
@@ -113,6 +142,7 @@ MAX_ENCLAVE_SIZE_LOG2 = 33
 
 MASK64 = (1 << 64) - 1
 _PAGE_MASK = GRANULE_SIZE - 1
+_LAST_OFFSET = GRANULE_SIZE - INSTR_SIZE  # the last offset a whole instruction fits at
 
 
 @dataclass
@@ -246,41 +276,102 @@ def mem_write(m, vcpu, addr: int, data: bytes) -> None:
     mem.cache_translation((vcpu.cur_eid, addr - offset, "w"), granule)
 
 
-# Opcodes a block runs in its tight loop: they touch registers only, so they
-# can neither fault nor change memory, and nothing can happen between them.
+# Opcodes a block runs as one compiled run: they touch registers only, so
+# they can neither fault nor change memory, and nothing can happen between
+# them.  A branch that ends a block is compiled with its run.
 _ALU_OPS = frozenset((OP_MOVI, OP_ADD, OP_ADDI, OP_XOR, OP_MUL))
+_BRANCH_OPS = frozenset((OP_BNZ, OP_JMP, OP_JMPR))
+
+BLOCK_MEMO_SIZE = 256
+"""Most compiled blocks a machine's memo keeps; the oldest goes first.  A
+workload runs a few distinct blocks over and over (the ``interp_irq``
+benchmark 35 in 20,000 ops, budget-cut prefixes included), and a page holds
+at most 256 block starts, so the bound only stops a run that executes ever
+new code from growing the memo."""
+
+# Python source of one ALU op, from its decoded integer fields; values stay
+# within 64 bits as the registers do.
+_ALU_SOURCE = {
+    OP_MOVI: "r[{rd}] = {imm}",
+    OP_ADD: "r[{rd}] = (r[{rs1}] + r[{rs2}]) & 0xFFFFFFFFFFFFFFFF",
+    OP_ADDI: "r[{rd}] = (r[{rs1}] + {imm}) & 0xFFFFFFFFFFFFFFFF",
+    OP_XOR: "r[{rd}] = r[{rs1}] ^ r[{rs2}]",
+    OP_MUL: "r[{rd}] = (r[{rs1}] * r[{rs2}]) & 0xFFFFFFFFFFFFFFFF",
+}
+# ... and of a branch: it returns the taken target, or None to fall through.
+_BRANCH_SOURCE = {
+    OP_BNZ: "if r[{rs1}]:\n        return {imm}",
+    OP_JMP: "return {imm}",
+    OP_JMPR: "return r[{rs1}]",
+}
 
 
-def _decode_block(data, base: int, offset: int) -> Tuple[tuple, Optional[tuple]]:
-    """The block at ``offset`` of the granule at ``base``: the decoded ALU
-    ops from there, and the decoded instruction that ends them, or None if
-    the run reaches the page end first."""
+def _source(table: dict, instr: tuple) -> str:
+    op, rd, rs1, rs2, imm = instr
+    return "    " + table[op].format(rd=rd, rs1=rs1, rs2=rs2, imm=imm)
+
+
+def _compile(run: tuple, branch: Optional[tuple]):
+    """One function of the register list that runs the ALU ops of ``run``
+    and then ``branch``, if given, returning what the branch returns."""
+    lines = ["def block(r):"] + [_source(_ALU_SOURCE, instr) for instr in run]
+    if branch is not None:
+        lines.append(_source(_BRANCH_SOURCE, branch))
+    lines.append("    return None")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["block"]
+
+
+def _compiled(mem, run: tuple, branch: Optional[tuple] = None):
+    """The compiled ``run`` and ``branch``, from the machine's memo of at
+    most :data:`BLOCK_MEMO_SIZE` functions keyed by the decoded
+    instructions, so the same code compiles once wherever it lies."""
+    memo = mem.compiled
+    key = (run, branch)
+    code = memo.get(key)
+    if code is None:
+        code = memo[key] = _compile(run, branch)
+        if len(memo) > BLOCK_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    return code
+
+
+def _decode_block(mem, granule: int, offset: int) -> tuple:
+    """The block at ``offset`` of ``granule``, as ``(code, n, branch, end,
+    run)``: ``run`` is the decoded ALU ops from there and ``n`` their count,
+    ``end`` the decoded instruction that ends them (None if the run reaches
+    the page end first) and ``branch`` whether it is a branch, and ``code``
+    the compiled run, with ``end`` if it is a branch."""
+    base = granule * GRANULE_SIZE
+    data = mem.data
     run = []
-    while offset + isa.INSTR_SIZE <= GRANULE_SIZE:
-        instr = isa.decode(data[base + offset : base + offset + isa.INSTR_SIZE])
+    end = None
+    while offset + INSTR_SIZE <= GRANULE_SIZE:
+        instr = isa.decode(data[base + offset : base + offset + INSTR_SIZE])
         if instr[0] not in _ALU_OPS:
-            return tuple(run), instr
+            end = instr
+            break
         run.append(instr)
-        offset += isa.INSTR_SIZE
-    return tuple(run), None
+        offset += INSTR_SIZE
+    run = tuple(run)
+    branch = end is not None and end[0] in _BRANCH_OPS
+    return _compiled(mem, run, end if branch else None), len(run), branch, end, run
 
 
-def _block(m, vcpu, pc: int) -> Tuple[tuple, Optional[tuple]]:
-    """The block at ``pc``, after one checked or cached fetch of its first
-    instruction; a granule's blocks are kept until something writes to it."""
+def _code_page(m, vcpu, pc: int) -> Tuple[int, dict]:
+    """The granule ``pc``'s page is fetched from and that granule's blocks,
+    after one checked or cached fetch at ``pc``; a granule's blocks are kept
+    until something writes to it."""
     mem = m.memory
-    granule = _cached(mem, vcpu, pc, isa.INSTR_SIZE, "x")
+    granule = _cached(mem, vcpu, pc, INSTR_SIZE, "x")
     if granule is None:
-        mem_read(m, vcpu, pc, isa.INSTR_SIZE, "x")  # the checked path fills the cache
+        mem_read(m, vcpu, pc, INSTR_SIZE, "x")  # the checked path fills the cache
         granule = mem.tlb[(vcpu.cur_eid, pc & ~_PAGE_MASK, "x")]
     blocks = mem.decoded.get(granule)
     if blocks is None:
         blocks = mem.decoded[granule] = {}
-    offset = pc & _PAGE_MASK
-    block = blocks.get(offset)
-    if block is None:
-        block = blocks[offset] = _decode_block(mem.data, granule * GRANULE_SIZE, offset)
-    return block
+    return granule, blocks
 
 
 def _user_buffer(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
@@ -757,69 +848,70 @@ def step(m, vcpu, max_steps: int) -> RunReport:
     and leaves ``vcpu.pc`` on the next instruction.  A fault in enclave mode
     becomes an asynchronous exit, and execution continues at the host's async
     exit pointer (typically a halt gate): the trace shows the fault, then the
-    exit.
+    exit.  Blocks that branch within their page chain without a fetch (see
+    the module docstring).
     """
+    mem = m.memory
     executed = 0
     while executed < max_steps:
         pc = vcpu.pc
         fetching = True
         try:
-            run, end = _block(m, vcpu, pc)
+            granule, blocks = _code_page(m, vcpu, pc)
             fetching = False
-            if run:
-                room = max_steps - executed
-                if len(run) >= room:
-                    run, end = run[:room], None
-                regs = vcpu.regs
-                for op, rd, rs1, rs2, imm in run:
-                    if op == OP_MOVI:
-                        regs[rd] = imm
-                    elif op == OP_ADDI:
-                        regs[rd] = (regs[rs1] + imm) & MASK64
-                    elif op == OP_ADD:
-                        regs[rd] = (regs[rs1] + regs[rs2]) & MASK64
-                    elif op == OP_XOR:
-                        regs[rd] = regs[rs1] ^ regs[rs2]
-                    else:  # OP_MUL
-                        regs[rd] = (regs[rs1] * regs[rs2]) & MASK64
-                executed += len(run)
-                pc = vcpu.pc = (pc + len(run) * isa.INSTR_SIZE) & MASK64
-            if end is None:
-                continue  # the budget ran out, or the next instruction is on another page
-            op, rd, rs1, rs2, imm = end
-            executed += 1
-            next_pc = (pc + isa.INSTR_SIZE) & MASK64
-
-            if op == isa.OP_HALT:
-                return RunReport("halt", executed)
-            if op == isa.OP_ABORT:
-                return RunReport("abort", executed)
-
-            if op == isa.OP_LOAD:
-                addr = (vcpu.regs[rs1] + imm) & MASK64
-                vcpu.regs[rd] = int.from_bytes(mem_read(m, vcpu, addr, 8), "little")
-            elif op == isa.OP_STORE:
-                addr = (vcpu.regs[rs1] + imm) & MASK64
-                mem_write(m, vcpu, addr, vcpu.regs[rs2].to_bytes(8, "little"))
-            elif op == isa.OP_BNZ:
-                if vcpu.regs[rs1] != 0:
-                    next_pc = imm
-            elif op == isa.OP_JMP:
-                next_pc = imm
-            elif op == isa.OP_JMPR:
-                next_pc = vcpu.regs[rs1]
-            elif op == isa.OP_GADGET:
-                vcpu.pc = next_pc  # trap returns past the gadget
-                try:
-                    gadget_trap(m, vcpu, TrapFrame(*vcpu.regs[:5]))
-                except SgxError as err:
-                    if err.code in _DISPATCH_FAULTS:
-                        return _stopped(vcpu, executed, "dispatch_fault",
-                                        code=err.code.name, detail=err.detail)
-                    vcpu.regs[0] = int(err.code)
-                continue
-            else:
-                return _stopped(vcpu, executed, "bad_opcode", op=op, pc=pc)
+            regs = vcpu.regs
+            page = pc & ~_PAGE_MASK
+            while True:  # this block, then each same-page branch target
+                block = blocks.get(pc - page)
+                if block is None:
+                    block = blocks[pc - page] = _decode_block(mem, granule, pc - page)
+                code, n, branch, end, run = block
+                if n >= max_steps - executed:  # the budget ends in the ALU run
+                    room = max_steps - executed
+                    _compiled(mem, run[:room])(regs)
+                    vcpu.pc = (pc + room * INSTR_SIZE) & MASK64
+                    return RunReport("limit", max_steps)
+                target = code(regs)
+                if branch:
+                    executed += n + 1
+                    if target is None:
+                        target = (pc + (n + 1) * INSTR_SIZE) & MASK64
+                    if executed < max_steps and 0 <= target - page <= _LAST_OFFSET:
+                        pc = target
+                        continue
+                    vcpu.pc = target
+                    break
+                executed += n
+                pc = vcpu.pc = (pc + n * INSTR_SIZE) & MASK64
+                if end is None:
+                    break  # the next instruction is on another page
+                op, rd, rs1, rs2, imm = end
+                executed += 1
+                next_pc = (pc + INSTR_SIZE) & MASK64
+                if op == OP_HALT:
+                    return RunReport("halt", executed)
+                if op == OP_ABORT:
+                    return RunReport("abort", executed)
+                if op == OP_LOAD:
+                    addr = (regs[rs1] + imm) & MASK64
+                    regs[rd] = int.from_bytes(mem_read(m, vcpu, addr, 8), "little")
+                elif op == OP_STORE:
+                    addr = (regs[rs1] + imm) & MASK64
+                    mem_write(m, vcpu, addr, regs[rs2].to_bytes(8, "little"))
+                elif op == OP_GADGET:
+                    vcpu.pc = next_pc  # trap returns past the gadget
+                    try:
+                        gadget_trap(m, vcpu, TrapFrame(*regs[:5]))
+                    except SgxError as err:
+                        if err.code in _DISPATCH_FAULTS:
+                            return _stopped(vcpu, executed, "dispatch_fault",
+                                            code=err.code.name, detail=err.detail)
+                        vcpu.regs[0] = int(err.code)
+                    break
+                else:  # an undefined opcode, or isa.OP_ILLEGAL
+                    return _stopped(vcpu, executed, "bad_opcode", op=op, pc=pc)
+                vcpu.pc = next_pc
+                break
         except (GranuleProtectionFault, _PageAccessFault) as exc:
             at = {"at": "fetch"} if fetching else {}
             if isinstance(exc, GranuleProtectionFault):
@@ -834,8 +926,5 @@ def step(m, vcpu, max_steps: int) -> RunReport:
             if not vcpu.in_enclave:
                 return _stopped(vcpu, executed, kind, **details)
             aex(m, vcpu, reason, payload)
-            continue
-
-        vcpu.pc = next_pc
 
     return RunReport("limit", executed)

@@ -6,7 +6,9 @@ boundary, plus the gadget instruction that models the trap into the monitor.
 Instructions are 16 bytes so programs live in ordinary measured pages.
 
 Encoding (little endian): opcode u8, rd u8, rs1 u8, rs2 u8, pad u32, imm i64.
-Registers 0..30 name x0..x30; register 31 is sp.
+Registers 0..30 name x0..x30; register 31 is sp.  A register field is a
+byte, so an encoding can name a register above 31; the decoder refuses such
+an instruction if its opcode uses that field (see :func:`decode`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ INSTR_SIZE = 16
 _FMT = "<BBBB4xq"
 
 REG_SP = 31
+REG_COUNT = 32
 MASK64 = (1 << 64) - 1
 
 OP_HALT = 0x00
@@ -35,6 +38,11 @@ OP_JMP = 0x09
 OP_JMPR = 0x0A
 OP_GADGET = 0x0B
 OP_ABORT = 0x0C
+
+OP_ILLEGAL = -1
+"""The opcode :func:`decode` gives an instruction that names a register
+above 31 in a field its opcode uses.  No encoding has it, so the pump stops
+on it as on any undefined opcode."""
 
 OP_NAMES = {
     OP_HALT: "halt",
@@ -59,8 +67,29 @@ def encode(op: int, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> by
     return struct.pack(_FMT, op, rd, rs1, rs2, imm)
 
 
+# Opcode -> the fields it uses as registers, by index into (rd, rs1, rs2).
+_REG_FIELDS = {
+    OP_MOVI: (0,),
+    OP_ADD: (0, 1, 2),
+    OP_ADDI: (0, 1),
+    OP_XOR: (0, 1, 2),
+    OP_MUL: (0, 1, 2),
+    OP_LOAD: (0, 1),
+    OP_STORE: (1, 2),
+    OP_BNZ: (1,),
+    OP_JMPR: (1,),
+}
+
+
 def decode(raw: bytes) -> Tuple[int, int, int, int, int]:
+    """(op, rd, rs1, rs2, imm) with imm unsigned; op is :data:`OP_ILLEGAL`
+    if the instruction names a register above 31 in a field it uses, so a
+    decoded instruction that runs never indexes outside the register file."""
     op, rd, rs1, rs2, imm = struct.unpack(_FMT, raw)
+    if (rd | rs1 | rs2) >= REG_COUNT:
+        fields = (rd, rs1, rs2)
+        if any(fields[i] >= REG_COUNT for i in _REG_FIELDS.get(op, ())):
+            op = OP_ILLEGAL
     return op, rd, rs1, rs2, imm & MASK64
 
 

@@ -4,7 +4,7 @@ Line-oriented, diffable, self-contained.  Grammar (one directive per line,
 '#' starts a comment):
 
     name <ident>
-    size <int>                      enclave linear size, power of two
+    size <int>                      enclave linear size, power of two, at most 2**33
     ssa_frame_size <int>            save-state frame size in pages (default 1)
     nssa <int>                      save-state slots per thread (default 2)
     attributes <flag>[,<flag>...]   debug, aexnotify_allowed, provision_key
@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from .errors import ModelError, read_input
 from .memory import GRANULE_SIZE, Perms
+from .microprograms import DEFAULT_ENCLAVE_BASE
 from .structs import Attributes, Tcs
 
 
@@ -107,6 +108,9 @@ class EnclaveManifest:
         if self.size < GRANULE_SIZE or self.size & (self.size - 1):
             raise ManifestError(self.size_line,
                                 f"size {self.size:#x} must be a power-of-two page multiple")
+        if self.size > DEFAULT_ENCLAVE_BASE:
+            raise ManifestError(self.size_line, f"size {self.size:#x} exceeds {DEFAULT_ENCLAVE_BASE:#x},"
+                                " the most the loader can place at its size-aligned base")
         used = {}
         for spec in self.pages:
             end = spec.vaddr + spec.page_count * GRANULE_SIZE  # before any page is counted

@@ -48,11 +48,15 @@ translation its enclave made, so that those of a dead enclave do not pile up
 (enclave ids are never reused); the raw test poke ``GptSet.set_entry``
 empties the whole cache.  The decode cache (``decoded``) holds each granule's
 blocks by the offset they start at: a block is the decoded run of ALU ops
-from there plus the instruction that ends it (see :mod:`ccxsim.execution`).
-A block never crosses its page, so a granule holds at most one entry per
+from there plus the instruction that ends it, kept next to the function
+that the interpreter compiled it into (see :mod:`ccxsim.execution`).  A
+block never crosses its page, so a granule holds at most one entry per
 instruction start, 256 for code at 16-byte offsets.  Any write to the
 granule drops its blocks: :meth:`MachineMemory.store` is the only byte
-writer.
+writer.  The functions themselves come from ``compiled``, a memo keyed by
+the decoded instructions alone and bounded by
+:data:`ccxsim.execution.BLOCK_MEMO_SIZE`, oldest out first; it depends on no
+granule, so no write or EPCM update has to touch it.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from __future__ import annotations
 import enum
 import mmap
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import GranuleProtectionFault, ModelError
 
@@ -372,6 +376,8 @@ class MachineMemory:
         self.tlb = self.gpts.tlb  # one dict, so set_entry empties it too
         # granule -> {offset: block starting there}
         self.decoded: Dict[int, Dict[int, tuple]] = {}
+        # (ALU run, ending branch or None) -> its compiled function, oldest first
+        self.compiled: Dict[tuple, Callable] = {}
 
     # -- access checking ----------------------------------------------------
 

@@ -710,6 +710,7 @@ class HostRuntime:
         m = self.machine
         secs = m.enclaves[handle.eid]
         isv_svn = secs.isv_svn if svn is None else svn
+        self._thread(handle, 0, 0)  # refuse a busy vCPU before the draw moves the stream
         keyid = m.rand_bytes(32)
         request = KeyRequest(KeyName.SEAL, policy, isv_svn, keyid)
         with self.entered(handle) as vcpu:

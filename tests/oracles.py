@@ -80,3 +80,69 @@ def reference_measurement(manifest) -> bytes:
             spec.measured,
         )
     return h.digest()
+
+
+# The fixture instruction set, transcribed from the encoding the isa module
+# documents: opcode u8, rd u8, rs1 u8, rs2 u8, four pad bytes, imm i64, little
+# endian, and 32 registers.  Only its register and control-flow subset is
+# modelled; loads, stores and the gadget are not.
+INSTR = struct.Struct("<BBBB4xq")
+WORD = (1 << 64) - 1
+REGISTER_FIELDS = {  # opcode -> the fields it names registers in
+    0x01: ("rd",),  # movi
+    0x02: ("rd", "rs1", "rs2"),  # add
+    0x03: ("rd", "rs1"),  # addi
+    0x04: ("rd", "rs1", "rs2"),  # xor
+    0x05: ("rd", "rs1", "rs2"),  # mul
+    0x08: ("rs1",),  # bnz
+    0x0A: ("rs1",),  # jmpr
+}
+
+
+def reference_run(image: bytes, origin: int, regs, pc: int, budget: int):
+    """Run at most ``budget`` instructions one at a time from ``pc``, with
+    ``image`` mapped at ``origin`` and zeros (halt) everywhere else.
+
+    Returns ``(stop, steps, regs, pc)``: stop is ``halt``, ``abort``,
+    ``bad_opcode`` (an undefined opcode, or a register above 31 in a field
+    the opcode uses) or ``limit``; on a stop the pc stays on the instruction
+    that stopped, on ``limit`` it names the next one.
+    """
+    regs = list(regs)
+    steps = 0
+    while steps < budget:
+        at = pc - origin
+        raw = image[at : at + 16] if 0 <= at <= len(image) - 16 else bytes(16)
+        op, rd, rs1, rs2, imm = INSTR.unpack(raw)
+        imm &= WORD
+        fields = {"rd": rd, "rs1": rs1, "rs2": rs2}
+        steps += 1
+        if op == 0x00:
+            return "halt", steps, regs, pc
+        if op == 0x0C:
+            return "abort", steps, regs, pc
+        used = REGISTER_FIELDS.get(op, ())
+        if (op not in REGISTER_FIELDS and op != 0x09) or any(fields[n] > 31 for n in used):
+            return "bad_opcode", steps, regs, pc
+        a = regs[rs1] if "rs1" in used else 0
+        b = regs[rs2] if "rs2" in used else 0
+        next_pc = (pc + 16) & WORD
+        if op == 0x01:
+            regs[rd] = imm
+        elif op == 0x02:
+            regs[rd] = (a + b) % (1 << 64)
+        elif op == 0x03:
+            regs[rd] = (a + imm) % (1 << 64)
+        elif op == 0x04:
+            regs[rd] = a ^ b
+        elif op == 0x05:
+            regs[rd] = (a * b) % (1 << 64)
+        elif op == 0x08:
+            if a:
+                next_pc = imm
+        elif op == 0x09:
+            next_pc = imm
+        else:
+            next_pc = a
+        pc = next_pc
+    return "limit", steps, regs, pc

@@ -222,6 +222,17 @@ def test_mrsigner_sealed_blob_moves_to_sibling(attest_env):
     assert rt.unseal(v, blob) is None
 
 
+def test_a_refused_seal_leaves_the_random_stream_alone(attest_env):
+    """A seal that a busy vCPU refuses draws no key id: the stream that later
+    seals and swap versions read is where it was."""
+    machine, rt, a, b, _ = attest_env
+    with rt.entered(a):
+        state = machine._rng.getstate()
+        with pytest.raises(ModelError, match="already inside an enclave"):
+            rt.seal(b, KeyPolicy.MRENCLAVE, b"x")
+        assert machine._rng.getstate() == state
+
+
 def test_tampered_sealed_blob_fails(attest_env):
     machine, rt, a, b, _ = attest_env
     blob = rt.seal(a, KeyPolicy.MRENCLAVE, b"payload")

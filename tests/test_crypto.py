@@ -4,6 +4,7 @@ import hashlib
 import hmac
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ccxsim.crypto import SIGNATURE_MEMO_SIZE, CryptoEngine, DeviceSecrets, RunningHash
 from ccxsim.errors import AuthenticationFailure, ModelError
@@ -200,6 +201,19 @@ def test_page_seal_round_trip(engine):
     page = bytes(range(256)) * 16
     ct, mac = engine.page_seal(key, page, b"aad|version1")
     assert engine.page_unseal(key, ct, b"aad|version1", mac) == page
+
+
+def test_page_seal_with_the_kept_swap_cipher_equals_a_fresh_cipher(engine):
+    """The swap key's cipher is built once; what it seals and opens is what a
+    cipher built for the call gives."""
+    key = engine.swap_key()
+    page = bytes(range(256)) * 16
+    aad = b"aad|version1"
+    ct, mac = engine.page_seal(key, page, aad)
+    assert ct + mac == AESGCM(key).encrypt(engine._page_iv(aad), page, aad)
+    assert engine.page_unseal(key, ct, aad, mac) == page
+    other, nonce = bytes(16), bytes(12)
+    assert b"".join(engine.blob_seal(other, nonce, page, aad)) == AESGCM(other).encrypt(nonce, page, aad)
 
 
 def test_flipped_aad_version_byte_fails_authentication(engine):

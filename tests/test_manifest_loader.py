@@ -76,6 +76,24 @@ def test_non_power_of_two_size_rejected():
         EnclaveManifest.parse(minimal_text().replace("0x100000", "0x180000"))
 
 
+@pytest.mark.parametrize("size", ["0x400000000", "0x4000000000000000"])
+def test_a_size_the_loader_cannot_place_is_refused_on_its_line(size):
+    """The loader bases every enclave at 2**33, aligned to its size, so a
+    larger size is refused on the size line, before the page runs."""
+    text = minimal_text().replace("size 0x100000", f"size {size}").replace(
+        "content=zero count=2", "content=zero count=4096")
+    with pytest.raises(ManifestError, match=f"size {size} exceeds 0x200000000") as exc:
+        EnclaveManifest.parse(text)
+    assert exc.value.line_no == 3
+
+
+def test_the_largest_placeable_size_loads():
+    rt = HostRuntime(Machine(small_config()))
+    handle = rt.load_enclave(EnclaveManifest.parse(minimal_text().replace(
+        "size 0x100000", "size 0x200000000")))
+    assert rt.machine.enclaves[handle.eid].size == 1 << 33
+
+
 @pytest.mark.parametrize("count", ["1099511627776", "0"])
 def test_a_page_count_that_cannot_fit_is_refused_on_its_line(count):
     """A run of zero pages is checked against the enclave size before any
