@@ -147,9 +147,10 @@ class CryptoEngine:
     def __init__(self, secrets: DeviceSecrets):
         self.secrets = secrets
         # Every EWB and ELDU seals with this key, so it and its cipher are
-        # built once.
+        # built once; so is the root key of every EREPORT and EGETKEY.
         self._swap_key = secrets.root_mac_key(b"page-swap")[:KEY_SIZE]
         self._swap_cipher = AESGCM(self._swap_key)
+        self._kdf_key = secrets.root_mac_key(b"kdf")
         self._signed: Dict[Tuple[str, bytes], bytes] = {}
         self._verified: Dict[Tuple[bytes, bytes, bytes], bytes] = {}
 
@@ -225,9 +226,7 @@ class CryptoEngine:
             + keyid
             + epoch
         )
-        return hmac.new(
-            self.secrets.root_mac_key(b"kdf"), msg, hashlib.sha256
-        ).digest()[:KEY_SIZE]
+        return hmac.new(self._kdf_key, msg, hashlib.sha256).digest()[:KEY_SIZE]
 
     def swap_key(self) -> bytes:
         return self._swap_key

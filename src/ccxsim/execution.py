@@ -14,9 +14,17 @@ full context to the thread's save-state area and hand control to the host at
 its async exit pointer; the recorded delivery path is trampoline -> monitor
 -> host.
 
+The four world switches do only their architectural work: EENTER and
+ERESUME check the TCS page and switch in, EEXIT and AEX switch out.  A
+save-state frame has one layout, :data:`~ccxsim.structs.SSA_FRAME`, which
+AEX packs straight from the vCPU and ERESUME unpacks in place into the new
+register list.
+
 The pump keeps no event list of its own.  Each fact of a run is one record
 in the machine's trace: the dispatch records leaves, :func:`aex` exits, and
 :func:`step` each page fault or GPF where it is taken, before its exit.
+While the trace is :data:`NO_TRACE`, which keeps nothing, no exit builds a
+record, fault message or details dict, unless a host-mode stop reports them.
 
 The pump runs code as blocks.  A block is the decoded run of ALU ops
 (``movi``, ``add``, ``addi``, ``xor``, ``mul``) that starts at one address,
@@ -61,6 +69,7 @@ no handler registry.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -108,11 +117,11 @@ from .structs import (
     Report,
     SECS_IMAGE_SIZE,
     SIGSTRUCT_SIZE,
-    SSA_FRAME_BYTES,
+    SSA_FRAME,
+    SSA_NREGS,
     SecInfo,
     SecsImage,
     SigStruct,
-    SsaFrame,
     TargetInfo,
     TARGETINFO_SIZE,
     VA_SLOT_SIZE,
@@ -139,6 +148,8 @@ CAP_AEXNOTIFY = 1 << 2
 # Enclave ranges start at 1<<33 and must stay base-aligned, which caps the
 # advertised maximum size at the base itself.
 MAX_ENCLAVE_SIZE_LOG2 = 33
+
+NO_TRACE = deque(maxlen=0)  # the machine's default trace sink, which keeps nothing
 
 MASK64 = (1 << 64) - 1
 _PAGE_MASK = GRANULE_SIZE - 1
@@ -199,7 +210,6 @@ class _PageAccessFault(Exception):
     def __init__(self, vaddr: int, why: str):
         self.vaddr = vaddr
         self.why = why
-        super().__init__(f"page access fault at {vaddr:#x}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +390,7 @@ def _user_buffer(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
     try:
         return _enclave_translate(m, vcpu, addr, size, kind)
     except _PageAccessFault as exc:
-        raise SgxError(E.BAD_VADDR, str(exc)) from None
+        raise SgxError(E.BAD_VADDR, f"page access fault at {exc.vaddr:#x}: {exc.why}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +439,7 @@ def _switch_in(vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> No
     vcpu.pc = entry_pc
     vcpu.tpidr = secs.base + tcs.tls_base
     vcpu.entry_epoch = secs.track_epoch
-    secs.entered_counts[secs.track_epoch] = (
-        secs.entered_counts.get(secs.track_epoch, 0) + 1
-    )
+    secs.entered_counts[secs.track_epoch] = secs.entered_counts.get(secs.track_epoch, 0) + 1
 
 
 def _switch_out(vcpu, secs) -> None:
@@ -479,15 +487,13 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
     granule = m.memory.find_page(secs.eid, frame_vaddr)
     if granule is None:
         raise SgxError(E.PAGE_INVALID, "save-state page is not resident")
-    frame = SsaFrame.unpack(
-        m.memory.load(granule, frame_vaddr & (GRANULE_SIZE - 1), SSA_FRAME_BYTES)
-    )
-    cssa = tcs.cssa - 1
-    m.store_cssa(tcs_granule, cssa)
-    _switch_in(vcpu, secs, tcs, tcs_granule, aep, frame.pc)
-    vcpu.regs = list(frame.regs)
-    vcpu.pstate = frame.pstate
-    vcpu.tpidr = frame.tpidr
+    regs = list(SSA_FRAME.unpack_from(
+        m.memory.data, granule * GRANULE_SIZE + (frame_vaddr & _PAGE_MASK)))
+    m.store_cssa(tcs_granule, tcs.cssa - 1)
+    _switch_in(vcpu, secs, tcs, tcs_granule, aep, regs[SSA_NREGS])
+    vcpu.pstate, vcpu.tpidr = regs[SSA_NREGS + 1 : SSA_NREGS + 3]
+    del regs[SSA_NREGS:]
+    vcpu.regs = regs
 
 
 def ssa_frame_vaddr(secs, tcs, index: int) -> int:
@@ -496,60 +502,43 @@ def ssa_frame_vaddr(secs, tcs, index: int) -> int:
 
 def aex(m, vcpu, reason: int, payload: int = 0) -> None:
     """Asynchronous enclave exit: save context, scrub, return to the host."""
-    if not vcpu.in_enclave:
+    if vcpu.cur_eid is None:
         raise ModelError("AEX outside enclave mode")
     secs = m.enclaves[vcpu.cur_eid]
     tcs_granule = vcpu.cur_tcs
     tcs = m.read_tcs(tcs_granule)
 
-    fatal = tcs.cssa >= tcs.nssa
-    if not fatal:
+    granule = None
+    if tcs.cssa < tcs.nssa:
         frame_vaddr = ssa_frame_vaddr(secs, tcs, tcs.cssa)
         granule = m.memory.find_page(secs.eid, frame_vaddr)
-        if granule is None:
-            fatal = True
-        else:
-            frame = SsaFrame(
-                regs=list(vcpu.regs),
-                pc=vcpu.pc,
-                pstate=vcpu.pstate,
-                tpidr=vcpu.tpidr,
-                exit_reason=reason,
-                exit_payload=payload,
-            )
-            m.memory.store(granule, frame_vaddr & (GRANULE_SIZE - 1), frame.pack())
-            m.store_cssa(tcs_granule, tcs.cssa + 1)
-
+    fatal = granule is None
     if fatal:
         secs.crashed = True
+    else:
+        m.memory.store(granule, frame_vaddr & _PAGE_MASK, SSA_FRAME.pack(
+            *vcpu.regs, vcpu.pc, vcpu.pstate, vcpu.tpidr, reason, payload))
+        m.store_cssa(tcs_granule, tcs.cssa + 1)
 
     _switch_out(vcpu, secs)
     # Synthetic register state: everything scrubbed, then just enough for the
     # host trampoline to resume (leaf, TCS, async exit pointer).
-    vcpu.regs = [SCRUB_PATTERN] * 32
-    vcpu.regs[1] = LEAF_ERESUME
-    vcpu.regs[2] = tcs_granule
-    vcpu.regs[3] = vcpu.aep
+    vcpu.regs = [SCRUB_PATTERN, LEAF_ERESUME, tcs_granule, vcpu.aep] + [SCRUB_PATTERN] * 28
     vcpu.pstate = 0
     vcpu.tpidr = SCRUB_PATTERN
     vcpu.pc = vcpu.aep
     vcpu.last_exit = (reason, payload)
-    m.trace_event(
-        "aex",
-        vcpu=vcpu.id,
-        eid=secs.eid,
-        reason=EXIT_REASON_NAMES.get(reason, str(reason)),
-        payload=payload,
-        path="trampoline->el3->host",
-        fatal=fatal,
-    )
+    if m.trace is not NO_TRACE:
+        m.trace_event("aex", vcpu=vcpu.id, eid=secs.eid,
+                      reason=EXIT_REASON_NAMES.get(reason, str(reason)), payload=payload,
+                      path="trampoline->el3->host", fatal=fatal)
 
 
 def inject_interrupt(m, vcpu) -> None:
     """Deliver an interrupt to `vcpu`.  In an enclave it forces an
     asynchronous exit; in host mode the host takes it at once and nothing
     changes: no register, no exit record, no trace record."""
-    if vcpu.in_enclave:
+    if vcpu.cur_eid is not None:
         aex(m, vcpu, EXIT_IRQ)
 
 
@@ -908,23 +897,25 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                                             code=err.code.name, detail=err.detail)
                         vcpu.regs[0] = int(err.code)
                     break
-                else:  # an undefined opcode, or isa.OP_ILLEGAL
+                elif op == isa.OP_ILLEGAL:  # rd holds the opcode byte, rs1 the register
+                    return _stopped(vcpu, executed, "bad_opcode", op=rd, reg=rs1, pc=pc)
+                else:  # an undefined opcode
                     return _stopped(vcpu, executed, "bad_opcode", op=op, pc=pc)
                 vcpu.pc = next_pc
                 break
         except (GranuleProtectionFault, _PageAccessFault) as exc:
-            at = {"at": "fetch"} if fetching else {}
-            if isinstance(exc, GranuleProtectionFault):
-                addr = pc if fetching else (vcpu.regs[rs1] + imm) & MASK64
-                details = {"granule": exc.granule, "accessor": exc.accessor.name,
-                           "pas": exc.pas.name, **at, "addr": addr}
-                kind, reason, payload = "gpf", EXIT_GPF, addr
-            else:
-                details = {"addr": exc.vaddr, "why": exc.why, **at}
-                kind, reason, payload = "pagefault", EXIT_PAGEFAULT, exc.vaddr
-            m.trace_event(kind, vcpu=vcpu.id, **details)
-            if not vcpu.in_enclave:
-                return _stopped(vcpu, executed, kind, **details)
-            aex(m, vcpu, reason, payload)
+            gpf = isinstance(exc, GranuleProtectionFault)
+            addr = (pc if fetching else (vcpu.regs[rs1] + imm) & MASK64) if gpf else exc.vaddr
+            if m.trace is not NO_TRACE or vcpu.cur_eid is None:
+                at = {"at": "fetch"} if fetching else {}
+                if gpf:
+                    kind, details = "gpf", {"granule": exc.granule, "accessor": exc.accessor.name,
+                                            "pas": exc.pas.name, **at, "addr": addr}
+                else:
+                    kind, details = "pagefault", {"addr": addr, "why": exc.why, **at}
+                m.trace_event(kind, vcpu=vcpu.id, **details)
+                if vcpu.cur_eid is None:
+                    return _stopped(vcpu, executed, kind, **details)
+            aex(m, vcpu, EXIT_GPF if gpf else EXIT_PAGEFAULT, addr)
 
     return RunReport("limit", executed)

@@ -42,7 +42,8 @@ OP_ABORT = 0x0C
 OP_ILLEGAL = -1
 """The opcode :func:`decode` gives an instruction that names a register
 above 31 in a field its opcode uses.  No encoding has it, so the pump stops
-on it as on any undefined opcode."""
+on it as on any undefined opcode.  Such an instruction never runs, so its
+other fields say why: ``rd`` is its opcode byte and ``rs1`` the register."""
 
 OP_NAMES = {
     OP_HALT: "halt",
@@ -82,14 +83,16 @@ _REG_FIELDS = {
 
 
 def decode(raw: bytes) -> Tuple[int, int, int, int, int]:
-    """(op, rd, rs1, rs2, imm) with imm unsigned; op is :data:`OP_ILLEGAL`
-    if the instruction names a register above 31 in a field it uses, so a
-    decoded instruction that runs never indexes outside the register file."""
+    """(op, rd, rs1, rs2, imm) with imm unsigned, or ``(OP_ILLEGAL, op,
+    reg, 0, 0)`` if the instruction names register ``reg`` above 31 in a
+    field it uses (the first such), so a decoded instruction that runs never
+    indexes outside the register file."""
     op, rd, rs1, rs2, imm = struct.unpack(_FMT, raw)
     if (rd | rs1 | rs2) >= REG_COUNT:
         fields = (rd, rs1, rs2)
-        if any(fields[i] >= REG_COUNT for i in _REG_FIELDS.get(op, ())):
-            op = OP_ILLEGAL
+        for i in _REG_FIELDS.get(op, ()):
+            if fields[i] >= REG_COUNT:
+                return OP_ILLEGAL, op, fields[i], 0, 0
     return op, rd, rs1, rs2, imm & MASK64
 
 

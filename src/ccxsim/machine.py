@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import random
 import threading
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import execution, microprograms as mp
 from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
 from .errors import ModelError, SgxError, SgxErrorCode as E
-from .execution import VCpu
+from .execution import NO_TRACE, VCpu
 from .memory import GRANULE_SIZE, HOST, MachineMemory, PageType
 from .structs import TCS_OFF_CSSA, Secs, Tcs
 
@@ -66,9 +65,6 @@ LEAF_NUMBERS: Dict[str, Tuple[str, int]] = {
 }
 
 ALL_LEAF_NAMES = sorted(LEAF_NUMBERS)
-
-# The default trace sink, which keeps nothing.
-NO_TRACE = deque(maxlen=0)
 
 
 def _leaf_costs(config: Config) -> Dict[str, int]:
@@ -126,16 +122,17 @@ class Machine:
 
     # -- leaf dispatch ----------------------------------------------------------
 
-    def _dispatch(self, table, cls: str, leaf: int, args, decode) -> Any:
+    def _dispatch(self, table, vcpu: Optional[VCpu], leaf: int, args, decode) -> Any:
+        """Run one leaf; ``vcpu`` is None for ENCLS, else also ``args[0]``."""
         with self._token:
             entry = table.get(leaf)
             if entry is None:
+                cls = "ENCLS" if vcpu is None else "ENCLU"
                 raise SgxError(E.INVALID_LEAF, f"{cls} leaf {leaf:#x} is undefined")
             name, handler = entry
             self.counters[name] += 1
-            vcpu = args[0].id if cls == "ENCLU" else None
             try:
-                if cls == "ENCLU" and args[0].in_enclave == (name in HOST_MODE_LEAVES):
+                if vcpu is not None and (vcpu.cur_eid is None) != (name in HOST_MODE_LEAVES):
                     need = "host" if name in HOST_MODE_LEAVES else "enclave"
                     raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
                 if decode is None:
@@ -145,11 +142,12 @@ class Machine:
                     result = handler(self, *args, *more, **named)
             except SgxError as err:
                 if self.trace is not NO_TRACE:
-                    self.trace_event(name.lower(), vcpu=vcpu, outcome=err.code.name,
-                                     cost=self.leaf_cost[name])
+                    self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
+                                     outcome=err.code.name, cost=self.leaf_cost[name])
                 raise
             if self.trace is not NO_TRACE:  # every leaf comes here: skip the call too
-                self.trace_event(name.lower(), vcpu=vcpu, outcome="ok", cost=self.leaf_cost[name])
+                self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
+                                 outcome="ok", cost=self.leaf_cost[name])
             if self.config.audit_after_leaf:
                 self.audit()
             return result
@@ -159,10 +157,10 @@ class Machine:
     # memory only there.
 
     def encls(self, leaf: int, *args, decode: Optional[Callable] = None) -> Any:
-        return self._dispatch(ENCLS_TABLE, "ENCLS", leaf, args, decode)
+        return self._dispatch(ENCLS_TABLE, None, leaf, args, decode)
 
     def enclu(self, vcpu: VCpu, leaf: int, *args, decode: Optional[Callable] = None) -> Any:
-        return self._dispatch(ENCLU_TABLE, "ENCLU", leaf, (vcpu,) + args, decode)
+        return self._dispatch(ENCLU_TABLE, vcpu, leaf, (vcpu, *args), decode)
 
     def leaf(self, name: str, *args, vcpu: Optional[VCpu] = None) -> Any:
         """Dispatch by name; convenience for drivers and tests."""

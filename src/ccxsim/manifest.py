@@ -24,7 +24,9 @@ file order.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional
 
@@ -88,6 +90,29 @@ class TcsSpec:
         )
 
 
+# Validation keeps the pages declared so far as sorted, disjoint (start,
+# end) spans, so a run is checked by interval and never page by page.
+_START = itemgetter(0)
+
+
+def _first_used(spans: list, start: int, end: int) -> Optional[int]:
+    """The lowest address of ``[start, end)`` that a span holds, or None."""
+    i = bisect_right(spans, start, key=_START)
+    if i and spans[i - 1][1] > start:
+        return start
+    return spans[i][0] if i < len(spans) and spans[i][0] < end else None
+
+
+def _first_free(spans: list, start: int, end: int) -> Optional[int]:
+    """The lowest address of ``[start, end)`` that no span holds, or None."""
+    while start < end:
+        i = bisect_right(spans, start, key=_START)
+        if not i or spans[i - 1][1] <= start:
+            return start
+        start = spans[i - 1][1]
+    return None
+
+
 @dataclass
 class EnclaveManifest:
     name: str = "enclave"
@@ -111,32 +136,31 @@ class EnclaveManifest:
         if self.size > DEFAULT_ENCLAVE_BASE:
             raise ManifestError(self.size_line, f"size {self.size:#x} exceeds {DEFAULT_ENCLAVE_BASE:#x},"
                                 " the most the loader can place at its size-aligned base")
-        used = {}
+        used: list = []  # the spans of the pages and TCS pages checked so far
         for spec in self.pages:
-            end = spec.vaddr + spec.page_count * GRANULE_SIZE  # before any page is counted
+            end = spec.vaddr + spec.page_count * GRANULE_SIZE
             if spec.vaddr % GRANULE_SIZE or end > self.size:
                 raise ManifestError(spec.line, f"run of {spec.page_count} pages at {spec.vaddr:#x}"
                                     f" is unaligned or exceeds size {self.size:#x}")
-            for i in range(spec.page_count):
-                off = spec.vaddr + i * GRANULE_SIZE
-                if off in used:
-                    raise ManifestError(spec.line, f"page offset {off:#x} specified twice")
-                used[off] = spec
+            off = _first_used(used, spec.vaddr, end)
+            if off is not None:
+                raise ManifestError(spec.line, f"page offset {off:#x} specified twice")
+            insort(used, (spec.vaddr, end))
         for spec in self.tcs:
             if spec.vaddr % GRANULE_SIZE or spec.vaddr + GRANULE_SIZE > self.size:
                 raise ManifestError(spec.line, f"tcs offset {spec.vaddr:#x} invalid")
-            if spec.vaddr in used:
+            if _first_used(used, spec.vaddr, spec.vaddr + GRANULE_SIZE) is not None:
                 raise ManifestError(spec.line, f"tcs offset {spec.vaddr:#x} collides with a page")
-            used[spec.vaddr] = spec
+            insort(used, (spec.vaddr, spec.vaddr + GRANULE_SIZE))
             if spec.oentry >= self.size:
                 raise ManifestError(spec.line, "tcs entry point outside enclave")
             ssa_bytes = self.nssa * self.ssa_frame_size * GRANULE_SIZE
             if spec.ossa % GRANULE_SIZE or spec.ossa + ssa_bytes > self.size:
                 raise ManifestError(spec.line, "tcs save-state area outside enclave")
-            for i in range(self.nssa * self.ssa_frame_size):
-                if spec.ossa + i * GRANULE_SIZE not in used:
-                    raise ManifestError(spec.line, f"tcs at {spec.vaddr:#x}: save-state page "
-                                        f"{spec.ossa + i * GRANULE_SIZE:#x} is not declared")
+            off = _first_free(used, spec.ossa, spec.ossa + ssa_bytes)
+            if off is not None:
+                raise ManifestError(spec.line, f"tcs at {spec.vaddr:#x}: save-state page "
+                                    f"{off:#x} is not declared")
 
     # -- parsing ---------------------------------------------------------------
 

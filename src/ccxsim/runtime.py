@@ -36,6 +36,7 @@ so take one, use it, then take the next.
 from __future__ import annotations
 
 import hmac as hmac_mod
+from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -71,7 +72,8 @@ AEP_GATE = GATE_GRANULE * GRANULE_SIZE + 0x200
 
 OCALL_RESUME = 0xFFFF_FFFF
 
-EEXTEND_LEAF = LEAF_NUMBERS["EEXTEND"][1]
+EEXTEND_LEAF, EENTER_LEAF, ERESUME_LEAF, EEXIT_LEAF = (
+    LEAF_NUMBERS[name][1] for name in ("EEXTEND", "EENTER", "ERESUME", "EEXIT"))
 
 RECLAIM_BATCH = 4
 """Most pages one reclaim writes back.  A batch shares one victim scan and
@@ -546,12 +548,12 @@ class HostRuntime:
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
         tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
-        m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
+        m.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
         try:
             yield vcpu
         finally:
             if vcpu.in_enclave:
-                m.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
+                m.enclu(vcpu, EEXIT_LEAF, RETURN_GATE)
 
     def ecall(
         self,
@@ -577,6 +579,7 @@ class HostRuntime:
         schedule = inject_at
         if schedule is not None and schedule != "every":
             schedule = set(schedule)
+            marks = sorted(schedule)  # the next one is found by bisection
 
         tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
         vcpu.regs[2] = selector & MASK64
@@ -584,30 +587,26 @@ class HostRuntime:
         vcpu.regs[4] = arg2 & MASK64
         vcpu.regs[10] = RETURN_GATE
         vcpu.regs[11] = OCALL_GATE
-        m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
+        m.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
 
         steps = 0
         while True:
             if steps >= budget:
                 raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
 
-            if vcpu.in_enclave and schedule is not None:
+            if vcpu.cur_eid is not None and schedule is not None:
                 if schedule == "every":
                     chunk = 1
                 else:
-                    upcoming = [s for s in schedule if s > steps]
-                    chunk = (min(upcoming) - steps) if upcoming else (budget - steps)
+                    due = bisect_right(marks, steps)
+                    chunk = (marks[due] if due < len(marks) else budget) - steps
             else:
                 chunk = budget - steps
             report = m.step(vcpu, max(1, min(chunk, budget - steps)))
             steps += report.steps
 
-            if (
-                vcpu.in_enclave
-                and schedule is not None
-                and report.stop == "limit"
-                and (schedule == "every" or steps in schedule)
-            ):
+            if vcpu.cur_eid is not None and schedule is not None and report.stop == "limit" and (
+                    schedule == "every" or steps in schedule):
                 m.inject_interrupt(vcpu)
                 continue
 
@@ -619,7 +618,7 @@ class HostRuntime:
                 raise EnclaveFault(FaultReport(report.fault["kind"], str([report.fault])))
             # stop == halt; gate pages read as zeroes, so the pc still points
             # at the gate the program landed on
-            if vcpu.in_enclave:
+            if vcpu.cur_eid is not None:
                 raise EnclaveFault(FaultReport("halt_inside", f"pc={vcpu.pc:#x}"))
             if vcpu.pc == RETURN_GATE:
                 return vcpu.regs[3]
@@ -627,7 +626,7 @@ class HostRuntime:
                 self._handle_ocall(handle, vcpu)
                 # the idle TCS may have been evicted while the handler ran
                 tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
-                m.leaf("EENTER", tcs_granule, AEP_GATE, vcpu=vcpu)
+                m.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
                 continue
             if vcpu.pc == AEP_GATE:
                 done = self._handle_aex(handle, vcpu, tcs_granule)
@@ -644,7 +643,7 @@ class HostRuntime:
         ctx = OcallContext(runtime=self, handle=handle)
         result = handler(ctx, vcpu.regs[6], vcpu.regs[7])
         vcpu.regs[2] = OCALL_RESUME
-        vcpu.regs[5] = 0 if result is None else int(result)
+        vcpu.regs[5] = 0 if result is None else int(result) & MASK64
         vcpu.regs[10] = RETURN_GATE
         vcpu.regs[11] = OCALL_GATE
 
@@ -664,7 +663,7 @@ class HostRuntime:
             pass  # scheduled injection; just resume
         else:
             return FaultReport("gpf", f"enclave fault at {payload:#x}", payload)
-        m.leaf("ERESUME", tcs_granule, AEP_GATE, vcpu=vcpu)
+        m.enclu(vcpu, ERESUME_LEAF, tcs_granule, AEP_GATE)
         return None
 
     # ------------------------------------------------------------------ attest

@@ -173,17 +173,12 @@ class Tcs(NamedTuple):
 
 # --------------------------------------------------------------------------
 # Saved-state frame: register file snapshots written on asynchronous exit.
-# In-enclave handlers read this layout with plain loads, so offsets are ABI.
+# In-enclave handlers read this layout with plain loads, so offsets are ABI:
+# x0..x30 and sp at 0..248, then pc, pstate, tpidr, exit reason and exit
+# payload at 256..288, each an unsigned 64-bit word as registers are.
 
 SSA_NREGS = 32  # x0..x30 plus sp at index 31
-SSA_OFF_REGS = 0
-SSA_OFF_SP = 31 * 8
-SSA_OFF_PC = 256
-SSA_OFF_PSTATE = 264
-SSA_OFF_TPIDR = 272
-SSA_OFF_EXIT_REASON = 280
-SSA_OFF_EXIT_PAYLOAD = 288
-SSA_FRAME_BYTES = 296
+SSA_FRAME = struct.Struct(f"<{SSA_NREGS + 5}Q")  # 296 bytes
 
 EXIT_NONE = 0
 EXIT_IRQ = 1
@@ -210,22 +205,13 @@ class SsaFrame:
     def pack(self) -> bytes:
         if len(self.regs) != SSA_NREGS:
             raise ModelError("SSA frame needs 32 register values")
-        return struct.pack(
-            f"<{SSA_NREGS}qQQQQQ",
-            *[r - (1 << 64) if r >= (1 << 63) else r for r in self.regs],
-            self.pc,
-            self.pstate,
-            self.tpidr,
-            self.exit_reason,
-            self.exit_payload,
-        )
+        return SSA_FRAME.pack(*self.regs, self.pc, self.pstate, self.tpidr,
+                              self.exit_reason, self.exit_payload)
 
     @classmethod
     def unpack(cls, data: bytes) -> "SsaFrame":
-        vals = struct.unpack_from(f"<{SSA_NREGS}qQQQQQ", data)
-        regs = [v & ((1 << 64) - 1) for v in vals[:SSA_NREGS]]
-        pc, pstate, tpidr, reason, payload = vals[SSA_NREGS:]
-        return cls(regs, pc, pstate, tpidr, reason, payload)
+        vals = SSA_FRAME.unpack_from(data)
+        return cls(list(vals[:SSA_NREGS]), *vals[SSA_NREGS:])
 
 
 # --------------------------------------------------------------------------

@@ -146,3 +146,42 @@ def reference_run(image: bytes, origin: int, regs, pc: int, budget: int):
             next_pc = a
         pc = next_pc
     return "limit", steps, regs, pc
+
+
+def reference_ssa_frame(regs, pc: int, pstate: int, tpidr: int, reason: int, payload: int) -> bytes:
+    """A save-state frame as the documented layout gives it: 32 registers as
+    signed 64-bit words (two's complement of a value at or above 2**63),
+    then pc, pstate, tpidr, exit reason and exit payload unsigned."""
+    signed = [r - (1 << 64) if r >= 1 << 63 else r for r in regs]
+    return struct.pack("<32q5Q", *signed, pc, pstate, tpidr, reason, payload)
+
+
+def reference_geometry_refusal(manifest):
+    """``(line, message)`` of the first page or TCS misfit of a manifest
+    whose size is valid, or None, found by walking every page into a dict."""
+    used = {}
+    for spec in manifest.pages:
+        end = spec.vaddr + spec.page_count * PAGE
+        if spec.vaddr % PAGE or end > manifest.size:
+            return spec.line, (f"run of {spec.page_count} pages at {spec.vaddr:#x}"
+                               f" is unaligned or exceeds size {manifest.size:#x}")
+        for off in range(spec.vaddr, end, PAGE):
+            if off in used:
+                return spec.line, f"page offset {off:#x} specified twice"
+            used[off] = spec
+    frames = manifest.nssa * manifest.ssa_frame_size
+    for spec in manifest.tcs:
+        if spec.vaddr % PAGE or spec.vaddr + PAGE > manifest.size:
+            return spec.line, f"tcs offset {spec.vaddr:#x} invalid"
+        if spec.vaddr in used:
+            return spec.line, f"tcs offset {spec.vaddr:#x} collides with a page"
+        used[spec.vaddr] = spec
+        if spec.oentry >= manifest.size:
+            return spec.line, "tcs entry point outside enclave"
+        if spec.ossa % PAGE or spec.ossa + frames * PAGE > manifest.size:
+            return spec.line, "tcs save-state area outside enclave"
+        for off in range(spec.ossa, spec.ossa + frames * PAGE, PAGE):
+            if off not in used:
+                return spec.line, (f"tcs at {spec.vaddr:#x}: save-state page {off:#x}"
+                                   " is not declared")
+    return None

@@ -184,6 +184,21 @@ def test_derivation_changes_with_every_component(engine):
     assert len(k0) == 16
 
 
+def test_derived_keys_equal_the_per_call_formula(engine):
+    """The KDF root key is built once; every key is still the HMAC of the
+    message under the root key derived for the purpose ``kdf``."""
+    for name, identity, svn, keyid, epoch in [
+        (1, b"\x01" * 32, 2, b"\x02" * 32, None),
+        (4, b"\xff" * 32, 0xFFFF, b"\x00" * 32, b"\x05" * 16),
+        (0, bytes(range(32)), 7, bytes(range(32, 64)), None),
+    ]:
+        msg = (b"ccx-kdf-v1" + (name | svn << 16).to_bytes(4, "little") + identity + keyid
+               + (engine.secrets.owner_epoch if epoch is None else epoch))
+        root = engine.secrets.root_mac_key(b"kdf")
+        expected = hmac.new(root, msg, hashlib.sha256).digest()[:16]
+        assert engine.derive_key(name, identity, svn, keyid, epoch) == expected
+
+
 def test_ten_thousand_derivations_no_collisions(engine):
     seen = set()
     for i in range(10_000):

@@ -1,9 +1,11 @@
 """Manifest parsing and the enclave loader."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccxsim import fixtures, runtime as runtime_module
 from ccxsim.errors import SgxError
@@ -13,7 +15,7 @@ from ccxsim.memory import GRANULE_SIZE, Perms
 from ccxsim.runtime import HostRuntime, LoadError
 
 from helpers import small_config
-from oracles import reference_measurement
+from oracles import reference_geometry_refusal, reference_measurement
 
 MINIMAL = """
 name mini
@@ -92,6 +94,53 @@ def test_the_largest_placeable_size_loads():
     handle = rt.load_enclave(EnclaveManifest.parse(minimal_text().replace(
         "size 0x100000", "size 0x200000000")))
     assert rt.machine.enclaves[handle.eid].size == 1 << 33
+
+
+def test_the_largest_placeable_run_validates_without_walking_its_pages():
+    """A one-line run of 2**21 pages fills the largest placeable enclave; it
+    is checked by interval, so parsing it holds well under 1 MB (a dict of
+    every page took about 167 MB)."""
+    text = "size 0x200000000\npage vaddr=0 perms=rw content=zero count=2097152\n"
+    tracemalloc.start()
+    try:
+        manifest = EnclaveManifest.parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert manifest.pages[0].page_count == 1 << 21
+    assert peak < 1 << 20
+
+
+_PAGE_LINE = st.builds(
+    lambda vaddr, count: f"page vaddr={vaddr * GRANULE_SIZE:#x} perms=rw count={count}",
+    st.integers(0, 18), st.integers(1, 4))
+_TCS_LINE = st.builds(
+    lambda vaddr, oentry, ossa: f"tcs vaddr={vaddr:#x} oentry={oentry:#x} ossa={ossa:#x}",
+    st.integers(0, 17).map(lambda n: n * GRANULE_SIZE),
+    st.integers(0, 0x11000),
+    st.sampled_from([0, 0x8, 0x1000, 0x3000, 0x8000, 0xE000, 0xF000, 0x10000]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(_PAGE_LINE, _TCS_LINE), max_size=8),
+       nssa=st.integers(1, 3), frame=st.integers(1, 2))
+def test_interval_checks_refuse_what_a_page_walk_refuses(lines, nssa, frame):
+    """Every page and TCS refusal keeps its line and message: the first
+    misfit is the one a walk over every page finds."""
+    text = "\n".join(["size 0x10000", f"nssa {nssa}", f"ssa_frame_size {frame}"] + lines)
+    manifest = EnclaveManifest(size=0x10000, nssa=nssa, ssa_frame_size=frame)
+    manifest.pages = [EnclaveManifest._parse_page(line[5:], None, n)
+                      for n, line in enumerate(lines, start=4) if line.startswith("page")]
+    manifest.tcs = [EnclaveManifest._parse_tcs(line[4:], n)
+                    for n, line in enumerate(lines, start=4) if line.startswith("tcs")]
+    expected = reference_geometry_refusal(manifest)
+    if expected is None:
+        EnclaveManifest.parse(text)
+    else:
+        with pytest.raises(ManifestError) as exc:
+            EnclaveManifest.parse(text)
+        assert (exc.value.line_no, str(exc.value)) == (
+            expected[0], f"manifest line {expected[0]}: {expected[1]}")
 
 
 @pytest.mark.parametrize("count", ["1099511627776", "0"])

@@ -136,8 +136,15 @@ def test_a_register_above_31_in_a_used_field_stops_with_bad_opcode(op, rd, rs1, 
     vcpu.pc = pc
     report = m.step(vcpu, 10)
     assert (report.stop, report.steps, vcpu.pc, vcpu.regs[3]) == ("fault", 2, pc + 16, 7)
-    assert report.fault == {"step": 2, "vcpu": 0, "kind": "bad_opcode", "op": isa.OP_ILLEGAL,
+    # The fault names the opcode byte and the one register above 31.
+    reg = max(rd, rs1, rs2)
+    assert report.fault == {"step": 2, "vcpu": 0, "kind": "bad_opcode", "op": op, "reg": reg,
                             "pc": pc + 16}
+
+
+def test_a_refused_instruction_decodes_to_its_opcode_and_first_refused_register():
+    assert isa.decode(isa.encode(OP_ADD, 40, 50, 1, 9)) == (isa.OP_ILLEGAL, OP_ADD, 40, 0, 0)
+    assert isa.decode(isa.encode(OP_STORE, 99, 7, 64, 9)) == (isa.OP_ILLEGAL, OP_STORE, 64, 0, 0)
 
 
 def test_fields_an_opcode_does_not_use_may_hold_anything():
