@@ -7,13 +7,13 @@ from ccxsim import EnclaveManifest, fixtures
 from ccxsim.execution import mem_read
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE
-from ccxsim.runtime import AEP_GATE, RETURN_GATE, EnclaveFault, HostRuntime
+from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime
 from ccxsim.structs import EXIT_IRQ, SSA_FRAME
 
 from helpers import small_config
 from oracles import reference_ssa_frame
 
-EENTER, ERESUME, EEXIT = 0x2, 0x3, 0x4
+EENTER, ERESUME = 0x2, 0x3
 DATA_OFF = 0x10000
 
 u64 = st.one_of(st.integers(1 << 63, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
