@@ -12,7 +12,6 @@ leaves like block or track.
 from __future__ import annotations
 
 import json
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Dict
@@ -189,19 +188,18 @@ def run_leaf_bench(config: Config, iterations: int = 100) -> BenchReport:
     machine = Machine(config)
     rt = HostRuntime(machine)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        # Lifecycle leaves: a fresh mini enclave per iteration.
-        path = fixtures.write_standard_manifest(tmp, "bench", size=1 << 22)
-        manifest = EnclaveManifest.load(path)
-        for _ in range(iterations):
-            handle = rt.load_enclave(manifest)
-            rt.destroy(handle)
+    # Lifecycle leaves: a fresh mini enclave per iteration.
+    manifest = EnclaveManifest.parse(fixtures.build_manifest_text(
+        fixtures.standard_program(), name="bench", size=1 << 22))
+    for _ in range(iterations):
         handle = rt.load_enclave(manifest)
-        _bench_entry(machine, rt, handle, iterations)
-        _bench_attest(machine, rt, handle, iterations)
-        _bench_debug(machine, rt, handle, iterations)
-        _bench_dynamics(machine, rt, handle, iterations)
-        _bench_swap(machine, rt, handle, iterations)
+        rt.destroy(handle)
+    handle = rt.load_enclave(manifest)
+    _bench_entry(machine, rt, handle, iterations)
+    _bench_attest(machine, rt, handle, iterations)
+    _bench_debug(machine, rt, handle, iterations)
+    _bench_dynamics(machine, rt, handle, iterations)
+    _bench_swap(machine, rt, handle, iterations)
 
     for name in ALL_LEAF_NAMES:
         count = machine.counters[name]

@@ -54,11 +54,12 @@ Memory accesses go through a translation cache and block fetches also
 through a decode cache of blocks (both kept in
 :class:`~ccxsim.memory.MachineMemory`).  A cache entry is filled only by a
 successful checked access (address translation, EPCM checks, then the
-protection-table check), an EPCM update of a granule (the one path that
-moves a table) drops the translations that reach that granule, and a
-granule's blocks are dropped on any write to it.  A miss, or an access that
-crosses a page, takes the checked path, so every fault and GPF is raised as
-without the caches.
+protection-table check).  A translation is used only while its granule
+still holds the EPCM entry it was filled with, since an EPCM update (the
+one path that moves a table) stores a new entry or clears it; a granule's
+blocks are dropped on any write to it.  A miss, or an access that crosses a
+page, takes the checked path, so every fault and GPF is raised as without
+the caches.
 
 There is deliberately no hook point between an enclave trap or interrupt and
 the monitor: nothing at hypervisor level can observe or intercept the switch.
@@ -256,11 +257,14 @@ def _resolve(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
 
 
 def _cached(mem, vcpu, addr: int, size: int, kind: str) -> Optional[int]:
-    """The granule a checked access of this kind to addr's page reached
-    since that granule's last EPCM update, or None."""
+    """The granule a checked access of this kind to addr's page reached, if
+    that granule still holds the EPCM entry it held then, or None."""
     if (addr & _PAGE_MASK) + size > GRANULE_SIZE:
         return None
-    return mem.tlb.get((vcpu.cur_eid, addr & ~_PAGE_MASK, kind))
+    hit = mem.tlb.get((vcpu.cur_eid, addr & ~_PAGE_MASK, kind))
+    if hit is None or mem.epcm.get(hit[0]) is not hit[1]:
+        return None
+    return hit[0]
 
 
 def mem_read(m, vcpu, addr: int, size: int, kind: str = "r") -> bytes:
@@ -377,7 +381,7 @@ def _code_page(m, vcpu, pc: int) -> Tuple[int, dict]:
     granule = _cached(mem, vcpu, pc, INSTR_SIZE, "x")
     if granule is None:
         mem_read(m, vcpu, pc, INSTR_SIZE, "x")  # the checked path fills the cache
-        granule = mem.tlb[(vcpu.cur_eid, pc & ~_PAGE_MASK, "x")]
+        granule = mem.tlb[(vcpu.cur_eid, pc & ~_PAGE_MASK, "x")][0]
     blocks = mem.decoded.get(granule)
     if blocks is None:
         blocks = mem.decoded[granule] = {}

@@ -37,26 +37,27 @@ mode: it is given the EPC span, the granules that may become enclave pages
 The enclave interpreter caches its work in two places here, and neither may
 change anything but wall time.  The translation cache (``tlb``) maps an
 accessor, a page address and an access kind to the granule that a full
-checked access of that kind reached; only a successful checked access fills
-it, through :meth:`MachineMemory.cache_translation`, and an EPCM update of a
-granule drops the translations that reach that granule, since that is the
-only path that moves a table.  A cached translation depends only on the
-entry and tables of the granule it reaches (a page address moves to another
-granule only after the old granule's entry is cleared), and a miss is never
-cached, so no other translation can go stale.  Clearing a SECS drops every
-translation its enclave made, so that those of a dead enclave do not pile up
-(enclave ids are never reused); the raw test poke ``GptSet.set_entry``
-empties the whole cache.  The decode cache (``decoded``) holds each granule's
-blocks by the offset they start at: a block is the decoded run of ALU ops
-from there plus the instruction that ends it, kept next to the function
-that the interpreter compiled it into (see :mod:`ccxsim.execution`).  A
-block never crosses its page, so a granule holds at most one entry per
-instruction start, 256 for code at 16-byte offsets.  Any write to the
-granule drops its blocks: :meth:`MachineMemory.store` is the only byte
-writer.  The functions themselves come from ``compiled``, a memo keyed by
-the decoded instructions alone and bounded by
-:data:`ccxsim.execution.BLOCK_MEMO_SIZE`, oldest out first; it depends on no
-granule, so no write or EPCM update has to touch it.
+checked access of that kind reached and the EPCM entry that granule held
+then; only a successful checked access fills it, through
+:meth:`MachineMemory.cache_translation`, and a hit counts only while the
+granule still holds the entry it was filled with.  That is sound because
+every input of a checked translation (the page-address index, the entry's
+fields, the system-table byte and the owned sets) changes only through
+:meth:`MachineMemory.epcm_update` of that granule, which stores a new entry
+object or clears the entry.  A miss is never cached.  Clearing a SECS drops
+every translation its enclave made, so that those of a dead enclave do not
+pile up (enclave ids are never reused); the raw test poke
+``GptSet.set_entry``, which moves a table behind the EPCM, empties the whole
+cache.  The decode cache (``decoded``) holds each granule's blocks by the
+offset they start at: a block is the decoded run of ALU ops from there plus
+the instruction that ends it, kept next to the function that the
+interpreter compiled it into (see :mod:`ccxsim.execution`).  A block never
+crosses its page, so a granule holds at most one entry per instruction
+start, 256 for code at 16-byte offsets.  Any write to the granule drops its
+blocks: :meth:`MachineMemory.store` is the only byte writer.  The functions
+themselves come from ``compiled``, a memo keyed by the decoded instructions
+alone and bounded by :data:`ccxsim.execution.BLOCK_MEMO_SIZE`, oldest out
+first; it depends on no granule, so no write or EPCM update has to touch it.
 """
 
 from __future__ import annotations
@@ -233,12 +234,12 @@ class GptSet:
     The methods that change a table are primitives of
     :meth:`MachineMemory.epcm_update`, which calls them as an EPCM entry is
     stored or cleared; ``set_entry`` is a raw poke for tests.
-    ``tlb`` is the translation cache that :class:`MachineMemory` reads, and
-    ``tlb_keys`` its reverse map, from a granule to the keys that reach it;
-    :meth:`MachineMemory.cache_translation` fills both.  The primitives leave
-    them alone: ``epcm_update`` drops the keys of the granule it updates
-    (and, for a SECS it clears, the keys of the dead enclave), and
-    ``set_entry`` empties both for its own poke.
+    ``tlb`` is the translation cache that :class:`MachineMemory` reads and
+    :meth:`MachineMemory.cache_translation` fills.  The primitives leave it
+    alone: each translation carries the EPCM entry it was made under, so an
+    entry that changes makes it miss; ``epcm_update`` drops only the keys of
+    an enclave whose SECS it clears, and ``set_entry``, which changes a
+    table without an EPCM update, empties the cache.
     """
 
     def __init__(self, granule_count: int):
@@ -246,25 +247,14 @@ class GptSet:
         self.system: bytearray = bytearray(granule_count)  # Pas.NORMAL == 0
         # live enclave id -> granules it owns; also the registry of tables
         self.owned: Dict[int, Set[int]] = {}
-        # (cur_eid, page address, access kind) -> granule
-        self.tlb: Dict[Tuple[Optional[int], int, str], int] = {}
-        # granule -> the tlb keys that reach it
-        self.tlb_keys: Dict[int, List[Tuple[Optional[int], int, str]]] = {}
-
-    def flush_translations(self) -> None:
-        """Empty the translation cache and its reverse map."""
-        self.tlb.clear()
-        self.tlb_keys.clear()
+        # (cur_eid, page address, access kind) -> (granule, its EPCM entry then)
+        self.tlb: Dict[Tuple[Optional[int], int, str], Tuple[int, Optional[EpcmEntry]]] = {}
 
     def drop_translations_of(self, eid: int) -> None:
-        """Drop the translations made by enclave ``eid``, the keys whose
-        first field is ``eid``, from the cache and its reverse map."""
+        """Drop the translations made by enclave ``eid``: the keys whose
+        first field is ``eid``."""
         for key in [key for key in self.tlb if key[0] == eid]:
-            granule = self.tlb.pop(key)
-            keys = self.tlb_keys[granule]
-            keys.remove(key)
-            if not keys:
-                del self.tlb_keys[granule]
+            del self.tlb[key]
 
     # -- table lifecycle ---------------------------------------------------
 
@@ -296,7 +286,7 @@ class GptSet:
         if not 0 <= granule < self.granule_count:
             raise ModelError(f"granule {granule} out of range")
         self.system[granule] = int(pas)
-        self.flush_translations()
+        self.tlb.clear()
 
     def table(self, eid: int) -> bytes:
         """Enclave `eid`'s derived table as dense :class:`Pas` bytes."""
@@ -421,10 +411,10 @@ class MachineMemory:
         self.data[base : base + len(data)] = data
 
     def cache_translation(self, key: Tuple[Optional[int], int, str], granule: int) -> None:
-        """Remember that a checked access keyed ``key`` reached ``granule``;
-        only a miss comes here, so the key is new."""
-        self.tlb[key] = granule
-        self.gpts.tlb_keys.setdefault(granule, []).append(key)
+        """Remember that a checked access keyed ``key`` reached ``granule``
+        while the granule held its current EPCM entry (or none); the
+        translation counts only as long as it still holds that entry."""
+        self.tlb[key] = (granule, self.epcm.get(granule))
 
     def zero_granule(self, granule: int) -> None:
         self._check_range(granule)
@@ -497,8 +487,6 @@ class MachineMemory:
                     gpts.drop_enclave_table(old.owner)
                     # enclave ids are never reused: its translations go too
                     gpts.drop_translations_of(old.owner)
-        for stale in gpts.tlb_keys.pop(granule, ()):
-            self.tlb.pop(stale, None)
         old_key = _page_key(old)
         if old_key is not None:
             self.vaddr_index.pop(old_key, None)
@@ -529,12 +517,17 @@ class MachineMemory:
         Checks: every EPCM-valid page is inaccessible in the system table and,
         if enclave-owned, in its owner's set; the system table marks no
         granule outside the EPCM; owned sets hold only granules the EPCM gives
-        their enclave; every EPCM-valid granule lies in the EPC span.
-        Per-enclave views need no check of their own: they are derived from
-        these two.
+        their enclave; every EPCM-valid granule lies in the EPC span; the
+        page-address index is the one the EPCM entries give.  Per-enclave
+        views need no check of their own: they are derived from the system
+        table and the owned sets.
         """
         owned = self.gpts.owned
+        index = {}
         for granule, entry in self.epcm.items():
+            key = _page_key(entry)
+            if key is not None:
+                index[key] = granule
             if not self.epc_admissible(granule):
                 raise ModelError(f"EPCM-valid granule {granule} outside the EPC span")
             if self.gpts.system[granule] != Pas.NO_ACCESS:
@@ -553,3 +546,6 @@ class MachineMemory:
                 entry = self.epcm.get(granule)
                 if entry is None or entry.owner != eid:
                     raise ModelError(f"table {eid} holds granule {granule} it does not own")
+        if index != self.vaddr_index:
+            wrong = sorted(set(index.items()) ^ set(self.vaddr_index.items()))
+            raise ModelError(f"page-address index disagrees with the EPCM at {wrong[0]}")

@@ -569,9 +569,10 @@ class HostRuntime:
         """Marshal a call into the enclave and run it to completion.
 
         ``inject_at`` is either "every" or a collection of step numbers at
-        which to inject an interrupt (counted over enclave-mode steps of this
-        call).  ``step_budget`` replaces ``Config.max_ecall_steps`` for this
-        call.  Raises :class:`EnclaveFault` on any unrecovered fault.
+        which to inject an interrupt, counted over every step of this call:
+        the halt the host runs at a gate after each exit counts as one.
+        ``step_budget`` replaces ``Config.max_ecall_steps`` for this call.
+        Raises :class:`EnclaveFault` on any unrecovered fault.
         """
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)

@@ -6,7 +6,9 @@ Grammar (one command per line, '#' comments):
     create <id> <manifest-path>       path relative to the scenario file
     destroy <id>
     ecall <id> <tcs> <selector> [a] [b]
-    inject_irq vcpu=<n> at=every|<s>[,<s>...]   applies to the next ecall
+    inject_irq vcpu=<n> at=every|<s>[,<s>...]   applies to the next ecall;
+                                      each <s> counts every step of it,
+                                      the host's halt at a gate included
     swap_out <id> <offset>            enclave-relative page offset
     swap_in <id> <offset>
     attest <a> <b>

@@ -193,27 +193,6 @@ EXIT_REASON_NAMES = {
 }
 
 
-@dataclass
-class SsaFrame:
-    regs: list  # 32 ints: x0..x30, sp
-    pc: int
-    pstate: int
-    tpidr: int
-    exit_reason: int = EXIT_NONE
-    exit_payload: int = 0
-
-    def pack(self) -> bytes:
-        if len(self.regs) != SSA_NREGS:
-            raise ModelError("SSA frame needs 32 register values")
-        return SSA_FRAME.pack(*self.regs, self.pc, self.pstate, self.tpidr,
-                              self.exit_reason, self.exit_payload)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "SsaFrame":
-        vals = SSA_FRAME.unpack_from(data)
-        return cls(list(vals[:SSA_NREGS]), *vals[SSA_NREGS:])
-
-
 # --------------------------------------------------------------------------
 # SECINFO: request-side page descriptor
 

@@ -99,21 +99,26 @@ REGISTER_FIELDS = {  # opcode -> the fields it names registers in
 }
 
 
-def reference_run(image: bytes, origin: int, regs, pc: int, budget: int):
+def reference_run(image: bytes, origin: int, regs, pc: int, budget: int, memory_size: int):
     """Run at most ``budget`` instructions one at a time from ``pc``, with
-    ``image`` mapped at ``origin`` and zeros (halt) everywhere else.
+    ``image`` mapped at ``origin`` and zeros (halt) everywhere else in
+    ``memory_size`` bytes of physical memory.
 
     Returns ``(stop, steps, regs, pc)``: stop is ``halt``, ``abort``,
     ``bad_opcode`` (an undefined opcode, or a register above 31 in a field
-    the opcode uses) or ``limit``; on a stop the pc stays on the instruction
-    that stopped, on ``limit`` it names the next one.
+    the opcode uses), ``pagefault`` (a fetch that crosses a 4 KiB page or
+    reaches past physical memory, which runs no step) or ``limit``; on a
+    stop the pc stays on the instruction that stopped, on ``limit`` it names
+    the next one.
     """
     regs = list(regs)
     steps = 0
     while steps < budget:
+        if pc % PAGE + 16 > PAGE or pc + 16 > memory_size:
+            return "pagefault", steps, regs, pc
         at = pc - origin
-        raw = image[at : at + 16] if 0 <= at <= len(image) - 16 else bytes(16)
-        op, rd, rs1, rs2, imm = INSTR.unpack(raw)
+        raw = bytes(max(0, -at)) + image[max(0, at) : at + 16] if -16 < at < len(image) else b""
+        op, rd, rs1, rs2, imm = INSTR.unpack(raw.ljust(16, b"\0"))
         imm &= WORD
         fields = {"rd": rd, "rs1": rs1, "rs2": rs2}
         steps += 1

@@ -195,7 +195,6 @@ def test_destroying_an_enclave_keeps_the_translations_of_the_others(m, tmp_path,
     assert (a.eid, host * GRANULE_SIZE, "r") in m.memory.tlb
     rt.destroy(a)
     assert not any(key[0] == a.eid for key in m.memory.tlb)
-    assert not any(key[0] == a.eid for keys in m.memory.gpts.tlb_keys.values() for key in keys)
     resolved = []
     resolve = execution._resolve
 
@@ -206,6 +205,45 @@ def test_destroying_an_enclave_keeps_the_translations_of_the_others(m, tmp_path,
     monkeypatch.setattr(execution, "_resolve", counting_resolve)
     assert rt.ecall(b, 0, fixtures.SEL_PEEK, host * GRANULE_SIZE) == DATA_WORD
     assert resolved == []
+
+
+def _assert_every_translation_names_a_live_page(m, rt):
+    """Each cache key names a page of a live enclave, resident or in the swap
+    store, or a page of physical memory."""
+    for eid, page, _ in m.memory.tlb:
+        secs = m.enclaves[eid] if eid is not None else None
+        if secs is not None and secs.contains(page):
+            assert m.memory.find_page(eid, page) is not None or rt.store.has(eid, page)
+        else:
+            assert page < m.memory.granule_count * GRANULE_SIZE
+
+
+def test_translation_cache_stays_bounded_over_swaps_and_forgets_a_destroyed_enclave(m, tmp_path):
+    """Two enclaves swap their scratch pages out and back in, in turns, so
+    each comes back into the granule the other left: stale translations are
+    overwritten by the next miss, not piled up, and a destroy leaves none of
+    the dead enclave's keys."""
+    rt = HostRuntime(m)
+    manifest = EnclaveManifest.load(fixtures.write_standard_manifest(tmp_path))
+    a, b = rt.load_enclave(manifest), rt.load_enclave(manifest)
+    scratch = a.base + fixtures.SCRATCH_OFF  # the same address in both
+    host = rt.take_host_granule() * GRANULE_SIZE
+    sizes, granules = [], set()
+    for i in range(6):
+        for h in (a, b):  # a page in the swap store faults back in here
+            rt.ecall(h, 0, fixtures.SEL_POKE, scratch, i)
+            assert rt.ecall(h, 0, fixtures.SEL_PEEK, scratch) == i
+            rt.ecall(h, 0, fixtures.SEL_PEEK, host)
+        granules.add(m.memory.find_page(a.eid, scratch))
+        rt.swap_out(a, scratch)
+        rt.swap_out(b, scratch)
+        rt.swap_in(b if i % 2 else a, scratch)
+        _assert_every_translation_names_a_live_page(m, rt)
+        sizes.append(len(m.memory.tlb))
+    assert len(granules) == 2 and sizes == sizes[:1] * 6
+    rt.destroy(a)
+    assert not any(key[0] == a.eid for key in m.memory.tlb)
+    _assert_every_translation_names_a_live_page(m, rt)
 
 
 def test_removed_data_page_faults_the_next_load(m):
@@ -313,7 +351,7 @@ def _drive(mode, rounds, drop_caches):
             return m.step(vcpu, budget)
         steps = 0
         for _ in range(budget):
-            m.memory.gpts.flush_translations()
+            m.memory.tlb.clear()
             m.memory.decoded.clear()
             report = m.step(vcpu, 1)
             steps += report.steps

@@ -662,6 +662,26 @@ def test_interrupt_transparency_schedules(machine, fixture_dir):
     assert rt.ecall(h, 0, 0, 165, inject_at="every") == expected
 
 
+def test_inject_at_counts_every_step_of_the_call_gate_halts_included(machine, fixture_dir):
+    """After the first interrupt the host runs one halt at the async exit
+    gate, and that step counts: the second interrupt comes 9 enclave steps
+    after the resume, not 10."""
+    rt, h = load_fixture(machine, fixture_dir, fixtures.write_compute_manifest, "chunks")
+    chunks = []
+    step = machine.step
+
+    def recording_step(vcpu, budget):
+        inside = vcpu.in_enclave
+        report = step(vcpu, budget)
+        chunks.append((inside, report.steps, report.stop))
+        return report
+
+    machine.step = recording_step
+    assert rt.ecall(h, 0, 0, 40, inject_at={10, 20}) == fixtures.compute_expected(40)
+    assert chunks[:4] == [(True, 10, "limit"), (False, 1, "halt"), (True, 9, "limit"),
+                          (False, 1, "halt")]
+
+
 def test_notify_flag_clear_keeps_plain_resume(machine, fixture_dir):
     rt, h = load_fixture(machine, fixture_dir, fixtures.write_compute_manifest, "p")
     result = rt.ecall(h, 0, 0, 100, inject_at={50, 150, 250})

@@ -420,6 +420,19 @@ def test_audit_catches_granule_in_two_owned_sets(machine):
         machine.audit()
 
 
+@pytest.mark.parametrize("fault", ["stale", "missing"])
+def test_audit_catches_a_page_address_index_out_of_step_with_the_epcm(machine, fault):
+    enc = build_raw_enclave(machine)
+    machine.audit()
+    index = machine.memory.vaddr_index
+    if fault == "stale":  # a key no EPCM entry gives
+        index[(enc.eid, enc.base + enc.size - GRANULE_SIZE)] = enc.granule(0x0)
+    else:
+        del index[(enc.eid, enc.base)]
+    with pytest.raises(ModelError, match="page-address index"):
+        machine.audit()
+
+
 def test_enclave_views_derive_from_system_table_and_owned_set():
     mem = fresh_memory()
     open_table(mem, 1, 16)

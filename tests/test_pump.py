@@ -100,11 +100,12 @@ def test_pump_equals_the_reference_at_every_budget(slots, regs, before_page_end,
     origin = (CODE_GRANULE + 1) * GRANULE_SIZE - before_page_end * isa.INSTR_SIZE
     image = _lay_out(slots, origin)
     _load(m, origin, image)
+    size = m.memory.granule_count * GRANULE_SIZE
     vcpu = m.vcpus[0]
     for budget in range(1, FULL_BUDGET + 1):
         vcpu.regs, vcpu.pc = list(regs), origin
         got = _observe(vcpu, m.step(vcpu, budget))
-        assert got == reference_run(image, origin, regs, origin, budget), budget
+        assert got == reference_run(image, origin, regs, origin, budget, size), budget
         if got[0] != "limit":
             break
 
@@ -112,7 +113,7 @@ def test_pump_equals_the_reference_at_every_budget(slots, regs, before_page_end,
     ref_regs, ref_pc = list(regs), origin
     for chunk in chunks:
         got = _observe(vcpu, m.step(vcpu, chunk))
-        want = reference_run(image, origin, ref_regs, ref_pc, chunk)
+        want = reference_run(image, origin, ref_regs, ref_pc, chunk, size)
         assert got == want
         if got[0] != "limit":
             break

@@ -9,7 +9,7 @@ from ccxsim.structs import (
     KeyRequest,
     Pcmd,
     Report,
-    SsaFrame,
+    SSA_FRAME,
     TargetInfo,
     Tcs,
 )
@@ -35,16 +35,12 @@ def test_tcs_page_round_trip(oentry, ossa, nssa, tls, cssa, dbg, notify):
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    regs=st.lists(u64, min_size=32, max_size=32),
-    pc=u64, pstate=u64, tpidr=u64,
-    reason=st.integers(0, 3), payload=u64,
-)
-def test_ssa_frame_round_trip(regs, pc, pstate, tpidr, reason, payload):
-    frame = SsaFrame(regs=regs, pc=pc, pstate=pstate, tpidr=tpidr,
-                     exit_reason=reason, exit_payload=payload)
-    again = SsaFrame.unpack(frame.pack())
-    assert again == frame
+@given(words=st.lists(u64, min_size=37, max_size=37))
+def test_ssa_frame_round_trip(words):
+    """x0..x30, sp, pc, pstate, tpidr, exit reason and exit payload."""
+    data = SSA_FRAME.pack(*words)
+    assert len(data) == 296
+    assert list(SSA_FRAME.unpack(data)) == words
 
 
 @settings(max_examples=50, deadline=None)
