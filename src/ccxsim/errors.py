@@ -32,8 +32,6 @@ class SgxErrorCode(enum.IntEnum):
     OCCUPIED = 10
     NOT_IN_EPC = 11
     BAD_GEOMETRY = 12
-    NOT_ASSIGNED = 13
-    ALREADY_ASSIGNED = 14
 
     UNKNOWN_ENCLAVE = 20
     ALREADY_INITIALIZED = 21

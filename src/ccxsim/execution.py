@@ -14,6 +14,11 @@ full context to the thread's save-state area and hand control to the host at
 its async exit pointer; the recorded delivery path is trampoline -> monitor
 -> host.
 
+Each leaf is one row of :data:`LEAVES`: its number, name and handler, the
+kinds that decode its argument registers x2..x4, and the slot that takes
+its result.  The machine's dispatch tables are views of that table, so a
+leaf's number, handler and register ABI cannot fall out of step.
+
 The four world switches do only their architectural work: EENTER and
 ERESUME check the TCS page and switch in, EEXIT and AEX switch out.  A
 save-state frame has one layout, :data:`~ccxsim.structs.SSA_FRAME`, which
@@ -26,16 +31,16 @@ in the machine's trace: the dispatch records leaves, :func:`aex` exits, and
 While the trace is :data:`NO_TRACE`, which keeps nothing, no exit builds a
 record, fault message or details dict, unless a host-mode stop reports them.
 
-The pump runs code as blocks.  A block is the decoded run of ALU ops
-(``movi``, ``add``, ``addi``, ``xor``, ``mul``) that starts at one address,
+The pump runs code as blocks.  A block is the decoded run of ALU ops (the
+rows of ``isa.INSTRUCTIONS`` that have ALU source) that starts at one address,
 plus the one instruction that ends it: a branch, load, store, gadget, halt,
 abort or bad opcode.  A run that reaches the end of its page ends there with
 no such instruction, so a block never crosses its page.  ALU ops touch
 registers only, so they can neither fault nor change memory.  Each block is
 compiled once into one Python function of the register list, generated from
-the decoded integer fields alone: the ALU run as list assignments masked to
-64 bits, and an ending ``bnz``, ``jmp`` or ``jmpr``, whose function returns
-the taken target or None to fall through.  A bounded memo of
+the decoded integer fields alone and each op's source in its row: the ALU run
+as list assignments masked to 64 bits, and an ending branch, whose function
+returns the taken target or None to fall through.  A bounded memo of
 :data:`BLOCK_MEMO_SIZE` functions, oldest out first, is keyed by the decoded
 instructions, so code decoded again in another granule (a new enclave of the
 same image, or a page swapped back in) compiles nothing.  A budget that ends
@@ -73,25 +78,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import isa
-from .isa import (
-    INSTR_SIZE,
-    OP_ABORT,
-    OP_ADD,
-    OP_ADDI,
-    OP_BNZ,
-    OP_GADGET,
-    OP_HALT,
-    OP_JMP,
-    OP_JMPR,
-    OP_LOAD,
-    OP_MOVI,
-    OP_MUL,
-    OP_STORE,
-    OP_XOR,
-)
+from . import isa, microprograms as mp
+from .isa import INSTR_SIZE, OP_ABORT, OP_GADGET, OP_HALT, OP_LOAD, OP_STORE
 from .crypto import KEY_SIZE
 from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode as E
 from .memory import (
@@ -292,9 +282,11 @@ def mem_write(m, vcpu, addr: int, data: bytes) -> None:
 
 # Opcodes a block runs as one compiled run: they touch registers only, so
 # they can neither fault nor change memory, and nothing can happen between
-# them.  A branch that ends a block is compiled with its run.
-_ALU_OPS = frozenset((OP_MOVI, OP_ADD, OP_ADDI, OP_XOR, OP_MUL))
-_BRANCH_OPS = frozenset((OP_BNZ, OP_JMP, OP_JMPR))
+# them.  A branch that ends a block is compiled with its run.  Both sets and
+# each op's source come from its row of ``isa.INSTRUCTIONS``.
+_ALU_OPS = frozenset(row.op for row in isa.INSTRUCTIONS if row.alu)
+_BRANCH_OPS = frozenset(row.op for row in isa.INSTRUCTIONS if row.branch)
+_SOURCE = {row.op: row.alu or row.branch for row in isa.INSTRUCTIONS}
 
 BLOCK_MEMO_SIZE = 256
 """Most compiled blocks a machine's memo keeps; the oldest goes first.  A
@@ -303,34 +295,13 @@ benchmark 35 in 20,000 ops, budget-cut prefixes included), and a page holds
 at most 256 block starts, so the bound only stops a run that executes ever
 new code from growing the memo."""
 
-# Python source of one ALU op, from its decoded integer fields; values stay
-# within 64 bits as the registers do.
-_ALU_SOURCE = {
-    OP_MOVI: "r[{rd}] = {imm}",
-    OP_ADD: "r[{rd}] = (r[{rs1}] + r[{rs2}]) & 0xFFFFFFFFFFFFFFFF",
-    OP_ADDI: "r[{rd}] = (r[{rs1}] + {imm}) & 0xFFFFFFFFFFFFFFFF",
-    OP_XOR: "r[{rd}] = r[{rs1}] ^ r[{rs2}]",
-    OP_MUL: "r[{rd}] = (r[{rs1}] * r[{rs2}]) & 0xFFFFFFFFFFFFFFFF",
-}
-# ... and of a branch: it returns the taken target, or None to fall through.
-_BRANCH_SOURCE = {
-    OP_BNZ: "if r[{rs1}]:\n        return {imm}",
-    OP_JMP: "return {imm}",
-    OP_JMPR: "return r[{rs1}]",
-}
-
-
-def _source(table: dict, instr: tuple) -> str:
-    op, rd, rs1, rs2, imm = instr
-    return "    " + table[op].format(rd=rd, rs1=rs1, rs2=rs2, imm=imm)
-
 
 def _compile(run: tuple, branch: Optional[tuple]):
     """One function of the register list that runs the ALU ops of ``run``
     and then ``branch``, if given, returning what the branch returns."""
-    lines = ["def block(r):"] + [_source(_ALU_SOURCE, instr) for instr in run]
-    if branch is not None:
-        lines.append(_source(_BRANCH_SOURCE, branch))
+    lines = ["def block(r):"]
+    for op, rd, rs1, rs2, imm in run if branch is None else run + (branch,):
+        lines.append("    " + _SOURCE[op].format(rd=rd, rs1=rs1, rs2=rs2, imm=imm))
     lines.append("    return None")
     namespace = {"__builtins__": {}}
     exec("\n".join(lines), namespace)
@@ -547,7 +518,7 @@ def inject_interrupt(m, vcpu) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Gadget trap decode: one register-ABI row per leaf
+# The leaves: one row per leaf, with its register ABI for the trap gadget
 #
 # A kind turns one guest register word into leaf arguments, or refuses it with
 # an SgxError, so a word the leaf cannot accept reaches the guest as a code in
@@ -716,39 +687,56 @@ def _swap_out(m, vcpu, words):
     return store
 
 
-# Leaf number -> (kinds of x2, x3, x4 in order; result slot).
-ENCLS_ABI = {
-    0x0: ((_ecreate_info, _granule), _x1()),  # ECREATE: PAGEINFO, SECS page
-    0x1: ((_eadd_info, _target), None),  # EADD: PAGEINFO, page
-    0x2: ((_word, _sigstruct_at), None),  # EINIT: eid, SIGSTRUCT address
-    0x3: ((_granule,), None),  # EREMOVE
-    0x4: ((_granule, _word),
-          _x1(lambda data: int.from_bytes(data, "little"))),  # EDBGRD: page, offset
-    0x5: ((_granule, _word, _value8), None),  # EDBGWR: page, offset, value
-    0x6: ((_word, _word), None),  # EEXTEND: eid, chunk vaddr
-    0x7: ((_eld_info, _target, _va_slot), None),  # ELDB: PAGEINFO, page, VA slot
-    0x8: ((_eld_info, _target, _va_slot), None),  # ELDU: as ELDB
-    0x9: ((_granule,), None),  # EBLOCK
-    0xA: ((_granule,), None),  # EPA
-    0xB: ((_output, _granule, _va_slot), _swap_out),  # EWB: PAGEINFO, page, VA slot
-    0xC: ((_word,), None),  # ETRACK: eid
-    0xD: ((_word, _word, _granule), None),  # EAUG: eid, vaddr, page
-    0xE: ((_granule, _perms), None),  # EMODPR
-    0xF: ((_granule, _page_type), None),  # EMODT
-}
+class Leaf(NamedTuple):
+    """One leaf's one row: its name, its handler, which takes the machine
+    first and an ENCLU leaf's executing vcpu next, the kinds of x2, x3, x4 in
+    order, and its result slot.  The machine's dispatch tables are views of
+    the name and handler columns."""
 
-ENCLU_ABI = {
-    0x0: ((_buffer(TARGETINFO_SIZE, TargetInfo.unpack), _buffer(64)),
-          _buffer_at(4, REPORT_SIZE, Report.to_bytes)),  # EREPORT
-    0x1: ((_buffer(KEYREQUEST_SIZE, KeyRequest.unpack),), _buffer_at(3, KEY_SIZE)),  # EGETKEY
-    0x2: ((_granule, _word), _SWITCH),  # EENTER: TCS, async exit pointer
-    0x3: ((_granule, _word), _SWITCH),  # ERESUME: TCS, async exit pointer
-    0x4: ((_word,), _SWITCH),  # EEXIT: target
-    0x5: ((_own_page, _secinfo), None),  # EACCEPT
-    0x6: ((_own_page, _perms), None),  # EMODPE
-    0x7: ((_own_page, _word, _secinfo), None),  # EACCEPTCOPY: page, source vaddr, secinfo
-    0x9: ((), None),  # EDECCSSA
+    name: str
+    handler: Callable
+    kinds: tuple
+    slot: object
+
+
+# Service id -> leaf number -> row.
+LEAVES: Dict[int, Dict[int, Leaf]] = {
+    SMC_ID_ENCLS: {
+        0x0: Leaf("ECREATE", mp.ecreate, (_ecreate_info, _granule), _x1()),  # PAGEINFO, SECS page
+        0x1: Leaf("EADD", mp.eadd, (_eadd_info, _target), None),  # PAGEINFO, page
+        0x2: Leaf("EINIT", mp.einit, (_word, _sigstruct_at), None),  # eid, SIGSTRUCT address
+        0x3: Leaf("EREMOVE", mp.eremove, (_granule,), None),
+        0x4: Leaf("EDBGRD", mp.edbgrd, (_granule, _word),
+                  _x1(lambda data: int.from_bytes(data, "little"))),  # page, offset
+        0x5: Leaf("EDBGWR", mp.edbgwr, (_granule, _word, _value8), None),  # page, offset, value
+        0x6: Leaf("EEXTEND", mp.eextend, (_word, _word), None),  # eid, chunk vaddr
+        0x7: Leaf("ELDB", mp.eldb, (_eld_info, _target, _va_slot), None),  # PAGEINFO, page, slot
+        0x8: Leaf("ELDU", mp.eldu, (_eld_info, _target, _va_slot), None),  # as ELDB
+        0x9: Leaf("EBLOCK", mp.eblock, (_granule,), None),
+        0xA: Leaf("EPA", mp.epa, (_granule,), None),
+        0xB: Leaf("EWB", mp.ewb, (_output, _granule, _va_slot), _swap_out),  # PAGEINFO, page, slot
+        0xC: Leaf("ETRACK", mp.etrack, (_word,), None),  # eid
+        0xD: Leaf("EAUG", mp.eaug, (_word, _word, _granule), None),  # eid, vaddr, page
+        0xE: Leaf("EMODPR", mp.emodpr, (_granule, _perms), None),
+        0xF: Leaf("EMODT", mp.emodt, (_granule, _page_type), None),
+    },
+    SMC_ID_ENCLU: {
+        0x0: Leaf("EREPORT", mp.ereport,
+                  (_buffer(TARGETINFO_SIZE, TargetInfo.unpack), _buffer(64)),
+                  _buffer_at(4, REPORT_SIZE, Report.to_bytes)),
+        0x1: Leaf("EGETKEY", mp.egetkey, (_buffer(KEYREQUEST_SIZE, KeyRequest.unpack),),
+                  _buffer_at(3, KEY_SIZE)),
+        0x2: Leaf("EENTER", eenter, (_granule, _word), _SWITCH),  # TCS, async exit pointer
+        0x3: Leaf("ERESUME", eresume, (_granule, _word), _SWITCH),  # TCS, async exit pointer
+        0x4: Leaf("EEXIT", eexit, (_word,), _SWITCH),  # target
+        0x5: Leaf("EACCEPT", mp.eaccept, (_own_page, _secinfo), None),
+        0x6: Leaf("EMODPE", mp.emodpe, (_own_page, _perms), None),
+        0x7: Leaf("EACCEPTCOPY", mp.eacceptcopy,  # page, source vaddr, secinfo
+                  (_own_page, _word, _secinfo), None),
+        0x9: Leaf("EDECCSSA", mp.edeccssa, (), None),
+    },
 }
+_NO_LEAF = Leaf("", None, (), None)  # an undefined leaf, which the dispatch refuses
 
 
 def gadget_trap(m, vcpu, frame: TrapFrame) -> None:
@@ -759,15 +747,15 @@ def gadget_trap(m, vcpu, frame: TrapFrame) -> None:
         vcpu.regs[0:4] = [w & MASK64 for w in words]
         return
     if frame.smc_id == SMC_ID_ENCLU:
-        abi, call = ENCLU_ABI, partial(m.enclu, vcpu)
+        call = partial(m.enclu, vcpu)
     elif frame.smc_id == SMC_ID_ENCLS:
         if vcpu.in_enclave:
             raise SgxError(E.INVALID_SERVICE, "ENCLS service is host-privileged")
-        abi, call = ENCLS_ABI, m.encls
+        call = m.encls
     else:
         raise SgxError(E.INVALID_SERVICE, f"unknown service id {frame.smc_id:#x}")
     # An undefined leaf has no row; the dispatch refuses it before decoding.
-    kinds, slot = abi.get(frame.leaf, ((), None))
+    _, _, kinds, slot = LEAVES[frame.smc_id].get(frame.leaf, _NO_LEAF)
     words = (frame.arg1, frame.arg2, frame.arg3)
     store = None
 

@@ -9,12 +9,16 @@ Encoding (little endian): opcode u8, rd u8, rs1 u8, rs2 u8, pad u32, imm i64.
 Registers 0..30 name x0..x30; register 31 is sp.  A register field is a
 byte, so an encoding can name a register above 31; the decoder refuses such
 an instruction if its opcode uses that field (see :func:`decode`).
+
+Each opcode is one row of :data:`INSTRUCTIONS`, and every other view derives
+from it: :data:`OP_NAMES`, the register fields the decoder checks, the
+operands :func:`assemble` takes, and the ops and sources the pump compiles.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ModelError
 
@@ -45,41 +49,51 @@ above 31 in a field its opcode uses.  No encoding has it, so the pump stops
 on it as on any undefined opcode.  Such an instruction never runs, so its
 other fields say why: ``rd`` is its opcode byte and ``rs1`` the register."""
 
-OP_NAMES = {
-    OP_HALT: "halt",
-    OP_MOVI: "movi",
-    OP_ADD: "add",
-    OP_ADDI: "addi",
-    OP_XOR: "xor",
-    OP_MUL: "mul",
-    OP_LOAD: "load",
-    OP_STORE: "store",
-    OP_BNZ: "bnz",
-    OP_JMP: "jmp",
-    OP_JMPR: "jmpr",
-    OP_GADGET: "gadget",
-    OP_ABORT: "abort",
-}
+
+class Instruction(NamedTuple):
+    """One opcode: its mnemonic, the fields its assembler operands fill in
+    order (``rd``, ``rs1``, ``rs2`` or ``imm``), and for the ops the pump
+    compiles (see :mod:`~ccxsim.execution`) the Python source of an ALU op,
+    masked to 64 bits as the registers are, or of a branch that returns its
+    taken target; the source is formatted with the decoded fields."""
+
+    op: int
+    mnemonic: str
+    operands: Tuple[str, ...]
+    alu: Optional[str] = None
+    branch: Optional[str] = None
+
+
+INSTRUCTIONS = (
+    Instruction(OP_HALT, "halt", ()),
+    Instruction(OP_MOVI, "movi", ("rd", "imm"), alu="r[{rd}] = {imm}"),
+    Instruction(OP_ADD, "add", ("rd", "rs1", "rs2"),
+                alu="r[{rd}] = (r[{rs1}] + r[{rs2}]) & 0xFFFFFFFFFFFFFFFF"),
+    Instruction(OP_ADDI, "addi", ("rd", "rs1", "imm"),
+                alu="r[{rd}] = (r[{rs1}] + {imm}) & 0xFFFFFFFFFFFFFFFF"),
+    Instruction(OP_XOR, "xor", ("rd", "rs1", "rs2"), alu="r[{rd}] = r[{rs1}] ^ r[{rs2}]"),
+    Instruction(OP_MUL, "mul", ("rd", "rs1", "rs2"),
+                alu="r[{rd}] = (r[{rs1}] * r[{rs2}]) & 0xFFFFFFFFFFFFFFFF"),
+    Instruction(OP_LOAD, "load", ("rd", "rs1", "imm")),
+    Instruction(OP_STORE, "store", ("rs2", "rs1", "imm")),  # mem[rs1 + imm] = rs2
+    Instruction(OP_BNZ, "bnz", ("rs1", "imm"), branch="if r[{rs1}]:\n        return {imm}"),
+    Instruction(OP_JMP, "jmp", ("imm",), branch="return {imm}"),
+    Instruction(OP_JMPR, "jmpr", ("rs1",), branch="return r[{rs1}]"),
+    Instruction(OP_GADGET, "gadget", ()),
+    Instruction(OP_ABORT, "abort", ()),
+)
+
+OP_NAMES = {row.op: row.mnemonic for row in INSTRUCTIONS}
+_BY_MNEMONIC = {row.mnemonic: row for row in INSTRUCTIONS}
+# Opcode -> the fields it uses as registers, by index into (rd, rs1, rs2).
+_REG_FIELDS = {row.op: tuple(i for i, f in enumerate(("rd", "rs1", "rs2")) if f in row.operands)
+               for row in INSTRUCTIONS}
 
 
 def encode(op: int, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> bytes:
     if imm >= 1 << 63:
         imm -= 1 << 64
     return struct.pack(_FMT, op, rd, rs1, rs2, imm)
-
-
-# Opcode -> the fields it uses as registers, by index into (rd, rs1, rs2).
-_REG_FIELDS = {
-    OP_MOVI: (0,),
-    OP_ADD: (0, 1, 2),
-    OP_ADDI: (0, 1),
-    OP_XOR: (0, 1, 2),
-    OP_MUL: (0, 1, 2),
-    OP_LOAD: (0, 1),
-    OP_STORE: (1, 2),
-    OP_BNZ: (1,),
-    OP_JMPR: (1,),
-}
 
 
 def decode(raw: bytes) -> Tuple[int, int, int, int, int]:
@@ -108,6 +122,8 @@ def assemble(program: Sequence[tuple], origin: int = 0) -> bytes:
     labels: Dict[str, int] = {}
     pc = origin
     for entry in program:
+        if not entry:
+            raise ModelError("empty assembler entry: no mnemonic")
         if entry[0] == "label":
             labels[entry[1]] = pc
         else:
@@ -128,37 +144,18 @@ def assemble(program: Sequence[tuple], origin: int = 0) -> bytes:
         mnem, *args = entry
         if mnem == "label":
             continue
-        if mnem == "halt":
-            out.append(encode(OP_HALT))
-        elif mnem == "abort":
-            out.append(encode(OP_ABORT))
-        elif mnem == "gadget":
-            out.append(encode(OP_GADGET))
-        elif mnem == "movi":
-            rd, imm = args
-            out.append(encode(OP_MOVI, rd=rd, imm=imm_of(imm)))
-        elif mnem in ("add", "xor", "mul"):
-            rd, rs1, rs2 = args
-            op = {"add": OP_ADD, "xor": OP_XOR, "mul": OP_MUL}[mnem]
-            out.append(encode(op, rd=rd, rs1=rs1, rs2=rs2))
-        elif mnem == "addi":
-            rd, rs1, imm = args
-            out.append(encode(OP_ADDI, rd=rd, rs1=rs1, imm=imm_of(imm)))
-        elif mnem == "load":
-            rd, rs1, imm = args
-            out.append(encode(OP_LOAD, rd=rd, rs1=rs1, imm=imm_of(imm)))
-        elif mnem == "store":
-            rs2, rs1, imm = args  # mem[rs1 + imm] = rs2
-            out.append(encode(OP_STORE, rs1=rs1, rs2=rs2, imm=imm_of(imm)))
-        elif mnem == "bnz":
-            rs1, imm = args
-            out.append(encode(OP_BNZ, rs1=rs1, imm=imm_of(imm)))
-        elif mnem == "jmp":
-            (imm,) = args
-            out.append(encode(OP_JMP, imm=imm_of(imm)))
-        elif mnem == "jmpr":
-            (rs1,) = args
-            out.append(encode(OP_JMPR, rs1=rs1))
-        else:
+        row = _BY_MNEMONIC.get(mnem)
+        if row is None:
             raise ModelError(f"unknown mnemonic {mnem!r}")
+        if len(args) != len(row.operands):
+            raise ModelError(f"{mnem} takes {len(row.operands)} operands"
+                             f" ({', '.join(row.operands) or 'none'}), got {len(args)}")
+        fields = {}
+        for name, value in zip(row.operands, args):
+            if name == "imm":
+                value = imm_of(value)
+            elif not (isinstance(value, int) and 0 <= value < REG_COUNT):
+                raise ModelError(f"{mnem}: register operand {value!r} is not 0..{REG_COUNT - 1}")
+            fields[name] = value
+        out.append(encode(row.op, **fields))
     return b"".join(out)

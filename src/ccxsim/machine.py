@@ -5,7 +5,9 @@ through :meth:`Machine.encls` / :meth:`Machine.enclu`, which take the global
 execution token, count and cost the invocation, check the ENCLU mode rule,
 run the handler atomically, record the invocation, and optionally audit the
 protection-table invariants afterwards.  vCPUs may be driven from separate
-threads; the token serializes every mutation.
+threads; the token serializes every mutation.  The dispatch tables
+:data:`ENCLS_TABLE` and :data:`ENCLU_TABLE` are the name and handler columns
+of the one leaf table, :data:`~ccxsim.execution.LEAVES`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from . import execution, microprograms as mp
+from . import execution
 from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
 from .errors import ModelError, SgxError, SgxErrorCode as E
@@ -22,38 +24,12 @@ from .execution import NO_TRACE, VCpu
 from .memory import GRANULE_SIZE, HOST, MachineMemory, PageType
 from .structs import TCS_OFF_CSSA, Secs, Tcs
 
-# Leaf tables: number -> (name, handler).  Handlers take the machine first;
-# ENCLU handlers additionally take the executing vcpu.
-ENCLS_TABLE: Dict[int, Tuple[str, Callable]] = {
-    0x0: ("ECREATE", mp.ecreate),
-    0x1: ("EADD", mp.eadd),
-    0x2: ("EINIT", mp.einit),
-    0x3: ("EREMOVE", mp.eremove),
-    0x4: ("EDBGRD", mp.edbgrd),
-    0x5: ("EDBGWR", mp.edbgwr),
-    0x6: ("EEXTEND", mp.eextend),
-    0x7: ("ELDB", mp.eldb),
-    0x8: ("ELDU", mp.eldu),
-    0x9: ("EBLOCK", mp.eblock),
-    0xA: ("EPA", mp.epa),
-    0xB: ("EWB", mp.ewb),
-    0xC: ("ETRACK", mp.etrack),
-    0xD: ("EAUG", mp.eaug),
-    0xE: ("EMODPR", mp.emodpr),
-    0xF: ("EMODT", mp.emodt),
-}
-
-ENCLU_TABLE: Dict[int, Tuple[str, Callable]] = {
-    0x0: ("EREPORT", mp.ereport),
-    0x1: ("EGETKEY", mp.egetkey),
-    0x2: ("EENTER", execution.eenter),
-    0x3: ("ERESUME", execution.eresume),
-    0x4: ("EEXIT", execution.eexit),
-    0x5: ("EACCEPT", mp.eaccept),
-    0x6: ("EMODPE", mp.emodpe),
-    0x7: ("EACCEPTCOPY", mp.eacceptcopy),
-    0x9: ("EDECCSSA", mp.edeccssa),
-}
+# Leaf tables: number -> (name, handler), views of ``execution.LEAVES``.
+# Handlers take the machine first; ENCLU handlers additionally take the
+# executing vcpu.
+ENCLS_TABLE, ENCLU_TABLE = (
+    {num: (row.name, row.handler) for num, row in execution.LEAVES[service].items()}
+    for service in (execution.SMC_ID_ENCLS, execution.SMC_ID_ENCLU))
 
 # The ENCLU leaves that run in host mode; every other one runs in an enclave.
 HOST_MODE_LEAVES = frozenset({"EENTER", "ERESUME"})
@@ -164,6 +140,8 @@ class Machine:
 
     def leaf(self, name: str, *args, vcpu: Optional[VCpu] = None) -> Any:
         """Dispatch by name; convenience for drivers and tests."""
+        if name not in LEAF_NUMBERS:
+            raise ModelError(f"unknown leaf {name!r}")
         cls, num = LEAF_NUMBERS[name]
         if cls == "encls":
             return self.encls(num, *args)

@@ -577,10 +577,14 @@ class HostRuntime:
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
         budget = m.config.max_ecall_steps if step_budget is None else step_budget
-        schedule = inject_at
-        if schedule is not None and schedule != "every":
-            schedule = set(schedule)
-            marks = sorted(schedule)  # the next one is found by bisection
+        # The steps to interrupt at, and the ones the enclave runs to in order:
+        # those below the budget, then the budget, so bisection always finds
+        # the next.
+        if inject_at == "every":
+            schedule = marks = range(1, budget + 1)
+        else:
+            schedule = set(inject_at or ())
+            marks = sorted({mark for mark in schedule if mark < budget} | {budget})
 
         tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
         vcpu.regs[2] = selector & MASK64
@@ -595,19 +599,13 @@ class HostRuntime:
             if steps >= budget:
                 raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
 
-            if vcpu.cur_eid is not None and schedule is not None:
-                if schedule == "every":
-                    chunk = 1
-                else:
-                    due = bisect_right(marks, steps)
-                    chunk = (marks[due] if due < len(marks) else budget) - steps
-            else:
-                chunk = budget - steps
-            report = m.step(vcpu, max(1, min(chunk, budget - steps)))
+            chunk = budget - steps
+            if vcpu.cur_eid is not None:
+                chunk = marks[bisect_right(marks, steps)] - steps
+            report = m.step(vcpu, chunk)
             steps += report.steps
 
-            if vcpu.cur_eid is not None and schedule is not None and report.stop == "limit" and (
-                    schedule == "every" or steps in schedule):
+            if vcpu.cur_eid is not None and report.stop == "limit" and steps in schedule:
                 m.inject_interrupt(vcpu)
                 continue
 

@@ -1,6 +1,7 @@
 """vCPUs, the trap gadget, world switches, interrupts, and the fixture ISA."""
 
 import random
+import re
 import threading
 
 import pytest
@@ -97,6 +98,31 @@ def test_assembler_rejects_unknown_label():
         isa.assemble([("jmp", "@nowhere")])
 
 
+@pytest.mark.parametrize("entry, message", [
+    (("halt", 5), "halt takes 0 operands (none), got 1"),
+    (("gadget", "@a"), "gadget takes 0 operands (none), got 1"),
+    (("movi", 3), "movi takes 2 operands (rd, imm), got 1"),
+    (("jmp", 1, 2), "jmp takes 1 operands (imm), got 2"),
+    ((), "empty assembler entry"),
+    (("movi", 300, 1), "movi: register operand 300 is not 0..31"),
+    (("store", 1, 32, 0), "store: register operand 32 is not 0..31"),
+    (("add", 1, -1, 2), "add: register operand -1 is not 0..31"),
+    (("jmpr", "x3"), "jmpr: register operand 'x3' is not 0..31"),
+])
+def test_assembler_refuses_a_malformed_entry_by_its_mnemonic(entry, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        isa.assemble([("label", "a"), ("halt",), entry])
+
+
+@pytest.mark.parametrize("row", isa.INSTRUCTIONS, ids=lambda row: row.mnemonic)
+def test_each_instruction_row_assembles_its_operands_into_their_fields(row):
+    values = {"rd": 3, "rs1": 5, "rs2": 7, "imm": 0x1234}
+    word = isa.assemble([(row.mnemonic, *(values[name] for name in row.operands))])
+    fields = dict(zip(("op", "rd", "rs1", "rs2", "imm"), isa.decode(word)))
+    unused = {"rd": 0, "rs1": 0, "rs2": 0, "imm": 0}
+    assert fields == {**unused, "op": row.op, **{name: values[name] for name in row.operands}}
+
+
 def test_host_program_runs_arithmetic(machine):
     g = free_host_granule(machine)
     prog = isa.assemble(
@@ -173,6 +199,13 @@ def test_gadget_unknown_service_faults(machine):
     assert exc.value.code == E.INVALID_SERVICE
 
 
+def test_an_unknown_leaf_name_is_a_model_error(machine):
+    with pytest.raises(ModelError, match="unknown leaf 'EFOO'"):
+        machine.leaf("EFOO")
+    with pytest.raises(ModelError, match="EENTER is an ENCLU leaf and needs a vcpu"):
+        machine.leaf("EENTER", 0, 0)
+
+
 def test_undefined_leaves_fault(machine):
     vcpu = machine.vcpus[0]
     for leaf in (0x8, 0xA, 0x1F):
@@ -186,10 +219,12 @@ def test_undefined_leaves_fault(machine):
 
 
 def test_every_leaf_has_one_register_abi_row():
-    from ccxsim.machine import ENCLS_TABLE, ENCLU_TABLE
-
-    assert execution.ENCLS_ABI.keys() == ENCLS_TABLE.keys()
-    assert execution.ENCLU_ABI.keys() == ENCLU_TABLE.keys()
+    """The machine's dispatch tables are exactly the name and handler
+    columns of the one leaf table, which also holds each register ABI."""
+    for service, table in ((execution.SMC_ID_ENCLS, ENCLS_TABLE),
+                           (execution.SMC_ID_ENCLU, ENCLU_TABLE)):
+        rows = execution.LEAVES[service]
+        assert table == {num: (row.name, row.handler) for num, row in rows.items()}
 
 
 OUT_OF_RANGE = 99999999

@@ -47,20 +47,27 @@ ADDI_IMM = st.one_of(st.integers(-64, 64).map(lambda v: v & MASK64), WORD)
 TARGET = st.integers(0, 1 << 16)  # an instruction index, taken modulo the program length
 
 # A slot is one or more instructions (op, rd, rs1, rs2, imm); a branch target
-# is ("@", index) until the program is laid out.
-ALU = st.one_of(
-    st.tuples(st.just(OP_MOVI), REG, st.just(0), st.just(0), WORD),
-    st.tuples(st.sampled_from([OP_ADD, OP_XOR, OP_MUL]), REG, REG, REG, st.just(0)),
-    st.tuples(st.just(OP_ADDI), REG, REG, st.just(0), ADDI_IMM),
-)
+# is ("@", index) until the program is laid out.  Every op the pump compiles
+# has its strategy here, by opcode (the guard below checks that).
+ALU_FIELDS = {  # opcode -> strategies of rd, rs1, rs2, imm
+    OP_MOVI: (REG, st.just(0), st.just(0), WORD),
+    OP_ADD: (REG, REG, REG, st.just(0)),
+    OP_XOR: (REG, REG, REG, st.just(0)),
+    OP_MUL: (REG, REG, REG, st.just(0)),
+    OP_ADDI: (REG, REG, st.just(0), ADDI_IMM),
+}
+ALU = st.one_of(*(st.tuples(st.just(op), *fields) for op, fields in ALU_FIELDS.items()))
+BRANCH_SLOTS = {  # opcode -> slots that end in that branch
+    OP_BNZ: st.tuples(st.just(OP_BNZ), st.just(0), REG, st.just(0),
+                      TARGET.map(lambda t: ("@", t))).map(lambda i: [i]),
+    OP_JMP: TARGET.map(lambda t: [(OP_JMP, 0, 0, 0, ("@", t))]),
+    # jmpr through a register just loaded with a label's address
+    OP_JMPR: st.tuples(REG, TARGET).map(lambda a: [(OP_MOVI, a[0], 0, 0, ("@", a[1])),
+                                                   (OP_JMPR, 0, a[0], 0, 0)]),
+}
 SLOTS = st.one_of(
     ALU.map(lambda i: [i]),
-    st.tuples(st.just(OP_BNZ), st.just(0), REG, st.just(0), TARGET.map(lambda t: ("@", t))).map(
-        lambda i: [i]),
-    TARGET.map(lambda t: [(OP_JMP, 0, 0, 0, ("@", t))]),
-    # jmpr through a register just loaded with a label's address
-    st.tuples(REG, TARGET).map(lambda a: [(OP_MOVI, a[0], 0, 0, ("@", a[1])),
-                                          (OP_JMPR, 0, a[0], 0, 0)]),
+    *BRANCH_SLOTS.values(),
     # a counted same-page loop around a short ALU body: the back edge is
     # relative, ("loop", k) naming the instruction k back
     st.tuples(REG, st.integers(1, 12), st.lists(ALU, max_size=4)).map(
@@ -118,6 +125,15 @@ def test_pump_equals_the_reference_at_every_budget(slots, regs, before_page_end,
         if got[0] != "limit":
             break
         _, _, ref_regs, ref_pc = want
+
+
+def test_the_differential_draws_every_op_the_pump_compiles():
+    """A row of ``isa.INSTRUCTIONS`` with ALU or branch source needs its
+    semantics in ``oracles.reference_run`` and a strategy above."""
+    compiled = {row.mnemonic for row in isa.INSTRUCTIONS if row.alu or row.branch}
+    drawn = {isa.OP_NAMES[op] for op in (*ALU_FIELDS, *BRANCH_SLOTS)}
+    assert not compiled - drawn, f"no differential strategy for {sorted(compiled - drawn)}"
+    assert not drawn - compiled, f"drawn but not compiled: {sorted(drawn - compiled)}"
 
 
 # ---------------------------------------------------------------------------
