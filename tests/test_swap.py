@@ -1,5 +1,7 @@
 """Blocking, tracking, version arrays, and the swap protocol."""
 
+import hashlib
+
 import pytest
 
 from ccxsim.errors import SgxError, SgxErrorCode as E
@@ -230,6 +232,23 @@ def test_ciphertext_is_not_plaintext(swap_env):
     blob = swap_out(machine, enc, 0x1000, va, 0)
     differing = sum(1 for a, b in zip(plaintext, blob.ciphertext) if a != b)
     assert differing / GRANULE_SIZE > 0.95
+
+
+def test_ewb_wire_format_is_pinned(swap_env):
+    """A round trip cannot see a reordered PCMD field or a changed AEAD input;
+    these bytes can.  PCMD: type REG, perms rw, not pending, not modified, no
+    staged type (0xFF), three pad bytes, owner 1, page address BASE + 0x1000,
+    then the 16-byte MAC."""
+    machine, enc, va = swap_env
+    machine.leaf("EDBGWR", enc.granule(0x1000), 0, bytes(range(256)) * 16)
+    blob = swap_out(machine, enc, 0x1000, va, 5)
+    assert blob.pcmd.pack().hex() == (
+        "02030000ff000000" "0100000000000000" "0010000002000000"
+        "c1cb3f3b3dae020999d0d1c3f58aa51b"
+    )
+    assert hashlib.sha256(blob.ciphertext).hexdigest() == (
+        "97ee0c1b97444020ad0c9ad0308aa694c2d7af2d6595c42fe8422e7a13b3d083"
+    )
 
 
 def test_tampered_ciphertext_fails_mac(swap_env):
