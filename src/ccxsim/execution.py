@@ -130,8 +130,6 @@ SMC_ID_CPUID = 0x3
 # checks can tell "scrubbed" from "legitimately zero".
 SCRUB_PATTERN = 0xA5A5A5A5A5A5A5A5
 
-LEAF_ERESUME = 0x3
-
 CPUID_SGX_LEAF = 0x12
 CAP_SGX1 = 1 << 0
 CAP_SGX2 = 1 << 1
@@ -737,6 +735,8 @@ LEAVES: Dict[int, Dict[int, Leaf]] = {
     },
 }
 _NO_LEAF = Leaf("", None, (), None)  # an undefined leaf, which the dispatch refuses
+# What AEX leaves in x1 for the host trampoline to resume with.
+LEAF_ERESUME = next(num for num, row in LEAVES[SMC_ID_ENCLU].items() if row.name == "ERESUME")
 
 
 def gadget_trap(m, vcpu, frame: TrapFrame) -> None:

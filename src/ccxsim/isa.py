@@ -125,19 +125,23 @@ def assemble(program: Sequence[tuple], origin: int = 0) -> bytes:
         if not entry:
             raise ModelError("empty assembler entry: no mnemonic")
         if entry[0] == "label":
+            if len(entry) != 2 or not isinstance(entry[1], str):
+                raise ModelError(f"label takes one name string, got {entry[1:]!r}")
+            if entry[1] in labels:
+                raise ModelError(f"label {entry[1]!r} defined twice")
             labels[entry[1]] = pc
         else:
             pc += INSTR_SIZE
 
-    def imm_of(value: Imm) -> int:
-        if isinstance(value, str):
-            if not value.startswith("@"):
-                raise ModelError(f"immediate string must be '@label', got {value!r}")
+    def imm_of(mnem: str, value: Imm) -> int:
+        if isinstance(value, int):
+            return value & MASK64
+        if isinstance(value, str) and value.startswith("@"):
             try:
                 return labels[value[1:]]
             except KeyError:
-                raise ModelError(f"undefined label {value[1:]!r}") from None
-        return value & MASK64
+                raise ModelError(f"{mnem}: undefined label {value[1:]!r}") from None
+        raise ModelError(f"{mnem}: immediate {value!r} is not an int or '@label'")
 
     out: List[bytes] = []
     for entry in program:
@@ -153,7 +157,7 @@ def assemble(program: Sequence[tuple], origin: int = 0) -> bytes:
         fields = {}
         for name, value in zip(row.operands, args):
             if name == "imm":
-                value = imm_of(value)
+                value = imm_of(mnem, value)
             elif not (isinstance(value, int) and 0 <= value < REG_COUNT):
                 raise ModelError(f"{mnem}: register operand {value!r} is not 0..{REG_COUNT - 1}")
             fields[name] = value

@@ -188,8 +188,11 @@ class EpcmEntry(NamedTuple):
     :meth:`MachineMemory.epcm_update`; a leaf refused before that store leaves
     the EPCM as it was.  ``staged_type`` and ``blocked_epoch`` are
     microprogram bookkeeping for type changes in flight and for blocked-page
-    tracking; both ride along in swap metadata so a reloaded page resumes in
-    the same state.
+    tracking.  Swap metadata (:func:`ccxsim.structs.pcmd_meta`) carries every
+    field but ``blocked`` and ``blocked_epoch``, so a reloaded page resumes
+    with its type, owner, address, permissions, pending, modified and staged
+    type; ELDU reloads it unblocked, and ELDB blocks it in the current track
+    epoch.
     """
 
     page_type: PageType

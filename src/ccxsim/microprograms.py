@@ -35,6 +35,8 @@ from .structs import (
     eadd_record,
     ecreate_record,
     eextend_record,
+    pcmd_entry,
+    pcmd_meta,
 )
 
 # Enclave linear ranges all start here; host physical addresses stay far below.
@@ -303,23 +305,12 @@ def ewb(m, granule: int, va_granule: int, slot: int) -> SwapBlob:
         version = m.rand_bytes(VA_SLOT_SIZE)
 
     plaintext = m.memory.load(granule, 0, GRANULE_SIZE)
-    pcmd = Pcmd(
-        page_type=entry.page_type,
-        perms=entry.perms,
-        pending=entry.pending,
-        modified=entry.modified,
-        staged_type=entry.staged_type,
-        owner=entry.owner,
-        vaddr=entry.vaddr,
-    )
-    ciphertext, mac = m.crypto.page_seal(
-        m.crypto.swap_key(), plaintext, pcmd.aad(version)
-    )
-    pcmd.mac = mac
+    meta = pcmd_meta(entry)
+    ciphertext, mac = m.crypto.page_seal(m.crypto.swap_key(), plaintext, meta + version)
 
     m.memory.store(va_granule, slot * VA_SLOT_SIZE, version)
     m.memory.epcm_update(granule, None)
-    return SwapBlob(ciphertext=ciphertext, pcmd=pcmd)
+    return SwapBlob(ciphertext=ciphertext, pcmd=Pcmd(meta, mac))
 
 
 def _eld(
@@ -333,36 +324,31 @@ def _eld(
     mark_blocked: bool,
 ) -> None:
     # Authentication comes first: replay is judged by the version slot, any
-    # tampering of ciphertext or metadata by the AEAD.  Only authenticated
-    # metadata feeds the semantic checks below.
+    # tampering of ciphertext or metadata by the AEAD.  The metadata is
+    # unpacked only once it has passed.
     version = _va_slot_read(m, va_granule, slot)
     if version == EMPTY_SLOT:
         raise SgxError(E.VERSION_MISMATCH, f"slot {slot} holds no version")
     try:
         plaintext = m.crypto.page_unseal(
-            m.crypto.swap_key(), ciphertext, pcmd.aad(version), pcmd.mac
+            m.crypto.swap_key(), ciphertext, pcmd.meta + version, pcmd.mac
         )
     except AuthenticationFailure:
         raise SgxError(E.MAC_COMPARE_FAIL, "page or metadata fail authentication") from None
+    entry = pcmd_entry(pcmd.meta)
 
-    if pcmd.owner != eid:
+    if entry.owner != eid:
         raise SgxError(E.PAGE_INVALID, "enclave id does not match page metadata")
     secs = _secs(m, eid) if eid is not None else None
     _require_free(m, target_granule)
-    if eid is not None and m.memory.find_page(eid, pcmd.vaddr) is not None:
-        raise SgxError(E.VADDR_COLLISION, f"vaddr {pcmd.vaddr:#x} already mapped")
+    if eid is not None and m.memory.find_page(eid, entry.vaddr) is not None:
+        raise SgxError(E.VADDR_COLLISION, f"vaddr {entry.vaddr:#x} already mapped")
 
-    m.memory.epcm_update(target_granule, EpcmEntry(
-        pcmd.page_type,
-        owner=pcmd.owner,
-        vaddr=pcmd.vaddr,
-        perms=pcmd.perms,
-        blocked=mark_blocked,
-        pending=pcmd.pending,
-        modified=pcmd.modified,
-        staged_type=pcmd.staged_type,
-        blocked_epoch=secs.track_epoch if mark_blocked and secs is not None else None,
-    ))
+    if mark_blocked:
+        entry = entry._replace(
+            blocked=True, blocked_epoch=secs.track_epoch if secs is not None else None
+        )
+    m.memory.epcm_update(target_granule, entry)
     m.memory.store(target_granule, 0, plaintext)
 
     m.memory.store(va_granule, slot * VA_SLOT_SIZE, EMPTY_SLOT)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional
 
 from .errors import ModelError, SgxError, SgxErrorCode
-from .memory import GRANULE_SIZE, PageType, Perms
+from .memory import GRANULE_SIZE, EpcmEntry, PageType, Perms
 
 # --------------------------------------------------------------------------
 # Attributes
@@ -357,76 +357,60 @@ class Report:
 
 
 # --------------------------------------------------------------------------
-# Swap metadata (PCMD): travels with an evicted page.  Every field except the
-# MAC itself is bound into the AEAD as associated data, together with the
-# version nonce held by the version-array slot.
+# Swap metadata (PCMD): travels with an evicted page.  ``meta`` packs the
+# EPCM fields a reloaded page resumes with; EWB binds it, together with the
+# version nonce held by the version-array slot, into the AEAD as associated
+# data, and ELDU unpacks it only after that check has passed.
 
 _PCMD_FMT = "<BBBBB3xQQ"
-PCMD_SIZE = struct.calcsize(_PCMD_FMT) + 16  # the metadata, then its 16-byte MAC
+_PCMD_META_SIZE = struct.calcsize(_PCMD_FMT)
+PCMD_SIZE = _PCMD_META_SIZE + 16  # the metadata, then its 16-byte MAC
+_NO_STAGED_TYPE = 0xFF
 
 
-@dataclass
-class Pcmd:
-    page_type: PageType
-    perms: Perms
-    pending: bool
-    modified: bool
-    staged_type: Optional[PageType]
-    owner: Optional[int]  # None for version arrays
-    vaddr: int
-    mac: bytes = b""
-    # Wire bytes as received; the AEAD authenticates these verbatim so no
-    # parser canonicalization can mask a flipped byte.  None for freshly
-    # built metadata, where the canonical encoding is the wire form.
-    raw: Optional[bytes] = None
+def pcmd_meta(entry: EpcmEntry) -> bytes:
+    """The EPCM fields EWB writes back, packed: type, permissions, pending,
+    modified, staged type (0xFF for none), owner (0 for a version array) and
+    page address.  ``blocked`` and ``blocked_epoch`` stay behind."""
+    return struct.pack(
+        _PCMD_FMT,
+        entry.page_type,
+        entry.perms,
+        entry.pending,
+        entry.modified,
+        _NO_STAGED_TYPE if entry.staged_type is None else entry.staged_type,
+        0 if entry.owner is None else entry.owner,
+        entry.vaddr,
+    )
 
-    def authenticated_bytes(self) -> bytes:
-        if self.raw is not None:
-            return self.raw
-        return struct.pack(
-            _PCMD_FMT,
-            int(self.page_type),
-            int(self.perms),
-            int(self.pending),
-            int(self.modified),
-            0xFF if self.staged_type is None else int(self.staged_type),
-            0 if self.owner is None else self.owner,
-            self.vaddr,
-        )
+
+def pcmd_entry(meta: bytes) -> EpcmEntry:
+    """The unblocked EPCM entry that :func:`pcmd_meta` packed into ``meta``.
+    Only authenticated metadata may reach it: it trusts every byte."""
+    ptype, perms, pending, modified, staged, owner, vaddr = struct.unpack(_PCMD_FMT, meta)
+    return EpcmEntry(
+        PageType(ptype),
+        owner=owner or None,
+        vaddr=vaddr,
+        perms=Perms(perms),
+        pending=bool(pending),
+        modified=bool(modified),
+        staged_type=None if staged == _NO_STAGED_TYPE else PageType(staged),
+    )
+
+
+class Pcmd(NamedTuple):
+    """The PCMD as it sits in host memory: packed metadata, then its MAC."""
+
+    meta: bytes
+    mac: bytes
 
     def pack(self) -> bytes:
-        return self.authenticated_bytes() + self.mac
+        return self.meta + self.mac
 
     @classmethod
     def unpack(cls, data: bytes) -> "Pcmd":
-        ptype, perms, pending, modified, staged, owner, vaddr = struct.unpack_from(
-            _PCMD_FMT, data
-        )
-
-        # Metadata arrives from untrusted memory; out-of-range enum bytes are
-        # carried through so the authenticity check rejects them, not the
-        # parser.
-        def _ptype(v):
-            try:
-                return PageType(v)
-            except ValueError:
-                return v
-
-        fmt_size = struct.calcsize(_PCMD_FMT)
-        return cls(
-            page_type=_ptype(ptype),
-            perms=Perms(perms) if perms <= 0x7 else perms,
-            pending=bool(pending),
-            modified=bool(modified),
-            staged_type=None if staged == 0xFF else _ptype(staged),
-            owner=None if owner == 0 else owner,
-            vaddr=vaddr,
-            mac=bytes(data[fmt_size:]),
-            raw=bytes(data[:fmt_size]),
-        )
-
-    def aad(self, version: bytes) -> bytes:
-        return self.authenticated_bytes() + version
+        return cls(bytes(data[:_PCMD_META_SIZE]), bytes(data[_PCMD_META_SIZE:]))
 
 
 @dataclass

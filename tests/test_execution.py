@@ -5,6 +5,7 @@ import re
 import threading
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ccxsim import execution, fixtures, isa
 from ccxsim.errors import ModelError, SgxError, SgxErrorCode as E
@@ -21,6 +22,7 @@ from ccxsim.memory import (
 from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime, RETURN_GATE
 from ccxsim.structs import (
     Attributes,
+    EMPTY_SLOT,
     EXIT_IRQ,
     PAGEINFO_SIZE,
     PCMD_SIZE,
@@ -30,6 +32,7 @@ from ccxsim.structs import (
     SecsImage,
     TCS_OFF_CSSA,
     VA_SLOT_SIZE,
+    pcmd_entry,
 )
 
 from helpers import (
@@ -108,6 +111,11 @@ def test_assembler_rejects_unknown_label():
     (("store", 1, 32, 0), "store: register operand 32 is not 0..31"),
     (("add", 1, -1, 2), "add: register operand -1 is not 0..31"),
     (("jmpr", "x3"), "jmpr: register operand 'x3' is not 0..31"),
+    (("label",), "label takes one name string, got ()"),
+    (("movi", 1, None), "movi: immediate None is not an int or '@label'"),
+    (("movi", 1, 2.5), "movi: immediate 2.5 is not an int or '@label'"),
+    (("jmp", "a"), "jmp: immediate 'a' is not an int or '@label'"),
+    (("label", "a"), "label 'a' defined twice"),
 ])
 def test_assembler_refuses_a_malformed_entry_by_its_mnemonic(entry, message):
     with pytest.raises(ModelError, match=re.escape(message)):
@@ -970,8 +978,8 @@ def test_encls_register_path_through_host_memory(mode):
     machine.host_write(params, 0, PageInfo(0, sealed * GRANULE_SIZE, pcmd_at, 0).pack())
     _encls(machine, 0xB, info_at, page_g, _slot_address(va_g, 3))  # writeback to host memory
     assert machine.memory.epcm_lookup(page_g) is None
-    pcmd = Pcmd.unpack(machine.host_read(params, 512, PCMD_SIZE))
-    assert (pcmd.owner, pcmd.vaddr) == (eid, BASE)
+    entry = pcmd_entry(Pcmd.unpack(machine.host_read(params, 512, PCMD_SIZE)).meta)
+    assert (entry.owner, entry.vaddr) == (eid, BASE)
     assert machine.host_read(sealed, 0, 8) != b"\x5c" * 8
 
     target = free_epc_granules(machine, 1)[0]
@@ -999,21 +1007,39 @@ def _ready_to_write_back(machine):
     return enc, page_g, va_g, params, sealed
 
 
-@pytest.mark.parametrize("flipped", ["ciphertext", "pcmd"])
-def test_eldu_of_a_tampered_host_copy_fails_authentication(machine, flipped):
+@pytest.mark.parametrize("region", ["ciphertext", "pcmd"])
+@settings(max_examples=50, deadline=None)
+@given(patch=st.dictionaries(st.integers(0, PCMD_SIZE - 1), st.integers(0, 0xFF), min_size=1))
+# Offsets of PCMD fields: the page type, the staged type, the padding, the owner.
+@example(patch={0: 0x07})
+@example(patch={4: 0x09})
+@example(patch={5: 0x01, 7: 0x80})
+@example(patch=dict.fromkeys(range(8, 16), 0))
+def test_eldu_of_a_tampered_host_copy_fails_authentication(region, patch):
+    """Any change to the first 40 bytes of the sealed page or to the 40-byte
+    PCMD in host memory fails authentication, metadata no EWB writes
+    included, and ELDU then maps nothing and keeps the version."""
+    machine = Machine(small_config())
     enc, page_g, va_g, params, sealed = _ready_to_write_back(machine)
     info_at, pcmd_at = params * GRANULE_SIZE, params * GRANULE_SIZE + 512
     machine.host_write(params, 0, PageInfo(0, sealed * GRANULE_SIZE, pcmd_at, 0).pack())
     _encls(machine, 0xB, info_at, page_g, _slot_address(va_g, 0))
-    granule, offset = (sealed, 100) if flipped == "ciphertext" else (params, 512 + 8)
-    byte = machine.host_read(granule, offset, 1)[0]
-    machine.host_write(granule, offset, bytes([byte ^ 0x01]))
+    granule, offset = (sealed, 0) if region == "ciphertext" else (params, 512)
+    original = machine.host_read(granule, offset, PCMD_SIZE)
+    tampered = bytearray(original)
+    for i, byte in patch.items():
+        tampered[i] = byte
+    assume(tampered != original)
+    machine.host_write(granule, offset, bytes(tampered))
     machine.host_write(params, 0, PageInfo(0, sealed * GRANULE_SIZE, pcmd_at, enc.eid).pack())
+    version = machine.memory.load(va_g, 0, VA_SLOT_SIZE)
     (target,) = free_epc_granules(machine, 1)
     with pytest.raises(SgxError) as exc:
         _encls(machine, 0x8, info_at, target, _slot_address(va_g, 0))
     assert exc.value.code == E.MAC_COMPARE_FAIL
     assert machine.memory.find_page(enc.eid, BASE + 0x1000) is None
+    assert machine.memory.epcm_lookup(target) is None
+    assert machine.memory.load(va_g, 0, VA_SLOT_SIZE) == version != EMPTY_SLOT
     machine.audit()
 
 

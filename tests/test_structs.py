@@ -3,15 +3,18 @@
 from hypothesis import given, settings, strategies as st
 
 from ccxsim import isa
-from ccxsim.memory import PageType, Perms
+from ccxsim.memory import EpcmEntry, PageType, Perms
 from ccxsim.structs import (
     Attributes,
     KeyRequest,
+    PCMD_SIZE,
     Pcmd,
     Report,
     SSA_FRAME,
     TargetInfo,
     Tcs,
+    pcmd_entry,
+    pcmd_meta,
 )
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -69,18 +72,25 @@ def test_keyrequest_and_targetinfo_round_trip(name, policy, svn, keyid):
     p=perms,
     pending=st.booleans(), modified=st.booleans(),
     staged=st.sampled_from([None, PageType.TCS, PageType.TRIM]),
-    owner=st.one_of(st.none(), st.integers(1, 1 << 32)),
+    owner=st.integers(1, 1 << 32),
     vaddr=u64,
+    epoch=st.integers(0, 1 << 32),
     mac=st.binary(min_size=16, max_size=16),
 )
-def test_pcmd_round_trip(ptype, p, pending, modified, staged, owner, vaddr, mac):
-    pcmd = Pcmd(ptype, p, pending and not modified, modified and not pending,
-                staged, owner, vaddr, mac)
-    again = Pcmd.unpack(pcmd.pack())
-    assert again.aad(b"\x01" * 8) == pcmd.aad(b"\x01" * 8)
-    assert (again.page_type, again.perms, again.owner, again.vaddr, again.mac) == (
-        pcmd.page_type, pcmd.perms, pcmd.owner, pcmd.vaddr, pcmd.mac
+def test_pcmd_round_trip(ptype, p, pending, modified, staged, owner, vaddr, epoch, mac):
+    """A blocked entry EWB can write back comes back from its metadata as the
+    same entry, unblocked; the PCMD comes back from its wire bytes."""
+    va = ptype == PageType.VA
+    entry = EpcmEntry(
+        ptype, owner=None if va else owner, vaddr=vaddr, perms=p, blocked=True,
+        pending=pending and not modified, modified=modified and not pending,
+        staged_type=staged, blocked_epoch=None if va else epoch,
     )
+    meta = pcmd_meta(entry)
+    assert pcmd_entry(meta) == entry._replace(blocked=False, blocked_epoch=None)
+    pcmd = Pcmd(meta, mac)
+    assert len(pcmd.pack()) == PCMD_SIZE
+    assert Pcmd.unpack(pcmd.pack()) == pcmd
 
 
 @settings(max_examples=50, deadline=None)
