@@ -365,67 +365,64 @@ def write_demo_tree(directory) -> None:
     write_notify_manifest(directory, "notify")
     write_toucher_manifest(directory, "toucher")
 
-    (directory / "lifecycle.scenario").write_text(
-        "\n".join(
-            [
-                "# create, call, and tear down one enclave",
-                "create app standard.manifest",
-                "ecall app 0 1 7 0",
-                "expect last == 7",
-                "ecall app 0 2 20 22",
-                "expect last == 42",
-                "ecall app 0 3 10 1",
-                "expect last == 26",
-                "destroy app",
-                "",
-            ]
-        )
-    )
-    (directory / "seal_unseal.scenario").write_text(
-        "\n".join(
-            [
-                "# sealed data moves between same-signer enclaves only under",
-                "# the signer policy",
-                "create a standard.manifest",
-                "create b standard_b.manifest",
-                "create v other_vendor.manifest",
-                "seal a mrsigner deadbeefcafe",
-                "unseal b",
-                "expect unseal_ok == 1",
-                "unseal v",
-                "expect unseal_ok == 0",
-                "seal a mrenclave deadbeefcafe",
-                "unseal b",
-                "expect unseal_ok == 0",
-                "unseal a",
-                "expect unseal_ok == 1",
-                "",
-            ]
-        )
-    )
-    (directory / "attest.scenario").write_text(
-        "\n".join(
-            [
-                "create a standard.manifest",
-                "create b standard_b.manifest",
-                "attest a b",
-                "expect attest_mutual == 1",
-                "",
-            ]
-        )
-    )
-    (directory / "mode_diff.scenario").write_text(
-        "\n".join(
-            [
-                "# touch 2x the default fixed EPC; functional output is mode",
-                "# independent while swap activity is not",
-                "create t toucher.manifest",
-                "ecall t 0 1 1024 0",
-                f"expect last == {toucher_expected(1024)}",
-                "",
-            ]
-        )
-    )
+    scenarios = {
+        "lifecycle": [
+            "# create, call, and tear down one enclave",
+            "create app standard.manifest",
+            "ecall app 0 1 7 0",
+            "expect last == 7",
+            "ecall app 0 2 20 22",
+            "expect last == 42",
+            "ecall app 0 3 10 1",
+            "expect last == 26",
+            "destroy app",
+        ],
+        "seal_unseal": [
+            "# sealed data moves between same-signer enclaves only under",
+            "# the signer policy",
+            "create a standard.manifest",
+            "create b standard_b.manifest",
+            "create v other_vendor.manifest",
+            "seal a mrsigner deadbeefcafe",
+            "unseal b",
+            "expect unseal_ok == 1",
+            "unseal v",
+            "expect unseal_ok == 0",
+            "seal a mrenclave deadbeefcafe",
+            "unseal b",
+            "expect unseal_ok == 0",
+            "unseal a",
+            "expect unseal_ok == 1",
+        ],
+        "attest": [
+            "create a standard.manifest",
+            "create b standard_b.manifest",
+            "attest a b",
+            "expect attest_mutual == 1",
+        ],
+        "mode_diff": [
+            "# touch 2x the default fixed EPC; functional output is mode",
+            "# independent while swap activity is not",
+            "create t toucher.manifest",
+            "ecall t 0 1 1024 0",
+            f"expect last == {toucher_expected(1024)}",
+        ],
+        "interrupts": [
+            "# interrupted calls: one resumed after every step, and one on",
+            "# a second vcpu whose interrupts run the notify handler",
+            "create c compute.manifest",
+            "create n notify.manifest",
+            "inject_irq vcpu=0 at=every",
+            "ecall c 0 1 40 0",
+            f"expect last == {compute_expected(40)}",
+            "inject_irq vcpu=1 at=3,9,27",
+            "ecall n 0 1 40 0",
+            f"expect last == {compute_expected(40)}",
+            "expect count:ERESUME == 250",
+        ],
+    }
+    for name, lines in scenarios.items():
+        (directory / f"{name}.scenario").write_text("\n".join(lines + [""]))
 
 
 def main(argv=None) -> int:

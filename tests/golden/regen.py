@@ -27,7 +27,7 @@ from ccxsim.config import Config
 
 DIGESTS = Path(__file__).with_name("digests.json")
 
-DEMOS = ("lifecycle", "mode_diff", "attest", "seal_unseal")
+DEMOS = ("lifecycle", "mode_diff", "attest", "seal_unseal", "interrupts")
 MODES = ("sgx", "ccx")
 CONFIGS = {
     "default": Config(),
