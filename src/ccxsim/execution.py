@@ -1,18 +1,18 @@
 """Simulated cores, the trap gadget, world switches, and the instruction pump.
 
-A vCPU's one record of where it runs is ``cur_eid``/``cur_tcs``: with no
-current enclave it is the host (normal world, system table active), and
-inside an enclave its world (realm) and active table (that enclave's) derive
-from ``cur_eid``, so nothing can fall out of step.  A TCS is busy exactly
-while some vCPU's ``cur_tcs`` names it.  A thread's own state lives only in
-its TCS page: entry and resume unpack the page, and AEX, ERESUME and
-EDECCSSA store the save-state index (CSSA) back into it, so a debug read, a
-snapshot and a sealed swap blob all see the live value.  Traps from fixture
-programs arrive as a register frame mirroring the gadget sequence: x0
-service id, x1 leaf, x2..x4 arguments.  Interrupts in enclave mode save the
-full context to the thread's save-state area and hand control to the host at
-its async exit pointer; the recorded delivery path is trampoline -> monitor
--> host.
+A vCPU's one record of where it runs is ``cur_eid``/``cur_tcs``, with the
+track epoch it entered in, ``entry_epoch``: with no current enclave it is
+the host, and inside one its world (realm) and active table derive from
+``cur_eid``.  A TCS is busy exactly while some vCPU's ``cur_tcs`` names it,
+and who is inside an enclave, since which epoch, is read from the cores
+alone.  A thread's own state lives only in its TCS page: entry and resume
+unpack it, and AEX, ERESUME and EDECCSSA store the save-state index (CSSA)
+back into it, so a debug read, a snapshot and a sealed swap blob see the
+live value.  Traps from fixture programs arrive as a register frame
+mirroring the gadget sequence: x0 service id, x1 leaf, x2..x4 arguments.
+Interrupts in enclave mode save the full context to the thread's save-state
+area and hand control to the host at its async exit pointer; the recorded
+delivery path is trampoline -> monitor -> host.
 
 Each leaf is one row of :data:`LEAVES`: its number, name and handler, the
 kinds that decode its argument registers x2..x4, and the slot that takes
@@ -20,10 +20,10 @@ its result.  The machine's dispatch tables are views of that table, so a
 leaf's number, handler and register ABI cannot fall out of step.
 
 The four world switches do only their architectural work: EENTER and
-ERESUME check the TCS page and switch in, EEXIT and AEX switch out.  A
-save-state frame has one layout, :data:`~ccxsim.structs.SSA_FRAME`, which
-AEX packs straight from the vCPU and ERESUME unpacks in place into the new
-register list.
+ERESUME check the TCS page and switch in, EEXIT and AEX switch out, and each
+writes the vCPU alone.  A save-state frame has one layout,
+:data:`~ccxsim.structs.SSA_FRAME`, which AEX packs straight from the vCPU
+and ERESUME unpacks in place into the new register list.
 
 The pump keeps no event list of its own.  Each fact of a run is one record
 in the machine's trace: the dispatch records leaves, :func:`aex` exits, and
@@ -206,11 +206,10 @@ class _PageAccessFault(Exception):
 
 
 def _enclave_translate(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
-    secs = m.enclaves[vcpu.cur_eid]
     page_off = addr & (GRANULE_SIZE - 1)
     if page_off + size > GRANULE_SIZE:
         raise _PageAccessFault(addr, "access crosses a page boundary")
-    granule = m.memory.find_page(secs.eid, addr)
+    granule = m.memory.find_page(vcpu.cur_eid, addr)
     if granule is None:
         raise _PageAccessFault(addr, "no page mapped")
     entry = m.memory.epcm_lookup(granule)
@@ -229,10 +228,8 @@ def _enclave_translate(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, i
 
 
 def _resolve(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
-    if vcpu.in_enclave:
-        secs = m.enclaves[vcpu.cur_eid]
-        if secs.contains(addr, size):
-            return _enclave_translate(m, vcpu, addr, size, kind)
+    if vcpu.in_enclave and m.enclaves[vcpu.cur_eid].contains(addr, size):
+        return _enclave_translate(m, vcpu, addr, size, kind)
     # Physical addressing for host code, and for enclave code reaching out
     # into untrusted memory (checked against the enclave's own table).
     granule = addr // GRANULE_SIZE
@@ -412,13 +409,9 @@ def _switch_in(vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> No
     vcpu.pc = entry_pc
     vcpu.tpidr = secs.base + tcs.tls_base
     vcpu.entry_epoch = secs.track_epoch
-    secs.entered_counts[secs.track_epoch] = secs.entered_counts.get(secs.track_epoch, 0) + 1
 
 
-def _switch_out(vcpu, secs) -> None:
-    secs.entered_counts[vcpu.entry_epoch] -= 1
-    if not secs.entered_counts[vcpu.entry_epoch]:
-        del secs.entered_counts[vcpu.entry_epoch]
+def _switch_out(vcpu) -> None:
     vcpu.cur_eid = None
     vcpu.cur_tcs = None
     vcpu.entry_epoch = None
@@ -436,8 +429,7 @@ def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
 
 
 def eexit(m, vcpu, target: int) -> None:
-    secs = m.enclaves[vcpu.cur_eid]
-    _switch_out(vcpu, secs)
+    _switch_out(vcpu)
     # Registers are deliberately not scrubbed here: clearing on a synchronous
     # exit is the in-enclave runtime's job.
     vcpu.pc = target
@@ -493,7 +485,7 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
             *vcpu.regs, vcpu.pc, vcpu.pstate, vcpu.tpidr, reason, payload))
         m.store_cssa(tcs_granule, tcs.cssa + 1)
 
-    _switch_out(vcpu, secs)
+    _switch_out(vcpu)
     # Synthetic register state: everything scrubbed, then just enough for the
     # host trampoline to resume (leaf, TCS, async exit pointer).
     vcpu.regs = [SCRUB_PATTERN, LEAF_ERESUME, tcs_granule, vcpu.aep] + [SCRUB_PATTERN] * 28

@@ -107,6 +107,7 @@ def ecreate(
         attributes=Attributes.decode(attributes.encode() & ~ATTR_INIT),  # fresh copy
         secs_granule=secs_granule,
         mrenclave_state=state,
+        cores=tuple(m.vcpus),
     )
     m.enclaves[eid] = secs
     return eid

@@ -287,12 +287,13 @@ class HostRuntime:
         secs = m.enclaves.get(entry.owner)
         if handle is None or secs is None or not secs.initialized or secs.crashed:
             return False
-        # Never touch an enclave that currently has threads inside, and keep
+        # Never touch an enclave that a core is running in now, and keep
         # interrupted thread state (TCS with saved frames, its SSA pages)
         # resident so resume paths stay simple.  The runtime enters only the
         # TCSs of a handle, so those are the only ones with saved frames.
-        if secs.entered_counts:
-            return False
+        for vcpu in secs.cores:
+            if vcpu.cur_eid == secs.eid:
+                return False
         if entry.page_type == PageType.TCS:
             return m.read_tcs(granule).cssa == 0
         for tcs_vaddr in handle.tcs_vaddrs:

@@ -8,8 +8,9 @@ through ordinary loads).  Everything is little-endian and fixed-size.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import ModelError, SgxError, SgxErrorCode
 from .memory import GRANULE_SIZE, EpcmEntry, PageType, Perms
@@ -86,6 +87,9 @@ class Attributes:
 
 @dataclass
 class Secs:
+    """One enclave's control state.  Who is inside it, and since which track
+    epoch, is read from ``cur_eid``/``entry_epoch`` of the machine's cores."""
+
     eid: int
     size: int
     base: int
@@ -98,10 +102,8 @@ class Secs:
     isv_prod_id: int = 0
     isv_svn: int = 0
     track_epoch: int = 0
-    # entry epoch -> threads inside that entered in it; drained epochs are
-    # dropped, so this never holds more keys than there are threads inside
-    entered_counts: Dict[int, int] = field(default_factory=dict)
     crashed: bool = False
+    cores: Tuple = field(default=(), repr=False, compare=False)  # the machine's vCPUs
 
     @property
     def initialized(self) -> bool:
@@ -110,8 +112,15 @@ class Secs:
     def contains(self, vaddr: int, length: int = 1) -> bool:
         return self.base <= vaddr and vaddr + length <= self.base + self.size
 
+    @property
+    def entered_counts(self) -> Dict[int, int]:
+        """Entry epoch -> threads inside that entered in it, read from the cores."""
+        return dict(Counter(v.entry_epoch for v in self.cores if v.cur_eid == self.eid))
+
     def threads_before(self, epoch: int) -> int:
-        return sum(n for e, n in self.entered_counts.items() if e < epoch)
+        """Threads inside that entered before track epoch `epoch`."""
+        return sum(1 for vcpu in self.cores
+                   if vcpu.cur_eid == self.eid and vcpu.entry_epoch < epoch)
 
 
 # --------------------------------------------------------------------------
