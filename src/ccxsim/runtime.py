@@ -442,7 +442,12 @@ class HostRuntime:
         self.handles[eid] = handle
         return handle
 
+    def _require_loaded(self, handle: EnclaveHandle) -> None:
+        if self.handles.get(handle.eid) is not handle:
+            raise ModelError(f"enclave {handle.name} (id {handle.eid}) is not loaded")
+
     def destroy(self, handle: EnclaveHandle) -> None:
+        self._require_loaded(handle)
         # Swapped pages are reloaded first so their version slots retire
         # through the architectural path.
         for vaddr in self.store.keys_for(handle.eid):
@@ -532,8 +537,10 @@ class HostRuntime:
         self.ocall_handlers[selector] = handler
 
     def _thread(self, handle: EnclaveHandle, tcs_index: int, vcpu_index: int):
-        """The vCPU and TCS address a call names, refusing an index out of
-        range or a vCPU already inside an enclave before any leaf runs."""
+        """The vCPU and TCS address a call names, refusing an enclave that is
+        not loaded, an index out of range or a vCPU already inside an enclave
+        before any leaf runs."""
+        self._require_loaded(handle)
         if not 0 <= vcpu_index < len(self.machine.vcpus):
             raise ModelError(f"no vcpu {vcpu_index}")
         if not 0 <= tcs_index < len(handle.tcs_vaddrs):
@@ -707,9 +714,8 @@ class HostRuntime:
         svn: Optional[int] = None,
     ) -> SealedBlob:
         m = self.machine
-        secs = m.enclaves[handle.eid]
-        isv_svn = secs.isv_svn if svn is None else svn
         self._thread(handle, 0, 0)  # refuse a busy vCPU before the draw moves the stream
+        isv_svn = m.enclaves[handle.eid].isv_svn if svn is None else svn
         keyid = m.rand_bytes(32)
         request = KeyRequest(KeyName.SEAL, policy, isv_svn, keyid)
         with self.entered(handle) as vcpu:

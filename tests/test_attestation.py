@@ -74,6 +74,36 @@ def test_every_driver_entry_refuses_a_busy_vcpu_before_any_leaf(attest_env, call
     assert rt.unseal(b, blob) == b"payload"
 
 
+@pytest.mark.parametrize("call", ["destroy", "ecall", "seal", "unseal", "attest", "get_report",
+                                  "verify_report", "entered"])
+def test_every_driver_entry_refuses_a_destroyed_enclave(attest_env, call):
+    """A handle whose enclave was destroyed is refused with a ModelError that
+    names the enclave, before any leaf runs."""
+    machine, rt, a, b, _ = attest_env
+    blob = rt.seal(b, KeyPolicy.MRENCLAVE, b"payload")
+    report = rt.get_report(a, b, bytes(64))
+    rt.destroy(b)
+
+    def entered():
+        with rt.entered(b):
+            pass
+
+    entries = {
+        "destroy": lambda: rt.destroy(b),
+        "ecall": lambda: rt.ecall(b, 0, 0),
+        "seal": lambda: rt.seal(b, KeyPolicy.MRENCLAVE, b"payload"),
+        "unseal": lambda: rt.unseal(b, blob),
+        "attest": lambda: rt.attest(b, a),
+        "get_report": lambda: rt.get_report(b, a, bytes(64)),
+        "verify_report": lambda: rt.verify_report(b, report),
+        "entered": entered,
+    }
+    before = dict(machine.counters)
+    with pytest.raises(ModelError, match=f"enclave {b.name} .* is not loaded"):
+        entries[call]()
+    assert machine.counters == before
+
+
 def test_any_tampered_report_field_fails(attest_env):
     machine, rt, a, b, _ = attest_env
     report = rt.get_report(a, b, bytes(64))
