@@ -21,7 +21,8 @@ Driver ABI (documented contract with fixture programs):
                 enclave exits to the ocall gate with x5 selector, x6/x7
                 arguments; on re-entry x2 holds OCALL_RESUME and x5 the result
     gates       x10 return gate, x11 ocall gate (set by the driver on entry)
-    async exit  lands on the aep gate; the driver resumes or reports
+    async exit  lands on the aep gate with x1 the resume leaf, x2 the TCS and
+                x3 the aep; the driver resumes from them or reports
 
 Gate addresses live on a reserved host granule that reads as zeroes, so a
 vCPU arriving there halts and hands control back to the driver loop.
@@ -72,8 +73,8 @@ AEP_GATE = GATE_GRANULE * GRANULE_SIZE + 0x200
 
 OCALL_RESUME = 0xFFFF_FFFF
 
-EEXTEND_LEAF, EENTER_LEAF, ERESUME_LEAF, EEXIT_LEAF = (
-    LEAF_NUMBERS[name][1] for name in ("EEXTEND", "EENTER", "ERESUME", "EEXIT"))
+EEXTEND_LEAF, EENTER_LEAF, EEXIT_LEAF = (
+    LEAF_NUMBERS[name][1] for name in ("EEXTEND", "EENTER", "EEXIT"))
 
 RECLAIM_BATCH = 4
 """Most pages one reclaim writes back.  A batch shares one victim scan and
@@ -550,18 +551,24 @@ class HostRuntime:
             raise ModelError(f"vcpu {vcpu.id} is already inside an enclave")
         return vcpu, handle.tcs_vaddrs[tcs_index]
 
+    def _enter(self, handle: EnclaveHandle, vcpu, tcs_vaddr: int) -> None:
+        """The one way in: make the TCS and its save-state frames resident,
+        point x10 and x11 at the return and ocall gates, and EENTER."""
+        tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
+        vcpu.regs[10] = RETURN_GATE
+        vcpu.regs[11] = OCALL_GATE
+        self.machine.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
+
     @contextmanager
     def entered(self, handle: EnclaveHandle, tcs_index: int = 0, vcpu_index: int = 0):
         """Enter an enclave for driver-level leaf calls, exit on the way out."""
-        m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
-        tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
-        m.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
+        self._enter(handle, vcpu, tcs_vaddr)
         try:
             yield vcpu
         finally:
             if vcpu.in_enclave:
-                m.enclu(vcpu, EEXIT_LEAF, RETURN_GATE)
+                self.machine.enclu(vcpu, EEXIT_LEAF, RETURN_GATE)
 
     def ecall(
         self,
@@ -594,13 +601,10 @@ class HostRuntime:
             schedule = set(inject_at or ())
             marks = sorted({mark for mark in schedule if mark < budget} | {budget})
 
-        tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
         vcpu.regs[2] = selector & MASK64
         vcpu.regs[3] = arg1 & MASK64
         vcpu.regs[4] = arg2 & MASK64
-        vcpu.regs[10] = RETURN_GATE
-        vcpu.regs[11] = OCALL_GATE
-        m.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
+        self._enter(handle, vcpu, tcs_vaddr)
 
         steps = 0
         while True:
@@ -632,13 +636,10 @@ class HostRuntime:
             if vcpu.pc == OCALL_GATE:
                 self._handle_ocall(handle, vcpu)
                 # the idle TCS may have been evicted while the handler ran
-                tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
-                m.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
+                self._enter(handle, vcpu, tcs_vaddr)
                 continue
             if vcpu.pc == AEP_GATE:
-                done = self._handle_aex(handle, vcpu, tcs_granule)
-                if done is not None:
-                    raise EnclaveFault(done)
+                self._handle_aex(handle, vcpu)
                 continue
             raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
 
@@ -647,31 +648,26 @@ class HostRuntime:
         handler = self.ocall_handlers.get(selector)
         if handler is None:
             raise EnclaveFault(FaultReport("dispatch_fault", f"no ocall handler {selector:#x}"))
-        ctx = OcallContext(runtime=self, handle=handle)
-        result = handler(ctx, vcpu.regs[6], vcpu.regs[7])
+        result = handler(self, handle, vcpu.regs[6], vcpu.regs[7])
         vcpu.regs[2] = OCALL_RESUME
         vcpu.regs[5] = 0 if result is None else int(result) & MASK64
-        vcpu.regs[10] = RETURN_GATE
-        vcpu.regs[11] = OCALL_GATE
 
-    def _handle_aex(self, handle: EnclaveHandle, vcpu, tcs_granule: int) -> Optional[FaultReport]:
-        m = self.machine
-        secs = m.enclaves.get(handle.eid)
+    def _handle_aex(self, handle: EnclaveHandle, vcpu) -> None:
+        """The host trampoline: serve the exit, then resume with the leaf,
+        TCS and exit pointer the AEX left in x1-x3, or raise
+        :class:`EnclaveFault` for an exit it cannot serve."""
+        secs = self.machine.enclaves.get(handle.eid)
         if secs is None or secs.crashed:
-            return FaultReport("ssa_overflow", "enclave crashed")
+            raise EnclaveFault(FaultReport("ssa_overflow", "enclave crashed"))
         reason, payload = vcpu.last_exit or (0, 0)
         if reason == EXIT_PAGEFAULT:
             page = payload & ~(GRANULE_SIZE - 1)
-            if self.store.has(handle.eid, page):
-                self.swap_in(handle, page)
-            else:
-                return FaultReport("pagefault", f"at {payload:#x}", payload)
-        elif reason == EXIT_IRQ:
-            pass  # scheduled injection; just resume
-        else:
-            return FaultReport("gpf", f"enclave fault at {payload:#x}", payload)
-        m.enclu(vcpu, ERESUME_LEAF, tcs_granule, AEP_GATE)
-        return None
+            if not self.store.has(handle.eid, page):
+                raise EnclaveFault(FaultReport("pagefault", f"at {payload:#x}", payload))
+            self.swap_in(handle, page)
+        elif reason != EXIT_IRQ:  # a scheduled interrupt just resumes
+            raise EnclaveFault(FaultReport("gpf", f"enclave fault at {payload:#x}", payload))
+        self.machine.enclu(vcpu, *vcpu.regs[1:4])
 
     # ------------------------------------------------------------------ attest
 
@@ -740,35 +736,11 @@ class HostRuntime:
             return None
 
 
-@dataclass
-class OcallContext:
-    """What an outside-call handler gets: host-level machine access only.
-
-    Reads and writes go through normal-world checked paths, so a handler that
-    reaches for enclave memory takes a protection fault like any other host
-    software."""
-
-    runtime: HostRuntime
-    handle: EnclaveHandle
-
-    def read(self, address: int, length: int) -> bytes:
-        return self.runtime.machine.host_read(
-            address // GRANULE_SIZE, address % GRANULE_SIZE, length
-        )
-
-    def write(self, address: int, data: bytes) -> None:
-        self.runtime.machine.host_write(
-            address // GRANULE_SIZE, address % GRANULE_SIZE, data
-        )
-
-
-def _ocall_eaug(ctx: OcallContext, vaddr: int, _arg2: int) -> int:
+def _ocall_eaug(rt: HostRuntime, handle: EnclaveHandle, vaddr: int, _arg2: int) -> int:
     """Builtin: the enclave asks the host to augment a page at `vaddr`."""
-    rt = ctx.runtime
-    target = rt.take_epc_granule()
-    rt.machine.leaf("EAUG", ctx.handle.eid, vaddr, target)
+    rt.machine.leaf("EAUG", handle.eid, vaddr, rt.take_epc_granule())
     return 0
 
 
-def _ocall_hostadd(ctx: OcallContext, a: int, b: int) -> int:
+def _ocall_hostadd(rt: HostRuntime, handle: EnclaveHandle, a: int, b: int) -> int:
     return (2 * a + b + 5) & ((1 << 64) - 1)

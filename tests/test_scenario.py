@@ -280,7 +280,6 @@ def test_ocall_handlers_cannot_reach_enclave_memory(demo_dir):
     software, and the fault is on the record."""
     from ccxsim.errors import GranuleProtectionFault
     from ccxsim.machine import Machine
-    from ccxsim.memory import GRANULE_SIZE
     from ccxsim.manifest import EnclaveManifest
     from ccxsim.runtime import HostRuntime
 
@@ -289,8 +288,8 @@ def test_ocall_handlers_cannot_reach_enclave_memory(demo_dir):
     h = rt.load_enclave(EnclaveManifest.load(demo_dir / "standard.manifest"))
     code_granule = machine.memory.find_page(h.eid, h.base)
 
-    def nosy_handler(ctx, a, b):
-        return int.from_bytes(ctx.read(code_granule * GRANULE_SIZE, 8), "little")
+    def nosy_handler(runtime, handle, a, b):
+        return int.from_bytes(runtime.machine.host_read(code_granule, 0, 8), "little")
 
     rt.register_ocall(fixtures.OCALL_HOSTADD, nosy_handler)
     log_before = len(machine.memory.gpf_log)
@@ -312,8 +311,8 @@ def test_tcs_evicted_during_ocall_is_reloaded(demo_dir):
     h = rt.load_enclave(EnclaveManifest.load(demo_dir / "standard.manifest"))
     tcs_vaddr = h.tcs_vaddrs[0]
 
-    def evicting_handler(ctx, a, b):
-        ctx.runtime.swap_out(h, tcs_vaddr)
+    def evicting_handler(runtime, handle, a, b):
+        runtime.swap_out(handle, tcs_vaddr)
         return a + b
 
     rt.register_ocall(fixtures.OCALL_HOSTADD, evicting_handler)
