@@ -587,7 +587,8 @@ class HostRuntime:
         which to inject an interrupt, counted over every step of this call:
         the halt the host runs at a gate after each exit counts as one.
         ``step_budget`` replaces ``Config.max_ecall_steps`` for this call.
-        Raises :class:`EnclaveFault` on any unrecovered fault.
+        Raises :class:`EnclaveFault` on any unrecovered fault; a call that
+        stops inside the enclave first leaves it by an AEX.
         """
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
@@ -604,44 +605,50 @@ class HostRuntime:
         vcpu.regs[2] = selector & MASK64
         vcpu.regs[3] = arg1 & MASK64
         vcpu.regs[4] = arg2 & MASK64
-        self._enter(handle, vcpu, tcs_vaddr)
+        try:
+            self._enter(handle, vcpu, tcs_vaddr)
 
-        steps = 0
-        while True:
-            if steps >= budget:
-                raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
+            steps = 0
+            while True:
+                if steps >= budget:
+                    raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
 
-            chunk = budget - steps
+                chunk = budget - steps
+                if vcpu.cur_eid is not None:
+                    chunk = marks[bisect_right(marks, steps)] - steps
+                report = m.step(vcpu, chunk)
+                steps += report.steps
+
+                if vcpu.cur_eid is not None and report.stop == "limit" and steps in schedule:
+                    m.inject_interrupt(vcpu)
+                    continue
+
+                if report.stop == "limit":
+                    continue
+                if report.stop == "abort":
+                    raise EnclaveFault(FaultReport("abort"))
+                if report.stop == "fault":
+                    raise EnclaveFault(FaultReport(report.fault["kind"], str([report.fault])))
+                # stop == halt; gate pages read as zeroes, so the pc still points
+                # at the gate the program landed on
+                if vcpu.cur_eid is not None:
+                    raise EnclaveFault(FaultReport("halt_inside", f"pc={vcpu.pc:#x}"))
+                if vcpu.pc == RETURN_GATE:
+                    return vcpu.regs[3]
+                if vcpu.pc == OCALL_GATE:
+                    self._handle_ocall(handle, vcpu)
+                    # the idle TCS may have been evicted while the handler ran
+                    self._enter(handle, vcpu, tcs_vaddr)
+                    continue
+                if vcpu.pc == AEP_GATE:
+                    self._handle_aex(handle, vcpu)
+                    continue
+                raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
+        finally:
+            # A call that gives up inside the enclave leaves it by an AEX, which
+            # saves and scrubs the thread's registers and frees the core and TCS.
             if vcpu.cur_eid is not None:
-                chunk = marks[bisect_right(marks, steps)] - steps
-            report = m.step(vcpu, chunk)
-            steps += report.steps
-
-            if vcpu.cur_eid is not None and report.stop == "limit" and steps in schedule:
                 m.inject_interrupt(vcpu)
-                continue
-
-            if report.stop == "limit":
-                continue
-            if report.stop == "abort":
-                raise EnclaveFault(FaultReport("abort"))
-            if report.stop == "fault":
-                raise EnclaveFault(FaultReport(report.fault["kind"], str([report.fault])))
-            # stop == halt; gate pages read as zeroes, so the pc still points
-            # at the gate the program landed on
-            if vcpu.cur_eid is not None:
-                raise EnclaveFault(FaultReport("halt_inside", f"pc={vcpu.pc:#x}"))
-            if vcpu.pc == RETURN_GATE:
-                return vcpu.regs[3]
-            if vcpu.pc == OCALL_GATE:
-                self._handle_ocall(handle, vcpu)
-                # the idle TCS may have been evicted while the handler ran
-                self._enter(handle, vcpu, tcs_vaddr)
-                continue
-            if vcpu.pc == AEP_GATE:
-                self._handle_aex(handle, vcpu)
-                continue
-            raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
 
     def _handle_ocall(self, handle: EnclaveHandle, vcpu) -> None:
         selector = vcpu.regs[5]

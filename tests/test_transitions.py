@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccxsim import EnclaveManifest, fixtures
-from ccxsim.execution import mem_read
+from ccxsim import EnclaveManifest, fixtures, isa
+from ccxsim.errors import SgxError, SgxErrorCode
+from ccxsim.execution import SCRUB_PATTERN, mem_read
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE
 from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime
@@ -113,3 +114,47 @@ def test_an_interrupted_ecall_and_a_notify_reentry_give_the_pinned_records():
     ]
     assert [{k: v for k, v in r.items() if k != "seq"} for r in m.trace] == expected
     assert [r["seq"] for r in m.trace] == list(range(len(expected)))
+
+
+# name -> (enclave program, ecall arguments after the TCS index, ecall keywords,
+# the kind of fault that ends the call with its core still inside)
+GIVE_UPS = {
+    "abort": (fixtures.standard_program(), (99,), {}, "abort"),
+    "timeout": (fixtures.compute_program(), (0, 165), {"step_budget": 50}, "timeout"),
+    "halt_inside": (bytes(16), (1,), {}, "halt_inside"),
+    # movi x200, 5
+    "bad_opcode": (bytes.fromhex("01c80000000000000500000000000000"), (1,), {}, "bad_opcode"),
+    "unknown_service": (isa.assemble([("movi", 0, 7), ("gadget",)], origin=fixtures.BASE),
+                        (1,), {}, "dispatch_fault"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GIVE_UPS))
+def test_a_call_that_gives_up_inside_the_enclave_leaves_it_by_an_aex(case):
+    """The core comes back scrubbed and the TCS free, with the thread's
+    state in a save-state frame: a later call from either vCPU enters again
+    and fails the same way, EENTER refuses once every frame is taken, and
+    the enclave can still be destroyed."""
+    program, args, kw, kind = GIVE_UPS[case]
+    rt, handle = _loaded(program)
+    m = rt.machine
+    tcs_g = m.memory.find_page(handle.eid, handle.tcs_vaddrs[0])
+    for cssa, vcpu in ((1, m.vcpus[0]), (2, m.vcpus[1])):
+        with pytest.raises(EnclaveFault) as exc:
+            rt.ecall(handle, 0, *args, vcpu_index=vcpu.id, **kw)
+        assert exc.value.report.kind == kind
+        assert vcpu.cur_eid is None and not m.tcs_busy(tcs_g)
+        assert vcpu.regs[0] == SCRUB_PATTERN and vcpu.regs[4:] == [SCRUB_PATTERN] * 28
+        assert m.read_tcs(tcs_g).cssa == cssa
+    with pytest.raises(SgxError) as err:
+        rt.ecall(handle, 0, *args, **kw)
+    assert err.value.code == SgxErrorCode.CSSA_FULL
+    rt.destroy(handle)
+    assert handle.eid not in m.enclaves
+
+
+def test_an_aborted_call_leaves_the_enclave_serving_calls():
+    rt, handle = _loaded(fixtures.standard_program())
+    with pytest.raises(EnclaveFault, match="abort"):
+        rt.ecall(handle, 0, 99)
+    assert rt.ecall(handle, 0, fixtures.SEL_ECHO, 7) == 7
