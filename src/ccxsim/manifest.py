@@ -25,7 +25,7 @@ file order.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional
@@ -40,6 +40,15 @@ class ManifestError(ModelError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"manifest line {line_no}: {message}")
+
+
+def _measured(fields: dict) -> bool:
+    """A ``measured=`` field, ``yes`` when absent: any word but yes or no is
+    refused, since taking it for ``no`` would drop content from MRENCLAVE."""
+    value = fields.pop("measured", "yes")
+    if value not in ("yes", "no"):
+        raise ValueError(f"measured={value} must be yes or no")
+    return value == "yes"
 
 
 def _num(text: str, bits: int = 64) -> int:
@@ -185,7 +194,8 @@ class EnclaveManifest:
                 elif key == "nssa":
                     manifest.nssa = _num(rest)
                 elif key == "attributes":
-                    manifest.attributes = Attributes.parse(rest)
+                    manifest.attributes = replace(Attributes.parse(rest),
+                                                  max_page_perms=manifest.attributes.max_page_perms)
                 elif key == "max_page_perms":
                     manifest.attributes.max_page_perms = Perms.parse(rest)
                 elif key == "isv_prod_id":
@@ -197,6 +207,8 @@ class EnclaveManifest:
                 elif key == "tcs":
                     manifest.tcs.append(cls._parse_tcs(rest, line_no))
                 elif key == "sigstruct":
+                    if rest != "test-key" and not rest.startswith(("test-key:", "file:")):
+                        raise ValueError(f"unknown sigstruct source {rest!r}")
                     manifest.sigstruct_source = rest
                 else:
                     raise ValueError(f"unknown directive {key!r}")
@@ -226,7 +238,7 @@ class EnclaveManifest:
         vaddr = _num(f.pop("vaddr"))
         perms = Perms.parse(f.pop("perms", "rw"))
         content_src = f.pop("content", "zero")
-        measured = f.pop("measured", "yes") == "yes"
+        measured = _measured(f)
         count = f.pop("count", None)
         if f:
             raise ValueError(f"unknown page fields {sorted(f)}")
@@ -261,7 +273,7 @@ class EnclaveManifest:
             oentry=_num(f.pop("oentry")),
             ossa=_num(f.pop("ossa")),
             tls_base=_num(f.pop("tls", "0")),
-            measured=f.pop("measured", "yes") == "yes",
+            measured=_measured(f),
         )
         for flag in f.pop("flags", "").split(","):
             flag = flag.strip()

@@ -405,23 +405,20 @@ class HostRuntime:
 
             step = "sigstruct"
             source = manifest.sigstruct_source
-            if source == "test-key" or source.startswith("test-key:"):
-                signer_label = source.partition(":")[2] or "default"
-                sig = m.crypto.sign_sigstruct(
-                    signer_hash.final(),
-                    manifest.attributes.signed_view(),
-                    manifest.isv_prod_id,
-                    manifest.isv_svn,
-                    signer_label,
-                )
-            elif source.startswith("file:"):
+            if source.startswith("file:"):
                 if manifest.base_dir is None:
                     raise ModelError("sigstruct file needs a manifest directory")
                 sig = SigStruct.from_bytes(read_input(
                     manifest.base_dir / source[5:], f"sigstruct file {source[5:]!r}", binary=True
                 ))
-            else:
-                raise ModelError(f"unknown sigstruct source {source!r}")
+            else:  # test-key[:<label>], as the manifest parser admits
+                sig = m.crypto.sign_sigstruct(
+                    signer_hash.final(),
+                    manifest.attributes.signed_view(),
+                    manifest.isv_prod_id,
+                    manifest.isv_svn,
+                    source.partition(":")[2] or "default",
+                )
 
             step = "einit"
             m.leaf("EINIT", eid, sig)

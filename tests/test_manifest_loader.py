@@ -143,6 +143,26 @@ def test_interval_checks_refuse_what_a_page_walk_refuses(lines, nssa, frame):
             expected[0], f"manifest line {expected[0]}: {expected[1]}")
 
 
+def test_the_attribute_directives_commute():
+    """``attributes`` sets the flags and ``max_page_perms`` the ceiling, in
+    either order: a read-only ceiling is not widened by a later flag line."""
+    words = {EnclaveManifest.parse(minimal_text() + lines).attributes.encode()
+             for lines in ("max_page_perms r\nattributes debug\n",
+                           "attributes debug\nmax_page_perms r\n")}
+    assert words == {0x101}
+
+
+@pytest.mark.parametrize("value", ["Yes", "true", "1", ""])
+@pytest.mark.parametrize("line, directive_end", [(6, "content=zero\n"), (8, "tls=0x1000\n")],
+                         ids=["page", "tcs"])
+def test_measured_takes_only_yes_or_no(line, directive_end, value):
+    """Any other word would silently leave the page out of MRENCLAVE."""
+    text = minimal_text().replace(directive_end, f"{directive_end[:-1]} measured={value}\n", 1)
+    with pytest.raises(ManifestError, match=f"measured={value} must be yes or no") as exc:
+        EnclaveManifest.parse(text)
+    assert exc.value.line_no == line
+
+
 @pytest.mark.parametrize("count", ["1099511627776", "0"])
 def test_a_page_count_that_cannot_fit_is_refused_on_its_line(count):
     """A run of zero pages is checked against the enclave size before any

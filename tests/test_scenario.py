@@ -165,6 +165,19 @@ def test_bad_input_is_reported_with_its_line(name, demo_dir, capsys):
     assert message in summary["failure"]
 
 
+def test_an_unknown_sigstruct_source_fails_on_its_manifest_line(demo_dir):
+    """The source is checked when the manifest is parsed, before any build
+    leaf runs."""
+    standard = (demo_dir / "standard.manifest").read_text().splitlines()
+    lines = [entry for entry in standard if not entry.startswith("sigstruct")]
+    (demo_dir / "bogus.manifest").write_text("\n".join(lines + ["sigstruct bogus"]) + "\n")
+    result = run_text("create app bogus.manifest\n", demo_dir)
+    assert (result.ok, result.summary["failed_at"]) == (False, 1)
+    assert result.summary["failure"] == (
+        f"manifest line {len(lines) + 1}: unknown sigstruct source 'bogus'")
+    assert result.summary["counters"]["ECREATE"] == 0
+
+
 def test_mode_after_create_rejected(demo_dir):
     text = "create app standard.manifest\nmode ccx\n"
     result = run_text(text, demo_dir)
