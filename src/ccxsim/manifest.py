@@ -8,7 +8,8 @@ Line-oriented, diffable, self-contained.  Grammar (one directive per line,
     ssa_frame_size <int>            save-state frame size in pages (default 1)
     nssa <int>                      save-state slots per thread (default 2)
     attributes <flag>[,<flag>...]   debug, aexnotify_allowed, provision_key
-    max_page_perms <rwx>            ceiling for permission extension (default rwx)
+    max_page_perms <rwx>            ceiling for permission extension (default rwx),
+                                    in either order with attributes
     isv_prod_id <int>               product id signed into the identity
     isv_svn <int>                   security version signed into the identity
     page vaddr=<off> perms=<rwx> content=<src> [measured=yes|no] [count=<n>]
@@ -43,8 +44,8 @@ class ManifestError(ModelError):
 
 
 def _measured(fields: dict) -> bool:
-    """A ``measured=`` field, ``yes`` when absent: any word but yes or no is
-    refused, since taking it for ``no`` would drop content from MRENCLAVE."""
+    """A ``measured=`` field, ``yes`` when absent; any other word than yes
+    or no is refused, as taking it for no drops the page from MRENCLAVE."""
     value = fields.pop("measured", "yes")
     if value not in ("yes", "no"):
         raise ValueError(f"measured={value} must be yes or no")
@@ -136,6 +137,7 @@ class EnclaveManifest:
     sigstruct_source: str = "test-key"
     base_dir: Optional[Path] = None
     size_line: int = 0  # the line of the size directive, as PageSpec.line
+    sigstruct_line: int = 0  # the line of the sigstruct directive
 
     def validate(self) -> None:
         """Refuse a misfit naming the line of the directive at fault."""
@@ -170,6 +172,9 @@ class EnclaveManifest:
             if off is not None:
                 raise ManifestError(spec.line, f"tcs at {spec.vaddr:#x}: save-state page "
                                     f"{off:#x} is not declared")
+        source = self.sigstruct_source
+        if source != "test-key" and not source.startswith(("test-key:", "file:")):
+            raise ManifestError(self.sigstruct_line, f"unknown sigstruct source {source!r}")
 
     # -- parsing ---------------------------------------------------------------
 
@@ -207,9 +212,7 @@ class EnclaveManifest:
                 elif key == "tcs":
                     manifest.tcs.append(cls._parse_tcs(rest, line_no))
                 elif key == "sigstruct":
-                    if rest != "test-key" and not rest.startswith(("test-key:", "file:")):
-                        raise ValueError(f"unknown sigstruct source {rest!r}")
-                    manifest.sigstruct_source = rest
+                    manifest.sigstruct_source, manifest.sigstruct_line = rest, line_no
                 else:
                     raise ValueError(f"unknown directive {key!r}")
             except (ValueError, ModelError) as exc:

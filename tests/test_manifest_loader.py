@@ -163,6 +163,15 @@ def test_measured_takes_only_yes_or_no(line, directive_end, value):
     assert exc.value.line_no == line
 
 
+def test_the_loader_refuses_an_unknown_sigstruct_source_before_any_leaf(runtime):
+    """A source set in code is checked by the same validation as a parsed one."""
+    manifest = EnclaveManifest.parse(minimal_text())
+    manifest.sigstruct_source = "bogus"
+    with pytest.raises(ManifestError, match="manifest line 9: unknown sigstruct source 'bogus'"):
+        runtime.load_enclave(manifest)
+    assert runtime.machine.counters["ECREATE"] == 0
+
+
 @pytest.mark.parametrize("count", ["1099511627776", "0"])
 def test_a_page_count_that_cannot_fit_is_refused_on_its_line(count):
     """A run of zero pages is checked against the enclave size before any
