@@ -411,7 +411,7 @@ class HostRuntime:
                 sig = SigStruct.from_bytes(read_input(
                     manifest.base_dir / source[5:], f"sigstruct file {source[5:]!r}", binary=True
                 ))
-            else:  # test-key[:<label>], as the manifest parser admits
+            else:  # test-key[:<label>], the one other form validate() admits
                 sig = m.crypto.sign_sigstruct(
                     signer_hash.final(),
                     manifest.attributes.signed_view(),
@@ -532,6 +532,10 @@ class HostRuntime:
     # ------------------------------------------------------------------ calls
 
     def register_ocall(self, selector: int, handler: Callable) -> None:
+        """Serve outside call ``selector`` with ``handler(runtime, handle, a,
+        b)``; its result goes back in x5.  A handler is host software: its
+        memory accesses take the normal-world checked paths, so one that
+        reaches for enclave memory takes a protection fault."""
         self.ocall_handlers[selector] = handler
 
     def _thread(self, handle: EnclaveHandle, tcs_index: int, vcpu_index: int):
