@@ -39,21 +39,31 @@ no such instruction, so a block never crosses its page.  ALU ops touch
 registers only, so they can neither fault nor change memory.  Each block is
 compiled once into one Python function of the register list, generated from
 the decoded integer fields alone and each op's source in its row: the ALU run
-as list assignments masked to 64 bits, and an ending branch, whose function
-returns the taken target or None to fall through.  A bounded memo of
-:data:`BLOCK_MEMO_SIZE` functions, oldest out first, is keyed by the decoded
-instructions, so code decoded again in another granule (a new enclave of the
-same image, or a page swapped back in) compiles nothing.  A budget that ends
-inside a block runs the compiled prefix of its ALU run from the same memo;
-every count, pc and trace record is what one instruction at a time gives.
+as assignments masked to 64 bits, and an ending branch, whose function
+returns the taken target or None to fall through.  A block whose ``bnz`` or
+``jmp`` has its own start address as constant target is a self-loop, and
+compiles from the same rows, with each register slot a local variable, into
+one function that runs up to ``k`` turns while the branch is taken and stores
+the registers its run writes back on return; :func:`step` passes as ``k`` the
+whole turns left in its budget.  A bounded memo of :data:`BLOCK_MEMO_SIZE`
+functions, oldest out first, is keyed by what is compiled (the decoded
+instructions, with None for a self-loop's target), so code decoded again in
+another granule (a new enclave of the same image, or a page swapped back in)
+compiles nothing.  A budget that ends inside a block runs the compiled prefix
+of its ALU run from the same memo; every count, pc and trace record is what
+one instruction at a time gives.
 
-:func:`step` takes one checked or cached fetch per block, with one
-exception: after a block that ends in a branch, a successor on the same page
-comes straight from that granule's blocks, with no translation lookup.  That
-is sound because since this call's last checked or cached fetch only ALU
-ops and branches have run, and the call holds the machine's token, so no
-translation, EPCM entry or byte can have changed.  Any other instruction, a
-fault, a page change or the end of the budget breaks the chain.
+:func:`step` makes a checked or cached fetch only where a chain of blocks
+starts: after a branch, a load or a store, the next block on the same page
+comes straight from that granule's blocks, with no translation lookup.  That is sound
+because the call holds the machine's token, and since its last checked or
+cached fetch only ALU ops, branches, loads and stores have run.  None of them
+changes a translation, an EPCM entry or a protection table, so the fetch's
+translation and permission still hold.  Only a store changes bytes, and a
+store to the code granule drops that granule's blocks, so the chain goes on
+after a store only while the granule still holds the very blocks it fetched
+(``mem.decoded.get(granule) is blocks``).  A gadget, a fault, a page change
+or the end of the budget breaks the chain.
 
 Memory accesses go through a translation cache and block fetches also
 through a decode cache of blocks (both kept in
@@ -162,7 +172,7 @@ class VCpu:
     cur_tcs: Optional[int] = None
     aep: int = 0
     entry_epoch: Optional[int] = None
-    last_exit: Optional[Tuple[int, int]] = None  # (reason code, payload)
+    last_exit: Optional[Tuple[int, int]] = None  # (reason, payload) of an AEX since entry
 
     @property
     def in_enclave(self) -> bool:
@@ -278,10 +288,12 @@ def mem_write(m, vcpu, addr: int, data: bytes) -> None:
 # Opcodes a block runs as one compiled run: they touch registers only, so
 # they can neither fault nor change memory, and nothing can happen between
 # them.  A branch that ends a block is compiled with its run.  Both sets and
-# each op's source come from its row of ``isa.INSTRUCTIONS``.
+# each op's source come from its row of ``isa.INSTRUCTIONS``; a branch whose
+# target is its immediate can close a self-loop.
 _ALU_OPS = frozenset(row.op for row in isa.INSTRUCTIONS if row.alu)
 _BRANCH_OPS = frozenset(row.op for row in isa.INSTRUCTIONS if row.branch)
-_SOURCE = {row.op: row.alu or row.branch for row in isa.INSTRUCTIONS}
+_LOOP_OPS = frozenset(row.op for row in isa.INSTRUCTIONS if row.branch == "{imm}")
+_ROWS = {row.op: row for row in isa.INSTRUCTIONS}
 
 BLOCK_MEMO_SIZE = 256
 """Most compiled blocks a machine's memo keeps; the oldest goes first.  A
@@ -291,22 +303,72 @@ at most 256 block starts, so the bound only stops a run that executes ever
 new code from growing the memo."""
 
 
+def _source(template: str, instr: tuple, register: str) -> str:
+    """``template`` with the decoded fields of ``instr``, each register slot
+    written as ``register`` formatted with its number."""
+    _, rd, rs1, rs2, imm = instr
+    return template.format(rd=register.format(rd), rs1=register.format(rs1),
+                           rs2=register.format(rs2), imm=imm)
+
+
 def _compile(run: tuple, branch: Optional[tuple]):
     """One function of the register list that runs the ALU ops of ``run``
-    and then ``branch``, if given, returning what the branch returns."""
+    and then ``branch``, if given, returning its taken target or None.
+
+    A ``branch`` whose target is None closes a self-loop: the function takes
+    ``k`` too and runs the block up to ``k`` times while the branch is
+    taken, with the registers the block names in local variables, storing
+    the ones its run writes back on return.  It returns the number of times
+    it ran and whether the last branch was taken."""
+    if branch is not None and branch[4] is None:
+        return _compile_loop(run, branch)
     lines = ["def block(r):"]
-    for op, rd, rs1, rs2, imm in run if branch is None else run + (branch,):
-        lines.append("    " + _SOURCE[op].format(rd=rd, rs1=rs1, rs2=rs2, imm=imm))
+    lines += ["    " + _source(_ROWS[instr[0]].alu, instr, "r[{}]") for instr in run]
+    if branch is not None:
+        row = _ROWS[branch[0]]
+        target = _source(row.branch, branch, "r[{}]")
+        if row.taken_if is None:
+            lines.append(f"    return {target}")
+        else:
+            lines += [f"    if {_source(row.taken_if, branch, 'r[{}]')}:",
+                      f"        return {target}"]
     lines.append("    return None")
-    namespace = {"__builtins__": {}}
-    exec("\n".join(lines), namespace)
+    return _define("\n".join(lines))
+
+
+def _registers(template: str, instr: tuple) -> set:
+    """The registers ``instr`` names in the register slots ``template`` uses."""
+    return {reg for slot, reg in zip(("{rd}", "{rs1}", "{rs2}"), instr[1:4]) if slot in template}
+
+
+def _compile_loop(run: tuple, branch: tuple):
+    """The self-loop form of :func:`_compile`; an ALU op writes its ``rd``."""
+    row = _ROWS[branch[0]]
+    used = _registers(row.taken_if or "", branch).union(
+        *(_registers(_ROWS[instr[0]].alu, instr) for instr in run))
+    store = [f"    r[{reg}] = x{reg}" for reg in sorted({instr[1] for instr in run})]
+    lines = ["def block(r, k):", *(f"    x{reg} = r[{reg}]" for reg in sorted(used)),
+             "    for i in range(1, k + 1):"]
+    lines += ["        " + _source(_ROWS[instr[0]].alu, instr, "x{}") for instr in run]
+    if row.taken_if is not None:
+        lines += [f"        if not ({_source(row.taken_if, branch, 'x{}')}):",
+                  *("        " + line for line in store), "            return i, False"]
+    elif not run:
+        lines.append("        pass")
+    lines += [*store, "    return k, True"]
+    return _define("\n".join(lines))
+
+
+def _define(source: str):
+    namespace = {"__builtins__": {"range": range}}
+    exec(source, namespace)
     return namespace["block"]
 
 
 def _compiled(mem, run: tuple, branch: Optional[tuple] = None):
     """The compiled ``run`` and ``branch``, from the machine's memo of at
-    most :data:`BLOCK_MEMO_SIZE` functions keyed by the decoded
-    instructions, so the same code compiles once wherever it lies."""
+    most :data:`BLOCK_MEMO_SIZE` functions keyed by what is compiled, so the
+    same code compiles once wherever it lies."""
     memo = mem.compiled
     key = (run, branch)
     code = memo.get(key)
@@ -317,12 +379,16 @@ def _compiled(mem, run: tuple, branch: Optional[tuple] = None):
     return code
 
 
-def _decode_block(mem, granule: int, offset: int) -> tuple:
-    """The block at ``offset`` of ``granule``, as ``(code, n, branch, end,
+def _decode_block(mem, granule: int, pc: int) -> tuple:
+    """The block at ``pc`` in ``granule``, as ``(code, n, branch, loop, end,
     run)``: ``run`` is the decoded ALU ops from there and ``n`` their count,
     ``end`` the decoded instruction that ends them (None if the run reaches
-    the page end first) and ``branch`` whether it is a branch, and ``code``
-    the compiled run, with ``end`` if it is a branch."""
+    the page end first), ``branch`` whether it is a branch and ``loop``
+    whether that branch's constant target is ``pc``, and ``code`` the
+    compiled run, with ``end`` if it is a branch.  A self-loop's branch is
+    compiled and keyed with None for its target, which the loop form does
+    not read, so the same loop compiles once at any address."""
+    offset = pc & _PAGE_MASK
     base = granule * GRANULE_SIZE
     data = mem.data
     run = []
@@ -336,7 +402,9 @@ def _decode_block(mem, granule: int, offset: int) -> tuple:
         offset += INSTR_SIZE
     run = tuple(run)
     branch = end is not None and end[0] in _BRANCH_OPS
-    return _compiled(mem, run, end if branch else None), len(run), branch, end, run
+    loop = branch and end[0] in _LOOP_OPS and end[4] == pc
+    tail = (end[:4] + (None,) if loop else end) if branch else None
+    return _compiled(mem, run, tail), len(run), branch, loop, end, run
 
 
 def _code_page(m, vcpu, pc: int) -> Tuple[int, dict]:
@@ -409,6 +477,7 @@ def _switch_in(vcpu, secs, tcs, tcs_granule: int, aep: int, entry_pc: int) -> No
     vcpu.pc = entry_pc
     vcpu.tpidr = secs.base + tcs.tls_base
     vcpu.entry_epoch = secs.track_epoch
+    vcpu.last_exit = None  # an exit record lives from its AEX to the next entry
 
 
 def _switch_out(vcpu) -> None:
@@ -821,8 +890,9 @@ def step(m, vcpu, max_steps: int) -> RunReport:
     and leaves ``vcpu.pc`` on the next instruction.  A fault in enclave mode
     becomes an asynchronous exit, and execution continues at the host's async
     exit pointer (typically a halt gate): the trace shows the fault, then the
-    exit.  Blocks that branch within their page chain without a fetch (see
-    the module docstring).
+    exit.  After a branch, load or store, the next block on the same page
+    chains without a fetch, and a self-loop runs its whole turns in one call
+    (see the module docstring).
     """
     mem = m.memory
     executed = 0
@@ -834,19 +904,24 @@ def step(m, vcpu, max_steps: int) -> RunReport:
             fetching = False
             regs = vcpu.regs
             page = pc & ~_PAGE_MASK
-            while True:  # this block, then each same-page branch target
-                block = blocks.get(pc - page)
+            while True:  # this block, then each successor on the same page
+                block = blocks.get(pc)
                 if block is None:
-                    block = blocks[pc - page] = _decode_block(mem, granule, pc - page)
-                code, n, branch, end, run = block
+                    block = blocks[pc] = _decode_block(mem, granule, pc)
+                code, n, branch, loop, end, run = block
                 if n >= max_steps - executed:  # the budget ends in the ALU run
                     room = max_steps - executed
                     _compiled(mem, run[:room])(regs)
                     vcpu.pc = (pc + room * INSTR_SIZE) & MASK64
                     return RunReport("limit", max_steps)
-                target = code(regs)
                 if branch:
-                    executed += n + 1
+                    if loop:  # as many whole turns as the budget holds
+                        turns, taken = code(regs, (max_steps - executed) // (n + 1))
+                        executed += turns * (n + 1)
+                        target = pc if taken else None
+                    else:
+                        target = code(regs)
+                        executed += n + 1
                     if target is None:
                         target = (pc + (n + 1) * INSTR_SIZE) & MASK64
                     if executed < max_steps and 0 <= target - page <= _LAST_OFFSET:
@@ -854,6 +929,7 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                         continue
                     vcpu.pc = target
                     break
+                code(regs)
                 executed += n
                 pc = vcpu.pc = (pc + n * INSTR_SIZE) & MASK64
                 if end is None:
@@ -861,17 +937,24 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                 op, rd, rs1, rs2, imm = end
                 executed += 1
                 next_pc = (pc + INSTR_SIZE) & MASK64
+                if op == OP_LOAD or op == OP_STORE:
+                    addr = (regs[rs1] + imm) & MASK64
+                    if op == OP_LOAD:
+                        regs[rd] = int.from_bytes(mem_read(m, vcpu, addr, 8), "little")
+                    else:
+                        mem_write(m, vcpu, addr, regs[rs2].to_bytes(8, "little"))
+                    # A store to this granule drops the blocks it holds.
+                    if (executed < max_steps and 0 <= next_pc - page <= _LAST_OFFSET
+                            and mem.decoded.get(granule) is blocks):
+                        pc = next_pc
+                        continue
+                    vcpu.pc = next_pc
+                    break
                 if op == OP_HALT:
                     return RunReport("halt", executed)
                 if op == OP_ABORT:
                     return RunReport("abort", executed)
-                if op == OP_LOAD:
-                    addr = (regs[rs1] + imm) & MASK64
-                    regs[rd] = int.from_bytes(mem_read(m, vcpu, addr, 8), "little")
-                elif op == OP_STORE:
-                    addr = (regs[rs1] + imm) & MASK64
-                    mem_write(m, vcpu, addr, regs[rs2].to_bytes(8, "little"))
-                elif op == OP_GADGET:
+                if op == OP_GADGET:
                     vcpu.pc = next_pc  # trap returns past the gadget
                     try:
                         gadget_trap(m, vcpu, TrapFrame(*regs[:5]))
@@ -881,12 +964,9 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                                             code=err.code.name, detail=err.detail)
                         vcpu.regs[0] = int(err.code)
                     break
-                elif op == isa.OP_ILLEGAL:  # rd holds the opcode byte, rs1 the register
+                if op == isa.OP_ILLEGAL:  # rd holds the opcode byte, rs1 the register
                     return _stopped(vcpu, executed, "bad_opcode", op=rd, reg=rs1, pc=pc)
-                else:  # an undefined opcode
-                    return _stopped(vcpu, executed, "bad_opcode", op=op, pc=pc)
-                vcpu.pc = next_pc
-                break
+                return _stopped(vcpu, executed, "bad_opcode", op=op, pc=pc)  # an undefined opcode
         except (GranuleProtectionFault, _PageAccessFault) as exc:
             gpf = isinstance(exc, GranuleProtectionFault)
             addr = (pc if fetching else (vcpu.regs[rs1] + imm) & MASK64) if gpf else exc.vaddr

@@ -53,32 +53,36 @@ other fields say why: ``rd`` is its opcode byte and ``rs1`` the register."""
 class Instruction(NamedTuple):
     """One opcode: its mnemonic, the fields its assembler operands fill in
     order (``rd``, ``rs1``, ``rs2`` or ``imm``), and for the ops the pump
-    compiles (see :mod:`~ccxsim.execution`) the Python source of an ALU op,
-    masked to 64 bits as the registers are, or of a branch that returns its
-    taken target; the source is formatted with the decoded fields."""
+    compiles (see :mod:`~ccxsim.execution`) Python source: ``alu``, the
+    statement of an ALU op, which writes ``{rd}`` masked to 64 bits as the
+    registers are and reads its other register slots; or ``branch``, the
+    expression of a branch's target, with ``taken_if``, the condition it is
+    taken on (None: always).  The source is formatted with the decoded
+    fields, each register slot as a name of that register."""
 
     op: int
     mnemonic: str
     operands: Tuple[str, ...]
     alu: Optional[str] = None
     branch: Optional[str] = None
+    taken_if: Optional[str] = None
 
 
 INSTRUCTIONS = (
     Instruction(OP_HALT, "halt", ()),
-    Instruction(OP_MOVI, "movi", ("rd", "imm"), alu="r[{rd}] = {imm}"),
+    Instruction(OP_MOVI, "movi", ("rd", "imm"), alu="{rd} = {imm}"),
     Instruction(OP_ADD, "add", ("rd", "rs1", "rs2"),
-                alu="r[{rd}] = (r[{rs1}] + r[{rs2}]) & 0xFFFFFFFFFFFFFFFF"),
+                alu="{rd} = ({rs1} + {rs2}) & 0xFFFFFFFFFFFFFFFF"),
     Instruction(OP_ADDI, "addi", ("rd", "rs1", "imm"),
-                alu="r[{rd}] = (r[{rs1}] + {imm}) & 0xFFFFFFFFFFFFFFFF"),
-    Instruction(OP_XOR, "xor", ("rd", "rs1", "rs2"), alu="r[{rd}] = r[{rs1}] ^ r[{rs2}]"),
+                alu="{rd} = ({rs1} + {imm}) & 0xFFFFFFFFFFFFFFFF"),
+    Instruction(OP_XOR, "xor", ("rd", "rs1", "rs2"), alu="{rd} = {rs1} ^ {rs2}"),
     Instruction(OP_MUL, "mul", ("rd", "rs1", "rs2"),
-                alu="r[{rd}] = (r[{rs1}] * r[{rs2}]) & 0xFFFFFFFFFFFFFFFF"),
+                alu="{rd} = ({rs1} * {rs2}) & 0xFFFFFFFFFFFFFFFF"),
     Instruction(OP_LOAD, "load", ("rd", "rs1", "imm")),
     Instruction(OP_STORE, "store", ("rs2", "rs1", "imm")),  # mem[rs1 + imm] = rs2
-    Instruction(OP_BNZ, "bnz", ("rs1", "imm"), branch="if r[{rs1}]:\n        return {imm}"),
-    Instruction(OP_JMP, "jmp", ("imm",), branch="return {imm}"),
-    Instruction(OP_JMPR, "jmpr", ("rs1",), branch="return r[{rs1}]"),
+    Instruction(OP_BNZ, "bnz", ("rs1", "imm"), branch="{imm}", taken_if="{rs1}"),
+    Instruction(OP_JMP, "jmp", ("imm",), branch="{imm}"),
+    Instruction(OP_JMPR, "jmpr", ("rs1",), branch="{rs1}"),
     Instruction(OP_GADGET, "gadget", ()),
     Instruction(OP_ABORT, "abort", ()),
 )

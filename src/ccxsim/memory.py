@@ -49,15 +49,17 @@ every translation its enclave made, so that those of a dead enclave do not
 pile up (enclave ids are never reused); the raw test poke
 ``GptSet.set_entry``, which moves a table behind the EPCM, empties the whole
 cache.  The decode cache (``decoded``) holds each granule's blocks by the
-offset they start at: a block is the decoded run of ALU ops from there plus
+address they start at: a block is the decoded run of ALU ops from there plus
 the instruction that ends it, kept next to the function that the
-interpreter compiled it into (see :mod:`ccxsim.execution`).  A block never
-crosses its page, so a granule holds at most one entry per instruction
-start, 256 for code at 16-byte offsets.  Any write to the granule drops its
-blocks: :meth:`MachineMemory.store` is the only byte writer.  The functions
-themselves come from ``compiled``, a memo keyed by the decoded instructions
-alone and bounded by :data:`ccxsim.execution.BLOCK_MEMO_SIZE`, oldest out
-first; it depends on no granule, so no write or EPCM update has to touch it.
+interpreter compiled it into (see :mod:`ccxsim.execution`), which for a
+self-loop depends on that address.  A block never crosses its page, so a
+granule holds at most one entry per instruction start of each page address
+it is fetched at, 256 for code at 16-byte offsets.  Any write to the granule
+drops its blocks: :meth:`MachineMemory.store` is the only byte writer.  The
+functions themselves come from ``compiled``, a memo keyed by what is
+compiled (the decoded instructions, a self-loop's target as None) and
+bounded by :data:`ccxsim.execution.BLOCK_MEMO_SIZE`, oldest out first; it
+depends on no granule, so no write or EPCM update has to touch it.
 """
 
 from __future__ import annotations
@@ -367,9 +369,10 @@ class MachineMemory:
         self.vaddr_index: Dict[Tuple[int, int], int] = {}
         self.gpf_log: List[GpfRecord] = []
         self.tlb = self.gpts.tlb  # one dict, so set_entry empties it too
-        # granule -> {offset: block starting there}
+        # granule -> {address: block starting there}
         self.decoded: Dict[int, Dict[int, tuple]] = {}
-        # (ALU run, ending branch or None) -> its compiled function, oldest first
+        # (ALU run, ending branch or None) -> its compiled function, oldest
+        # first; a self-loop's branch has None for its target
         self.compiled: Dict[tuple, Callable] = {}
 
     # -- access checking ----------------------------------------------------

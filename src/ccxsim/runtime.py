@@ -641,7 +641,7 @@ class HostRuntime:
                     # the idle TCS may have been evicted while the handler ran
                     self._enter(handle, vcpu, tcs_vaddr)
                     continue
-                if vcpu.pc == AEP_GATE:
+                if vcpu.pc == AEP_GATE and vcpu.last_exit is not None:
                     self._handle_aex(handle, vcpu)
                     continue
                 raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
@@ -667,7 +667,7 @@ class HostRuntime:
         secs = self.machine.enclaves.get(handle.eid)
         if secs is None or secs.crashed:
             raise EnclaveFault(FaultReport("ssa_overflow", "enclave crashed"))
-        reason, payload = vcpu.last_exit or (0, 0)
+        reason, payload = vcpu.last_exit
         if reason == EXIT_PAGEFAULT:
             page = payload & ~(GRANULE_SIZE - 1)
             if not self.store.has(handle.eid, page):

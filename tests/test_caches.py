@@ -130,6 +130,62 @@ def test_store_rewriting_a_later_instruction_of_a_cached_block_is_fetched_next(m
         assert vcpu.regs[3] == 101, budget
 
 
+def test_store_rewriting_the_next_instruction_is_fetched_next(m):
+    """``slot`` runs and is cached, then the store just before it rewrites
+    its immediate, and it runs again at once, whatever budget each step
+    call has."""
+    enc = _enclave(m, [
+        ("movi", 3, 0),
+        ("movi", 5, 1),
+        ("movi", 7, 1),
+        ("movi", 8, "@slot"),
+        ("jmp", "@slot"),
+        ("label", "rewrite"),
+        ("movi", 5, 0),
+        ("store", 7, 8, 8),  # the immediate of the next instruction
+        ("label", "slot"),
+        ("addi", 3, 3, 100),
+        ("bnz", 5, "@rewrite"),
+    ])
+    vcpu = m.vcpus[0]
+    slot = 7 * isa.INSTR_SIZE  # the addi
+    for budget in range(1, 14):
+        m.leaf("EDBGWR", enc.pages[CODE], slot + 8, (100).to_bytes(8, "little"))
+        m.enclu(vcpu, 0x2, enc.pages[TCS], AEP_GATE)
+        report = m.step(vcpu, budget)
+        while report.stop == "limit":
+            report = m.step(vcpu, budget)
+        assert report.stop == "halt" and not vcpu.in_enclave
+        assert vcpu.regs[3] == 101, budget
+
+
+def test_loads_and_stores_chain_to_the_next_block_with_no_fetch(m, monkeypatch):
+    """One page of alternating load, ALU and store blocks takes one code
+    fetch per step call that starts inside, whatever the budget."""
+    program = [("movi", 13, BASE + DATA)]
+    for i in range(6):
+        program += [("load", 5, 13, 8 * i), ("addi", 5, 5, i + 1), ("store", 5, 13, 8 * i)]
+    enc = _enclave(m, program)
+    fetches = []
+    code_page = execution._code_page
+    monkeypatch.setattr(execution, "_code_page",
+                        lambda mach, vcpu, pc: fetches.append(pc) or code_page(mach, vcpu, pc))
+    vcpu = m.vcpus[0]
+    budgets = range(1, 25)
+    for budget in budgets:
+        m.enclu(vcpu, 0x2, enc.pages[TCS], AEP_GATE)
+        report = RunReport("limit", 0)
+        while report.stop == "limit":
+            inside = vcpu.in_enclave
+            fetches.clear()
+            report = m.step(vcpu, budget)
+            assert sum(BASE <= pc < BASE + GRANULE_SIZE for pc in fetches) == inside, budget
+        assert report.stop == "halt" and not vcpu.in_enclave
+    for i in range(6):
+        word = m.leaf("EDBGRD", enc.pages[DATA], 8 * i, 8)
+        assert int.from_bytes(word, "little") == DATA_WORD + len(budgets) * (i + 1)
+
+
 def test_edbgwr_between_ecalls_is_fetched_next(m):
     enc = _enclave(m, [("movi", 3, 111)])
     assert _call(m, enc)[1] == 111

@@ -96,20 +96,12 @@ def _lay_out(slots, origin: int) -> bytes:
     return b"".join(out)
 
 
-@settings(max_examples=80, deadline=None)
-@given(slots=PROGRAMS, regs=REGS, before_page_end=st.integers(0, 24),
-       chunks=st.lists(st.integers(1, 40), min_size=1, max_size=12))
-def test_pump_equals_the_reference_at_every_budget(slots, regs, before_page_end, chunks):
-    """Each budget from 1 on, from the same start, ends where the reference
-    does; so does a run made in chunks.  Programs start ``before_page_end``
-    instructions before a page end, so blocks and jumps cross pages."""
-    m = _machine()
-    origin = (CODE_GRANULE + 1) * GRANULE_SIZE - before_page_end * isa.INSTR_SIZE
-    image = _lay_out(slots, origin)
-    _load(m, origin, image)
+def _assert_matches_reference(m, image, origin, regs, budgets, chunks):
+    """Each budget from 1 to ``budgets``, from the same start, ends where the
+    reference does, until a run stops; so does a run made in ``chunks``."""
     size = m.memory.granule_count * GRANULE_SIZE
     vcpu = m.vcpus[0]
-    for budget in range(1, FULL_BUDGET + 1):
+    for budget in range(1, budgets + 1):
         vcpu.regs, vcpu.pc = list(regs), origin
         got = _observe(vcpu, m.step(vcpu, budget))
         assert got == reference_run(image, origin, regs, origin, budget, size), budget
@@ -127,6 +119,19 @@ def test_pump_equals_the_reference_at_every_budget(slots, regs, before_page_end,
         _, _, ref_regs, ref_pc = want
 
 
+@settings(max_examples=80, deadline=None)
+@given(slots=PROGRAMS, regs=REGS, before_page_end=st.integers(0, 24),
+       chunks=st.lists(st.integers(1, 40), min_size=1, max_size=12))
+def test_pump_equals_the_reference_at_every_budget(slots, regs, before_page_end, chunks):
+    """Programs start ``before_page_end`` instructions before a page end, so
+    blocks and jumps cross pages."""
+    m = _machine()
+    origin = (CODE_GRANULE + 1) * GRANULE_SIZE - before_page_end * isa.INSTR_SIZE
+    image = _lay_out(slots, origin)
+    _load(m, origin, image)
+    _assert_matches_reference(m, image, origin, regs, FULL_BUDGET, chunks)
+
+
 def test_the_differential_draws_every_op_the_pump_compiles():
     """A row of ``isa.INSTRUCTIONS`` with ALU or branch source needs its
     semantics in ``oracles.reference_run`` and a strategy above."""
@@ -134,6 +139,128 @@ def test_the_differential_draws_every_op_the_pump_compiles():
     drawn = {isa.OP_NAMES[op] for op in (*ALU_FIELDS, *BRANCH_SLOTS)}
     assert not compiled - drawn, f"no differential strategy for {sorted(compiled - drawn)}"
     assert not drawn - compiled, f"drawn but not compiled: {sorted(drawn - compiled)}"
+
+
+# ---------------------------------------------------------------------------
+# Self-loops: blocks whose bnz or jmp goes back to their own start
+
+LOOP_CHUNKS = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 1000]
+ORIGIN = CODE_GRANULE * GRANULE_SIZE
+PAGE_END = (CODE_GRANULE + 1) * GRANULE_SIZE
+SPREAD = [(i * 0x9E3779B97F4A7C15) & MASK64 for i in range(32)]  # x1 is set per case
+
+
+def _is_loop(branch) -> bool:
+    """Whether a compiled ``branch`` closes a self-loop, whose target the
+    memo keys as None."""
+    return branch is not None and branch[4] is None
+
+
+def _counting_compiles(monkeypatch):
+    """The ``(run, branch)`` of each block compiled from here on, and the
+    ``k`` of each call of a compiled self-loop."""
+    compiled, loop_calls = [], []
+    compile_block = execution._compile
+
+    def counting(run, branch):
+        compiled.append((run, branch))
+        code = compile_block(run, branch)
+        if not _is_loop(branch):
+            return code
+
+        def loop(r, k):
+            loop_calls.append(k)
+            return code(r, k)
+        return loop
+
+    monkeypatch.setattr(execution, "_compile", counting)
+    return compiled, loop_calls
+
+
+def _with_x1(x1):
+    return [SPREAD[0], x1, *SPREAD[2:]]
+
+
+# name -> (program, its origin, x1 values to start from)
+LOOPS = {
+    "jmp to itself": ([("jmp", ORIGIN)], ORIGIN, [0]),
+    "bnz to itself, no body": ([("bnz", 1, ORIGIN), ("halt",)], ORIGIN, [0, 5]),
+    "body writes the branch register": (
+        [("addi", 1, 1, -1), ("mul", 2, 2, 1), ("bnz", 1, ORIGIN), ("halt",)], ORIGIN, [7, 0, 1]),
+    "branch register toggles": (
+        [("movi", 2, 1), ("xor", 1, 1, 2), ("bnz", 1, ORIGIN), ("abort",)], ORIGIN, [0, 1]),
+    "all 32 registers": (
+        [(("add", "xor", "mul")[i % 3], i, i, (i + 1) % 31) for i in range(31)]
+        + [("addi", 31, 31, -1), ("bnz", 31, ORIGIN), ("halt",)], ORIGIN, [0]),
+    "bnz at the last slot of a page": (
+        [("bnz", 1, PAGE_END - 16)], PAGE_END - 16, [0, 3]),
+    "body ending at the last slot of a page": (
+        [("addi", 1, 1, -1), ("xor", 2, 2, 1), ("bnz", 1, PAGE_END - 48)], PAGE_END - 48,
+        [4, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOPS))
+def test_a_self_loop_equals_the_reference_at_every_budget(case, monkeypatch):
+    program, origin, starts = LOOPS[case]
+    for x1 in starts:
+        m = _machine()
+        compiled, _ = _counting_compiles(monkeypatch)
+        image = isa.assemble(program, origin=origin)
+        _load(m, origin, image)
+        regs = _with_x1(x1)
+        regs[31] = 3  # the turns of the 32-register loop
+        _assert_matches_reference(m, image, origin, regs, 120, LOOP_CHUNKS)
+        assert any(_is_loop(branch) for _, branch in compiled)
+
+
+def test_a_jump_to_itself_runs_to_the_budget_in_one_call(monkeypatch):
+    m = _machine()
+    _, loop_calls = _counting_compiles(monkeypatch)
+    _load(m, ORIGIN, isa.assemble([("jmp", ORIGIN)], origin=ORIGIN))
+    vcpu = m.vcpus[0]
+    vcpu.pc = ORIGIN
+    report = m.step(vcpu, 100_000)
+    assert (report.stop, report.steps, vcpu.pc) == ("limit", 100_000, ORIGIN)
+    assert loop_calls == [100_000]
+
+
+def test_the_same_loop_bytes_where_the_target_is_not_the_block_start_do_not_loop(monkeypatch):
+    """The bytes of a loop at ORIGIN, copied 64 bytes on, branch back to
+    ORIGIN from a block that starts elsewhere: there they compile as a plain
+    block, and the copy at ORIGIN as a loop."""
+    m = _machine()
+    compiled, loop_calls = _counting_compiles(monkeypatch)
+    loop = isa.assemble([("addi", 1, 1, -1), ("bnz", 1, ORIGIN)], origin=ORIGIN)
+    image = loop + bytes(32) + loop
+    _load(m, ORIGIN, image)
+    copy = ORIGIN + 64
+    regs = _with_x1(6)
+    size = m.memory.granule_count * GRANULE_SIZE
+    vcpu = m.vcpus[0]
+    vcpu.regs, vcpu.pc = list(regs), copy
+    assert _observe(vcpu, m.step(vcpu, 100)) == reference_run(image, ORIGIN, regs, copy, 100, size)
+    addi = isa.decode(loop[:16])
+    bnz = isa.decode(loop[16:])
+    assert compiled == [((addi,), bnz), ((addi,), bnz[:4] + (None,)), ((), None)]
+    assert len(loop_calls) == 1
+
+
+def test_a_thousand_turn_loop_compiles_once(monkeypatch):
+    m = _machine()
+    compiled, loop_calls = _counting_compiles(monkeypatch)
+    _load(m, ORIGIN, isa.assemble([("movi", 1, 1000), ("label", "loop"), ("addi", 1, 1, -1),
+                                   ("bnz", 1, "@loop"), ("halt",)], origin=ORIGIN))
+    vcpu = m.vcpus[0]
+    vcpu.pc = ORIGIN
+    report = m.step(vcpu, 10_000)
+    assert (report.stop, report.steps, vcpu.regs[1]) == ("halt", 2002, 0)
+    assert loop_calls == [(10_000 - 3) // 2]
+    assert len(compiled) == 3 and sum(_is_loop(branch) for _, branch in compiled) == 1
+    vcpu.pc = ORIGIN
+    while m.step(vcpu, 7).stop == "limit":  # cut prefixes compile, the loop is memoised
+        pass
+    assert sum(_is_loop(branch) for _, branch in compiled) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -158,3 +158,33 @@ def test_an_aborted_call_leaves_the_enclave_serving_calls():
     with pytest.raises(EnclaveFault, match="abort"):
         rt.ecall(handle, 0, 99)
     assert rt.ecall(handle, 0, fixtures.SEL_ECHO, 7) == 7
+
+
+# EEXIT to the async exit gate, with no AEX behind it.
+EEXIT_TO_AEP_GATE = isa.assemble([("movi", 2, AEP_GATE), ("movi", 1, 0x4), ("movi", 0, 0x1),
+                                  ("gadget",)], origin=fixtures.BASE)
+
+
+def _halts_at_the_aep_gate(rt, handle):
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(handle, 0, 1)
+    assert (exc.value.report.kind, exc.value.report.detail) == (
+        "halt_inside", f"host halted at {AEP_GATE:#x}")
+    assert rt.machine.vcpus[0].last_exit is None
+
+
+def test_an_exit_to_the_aep_gate_with_no_aex_is_a_halt_inside():
+    rt, handle = _loaded(EEXIT_TO_AEP_GATE)
+    _halts_at_the_aep_gate(rt, handle)
+
+
+def test_an_aex_of_an_earlier_call_leaves_no_record_for_the_next_entry():
+    """The exit record of an interrupted call ends at the next entry, so a
+    later call that lands at the gate with no AEX is not served as one."""
+    rt, handle = _loaded(EEXIT_TO_AEP_GATE)
+    compute = rt.load_enclave(EnclaveManifest.parse(fixtures.build_manifest_text(
+        fixtures.compute_program(), name="compute")))
+    assert rt.ecall(compute, 0, 0, 12, inject_at={5}) == fixtures.compute_expected(12)
+    assert rt.machine.vcpus[0].last_exit is None  # the resume ended it
+    _halts_at_the_aep_gate(rt, handle)
+    assert rt.ecall(compute, 0, 0, 12, inject_at={5}) == fixtures.compute_expected(12)
