@@ -55,11 +55,11 @@ one instruction at a time gives.
 
 :func:`step` makes a checked or cached fetch only where a chain of blocks
 starts: after a branch, a load or a store, the next block on the same page
-comes straight from that granule's blocks, with no translation lookup.  That is sound
-because the call holds the machine's token, and since its last checked or
-cached fetch only ALU ops, branches, loads and stores have run.  None of them
-changes a translation, an EPCM entry or a protection table, so the fetch's
-translation and permission still hold.  Only a store changes bytes, and a
+comes straight from that granule's blocks, with no translation lookup.  That
+is sound because the call holds the machine's token, and since its last
+checked or cached fetch only ALU ops, branches, loads and stores have run.
+None of them changes a translation, an EPCM entry or a protection table, so
+the fetch's translation and permission still hold.  Only a store changes bytes, and a
 store to the code granule drops that granule's blocks, so the chain goes on
 after a store only while the granule still holds the very blocks it fetched
 (``mem.decoded.get(granule) is blocks``).  A gadget, a fault, a page change

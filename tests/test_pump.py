@@ -147,7 +147,7 @@ def test_the_differential_draws_every_op_the_pump_compiles():
 LOOP_CHUNKS = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 1000]
 ORIGIN = CODE_GRANULE * GRANULE_SIZE
 PAGE_END = (CODE_GRANULE + 1) * GRANULE_SIZE
-SPREAD = [(i * 0x9E3779B97F4A7C15) & MASK64 for i in range(32)]  # x1 is set per case
+SPREAD = [(i * 0x9E3779B97F4A7C15) & MASK64 for i in range(32)]
 
 
 def _is_loop(branch) -> bool:
@@ -177,8 +177,10 @@ def _counting_compiles(monkeypatch):
     return compiled, loop_calls
 
 
-def _with_x1(x1):
-    return [SPREAD[0], x1, *SPREAD[2:]]
+def _regs(x1):
+    """Spread register values, with ``x1`` as given and 3 in x31, the turns
+    of the 32-register loop."""
+    return [SPREAD[0], x1, *SPREAD[2:31], 3]
 
 
 # name -> (program, its origin, x1 values to start from)
@@ -203,15 +205,13 @@ LOOPS = {
 @pytest.mark.parametrize("case", sorted(LOOPS))
 def test_a_self_loop_equals_the_reference_at_every_budget(case, monkeypatch):
     program, origin, starts = LOOPS[case]
+    compiled, _ = _counting_compiles(monkeypatch)
+    image = isa.assemble(program, origin=origin)
     for x1 in starts:
         m = _machine()
-        compiled, _ = _counting_compiles(monkeypatch)
-        image = isa.assemble(program, origin=origin)
         _load(m, origin, image)
-        regs = _with_x1(x1)
-        regs[31] = 3  # the turns of the 32-register loop
-        _assert_matches_reference(m, image, origin, regs, 120, LOOP_CHUNKS)
-        assert any(_is_loop(branch) for _, branch in compiled)
+        _assert_matches_reference(m, image, origin, _regs(x1), 120, LOOP_CHUNKS)
+    assert any(_is_loop(branch) for _, branch in compiled)
 
 
 def test_a_jump_to_itself_runs_to_the_budget_in_one_call(monkeypatch):
@@ -235,7 +235,7 @@ def test_the_same_loop_bytes_where_the_target_is_not_the_block_start_do_not_loop
     image = loop + bytes(32) + loop
     _load(m, ORIGIN, image)
     copy = ORIGIN + 64
-    regs = _with_x1(6)
+    regs = _regs(6)
     size = m.memory.granule_count * GRANULE_SIZE
     vcpu = m.vcpus[0]
     vcpu.regs, vcpu.pc = list(regs), copy
