@@ -56,14 +56,15 @@ one instruction at a time gives.
 :func:`step` makes a checked or cached fetch only where a chain of blocks
 starts: after a branch, a load or a store, the next block on the same page
 comes straight from that granule's blocks, with no translation lookup.  That
-is sound because the call holds the machine's token, and since its last
-checked or cached fetch only ALU ops, branches, loads and stores have run.
+is sound because one host thread drives a machine (the :class:`Scheduler`
+switches cores only between calls), so since the call's last checked or
+cached fetch only this vCPU's ALU ops, branches, loads and stores have run.
 None of them changes a translation, an EPCM entry or a protection table, so
-the fetch's translation and permission still hold.  Only a store changes bytes, and a
-store to the code granule drops that granule's blocks, so the chain goes on
-after a store only while the granule still holds the very blocks it fetched
-(``mem.decoded.get(granule) is blocks``).  A gadget, a fault, a page change
-or the end of the budget breaks the chain.
+the fetch's translation and permission still hold.  Only a store changes
+bytes, and a store to the code granule drops that granule's blocks, so the
+chain goes on after a store only while the granule still holds the very
+blocks it fetched (``mem.decoded.get(granule) is blocks``).  A gadget, a
+fault, a page change or the end of the budget breaks the chain.
 
 Memory accesses go through a translation cache and block fetches also
 through a decode cache of blocks (both kept in
@@ -561,7 +562,8 @@ def aex(m, vcpu, reason: int, payload: int = 0) -> None:
     vcpu.pstate = 0
     vcpu.tpidr = SCRUB_PATTERN
     vcpu.pc = vcpu.aep
-    vcpu.last_exit = (reason, payload)
+    # SGX tells the host a page fault's page; the frame and trace keep the address.
+    vcpu.last_exit = (reason, payload & ~_PAGE_MASK if reason == EXIT_PAGEFAULT else payload)
     if m.trace is not NO_TRACE:
         m.trace_event("aex", vcpu=vcpu.id, eid=secs.eid,
                       reason=EXIT_REASON_NAMES.get(reason, str(reason)), payload=payload,
@@ -847,11 +849,12 @@ _DISPATCH_FAULTS = (E.INVALID_LEAF, E.INVALID_SERVICE, E.INVALID_MODE)
 
 
 class Scheduler:
-    """Seeded step-level interleaver for multi-core runs.
+    """The one model of concurrent cores: a seeded step-level interleaver.
 
     Picks a runnable vCPU at random (from the machine's scheduler seed) and
-    advances it one instruction at a time; with a fixed seed the interleaving
-    replays exactly.  A vCPU leaves the runnable set when its program stops.
+    advances it one instruction at a time through ``Machine.step``; with a
+    fixed seed the interleaving replays exactly.  A vCPU leaves the runnable
+    set when its program stops.
     """
 
     def __init__(self, machine, seed: Optional[int] = None):
@@ -868,7 +871,7 @@ class Scheduler:
         while runnable and spent < budget:
             vcpu = self.rng.choice(runnable)
             self.pick_trace.append(vcpu.id)
-            report = step(self.machine, vcpu, 1)
+            report = self.machine.step(vcpu, 1)
             spent += max(report.steps, 1)
             report.steps += reports[vcpu.id].steps
             reports[vcpu.id] = report

@@ -1,19 +1,17 @@
-"""The machine: memory, crypto, cores, and the serialized leaf dispatch.
+"""The machine: memory, crypto, cores, and the one leaf dispatch.
 
 One Machine is one simulated platform.  All microprogram execution funnels
-through :meth:`Machine.encls` / :meth:`Machine.enclu`, which take the global
-execution token, count and cost the invocation, check the ENCLU mode rule,
-run the handler atomically, record the invocation, and optionally audit the
-protection-table invariants afterwards.  vCPUs may be driven from separate
-threads; the token serializes every mutation.  The dispatch tables
-:data:`ENCLS_TABLE` and :data:`ENCLU_TABLE` are the name and handler columns
-of the one leaf table, :data:`~ccxsim.execution.LEAVES`.
+through :meth:`Machine.encls` / :meth:`Machine.enclu`, which count and cost
+the invocation, check the ENCLU mode rule, run the handler to completion,
+record the invocation, and optionally audit the protection-table invariants
+afterwards.  The dispatch tables :data:`ENCLS_TABLE` and :data:`ENCLU_TABLE`
+are the name and handler columns of the one leaf table,
+:data:`~ccxsim.execution.LEAVES`.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import execution
@@ -59,6 +57,11 @@ def _leaf_costs(config: Config) -> Dict[str, int]:
 
 
 class Machine:
+    """One platform, which one host thread drives: a leaf, a step or an
+    interrupt delivery ends before the next begins, so nothing locks.  The
+    seeded :class:`~ccxsim.execution.Scheduler` models concurrent cores, one
+    step at a time, so every interleaving replays."""
+
     def __init__(self, config: Optional[Config] = None):
         self.config = config or Config()
         self.config.validate()
@@ -72,7 +75,6 @@ class Machine:
         # nobody reads costs no record and holds no memory.  A reader puts a list.
         self.trace = NO_TRACE
         self._rng = random.Random(f"machine:{self.config.crypto_seed}")
-        self._token = threading.RLock()
         self._next_eid = 1
 
     # -- plumbing -------------------------------------------------------------
@@ -100,33 +102,32 @@ class Machine:
 
     def _dispatch(self, table, vcpu: Optional[VCpu], leaf: int, args, decode) -> Any:
         """Run one leaf; ``vcpu`` is None for ENCLS, else also ``args[0]``."""
-        with self._token:
-            entry = table.get(leaf)
-            if entry is None:
-                cls = "ENCLS" if vcpu is None else "ENCLU"
-                raise SgxError(E.INVALID_LEAF, f"{cls} leaf {leaf:#x} is undefined")
-            name, handler = entry
-            self.counters[name] += 1
-            try:
-                if vcpu is not None and (vcpu.cur_eid is None) != (name in HOST_MODE_LEAVES):
-                    need = "host" if name in HOST_MODE_LEAVES else "enclave"
-                    raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
-                if decode is None:
-                    result = handler(self, *args)
-                else:
-                    more, named = decode()
-                    result = handler(self, *args, *more, **named)
-            except SgxError as err:
-                if self.trace is not NO_TRACE:
-                    self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
-                                     outcome=err.code.name, cost=self.leaf_cost[name])
-                raise
-            if self.trace is not NO_TRACE:  # every leaf comes here: skip the call too
+        entry = table.get(leaf)
+        if entry is None:
+            cls = "ENCLS" if vcpu is None else "ENCLU"
+            raise SgxError(E.INVALID_LEAF, f"{cls} leaf {leaf:#x} is undefined")
+        name, handler = entry
+        self.counters[name] += 1
+        try:
+            if vcpu is not None and (vcpu.cur_eid is None) != (name in HOST_MODE_LEAVES):
+                need = "host" if name in HOST_MODE_LEAVES else "enclave"
+                raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
+            if decode is None:
+                result = handler(self, *args)
+            else:
+                more, named = decode()
+                result = handler(self, *args, *more, **named)
+        except SgxError as err:
+            if self.trace is not NO_TRACE:
                 self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
-                                 outcome="ok", cost=self.leaf_cost[name])
-            if self.config.audit_after_leaf:
-                self.audit()
-            return result
+                                 outcome=err.code.name, cost=self.leaf_cost[name])
+            raise
+        if self.trace is not NO_TRACE:  # every leaf comes here: skip the call too
+            self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
+                             outcome="ok", cost=self.leaf_cost[name])
+        if self.config.audit_after_leaf:
+            self.audit()
+        return result
 
     # The trap gadget's ``decode`` returns the leaf's positional and keyword
     # arguments once the call is counted and its mode checked, so it reads
@@ -164,17 +165,11 @@ class Machine:
     def store_cssa(self, granule: int, cssa: int) -> None:
         self.memory.store(granule, TCS_OFF_CSSA, cssa.to_bytes(8, "little"))
 
-    def cpuid(self, leaf: int, subleaf: int) -> Tuple[int, int, int, int]:
-        with self._token:
-            return execution.cpuid_emulate(self, leaf, subleaf)
-
     def step(self, vcpu: VCpu, max_steps: int) -> execution.RunReport:
-        with self._token:
-            return execution.step(self, vcpu, max_steps)
+        return execution.step(self, vcpu, max_steps)
 
     def inject_interrupt(self, vcpu: VCpu) -> None:
-        with self._token:
-            execution.inject_interrupt(self, vcpu)
+        execution.inject_interrupt(self, vcpu)
 
     # -- host-visible memory helpers (normal-world access, checked) -------------
 

@@ -1,10 +1,10 @@
 """Leaf microprograms: atomic state transitions over machine state.
 
 Each function implements one leaf.  Handlers assume the Machine dispatch
-holds the execution token, so a leaf runs to completion before any other vCPU
-observes its effects, and has checked the ENCLU mode rule.  Handlers for the
-entry/exit/resume leaves live in :mod:`ccxsim.execution`; the dispatch tables
-in :mod:`ccxsim.machine` stitch both together.
+has checked the ENCLU mode rule, and that one host thread drives the machine,
+so a leaf runs to completion before any other vCPU observes its effects.
+Handlers for the entry/exit/resume leaves live in :mod:`ccxsim.execution`;
+the dispatch tables in :mod:`ccxsim.machine` stitch both together.
 """
 
 from __future__ import annotations

@@ -668,11 +668,10 @@ class HostRuntime:
         if secs is None or secs.crashed:
             raise EnclaveFault(FaultReport("ssa_overflow", "enclave crashed"))
         reason, payload = vcpu.last_exit
-        if reason == EXIT_PAGEFAULT:
-            page = payload & ~(GRANULE_SIZE - 1)
-            if not self.store.has(handle.eid, page):
+        if reason == EXIT_PAGEFAULT:  # the payload is the faulting page
+            if not self.store.has(handle.eid, payload):
                 raise EnclaveFault(FaultReport("pagefault", f"at {payload:#x}", payload))
-            self.swap_in(handle, page)
+            self.swap_in(handle, payload)
         elif reason != EXIT_IRQ:  # a scheduled interrupt just resumes
             raise EnclaveFault(FaultReport("gpf", f"enclave fault at {payload:#x}", payload))
         self.machine.enclu(vcpu, *vcpu.regs[1:4])

@@ -7,7 +7,7 @@ Grammar (one command per line, '#' comments):
     destroy <id>
     ecall <id> <tcs> <selector> [a] [b]
     inject_irq vcpu=<n> at=every|<s>[,<s>...]   applies to the next ecall;
-                                      each <s> counts every step of it,
+                                      each <s> counts every step from 1,
                                       the host's halt at a gate included
     swap_out <id> <offset>            enclave-relative page offset
     swap_in <id> <offset>
@@ -289,11 +289,11 @@ class ScenarioRunner:
                 if key == "vcpu":
                     pending.vcpu = self._int(value, line_no)
                 elif key == "at":
-                    pending.at = (
-                        "every"
-                        if value == "every"
-                        else {self._int(v, line_no) for v in value.split(",")}
-                    )
+                    pending.at = "every" if value == "every" else {
+                        self._int(v, line_no) for v in value.split(",")}
+                    if pending.at != "every" and min(pending.at) < 1:
+                        raise ScenarioError(line_no, f"inject_irq at={min(pending.at)} "
+                                                     "can never fire: steps count from 1")
                 else:
                     raise ScenarioError(line_no, f"unknown inject field {key!r}")
             if pending.at is None:

@@ -2,7 +2,6 @@
 
 import random
 import re
-import threading
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -388,7 +387,7 @@ def test_encls_service_not_available_from_enclave(entered_env):
 
 
 def test_cpuid_capability_words(machine):
-    w = machine.cpuid(0x12, 0)
+    w = execution.cpuid_emulate(machine, 0x12, 0)
     assert w[0] & execution.CAP_SGX1
     assert w[0] & execution.CAP_SGX2
     assert w[0] & execution.CAP_AEXNOTIFY
@@ -396,14 +395,14 @@ def test_cpuid_capability_words(machine):
 
 def test_cpuid_geometry_echoes_config():
     m = Machine(small_config(epc_base=32, epc_size=128))
-    assert m.cpuid(0x12, 2) == (32 * GRANULE_SIZE, 128 * GRANULE_SIZE, 0, 0)
+    assert execution.cpuid_emulate(m, 0x12, 2) == (32 * GRANULE_SIZE, 128 * GRANULE_SIZE, 0, 0)
     m2 = Machine(small_config(mode="ccx"))
-    assert m2.cpuid(0x12, 2) == (0, m2.config.granule_count * GRANULE_SIZE, 0, 0)
+    assert execution.cpuid_emulate(m2, 0x12, 2) == (0, m2.config.granule_count * GRANULE_SIZE, 0, 0)
 
 
 def test_cpuid_unknown_leaf_and_subleaf_zeroed(machine):
-    assert machine.cpuid(0x13, 0) == (0, 0, 0, 0)
-    assert machine.cpuid(0x12, 9) == (0, 0, 0, 0)
+    assert execution.cpuid_emulate(machine, 0x13, 0) == (0, 0, 0, 0)
+    assert execution.cpuid_emulate(machine, 0x12, 9) == (0, 0, 0, 0)
 
 
 def test_no_hypervisor_hooks_exist():
@@ -1086,47 +1085,91 @@ def test_cpuid_from_a_running_program(machine):
 
 
 # ---------------------------------------------------------------------------
-# Serialization of concurrent microprograms
+# Concurrent cores: the seeded scheduler is the one interleaver
 
 
-def test_concurrent_traps_equal_serial_order():
-    cfg = small_config(audit_after_leaf=False, vcpu_count=4)
+def _build_leaf_lanes(machine, lanes=4, pages=4):
+    """One host program per vCPU that builds an enclave through the trap
+    gadget (ECREATE, then EADD of ``pages`` pages) and removes it again
+    (EREMOVE of each page, then of the SECS), halting after the last leaf and
+    aborting on the first refused one.  The PAGEINFO and SECS images sit in a
+    host granule of the lane's own; the program stores the eid ECREATE
+    returns into each EADD PAGEINFO, since which eid a lane gets depends on
+    the interleaving."""
+    epc = free_epc_granules(machine, lanes * (1 + pages))
+    host = host_scratch_granules(machine, 3 * lanes)
+    vcpus = []
+    for lane in range(lanes):
+        code, params, source = host[3 * lane:3 * lane + 3]
+        secs_g, *page_gs = epc[lane * (1 + pages):(lane + 1) * (1 + pages)]
+        info_at = params * GRANULE_SIZE
+        machine.host_write(params, 0, PageInfo(0, info_at + 64, 0, 0).pack())
+        secs_image = SecsImage(1 << 21, BASE, 1, Attributes(debug=True).encode())
+        machine.host_write(params, 64, secs_image.pack())
+        machine.host_write(source, 0, bytes([lane + 1]) * GRANULE_SIZE)
+        secinfo = SecInfo(Perms.R | Perms.W, PageType.REG).word()
 
-    def workload(m, lane):
-        enc = build_raw_enclave(
-            m,
-            page_specs=[(0x1000 * i, "rw", bytes([lane]) * 64) for i in range(4)],
-            measure=False,
-        )
-        for off in sorted(enc.pages):
-            m.leaf("EREMOVE", enc.pages[off])
-        m.leaf("EREMOVE", enc.secs_granule)
+        def leaf(num, *args):
+            words = (execution.SMC_ID_ENCLS, num, *args)
+            return [*(("movi", reg, word) for reg, word in enumerate(words)),
+                    ("gadget",), ("bnz", 0, "@refused")]
 
-    # serial reference
-    m_serial = Machine(cfg)
-    for lane in range(4):
-        workload(m_serial, lane)
-    serial_system = bytes(m_serial.memory.gpts.system)
+        prog = leaf(0x0, info_at, secs_g) + [("addi", 9, 1, 0)]  # ECREATE; x9 = eid
+        for i, page_g in enumerate(page_gs):
+            eadd_at = info_at + 128 + i * PAGEINFO_SIZE
+            info = PageInfo(BASE + i * GRANULE_SIZE, source * GRANULE_SIZE, secinfo, 0)
+            machine.host_write(params, eadd_at - info_at, info.pack())
+            prog += [("movi", 5, eadd_at), ("store", 9, 5, 24)]  # the PAGEINFO's secs word
+            prog += leaf(0x1, eadd_at, page_g)  # EADD
+        for g in (*page_gs, secs_g):
+            prog += leaf(0x3, g)  # EREMOVE
+        prog += [("halt",), ("label", "refused"), ("abort",)]
+        machine.host_write(code, 0, isa.assemble(prog, origin=code * GRANULE_SIZE))
+        vcpu = machine.vcpus[lane]
+        vcpu.pc = code * GRANULE_SIZE
+        vcpus.append(vcpu)
+    return vcpus
 
-    m_par = Machine(cfg)
-    errors = []
 
-    def run(lane):
-        try:
-            workload(m_par, lane)
-        except Exception as exc:  # propagate to the main thread
-            errors.append(exc)
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_interleaved_build_leaves_equal_serial_order(mode):
+    """Build leaves issued by four cores end in the serial run's state under
+    every interleaving the scheduler picks, and a seed replays its
+    interleaving and its trace records exactly."""
+    cfg = small_config(mode=mode, audit_after_leaf=False, vcpu_count=4)
+    fresh = Machine(cfg).memory.gpts
+    fresh_system, fresh_tables = bytes(fresh.system), fresh.snapshot_counts()
+    serial = Machine(cfg)
+    serial.trace = []
+    for vcpu in _build_leaf_lanes(serial):
+        assert serial.step(vcpu, 10_000).stop == "halt"
+    serial.audit()
+    serial_system = bytes(serial.memory.gpts.system)
+    assert serial_system == fresh_system and serial.memory.valid_pages() == []
+    assert serial.memory.gpts.snapshot_counts() == fresh_tables  # no enclave table is left
+    assert [serial.counters[leaf] for leaf in ("ECREATE", "EADD", "EREMOVE")] == [4, 16, 20]
 
-    threads = [threading.Thread(target=run, args=(lane,)) for lane in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    m_par.audit()
-    assert bytes(m_par.memory.gpts.system) == serial_system
-    assert m_par.memory.valid_pages() == []
-    assert m_par.counters["ECREATE"] == m_serial.counters["ECREATE"] == 4
+    def interleaved(seed):
+        machine = Machine(cfg)
+        machine.trace = []
+        sched = execution.Scheduler(machine, seed=seed)
+        reports = sched.run(_build_leaf_lanes(machine), budget=10_000)
+        assert all(r.stop == "halt" for r in reports.values())
+        machine.audit()
+        assert bytes(machine.memory.gpts.system) == serial_system
+        assert machine.memory.gpts.snapshot_counts() == fresh_tables
+        assert machine.memory.valid_pages() == []
+        assert machine.counters == serial.counters
+        return sched.pick_trace, machine.trace
+
+    serial_leaves = [record["kind"] for record in serial.trace]
+    picks = set()
+    for seed in (1, 2, 3, 4):
+        pick_trace, trace = interleaved(seed)
+        assert interleaved(seed) == (pick_trace, trace)  # a seed replays exactly
+        assert [record["kind"] for record in trace] != serial_leaves  # leaves interleave
+        picks.add(tuple(pick_trace))
+    assert len(picks) == 4
 
 
 def test_scheduler_interleaving_is_seeded_and_commutes():

@@ -134,6 +134,11 @@ BAD_INPUTS = {
     "tcs_index": ("create a standard.manifest\necall a 9 1 2 3", 2, "has no TCS 9"),
     "vcpu_index": ("create a standard.manifest\ninject_irq vcpu=99 at=1\necall a 0 1 2 3", 3,
                    "no vcpu 99"),
+    # steps count from 1, so these could never fire
+    "inject_at_zero": ("create a standard.manifest\ninject_irq vcpu=0 at=0\necall a 0 1 2 3", 2,
+                       "inject_irq at=0 can never fire: steps count from 1"),
+    "inject_at_negative": ("create a standard.manifest\ninject_irq at=3,-5\necall a 0 1 2 3", 2,
+                           "inject_irq at=-5 can never fire"),
     "swap_in_resident": ("create a standard.manifest\nswap_in a 0", 2,
                          "swap store holds no page"),
     "manifest_missing": ("create a standard.manifest\ncreate b nonexist.manifest", 2,

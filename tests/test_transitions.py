@@ -88,6 +88,26 @@ def test_a_faulting_ecall_builds_no_record_when_untraced(monkeypatch):
     assert rt.swap_in_events == 1
 
 
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_the_host_learns_the_page_of_a_fault_and_the_enclave_its_address(mode):
+    """SGX clears bits 11:0 of the fault address it reports to the OS: the
+    host's fault report names the page, while the save-state frame and the
+    observer's aex record keep the full address."""
+    m = Machine(small_config(mode=mode))
+    m.trace = []
+    rt = HostRuntime(m)
+    handle = rt.load_enclave(EnclaveManifest.parse(
+        fixtures.build_manifest_text(fixtures.standard_program())))
+    addr = handle.base + 0x11238  # no page there
+    page = addr & ~(GRANULE_SIZE - 1)
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(handle, 0, fixtures.SEL_PEEK, addr)
+    assert str(exc.value) == f"enclave fault: pagefault at {page:#x}"
+    assert exc.value.report.vaddr == page
+    assert [r["payload"] for r in m.trace if r["kind"] == "aex"] == [addr]
+    assert SSA_FRAME.unpack(_frame0(m, handle))[-1] == addr  # the frame's exit payload
+
+
 def _aex(eid, reason="irq", payload=0):
     return {"kind": "aex", "vcpu": 0, "eid": eid, "reason": reason, "payload": payload,
             "path": "trampoline->el3->host", "fatal": False}
