@@ -41,11 +41,11 @@ from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from .crypto import RunningHash
 from .errors import AuthenticationFailure, ModelError, SgxError, read_input
-from .execution import MASK64, ssa_frame_vaddr
+from .execution import MASK64, RunReport, ssa_frame_vaddr
 from .machine import LEAF_NUMBERS, Machine
 from .manifest import EnclaveManifest
 from .memory import GRANULE_SIZE, RESERVED_GRANULES, EpcmEntry, PageType, Perms
@@ -368,9 +368,6 @@ class HostRuntime:
             state.absorb(page_measurement(off, secinfo, page, measured))
         return state.final()
 
-    def _add_page(self, eid: int, vaddr: int, secinfo: SecInfo, content: bytes) -> None:
-        self.machine.leaf("EADD", eid, vaddr, secinfo, self.take_epc_granule(), content)
-
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
         m = self.machine
         manifest.validate()
@@ -393,7 +390,7 @@ class HostRuntime:
         try:
             for label, off, secinfo, page, measured in _build_plan(manifest):
                 step = f"eadd {label} at {off:#x}"
-                self._add_page(eid, base + off, secinfo, page)
+                m.leaf("EADD", eid, base + off, secinfo, self.take_epc_granule(), page)
                 if secinfo.page_type == PageType.TCS:
                     tcs_vaddrs.append(base + off)
                 if measured:
@@ -571,7 +568,7 @@ class HostRuntime:
             if vcpu.in_enclave:
                 self.machine.enclu(vcpu, EEXIT_LEAF, RETURN_GATE)
 
-    def ecall(
+    def call(
         self,
         handle: EnclaveHandle,
         tcs_index: int,
@@ -581,75 +578,77 @@ class HostRuntime:
         vcpu_index: int = 0,
         inject_at=None,
         step_budget: Optional[int] = None,
-    ) -> int:
-        """Marshal a call into the enclave and run it to completion.
+    ) -> Generator[RunReport, None, int]:
+        """Marshal a call into the enclave as a resumable call: a generator
+        that yields the report of each ``Machine.step`` chunk and returns x3.
 
-        ``inject_at`` is either "every" or a collection of step numbers at
-        which to inject an interrupt, counted over every step of this call:
-        the halt the host runs at a gate after each exit counts as one.
-        ``step_budget`` replaces ``Config.max_ecall_steps`` for this call.
-        Raises :class:`EnclaveFault` on any unrecovered fault; a call that
-        stops inside the enclave first leaves it by an AEX.
+        ``inject_at`` is "every" or a collection of step numbers from 1 at
+        which to inject an interrupt, counted over every step of the call, the
+        halt the host runs at a gate after each exit included.  Each chunk runs
+        to the next of them or to the budget, ``step_budget`` or else
+        ``Config.max_ecall_steps``.  Raises :class:`EnclaveFault` on any
+        unrecovered fault; a call that stops inside the enclave, or is closed
+        there, first leaves it by an AEX.
         """
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
         budget = m.config.max_ecall_steps if step_budget is None else step_budget
-        # The steps to interrupt at, and the ones the enclave runs to in order:
-        # those below the budget, then the budget, so bisection always finds
-        # the next.
+        # The steps that end a chunk: the interrupt steps below the budget,
+        # then the budget, so bisection always finds the next.
         if inject_at == "every":
-            schedule = marks = range(1, budget + 1)
+            marks = range(1, budget + 1)
         else:
-            schedule = set(inject_at or ())
-            marks = sorted({mark for mark in schedule if mark < budget} | {budget})
+            marks = sorted({mark for mark in inject_at or () if mark < budget} | {budget})
 
         vcpu.regs[2] = selector & MASK64
         vcpu.regs[3] = arg1 & MASK64
         vcpu.regs[4] = arg2 & MASK64
         try:
             self._enter(handle, vcpu, tcs_vaddr)
-
             steps = 0
-            while True:
-                if steps >= budget:
-                    raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
-
-                chunk = budget - steps
-                if vcpu.cur_eid is not None:
-                    chunk = marks[bisect_right(marks, steps)] - steps
-                report = m.step(vcpu, chunk)
+            while steps < budget:
+                report = m.step(vcpu, marks[bisect_right(marks, steps)] - steps)
                 steps += report.steps
-
-                if vcpu.cur_eid is not None and report.stop == "limit" and steps in schedule:
+                yield report
+                if report.stop == "limit":  # at a mark; outside the enclave a no-op
                     m.inject_interrupt(vcpu)
-                    continue
-
-                if report.stop == "limit":
-                    continue
-                if report.stop == "abort":
+                elif report.stop == "abort":
                     raise EnclaveFault(FaultReport("abort"))
-                if report.stop == "fault":
+                elif report.stop == "fault":
                     raise EnclaveFault(FaultReport(report.fault["kind"], str([report.fault])))
                 # stop == halt; gate pages read as zeroes, so the pc still points
                 # at the gate the program landed on
-                if vcpu.cur_eid is not None:
+                elif vcpu.cur_eid is not None:
                     raise EnclaveFault(FaultReport("halt_inside", f"pc={vcpu.pc:#x}"))
-                if vcpu.pc == RETURN_GATE:
+                elif vcpu.pc == RETURN_GATE:
                     return vcpu.regs[3]
-                if vcpu.pc == OCALL_GATE:
+                elif vcpu.pc == OCALL_GATE:
                     self._handle_ocall(handle, vcpu)
                     # the idle TCS may have been evicted while the handler ran
                     self._enter(handle, vcpu, tcs_vaddr)
-                    continue
-                if vcpu.pc == AEP_GATE and vcpu.last_exit is not None:
+                elif vcpu.pc == AEP_GATE and vcpu.last_exit is not None:
                     self._handle_aex(handle, vcpu)
-                    continue
-                raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
+                else:
+                    raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
+            raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
         finally:
-            # A call that gives up inside the enclave leaves it by an AEX, which
-            # saves and scrubs the thread's registers and frees the core and TCS.
+            # A call that gives up or is closed inside the enclave leaves it by
+            # an AEX, which saves and scrubs the thread's registers and frees
+            # the core and TCS.
             if vcpu.cur_eid is not None:
                 m.inject_interrupt(vcpu)
+
+    def ecall(self, handle: EnclaveHandle, tcs_index: int, selector: int, arg1: int = 0,
+              arg2: int = 0, vcpu_index: int = 0, inject_at=None,
+              step_budget: Optional[int] = None) -> int:
+        """Run :meth:`call` to completion and return its result."""
+        calling = self.call(handle, tcs_index, selector, arg1, arg2, vcpu_index, inject_at,
+                            step_budget)
+        while True:
+            try:
+                next(calling)
+            except StopIteration as done:
+                return done.value
 
     def _handle_ocall(self, handle: EnclaveHandle, vcpu) -> None:
         selector = vcpu.regs[5]
@@ -672,7 +671,7 @@ class HostRuntime:
             if not self.store.has(handle.eid, payload):
                 raise EnclaveFault(FaultReport("pagefault", f"at {payload:#x}", payload))
             self.swap_in(handle, payload)
-        elif reason != EXIT_IRQ:  # a scheduled interrupt just resumes
+        elif reason != EXIT_IRQ:  # an injected interrupt just resumes
             raise EnclaveFault(FaultReport("gpf", f"enclave fault at {payload:#x}", payload))
         self.machine.enclu(vcpu, *vcpu.regs[1:4])
 
