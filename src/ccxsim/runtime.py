@@ -39,6 +39,7 @@ from __future__ import annotations
 import hmac as hmac_mod
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Collection
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, Set, Tuple
@@ -586,19 +587,15 @@ class HostRuntime:
         which to inject an interrupt, counted over every step of the call, the
         halt the host runs at a gate after each exit included.  Each chunk runs
         to the next of them or to the budget, ``step_budget`` or else
-        ``Config.max_ecall_steps``.  Raises :class:`EnclaveFault` on any
-        unrecovered fault; a call that stops inside the enclave, or is closed
-        there, first leaves it by an AEX.
+        ``Config.max_ecall_steps``.  Any other ``inject_at`` raises
+        :class:`ModelError` before a leaf runs.  Raises :class:`EnclaveFault`
+        on any unrecovered fault; a call that stops inside the enclave, or is
+        closed there, first leaves it by an AEX.
         """
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
         budget = m.config.max_ecall_steps if step_budget is None else step_budget
-        # The steps that end a chunk: the interrupt steps below the budget,
-        # then the budget, so bisection always finds the next.
-        if inject_at == "every":
-            marks = range(1, budget + 1)
-        else:
-            marks = sorted({mark for mark in inject_at or () if mark < budget} | {budget})
+        marks = _marks(inject_at, budget)
 
         vcpu.regs[2] = selector & MASK64
         vcpu.regs[3] = arg1 & MASK64
@@ -740,6 +737,23 @@ class HostRuntime:
             return m.crypto.blob_unseal(key, blob.nonce, blob.ciphertext, aad, blob.mac)
         except AuthenticationFailure:
             return None
+
+
+def _marks(inject_at, budget: int):
+    """The steps that end a call's chunks: the interrupt steps of
+    ``inject_at`` below ``budget``, then ``budget``, so bisection always
+    finds the next.  ``inject_at`` is "every", None or a collection of ints
+    from 1; any other value is refused, so no step is kept that never fires."""
+    if inject_at == "every":
+        return range(1, budget + 1)
+    if inject_at is None:
+        inject_at = ()
+    elif isinstance(inject_at, (str, bytes)) or not isinstance(inject_at, Collection):
+        raise ModelError(f"inject_at {inject_at!r} is neither 'every' nor a collection of steps")
+    for step in inject_at:
+        if not isinstance(step, int) or step < 1:
+            raise ModelError(f"inject_at {inject_at!r}: step {step!r} is not a step number from 1")
+    return sorted({step for step in inject_at if step < budget} | {budget})
 
 
 def _ocall_eaug(rt: HostRuntime, handle: EnclaveHandle, vaddr: int, _arg2: int) -> int:

@@ -8,10 +8,12 @@ steps, so a driver can interleave calls on several vCPUs or close one
 early; ``ecall`` runs one to completion."""
 
 import random
+import re
 
 import pytest
 
 from ccxsim import EnclaveManifest, fixtures
+from ccxsim.errors import ModelError
 from ccxsim.execution import SCRUB_PATTERN
 from ccxsim.machine import Machine
 from ccxsim.runtime import EnclaveFault, HostRuntime
@@ -126,3 +128,17 @@ def test_a_call_closed_after_its_first_chunk_leaves_by_an_aex(mode):
     assert m.read_tcs(m.memory.find_page(handle.eid, handle.tcs_vaddrs[0])).cssa == 1
     assert vcpu.regs[0] == SCRUB_PATTERN and vcpu.regs[4:] == [SCRUB_PATTERN] * 28
     assert rt.ecall(handle, 0, 0, 40) == fixtures.compute_expected(40)
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("inject", [{0, -3}, "Every", {"3"}, 7, {2.5}, [1, None]], ids=repr)
+def test_interrupt_steps_that_could_never_fire_are_refused_before_any_leaf(mode, inject):
+    rt, handle = _compute(mode)
+    m = rt.machine
+    m.trace = []
+    counters = dict(m.counters)
+    with pytest.raises(ModelError, match=re.escape(f"inject_at {inject!r}")):
+        rt.ecall(handle, 0, 0, 40, inject_at=inject)
+    assert m.counters == counters and m.trace == []
+    assert not m.vcpus[0].in_enclave
+    assert rt.ecall(handle, 0, 0, 40, inject_at=[5, 5]) == fixtures.compute_expected(40)
