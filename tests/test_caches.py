@@ -2,7 +2,8 @@
 time.  Each targeted case warms the caches, changes memory behind them, and
 runs again; the differential test compares a machine whose caches are
 dropped before every single step with one that keeps them and runs whole
-budgets."""
+budgets, and a call driven through ``HostRuntime.call`` with every cache
+dropped at each of its yields must equal an undisturbed ``ecall``."""
 
 from functools import partial
 
@@ -495,3 +496,49 @@ def _drive(mode, rounds, drop_caches):
 @given(st.sampled_from(["sgx", "ccx"]), ROUNDS)
 def test_cached_run_equals_a_run_with_caches_dropped_every_step(mode, rounds):
     assert _drive(mode, rounds, drop_caches=False) == _drive(mode, rounds, drop_caches=True)
+
+
+def _calls(mode, inject, drop_caches):
+    """A poke into a data page swapped out before the call, so demand paging
+    runs, then a compute loop, both with interrupts; returns each call's
+    result and registers, the page-ins and the trace records.  With
+    ``drop_caches`` each call is driven through ``HostRuntime.call`` and
+    every cache is emptied at each of its yields; without, each is one
+    ``ecall``."""
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    m = rt.machine
+    standard, compute = (rt.load_enclave(EnclaveManifest.parse(fixtures.build_manifest_text(
+        program, name=name))) for name, program in (("standard", fixtures.standard_program()),
+                                                     ("compute", fixtures.compute_program())))
+    m.trace = []
+    slot = standard.base + fixtures.SCRATCH_OFF + 0x40
+    assert rt.ecall(standard, 0, fixtures.SEL_POKE, slot, 7) == 7  # warm every cache
+    rt.swap_out(standard, slot)
+    seen = []
+    for handle, args in ((standard, (fixtures.SEL_POKE, slot, DATA_WORD)), (compute, (0, 30))):
+        if drop_caches:
+            calling = rt.call(handle, 0, *args, inject_at=inject)
+            while True:
+                m.memory.tlb.clear()
+                m.memory.decoded.clear()
+                m.memory.compiled.clear()
+                try:
+                    next(calling)
+                except StopIteration as done:
+                    result = done.value
+                    break
+        else:
+            result = rt.ecall(handle, 0, *args, inject_at=inject)
+        seen.append((result, list(m.vcpus[0].regs)))
+    return seen, rt.swap_in_events, m.trace
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("inject", [{2, 5, 9, 16, 20, 60, 61, 150}, "every"], ids=["some", "every"])
+def test_a_call_with_caches_dropped_at_every_chunk_equals_an_undisturbed_ecall(mode, inject):
+    kept = _calls(mode, inject, drop_caches=False)
+    assert _calls(mode, inject, drop_caches=True) == kept
+    seen, swap_ins, trace = kept
+    assert [result for result, _ in seen] == [DATA_WORD, fixtures.compute_expected(30)]
+    assert swap_ins == 1 and any(r["kind"] == "aex" and r["reason"] == "pagefault" for r in trace)
+    assert sum(r["kind"] == "eresume" for r in trace) > 2
