@@ -25,7 +25,13 @@ Driver ABI (documented contract with fixture programs):
                 x3 the aep; the driver resumes from them or reports
 
 Gate addresses live on a reserved host granule that reads as zeroes, so a
-vCPU arriving there halts and hands control back to the driver loop.
+vCPU arriving there halts and hands control back to the call.
+
+Calls: :meth:`HostRuntime.call` is the one resumable call, a generator that
+yields the report of each chunk of steps it runs, so a driver can advance
+calls on several vCPUs in any order, or close one early, whose core then
+leaves the enclave by an AEX.  :meth:`HostRuntime.ecall` runs one call to
+completion.
 
 Allocation: every enclave page (SECS, added, augmented, reloaded, version
 array) is the lowest free granule of the EPC span, in both memory modes, so
@@ -587,10 +593,11 @@ class HostRuntime:
         which to inject an interrupt, counted over every step of the call, the
         halt the host runs at a gate after each exit included.  Each chunk runs
         to the next of them or to the budget, ``step_budget`` or else
-        ``Config.max_ecall_steps``.  Any other ``inject_at`` raises
-        :class:`ModelError` before a leaf runs.  Raises :class:`EnclaveFault`
-        on any unrecovered fault; a call that stops inside the enclave, or is
-        closed there, first leaves it by an AEX.
+        ``Config.max_ecall_steps``.  Any other ``inject_at``, or a budget
+        that is not an int from 0, raises :class:`ModelError` before a leaf
+        runs.  Raises :class:`EnclaveFault` on any unrecovered fault; a call
+        that stops inside the enclave, or is closed there, first leaves it by
+        an AEX.
         """
         m = self.machine
         vcpu, tcs_vaddr = self._thread(handle, tcs_index, vcpu_index)
@@ -743,7 +750,10 @@ def _marks(inject_at, budget: int):
     """The steps that end a call's chunks: the interrupt steps of
     ``inject_at`` below ``budget``, then ``budget``, so bisection always
     finds the next.  ``inject_at`` is "every", None or a collection of ints
-    from 1; any other value is refused, so no step is kept that never fires."""
+    from 1, and ``budget`` an int from 0; any other value is refused, so no
+    call enters that could never run or keeps a step that never fires."""
+    if not isinstance(budget, int) or budget < 0:
+        raise ModelError(f"step budget {budget!r} is not a step count from 0")
     if inject_at == "every":
         return range(1, budget + 1)
     if inject_at is None:

@@ -130,15 +130,30 @@ def test_a_call_closed_after_its_first_chunk_leaves_by_an_aex(mode):
     assert rt.ecall(handle, 0, 0, 40) == fixtures.compute_expected(40)
 
 
+# inject_at, step_budget -> the start of the refusal
+REFUSED = {
+    "steps_below_1": ({0, -3}, None, "inject_at {0, -3}"),
+    "every_misspelt": ("Every", None, "inject_at 'Every'"),
+    "step_as_text": ({"3"}, None, "inject_at {'3'}"),
+    "bare_step": (7, None, "inject_at 7"),
+    "fractional_step": ({2.5}, None, "inject_at {2.5}"),
+    "none_as_step": ([1, None], None, "inject_at [1, None]"),
+    "negative_budget": (None, -5, "step budget -5"),
+    "fractional_budget": ({3}, 2.5, "step budget 2.5"),
+    "budget_as_text": ("every", "10", "step budget '10'"),
+}
+
+
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
-@pytest.mark.parametrize("inject", [{0, -3}, "Every", {"3"}, 7, {2.5}, [1, None]], ids=repr)
-def test_interrupt_steps_that_could_never_fire_are_refused_before_any_leaf(mode, inject):
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_a_schedule_that_could_never_run_is_refused_before_any_leaf(mode, case):
+    inject, budget, message = REFUSED[case]
     rt, handle = _compute(mode)
     m = rt.machine
     m.trace = []
     counters = dict(m.counters)
-    with pytest.raises(ModelError, match=re.escape(f"inject_at {inject!r}")):
-        rt.ecall(handle, 0, 0, 40, inject_at=inject)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        rt.ecall(handle, 0, 0, 40, inject_at=inject, step_budget=budget)
     assert m.counters == counters and m.trace == []
     assert not m.vcpus[0].in_enclave
     assert rt.ecall(handle, 0, 0, 40, inject_at=[5, 5]) == fixtures.compute_expected(40)
