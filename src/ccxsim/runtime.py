@@ -45,7 +45,6 @@ from __future__ import annotations
 import hmac as hmac_mod
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Collection
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, Set, Tuple
@@ -754,16 +753,22 @@ def _marks(inject_at, budget: int):
     call enters that could never run or keeps a step that never fires."""
     if not isinstance(budget, int) or budget < 0:
         raise ModelError(f"step budget {budget!r} is not a step count from 0")
+    if inject_at is None:
+        return [budget]
     if inject_at == "every":
         return range(1, budget + 1)
-    if inject_at is None:
-        inject_at = ()
-    elif isinstance(inject_at, (str, bytes)) or not isinstance(inject_at, Collection):
+    steps = None
+    if not isinstance(inject_at, (str, bytes)):
+        try:
+            steps = set(inject_at)
+        except TypeError:  # not iterable, or a step that cannot be one
+            pass
+    if steps is None:
         raise ModelError(f"inject_at {inject_at!r} is neither 'every' nor a collection of steps")
-    for step in inject_at:
+    for step in steps:
         if not isinstance(step, int) or step < 1:
             raise ModelError(f"inject_at {inject_at!r}: step {step!r} is not a step number from 1")
-    return sorted({step for step in inject_at if step < budget} | {budget})
+    return sorted({step for step in steps if step < budget} | {budget})
 
 
 def _ocall_eaug(rt: HostRuntime, handle: EnclaveHandle, vaddr: int, _arg2: int) -> int:
