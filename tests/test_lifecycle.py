@@ -164,6 +164,59 @@ def test_eextend_after_init_rejected(machine):
     assert exc.value.code == E.ALREADY_INITIALIZED
 
 
+def _eblock_second_page(m, eid, pages):
+    m.leaf("EBLOCK", pages[0x1000])
+
+
+def _add_other_enclaves_page(m, eid, pages):
+    # a second enclave at the same base, with a page where the first has none
+    secs_granule, g = free_epc_granules(m, 2)
+    other = m.leaf("ECREATE", secs_granule, 1 << 21, 1, Attributes(debug=True), BASE)
+    m.leaf("EADD", other, BASE + 0x5000, SecInfo(Perms.R, PageType.REG), g,
+           b"\x55" * GRANULE_SIZE)
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("setup, eid_delta, chunk, code", [
+    (_eblock_second_page, 0, 0x1100, E.UNMEASURABLE_PAGE),
+    (None, 1000, 0x1000, E.UNKNOWN_ENCLAVE),
+    (_add_other_enclaves_page, 0, 0x5200, E.UNMEASURABLE_PAGE),
+], ids=["blocked-page", "unknown-eid", "other-enclaves-page"])
+def test_refused_eextend_leaves_the_measurement_alone(mode, setup, eid_delta, chunk, code):
+    """A refused EEXTEND between two measured pages absorbs nothing: the
+    final MRENCLAVE is that of the same build without the refused leaf."""
+
+    def build(refuse: bool) -> bytes:
+        m = Machine(small_config(mode=mode))
+        secs_granule = free_epc_granules(m, 1)[0]
+        eid = m.leaf("ECREATE", secs_granule, 1 << 21, 1, Attributes(debug=True), BASE)
+        pages = {}
+        for off, perms, fill in ((0x0, "rwx", 0x11), (0x1000, "rw", 0x22)):
+            pages[off] = free_epc_granules(m, 1)[0]
+            m.leaf("EADD", eid, BASE + off, SecInfo(Perms.parse(perms), PageType.REG),
+                   pages[off], bytes([fill]) * GRANULE_SIZE)
+        for chunk_off in range(0, GRANULE_SIZE, 256):
+            m.leaf("EEXTEND", eid, BASE + chunk_off)
+        if setup is not None:
+            setup(m, eid, pages)
+        if refuse:
+            before = m.counters["EEXTEND"]
+            with pytest.raises(SgxError) as exc:
+                m.leaf("EEXTEND", eid + eid_delta, BASE + chunk)
+            assert exc.value.code == code
+            assert m.counters["EEXTEND"] == before + 1
+        g = free_epc_granules(m, 1)[0]
+        m.leaf("EADD", eid, BASE + 0x2000, SecInfo(Perms.R, PageType.REG), g,
+               b"\x33" * GRANULE_SIZE)
+        for chunk_off in range(0, GRANULE_SIZE, 256):
+            m.leaf("EEXTEND", eid, BASE + 0x2000 + chunk_off)
+        m.leaf("EINIT", eid, sign_for(m, eid))
+        m.audit()
+        return m.enclaves[eid].mrenclave
+
+    assert build(refuse=True) == build(refuse=False)
+
+
 def test_measurement_depends_on_content(machine):
     a = build_raw_enclave(machine, page_specs=[(0x0, "rx", b"\x01" * GRANULE_SIZE)])
     b = build_raw_enclave(machine, page_specs=[(0x0, "rx", b"\x01" * GRANULE_SIZE)])

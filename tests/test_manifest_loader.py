@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccxsim import fixtures, runtime as runtime_module
 from ccxsim.errors import SgxError
-from ccxsim.machine import Machine
+from ccxsim.machine import ENCLS_TABLE, Machine
 from ccxsim.manifest import EnclaveManifest, ManifestError
 from ccxsim.memory import GRANULE_SIZE, Perms
 from ccxsim.runtime import HostRuntime, LoadError
@@ -303,6 +303,47 @@ def test_load_walks_the_build_plan_once(runtime, monkeypatch):
     manifest = EnclaveManifest.parse(minimal_text())
     runtime.load_enclave(manifest)
     assert walks == [manifest]
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_load_issues_one_eadd_a_page_and_16_eextends_a_measured_page(mode, monkeypatch):
+    text = minimal_text().replace(
+        "page vaddr=0x1000 perms=rw content=zero",
+        "page vaddr=0x1000 perms=rw content=zero measured=no",
+    ).replace("sigstruct test-key", "") + (
+        "page vaddr=0x5000 perms=rw content=zero count=3 measured=no\n"
+        "page vaddr=0x8000 perms=r content=hex:0102\n"
+        "tcs vaddr=0x9000 oentry=0x0 ossa=0x2000 tls=0x1000 measured=no\n"
+        "sigstruct test-key\n"
+    )
+    # (page offset, measured) in build order: pages in file order, then TCSs
+    plan = [(0x0, True), (0x1000, False), (0x2000, True), (0x3000, True),
+            (0x5000, False), (0x6000, False), (0x7000, False), (0x8000, True),
+            (0x4000, True), (0x9000, False)]
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    leaves = []
+    encls = Machine.encls
+
+    def recorded(machine, leaf, *args, **kwargs):
+        name = ENCLS_TABLE[leaf][0]
+        leaves.append((name, args[1]) if name in ("EADD", "EEXTEND") else (name,))
+        return encls(machine, leaf, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "encls", recorded)
+    before = dict(rt.machine.counters)
+    handle = rt.load_enclave(EnclaveManifest.parse(text))
+    expected = [("ECREATE",)]
+    for off, measured in plan:
+        expected.append(("EADD", handle.base + off))
+        if measured:
+            expected += [("EEXTEND", handle.base + off + chunk)
+                         for chunk in range(0, GRANULE_SIZE, 256)]
+    expected.append(("EINIT",))
+    assert leaves == expected
+    # every leaf the load counted entered through Machine.encls
+    counted = {name: n - before[name] for name, n in rt.machine.counters.items()
+               if n != before[name]}
+    assert counted == {"ECREATE": 1, "EADD": 10, "EEXTEND": 16 * 5, "EINIT": 1}
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
