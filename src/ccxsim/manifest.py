@@ -26,7 +26,7 @@ file order.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional
@@ -198,9 +198,10 @@ class EnclaveManifest:
                     manifest.ssa_frame_size = _num(rest)
                 elif key == "nssa":
                     manifest.nssa = _num(rest)
-                elif key == "attributes":
-                    manifest.attributes = replace(Attributes.parse(rest),
-                                                  max_page_perms=manifest.attributes.max_page_perms)
+                elif key == "attributes":  # keeps the ceiling max_page_perms set
+                    ceiling = manifest.attributes.max_page_perms
+                    manifest.attributes = Attributes.parse(rest)
+                    manifest.attributes.max_page_perms = ceiling
                 elif key == "max_page_perms":
                     manifest.attributes.max_page_perms = Perms.parse(rest)
                 elif key == "isv_prod_id":
@@ -229,9 +230,9 @@ class EnclaveManifest:
     def _fields(rest: str) -> dict:
         out = {}
         for token in rest.split():
-            if "=" not in token:
+            k, eq, v = token.partition("=")
+            if not eq:
                 raise ValueError(f"expected key=value, got {token!r}")
-            k, v = token.split("=", 1)
             out[k] = v
         return out
 

@@ -72,6 +72,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 from .errors import GranuleProtectionFault, ModelError
 
 GRANULE_SIZE = 4096
+_ZERO_GRANULE = bytes(GRANULE_SIZE)
 
 # Granules 0 and 1 are never handed out: 0 catches null-ish addresses, 1 is
 # the host runtime's gate page (return / ocall / aep landing addresses).
@@ -90,6 +91,7 @@ class Pas(enum.IntEnum):
 
 # Pas members by value, so a table byte maps to its member without a call.
 _PAS = tuple(Pas)
+_NORMAL, _NO_ACCESS = int(Pas.NORMAL), int(Pas.NO_ACCESS)
 
 
 class SecurityState(enum.IntEnum):
@@ -109,19 +111,13 @@ class Perms(enum.IntFlag):
 
     @classmethod
     def parse(cls, text: str) -> "Perms":
-        p = cls.NONE
+        bits = 0  # an int until the end: a flag | is a Python-level call
         for ch in text.lower():
-            if ch == "r":
-                p |= cls.R
-            elif ch == "w":
-                p |= cls.W
-            elif ch == "x":
-                p |= cls.X
-            elif ch in ("-", "n"):
-                pass
-            else:
+            bit = _PERM_BITS.get(ch)
+            if bit is None:
                 raise ValueError(f"bad permission char {ch!r}")
-        return p
+            bits |= bit
+        return cls(bits)
 
     def text(self) -> str:
         return "".join(
@@ -130,12 +126,20 @@ class Perms(enum.IntFlag):
         )
 
 
+_PERM_BITS = {"r": 1, "w": 2, "x": 4, "-": 0, "n": 0}
+
+
 class PageType(enum.IntEnum):
     SECS = 0
     TCS = 1
     REG = 2
     VA = 3
     TRIM = 4
+
+
+# Members the build path tests, bound once: on Python 3.11 the enum metaclass
+# has a __getattr__, so a lookup like ``PageType.SECS`` takes about 0.15 us.
+SECS_PAGE, TCS_PAGE, REG_PAGE, VA_PAGE = PageType.SECS, PageType.TCS, PageType.REG, PageType.VA
 
 
 def access_allowed(accessor: SecurityState, pas: Pas) -> bool:
@@ -210,9 +214,9 @@ class EpcmEntry(NamedTuple):
     def validate(self) -> None:
         if self.pending and self.modified:
             raise ModelError("EPCM entry has pending and modified both set")
-        if self.page_type == PageType.VA and self.owner is not None:
+        if self.page_type == VA_PAGE and self.owner is not None:
             raise ModelError("VA pages are not enclave-owned")
-        if self.page_type != PageType.VA and self.owner is None:
+        if self.page_type != VA_PAGE and self.owner is None:
             raise ModelError("non-VA EPCM entry needs an owner")
 
 
@@ -221,7 +225,7 @@ def _page_key(entry: Optional[EpcmEntry]) -> Optional[Tuple[int, int]]:
     finds the entry's page, or None for no entry or a page with no linear
     address: a version array has no owner, and a SECS is not mapped into its
     enclave."""
-    if entry is None or entry.owner is None or entry.page_type == PageType.SECS:
+    if entry is None or entry.owner is None or entry.page_type == SECS_PAGE:
         return None
     return (entry.owner, entry.vaddr)
 
@@ -309,28 +313,28 @@ class GptSet:
 
     def assign(self, eid: int, granule: int) -> None:
         owned = self._owned(eid)
-        if self.system[granule] != Pas.NORMAL:
+        if self.system[granule] != _NORMAL:
             raise ModelError(f"granule {granule} not normal in system table")
         owned.add(granule)
-        self.system[granule] = int(Pas.NO_ACCESS)
+        self.system[granule] = _NO_ACCESS
 
     def unassign(self, eid: int, granule: int) -> None:
         owned = self._owned(eid)
         if granule not in owned:
             raise ModelError(f"granule {granule} not realm in table of {eid}")
         owned.remove(granule)
-        self.system[granule] = int(Pas.NORMAL)
+        self.system[granule] = _NORMAL
 
     def seclude(self, granule: int) -> None:
         """Make a granule microcode-only (used for version-array pages)."""
-        if self.system[granule] != Pas.NORMAL:
+        if self.system[granule] != _NORMAL:
             raise ModelError(f"granule {granule} not normal in system table")
-        self.system[granule] = int(Pas.NO_ACCESS)
+        self.system[granule] = _NO_ACCESS
 
     def unseclude(self, granule: int) -> None:
-        if self.system[granule] != Pas.NO_ACCESS:
+        if self.system[granule] != _NO_ACCESS:
             raise ModelError(f"granule {granule} was not secluded")
-        self.system[granule] = int(Pas.NORMAL)
+        self.system[granule] = _NORMAL
 
     def snapshot_counts(self) -> Dict[str, Dict[str, int]]:
         out: Dict[str, Dict[str, int]] = {}
@@ -424,7 +428,7 @@ class MachineMemory:
 
     def zero_granule(self, granule: int) -> None:
         self._check_range(granule)
-        self.store(granule, 0, bytes(GRANULE_SIZE))
+        self.store(granule, 0, _ZERO_GRANULE)
 
     # -- EPC window and free granules ---------------------------------------
 
@@ -433,13 +437,13 @@ class MachineMemory:
         return self._epc_span
 
     def epc_admissible(self, granule: int) -> bool:
-        lo, hi = self.epc_span()
+        lo, hi = self._epc_span
         return lo <= granule < hi
 
     def first_free(self, lo: int, hi: int) -> Optional[int]:
         """Lowest free granule in [lo, hi), or None: one normal in the system
         table, where every EPCM-valid granule is NO_ACCESS (the audit checks)."""
-        g = self.gpts.system.find(Pas.NORMAL, max(lo, RESERVED_GRANULES), hi)
+        g = self.gpts.system.find(_NORMAL, max(lo, RESERVED_GRANULES), hi)
         return None if g < 0 else g
 
     # -- EPCM ----------------------------------------------------------------
@@ -475,21 +479,21 @@ class MachineMemory:
                 if entry.owner is None:
                     gpts.seclude(granule)
                 else:
-                    if entry.page_type == PageType.SECS:
+                    if entry.page_type == SECS_PAGE:
                         gpts.create_enclave_table(entry.owner)
                     gpts.assign(entry.owner, granule)
-            elif entry.owner != old.owner or (entry.page_type == PageType.SECS) != (
-                old.page_type == PageType.SECS
+            elif entry.owner != old.owner or (entry.page_type == SECS_PAGE) != (
+                old.page_type == SECS_PAGE
             ):
                 raise ModelError(f"granule {granule} cannot change owner or SECS role")
         elif old is not None:
             # Scrub before the granule becomes reachable again: no data residue.
-            self.zero_granule(granule)
+            self.store(granule, 0, _ZERO_GRANULE)
             if old.owner is None:
                 gpts.unseclude(granule)
             else:
                 gpts.unassign(old.owner, granule)
-                if old.page_type == PageType.SECS:
+                if old.page_type == SECS_PAGE:
                     gpts.drop_enclave_table(old.owner)
                     # enclave ids are never reused: its translations go too
                     gpts.drop_translations_of(old.owner)
@@ -513,7 +517,7 @@ class MachineMemory:
     def is_free(self, granule: int) -> bool:
         if granule < RESERVED_GRANULES or granule in self.epcm:
             return False
-        return self.gpts.entry(None, granule) == Pas.NORMAL
+        return self.gpts.entry(None, granule) == _NORMAL
 
     # -- invariants -----------------------------------------------------------
 
