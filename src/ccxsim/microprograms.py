@@ -13,11 +13,13 @@ from functools import partial
 from typing import Optional
 
 from .errors import AuthenticationFailure, ModelError, SgxError, SgxErrorCode as E
-from .memory import GRANULE_SIZE, EpcmEntry, PageType, Perms
+from .memory import GRANULE_SIZE, REG_PAGE, SECS_PAGE, TCS_PAGE, EpcmEntry, PageType, Perms
 from .structs import (
     ATTR_INIT,
     Attributes,
     EEXTEND_CHUNK,
+    EEXTEND_INPUT,
+    EEXTEND_TAG,
     EMPTY_SLOT,
     KeyName,
     KeyPolicy,
@@ -34,7 +36,6 @@ from .structs import (
     VA_SLOT_SIZE,
     eadd_record,
     ecreate_record,
-    eextend_record,
     pcmd_entry,
     pcmd_meta,
 )
@@ -66,8 +67,8 @@ def _require_free(m, granule: int) -> None:
 
 def effective_secinfo(secinfo: SecInfo) -> SecInfo:
     """TCS pages carry no software-visible permissions."""
-    if secinfo.page_type == PageType.TCS:
-        return SecInfo(Perms.NONE, PageType.TCS)
+    if secinfo.page_type == TCS_PAGE:
+        return SecInfo(Perms.NONE, TCS_PAGE)
     return secinfo
 
 
@@ -95,7 +96,7 @@ def ecreate(
 
     eid = m.alloc_eid()
     m.memory.zero_granule(secs_granule)
-    m.memory.epcm_update(secs_granule, EpcmEntry(PageType.SECS, owner=eid))
+    m.memory.epcm_update(secs_granule, EpcmEntry(SECS_PAGE, owner=eid))
 
     state = m.crypto.hash_init()
     state.absorb(ecreate_record(ssa_frame_size, size))
@@ -128,7 +129,8 @@ def eadd(
         raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} not page aligned")
     if not secs.contains(vaddr, GRANULE_SIZE):
         raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} outside enclave range")
-    if secinfo.page_type not in (PageType.REG, PageType.TCS):
+    page_type = secinfo.page_type
+    if page_type != REG_PAGE and page_type != TCS_PAGE:
         raise SgxError(E.PAGE_INVALID, "EADD adds REG or TCS pages")
     if m.memory.find_page(eid, vaddr) is not None:
         raise SgxError(E.VADDR_COLLISION, f"vaddr {vaddr:#x} already mapped")
@@ -137,7 +139,7 @@ def eadd(
     # delegated granule from a non-secure one.
     if source_bytes is None or len(source_bytes) != GRANULE_SIZE:
         raise SgxError(E.PAGE_INVALID, "EADD needs one full source page")
-    if secinfo.page_type == PageType.TCS:
+    if page_type == TCS_PAGE:
         # A bad TCS is refused before the granule changes hands.
         tcs = Tcs.unpack(source_bytes)
         if tcs.cssa != 0:
@@ -147,7 +149,7 @@ def eadd(
     effective = effective_secinfo(secinfo)
     m.memory.epcm_update(
         target_granule,
-        EpcmEntry(secinfo.page_type, owner=eid, vaddr=vaddr, perms=effective.perms),
+        EpcmEntry(page_type, owner=eid, vaddr=vaddr, perms=effective.perms),
     )
     m.memory.store(target_granule, 0, source_bytes)
 
@@ -155,20 +157,27 @@ def eadd(
 
 
 def eextend(m, eid: int, vaddr_chunk: int) -> None:
-    secs = _secs(m, eid)
-    if secs.initialized:
+    # One lookup a check.  The page-address index holds the valid pages of each
+    # enclave under its id (the audit checks), so it finds only this one's.
+    secs = m.enclaves.get(eid)
+    if secs is None:
+        raise SgxError(E.UNKNOWN_ENCLAVE, f"no enclave {eid}")
+    if secs.attributes.init:
         raise SgxError(E.ALREADY_INITIALIZED, "EEXTEND needs an uninitialized enclave")
     if vaddr_chunk % EEXTEND_CHUNK:
         raise SgxError(E.MISALIGNED, f"chunk {vaddr_chunk:#x} not 256-byte aligned")
-    granule = m.memory.find_page(eid, vaddr_chunk)
-    if granule is None:
+    mem = m.memory
+    offset = vaddr_chunk & (GRANULE_SIZE - 1)
+    granule = mem.vaddr_index.get((eid, vaddr_chunk - offset))
+    entry = mem.epcm.get(granule)
+    if entry is None:
         raise SgxError(E.UNMEASURABLE_PAGE, f"no page of enclave {eid} at {vaddr_chunk:#x}")
-    entry = _valid_entry(m, granule)
     if entry.blocked:
         raise SgxError(E.UNMEASURABLE_PAGE, "blocked page cannot be measured")
 
-    content = m.memory.load(granule, vaddr_chunk & (GRANULE_SIZE - 1), EEXTEND_CHUNK)
-    secs.mrenclave_state.absorb(eextend_record(vaddr_chunk - secs.base) + content)
+    at = granule * GRANULE_SIZE + offset
+    secs.mrenclave_state.absorb(EEXTEND_INPUT.pack(
+        EEXTEND_TAG, vaddr_chunk - secs.base, mem.data[at : at + EEXTEND_CHUNK]))
 
 
 def einit(m, eid: int, sigstruct: SigStruct) -> None:
@@ -196,7 +205,7 @@ def einit(m, eid: int, sigstruct: SigStruct) -> None:
 def eremove(m, granule: int) -> None:
     entry = _valid_entry(m, granule)
 
-    if entry.page_type == PageType.SECS:
+    if entry.page_type == SECS_PAGE:
         eid = entry.owner
         children = len(m.memory.gpts.owned[eid]) - 1  # all but the SECS
         if children:
@@ -205,7 +214,7 @@ def eremove(m, granule: int) -> None:
         del m.enclaves[eid]
         return
 
-    if entry.page_type == PageType.TCS and m.tcs_busy(granule):
+    if entry.page_type == TCS_PAGE and m.tcs_busy(granule):
         raise SgxError(E.PAGE_IN_USE, "TCS is occupied by a vCPU")
 
     m.memory.epcm_update(granule, None)

@@ -79,8 +79,10 @@ AEP_GATE = GATE_GRANULE * GRANULE_SIZE + 0x200
 
 OCALL_RESUME = 0xFFFF_FFFF
 
-EEXTEND_LEAF, EENTER_LEAF, EEXIT_LEAF = (
-    LEAF_NUMBERS[name][1] for name in ("EEXTEND", "EENTER", "EEXIT"))
+# Leaves the loader and the call issue by number, which skips the name lookup
+ECREATE_LEAF, EADD_LEAF, EEXTEND_LEAF, EINIT_LEAF, EREMOVE_LEAF, EENTER_LEAF, EEXIT_LEAF = (
+    LEAF_NUMBERS[name][1]
+    for name in ("ECREATE", "EADD", "EEXTEND", "EINIT", "EREMOVE", "EENTER", "EEXIT"))
 
 RECLAIM_BATCH = 4
 """Most pages one reclaim writes back.  A batch shares one victim scan and
@@ -193,18 +195,25 @@ class SwapStore:
         return sorted(self._blobs.get(eid, ()))
 
 
-def _build_plan(
-    manifest: EnclaveManifest,
-) -> Iterator[Tuple[str, int, SecInfo, bytes, bool]]:
+def _build_plan(manifest: EnclaveManifest) -> Iterator[Tuple[int, SecInfo, bytes, bool]]:
     """Every page the loader adds, in build order, as
-    (label, enclave offset, secinfo, page bytes, measured)."""
-    for idx, spec in enumerate(manifest.pages):
+    (enclave offset, secinfo, page bytes, measured)."""
+    for spec in manifest.pages:
+        secinfo = SecInfo(spec.perms, PageType.REG)
         for i in range(spec.page_count):
-            yield (f"page[{idx}]+{i}", spec.vaddr + i * GRANULE_SIZE,
-                   SecInfo(spec.perms, PageType.REG), spec.page(i), spec.measured)
-    for idx, spec in enumerate(manifest.tcs):
-        yield (f"tcs[{idx}]", spec.vaddr, SecInfo(Perms.NONE, PageType.TCS),
-               spec.build(manifest.nssa).pack(), spec.measured)
+            yield spec.vaddr + i * GRANULE_SIZE, secinfo, spec.page(i), spec.measured
+    secinfo = SecInfo(Perms.NONE, PageType.TCS)
+    for spec in manifest.tcs:
+        yield spec.vaddr, secinfo, spec.build(manifest.nssa).pack(), spec.measured
+
+
+def _page_name(manifest: EnclaveManifest, off: int) -> str:
+    """How a failed step names the page at enclave offset ``off``, which
+    validation makes unique: ``page[<directive>]+<page>`` or ``tcs[<n>]``."""
+    for idx, spec in enumerate(manifest.pages):
+        if 0 <= off - spec.vaddr < spec.page_count * GRANULE_SIZE:
+            return f"page[{idx}]+{(off - spec.vaddr) // GRANULE_SIZE}"
+    return f"tcs[{[spec.vaddr for spec in manifest.tcs].index(off)}]"
 
 
 class HostRuntime:
@@ -370,7 +379,7 @@ class HostRuntime:
     def predict_measurement(self, manifest: EnclaveManifest) -> bytes:
         """What the build measurement will be; signer-side tooling."""
         state = self._signer_hash(manifest)
-        for _label, off, secinfo, page, measured in _build_plan(manifest):
+        for off, secinfo, page, measured in _build_plan(manifest):
             state.absorb(page_measurement(off, secinfo, page, measured))
         return state.final()
 
@@ -378,37 +387,33 @@ class HostRuntime:
         m = self.machine
         manifest.validate()
         base = DEFAULT_ENCLAVE_BASE
+        encls = m.encls
 
-        step = "ecreate"
         try:
-            secs_granule = self.take_epc_granule()
-            eid = m.leaf(
-                "ECREATE", secs_granule, manifest.size, manifest.ssa_frame_size,
-                manifest.attributes, base,
-            )
+            eid = encls(ECREATE_LEAF, self.take_epc_granule(), manifest.size,
+                        manifest.ssa_frame_size, manifest.attributes, base)
         except SgxError as exc:
-            raise LoadError(step, exc) from exc
+            raise LoadError("ecreate", exc) from exc
 
-        # The signer-side measurement grows in the same walk that builds the
-        # enclave, from the same page bytes.
-        signer_hash = self._signer_hash(manifest)
-        tcs_vaddrs: List[int] = []
+        # A test-key SIGSTRUCT is signed over the signer-side measurement,
+        # which grows in the same walk that builds the enclave, from the same
+        # page bytes.  A file SIGSTRUCT was signed elsewhere and needs none.
+        source = manifest.sigstruct_source
+        signer_hash = None if source.startswith("file:") else self._signer_hash(manifest)
         try:
-            for label, off, secinfo, page, measured in _build_plan(manifest):
-                step = f"eadd {label} at {off:#x}"
-                m.leaf("EADD", eid, base + off, secinfo, self.take_epc_granule(), page)
-                if secinfo.page_type == PageType.TCS:
-                    tcs_vaddrs.append(base + off)
+            for off, secinfo, page, measured in _build_plan(manifest):
+                vaddr = base + off
+                step = "eadd"
+                encls(EADD_LEAF, eid, vaddr, secinfo, self.take_epc_granule(), page)
                 if measured:
-                    step = f"eextend {label}"
-                    # 16 leaves a page: ENCLS by number skips the name lookup
-                    for chunk in range(0, GRANULE_SIZE, EEXTEND_CHUNK):
-                        m.encls(EEXTEND_LEAF, eid, base + off + chunk)
-                signer_hash.absorb(page_measurement(off, secinfo, page, measured))
+                    step = "eextend"
+                    for chunk in range(vaddr, vaddr + GRANULE_SIZE, EEXTEND_CHUNK):
+                        encls(EEXTEND_LEAF, eid, chunk)
+                if signer_hash is not None:
+                    signer_hash.absorb(page_measurement(off, secinfo, page, measured))
 
             step = "sigstruct"
-            source = manifest.sigstruct_source
-            if source.startswith("file:"):
+            if signer_hash is None:
                 if manifest.base_dir is None:
                     raise ModelError("sigstruct file needs a manifest directory")
                 sig = SigStruct.from_bytes(read_input(
@@ -424,11 +429,15 @@ class HostRuntime:
                 )
 
             step = "einit"
-            m.leaf("EINIT", eid, sig)
+            encls(EINIT_LEAF, eid, sig)
         except (SgxError, ModelError) as exc:
             # The half-built enclave has no handle and is never evicted, so
             # nothing could free its pages later.
             self._remove_pages(eid)
+            if step == "eadd":
+                step = f"eadd {_page_name(manifest, off)} at {off:#x}"
+            elif step == "eextend":
+                step = f"eextend {_page_name(manifest, off)}"
             raise LoadError(step, exc) from exc
 
         secs = m.enclaves[eid]
@@ -438,7 +447,7 @@ class HostRuntime:
             base=base,
             mrenclave=secs.mrenclave,
             mrsigner=secs.mrsigner,
-            tcs_vaddrs=tcs_vaddrs,
+            tcs_vaddrs=[base + spec.vaddr for spec in manifest.tcs],
         )
         self.handles[eid] = handle
         return handle
@@ -462,8 +471,8 @@ class HostRuntime:
         secs_granule = m.enclaves[eid].secs_granule
         for g in sorted(m.memory.gpts.owned[eid]):
             if g != secs_granule:
-                m.leaf("EREMOVE", g)
-        m.leaf("EREMOVE", secs_granule)
+                m.encls(EREMOVE_LEAF, g)
+        m.encls(EREMOVE_LEAF, secs_granule)
 
     # ------------------------------------------------------------------ swap
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -205,8 +206,7 @@ EXIT_REASON_NAMES = {
 # --------------------------------------------------------------------------
 # SECINFO: request-side page descriptor
 
-@dataclass(frozen=True)
-class SecInfo:
+class SecInfo(NamedTuple):
     perms: Perms
     page_type: PageType
 
@@ -474,22 +474,23 @@ class SecsImage(NamedTuple):
 # --------------------------------------------------------------------------
 # Measurement records.  Each record is one 64-byte block: an 8-byte tag, an
 # 8-byte offset field, then record-specific fields, zero padded.  EEXTEND
-# absorbs its record followed by the four 64-byte blocks of its chunk.
+# absorbs its record followed by the four 64-byte blocks of its chunk, packed
+# as one 320-byte input (EEXTEND_INPUT).
 
 MEASURE_BLOCK = 64
 EEXTEND_CHUNK = 256
 _CHUNKS_PER_PAGE = GRANULE_SIZE // EEXTEND_CHUNK
 _ECREATE_RECORD = struct.Struct("<8sQQQ32x")
 _EADD_FMT = "8sQQ40x"
-_EEXTEND_FMT = "8sQ48x"
+_EEXTEND_FMT = f"8sQ48x{EEXTEND_CHUNK}s"  # the record, then the chunk
 _EADD_RECORD = struct.Struct("<" + _EADD_FMT)
-_EEXTEND_RECORD = struct.Struct("<" + _EEXTEND_FMT)
-# A measured page's whole stream: its EADD record, then per chunk the EEXTEND
-# record and the chunk's bytes.
-_MEASURED_PAGE = struct.Struct(
-    "<" + _EADD_FMT + f"{_EEXTEND_FMT}{EEXTEND_CHUNK}s" * _CHUNKS_PER_PAGE
-)
+EEXTEND_INPUT = struct.Struct("<" + _EEXTEND_FMT)
+EEXTEND_TAG = b"EEXTEND"
+# A measured page's whole stream: its EADD record, then each chunk's EEXTEND
+# input.
+_MEASURED_PAGE = struct.Struct("<" + _EADD_FMT + _EEXTEND_FMT * _CHUNKS_PER_PAGE)
 _PAGE_CHUNKS = struct.Struct(f"{EEXTEND_CHUNK}s" * _CHUNKS_PER_PAGE)
+_EEXTEND_TAGS = (EEXTEND_TAG,) * _CHUNKS_PER_PAGE
 
 
 def ecreate_record(ssa_frame_size: int, size: int) -> bytes:
@@ -500,19 +501,12 @@ def eadd_record(offset: int, secinfo: SecInfo) -> bytes:
     return _EADD_RECORD.pack(b"EADD", offset, secinfo.word())
 
 
-def eextend_record(offset: int) -> bytes:
-    return _EEXTEND_RECORD.pack(b"EEXTEND", offset)
-
-
 def page_measurement(offset: int, secinfo: SecInfo, page: bytes, measured: bool) -> bytes:
     """The records one loaded page adds to a measurement, as one stream: its
-    EADD record, then, if measured, each chunk's EEXTEND record and content,
-    the same bytes the build leaves absorb for that page."""
+    EADD record, then, if measured, each chunk's EEXTEND input, the same
+    bytes the build leaves absorb for that page."""
     if not measured:
         return eadd_record(offset, secinfo)
-    args = [b"EADD", offset, secinfo.word()]
-    for chunk, content in zip(
-        range(offset, offset + GRANULE_SIZE, EEXTEND_CHUNK), _PAGE_CHUNKS.unpack(page)
-    ):
-        args += (b"EEXTEND", chunk, content)
-    return _MEASURED_PAGE.pack(*args)
+    return _MEASURED_PAGE.pack(b"EADD", offset, secinfo.word(), *chain.from_iterable(zip(
+        _EEXTEND_TAGS, range(offset, offset + GRANULE_SIZE, EEXTEND_CHUNK),
+        _PAGE_CHUNKS.unpack(page))))

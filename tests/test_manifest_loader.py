@@ -408,6 +408,30 @@ def test_sigstruct_from_file(runtime, tmp_path):
     assert runtime.machine.enclaves[h.eid].initialized
 
 
+@pytest.mark.parametrize("source, measured_pages", [("test-key", 5), ("file:identity.sig", 0)])
+def test_only_a_test_key_load_feeds_the_signer_hash(runtime, tmp_path, monkeypatch, source,
+                                                    measured_pages):
+    """A file SIGSTRUCT was signed elsewhere, so its load computes no
+    signer-side page measurement."""
+    manifest = EnclaveManifest.parse(minimal_text())
+    sig = runtime.machine.crypto.sign_sigstruct(
+        runtime.predict_measurement(manifest), manifest.attributes.signed_view(), 0, 0)
+    (tmp_path / "identity.sig").write_bytes(sig.to_bytes())
+    (tmp_path / "m.manifest").write_text(
+        minimal_text().replace("sigstruct test-key", f"sigstruct {source}"))
+    measured = []
+    page_measurement = runtime_module.page_measurement
+
+    def counted(*args):
+        measured.append(args[0])
+        return page_measurement(*args)
+
+    monkeypatch.setattr(runtime_module, "page_measurement", counted)
+    handle = runtime.load_enclave(EnclaveManifest.load(tmp_path / "m.manifest"))
+    assert runtime.machine.enclaves[handle.eid].initialized
+    assert len(measured) == measured_pages
+
+
 def failed_load(runtime, manifest) -> LoadError:
     """Load `manifest`, which must fail, and check that the half-built
     enclave left nothing behind."""
