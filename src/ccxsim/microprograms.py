@@ -159,10 +159,8 @@ def eadd(
 def eextend(m, eid: int, vaddr_chunk: int) -> None:
     # One lookup a check.  The page-address index holds the valid pages of each
     # enclave under its id (the audit checks), so it finds only this one's.
-    secs = m.enclaves.get(eid)
-    if secs is None:
-        raise SgxError(E.UNKNOWN_ENCLAVE, f"no enclave {eid}")
-    if secs.attributes.init:
+    secs = _secs(m, eid)
+    if secs.initialized:
         raise SgxError(E.ALREADY_INITIALIZED, "EEXTEND needs an uninitialized enclave")
     if vaddr_chunk % EEXTEND_CHUNK:
         raise SgxError(E.MISALIGNED, f"chunk {vaddr_chunk:#x} not 256-byte aligned")
