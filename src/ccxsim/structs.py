@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import ModelError, SgxError, SgxErrorCode
