@@ -408,9 +408,9 @@ def test_sigstruct_from_file(runtime, tmp_path):
     assert runtime.machine.enclaves[h.eid].initialized
 
 
-@pytest.mark.parametrize("source, measured_pages", [("test-key", 5), ("file:identity.sig", 0)])
+@pytest.mark.parametrize("source, fed_pages", [("test-key", 5), ("file:identity.sig", 0)])
 def test_only_a_test_key_load_feeds_the_signer_hash(runtime, tmp_path, monkeypatch, source,
-                                                    measured_pages):
+                                                    fed_pages):
     """A file SIGSTRUCT was signed elsewhere, so its load computes no
     signer-side page measurement."""
     manifest = EnclaveManifest.parse(minimal_text())
@@ -419,17 +419,17 @@ def test_only_a_test_key_load_feeds_the_signer_hash(runtime, tmp_path, monkeypat
     (tmp_path / "identity.sig").write_bytes(sig.to_bytes())
     (tmp_path / "m.manifest").write_text(
         minimal_text().replace("sigstruct test-key", f"sigstruct {source}"))
-    measured = []
+    fed = []
     page_measurement = runtime_module.page_measurement
 
     def counted(*args):
-        measured.append(args[0])
+        fed.append(args[0])
         return page_measurement(*args)
 
     monkeypatch.setattr(runtime_module, "page_measurement", counted)
     handle = runtime.load_enclave(EnclaveManifest.load(tmp_path / "m.manifest"))
     assert runtime.machine.enclaves[handle.eid].initialized
-    assert len(measured) == measured_pages
+    assert len(fed) == fed_pages
 
 
 def failed_load(runtime, manifest) -> LoadError:
