@@ -5,7 +5,7 @@ report MACs all live here.  Every operation is a pure function of its inputs
 plus the device secrets, and the device secrets themselves derive from a
 config seed, so a whole simulated run replays bit-exactly.
 
-Primitive choices (fixed, named in the config):
+Primitive choices (fixed in this module):
   hash  sha256            (measurement digests, signer digests)
   sign  ed25519           (enclave identity statements)
   kdf   hmac-sha256/16    (key derivation, domain-separated)
@@ -28,13 +28,6 @@ from cryptography.hazmat.primitives import serialization
 from .errors import AuthenticationFailure, ModelError
 from .structs import MEASURE_BLOCK, SigStruct
 
-HASH_ALGORITHM = "sha256"
-SIGN_ALGORITHM = "ed25519"
-KDF_ALGORITHM = "hmac-sha256-trunc16"
-AEAD_ALGORITHM = "aes-128-gcm"
-MAC_ALGORITHM = "hmac-sha256-trunc16"
-
-DIGEST_SIZE = 32
 KEY_SIZE = 16
 MAC_SIZE = 16
 GCM_IV_SIZE = 12

@@ -102,6 +102,7 @@ from .memory import (
     PageType,
     Perms,
     SecurityState,
+    software_access_refusal,
 )
 from .structs import (
     EXIT_GPF,
@@ -223,18 +224,9 @@ def _enclave_translate(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, i
     granule = m.memory.find_page(vcpu.cur_eid, addr)
     if granule is None:
         raise _PageAccessFault(addr, "no page mapped")
-    entry = m.memory.epcm_lookup(granule)
-    if entry.blocked:
-        raise _PageAccessFault(addr, "page is blocked")
-    if entry.pending:
-        raise _PageAccessFault(addr, "page is pending acceptance")
-    if entry.staged_type is not None:
-        raise _PageAccessFault(addr, "page has a type change in flight")
-    if entry.page_type != PageType.REG:
-        raise _PageAccessFault(addr, f"{entry.page_type.name} pages are not software-addressable")
-    need = {"r": Perms.R, "w": Perms.W, "x": Perms.X}[kind]
-    if not entry.perms & need:
-        raise _PageAccessFault(addr, f"missing {kind} permission")
+    why = software_access_refusal(m.memory.epcm_lookup(granule), kind)
+    if why is not None:
+        raise _PageAccessFault(addr, why)
     return granule, page_off
 
 

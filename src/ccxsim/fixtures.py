@@ -26,6 +26,7 @@ from .machine import LEAF_NUMBERS
 from .memory import GRANULE_SIZE
 from .microprograms import DEFAULT_ENCLAVE_BASE as BASE
 from .runtime import OCALL_EAUG, OCALL_HOSTADD, OCALL_RESUME
+from .structs import SSA_OFF_EXIT_REASON, SSA_OFF_PC, SSA_WORD
 
 CODE_OFF = 0x0000
 CODE_PAGES = 4
@@ -175,23 +176,15 @@ def notify_program() -> bytes:
         ("movi", 22, scratch),
         ("movi", 21, 1),
         ("store", 21, 22, SCRATCH_NOTIFY_RAN),
-        ("load", 21, 20, 280),  # saved exit reason
+        ("load", 21, 20, SSA_OFF_EXIT_REASON),
         ("store", 21, 22, SCRATCH_NOTIFY_REASON),
         ("store", 0, 22, SCRATCH_NOTIFY_CSSA),
         ("movi", 1, LEAF_EDECCSSA),
         ("movi", 0, SMC_ENCLU),
         ("gadget",),
-        # restore the interrupted context from frame 0
-        ("load", 3, 20, 24),
-        ("load", 4, 20, 32),
-        ("load", 5, 20, 40),
-        ("load", 6, 20, 48),
-        ("load", 7, 20, 56),
-        ("load", 8, 20, 64),
-        ("load", 9, 20, 72),
-        ("load", 10, 20, 80),
-        ("load", 11, 20, 88),
-        ("load", 30, 20, 256),  # saved pc
+        # restore x3..x11 and the saved pc of the interrupted context from frame 0
+        *(("load", reg, 20, reg * SSA_WORD) for reg in range(3, 12)),
+        ("load", 30, 20, SSA_OFF_PC),
         ("jmpr", 30),
     ]
     return assemble(prog, origin=BASE + CODE_OFF)

@@ -25,7 +25,6 @@ from .errors import ModelError
 INSTR_SIZE = 16
 _FMT = "<BBBB4xq"
 
-REG_SP = 31
 REG_COUNT = 32
 MASK64 = (1 << 64) - 1
 

@@ -12,10 +12,13 @@ Line-oriented, diffable, self-contained.  Grammar (one directive per line,
                                     in either order with attributes
     isv_prod_id <int>               product id signed into the identity
     isv_svn <int>                   security version signed into the identity
-    page vaddr=<off> perms=<rwx> content=<src> [measured=yes|no] [count=<n>]
+    page vaddr=<off> [perms=<rwx>] [content=<src>] [measured=yes|no] [count=<n>]
     tcs vaddr=<off> oentry=<off> ossa=<off> [tls=<off>] [flags=<f,f>] [measured=yes|no]
     sigstruct test-key[:<label>] | file:<relpath>
 
+Bracketed fields are optional (perms default to rw, content to zero); a line
+without a required field is refused.  A TCS line is checked on its line by
+the rule EADD applies to the TCS it builds (:meth:`ccxsim.structs.Tcs.validate`).
 Content sources: ``zero`` (zero-filled), ``hex:<hexbytes>`` (inline, padded to
 a page multiple), ``file:<relpath>`` (raw bytes, padded).  Multi-page content
 spreads across consecutive pages; ``count`` repeats a zero page, ``zero``
@@ -31,7 +34,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional
 
-from .errors import ModelError, read_input
+from .errors import ModelError, SgxError, read_input
 from .memory import GRANULE_SIZE, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE
 from .structs import Attributes, Tcs
@@ -50,6 +53,13 @@ def _measured(fields: dict) -> bool:
     if value not in ("yes", "no"):
         raise ValueError(f"measured={value} must be yes or no")
     return value == "yes"
+
+
+def _required(fields: dict, key: str) -> str:
+    """The value of a field the directive cannot do without."""
+    if key not in fields:
+        raise ValueError(f"missing required field {key}=")
+    return fields.pop(key)
 
 
 def _num(text: str, bits: int = 64) -> int:
@@ -129,7 +139,7 @@ class EnclaveManifest:
     size: int = 1 << 21
     ssa_frame_size: int = 1
     nssa: int = 2
-    attributes: Attributes = field(default_factory=Attributes)
+    attributes: Attributes = Attributes()
     isv_prod_id: int = 0
     isv_svn: int = 0
     pages: List[PageSpec] = field(default_factory=list)
@@ -163,11 +173,11 @@ class EnclaveManifest:
             if _first_used(used, spec.vaddr, spec.vaddr + GRANULE_SIZE) is not None:
                 raise ManifestError(spec.line, f"tcs offset {spec.vaddr:#x} collides with a page")
             insort(used, (spec.vaddr, spec.vaddr + GRANULE_SIZE))
-            if spec.oentry >= self.size:
-                raise ManifestError(spec.line, "tcs entry point outside enclave")
+            try:  # the rule EADD applies to the TCS this line builds
+                spec.build(self.nssa).validate(self)
+            except SgxError as exc:
+                raise ManifestError(spec.line, f"tcs {exc.detail}") from None
             ssa_bytes = self.nssa * self.ssa_frame_size * GRANULE_SIZE
-            if spec.ossa % GRANULE_SIZE or spec.ossa + ssa_bytes > self.size:
-                raise ManifestError(spec.line, "tcs save-state area outside enclave")
             off = _first_free(used, spec.ossa, spec.ossa + ssa_bytes)
             if off is not None:
                 raise ManifestError(spec.line, f"tcs at {spec.vaddr:#x}: save-state page "
@@ -199,11 +209,11 @@ class EnclaveManifest:
                 elif key == "nssa":
                     manifest.nssa = _num(rest)
                 elif key == "attributes":  # keeps the ceiling max_page_perms set
-                    ceiling = manifest.attributes.max_page_perms
-                    manifest.attributes = Attributes.parse(rest)
-                    manifest.attributes.max_page_perms = ceiling
+                    manifest.attributes = Attributes.parse(rest)._replace(
+                        max_page_perms=manifest.attributes.max_page_perms)
                 elif key == "max_page_perms":
-                    manifest.attributes.max_page_perms = Perms.parse(rest)
+                    manifest.attributes = manifest.attributes._replace(
+                        max_page_perms=Perms.parse(rest))
                 elif key == "isv_prod_id":
                     manifest.isv_prod_id = _num(rest, 16)
                 elif key == "isv_svn":
@@ -239,7 +249,7 @@ class EnclaveManifest:
     @classmethod
     def _parse_page(cls, rest: str, base_dir: Optional[Path], line: int) -> PageSpec:
         f = cls._fields(rest)
-        vaddr = _num(f.pop("vaddr"))
+        vaddr = _num(_required(f, "vaddr"))
         perms = Perms.parse(f.pop("perms", "rw"))
         content_src = f.pop("content", "zero")
         measured = _measured(f)
@@ -273,9 +283,9 @@ class EnclaveManifest:
         f = cls._fields(rest)
         spec = TcsSpec(
             line=line,
-            vaddr=_num(f.pop("vaddr")),
-            oentry=_num(f.pop("oentry")),
-            ossa=_num(f.pop("ossa")),
+            vaddr=_num(_required(f, "vaddr")),
+            oentry=_num(_required(f, "oentry")),
+            ossa=_num(_required(f, "ossa")),
             tls_base=_num(f.pop("tls", "0")),
             measured=_measured(f),
         )

@@ -220,6 +220,23 @@ class EpcmEntry(NamedTuple):
             raise ModelError("non-VA EPCM entry needs an owner")
 
 
+def software_access_refusal(entry: EpcmEntry, kind: str) -> Optional[str]:
+    """Why enclave software may not make a ``kind`` access ("r", "w" or "x")
+    to the page of ``entry``, or None if it may.  Enclave loads, stores and
+    fetches and EACCEPTCOPY's source all apply this one rule."""
+    if entry.blocked:
+        return "page is blocked"
+    if entry.pending:
+        return "page is pending acceptance"
+    if entry.staged_type is not None:
+        return "page has a type change in flight"
+    if entry.page_type != REG_PAGE:
+        return f"{entry.page_type.name} pages are not software-addressable"
+    if not entry.perms & _PERM_BITS[kind]:
+        return f"missing {kind} permission"
+    return None
+
+
 def _page_key(entry: Optional[EpcmEntry]) -> Optional[Tuple[int, int]]:
     """The (owner, page address) under which :meth:`MachineMemory.find_page`
     finds the entry's page, or None for no entry or a page with no linear

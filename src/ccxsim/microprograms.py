@@ -13,9 +13,9 @@ from functools import partial
 from typing import Optional
 
 from .errors import AuthenticationFailure, ModelError, SgxError, SgxErrorCode as E
-from .memory import GRANULE_SIZE, REG_PAGE, SECS_PAGE, TCS_PAGE, EpcmEntry, PageType, Perms
+from .memory import (GRANULE_SIZE, REG_PAGE, SECS_PAGE, TCS_PAGE, EpcmEntry, PageType, Perms,
+                     software_access_refusal)
 from .structs import (
-    ATTR_INIT,
     Attributes,
     EEXTEND_CHUNK,
     EEXTEND_INPUT,
@@ -65,6 +65,27 @@ def _require_free(m, granule: int) -> None:
         raise SgxError(E.NOT_IN_EPC, f"granule {granule} outside the EPC window")
 
 
+def _require_placeable(m, secs: Secs, vaddr: int, granule: int) -> None:
+    """Refuse a new page unless ``vaddr`` is a page address in the range of
+    ``secs`` that none of its pages holds, and ``granule`` is free EPC."""
+    if vaddr % GRANULE_SIZE:
+        raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} not page aligned")
+    if not secs.contains(vaddr, GRANULE_SIZE):
+        raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} outside enclave range")
+    if m.memory.find_page(secs.eid, vaddr) is not None:
+        raise SgxError(E.VADDR_COLLISION, f"vaddr {vaddr:#x} already mapped")
+    _require_free(m, granule)
+
+
+def _own_entry(m, vcpu, granule: int):
+    """The calling enclave and the valid EPCM entry of its page at ``granule``."""
+    secs = _secs(m, vcpu.cur_eid)
+    entry = _valid_entry(m, granule)
+    if entry.owner != secs.eid:
+        raise SgxError(E.PAGE_INVALID, "page belongs to another enclave")
+    return secs, entry
+
+
 def effective_secinfo(secinfo: SecInfo) -> SecInfo:
     """TCS pages carry no software-visible permissions."""
     if secinfo.page_type == TCS_PAGE:
@@ -105,7 +126,7 @@ def ecreate(
         size=size,
         base=base,
         ssa_frame_size=ssa_frame_size,
-        attributes=Attributes.decode(attributes.encode() & ~ATTR_INIT),  # fresh copy
+        attributes=attributes,
         secs_granule=secs_granule,
         mrenclave_state=state,
         cores=tuple(m.vcpus),
@@ -125,26 +146,17 @@ def eadd(
     secs = _secs(m, eid)
     if secs.initialized:
         raise SgxError(E.ALREADY_INITIALIZED, "EADD needs an uninitialized enclave")
-    if vaddr % GRANULE_SIZE:
-        raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} not page aligned")
-    if not secs.contains(vaddr, GRANULE_SIZE):
-        raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} outside enclave range")
     page_type = secinfo.page_type
     if page_type != REG_PAGE and page_type != TCS_PAGE:
         raise SgxError(E.PAGE_INVALID, "EADD adds REG or TCS pages")
-    if m.memory.find_page(eid, vaddr) is not None:
-        raise SgxError(E.VADDR_COLLISION, f"vaddr {vaddr:#x} already mapped")
-    _require_free(m, target_granule)
+    _require_placeable(m, secs, vaddr, target_granule)
     # The page is copied from a source page, as RMI_DATA_CREATE fills a
     # delegated granule from a non-secure one.
     if source_bytes is None or len(source_bytes) != GRANULE_SIZE:
         raise SgxError(E.PAGE_INVALID, "EADD needs one full source page")
     if page_type == TCS_PAGE:
         # A bad TCS is refused before the granule changes hands.
-        tcs = Tcs.unpack(source_bytes)
-        if tcs.cssa != 0:
-            raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
-        tcs.validate(secs)
+        Tcs.unpack(source_bytes).validate(secs)
 
     effective = effective_secinfo(secinfo)
     m.memory.epcm_update(
@@ -196,7 +208,7 @@ def einit(m, eid: int, sigstruct: SigStruct) -> None:
     secs.mrsigner = signer_digest
     secs.isv_prod_id = sigstruct.isv_prod_id
     secs.isv_svn = sigstruct.isv_svn
-    secs.attributes.init = True
+    secs.attributes = secs.attributes._replace(init=True)
     m.trace_event("measured", eid=eid, mrenclave=mrenclave.hex())
 
 
@@ -347,15 +359,16 @@ def _eld(
 
     if entry.owner != eid:
         raise SgxError(E.PAGE_INVALID, "enclave id does not match page metadata")
-    secs = _secs(m, eid) if eid is not None else None
-    _require_free(m, target_granule)
-    if eid is not None and m.memory.find_page(eid, entry.vaddr) is not None:
-        raise SgxError(E.VADDR_COLLISION, f"vaddr {entry.vaddr:#x} already mapped")
+    if eid is None:  # a version array has no address, only its granule
+        _require_free(m, target_granule)
+        epoch = None
+    else:
+        secs = _secs(m, eid)
+        _require_placeable(m, secs, entry.vaddr, target_granule)
+        epoch = secs.track_epoch
 
     if mark_blocked:
-        entry = entry._replace(
-            blocked=True, blocked_epoch=secs.track_epoch if secs is not None else None
-        )
+        entry = entry._replace(blocked=True, blocked_epoch=epoch)
     m.memory.epcm_update(target_granule, entry)
     m.memory.store(target_granule, 0, plaintext)
 
@@ -375,13 +388,7 @@ def eaug(m, eid: int, vaddr: int, target_granule: int) -> None:
     secs = _secs(m, eid)
     if not secs.initialized:
         raise SgxError(E.NOT_INITIALIZED, "EAUG requires an initialized enclave")
-    if vaddr % GRANULE_SIZE:
-        raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} not page aligned")
-    if not secs.contains(vaddr, GRANULE_SIZE):
-        raise SgxError(E.BAD_VADDR, f"vaddr {vaddr:#x} outside enclave range")
-    if m.memory.find_page(eid, vaddr) is not None:
-        raise SgxError(E.VADDR_COLLISION, f"vaddr {vaddr:#x} already mapped")
-    _require_free(m, target_granule)
+    _require_placeable(m, secs, vaddr, target_granule)
 
     m.memory.zero_granule(target_granule)
     m.memory.epcm_update(target_granule, EpcmEntry(
@@ -416,10 +423,7 @@ def emodt(m, granule: int, new_type: PageType) -> None:
 
 
 def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
-    secs = _secs(m, vcpu.cur_eid)
-    entry = _valid_entry(m, granule)
-    if entry.owner != secs.eid:
-        raise SgxError(E.PAGE_INVALID, "page belongs to another enclave")
+    secs, entry = _own_entry(m, vcpu, granule)
     if not (entry.pending or entry.modified):
         raise SgxError(E.NOT_PENDING, "no change awaiting acceptance")
     staged = SecInfo(entry.perms, entry.staged_type or entry.page_type)
@@ -434,18 +438,12 @@ def eaccept(m, vcpu, granule: int, expected: SecInfo) -> None:
         entry = entry._replace(page_type=entry.staged_type, staged_type=None)
         if entry.page_type == PageType.TCS:
             entry = entry._replace(perms=Perms.NONE)
-            tcs = m.read_tcs(granule)
-            if tcs.cssa != 0:
-                raise SgxError(E.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
-            tcs.validate(secs)
+            m.read_tcs(granule).validate(secs)
     m.memory.epcm_update(granule, entry)
 
 
 def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInfo) -> None:
-    secs = _secs(m, vcpu.cur_eid)
-    entry = _valid_entry(m, target_granule)
-    if entry.owner != secs.eid:
-        raise SgxError(E.PAGE_INVALID, "page belongs to another enclave")
+    secs, entry = _own_entry(m, vcpu, target_granule)
     if not entry.pending:
         raise SgxError(E.NOT_PENDING, "target page is not pending")
     if secinfo.page_type != PageType.REG:
@@ -454,24 +452,19 @@ def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInf
     src_granule = m.memory.find_page(secs.eid, source_vaddr)
     if src_granule is None:
         raise SgxError(E.BAD_VADDR, f"source {source_vaddr:#x} is not an enclave page")
-    src = m.memory.epcm_lookup(src_granule)
-    if (
-        src.page_type != PageType.REG
-        or src.blocked
-        or src.pending
-        or not (src.perms & Perms.R)
-    ):
-        raise SgxError(E.BAD_VADDR, "source page is not readable enclave memory")
+    # The source is read as an enclave load would read it.
+    why = software_access_refusal(m.memory.epcm_lookup(src_granule), "r")
+    if why is not None:
+        raise SgxError(E.BAD_VADDR, f"source page is not readable enclave memory: {why}")
 
     m.memory.store(target_granule, 0, m.memory.load(src_granule, 0, GRANULE_SIZE))
     m.memory.epcm_update(target_granule, entry._replace(pending=False, perms=secinfo.perms))
 
 
 def emodpe(m, vcpu, granule: int, add_perms: Perms) -> None:
-    secs = _secs(m, vcpu.cur_eid)
-    entry = _valid_entry(m, granule)
-    if entry.owner != secs.eid or entry.page_type != PageType.REG:
-        raise SgxError(E.PAGE_INVALID, "EMODPE extends own REG pages")
+    secs, entry = _own_entry(m, vcpu, granule)
+    if entry.page_type != PageType.REG:
+        raise SgxError(E.PAGE_INVALID, "EMODPE extends REG pages")
     if entry.pending or entry.staged_type is not None:
         raise SgxError(E.PAGE_INVALID, "page has a change in flight")
     new_perms = entry.perms | add_perms

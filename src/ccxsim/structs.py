@@ -26,9 +26,9 @@ ATTR_PROVISION_KEY = 1 << 3
 _ATTR_MAXPERM_SHIFT = 8
 
 
-@dataclass
-class Attributes:
-    """Enclave attribute flags plus the permission ceiling for EMODPE."""
+class Attributes(NamedTuple):
+    """Enclave attribute flags plus the permission ceiling for EMODPE.  A
+    value is never changed in place, so a SECS can keep its creator's."""
 
     debug: bool = False
     init: bool = False
@@ -66,20 +66,14 @@ class Attributes:
 
     @classmethod
     def parse(cls, text: str) -> "Attributes":
-        attrs = cls()
+        flags = {}
         for item in text.split(","):
             item = item.strip().lower()
-            if not item:
-                continue
-            if item == "debug":
-                attrs.debug = True
-            elif item == "aexnotify_allowed":
-                attrs.aexnotify_allowed = True
-            elif item == "provision_key":
-                attrs.provision_key = True
-            else:
+            if item in ("debug", "aexnotify_allowed", "provision_key"):
+                flags[item] = True
+            elif item:
                 raise ValueError(f"unknown attribute {item!r}")
-        return attrs
+        return cls(**flags)
 
 
 # --------------------------------------------------------------------------
@@ -162,23 +156,24 @@ class Tcs(NamedTuple):
                                    flags & TCS_FLAG_DBGOPTIN != 0,
                                    flags & TCS_FLAG_AEXNOTIFY != 0))
 
-    def validate(self, secs: Secs) -> None:
+    def validate(self, secs) -> None:
+        """Refuse a fresh TCS that does not fit its enclave, as EADD and
+        EACCEPT do.  ``secs`` is a :class:`Secs` or an enclave manifest: the
+        rule reads only their size, ssa_frame_size and attributes."""
         if self.nssa < 1:
             raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "nssa must be >= 1")
-        if not 0 <= self.cssa <= self.nssa:
-            raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "cssa out of range")
+        if self.cssa != 0:
+            raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "fresh TCS must have cssa == 0")
         if self.oentry >= secs.size:
-            raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "entry outside enclave")
+            raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "entry point outside enclave")
         ssa_bytes = self.nssa * secs.ssa_frame_size * GRANULE_SIZE
         if self.ossa % GRANULE_SIZE or self.ossa + ssa_bytes > secs.size:
-            raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "SSA area outside enclave")
+            raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "save-state area outside enclave")
         if self.tls_base >= secs.size:
             raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT, "TLS base outside enclave")
         if self.aexnotify and not secs.attributes.aexnotify_allowed:
-            raise SgxError(
-                SgxErrorCode.BAD_TCS_LAYOUT,
-                "TCS opts into exit notification but the enclave does not allow it",
-            )
+            raise SgxError(SgxErrorCode.BAD_TCS_LAYOUT,
+                           "exit notification needs the aexnotify_allowed attribute")
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +184,9 @@ class Tcs(NamedTuple):
 
 SSA_NREGS = 32  # x0..x30 plus sp at index 31
 SSA_FRAME = struct.Struct(f"<{SSA_NREGS + 5}Q")  # 296 bytes
+SSA_WORD = 8
+SSA_OFF_PC = SSA_NREGS * SSA_WORD  # 256
+SSA_OFF_EXIT_REASON = SSA_OFF_PC + 3 * SSA_WORD  # 280, after pc, pstate and tpidr
 
 EXIT_NONE = 0
 EXIT_IRQ = 1

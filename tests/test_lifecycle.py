@@ -112,6 +112,15 @@ def test_eadd_outside_enclave_range_rejected(machine):
     assert exc.value.code == E.BAD_VADDR
 
 
+def test_eadd_checks_the_page_type_before_the_address(machine):
+    enc = build_raw_enclave(machine, init=False, size=1 << 21)
+    g = free_epc_granules(machine, 1)[0]
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("EADD", enc.eid, BASE + (1 << 21),
+                     SecInfo(Perms.NONE, PageType.VA), g, b"\0" * GRANULE_SIZE)
+    assert exc.value.code == E.PAGE_INVALID
+
+
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_eadd_bad_tcs_layout_rejected(mode):
     machine = Machine(small_config(mode=mode))

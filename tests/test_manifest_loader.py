@@ -197,23 +197,49 @@ def test_a_zero_run_yields_its_pages_without_building_them():
     assert page.page(0) == page.page(1) == bytes(GRANULE_SIZE)
 
 
-@pytest.mark.parametrize("old, new, line", [
+@pytest.mark.parametrize("old, new, line, message", [
     # a run past the end of the enclave names its page line
-    ("size 0x100000", "size 0x1000", 6),
+    ("size 0x100000", "size 0x1000", 6, "run of 1 pages at 0x1000"),
     # a size that is no power of two names the size line
-    ("size 0x100000", "size 0x180000", 3),
+    ("size 0x100000", "size 0x180000", 3, "power-of-two"),
     # a TCS whose save-state pages are not declared names the tcs line
-    ("page vaddr=0x2000 perms=rw content=zero count=2\n", "", 7),
+    ("page vaddr=0x2000 perms=rw content=zero count=2\n", "", 7, "save-state page 0x2000"),
     # a TCS that lands on a page names the tcs line
-    ("tcs vaddr=0x4000", "tcs vaddr=0x1000", 8),
-], ids=["page-past-size", "size", "tcs-save-state", "tcs-collision"])
-def test_a_geometry_error_names_the_line_of_its_directive(old, new, line):
+    ("tcs vaddr=0x4000", "tcs vaddr=0x1000", 8, "collides with a page"),
+    # a TCS that EADD would refuse is refused on its line, before ECREATE
+    ("tls=0x1000", "tls=0x100000", 8, "tcs TLS base outside enclave"),
+    ("tls=0x1000", "tls=0x1000 flags=aexnotify", 8, "tcs exit notification needs"),
+    ("nssa 2", "nssa 0", 8, "tcs nssa must be >= 1"),
+    # a line without a required field names the line and the field
+    ("page vaddr=0x1000 perms=rw", "page perms=rw", 6, "missing required field vaddr="),
+    ("tcs vaddr=0x4000 ", "tcs ", 8, "missing required field vaddr="),
+    ("oentry=0x0 ", "", 8, "missing required field oentry="),
+    ("ossa=0x2000 ", "", 8, "missing required field ossa="),
+], ids=["page-past-size", "size", "tcs-save-state", "tcs-collision", "tcs-tls",
+        "tcs-aexnotify", "tcs-nssa-0", "page-no-vaddr", "tcs-no-vaddr", "tcs-no-oentry",
+        "tcs-no-ossa"])
+def test_a_geometry_error_names_the_line_of_its_directive(old, new, line, message):
     text = minimal_text().replace(old, new)
     assert text != minimal_text()
     with pytest.raises(ManifestError) as exc:
         EnclaveManifest.parse(text)
     assert exc.value.line_no == line
     assert str(exc.value).startswith(f"manifest line {line}: ")
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("change", [
+    lambda manifest: setattr(manifest.tcs[0], "tls_base", manifest.size),
+    lambda manifest: setattr(manifest.tcs[0], "aexnotify", True),
+    lambda manifest: setattr(manifest, "nssa", 0),
+], ids=["tls", "aexnotify", "nssa-0"])
+def test_the_loader_refuses_a_tcs_that_eadd_would_refuse_before_any_leaf(runtime, change):
+    """A TCS changed in code after parsing meets the same rule on its line."""
+    manifest = EnclaveManifest.parse(minimal_text())
+    change(manifest)
+    with pytest.raises(ManifestError, match="manifest line 8: tcs "):
+        runtime.load_enclave(manifest)
+    assert runtime.machine.counters["ECREATE"] == 0
 
 
 def test_file_content_source(tmp_path):

@@ -5,20 +5,21 @@ import itertools
 import pytest
 
 from ccxsim.errors import SgxError, SgxErrorCode as E
+from ccxsim.execution import _PageAccessFault, mem_read
+from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Perms
 from ccxsim.runtime import AEP_GATE, HostRuntime, RETURN_GATE
 from ccxsim.structs import Attributes, SecInfo, Tcs
 
-from helpers import BASE, build_raw_enclave, free_epc_granules
+from helpers import BASE, build_raw_enclave, free_epc_granules, small_config
 
 DYN = 0x8000
 
 ALL_PERMS = [Perms(bits) for bits in range(8)]
 
 
-@pytest.fixture
-def env(machine):
-    enc = build_raw_enclave(
+def dyn_enclave(machine):
+    return build_raw_enclave(
         machine,
         page_specs=[
             (0x0000, "rx", b"\x11" * GRANULE_SIZE),
@@ -28,8 +29,11 @@ def env(machine):
         ],
         tcs_specs=[{"vaddr": 0x4000, "ossa": 0x2000}],
     )
-    rt = HostRuntime(machine)
-    return machine, enc, rt
+
+
+@pytest.fixture
+def env(machine):
+    return machine, dyn_enclave(machine), HostRuntime(machine)
 
 
 def augment(machine, enc, vaddr=BASE + DYN):
@@ -311,6 +315,31 @@ def test_acceptcopy_source_outside_enclave_faults(env):
         assert exc.value.code == E.BAD_VADDR
     finally:
         machine.enclu(vcpu, 0x4, RETURN_GATE)
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_acceptcopy_refuses_a_source_that_an_enclave_load_refuses(mode):
+    """The source is read by the rule enclave loads follow: a page with a
+    type change in flight faults a load and fails the copy, and the target
+    stays pending and empty."""
+    machine = Machine(small_config(mode=mode))
+    enc = dyn_enclave(machine)
+    machine.leaf("EMODT", enc.granule(0x1000), PageType.TRIM)
+    g = augment(machine, enc)
+    vcpu = machine.vcpus[0]
+    machine.enclu(vcpu, 0x2, enc.pages[0x4000], AEP_GATE)
+    try:
+        with pytest.raises(_PageAccessFault) as fault:
+            mem_read(machine, vcpu, BASE + 0x1000, 8)
+        with pytest.raises(SgxError) as exc:
+            machine.enclu(vcpu, 0x7, g, BASE + 0x1000, SecInfo(Perms.R | Perms.W, PageType.REG))
+    finally:
+        machine.enclu(vcpu, 0x4, RETURN_GATE)
+    assert fault.value.why == "page has a type change in flight"
+    assert exc.value.code == E.BAD_VADDR and fault.value.why in exc.value.detail
+    assert machine.memory.epcm_lookup(g).pending
+    assert machine.leaf("EDBGRD", g, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
+    machine.audit()
 
 
 def test_acceptcopy_dynamic_loading_scenario(env):

@@ -225,6 +225,24 @@ def test_swap_round_trip_restores_page_bit_exact(swap_env):
     assert not entry.blocked
 
 
+def test_a_reload_checks_its_address_before_its_granule(swap_env):
+    """ELDU places a page by the rule EADD and EAUG follow: a reload whose
+    address is taken again and whose target granule is in use reads
+    VADDR_COLLISION; with the address free, the used granule reads OCCUPIED."""
+    machine, enc, va = swap_env
+    blob = swap_out(machine, enc, 0x1000, va, 0)
+    used = enc.granule(0x0000)
+    machine.leaf("EAUG", enc.eid, BASE + 0x1000, free_epc_granules(machine, 1)[0])
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("ELDU", blob.ciphertext, blob.pcmd, va, 0, used, enc.eid)
+    assert exc.value.code == E.VADDR_COLLISION
+    machine.leaf("EREMOVE", machine.memory.find_page(enc.eid, BASE + 0x1000))
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("ELDU", blob.ciphertext, blob.pcmd, va, 0, used, enc.eid)
+    assert exc.value.code == E.OCCUPIED
+    machine.audit()
+
+
 def test_ciphertext_is_not_plaintext(swap_env):
     machine, enc, va = swap_env
     g = enc.granule(0x1000)
