@@ -23,6 +23,8 @@ from ccxsim.structs import (
     Attributes,
     EMPTY_SLOT,
     EXIT_IRQ,
+    KeyName,
+    KeyRequest,
     PAGEINFO_SIZE,
     PCMD_SIZE,
     PageInfo,
@@ -384,6 +386,130 @@ def test_encls_service_not_available_from_enclave(entered_env):
         execution.gadget_trap(machine, vcpu, frame)
     assert exc.value.code == E.INVALID_SERVICE
     machine.enclu(vcpu, 0x4, RETURN_GATE)
+
+
+def _trap(machine, vcpu, smc, leaf, *words):
+    """The code a gadget trap of ``leaf`` is refused with, or None."""
+    try:
+        execution.gadget_trap(machine, vcpu, execution.TrapFrame(smc, leaf, *words))
+    except SgxError as err:
+        return err.code
+    return None
+
+
+def test_enclu_mode_rule_runs_only_eenter_and_eresume_from_the_host(entered_env):
+    """Every ENCLU leaf is refused with INVALID_MODE in exactly one of the two
+    modes: EENTER and ERESUME inside an enclave, every other one in the host."""
+    machine, enc, tcs_g = entered_env
+    vcpu = machine.vcpus[0]
+    host_mode = set()
+    for num, row in execution.LEAVES[execution.SMC_ID_ENCLU].items():
+        wrong = []
+        for inside in (False, True):
+            if inside:
+                machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+            if _trap(machine, vcpu, execution.SMC_ID_ENCLU, num) == E.INVALID_MODE:
+                wrong.append(inside)
+            if vcpu.in_enclave:
+                machine.enclu(vcpu, 0x4, RETURN_GATE)
+        assert len(wrong) == 1, row.name
+        if wrong == [True]:
+            host_mode.add(row.name)
+    assert host_mode == {"EENTER", "ERESUME"}
+    machine.audit()
+
+
+def test_a_refused_trap_is_counted_once_with_one_record_and_writes_no_output(entered_env):
+    """A trap refused for its mode, an argument or its output moves its leaf's
+    counter by one and no other, writes one record with its code, and leaves
+    its output where it was."""
+    machine, enc, tcs_g = entered_env
+    vcpu = machine.vcpus[0]
+    data_g = enc.granule(0x1000)
+    machine.memory.store(data_g, 0, KeyRequest(KeyName.REPORT).pack())
+    request, key_out = BASE + 0x1000, BASE + 0x1000 + 512
+    cases = [  # (inside, service, leaf, words, code, the output's granule)
+        (False, ENCLU, 0x1, (request, key_out), E.INVALID_MODE, data_g),  # EGETKEY
+        (True, ENCLU, 0x1, (BASE + 0x100000, key_out), E.BAD_VADDR, data_g),  # no request
+        (True, ENCLU, 0x1, (request, BASE), E.BAD_VADDR, enc.granule(0x0)),  # r-x output
+        (False, ENCLS, 0x4, (OUT_OF_RANGE, 0), E.PAGE_INVALID, None),  # EDBGRD: x1
+    ]
+    machine.trace = []
+    for inside, smc, leaf, words, code, out_g in cases:
+        if inside:
+            machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+        name = execution.LEAVES[smc][leaf].name
+        counters = dict(machine.counters)
+        before = len(machine.trace)
+        vcpu.regs[1] = 0x5EED
+        output = None if out_g is None else machine.memory.load(out_g, 0, GRANULE_SIZE)
+        assert _trap(machine, vcpu, smc, leaf, *words) == code
+        counters[name] += 1
+        assert machine.counters == counters
+        assert [(r["kind"], r["outcome"]) for r in machine.trace[before:]] == \
+            [(name.lower(), code.name)]
+        if out_g is None:
+            assert vcpu.regs[1] == 0x5EED
+        else:
+            assert machine.memory.load(out_g, 0, GRANULE_SIZE) == output
+        if vcpu.in_enclave:
+            machine.enclu(vcpu, 0x4, RETURN_GATE)
+    machine.audit()
+
+
+def test_a_trapped_debug_read_or_create_sets_x1_and_clears_x0(entered_env):
+    machine, enc, tcs_g = entered_env
+    vcpu = machine.vcpus[0]
+    vcpu.regs[0:2] = [0xDEAD, 0xBEEF]
+    _encls(machine, 0x4, enc.granule(0x1000), 8)  # EDBGRD
+    assert vcpu.regs[0:2] == [0, int.from_bytes(b"\x22" * 8, "little")]
+
+    (params,) = host_scratch_granules(machine, 1)
+    (secs_g,) = free_epc_granules(machine, 1)
+    machine.host_write(params, 0, PageInfo(0, params * GRANULE_SIZE + 64, 0, 0).pack())
+    machine.host_write(params, 64, SecsImage(1 << 21, BASE, 1, Attributes(debug=True).encode()).pack())
+    vcpu.regs[0:2] = [0xDEAD, 0xBEEF]
+    _encls(machine, 0x0, params * GRANULE_SIZE, secs_g)  # ECREATE
+    assert vcpu.regs[0] == 0
+    assert machine.enclaves[vcpu.regs[1]].secs_granule == secs_g
+    machine.audit()
+
+
+def test_trapped_context_switches_leave_x0_to_the_switch(entered_env):
+    """EENTER reports the save-state index in x0, ERESUME restores the saved
+    x0, and EEXIT keeps the enclave's x0: none of them is cleared."""
+    machine, enc, tcs_g = entered_env
+    vcpu = machine.vcpus[0]
+    machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+    vcpu.regs[0] = 0x77
+    machine.inject_interrupt(vcpu)
+    assert _trap(machine, vcpu, ENCLU, 0x3, tcs_g, AEP_GATE) is None  # ERESUME
+    assert vcpu.in_enclave and vcpu.regs[0] == 0x77
+    vcpu.regs[0] = 0x1234
+    assert _trap(machine, vcpu, ENCLU, 0x4, RETURN_GATE) is None  # EEXIT
+    assert not vcpu.in_enclave and vcpu.regs[0] == 0x1234
+
+    machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+    machine.inject_interrupt(vcpu)
+    assert _trap(machine, vcpu, ENCLU, 0x2, tcs_g, AEP_GATE) is None  # EENTER
+    assert vcpu.in_enclave and vcpu.regs[0] == 1
+    machine.enclu(vcpu, 0x4, RETURN_GATE)
+    machine.audit()
+
+
+@pytest.mark.parametrize("smc", [ENCLS, 0x99])
+def test_an_unserved_trap_is_invalid_service_before_any_counter_moves(entered_env, smc):
+    """An ENCLS trap from inside an enclave, or a trap to an unknown service,
+    is refused before the dispatch counts or records anything."""
+    machine, enc, tcs_g = entered_env
+    vcpu = machine.vcpus[0]
+    machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+    counters = dict(machine.counters)
+    machine.trace = []
+    assert _trap(machine, vcpu, smc, 0x3, enc.granule(0x1000)) == E.INVALID_SERVICE
+    assert machine.counters == counters and machine.trace == []
+    machine.enclu(vcpu, 0x4, RETURN_GATE)
+    machine.audit()
 
 
 def test_cpuid_capability_words(machine):
