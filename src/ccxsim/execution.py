@@ -15,9 +15,10 @@ area and hand control to the host at its async exit pointer; the recorded
 delivery path is trampoline -> monitor -> host.
 
 Each leaf is one row of :data:`LEAVES`: its number, name and handler, the
-kinds that decode its argument registers x2..x4, and the slot that takes
-its result.  The machine's dispatch tables are views of that table, so a
-leaf's number, handler and register ABI cannot fall out of step.
+kinds that decode its argument registers x2..x4, the slot that takes its
+result, and whether it runs in host mode.  The machine's dispatch reads that
+one row for a driver's call and a trap alike, so a leaf's number, handler,
+mode rule and register ABI cannot fall out of step.
 
 The four world switches do only their architectural work: EENTER and
 ERESUME check the TCS page and switch in, EEXIT and AEX switch out, and each
@@ -88,7 +89,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import isa, microprograms as mp
@@ -743,13 +743,14 @@ def _swap_out(m, vcpu, words):
 class Leaf(NamedTuple):
     """One leaf's one row: its name, its handler, which takes the machine
     first and an ENCLU leaf's executing vcpu next, the kinds of x2, x3, x4 in
-    order, and its result slot.  The machine's dispatch tables are views of
-    the name and handler columns."""
+    order, its result slot, and the ENCLU mode rule: true for a leaf that runs
+    in host mode, false for one that runs in an enclave."""
 
     name: str
     handler: Callable
     kinds: tuple
     slot: object
+    host_mode: bool = False
 
 
 # Service id -> leaf number -> row.
@@ -779,8 +780,8 @@ LEAVES: Dict[int, Dict[int, Leaf]] = {
                   _buffer_at(4, REPORT_SIZE, Report.to_bytes)),
         0x1: Leaf("EGETKEY", mp.egetkey, (_buffer(KEYREQUEST_SIZE, KeyRequest.unpack),),
                   _buffer_at(3, KEY_SIZE)),
-        0x2: Leaf("EENTER", eenter, (_granule, _word), _SWITCH),  # TCS, async exit pointer
-        0x3: Leaf("ERESUME", eresume, (_granule, _word), _SWITCH),  # TCS, async exit pointer
+        0x2: Leaf("EENTER", eenter, (_granule, _word), _SWITCH, True),  # TCS, async exit pointer
+        0x3: Leaf("ERESUME", eresume, (_granule, _word), _SWITCH, True),  # as EENTER
         0x4: Leaf("EEXIT", eexit, (_word,), _SWITCH),  # target
         0x5: Leaf("EACCEPT", mp.eaccept, (_own_page, _secinfo), None),
         0x6: Leaf("EMODPE", mp.emodpe, (_own_page, _perms), None),
@@ -789,49 +790,53 @@ LEAVES: Dict[int, Dict[int, Leaf]] = {
         0x9: Leaf("EDECCSSA", mp.edeccssa, (), None),
     },
 }
-_NO_LEAF = Leaf("", None, (), None)  # an undefined leaf, which the dispatch refuses
+# Leaf name -> (service id, leaf number).
+LEAF_NUMBERS: Dict[str, Tuple[int, int]] = {
+    row.name: (service, num) for service, rows in LEAVES.items() for num, row in rows.items()}
 # What AEX leaves in x1 for the host trampoline to resume with.
-LEAF_ERESUME = next(num for num, row in LEAVES[SMC_ID_ENCLU].items() if row.name == "ERESUME")
+LEAF_ERESUME = LEAF_NUMBERS["ERESUME"][1]
+
+
+def run_trapped(m, row: Leaf, vcpu, words: tuple, args: tuple):
+    """Run ``row``'s leaf for ``vcpu``'s trap once the dispatch has counted it
+    and checked its mode: decode the words x2..x4 by the row's kinds after
+    ``args`` (the ENCLU vcpu, or none), check the result slot, run the
+    handler, store its result and clear x0, but after a context switch."""
+    named = {}
+    for kind, word in zip(row.kinds, words):
+        value = kind(m, vcpu, word)
+        if type(value) is dict:
+            named.update(value)
+        else:
+            args += (value,)
+    slot = row.slot
+    if slot is _SWITCH:
+        return row.handler(m, *args, **named)
+    store = None if slot is None else slot(m, vcpu, words)
+    result = row.handler(m, *args, **named)
+    if store is not None:
+        store(result)
+    vcpu.regs[0] = 0
+    return result
 
 
 def gadget_trap(m, vcpu, frame: TrapFrame) -> None:
-    """Route one trapped gadget execution; raises SgxError on refusal."""
+    """Route one trapped gadget execution to the machine's dispatch, with the
+    core and its words x2..x4; raises SgxError on refusal."""
     assert not EL2_HOOKS  # nothing may interpose between the trap and us
     if frame.smc_id == SMC_ID_CPUID:
         words = cpuid_emulate(m, frame.leaf, frame.arg2)
         vcpu.regs[0:4] = [w & MASK64 for w in words]
         return
+    words = (frame.arg1, frame.arg2, frame.arg3)
     if frame.smc_id == SMC_ID_ENCLU:
-        call = partial(m.enclu, vcpu)
+        m.enclu(vcpu, frame.leaf, words=words)
     elif frame.smc_id == SMC_ID_ENCLS:
         if vcpu.in_enclave:
             raise SgxError(E.INVALID_SERVICE, "ENCLS service is host-privileged")
-        call = m.encls
+        m.encls(frame.leaf, core=vcpu, words=words)
     else:
         raise SgxError(E.INVALID_SERVICE, f"unknown service id {frame.smc_id:#x}")
-    # An undefined leaf has no row; the dispatch refuses it before decoding.
-    _, _, kinds, slot = LEAVES[frame.smc_id].get(frame.leaf, _NO_LEAF)
-    words = (frame.arg1, frame.arg2, frame.arg3)
-    store = None
-
-    def decode() -> Tuple[tuple, dict]:
-        nonlocal store
-        args, named = [], {}
-        for kind, word in zip(kinds, words):
-            value = kind(m, vcpu, word)
-            if type(value) is dict:
-                named.update(value)
-            else:
-                args.append(value)
-        if slot is not None and slot is not _SWITCH:
-            store = slot(m, vcpu, words)
-        return tuple(args), named
-
-    result = call(frame.leaf, decode=decode)
-    if slot is not _SWITCH:
-        if store is not None:
-            store(result)
-        vcpu.regs[0] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ModelError
-from .execution import SMC_ID_ENCLU as SMC_ENCLU
+from .execution import LEAF_NUMBERS, SMC_ID_ENCLU as SMC_ENCLU
 from .isa import assemble
-from .machine import LEAF_NUMBERS
 from .memory import GRANULE_SIZE
 from .microprograms import DEFAULT_ENCLAVE_BASE as BASE
 from .runtime import OCALL_EAUG, OCALL_HOSTADD, OCALL_RESUME

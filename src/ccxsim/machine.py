@@ -1,42 +1,34 @@
 """The machine: memory, crypto, cores, and the one leaf dispatch.
 
 One Machine is one simulated platform.  All microprogram execution funnels
-through :meth:`Machine.encls` / :meth:`Machine.enclu`, which count and cost
-the invocation, check the ENCLU mode rule, run the handler to completion,
+through :meth:`Machine.encls` / :meth:`Machine.enclu`, which find the leaf's
+one row in :data:`~ccxsim.execution.LEAVES`, count and cost the invocation,
+check the ENCLU mode rule the row holds, run the handler to completion,
 record the invocation, and optionally audit the protection-table invariants
-afterwards.  The dispatch tables :data:`ENCLS_TABLE` and :data:`ENCLU_TABLE`
-are the name and handler columns of the one leaf table,
-:data:`~ccxsim.execution.LEAVES`.
+afterwards.  A driver passes the handler's arguments; a trap passes its core
+and register words, which the row's kinds decode.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from . import execution
 from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
 from .errors import ModelError, SgxError, SgxErrorCode as E
-from .execution import NO_TRACE, VCpu
+from .execution import LEAF_NUMBERS, NO_TRACE, SMC_ID_ENCLS, SMC_ID_ENCLU, VCpu
 from .memory import GRANULE_SIZE, HOST, MachineMemory, PageType
 from .structs import TCS_OFF_CSSA, Secs, Tcs
 
-# Leaf tables: number -> (name, handler), views of ``execution.LEAVES``.
-# Handlers take the machine first; ENCLU handlers additionally take the
-# executing vcpu.
+_ENCLS_ROWS, _ENCLU_ROWS = execution.LEAVES[SMC_ID_ENCLS], execution.LEAVES[SMC_ID_ENCLU]
+
+# Number -> (name, handler) views of the rows, which the benchmark's tracer
+# names its leaf spans by; the dispatch reads the rows themselves.
 ENCLS_TABLE, ENCLU_TABLE = (
-    {num: (row.name, row.handler) for num, row in execution.LEAVES[service].items()}
-    for service in (execution.SMC_ID_ENCLS, execution.SMC_ID_ENCLU))
-
-# The ENCLU leaves that run in host mode; every other one runs in an enclave.
-HOST_MODE_LEAVES = frozenset({"EENTER", "ERESUME"})
-
-LEAF_NUMBERS: Dict[str, Tuple[str, int]] = {
-    name: (cls, num)
-    for cls, table in (("encls", ENCLS_TABLE), ("enclu", ENCLU_TABLE))
-    for num, (name, _) in table.items()
-}
+    {num: (row.name, row.handler) for num, row in rows.items()}
+    for rows in (_ENCLS_ROWS, _ENCLU_ROWS))
 
 ALL_LEAF_NAMES = sorted(LEAF_NUMBERS)
 
@@ -100,23 +92,23 @@ class Machine:
 
     # -- leaf dispatch ----------------------------------------------------------
 
-    def _dispatch(self, table, vcpu: Optional[VCpu], leaf: int, args, decode) -> Any:
-        """Run one leaf; ``vcpu`` is None for ENCLS, else also ``args[0]``."""
-        entry = table.get(leaf)
-        if entry is None:
+    def _dispatch(self, rows, vcpu: Optional[VCpu], leaf: int, args, core, words) -> Any:
+        """Run one leaf; ``vcpu`` is None for ENCLS, else also ``args[0]``.
+        A trapping ``core``'s ``words`` x2..x4 give the rest of the arguments."""
+        row = rows.get(leaf)
+        if row is None:
             cls = "ENCLS" if vcpu is None else "ENCLU"
             raise SgxError(E.INVALID_LEAF, f"{cls} leaf {leaf:#x} is undefined")
-        name, handler = entry
+        name = row.name
         self.counters[name] += 1
         try:
-            if vcpu is not None and (vcpu.cur_eid is None) != (name in HOST_MODE_LEAVES):
-                need = "host" if name in HOST_MODE_LEAVES else "enclave"
+            if vcpu is not None and (vcpu.cur_eid is None) != row.host_mode:
+                need = "host" if row.host_mode else "enclave"
                 raise SgxError(E.INVALID_MODE, f"{name} requires {need} mode")
-            if decode is None:
-                result = handler(self, *args)
+            if words is None:
+                result = row.handler(self, *args)
             else:
-                more, named = decode()
-                result = handler(self, *args, *more, **named)
+                result = execution.run_trapped(self, row, core, words, args)
         except SgxError as err:
             if self.trace is not NO_TRACE:
                 self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
@@ -129,22 +121,23 @@ class Machine:
             self.audit()
         return result
 
-    # The trap gadget's ``decode`` returns the leaf's positional and keyword
-    # arguments once the call is counted and its mode checked, so it reads
-    # memory only there.
+    # A trap passes ``words`` in place of arguments, and ENCLS its ``core``,
+    # so memory is read only once the call is counted and its mode checked.
+    # The benchmark's tracer reads the leaf number at args[1] and args[2].
 
-    def encls(self, leaf: int, *args, decode: Optional[Callable] = None) -> Any:
-        return self._dispatch(ENCLS_TABLE, None, leaf, args, decode)
+    def encls(self, leaf: int, *args, core: Optional[VCpu] = None,
+              words: Optional[tuple] = None) -> Any:
+        return self._dispatch(_ENCLS_ROWS, None, leaf, args, core, words)
 
-    def enclu(self, vcpu: VCpu, leaf: int, *args, decode: Optional[Callable] = None) -> Any:
-        return self._dispatch(ENCLU_TABLE, vcpu, leaf, (vcpu, *args), decode)
+    def enclu(self, vcpu: VCpu, leaf: int, *args, words: Optional[tuple] = None) -> Any:
+        return self._dispatch(_ENCLU_ROWS, vcpu, leaf, (vcpu, *args), vcpu, words)
 
     def leaf(self, name: str, *args, vcpu: Optional[VCpu] = None) -> Any:
         """Dispatch by name; convenience for drivers and tests."""
         if name not in LEAF_NUMBERS:
             raise ModelError(f"unknown leaf {name!r}")
-        cls, num = LEAF_NUMBERS[name]
-        if cls == "encls":
+        service, num = LEAF_NUMBERS[name]
+        if service == SMC_ID_ENCLS:
             return self.encls(num, *args)
         if vcpu is None:
             raise ModelError(f"{name} is an ENCLU leaf and needs a vcpu")

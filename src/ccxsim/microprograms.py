@@ -3,8 +3,8 @@
 Each function implements one leaf.  Handlers assume the Machine dispatch
 has checked the ENCLU mode rule, and that one host thread drives the machine,
 so a leaf runs to completion before any other vCPU observes its effects.
-Handlers for the entry/exit/resume leaves live in :mod:`ccxsim.execution`;
-the dispatch tables in :mod:`ccxsim.machine` stitch both together.
+Handlers for the entry/exit/resume leaves live in :mod:`ccxsim.execution`,
+whose one leaf table, :data:`~ccxsim.execution.LEAVES`, holds both.
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, S
 
 from .crypto import RunningHash
 from .errors import AuthenticationFailure, ModelError, SgxError, read_input
-from .execution import MASK64, RunReport, ssa_frame_vaddr
-from .machine import LEAF_NUMBERS, Machine
+from .execution import LEAF_NUMBERS, MASK64, RunReport, ssa_frame_vaddr
+from .machine import Machine
 from .manifest import EnclaveManifest
 from .memory import GRANULE_SIZE, RESERVED_GRANULES, EpcmEntry, PageType, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE

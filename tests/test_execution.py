@@ -228,8 +228,9 @@ def test_undefined_leaves_fault(machine):
 
 
 def test_every_leaf_has_one_register_abi_row():
-    """The machine's dispatch tables are exactly the name and handler
-    columns of the one leaf table, which also holds each register ABI."""
+    """The machine's number -> (name, handler) views are exactly the name
+    and handler columns of the one leaf table, which also holds each
+    register ABI and mode rule."""
     for service, table in ((execution.SMC_ID_ENCLS, ENCLS_TABLE),
                            (execution.SMC_ID_ENCLU, ENCLU_TABLE)):
         rows = execution.LEAVES[service]
@@ -416,6 +417,8 @@ def test_enclu_mode_rule_runs_only_eenter_and_eresume_from_the_host(entered_env)
         if wrong == [True]:
             host_mode.add(row.name)
     assert host_mode == {"EENTER", "ERESUME"}
+    assert {row.name for rows in execution.LEAVES.values() for row in rows.values()
+            if row.host_mode} == host_mode
     machine.audit()
 
 
