@@ -448,6 +448,8 @@ def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInf
         raise SgxError(E.NOT_PENDING, "target page is not pending")
     if secinfo.page_type != PageType.REG:
         raise SgxError(E.SECINFO_MISMATCH, "copy initialization produces REG pages")
+    if source_vaddr % GRANULE_SIZE:
+        raise SgxError(E.BAD_VADDR, f"source {source_vaddr:#x} not page aligned")
 
     src_granule = m.memory.find_page(secs.eid, source_vaddr)
     if src_granule is None:

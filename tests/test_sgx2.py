@@ -342,6 +342,26 @@ def test_acceptcopy_refuses_a_source_that_an_enclave_load_refuses(mode):
     machine.audit()
 
 
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_acceptcopy_refuses_an_unaligned_source(mode):
+    """A source address inside a page names no page to copy: it is refused
+    before anything changes, as EADD and EAUG refuse an unaligned page."""
+    machine = Machine(small_config(mode=mode))
+    enc = dyn_enclave(machine)
+    g = augment(machine, enc)
+    vcpu = machine.vcpus[0]
+    machine.enclu(vcpu, 0x2, enc.pages[0x4000], AEP_GATE)
+    try:
+        with pytest.raises(SgxError) as exc:
+            machine.enclu(vcpu, 0x7, g, BASE + 0x1234, SecInfo(Perms.R | Perms.W, PageType.REG))
+    finally:
+        machine.enclu(vcpu, 0x4, RETURN_GATE)
+    assert exc.value.code == E.BAD_VADDR
+    assert machine.memory.epcm_lookup(g).pending
+    assert machine.leaf("EDBGRD", g, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
+    machine.audit()
+
+
 def test_acceptcopy_dynamic_loading_scenario(env):
     """Grow a region, copy code/data into it page by page, verify contents."""
     machine, enc, rt = env
