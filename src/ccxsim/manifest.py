@@ -62,9 +62,13 @@ def _required(fields: dict, key: str) -> str:
     return fields.pop(key)
 
 
-def _num(text: str, bits: int = 64) -> int:
-    """An unsigned number of at most `bits` bits, the widest field it fills."""
-    value = int(text, 0)
+def _num(text: str, name: str, bits: int = 64) -> int:
+    """An unsigned number of at most `bits` bits, the widest field it fills;
+    `name` is the directive or field it is the value of."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise ValueError(f"{name} needs a number, got {text!r}") from None
     if not 0 <= value < 1 << bits:
         raise ValueError(f"{text} is not a {bits}-bit unsigned number")
     return value
@@ -203,11 +207,11 @@ class EnclaveManifest:
                 if key == "name":
                     manifest.name = rest
                 elif key == "size":
-                    manifest.size, manifest.size_line = _num(rest), line_no
+                    manifest.size, manifest.size_line = _num(rest, key), line_no
                 elif key == "ssa_frame_size":
-                    manifest.ssa_frame_size = _num(rest)
+                    manifest.ssa_frame_size = _num(rest, key)
                 elif key == "nssa":
-                    manifest.nssa = _num(rest)
+                    manifest.nssa = _num(rest, key)
                 elif key == "attributes":  # keeps the ceiling max_page_perms set
                     manifest.attributes = Attributes.parse(rest)._replace(
                         max_page_perms=manifest.attributes.max_page_perms)
@@ -215,9 +219,9 @@ class EnclaveManifest:
                     manifest.attributes = manifest.attributes._replace(
                         max_page_perms=Perms.parse(rest))
                 elif key == "isv_prod_id":
-                    manifest.isv_prod_id = _num(rest, 16)
+                    manifest.isv_prod_id = _num(rest, key, 16)
                 elif key == "isv_svn":
-                    manifest.isv_svn = _num(rest, 16)
+                    manifest.isv_svn = _num(rest, key, 16)
                 elif key == "page":
                     manifest.pages.append(cls._parse_page(rest, base_dir, line_no))
                 elif key == "tcs":
@@ -249,7 +253,7 @@ class EnclaveManifest:
     @classmethod
     def _parse_page(cls, rest: str, base_dir: Optional[Path], line: int) -> PageSpec:
         f = cls._fields(rest)
-        vaddr = _num(_required(f, "vaddr"))
+        vaddr = _num(_required(f, "vaddr"), "vaddr=")
         perms = Perms.parse(f.pop("perms", "rw"))
         content_src = f.pop("content", "zero")
         measured = _measured(f)
@@ -258,7 +262,7 @@ class EnclaveManifest:
             raise ValueError(f"unknown page fields {sorted(f)}")
         if count is not None and content_src != "zero":
             raise ValueError(f"count repeats zero pages, not content {content_src!r}")
-        count = _num("1" if count is None else count)
+        count = _num("1" if count is None else count, "count=")
         if count < 1:
             raise ValueError("count must be at least 1")
 
@@ -283,10 +287,10 @@ class EnclaveManifest:
         f = cls._fields(rest)
         spec = TcsSpec(
             line=line,
-            vaddr=_num(_required(f, "vaddr")),
-            oentry=_num(_required(f, "oentry")),
-            ossa=_num(_required(f, "ossa")),
-            tls_base=_num(f.pop("tls", "0")),
+            vaddr=_num(_required(f, "vaddr"), "vaddr="),
+            oentry=_num(_required(f, "oentry"), "oentry="),
+            ossa=_num(_required(f, "ossa"), "ossa="),
+            tls_base=_num(f.pop("tls", "0"), "tls="),
             measured=_measured(f),
         )
         for flag in f.pop("flags", "").split(","):

@@ -58,6 +58,27 @@ def test_unknown_directive_rejected():
         EnclaveManifest.parse("frobnicate yes\n" + minimal_text())
 
 
+@pytest.mark.parametrize("line, name, value", [
+    ("size", "size", ""),
+    ("size 0x", "size", "0x"),
+    ("ssa_frame_size", "ssa_frame_size", ""),
+    ("nssa two", "nssa", "two"),
+    ("isv_prod_id", "isv_prod_id", ""),
+    ("isv_svn 1.5", "isv_svn", "1.5"),
+    ("page vaddr=", "vaddr=", ""),
+    ("page vaddr=0 count=", "count=", ""),
+    ("page vaddr=0 count=many", "count=", "many"),
+    ("tcs vaddr=x oentry=0 ossa=0", "vaddr=", "x"),
+    ("tcs vaddr=0 oentry= ossa=0", "oentry=", ""),
+    ("tcs vaddr=0 oentry=0 ossa=0x1g", "ossa=", "0x1g"),
+    ("tcs vaddr=0 oentry=0 ossa=0 tls=", "tls=", ""),
+])
+def test_a_missing_or_bad_number_names_its_directive_or_field(line, name, value):
+    with pytest.raises(ManifestError) as exc:
+        EnclaveManifest.parse(f"name x\n{line}\n")
+    assert str(exc.value) == f"manifest line 2: {name} needs a number, got {value!r}"
+
+
 def test_overlapping_pages_rejected():
     text = minimal_text().replace(
         "page vaddr=0x1000 perms=rw content=zero",
