@@ -122,8 +122,7 @@ class ScenarioRunner:
         if self.runtime is None:
             if self.mode_override:
                 self.config.mode = self.mode_override
-            self.config.validate()
-            self.machine = Machine(self.config)
+            self.machine = Machine(self.config)  # which validates the config
             if self.trace is not None:
                 self.machine.trace = self.trace
             self.runtime = HostRuntime(self.machine)
