@@ -89,7 +89,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import isa, microprograms as mp
 from .isa import INSTR_SIZE, OP_ABORT, OP_GADGET, OP_HALT, OP_LOAD, OP_STORE
@@ -740,7 +740,8 @@ def _swap_out(m, vcpu, words):
     return store
 
 
-class Leaf(NamedTuple):
+@dataclass(frozen=True, slots=True)  # slots: the dispatch reads a row per leaf
+class Leaf:
     """One leaf's one row: its name, its handler, which takes the machine
     first and an ENCLU leaf's executing vcpu next, the kinds of x2, x3, x4 in
     order, its result slot, and the ENCLU mode rule: true for a leaf that runs
