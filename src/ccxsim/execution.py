@@ -802,7 +802,8 @@ def run_trapped(m, row: Leaf, vcpu, words: tuple, args: tuple):
     """Run ``row``'s leaf for ``vcpu``'s trap once the dispatch has counted it
     and checked its mode: decode the words x2..x4 by the row's kinds after
     ``args`` (the ENCLU vcpu, or none), check the result slot, run the
-    handler, store its result and clear x0, but after a context switch."""
+    handler, store its result and clear x0.  A context switch sets the
+    registers itself, x0 included."""
     named = {}
     for kind, word in zip(row.kinds, words):
         value = kind(m, vcpu, word)

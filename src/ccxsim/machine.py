@@ -123,7 +123,8 @@ class Machine:
 
     # A trap passes ``words`` in place of arguments, and ENCLS its ``core``,
     # so memory is read only once the call is counted and its mode checked.
-    # The benchmark's tracer reads the leaf number at args[1] and args[2].
+    # The benchmark's tracer reads the leaf number as args[1] of encls and
+    # args[2] of enclu, with the machine at args[0].
 
     def encls(self, leaf: int, *args, core: Optional[VCpu] = None,
               words: Optional[tuple] = None) -> Any:
