@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ccxsim.config import Config
+from ccxsim.errors import SgxError, SgxErrorCode
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
 from ccxsim.structs import Attributes, SecInfo, Tcs
@@ -47,6 +49,29 @@ def host_scratch_granules(m: Machine, n: int) -> List[int]:
     ][:n]
     assert len(out) == n, "fixture ran out of host granules"
     return out
+
+
+@contextmanager
+def refusing(m: Machine, name: str, code: SgxErrorCode = SgxErrorCode.PAGE_INVALID):
+    """Inside the block, the first leaf ``name`` that ``m`` dispatches is
+    refused with ``code`` before it runs, so it changes nothing: a whole-leaf
+    refusal, injected by wrapping the machine's dispatch."""
+    dispatch = m._dispatch
+    armed = [True]
+
+    def refuse(rows, vcpu, leaf, *rest):
+        row = rows.get(leaf)
+        if armed and row is not None and row.name == name:
+            armed.clear()
+            raise SgxError(code, f"{name} refused by injection")
+        return dispatch(rows, vcpu, leaf, *rest)
+
+    m._dispatch = refuse
+    try:
+        yield
+    finally:
+        del m._dispatch
+    assert not armed, f"no {name} was dispatched"
 
 
 @dataclass

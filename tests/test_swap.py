@@ -10,7 +10,7 @@ from ccxsim.memory import GRANULE_SIZE, PageType, Perms
 from ccxsim.runtime import AEP_GATE, RECLAIM_BATCH, HostRuntime, RETURN_GATE
 from ccxsim.structs import EXIT_IRQ, Pcmd, VA_SLOT_COUNT
 
-from helpers import BASE, build_raw_enclave, free_epc_granules, small_config
+from helpers import BASE, build_raw_enclave, free_epc_granules, refusing, small_config
 
 
 @pytest.fixture
@@ -646,4 +646,98 @@ def test_ccx_mode_writes_back_once_all_of_memory_is_full(fixture_dir):
     h = rt.load_enclave(EnclaveManifest.load(path))
     assert rt.ecall(h, 0, 1, 300, step_budget=20_000_000) == fixtures.toucher_expected(300)
     assert rt.swap_out_events > 0
+    machine.audit()
+
+
+# ---------------------------------------------------------------------------
+# The runtime's paging records: the swap store and the free version slots
+
+
+def _standard(mode, fixture_dir):
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_standard_manifest(fixture_dir)))
+    return machine, rt, h, h.base + fixtures.SCRATCH_OFF
+
+
+def _slots(rt):
+    """(free version slots, slots of every version array in the EPC)."""
+    arrays = sum(e.page_type == PageType.VA for e in rt.machine.memory.epcm.values())
+    return len(rt._free_slots), arrays * VA_SLOT_COUNT
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_destroy_reloads_each_filed_page_and_removes_every_page(mode, fixture_dir):
+    """Destroying an enclave with two pages filed, in an EPC with room,
+    reloads those two and writes nothing back: every page of the enclave is
+    removed, the store holds none of its blobs and every slot is free."""
+    machine, rt, h, scratch = _standard(mode, fixture_dir)
+    rt.swap_out(h, scratch)
+    rt.swap_out(h, h.base)
+    assert rt.store.keys_for(h.eid) == [h.base, scratch]
+    pages = len(machine.memory.gpts.owned[h.eid]) + 2
+    before = dict(machine.counters)
+    rt.destroy(h)
+    delta = {k: machine.counters[k] - before.get(k, 0) for k in ("ELDU", "EWB", "EREMOVE")}
+    assert delta == {"ELDU": 2, "EWB": 0, "EREMOVE": pages}
+    assert not rt.store.holds_any(h.eid)
+    assert not any(e.owner == h.eid for e in machine.memory.epcm.values())
+    free, total = _slots(rt)
+    assert free == total == VA_SLOT_COUNT
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_refused_writeback_leaves_the_store_and_the_slots_as_they_were(mode, fixture_dir):
+    """A refused EWB files no blob and uses no slot: the same slot is first in
+    line for the next writeback.  The page stays blocked, and destroy still
+    removes it and frees every slot."""
+    machine, rt, h, scratch = _standard(mode, fixture_dir)
+    rt.swap_out(h, scratch)
+    filed, free = rt.store.keys_for(h.eid), list(rt._free_slots)
+    code = machine.memory.find_page(h.eid, h.base)
+    with refusing(machine, "EWB"), pytest.raises(SgxError):
+        rt.swap_out(h, h.base)
+    assert rt.store.keys_for(h.eid) == filed and list(rt._free_slots) == free
+    assert machine.memory.epcm[code].blocked
+    rt.destroy(h)
+    assert not any(e.owner == h.eid for e in machine.memory.epcm.values())
+    free, total = _slots(rt)
+    assert free == total
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_version_array_is_written_back_and_reloaded_with_its_versions(mode, fixture_dir):
+    """A data page written back into slot 3 of version array A survives A's
+    own round trip: A, blocked, cannot version itself, goes out into array B
+    and comes back with no enclave id, and then the data page reloads from
+    A's slot 3 with its value."""
+    from ccxsim import fixtures
+
+    machine, rt, h, scratch = _standard(mode, fixture_dir)
+    assert rt.ecall(h, 0, fixtures.SEL_POKE, scratch + 64, 4242) == 4242
+    va_a, va_b = free_epc_granules(machine, 2)
+    machine.leaf("EPA", va_a)
+    machine.leaf("EPA", va_b)
+    data = machine.memory.find_page(h.eid, scratch)
+    machine.leaf("EBLOCK", data)
+    machine.leaf("ETRACK", h.eid)
+    page = machine.leaf("EWB", data, va_a, 3)
+
+    machine.leaf("EBLOCK", va_a)
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("EWB", va_a, va_a, 0)
+    assert exc.value.code == E.VA_SLOT_INVALID
+    array = machine.leaf("EWB", va_a, va_b, 0)
+    assert machine.memory.epcm_lookup(va_a) is None
+
+    va_back = free_epc_granules(machine, 1)[0]
+    machine.leaf("ELDU", array.ciphertext, array.pcmd, va_b, 0, va_back, None)
+    entry = machine.memory.epcm_lookup(va_back)
+    assert entry.page_type == PageType.VA and entry.owner is None and not entry.blocked
+    target = free_epc_granules(machine, 1)[0]
+    machine.leaf("ELDU", page.ciphertext, page.pcmd, va_back, 3, target, h.eid)
+    assert rt.ecall(h, 0, fixtures.SEL_PEEK, scratch + 64) == 4242
     machine.audit()
