@@ -175,12 +175,16 @@ class SwapStore:
             raise ModelError(f"swap store already holds {(eid, vaddr)}")
         pages[vaddr] = stored
 
-    def pop(self, eid: Optional[int], vaddr: int) -> _StoredBlob:
-        pages = self._blobs.get(eid, {})
+    def get(self, eid: Optional[int], vaddr: int) -> _StoredBlob:
         try:
-            stored = pages.pop(vaddr)
+            return self._blobs[eid][vaddr]
         except KeyError:
             raise ModelError(f"swap store holds no page {vaddr:#x} of enclave {eid}") from None
+
+    def pop(self, eid: Optional[int], vaddr: int) -> _StoredBlob:
+        stored = self.get(eid, vaddr)
+        pages = self._blobs[eid]
+        del pages[vaddr]
         if not pages:
             del self._blobs[eid]
         return stored
@@ -348,9 +352,9 @@ class HostRuntime:
 
     def _write_back(self, pages: List[Tuple[int, EpcmEntry]], evict: bool) -> None:
         """Block every page, track each owner once, then write each back
-        into the next free version slot and keep its blob; a slot goes back
-        if EWB refuses.  With ``evict``, each page's ``evict`` record comes
-        just before its ``eblock``."""
+        into the next free version slot, which is taken and the blob filed
+        once EWB has succeeded.  With ``evict``, each page's ``evict`` record
+        comes just before its ``eblock``."""
         m = self.machine
         for g, entry in pages:
             if evict:
@@ -359,12 +363,8 @@ class HostRuntime:
         for owner in dict.fromkeys(entry.owner for _, entry in pages):
             m.leaf("ETRACK", owner)
         for g, entry in pages:
+            blob = m.leaf("EWB", g, *self._free_slots[0])
             va_g, slot = self._free_slots.popleft()
-            try:
-                blob = m.leaf("EWB", g, va_g, slot)
-            except SgxError:
-                self._free_slots.appendleft((va_g, slot))
-                raise
             self.store.put(entry.owner, entry.vaddr, _StoredBlob(blob, va_g, slot))
             self.swap_out_events += 1
 
@@ -458,20 +458,19 @@ class HostRuntime:
 
     def destroy(self, handle: EnclaveHandle) -> None:
         self._require_loaded(handle)
-        # Swapped pages are reloaded first so their version slots retire
-        # through the architectural path.
-        for vaddr in self.store.keys_for(handle.eid):
-            self.swap_in(handle, vaddr)
         self._remove_pages(handle.eid)
-        self.handles.pop(handle.eid, None)
+        del self.handles[handle.eid]
 
     def _remove_pages(self, eid: int) -> None:
-        """EREMOVE every resident page of enclave `eid`, then its SECS."""
+        """EREMOVE every resident page of enclave `eid` but its SECS, then
+        reload and EREMOVE each filed page, which retires its slot, then the SECS."""
         m = self.machine
         secs_granule = m.enclaves[eid].secs_granule
         for g in sorted(m.memory.gpts.owned[eid]):
             if g != secs_granule:
                 m.encls(EREMOVE_LEAF, g)
+        for page in self.store.keys_for(eid):
+            m.encls(EREMOVE_LEAF, self._reload(eid, page))
         m.encls(EREMOVE_LEAF, secs_granule)
 
     # ------------------------------------------------------------------ swap
@@ -492,20 +491,19 @@ class HostRuntime:
         self._write_back([(g, m.memory.epcm[g])], evict=False)
 
     def swap_in(self, handle: EnclaveHandle, vaddr: int) -> None:
-        m = self.machine
-        stored = self.store.pop(handle.eid, vaddr & ~(GRANULE_SIZE - 1))
+        self._reload(handle.eid, vaddr & ~(GRANULE_SIZE - 1))
+
+    def _reload(self, eid: int, page: int) -> int:
+        """ELDU the filed ``page`` of enclave ``eid`` into a taken granule and
+        return it; only then does the blob leave the store and its slot come free."""
+        stored = self.store.get(eid, page)
         target = self.take_epc_granule()
-        m.leaf(
-            "ELDU",
-            stored.blob.ciphertext,
-            stored.blob.pcmd,
-            stored.va_granule,
-            stored.slot,
-            target,
-            handle.eid,
-        )
+        self.machine.leaf("ELDU", stored.blob.ciphertext, stored.blob.pcmd, stored.va_granule,
+                          stored.slot, target, eid)
+        self.store.pop(eid, page)
         self._free_slots.append((stored.va_granule, stored.slot))
         self.swap_in_events += 1
+        return target
 
     def _ensure_resident(self, handle: EnclaveHandle, vaddr: int) -> None:
         """Page in the page holding ``vaddr`` if it is swapped out; a page

@@ -709,6 +709,52 @@ def test_a_refused_writeback_leaves_the_store_and_the_slots_as_they_were(mode, f
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_refused_reload_keeps_the_blob_filed_and_its_slot_in_use(mode, fixture_dir):
+    """A refused ELDU loses nothing: the blob stays filed and its slot in
+    use, a later access pages the data back in, and destroy frees every
+    slot."""
+    from ccxsim import fixtures
+
+    machine, rt, h, scratch = _standard(mode, fixture_dir)
+    assert rt.ecall(h, 0, fixtures.SEL_POKE, scratch + 64, 777) == 777
+    rt.swap_out(h, scratch)
+    slots = _slots(rt)
+    with refusing(machine, "ELDU"), pytest.raises(SgxError):
+        rt.swap_in(h, scratch)
+    assert rt.store.keys_for(h.eid) == [scratch] and _slots(rt) == slots
+    assert machine.memory.find_page(h.eid, scratch) is None
+    assert rt.ecall(h, 0, fixtures.SEL_PEEK, scratch + 64) == 777
+    assert rt.swap_in_events == 1 and not rt.store.holds_any(h.eid)
+    rt.destroy(h)
+    free, total = _slots(rt)
+    assert free == total
+
+
+def test_destroy_in_a_full_epc_writes_none_of_the_enclaves_pages_back(tmp_path):
+    """Destroying the toucher after it touched twice the fixed EPC: in sgx
+    mode each filed page is reloaded once and nothing more is written back,
+    every page is removed, as in ccx mode, and no blob or slot is left held."""
+    from ccxsim import fixtures
+    from ccxsim.config import Config
+    from ccxsim.scenario import ScenarioRunner
+
+    fixtures.write_toucher_manifest(tmp_path)
+    text = "create t toucher.manifest\necall t 0 1 1024 0\ndestroy t\n"
+    results = {mode: ScenarioRunner(Config(), tmp_path, mode_override=mode).run_text(text)
+               for mode in ("sgx", "ccx")}
+    sgx, ccx = (results[mode] for mode in ("sgx", "ccx"))
+    assert sgx.ok and ccx.ok
+    assert sgx.summary["counters"]["EWB"] == 1556
+    assert sgx.summary["counters"]["EREMOVE"] == ccx.summary["counters"]["EREMOVE"] == 1030
+    assert sgx.summary["swap_in_events"] == sgx.summary["swap_out_events"]
+    rt = sgx.runtime
+    assert not rt.store._blobs
+    free, total = _slots(rt)
+    assert free == total > 0
+    assert not any(e.owner is not None for e in sgx.machine.memory.epcm.values())
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_a_version_array_is_written_back_and_reloaded_with_its_versions(mode, fixture_dir):
     """A data page written back into slot 3 of version array A survives A's
     own round trip: A, blocked, cannot version itself, goes out into array B
