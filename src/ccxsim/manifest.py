@@ -64,13 +64,15 @@ def _required(fields: dict, key: str) -> str:
 
 def _num(text: str, name: str, bits: int = 64) -> int:
     """An unsigned number of at most `bits` bits, the widest field it fills;
-    `name` is the directive or field it is the value of."""
+    `name` is the directive or field it is the value of, and a refusal
+    names it."""
     try:
         value = int(text, 0)
     except ValueError:
         raise ValueError(f"{name} needs a number, got {text!r}") from None
     if not 0 <= value < 1 << bits:
-        raise ValueError(f"{text} is not a {bits}-bit unsigned number")
+        shown = name + text if name.endswith("=") else f"{name} {text}"
+        raise ValueError(f"{shown} is not a {bits}-bit unsigned number")
     return value
 
 

@@ -58,25 +58,47 @@ def test_unknown_directive_rejected():
         EnclaveManifest.parse("frobnicate yes\n" + minimal_text())
 
 
-@pytest.mark.parametrize("line, name, value", [
-    ("size", "size", ""),
-    ("size 0x", "size", "0x"),
-    ("ssa_frame_size", "ssa_frame_size", ""),
-    ("nssa two", "nssa", "two"),
-    ("isv_prod_id", "isv_prod_id", ""),
-    ("isv_svn 1.5", "isv_svn", "1.5"),
-    ("page vaddr=", "vaddr=", ""),
-    ("page vaddr=0 count=", "count=", ""),
-    ("page vaddr=0 count=many", "count=", "many"),
-    ("tcs vaddr=x oentry=0 ossa=0", "vaddr=", "x"),
-    ("tcs vaddr=0 oentry= ossa=0", "oentry=", ""),
-    ("tcs vaddr=0 oentry=0 ossa=0x1g", "ossa=", "0x1g"),
-    ("tcs vaddr=0 oentry=0 ossa=0 tls=", "tls=", ""),
+def _number_case(line, name, value, refusal=None):
+    """A manifest line whose number the parser refuses, by default as
+    missing or not a number; the id reads ``<line>-<name>-<value>``."""
+    return pytest.param(line, refusal or f"{name} needs a number, got {value!r}",
+                        id=f"{line}-{name}-{value}")
+
+
+@pytest.mark.parametrize("line, refusal", [
+    _number_case("size", "size", ""),
+    _number_case("size 0x", "size", "0x"),
+    _number_case("ssa_frame_size", "ssa_frame_size", ""),
+    _number_case("nssa two", "nssa", "two"),
+    _number_case("isv_prod_id", "isv_prod_id", ""),
+    _number_case("isv_svn 1.5", "isv_svn", "1.5"),
+    _number_case("page vaddr=", "vaddr=", ""),
+    _number_case("page vaddr=0 count=", "count=", ""),
+    _number_case("page vaddr=0 count=many", "count=", "many"),
+    _number_case("tcs vaddr=x oentry=0 ossa=0", "vaddr=", "x"),
+    _number_case("tcs vaddr=0 oentry= ossa=0", "oentry=", ""),
+    _number_case("tcs vaddr=0 oentry=0 ossa=0x1g", "ossa=", "0x1g"),
+    _number_case("tcs vaddr=0 oentry=0 ossa=0 tls=", "tls=", ""),
+    _number_case("size -1", "size", "-1", "size -1 is not a 64-bit unsigned number"),
+    _number_case("nssa -1", "nssa", "-1", "nssa -1 is not a 64-bit unsigned number"),
+    _number_case("ssa_frame_size 0x10000000000000000", "ssa_frame_size", "0x10000000000000000",
+                 "ssa_frame_size 0x10000000000000000 is not a 64-bit unsigned number"),
+    _number_case("isv_prod_id 65536", "isv_prod_id", "65536",
+                 "isv_prod_id 65536 is not a 16-bit unsigned number"),
+    _number_case("isv_svn 0x10000", "isv_svn", "0x10000",
+                 "isv_svn 0x10000 is not a 16-bit unsigned number"),
+    _number_case("page vaddr=-4096", "vaddr=", "-4096",
+                 "vaddr=-4096 is not a 64-bit unsigned number"),
+    _number_case("page vaddr=0 count=-1", "count=", "-1", "count=-1 is not a 64-bit unsigned number"),
+    _number_case("tcs vaddr=0 oentry=-8 ossa=0", "oentry=", "-8",
+                 "oentry=-8 is not a 64-bit unsigned number"),
+    _number_case("tcs vaddr=0 oentry=0 ossa=0 tls=-1", "tls=", "-1",
+                 "tls=-1 is not a 64-bit unsigned number"),
 ])
-def test_a_missing_or_bad_number_names_its_directive_or_field(line, name, value):
+def test_a_missing_or_bad_number_names_its_directive_or_field(line, refusal):
     with pytest.raises(ManifestError) as exc:
         EnclaveManifest.parse(f"name x\n{line}\n")
-    assert str(exc.value) == f"manifest line 2: {name} needs a number, got {value!r}"
+    assert str(exc.value) == f"manifest line 2: {refusal}"
 
 
 def test_overlapping_pages_rejected():

@@ -130,7 +130,7 @@ BAD_INPUTS = {
                     "unknown seal policy 'foo'"),
     "expect_value": ("expect last == zz", 1, "'zz' is not a number"),
     "manifest_nssa": ("create a negative_nssa.manifest", 1,
-                      "manifest line 3: -1 is not a 64-bit unsigned number"),
+                      "manifest line 3: nssa -1 is not a 64-bit unsigned number"),
     "tcs_index": ("create a standard.manifest\necall a 9 1 2 3", 2, "has no TCS 9"),
     "vcpu_index": ("create a standard.manifest\ninject_irq vcpu=99 at=1\necall a 0 1 2 3", 3,
                    "no vcpu 99"),
