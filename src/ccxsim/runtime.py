@@ -12,6 +12,21 @@ Each is blocked, every owner among them is tracked once, and then each is
 written back.  The scan starts at the front every time: the runtime keeps no
 cursor and no residency list of its own.
 
+Paging records: the swap store (each written-back page's blob and version
+slot) and the free version slots change only after the leaf they record has
+succeeded.  A writeback takes its slot and files its blob once EWB returns; a
+reload unfiles the blob and frees its slot once ELDU returns.  So a refused
+ELDU leaves the page filed, to be paged in by the next access.  A refused EWB
+leaves its page, and the pages of its batch not yet written back, blocked:
+still in the EPC, but the enclave's next access to one faults as a
+``pagefault``, no reclaim picks it again, and only teardown removes it.
+
+Teardown, for ``destroy`` and for a load that fails after ECREATE, is one
+walk: EREMOVE every resident page but the SECS, then reload each filed page
+and EREMOVE it at once, which retires its version slot, then EREMOVE the
+SECS.  With the resident pages gone, no reload's reclaim picks the dying
+enclave, so a teardown writes none of its own pages back.
+
 Driver ABI (documented contract with fixture programs):
 
     call in     x2 selector, x3/x4 arguments; larger payloads go through an
