@@ -458,6 +458,62 @@ def test_entry_pages_in_the_frame_the_next_aex_saves_to(machine, fixture_dir):
     assert machine.memory.find_page(h.eid, frame0) is not None
 
 
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("filed, leaves", [
+    (["frame0"], ["eldu", "eenter", "eexit"]),
+    (["tcs"], ["eldu", "eenter", "eexit"]),
+    (["tcs", "frame0"], ["eldu", "eldu", "eenter", "eexit"]),
+    (["frame1"], ["eenter", "eexit"]),
+])
+def test_the_leaves_an_entry_issues_with_thread_pages_filed(mode, filed, leaves, fixture_dir):
+    """An entry of a plain thread at cssa 0 reloads its filed TCS, then its
+    filed frame 0, the one its next AEX writes, and then enters; frame 1 it
+    leaves filed, and an EPC with room writes nothing back."""
+    from ccxsim import fixtures
+    from ccxsim.machine import ALL_LEAF_NAMES
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    frame0 = h.base + fixtures.SSA_OFF
+    pages = {"tcs": h.tcs_vaddrs[0], "frame0": frame0, "frame1": frame0 + GRANULE_SIZE}
+    for name in filed:
+        rt.swap_out(h, pages[name])
+    machine.trace = []
+    assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
+    names = {name.lower() for name in ALL_LEAF_NAMES}
+    assert [r["kind"] for r in machine.trace if r["kind"] in names] == leaves
+    assert rt.store.keys_for(h.eid) == ([pages["frame1"]] if filed == ["frame1"] else [])
+
+
+def test_an_interrupted_plain_thread_keeps_its_tcs_and_both_frames(fixture_dir):
+    """While a plain thread of nssa 2 is interrupted, the victim filter passes
+    over exactly its TCS and its save-state frames 0 and 1; once it resumes
+    and exits, it passes over none of the enclave's pages."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config())
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    pages = {
+        entry.vaddr: g for g, entry in machine.memory.epcm.items()
+        if entry.owner == h.eid and entry.page_type in (PageType.REG, PageType.TCS)
+    }
+
+    def kept():
+        return {vaddr for vaddr, g in pages.items() if not rt.victim_filter(g)}
+
+    with rt.entered(h) as vcpu:
+        machine.inject_interrupt(vcpu)
+    frame0 = h.base + fixtures.SSA_OFF
+    assert kept() == {h.tcs_vaddrs[0], frame0, frame0 + GRANULE_SIZE}
+    machine.leaf("ERESUME", pages[h.tcs_vaddrs[0]], AEP_GATE, vcpu=vcpu)
+    machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
+    assert kept() == set()
+
+
 def test_an_ecall_of_an_enclave_with_nothing_swapped_out_reads_its_tcs_once(
         machine, fixture_dir, monkeypatch):
     """Only the entry leaf reads the TCS when no page of the enclave is
