@@ -235,6 +235,14 @@ def _page_name(manifest: EnclaveManifest, off: int) -> str:
     return f"tcs[{[spec.vaddr for spec in manifest.tcs].index(off)}]"
 
 
+def _thread_pages(secs, tcs_vaddr: int, tcs) -> List[int]:
+    """The TCS page, then the first page of each save-state frame the thread
+    can write before it is back at cssa 0: frames 0..cssa, or all nssa for an
+    AEX-Notify thread, whose handler can exit into the next."""
+    frames = tcs.nssa if tcs.aexnotify else min(tcs.cssa + 1, tcs.nssa)
+    return [tcs_vaddr] + [ssa_frame_vaddr(secs, tcs, i) for i in range(frames)]
+
+
 class HostRuntime:
     """Loader, call dispatcher, and swap manager over one machine.  Evicted
     pages wait in an in-memory :class:`SwapStore`; nothing goes to disk."""
@@ -322,24 +330,19 @@ class HostRuntime:
         secs = m.enclaves.get(entry.owner)
         if handle is None or secs is None or not secs.initialized or secs.crashed:
             return False
-        # Never touch an enclave that a core is running in now, and keep
-        # interrupted thread state (TCS with saved frames, its SSA pages)
-        # resident so resume paths stay simple.  The runtime enters only the
-        # TCSs of a handle, so those are the only ones with saved frames.
+        # Never touch an enclave a core runs in now, nor the thread pages of an
+        # interrupted thread.  The runtime enters only the TCSs of a handle, so
+        # only those have saved frames.
         for vcpu in secs.cores:
             if vcpu.cur_eid == secs.eid:
                 return False
-        if entry.page_type == PageType.TCS:
-            return m.read_tcs(granule).cssa == 0
         for tcs_vaddr in handle.tcs_vaddrs:
             tg = m.memory.find_page(entry.owner, tcs_vaddr)
             if tg is None:
                 continue
             tcs = m.read_tcs(tg)
-            if tcs.cssa > 0:
-                lo, hi = ssa_frame_vaddr(secs, tcs, 0), ssa_frame_vaddr(secs, tcs, tcs.nssa)
-                if lo <= entry.vaddr < hi:
-                    return False
+            if tcs.cssa > 0 and entry.vaddr in _thread_pages(secs, tcs_vaddr, tcs):
+                return False
         return True
 
     def _victims(self, limit: int) -> List[Tuple[int, EpcmEntry]]:
@@ -520,39 +523,32 @@ class HostRuntime:
         self.swap_in_events += 1
         return target
 
-    def _ensure_resident(self, handle: EnclaveHandle, vaddr: int) -> None:
-        """Page in the page holding ``vaddr`` if it is swapped out; a page
-        in the swap store is never resident."""
-        page = vaddr & ~(GRANULE_SIZE - 1)
-        if self.store.has(handle.eid, page):
-            self.swap_in(handle, page)
+    def _make_resident(self, handle: EnclaveHandle, pages: List[int]) -> List[int]:
+        """Swap in each filed page of ``pages`` until all are resident at once,
+        as a swap-in's reclaim may write back another; return those swapped in."""
+        swapped: List[int] = []
+        while any(self.store.has(handle.eid, page) for page in pages):
+            for page in pages:
+                if self.store.has(handle.eid, page):
+                    self.swap_in(handle, page)
+                    swapped.append(page)
+        return swapped
 
     def _ensure_tcs_ready(self, handle: EnclaveHandle, tcs_vaddr: int) -> int:
-        """Page in the TCS and the save-state frames an entry can touch:
-        0..cssa-1 hold saved contexts, and the next AEX writes frame cssa
-        (if cssa < nssa).  Paging one in may evict another, the TCS included,
-        so repeat until none of them is swapped out.  With nothing of the
-        enclave swapped out all of them are resident, and the TCS is not
-        read: the entry leaf reads it."""
+        """Page in the thread pages of the TCS and return its granule.  With
+        nothing of the enclave filed, only the entry leaf reads the TCS."""
         m = self.machine
-        secs = m.enclaves[handle.eid]
-        while True:
-            self._ensure_resident(handle, tcs_vaddr)
-            tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
-            if tcs_granule is None:
-                raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
-            if not self.store.holds_any(handle.eid):
-                return tcs_granule
-            tcs = m.read_tcs(tcs_granule)
-            pages = [tcs_vaddr] + [
-                ssa_frame_vaddr(secs, tcs, i) for i in range(min(tcs.cssa + 1, tcs.nssa))
-            ]
-            for vaddr in pages[1:]:
-                self._ensure_resident(handle, vaddr)
-            if not any(
-                self.store.has(handle.eid, vaddr & ~(GRANULE_SIZE - 1)) for vaddr in pages
-            ):
-                return tcs_granule
+        filed = self.store.holds_any(handle.eid)
+        if filed:
+            self._make_resident(handle, [tcs_vaddr])
+        tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
+        if tcs_granule is None:
+            raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
+        if filed:
+            pages = _thread_pages(m.enclaves[handle.eid], tcs_vaddr, m.read_tcs(tcs_granule))
+            if tcs_vaddr in self._make_resident(handle, pages):  # a frame's reclaim moved it
+                return m.memory.find_page(handle.eid, tcs_vaddr)
+        return tcs_granule
 
     # ------------------------------------------------------------------ calls
 
@@ -795,7 +791,10 @@ def _marks(inject_at, budget: int):
 
 def _ocall_eaug(rt: HostRuntime, handle: EnclaveHandle, vaddr: int, _arg2: int) -> int:
     """Builtin: the enclave asks the host to augment a page at `vaddr`."""
-    rt.machine.leaf("EAUG", handle.eid, vaddr, rt.take_epc_granule())
+    granule = rt.take_epc_granule()
+    # reload a filed page for the leaf to refuse, after the take that could evict it
+    rt._make_resident(handle, [vaddr])
+    rt.machine.leaf("EAUG", handle.eid, vaddr, granule)
     return 0
 
 
