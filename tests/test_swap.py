@@ -7,7 +7,7 @@ import pytest
 from ccxsim.errors import SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Perms
-from ccxsim.runtime import AEP_GATE, RECLAIM_BATCH, HostRuntime, RETURN_GATE
+from ccxsim.runtime import AEP_GATE, RECLAIM_BATCH, EnclaveFault, HostRuntime, RETURN_GATE
 from ccxsim.structs import EXIT_IRQ, Pcmd, VA_SLOT_COUNT
 
 from helpers import BASE, build_raw_enclave, free_epc_granules, refusing, small_config
@@ -843,3 +843,91 @@ def test_a_version_array_is_written_back_and_reloaded_with_its_versions(mode, fi
     machine.leaf("ELDU", page.ciphertext, page.pcmd, va_back, 3, target, h.eid)
     assert rt.ecall(h, 0, fixtures.SEL_PEEK, scratch + 64) == 4242
     machine.audit()
+
+
+# ---------------------------------------------------------------------------
+# The residency rule: the thread pages an entry needs, and EAUG over a filed page
+
+
+def _both_modes(tmp_path, text):
+    """Run scenario ``text`` over the demo manifests in both modes, with the
+    default config, and return the two results by mode."""
+    from ccxsim import fixtures
+    from ccxsim.config import Config
+    from ccxsim.scenario import ScenarioRunner
+
+    fixtures.write_demo_tree(tmp_path)
+    return {mode: ScenarioRunner(Config(), tmp_path, mode_override=mode).run_text(text)
+            for mode in ("sgx", "ccx")}
+
+
+def _records(result):
+    """The command records of a scenario result, which hold no granule."""
+    return [{k: v for k, v in e.items() if k != "line"} for e in result.events]
+
+
+@pytest.mark.parametrize("text", [
+    # the toucher's paging writes back the idle notify thread's frames
+    "create n notify.manifest\ncreate t toucher.manifest\n"
+    "ecall t 0 1 1024 0\necall n 0 1 40 0\n",
+    # frame 1 filed by hand; the handler's nested exit writes it
+    "create n notify.manifest\nswap_out n 0x6000\n"
+    "inject_irq vcpu=0 at=3,9,27\necall n 0 1 40 0\n",
+], ids=["after_the_toucher", "frame1_filed"])
+def test_an_aex_notify_thread_enters_with_every_frame_resident(text, tmp_path):
+    """An AEX-Notify handler runs at the current save-state index, and an
+    exit inside it writes the next frame, so the entry pages in all of
+    them: the call returns the same value in both modes, where sgx mode
+    crashed the enclave once a frame the handler needed was filed."""
+    from ccxsim import fixtures
+
+    results = _both_modes(tmp_path, text)
+    assert results["sgx"].ok and results["ccx"].ok
+    assert _records(results["sgx"]) == _records(results["ccx"])
+    assert results["sgx"].events[-1]["result"] == fixtures.compute_expected(40)
+
+
+def test_eaug_over_a_filed_page_is_refused_as_over_a_resident_one(tmp_path):
+    """The toucher's second call asks to augment pages its first call added.
+    In sgx mode some of them are filed; the runtime reloads such a page, so
+    EAUG refuses it as ccx mode does, with the same error.  No page is then
+    both resident and filed, and destroy frees every version slot."""
+    text = "create t toucher.manifest\necall t 0 1 1024 0\necall t 0 1 1024 0\n"
+    results = _both_modes(tmp_path, text)
+    sgx, ccx = results["sgx"], results["ccx"]
+    assert _records(sgx) == _records(ccx)
+    assert sgx.events[-1]["error"] == (
+        "SgxError: VADDR_COLLISION: vaddr 0x200100000 already mapped")
+    rt, machine = sgx.runtime, sgx.machine
+    h = sgx.runtime.handles[1]
+    filed = rt.store.keys_for(h.eid)
+    assert filed and not any(machine.memory.find_page(h.eid, page) for page in filed)
+    rt.destroy(h)
+    assert not rt.store._blobs
+    free, total = _slots(rt)
+    assert free == total > 0
+
+
+@pytest.mark.xfail(strict=True, raises=EnclaveFault, reason=(
+    "an enclave leaf whose operand page is filed is refused with BAD_VADDR, where SGX"
+    " faults, the driver reloads the page and the leaf runs again"))
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_an_eaccept_of_a_page_written_back_after_its_eaug_is_retried(mode, fixture_dir):
+    """A host that writes back each page right after its EAUG: the
+    toucher's EACCEPT then names a filed page.  SGX would fault, the driver
+    reload the page and the EACCEPT run again, so the call would succeed."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+    from ccxsim.runtime import OCALL_EAUG, _ocall_eaug
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_toucher_manifest(fixture_dir)))
+
+    def eaug_then_write_back(rt, handle, vaddr, arg2):
+        result = _ocall_eaug(rt, handle, vaddr, arg2)
+        rt.swap_out(handle, vaddr)
+        return result
+
+    rt.register_ocall(OCALL_EAUG, eaug_then_write_back)
+    assert rt.ecall(h, 0, 1, 3) == fixtures.toucher_expected(3)
