@@ -10,7 +10,7 @@ from ccxsim.config import Config
 from ccxsim.errors import SgxError, SgxErrorCode
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
-from ccxsim.structs import Attributes, SecInfo, Tcs
+from ccxsim.structs import VA_SLOT_COUNT, Attributes, SecInfo, Tcs
 
 BASE = 1 << 33
 
@@ -72,6 +72,24 @@ def refusing(m: Machine, name: str, code: SgxErrorCode = SgxErrorCode.PAGE_INVAL
     finally:
         del m._dispatch
     assert not armed, f"no {name} was dispatched"
+
+
+def check_paging_records(rt) -> None:
+    """Assert that a runtime's paging records agree with its machine: no
+    page is both resident and filed, the free version slots and the slots
+    of the filed blobs are, between them, every slot of every version array
+    once, no core is inside an enclave, and no blob is left for an enclave
+    the runtime does not hold."""
+    m = rt.machine
+    filed = [(eid, vaddr, stored) for eid, pages in rt.store._blobs.items()
+             for vaddr, stored in pages.items()]
+    for eid, vaddr, _ in filed:
+        assert m.memory.find_page(eid, vaddr) is None, f"{vaddr:#x} of {eid} resident and filed"
+    slots = list(rt._free_slots) + [(stored.va_granule, stored.slot) for _, _, stored in filed]
+    arrays = [g for g, e in m.memory.epcm.items() if e.page_type == PageType.VA]
+    assert sorted(slots) == [(g, s) for g in sorted(arrays) for s in range(VA_SLOT_COUNT)]
+    assert all(vcpu.cur_eid is None for vcpu in m.vcpus)
+    assert {eid for eid, _, _ in filed} <= set(rt.handles)
 
 
 @dataclass
