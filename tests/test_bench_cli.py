@@ -228,6 +228,26 @@ def test_cli_bench_json(demo_dir, tmp_path, capsys):
     assert set(doc["per_leaf"]) >= {"ECREATE", "EWB", "EDECCSSA"}
 
 
+def test_cli_bench_human_lists_each_leaf_by_cost_per_op(tmp_path, capsys):
+    """Without --json the bench prints a header, then one row per leaf, the
+    dearest per op first, with the counts and costs of the JSON report."""
+    cfg = write_config(tmp_path)
+    assert cli.main(["bench", "--config", str(cfg), "--iterations", "2", "--json"]) == 0
+    per_leaf = json.loads(capsys.readouterr().out)["per_leaf"]
+    assert cli.main(["bench", "--config", str(cfg), "--iterations", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"leaf microbenchmark, 2 iterations, wall \d+\.\d{3}s \(informational\)",
+                        lines[0])
+    assert lines[1].split() == ["leaf", "count", "cost/op", "cost", "total"]
+    rows = [line.split() for line in lines[2:]]
+    assert {name: [int(v) for v in values] for name, *values in rows} == {
+        name: [row["count"], row["cost_per_op"], row["cost_total"]]
+        for name, row in per_leaf.items()
+    }
+    costs = [int(row[2]) for row in rows]
+    assert costs == sorted(costs, reverse=True)
+
+
 def test_cli_seed_flag_changes_platform_identity(demo_dir, tmp_path, capsys):
     cfg = write_config(tmp_path)
     args = ["attest", str(demo_dir / "standard.manifest"),

@@ -800,6 +800,28 @@ def test_enclave_program_reading_other_enclave_faults(machine, fixture_dir):
     assert record.gpt == h.eid
 
 
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("selector", [fixtures.SEL_PEEK, fixtures.SEL_POKE])
+@pytest.mark.parametrize("where, why", [
+    ("enclave", "access crosses a page boundary"),
+    ("host", "access crosses a granule boundary"),
+])
+def test_an_access_across_a_page_end_is_a_pagefault_at_its_page(
+        mode, selector, where, why, fixture_dir):
+    """An 8-byte PEEK or POKE at offset 0xffc runs past the end of its page,
+    of the enclave or of host memory: the pump faults with the reason, and
+    the host learns only the page."""
+    machine = Machine(small_config(mode=mode))
+    machine.trace = []
+    rt, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "cross")
+    page = h.base + fixtures.SCRATCH_OFF if where == "enclave" else 20 * GRANULE_SIZE
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(h, 0, selector, page + 0xFFC, 77)
+    assert (exc.value.report.kind, exc.value.report.vaddr) == ("pagefault", page)
+    record = [r for r in machine.trace if r["kind"] == "pagefault"][-1]
+    assert (record["addr"], record["why"]) == (page + 0xFFC, why)
+
+
 @pytest.mark.parametrize("prog, fault", [
     ([("movi", 0, 0x2), ("movi", 1, 0x0), ("gadget",)],  # ENCLS from the enclave
      {"step": 3, "vcpu": 0, "kind": "dispatch_fault", "code": "INVALID_SERVICE",

@@ -327,6 +327,20 @@ def test_loader_measurement_matches_reference_oracle(runtime, fixture_dir):
         assert h.mrenclave == reference_measurement(manifest), name
 
 
+def test_a_dbgoptin_tcs_is_measured_with_its_flag(runtime, fixture_dir):
+    """``tcs flags=dbgoptin`` sets the flag in the TCS page the loader adds,
+    and so in the measurement, which the reference oracle reproduces."""
+    plain = fixtures.write_standard_manifest(fixture_dir, "plain").read_text()
+    text = plain.replace(" tls=", " flags=dbgoptin tls=")
+    assert text != plain
+    manifest = EnclaveManifest.parse(text)
+    h = runtime.load_enclave(manifest)
+    tcs = runtime.machine.read_tcs(runtime.machine.memory.find_page(h.eid, h.tcs_vaddrs[0]))
+    assert tcs.dbgoptin and not tcs.aexnotify
+    assert h.mrenclave == reference_measurement(manifest)
+    assert h.mrenclave != runtime.load_enclave(EnclaveManifest.parse(plain)).mrenclave
+
+
 def test_same_manifest_twice_same_measurement_distinct_ids(runtime):
     manifest = EnclaveManifest.parse(minimal_text())
     h1 = runtime.load_enclave(manifest)

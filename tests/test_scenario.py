@@ -223,6 +223,27 @@ def test_swap_commands_and_counters(demo_dir):
     assert run_text(text, demo_dir).ok
 
 
+def test_the_fault_and_swap_in_probes_count_the_run_so_far(demo_dir):
+    """``gpf_count`` counts the protection faults of the run and
+    ``swap_in_events`` the pages paged back in, across the runs of one
+    runner: a call that reads another enclave's page ends its run."""
+    r = runner()
+    r.base_dir = demo_dir
+    text = ("create a standard.manifest\ncreate b standard.manifest\n"
+            "expect gpf_count == 0\nexpect swap_in_events == 0\n")
+    assert r.run_text(text).ok
+    b = r.handles["b"]
+    granule = r.machine.memory.find_page(b.eid, b.base + fixtures.SCRATCH_OFF)
+    spy = r.run_text(f"ecall a 0 {fixtures.SEL_PEEK} {granule * 0x1000:#x} 0\n")
+    assert not spy.ok and spy.events[-1]["error"].startswith("EnclaveFault: enclave fault: gpf")
+    text = (f"expect gpf_count == 1\nswap_out b {fixtures.SCRATCH_OFF:#x}\n"
+            f"swap_out b {fixtures.CODE_OFF:#x}\nexpect swap_in_events == 0\n"
+            "ecall b 0 1 9 0\nexpect swap_in_events == 1\n"  # the code page, on its fetch
+            f"swap_in b {fixtures.SCRATCH_OFF:#x}\nexpect swap_in_events == 2\n"
+            "expect gpf_count == 1\n")
+    assert r.run_text(text).ok
+
+
 def test_mrenclave_eq_probe(demo_dir):
     text = (
         "create a standard.manifest\n"
