@@ -21,6 +21,14 @@ leaves its page, and the pages of its batch not yet written back, blocked:
 still in the EPC, but the enclave's next access to one faults as a
 ``pagefault``, no reclaim picks it again, and only teardown removes it.
 
+Residency: a thread's pages are its TCS and the first page of each
+save-state frame it can write before it is back at cssa 0: frames 0..cssa,
+whose last the next AEX writes, or every frame for an AEX-Notify thread,
+whose handler runs at cssa and can exit again into the next.  An entry
+pages them in, and the victim filter never picks them while the thread has
+saved frames.  A filed page still belongs to its enclave: the EAUG outside
+call reloads it, so the leaf refuses it as it refuses a resident one.
+
 Teardown, for ``destroy`` and for a load that fails after ECREATE, is one
 walk: EREMOVE every resident page but the SECS, then reload each filed page
 and EREMOVE it at once, which retires its version slot, then EREMOVE the
