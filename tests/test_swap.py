@@ -861,11 +861,6 @@ def _both_modes(tmp_path, text):
             for mode in ("sgx", "ccx")}
 
 
-def _records(result):
-    """The command records of a scenario result, which hold no granule."""
-    return [{k: v for k, v in e.items() if k != "line"} for e in result.events]
-
-
 @pytest.mark.parametrize("text", [
     # the toucher's paging writes back the idle notify thread's frames
     "create n notify.manifest\ncreate t toucher.manifest\n"
@@ -883,7 +878,7 @@ def test_an_aex_notify_thread_enters_with_every_frame_resident(text, tmp_path):
 
     results = _both_modes(tmp_path, text)
     assert results["sgx"].ok and results["ccx"].ok
-    assert _records(results["sgx"]) == _records(results["ccx"])
+    assert results["sgx"].events == results["ccx"].events
     assert results["sgx"].events[-1]["result"] == fixtures.compute_expected(40)
 
 
@@ -895,11 +890,11 @@ def test_eaug_over_a_filed_page_is_refused_as_over_a_resident_one(tmp_path):
     text = "create t toucher.manifest\necall t 0 1 1024 0\necall t 0 1 1024 0\n"
     results = _both_modes(tmp_path, text)
     sgx, ccx = results["sgx"], results["ccx"]
-    assert _records(sgx) == _records(ccx)
+    assert sgx.events == ccx.events
     assert sgx.events[-1]["error"] == (
         "SgxError: VADDR_COLLISION: vaddr 0x200100000 already mapped")
     rt, machine = sgx.runtime, sgx.machine
-    h = sgx.runtime.handles[1]
+    h = rt.handles[1]
     filed = rt.store.keys_for(h.eid)
     assert filed and not any(machine.memory.find_page(h.eid, page) for page in filed)
     rt.destroy(h)
