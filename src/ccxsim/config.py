@@ -13,38 +13,12 @@ from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional, Tuple
 
 from .errors import ModelError, read_input
+from .execution import LEAVES
 from .memory import RESERVED_GRANULES
 
-# Abstract cost units per leaf invocation.  The table models relative expense
-# only: table rebuild work scales with granule count, crypto-heavy leaves
-# charge their primitive costs.  Wall-clock claims are out of scope.
+# Abstract cost units per leaf invocation, as each leaf's row states them.
 DEFAULT_LEAF_BASE_COST: Dict[str, int] = {
-    "ECREATE": 40,
-    "EADD": 6,
-    "EINIT": 30,
-    "EREMOVE": 3,
-    "EDBGRD": 5,
-    "EDBGWR": 5,
-    "EEXTEND": 4,
-    "ELDB": 40,
-    "ELDU": 40,
-    "EBLOCK": 4,
-    "EPA": 20,
-    "EWB": 44,
-    "ETRACK": 2,
-    "EAUG": 24,
-    "EMODPR": 6,
-    "EMODT": 4,
-    "EREPORT": 12,
-    "EGETKEY": 8,
-    "EENTER": 14,
-    "ERESUME": 13,
-    "EEXIT": 2,
-    "EACCEPT": 6,
-    "EMODPE": 6,
-    "EACCEPTCOPY": 28,
-    "EDECCSSA": 4,
-}
+    row.name: row.cost for rows in LEAVES.values() for row in rows.values()}
 
 DEFAULT_COST_FACTORS: Dict[str, int] = {
     # per-granule charge for populating a fresh enclave table at ECREATE

@@ -16,9 +16,10 @@ delivery path is trampoline -> monitor -> host.
 
 Each leaf is one row of :data:`LEAVES`: its number, name and handler, the
 kinds that decode its argument registers x2..x4, the slot that takes its
-result, and whether it runs in host mode.  The machine's dispatch reads that
-one row for a driver's call and a trap alike, so a leaf's number, handler,
-mode rule and register ABI cannot fall out of step.
+result, its cost and the cost factors it pays, and whether it runs in host
+mode.  The machine's dispatch reads that one row for a driver's call and a
+trap alike, so a leaf's number, handler, mode rule, cost and register ABI
+cannot fall out of step.
 
 The four world switches do only their architectural work: EENTER and
 ERESUME check the TCS page and switch in, EEXIT and AEX switch out, and each
@@ -744,51 +745,65 @@ def _swap_out(m, vcpu, words):
 class Leaf:
     """One leaf's one row: its name, its handler, which takes the machine
     first and an ENCLU leaf's executing vcpu next, the kinds of x2, x3, x4 in
-    order, its result slot, and the ENCLU mode rule: true for a leaf that runs
-    in host mode, false for one that runs in an enclave."""
+    order, its result slot, its cost in abstract units and the cost factors
+    (``Config.cost_factors``) it pays on top, once per name listed, and the
+    ENCLU mode rule: true for a leaf that runs in host mode, false for one
+    that runs in an enclave."""
 
     name: str
     handler: Callable
     kinds: tuple
     slot: object
+    cost: int
+    charges: tuple = ()
     host_mode: bool = False
 
 
-# Service id -> leaf number -> row.
+# Service id -> leaf number -> row.  Costs model relative expense only: a
+# crypto-heavy leaf pays its primitives' factors, and ECREATE's table build
+# pays ``gpt_per_granule`` once per granule of the machine.
 LEAVES: Dict[int, Dict[int, Leaf]] = {
     SMC_ID_ENCLS: {
-        0x0: Leaf("ECREATE", mp.ecreate, (_ecreate_info, _granule), _x1()),  # PAGEINFO, SECS page
-        0x1: Leaf("EADD", mp.eadd, (_eadd_info, _target), None),  # PAGEINFO, page
-        0x2: Leaf("EINIT", mp.einit, (_word, _sigstruct_at), None),  # eid, SIGSTRUCT address
-        0x3: Leaf("EREMOVE", mp.eremove, (_granule,), None),
-        0x4: Leaf("EDBGRD", mp.edbgrd, (_granule, _word),
-                  _x1(lambda data: int.from_bytes(data, "little"))),  # page, offset
-        0x5: Leaf("EDBGWR", mp.edbgwr, (_granule, _word, _value8), None),  # page, offset, value
-        0x6: Leaf("EEXTEND", mp.eextend, (_word, _word), None),  # eid, chunk vaddr
-        0x7: Leaf("ELDB", mp.eldb, (_eld_info, _target, _va_slot), None),  # PAGEINFO, page, slot
-        0x8: Leaf("ELDU", mp.eldu, (_eld_info, _target, _va_slot), None),  # as ELDB
-        0x9: Leaf("EBLOCK", mp.eblock, (_granule,), None),
-        0xA: Leaf("EPA", mp.epa, (_granule,), None),
-        0xB: Leaf("EWB", mp.ewb, (_output, _granule, _va_slot), _swap_out),  # PAGEINFO, page, slot
-        0xC: Leaf("ETRACK", mp.etrack, (_word,), None),  # eid
-        0xD: Leaf("EAUG", mp.eaug, (_word, _word, _granule), None),  # eid, vaddr, page
-        0xE: Leaf("EMODPR", mp.emodpr, (_granule, _perms), None),
-        0xF: Leaf("EMODT", mp.emodt, (_granule, _page_type), None),
+        0x0: Leaf("ECREATE", mp.ecreate, (_ecreate_info, _granule), _x1(),  # PAGEINFO, SECS page
+                  40, ("gpt_per_granule",)),
+        0x1: Leaf("EADD", mp.eadd, (_eadd_info, _target), None,  # PAGEINFO, page
+                  6, ("hash_block",)),
+        0x2: Leaf("EINIT", mp.einit, (_word, _sigstruct_at), None,  # eid, SIGSTRUCT address
+                  30, ("sig_verify",)),
+        0x3: Leaf("EREMOVE", mp.eremove, (_granule,), None, 3),
+        0x4: Leaf("EDBGRD", mp.edbgrd, (_granule, _word),  # page, offset
+                  _x1(lambda data: int.from_bytes(data, "little")), 5),
+        0x5: Leaf("EDBGWR", mp.edbgwr, (_granule, _word, _value8), None, 5),  # page, offset, value
+        # eid, chunk vaddr; its one packed input is five measurement blocks
+        0x6: Leaf("EEXTEND", mp.eextend, (_word, _word), None, 4, ("hash_block",) * 5),
+        0x7: Leaf("ELDB", mp.eldb, (_eld_info, _target, _va_slot), None,  # PAGEINFO, page, slot
+                  40, ("aead_page",)),
+        0x8: Leaf("ELDU", mp.eldu, (_eld_info, _target, _va_slot), None,  # as ELDB
+                  40, ("aead_page",)),
+        0x9: Leaf("EBLOCK", mp.eblock, (_granule,), None, 4),
+        0xA: Leaf("EPA", mp.epa, (_granule,), None, 20),
+        0xB: Leaf("EWB", mp.ewb, (_output, _granule, _va_slot), _swap_out,  # PAGEINFO, page, slot
+                  44, ("aead_page",)),
+        0xC: Leaf("ETRACK", mp.etrack, (_word,), None, 2),  # eid
+        0xD: Leaf("EAUG", mp.eaug, (_word, _word, _granule), None, 24),  # eid, vaddr, page
+        0xE: Leaf("EMODPR", mp.emodpr, (_granule, _perms), None, 6),
+        0xF: Leaf("EMODT", mp.emodt, (_granule, _page_type), None, 4),
     },
     SMC_ID_ENCLU: {
         0x0: Leaf("EREPORT", mp.ereport,
                   (_buffer(TARGETINFO_SIZE, TargetInfo.unpack), _buffer(64)),
-                  _buffer_at(4, REPORT_SIZE, Report.to_bytes)),
+                  _buffer_at(4, REPORT_SIZE, Report.to_bytes), 12, ("kdf", "mac")),
         0x1: Leaf("EGETKEY", mp.egetkey, (_buffer(KEYREQUEST_SIZE, KeyRequest.unpack),),
-                  _buffer_at(3, KEY_SIZE)),
-        0x2: Leaf("EENTER", eenter, (_granule, _word), _SWITCH, True),  # TCS, async exit pointer
-        0x3: Leaf("ERESUME", eresume, (_granule, _word), _SWITCH, True),  # as EENTER
-        0x4: Leaf("EEXIT", eexit, (_word,), _SWITCH),  # target
-        0x5: Leaf("EACCEPT", mp.eaccept, (_own_page, _secinfo), None),
-        0x6: Leaf("EMODPE", mp.emodpe, (_own_page, _perms), None),
+                  _buffer_at(3, KEY_SIZE), 8, ("kdf",)),
+        0x2: Leaf("EENTER", eenter, (_granule, _word), _SWITCH, 14,  # TCS, async exit pointer
+                  host_mode=True),
+        0x3: Leaf("ERESUME", eresume, (_granule, _word), _SWITCH, 13, host_mode=True),  # as EENTER
+        0x4: Leaf("EEXIT", eexit, (_word,), _SWITCH, 2),  # target
+        0x5: Leaf("EACCEPT", mp.eaccept, (_own_page, _secinfo), None, 6),
+        0x6: Leaf("EMODPE", mp.emodpe, (_own_page, _perms), None, 6),
         0x7: Leaf("EACCEPTCOPY", mp.eacceptcopy,  # page, source vaddr, secinfo
-                  (_own_page, _word, _secinfo), None),
-        0x9: Leaf("EDECCSSA", mp.edeccssa, (), None),
+                  (_own_page, _word, _secinfo), None, 28),
+        0x9: Leaf("EDECCSSA", mp.edeccssa, (), None, 4),
     },
 }
 # Leaf name -> (service id, leaf number).

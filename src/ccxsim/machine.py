@@ -34,18 +34,13 @@ ALL_LEAF_NAMES = sorted(LEAF_NUMBERS)
 
 
 def _leaf_costs(config: Config) -> Dict[str, int]:
-    base = config.leaf_base_cost
-    f = config.cost_factors
-    costs = dict(base)
-    costs["ECREATE"] = base["ECREATE"] + f["gpt_per_granule"] * config.granule_count
-    costs["EADD"] = base["EADD"] + f["hash_block"]
-    costs["EEXTEND"] = base["EEXTEND"] + 5 * f["hash_block"]
-    costs["EINIT"] = base["EINIT"] + f["sig_verify"]
-    for leaf in ("EWB", "ELDU", "ELDB"):
-        costs[leaf] = base[leaf] + f["aead_page"]
-    costs["EGETKEY"] = base["EGETKEY"] + f["kdf"]
-    costs["EREPORT"] = base["EREPORT"] + f["kdf"] + f["mac"]
-    return costs
+    """Each leaf's units: its base plus the factors its row charges, where
+    one ``gpt_per_granule`` is paid for every granule of the machine."""
+    factors = dict(config.cost_factors)
+    factors["gpt_per_granule"] *= config.granule_count
+    get = factors.__getitem__
+    return {row.name: config.leaf_base_cost[row.name] + sum(map(get, row.charges))
+            for row in (*_ENCLS_ROWS.values(), *_ENCLU_ROWS.values())}
 
 
 class Machine:
