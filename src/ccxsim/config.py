@@ -3,7 +3,8 @@
 Configs serialize to JSON and round-trip losslessly.  All fields default, so
 an empty file (or no file) yields the standard desk-scale machine: 16384
 granules (64 MiB) with a 512-granule fixed EPC in sgx mode, small enough that
-memory-hungry scenarios actually swap.
+memory-hungry scenarios actually swap.  ``cost_factors`` is the one cost
+knob: a leaf's base cost and charges are columns of its ``LEAVES`` row.
 """
 
 from __future__ import annotations
@@ -13,25 +14,21 @@ from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional, Tuple
 
 from .errors import ModelError, read_input
-from .execution import LEAVES
 from .memory import RESERVED_GRANULES
 
-# Abstract cost units per leaf invocation, as each leaf's row states them.
-DEFAULT_LEAF_BASE_COST: Dict[str, int] = {
-    row.name: row.cost for rows in LEAVES.values() for row in rows.values()}
-
+# Abstract cost units per primitive a leaf pays on top of its base cost.
 DEFAULT_COST_FACTORS: Dict[str, int] = {
-    # per-granule charge for populating a fresh enclave table at ECREATE
+    # one granule of a fresh enclave table, paid for every granule of memory
     "gpt_per_granule": 1,
-    # per 64-byte block absorbed into a measurement
+    # one 64-byte block absorbed into a measurement
     "hash_block": 1,
-    # one signature verification (EINIT)
+    # one signature verification
     "sig_verify": 500,
-    # one full-page authenticated encryption or decryption (EWB, ELDU, ELDB)
+    # one full-page authenticated encryption or decryption
     "aead_page": 400,
-    # one key derivation (EGETKEY, EREPORT)
+    # one key derivation
     "kdf": 40,
-    # one report MAC (EREPORT)
+    # one report MAC
     "mac": 30,
 }
 
@@ -82,9 +79,6 @@ class Config:
     vcpu_count: int = 4
     max_ecall_steps: int = 1_000_000
     audit_after_leaf: bool = False
-    leaf_base_cost: Dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_LEAF_BASE_COST)
-    )
     cost_factors: Dict[str, int] = field(
         default_factory=lambda: dict(DEFAULT_COST_FACTORS)
     )
@@ -99,7 +93,6 @@ class Config:
         if type(self.audit_after_leaf) is not bool:
             raise ModelError("config field 'audit_after_leaf' must be true or false,"
                              f" not {self.audit_after_leaf!r}")
-        _check_table("leaf_base_cost", self.leaf_base_cost, DEFAULT_LEAF_BASE_COST)
         _check_table("cost_factors", self.cost_factors, DEFAULT_COST_FACTORS)
         if self.mode == "sgx":
             if self.epc_size == 0:
@@ -134,12 +127,9 @@ class Config:
             if key not in known:
                 raise ModelError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
-        # Merge partial cost tables over the defaults.
-        for name, defaults in (("leaf_base_cost", DEFAULT_LEAF_BASE_COST),
-                               ("cost_factors", DEFAULT_COST_FACTORS)):
-            if name in data:
-                _check_table(name, data[name], defaults)
-                setattr(cfg, name, {**defaults, **data[name]})
+        if "cost_factors" in data:  # a partial table merges over the defaults
+            _check_table("cost_factors", data["cost_factors"], DEFAULT_COST_FACTORS)
+            cfg.cost_factors = {**DEFAULT_COST_FACTORS, **data["cost_factors"]}
         cfg.validate()
         return cfg
 

@@ -745,10 +745,10 @@ def _swap_out(m, vcpu, words):
 class Leaf:
     """One leaf's one row: its name, its handler, which takes the machine
     first and an ENCLU leaf's executing vcpu next, the kinds of x2, x3, x4 in
-    order, its result slot, its cost in abstract units and the cost factors
-    (``Config.cost_factors``) it pays on top, once per name listed, and the
-    ENCLU mode rule: true for a leaf that runs in host mode, false for one
-    that runs in an enclave."""
+    order, its result slot, its base cost and the cost factors
+    (``Config.cost_factors``) it pays on top, once per name listed, in
+    abstract units of relative expense, and the ENCLU mode rule: true for a
+    leaf that runs in host mode, false for one that runs in an enclave."""
 
     name: str
     handler: Callable
@@ -759,9 +759,7 @@ class Leaf:
     host_mode: bool = False
 
 
-# Service id -> leaf number -> row.  Costs model relative expense only: a
-# crypto-heavy leaf pays its primitives' factors, and ECREATE's table build
-# pays ``gpt_per_granule`` once per granule of the machine.
+# Service id -> leaf number -> row.
 LEAVES: Dict[int, Dict[int, Leaf]] = {
     SMC_ID_ENCLS: {
         0x0: Leaf("ECREATE", mp.ecreate, (_ecreate_info, _granule), _x1(),  # PAGEINFO, SECS page

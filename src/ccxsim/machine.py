@@ -34,12 +34,11 @@ ALL_LEAF_NAMES = sorted(LEAF_NUMBERS)
 
 
 def _leaf_costs(config: Config) -> Dict[str, int]:
-    """Each leaf's units: its base plus the factors its row charges, where
-    one ``gpt_per_granule`` is paid for every granule of the machine."""
+    """Each leaf's units: its row's cost plus the factors its row charges,
+    where one ``gpt_per_granule`` is paid for every granule of the machine."""
     factors = dict(config.cost_factors)
     factors["gpt_per_granule"] *= config.granule_count
-    get = factors.__getitem__
-    return {row.name: config.leaf_base_cost[row.name] + sum(map(get, row.charges))
+    return {row.name: row.cost + sum(map(factors.__getitem__, row.charges))
             for row in (*_ENCLS_ROWS.values(), *_ENCLU_ROWS.values())}
 
 

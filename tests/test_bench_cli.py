@@ -281,11 +281,12 @@ BAD_CONFIGS = [
     ({"granule_count": "abc"}, "granule_count"),
     ({"vcpu_count": 2.5}, "vcpu_count"),
     ({"crypto_seed": "x"}, "crypto_seed"),
-    ({"leaf_base_cost": {"EADD": "7"}}, "leaf_base_cost.EADD"),
     ({"cost_factors": 3}, "cost_factors"),
     ([1, 2], "JSON object"),
-    ({"leaf_base_cost": {"EFOO": 1}}, "EFOO"),
-    ({"leaf_base_cost": {"EADD": -1}}, "leaf_base_cost.EADD"),
+    ({"cost_factors": {"EFOO": 1}}, "EFOO"),
+    ({"cost_factors": {"kdf": -1}}, "cost_factors.kdf"),
+    # a leaf's cost is a column of its row, not a config field
+    ({"leaf_base_cost": {"ECREATE": 40}}, "leaf_base_cost"),
     ({"audit_after_leaf": "no"}, "audit_after_leaf"),
     ({"granule_count": MAX_GRANULE_COUNT + 1}, "granule_count"),
     ({"epc_size": 0}, "epc_size"),
@@ -362,9 +363,9 @@ def test_run_output_path_that_is_a_directory_is_a_usage_error(flag, demo_dir, tm
 
 
 def test_config_cap_admits_its_bound():
-    cfg = Config.from_dict({"granule_count": MAX_GRANULE_COUNT, "leaf_base_cost": {"EADD": 0}})
-    assert cfg.granule_count == MAX_GRANULE_COUNT and cfg.leaf_base_cost["EADD"] == 0
-    assert cfg.leaf_base_cost["EWB"] == Config().leaf_base_cost["EWB"]
+    cfg = Config.from_dict({"granule_count": MAX_GRANULE_COUNT, "cost_factors": {"kdf": 0}})
+    assert cfg.granule_count == MAX_GRANULE_COUNT and cfg.cost_factors["kdf"] == 0
+    assert cfg.cost_factors["aead_page"] == Config().cost_factors["aead_page"]
 
 
 def test_console_entry_point_runs(demo_dir, tmp_path):
