@@ -5,7 +5,7 @@ Line-oriented, diffable, self-contained.  Grammar (one directive per line,
 
     name <ident>
     size <int>                      enclave linear size, power of two, at most 2**33
-    ssa_frame_size <int>            save-state frame size in pages (default 1)
+    ssa_frame_size <int>            save-state frame size in pages, at least 1 (default 1)
     nssa <int>                      save-state slots per thread (default 2)
     attributes <flag>[,<flag>...]   debug, aexnotify_allowed, provision_key
     max_page_perms <rwx>            ceiling for permission extension (default rwx),
@@ -17,8 +17,11 @@ Line-oriented, diffable, self-contained.  Grammar (one directive per line,
     sigstruct test-key[:<label>] | file:<relpath>
 
 Bracketed fields are optional (perms default to rw, content to zero); a line
-without a required field is refused.  A TCS line is checked on its line by
-the rule EADD applies to the TCS it builds (:meth:`ccxsim.structs.Tcs.validate`).
+without a required field is refused.  The size and ssa_frame_size lines are
+checked by the rule ECREATE applies at the loader's base
+(:func:`ccxsim.microprograms.geometry_fault`), and a TCS line by the rule EADD
+applies to the TCS it builds (:meth:`ccxsim.structs.Tcs.validate`), each on
+its line.
 Content sources: ``zero`` (zero-filled), ``hex:<hexbytes>`` (inline, padded to
 a page multiple), ``file:<relpath>`` (raw bytes, padded).  Multi-page content
 spreads across consecutive pages; ``count`` repeats a zero page, ``zero``
@@ -36,7 +39,7 @@ from typing import List, Optional
 
 from .errors import ModelError, SgxError, read_input
 from .memory import GRANULE_SIZE, Perms
-from .microprograms import DEFAULT_ENCLAVE_BASE
+from .microprograms import DEFAULT_ENCLAVE_BASE, geometry_fault
 from .structs import Attributes, Tcs
 
 
@@ -153,16 +156,16 @@ class EnclaveManifest:
     sigstruct_source: str = "test-key"
     base_dir: Optional[Path] = None
     size_line: int = 0  # the line of the size directive, as PageSpec.line
+    ssa_frame_line: int = 0  # the line of the ssa_frame_size directive
     sigstruct_line: int = 0  # the line of the sigstruct directive
 
     def validate(self) -> None:
         """Refuse a misfit naming the line of the directive at fault."""
-        if self.size < GRANULE_SIZE or self.size & (self.size - 1):
-            raise ManifestError(self.size_line,
-                                f"size {self.size:#x} must be a power-of-two page multiple")
-        if self.size > DEFAULT_ENCLAVE_BASE:
-            raise ManifestError(self.size_line, f"size {self.size:#x} exceeds {DEFAULT_ENCLAVE_BASE:#x},"
-                                " the most the loader can place at its size-aligned base")
+        fault = geometry_fault(self.size, self.ssa_frame_size, DEFAULT_ENCLAVE_BASE)
+        if fault is not None:  # the rule ECREATE applies at the loader's base
+            field_name, detail = fault
+            raise ManifestError(self.size_line if field_name == "size" else self.ssa_frame_line,
+                                detail)
         used: list = []  # the spans of the pages and TCS pages checked so far
         for spec in self.pages:
             end = spec.vaddr + spec.page_count * GRANULE_SIZE
@@ -211,7 +214,7 @@ class EnclaveManifest:
                 elif key == "size":
                     manifest.size, manifest.size_line = _num(rest, key), line_no
                 elif key == "ssa_frame_size":
-                    manifest.ssa_frame_size = _num(rest, key)
+                    manifest.ssa_frame_size, manifest.ssa_frame_line = _num(rest, key), line_no
                 elif key == "nssa":
                     manifest.nssa = _num(rest, key)
                 elif key == "attributes":  # keeps the ceiling max_page_perms set

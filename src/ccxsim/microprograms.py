@@ -44,6 +44,20 @@ from .structs import (
 DEFAULT_ENCLAVE_BASE = 1 << 33
 
 
+def geometry_fault(size: int, ssa_frame_size: int, base: int):
+    """The enclave geometry ECREATE refuses, as the field at fault and why, or
+    None: a size that is no power-of-two page multiple, a save-state frame of
+    no pages, or a size that does not align ``base``.  A manifest applies it
+    at the loader's base, so its refusal can name the line at fault."""
+    if size < GRANULE_SIZE or size & (size - 1):
+        return "size", f"size {size:#x} is not a power-of-two page multiple"
+    if ssa_frame_size < 1:
+        return "ssa_frame_size", "ssa_frame_size must be at least 1"
+    if base % size:
+        return "size", f"size {size:#x} exceeds {base & -base:#x}, the alignment of base {base:#x}"
+    return None
+
+
 def _secs(m, eid: int) -> Secs:
     secs = m.enclaves.get(eid)
     if secs is None:
@@ -106,12 +120,9 @@ def ecreate(
     base: int = DEFAULT_ENCLAVE_BASE,
 ) -> int:
     _require_free(m, secs_granule)
-    if size < GRANULE_SIZE or size & (size - 1):
-        raise SgxError(E.BAD_GEOMETRY, f"size {size:#x} is not a power-of-two page multiple")
-    if ssa_frame_size < 1:
-        raise SgxError(E.BAD_GEOMETRY, "ssa_frame_size must be at least 1")
-    if base % size:
-        raise SgxError(E.BAD_GEOMETRY, f"base {base:#x} not aligned to size {size:#x}")
+    fault = geometry_fault(size, ssa_frame_size, base)
+    if fault is not None:
+        raise SgxError(E.BAD_GEOMETRY, fault[1])
     if attributes.init:
         raise SgxError(E.BAD_GEOMETRY, "attributes cannot request INIT at creation")
 

@@ -245,6 +245,8 @@ def test_a_zero_run_yields_its_pages_without_building_them():
     ("size 0x100000", "size 0x1000", 6, "run of 1 pages at 0x1000"),
     # a size that is no power of two names the size line
     ("size 0x100000", "size 0x180000", 3, "power-of-two"),
+    # a save-state frame of no pages names its line, by the rule ECREATE applies
+    ("nssa 2", "nssa 2\nssa_frame_size 0", 5, "ssa_frame_size must be at least 1"),
     # a TCS whose save-state pages are not declared names the tcs line
     ("page vaddr=0x2000 perms=rw content=zero count=2\n", "", 7, "save-state page 0x2000"),
     # a TCS that lands on a page names the tcs line
@@ -258,7 +260,7 @@ def test_a_zero_run_yields_its_pages_without_building_them():
     ("tcs vaddr=0x4000 ", "tcs ", 8, "missing required field vaddr="),
     ("oentry=0x0 ", "", 8, "missing required field oentry="),
     ("ossa=0x2000 ", "", 8, "missing required field ossa="),
-], ids=["page-past-size", "size", "tcs-save-state", "tcs-collision", "tcs-tls",
+], ids=["page-past-size", "size", "ssa-frame-size-0", "tcs-save-state", "tcs-collision", "tcs-tls",
         "tcs-aexnotify", "tcs-nssa-0", "page-no-vaddr", "tcs-no-vaddr", "tcs-no-oentry",
         "tcs-no-ossa"])
 def test_a_geometry_error_names_the_line_of_its_directive(old, new, line, message):
