@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ccxsim.config import Config
 from ccxsim.errors import SgxError, SgxErrorCode
-from ccxsim.machine import Machine
+from ccxsim.machine import ALL_LEAF_NAMES, Machine
 from ccxsim.memory import GRANULE_SIZE, RESERVED_GRANULES, PageType, Perms
 from ccxsim.structs import VA_SLOT_COUNT, Attributes, SecInfo, Tcs
 
@@ -90,6 +90,25 @@ def check_paging_records(rt) -> None:
     assert sorted(slots) == [(g, s) for g in sorted(arrays) for s in range(VA_SLOT_COUNT)]
     assert all(vcpu.cur_eid is None for vcpu in m.vcpus)
     assert {eid for eid, _, _ in filed} <= set(rt.handles)
+
+
+def fold_trace(records: List[dict]) -> dict:
+    """The run summary's fields that its trace records add up to: the leaf
+    records counted, and their costs summed, per leaf; the ``evict`` records;
+    and the ``eldu`` records that succeeded."""
+    counters = dict.fromkeys(ALL_LEAF_NAMES, 0)
+    cost_tally = dict.fromkeys(ALL_LEAF_NAMES, 0)
+    for record in records:
+        name = record["kind"].upper()
+        if name in counters:
+            counters[name] += 1
+            cost_tally[name] += record["cost"]
+    return {
+        "counters": counters,
+        "cost_tally": cost_tally,
+        "swap_out_events": sum(r["kind"] == "evict" for r in records),
+        "swap_in_events": sum(r["kind"] == "eldu" and r["outcome"] == "ok" for r in records),
+    }
 
 
 @dataclass

@@ -3,7 +3,6 @@ exit, one per fault and one per eviction the runtime chooses, kept only where
 a reader puts a list in ``Machine.trace``."""
 
 import json
-from collections import Counter
 
 import pytest
 
@@ -15,7 +14,7 @@ from ccxsim.memory import GRANULE_SIZE
 from ccxsim.runtime import AEP_GATE, EnclaveFault, HostRuntime
 from ccxsim.structs import Attributes
 
-from helpers import build_raw_enclave, small_config
+from helpers import build_raw_enclave, fold_trace, small_config
 
 # Records for facts that are not leaf invocations.
 OTHER_KINDS = {"aex", "evict", "gpf", "measured", "pagefault"}
@@ -30,9 +29,13 @@ def demo_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
-@pytest.mark.parametrize("demo", ["lifecycle", "mode_diff", "attest", "seal_unseal"])
+@pytest.mark.parametrize("demo", ["lifecycle", "mode_diff", "attest", "seal_unseal",
+                                  "interrupts"])
 def test_demo_trace_holds_one_leaf_record_per_counter_increment(demo_dir, tmp_path, capsys,
                                                                 demo, mode):
+    """The trace folds to the summary: leaf records by kind to ``counters``,
+    their costs to ``cost_tally``, and evictions and successful ELDUs to the
+    swap events."""
     trace = tmp_path / "trace.jsonl"
     rc = cli.main(["run", str(demo_dir / f"{demo}.scenario"), "--mode", mode, "--json",
                    "--trace", str(trace)])
@@ -42,8 +45,8 @@ def test_demo_trace_holds_one_leaf_record_per_counter_increment(demo_dir, tmp_pa
     assert [r["seq"] for r in records] == list(range(len(records)))
     leaves = [r for r in records if r["kind"] in LEAF_KINDS]
     assert {r["kind"] for r in records} - set(LEAF_KINDS) <= OTHER_KINDS
-    counted = {name: n for name, n in summary["counters"].items() if n}
-    assert Counter(LEAF_KINDS[r["kind"]] for r in leaves) == counted
+    folded = fold_trace(records)
+    assert folded == {key: summary[key] for key in folded}
     m = Machine()
     for r in leaves:
         assert set(r) == {"seq", "kind", "vcpu", "outcome", "cost"}

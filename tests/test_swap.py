@@ -13,9 +13,7 @@ from ccxsim.structs import EXIT_IRQ, Pcmd, VA_SLOT_COUNT
 from helpers import BASE, build_raw_enclave, free_epc_granules, refusing, small_config
 
 
-@pytest.fixture
-def swap_env(machine):
-    """Initialized enclave with a data page, plus a version array."""
+def _swap_env(machine):
     enc = build_raw_enclave(machine, tcs_specs=[{"vaddr": 0x4000, "ossa": 0x2000}],
                             page_specs=[
                                 (0x0000, "rx", b"\x11" * GRANULE_SIZE),
@@ -26,6 +24,18 @@ def swap_env(machine):
     va = free_epc_granules(machine, 1)[0]
     machine.leaf("EPA", va)
     return machine, enc, va
+
+
+@pytest.fixture
+def swap_env(machine):
+    """Initialized enclave with a data page, plus a version array."""
+    return _swap_env(machine)
+
+
+@pytest.fixture(params=["sgx", "ccx"])
+def swap_env_both(request):
+    """``swap_env`` in each memory mode."""
+    return _swap_env(Machine(small_config(mode=request.param)))
 
 
 def swap_out(machine, enc, off, va, slot):
@@ -402,6 +412,40 @@ def test_swapped_tcs_preserves_thread_state(swap_env):
     machine.enclu(vcpu, 0x3, target, AEP_GATE)  # resume through the moved TCS
     assert vcpu.in_enclave
     machine.enclu(vcpu, 0x4, RETURN_GATE)
+
+
+def test_eenter_refuses_a_blocked_tcs(swap_env_both):
+    machine, enc, _ = swap_env_both
+    tcs_g, vcpu = enc.pages[0x4000], machine.vcpus[0]
+    machine.leaf("EBLOCK", tcs_g)
+    with pytest.raises(SgxError, match="TCS page is blocked") as exc:
+        machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+    assert exc.value.code == E.PAGE_INVALID
+    assert vcpu.cur_eid is None and machine.read_tcs(tcs_g).cssa == 0
+
+
+def test_eresume_refuses_a_thread_whose_saved_frame_was_written_back(swap_env_both):
+    """The frame an AEX saved to is written back while its thread is out:
+    ERESUME refuses before it switches in, and the thread keeps its state."""
+    machine, enc, va = swap_env_both
+    tcs_g, vcpu = enc.pages[0x4000], machine.vcpus[0]
+    machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
+    machine.inject_interrupt(vcpu)  # frame 0, at 0x2000, holds the context
+    swap_out(machine, enc, 0x2000, va, 0)
+    with pytest.raises(SgxError, match="save-state page is not resident") as exc:
+        machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)
+    assert exc.value.code == E.PAGE_INVALID
+    assert vcpu.cur_eid is None and machine.read_tcs(tcs_g).cssa == 1
+
+
+def test_ewb_refuses_a_secs_page(swap_env_both):
+    machine, enc, va = swap_env_both
+    entry = machine.memory.epcm_lookup(enc.secs_granule)
+    with pytest.raises(SgxError, match="SECS pages are not swappable here") as exc:
+        machine.leaf("EWB", enc.secs_granule, va, 0)
+    assert exc.value.code == E.PAGE_INVALID
+    assert machine.memory.epcm_lookup(enc.secs_granule) == entry
+    swap_out(machine, enc, 0x1000, va, 0)  # the refusal left slot 0 free
 
 
 def test_block_swap_reload_restores_enclave_access(machine):
