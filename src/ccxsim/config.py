@@ -94,6 +94,9 @@ class Config:
             raise ModelError("config field 'audit_after_leaf' must be true or false,"
                              f" not {self.audit_after_leaf!r}")
         _check_table("cost_factors", self.cost_factors, DEFAULT_COST_FACTORS)
+        for name in DEFAULT_COST_FACTORS:  # from_dict merges; a table built in code must be whole
+            if name not in self.cost_factors:
+                raise ModelError(f"config field 'cost_factors' lacks factor {name!r}")
         if self.mode == "sgx":
             if self.epc_size == 0:
                 raise ModelError("config field 'epc_size' is 0, and sgx mode needs an EPC")

@@ -49,11 +49,10 @@ one function that runs up to ``k`` turns while the branch is taken and stores
 the registers its run writes back on return; :func:`step` passes as ``k`` the
 whole turns left in its budget.  A bounded memo of :data:`BLOCK_MEMO_SIZE`
 functions, oldest out first, is keyed by what is compiled (the decoded
-instructions, with None for a self-loop's target), so code decoded again in
-another granule (a new enclave of the same image, or a page swapped back in)
-compiles nothing.  A budget that ends inside a block runs the compiled prefix
-of its ALU run from the same memo; every count, pc and trace record is what
-one instruction at a time gives.
+instructions, with None for a self-loop's target), so the same code decoded
+again at another address compiles nothing.  A budget that ends inside a
+block runs the compiled prefix of its ALU run from the same memo; every
+count, pc and trace record is what one instruction at a time gives.
 
 :func:`step` makes a checked or cached fetch only where a chain of blocks
 starts: after a branch, a load or a store, the next block on the same page
@@ -75,9 +74,16 @@ successful checked access (address translation, EPCM checks, then the
 protection-table check).  A translation is used only while its granule
 still holds the EPCM entry it was filled with, since an EPCM update (the
 one path that moves a table) stores a new entry or clears it; a granule's
-blocks are dropped on any write to it.  A miss, or an access that crosses a
-page, takes the checked path, so every fault and GPF is raised as without
-the caches.
+blocks are dropped on any write to it.  Blocks are shared by page address
+and bytes: a granule with none takes, from a bounded page memo
+(``page_blocks``, :data:`BLOCK_MEMO_SIZE` pages, oldest out first), the
+blocks of any granule fetched at the same page address holding the same
+bytes, so a new enclave of an image, or a page swapped back in, decodes
+nothing again.  A block is decoded from those bytes and its address alone,
+so every granule that holds the blocks gives the same ones, and a write to
+one drops only its own tie to them, never its twin's.  A miss, or an access
+that crosses a page, takes the checked path, so every fault and GPF is
+raised as without the caches.
 
 There is deliberately no hook point between an enclave trap or interrupt and
 the monitor: nothing at hypervisor level can observe or intercept the switch.
@@ -290,11 +296,12 @@ _LOOP_OPS = frozenset(row.op for row in isa.INSTRUCTIONS if row.branch == "{imm}
 _ROWS = {row.op: row for row in isa.INSTRUCTIONS}
 
 BLOCK_MEMO_SIZE = 256
-"""Most compiled blocks a machine's memo keeps; the oldest goes first.  A
-workload runs a few distinct blocks over and over (the ``interp_irq``
-benchmark 35 in 20,000 ops, budget-cut prefixes included), and a page holds
-at most 256 block starts, so the bound only stops a run that executes ever
-new code from growing the memo."""
+"""Most compiled blocks a machine's memo keeps, and most code pages its page
+memo keeps; the oldest goes first.  A workload runs a few distinct blocks
+over and over (the ``interp_irq`` benchmark 35 in 20,000 ops, budget-cut
+prefixes included) from a few distinct code pages, and a page holds at most
+256 block starts, so the bound only stops a run that executes ever new code
+from growing either memo."""
 
 
 def _source(template: str, instr: tuple, register: str) -> str:
@@ -404,7 +411,9 @@ def _decode_block(mem, granule: int, pc: int) -> tuple:
 def _code_page(m, vcpu, pc: int) -> Tuple[int, dict]:
     """The granule ``pc``'s page is fetched from and that granule's blocks,
     after one checked or cached fetch at ``pc``; a granule's blocks are kept
-    until something writes to it."""
+    until something writes to it.  A granule with none takes those of any
+    granule fetched at the same page address with the same bytes, from the
+    page memo, so a new enclave of an image decodes nothing again."""
     mem = m.memory
     granule = _cached(mem, vcpu, pc, INSTR_SIZE, "x")
     if granule is None:
@@ -412,7 +421,14 @@ def _code_page(m, vcpu, pc: int) -> Tuple[int, dict]:
         granule = mem.tlb[(vcpu.cur_eid, pc & ~_PAGE_MASK, "x")][0]
     blocks = mem.decoded.get(granule)
     if blocks is None:
-        blocks = mem.decoded[granule] = {}
+        memo = mem.page_blocks
+        key = (pc & ~_PAGE_MASK, mem.load(granule, 0, GRANULE_SIZE))
+        blocks = memo.get(key)
+        if blocks is None:
+            blocks = memo[key] = {}
+            if len(memo) > BLOCK_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        mem.decoded[granule] = blocks
     return granule, blocks
 
 

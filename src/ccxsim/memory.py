@@ -55,7 +55,14 @@ interpreter compiled it into (see :mod:`ccxsim.execution`), which for a
 self-loop depends on that address.  A block never crosses its page, so a
 granule holds at most one entry per instruction start of each page address
 it is fetched at, 256 for code at 16-byte offsets.  Any write to the granule
-drops its blocks: :meth:`MachineMemory.store` is the only byte writer.  The
+drops its blocks: :meth:`MachineMemory.store` is the only byte writer.
+Blocks are shared by page address and bytes: ``page_blocks``, a memo
+bounded by :data:`ccxsim.execution.BLOCK_MEMO_SIZE`, oldest out first, maps
+a page address and the page's bytes to one dict of blocks, which the
+interpreter hands to each granule fetched there with those bytes.  A block
+depends only on those bytes and its address, so all granules that hold the
+dict agree on every block, and a write drops only the written granule's
+entry in ``decoded``, not the dict its twins still hold.  The
 functions themselves come from ``compiled``, a memo keyed by what is
 compiled (the decoded instructions, a self-loop's target as None) and
 bounded by :data:`ccxsim.execution.BLOCK_MEMO_SIZE`, oldest out first; it
@@ -392,6 +399,10 @@ class MachineMemory:
         self.tlb = self.gpts.tlb  # one dict, so set_entry empties it too
         # granule -> {address: block starting there}
         self.decoded: Dict[int, Dict[int, tuple]] = {}
+        # (page address, page bytes) -> the blocks of code fetched there with
+        # those bytes, oldest first; shared by every granule in ``decoded``
+        # that holds them
+        self.page_blocks: Dict[Tuple[int, bytes], Dict[int, tuple]] = {}
         # (ALU run, ending branch or None) -> its compiled function, oldest
         # first; a self-loop's branch has None for its target
         self.compiled: Dict[tuple, Callable] = {}

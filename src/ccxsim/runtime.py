@@ -5,6 +5,16 @@ from manifests, dispatches calls into enclaves and outside calls back to host
 handlers, demand-pages swapped content back in, and makes room in a full EPC
 span by evicting pages through the block/track/writeback protocol.
 
+Loading: a ``test-key`` SIGSTRUCT is signed over the signer-side
+measurement, which is computed once per image, as ``sgx_sign`` signs once
+at build time.  The first load of an image computes it in the walk that
+issues the build leaves; the runtime remembers the digest under every input
+it measured (:func:`_image_key`), for the newest
+:data:`~ccxsim.crypto.SIGNATURE_MEMO_SIZE` images, and a later load of the
+same image issues every leaf but feeds the signer-side hash nothing.  The
+memo never reads the machine, so EINIT still compares two independent
+computations.
+
 Eviction reclaims a batch, as the Linux SGX driver does: one scan of the
 EPCM, in the order pages became valid, takes the oldest ``RECLAIM_BATCH``
 pages the victim filter admits (no more than there are free version slots).
@@ -72,7 +82,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
-from .crypto import RunningHash
+from .crypto import RunningHash, _remember
 from .errors import AuthenticationFailure, ModelError, SgxError, read_input
 from .execution import LEAF_NUMBERS, MASK64, RunReport, ssa_frame_vaddr
 from .machine import Machine
@@ -167,7 +177,8 @@ class AttestOutcome:
 class EnclaveHandle:
     """What the host keeps of a loaded enclave: its name, id, base address,
     identities and TCS addresses.  It keeps no reference to the manifest,
-    so the page bytes a manifest carries are freed once the caller drops it."""
+    so the manifest is freed once the caller drops it; only the runtime's
+    measurement memo keeps page contents, those of its newest images."""
 
     name: str
     eid: int
@@ -234,6 +245,17 @@ def _build_plan(manifest: EnclaveManifest) -> Iterator[Tuple[int, SecInfo, bytes
         yield spec.vaddr, secinfo, spec.build(manifest.nssa).pack(), spec.measured
 
 
+def _image_key(manifest: EnclaveManifest) -> tuple:
+    """Every input of the signer-side measurement: the geometry, then one
+    entry per page directive and per TCS, each content held by reference, so
+    the key is as small as the manifest however many pages a run repeats."""
+    return (manifest.size, manifest.ssa_frame_size, manifest.nssa,
+            tuple((spec.vaddr, spec.perms, spec.content, spec.count, spec.measured)
+                  for spec in manifest.pages),
+            tuple((spec.vaddr, spec.oentry, spec.ossa, spec.tls_base, spec.aexnotify,
+                   spec.dbgoptin, spec.measured) for spec in manifest.tcs))
+
+
 def _page_name(manifest: EnclaveManifest, off: int) -> str:
     """How a failed step names the page at enclave offset ``off``, which
     validation makes unique: ``page[<directive>]+<page>`` or ``tcs[<n>]``."""
@@ -268,6 +290,8 @@ class HostRuntime:
         self._free_slots: Deque[Tuple[int, int]] = deque()
         # granules the host took for its own data; no enclave page goes there
         self._host_held: Set[int] = set()
+        # an image's _image_key -> its signer-side measurement, oldest first
+        self._measurements: Dict[tuple, bytes] = {}
 
     # ------------------------------------------------------------------ alloc
 
@@ -403,11 +427,17 @@ class HostRuntime:
         return state.absorb(ecreate_record(manifest.ssa_frame_size, manifest.size))
 
     def predict_measurement(self, manifest: EnclaveManifest) -> bytes:
-        """What the build measurement will be; signer-side tooling."""
-        state = self._signer_hash(manifest)
-        for off, secinfo, page, measured in _build_plan(manifest):
-            state.absorb(page_measurement(off, secinfo, page, measured))
-        return state.final()
+        """What the build measurement will be; signer-side tooling.  An
+        image measured before, here or by a load, is not measured again."""
+        key = _image_key(manifest)
+        digest = self._measurements.get(key)
+        if digest is None:
+            state = self._signer_hash(manifest)
+            for off, secinfo, page, measured in _build_plan(manifest):
+                state.absorb(page_measurement(off, secinfo, page, measured))
+            digest = state.final()
+            _remember(self._measurements, key, digest)
+        return digest
 
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
         m = self.machine
@@ -423,9 +453,15 @@ class HostRuntime:
 
         # A test-key SIGSTRUCT is signed over the signer-side measurement,
         # which grows in the same walk that builds the enclave, from the same
-        # page bytes.  A file SIGSTRUCT was signed elsewhere and needs none.
+        # page bytes, unless this image was measured before.  A file
+        # SIGSTRUCT was signed elsewhere and needs none.
         source = manifest.sigstruct_source
-        signer_hash = None if source.startswith("file:") else self._signer_hash(manifest)
+        key = digest = signer_hash = None
+        if not source.startswith("file:"):
+            key = _image_key(manifest)
+            digest = self._measurements.get(key)
+            if digest is None:
+                signer_hash = self._signer_hash(manifest)
         try:
             for off, secinfo, page, measured in _build_plan(manifest):
                 vaddr = base + off
@@ -439,15 +475,18 @@ class HostRuntime:
                     signer_hash.absorb(page_measurement(off, secinfo, page, measured))
 
             step = "sigstruct"
-            if signer_hash is None:
+            if key is None:
                 if manifest.base_dir is None:
                     raise ModelError("sigstruct file needs a manifest directory")
                 sig = SigStruct.from_bytes(read_input(
                     manifest.base_dir / source[5:], f"sigstruct file {source[5:]!r}", binary=True
                 ))
             else:  # test-key[:<label>], the one other form validate() admits
+                if digest is None:
+                    digest = signer_hash.final()
+                    _remember(self._measurements, key, digest)
                 sig = m.crypto.sign_sigstruct(
-                    signer_hash.final(),
+                    digest,
                     manifest.attributes.signed_view(),
                     manifest.isv_prod_id,
                     manifest.isv_svn,

@@ -11,6 +11,7 @@ from ccxsim import cli, fixtures
 from ccxsim.bench import run_leaf_bench, run_scenario_bench
 from ccxsim.config import MAX_GRANULE_COUNT, Config
 from ccxsim.errors import ModelError
+from ccxsim.machine import Machine
 
 from helpers import small_config
 
@@ -366,6 +367,17 @@ def test_config_cap_admits_its_bound():
     cfg = Config.from_dict({"granule_count": MAX_GRANULE_COUNT, "cost_factors": {"kdf": 0}})
     assert cfg.granule_count == MAX_GRANULE_COUNT and cfg.cost_factors["kdf"] == 0
     assert cfg.cost_factors["aead_page"] == Config().cost_factors["aead_page"]
+
+
+def test_a_cost_table_built_in_code_must_name_every_factor():
+    """Only ``from_dict`` merges a partial table over the defaults; a
+    ``Config`` built in code with one is refused, naming the first factor
+    it lacks, before a machine reads it."""
+    partial_table = Config(cost_factors={"kdf": 1})
+    for check in (partial_table.validate, lambda: Machine(partial_table)):
+        with pytest.raises(ModelError, match="lacks factor 'gpt_per_granule'"):
+            check()
+    assert Machine(Config(cost_factors=dict(Config().cost_factors))).leaf_cost
 
 
 def test_console_entry_point_runs(demo_dir, tmp_path):

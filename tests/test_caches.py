@@ -19,7 +19,8 @@ from ccxsim.memory import GRANULE_SIZE, GpfRecord, Pas, Perms, SecurityState
 from ccxsim.runtime import AEP_GATE, RETURN_GATE, HostRuntime
 from ccxsim.structs import EXIT_IRQ, EXIT_PAGEFAULT
 
-from helpers import BASE, build_raw_enclave, free_epc_granules, free_host_granule, small_config
+from helpers import (BASE, build_raw_enclave, free_epc_granules, free_host_granule,
+                     host_scratch_granules, small_config)
 
 CODE, DATA, TCS = 0x0000, 0x1000, 0x4000
 DATA_WORD = 0x2222222222222222
@@ -192,6 +193,68 @@ def test_edbgwr_between_ecalls_is_fetched_next(m):
     assert _call(m, enc)[1] == 111
     m.leaf("EDBGWR", enc.pages[CODE], 0, isa.encode(isa.OP_MOVI, rd=3, imm=222))
     assert _call(m, enc)[1] == 222
+
+
+def _counting_decodes(monkeypatch):
+    """The instructions decoded from now on, one entry each."""
+    decoded = []
+    decode = isa.decode
+    monkeypatch.setattr(isa, "decode", lambda word: decoded.append(word) or decode(word))
+    return decoded
+
+
+def test_two_enclaves_of_one_image_share_blocks_until_one_is_rewritten(m, monkeypatch):
+    """The second enclave of an image decodes nothing: its code granule
+    takes the blocks of its twin, fetched at the same address with the same
+    bytes.  A debug write to one twin's code drops only that granule's tie
+    to them, so it runs its new code and the other its old."""
+    a, b = (_enclave(m, [("movi", 3, 111)]) for _ in range(2))
+    ga, gb = a.pages[CODE], b.pages[CODE]
+    assert _call(m, a)[1] == 111
+    decoded = _counting_decodes(monkeypatch)
+    assert _call(m, b)[1] == 111
+    assert decoded == [] and m.memory.decoded[ga] is m.memory.decoded[gb]
+    m.leaf("EDBGWR", ga, 0, isa.encode(isa.OP_MOVI, rd=3, imm=222))
+    assert ga not in m.memory.decoded
+    for _ in range(2):
+        assert _call(m, a)[1] == 222
+        assert _call(m, b)[1] == 111
+    assert m.memory.decoded[ga] is not m.memory.decoded[gb]
+    # writing the old word back makes the twins' bytes equal again
+    m.leaf("EDBGWR", ga, 0, isa.encode(isa.OP_MOVI, rd=3, imm=111))
+    decoded.clear()
+    assert _call(m, a)[1] == 111
+    assert decoded == [] and m.memory.decoded[ga] is m.memory.decoded[gb]
+
+
+def test_the_same_bytes_at_another_page_address_are_decoded_again(m, monkeypatch):
+    """Blocks are keyed by the page address too: a loop's block names its
+    own start address, so identical bytes fetched at another page do not
+    take the first page's blocks."""
+    program = isa.assemble([("movi", 3, 5), ("halt",)], origin=0)
+    g1, g2 = host_scratch_granules(m, 2)
+    vcpu = m.vcpus[0]
+    for g in (g1, g2):
+        m.host_write(g, 0, program)
+    vcpu.pc = g1 * GRANULE_SIZE
+    assert m.step(vcpu, 10).stop == "halt" and vcpu.regs[3] == 5
+    decoded = _counting_decodes(monkeypatch)
+    vcpu.regs[3], vcpu.pc = 0, g2 * GRANULE_SIZE
+    assert m.step(vcpu, 10).stop == "halt" and vcpu.regs[3] == 5
+    assert decoded and m.memory.decoded[g1] is not m.memory.decoded[g2]
+
+
+def test_the_page_memo_stays_at_its_bound(m):
+    """Code pages of ever new bytes keep at most ``BLOCK_MEMO_SIZE`` entries
+    in the page memo, the oldest out first."""
+    g = free_host_granule(m)
+    vcpu = m.vcpus[0]
+    for i in range(execution.BLOCK_MEMO_SIZE + 20):
+        m.host_write(g, 0, isa.assemble([("movi", 3, i), ("halt",)], origin=g * GRANULE_SIZE))
+        vcpu.pc = g * GRANULE_SIZE
+        assert m.step(vcpu, 10).stop == "halt" and vcpu.regs[3] == i
+        assert len(m.memory.page_blocks) == min(i + 1, execution.BLOCK_MEMO_SIZE)
+    assert all(page == g * GRANULE_SIZE for page, _ in m.memory.page_blocks)
 
 
 def test_emodpr_dropping_x_faults_the_next_fetch(m):
@@ -410,6 +473,7 @@ def _drive(mode, rounds, drop_caches):
         for _ in range(budget):
             m.memory.tlb.clear()
             m.memory.decoded.clear()
+            m.memory.page_blocks.clear()
             report = m.step(vcpu, 1)
             steps += report.steps
             if report.stop != "limit":
@@ -521,6 +585,7 @@ def _calls(mode, inject, drop_caches):
             while True:
                 m.memory.tlb.clear()
                 m.memory.decoded.clear()
+                m.memory.page_blocks.clear()
                 m.memory.compiled.clear()
                 try:
                     next(calling)

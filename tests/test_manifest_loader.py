@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccxsim import fixtures, runtime as runtime_module
+from ccxsim.crypto import SIGNATURE_MEMO_SIZE
 from ccxsim.errors import SgxError
 from ccxsim.machine import ENCLS_TABLE, Machine
 from ccxsim.manifest import EnclaveManifest, ManifestError
@@ -497,10 +498,12 @@ def test_sigstruct_from_file(runtime, tmp_path):
 def test_only_a_test_key_load_feeds_the_signer_hash(runtime, tmp_path, monkeypatch, source,
                                                     fed_pages):
     """A file SIGSTRUCT was signed elsewhere, so its load computes no
-    signer-side page measurement."""
+    signer-side page measurement; the first test-key load of an image feeds
+    each of its pages.  The file is signed over the oracle's measurement, so
+    nothing has measured the image on this runtime before the load."""
     manifest = EnclaveManifest.parse(minimal_text())
     sig = runtime.machine.crypto.sign_sigstruct(
-        runtime.predict_measurement(manifest), manifest.attributes.signed_view(), 0, 0)
+        reference_measurement(manifest), manifest.attributes.signed_view(), 0, 0)
     (tmp_path / "identity.sig").write_bytes(sig.to_bytes())
     (tmp_path / "m.manifest").write_text(
         minimal_text().replace("sigstruct test-key", f"sigstruct {source}"))
@@ -517,6 +520,130 @@ def test_only_a_test_key_load_feeds_the_signer_hash(runtime, tmp_path, monkeypat
     assert len(fed) == fed_pages
 
 
+def _signing_loads(rt, monkeypatch):
+    """Record, from now on, each digest ``rt``'s loads sign and the offset of
+    each page they feed the signer-side measurement: (signed, fed)."""
+    signed, fed = [], []
+    sign = rt.machine.crypto.sign_sigstruct
+    page_measurement = runtime_module.page_measurement
+    monkeypatch.setattr(rt.machine.crypto, "sign_sigstruct",
+                        lambda enclavehash, *args: signed.append(enclavehash)
+                        or sign(enclavehash, *args))
+    monkeypatch.setattr(runtime_module, "page_measurement",
+                        lambda *args: fed.append(args[0]) or page_measurement(*args))
+    return signed, fed
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_second_load_of_an_image_signs_the_same_digest_and_measures_nothing(mode, monkeypatch):
+    """The signer-side measurement is computed once per image: a second
+    load, from the manifest parsed again, feeds it no page, yet issues and
+    counts every build leaf the first did and signs the same digest, which
+    EINIT checks against the machine's own measurement."""
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    signed, fed = _signing_loads(rt, monkeypatch)
+    leaves, feeds = [], []
+    for _ in range(2):
+        before = dict(rt.machine.counters)
+        handle = rt.load_enclave(EnclaveManifest.parse(minimal_text()))
+        assert rt.machine.enclaves[handle.eid].initialized
+        leaves.append({name: n - before.get(name, 0) for name, n in rt.machine.counters.items()
+                       if n != before.get(name, 0)})
+        feeds.append(list(fed))
+        fed.clear()
+    assert feeds == [[0x0, 0x1000, 0x2000, 0x3000, 0x4000], []]
+    assert signed == [reference_measurement(EnclaveManifest.parse(minimal_text()))] * 2
+    assert leaves[0] == leaves[1] == {"ECREATE": 1, "EADD": 5, "EEXTEND": 80, "EINIT": 1}
+
+
+# The memo test's image: one save-state frame per thread in two pages, so
+# either nssa or ssa_frame_size can double, and a zero run whose count can grow.
+MEMO_IMAGE = minimal_text().replace("nssa 2", "nssa 1") + \
+    "page vaddr=0x5000 perms=rw content=zero count=2\n"
+
+
+def _flip_first_byte(manifest):
+    spec = manifest.pages[1]
+    spec.content = bytes([spec.content[0] ^ 1]) + spec.content[1:]
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("change", [
+    _flip_first_byte,
+    lambda m: setattr(m.pages[1], "perms", Perms.R),
+    lambda m: setattr(m.pages[3], "count", 3),
+    lambda m: setattr(m.pages[1], "measured", False),
+    lambda m: setattr(m.tcs[0], "oentry", 0x10),
+    lambda m: setattr(m.tcs[0], "tls_base", 0x2000),
+    lambda m: setattr(m.tcs[0], "measured", False),
+    lambda m: setattr(m, "nssa", 2),
+    lambda m: setattr(m, "ssa_frame_size", 2),
+    lambda m: setattr(m, "size", 0x200000),
+], ids=["content", "perms", "count", "measured", "tcs.oentry", "tcs.tls", "tcs.measured",
+        "nssa", "ssa_frame_size", "size"])
+def test_a_change_to_any_measured_input_misses_the_memo(mode, change, monkeypatch):
+    """An image that differs from one loaded before in a single input of the
+    signer-side measurement is measured afresh, page by page, and signs its
+    own digest."""
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    first = rt.load_enclave(EnclaveManifest.parse(MEMO_IMAGE))
+    signed, fed = _signing_loads(rt, monkeypatch)
+    manifest = EnclaveManifest.parse(MEMO_IMAGE)
+    change(manifest)
+    handle = rt.load_enclave(manifest)
+    assert len(fed) == sum(spec.page_count for spec in manifest.pages) + len(manifest.tcs)
+    assert signed == [reference_measurement(manifest)] == [handle.mrenclave]
+    assert handle.mrenclave != first.mrenclave
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_content_file_changed_between_two_parses_misses_the_memo(mode, tmp_path, monkeypatch):
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    (tmp_path / "code.bin").write_bytes(b"\x0c" + bytes(15))
+    text = minimal_text().replace("perms=rx content=hex:", "perms=rx content=file:code.bin #")
+    (tmp_path / "m.manifest").write_text(text)
+    first = rt.load_enclave(EnclaveManifest.load(tmp_path / "m.manifest"))
+    assert first.mrenclave == reference_measurement(EnclaveManifest.parse(minimal_text()))
+    (tmp_path / "code.bin").write_bytes(b"\x0c" + bytes(14) + b"\x01")
+    signed, fed = _signing_loads(rt, monkeypatch)
+    manifest = EnclaveManifest.load(tmp_path / "m.manifest")
+    handle = rt.load_enclave(manifest)
+    assert len(fed) == 5
+    assert signed == [reference_measurement(manifest)] == [handle.mrenclave]
+    assert handle.mrenclave != first.mrenclave
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_the_measurement_memo_stays_at_its_bound(mode):
+    """Loads of ever new images keep at most ``SIGNATURE_MEMO_SIZE``
+    measurements, the oldest out first, and an image the memo dropped still
+    measures and loads as before."""
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    manifests = []
+    for i in range(SIGNATURE_MEMO_SIZE + 20):
+        manifest = EnclaveManifest.parse(MEMO_IMAGE)
+        manifest.pages[1].content = i.to_bytes(8, "little") + manifest.pages[1].content[8:]
+        manifests.append(manifest)
+        rt.destroy(rt.load_enclave(manifest))
+        assert len(rt._measurements) == min(i + 1, SIGNATURE_MEMO_SIZE)
+    assert rt.predict_measurement(manifests[0]) == reference_measurement(manifests[0])
+    assert len(rt._measurements) == SIGNATURE_MEMO_SIZE
+    assert rt.load_enclave(manifests[0]).mrenclave == reference_measurement(manifests[0])
+
+
+def test_predicting_a_measurement_serves_the_next_load(runtime, monkeypatch):
+    """``predict_measurement`` and the loader share the memo both ways."""
+    manifest = EnclaveManifest.parse(minimal_text())
+    predicted = runtime.predict_measurement(manifest)
+    signed, fed = _signing_loads(runtime, monkeypatch)
+    runtime.load_enclave(EnclaveManifest.parse(minimal_text()))
+    assert fed == [] and signed == [predicted] == [reference_measurement(manifest)]
+    other = EnclaveManifest.parse(MEMO_IMAGE)
+    runtime.load_enclave(other)
+    fed.clear()
+    assert runtime.predict_measurement(other) == reference_measurement(other) and fed == []
+
+
 def failed_load(runtime, manifest) -> LoadError:
     """Load `manifest`, which must fail, and check that the half-built
     enclave left nothing behind."""
@@ -528,6 +655,23 @@ def failed_load(runtime, manifest) -> LoadError:
     assert bytes(machine.memory.gpts.system) == system_before
     machine.audit()
     return exc.value
+
+
+def test_a_huge_zero_run_fails_its_load_without_building_a_key_per_page():
+    """A 2,097,150-page zero run in the largest placeable enclave fills the
+    sgx EPC and fails its load; the measurement memo's key holds the run's
+    one zero page by reference, so the load stays within a few MB."""
+    rt = HostRuntime(Machine(small_config()))
+    text = "size 0x200000000\npage vaddr=0 perms=rw content=zero count=2097150\n"
+    manifest = EnclaveManifest.parse(text)
+    tracemalloc.start()
+    try:
+        err = failed_load(rt, manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "eadd page[0]" in err.step and "no evictable page" in str(err.cause)
+    assert peak < 4 << 20
 
 
 def test_wrong_file_sigstruct_fails_at_einit_step(tmp_path):
