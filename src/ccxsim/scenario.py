@@ -16,6 +16,8 @@ Grammar (one command per line, '#' comments):
     unseal <id>
     expect <probe> <op> <value>
     expect mrenclave_eq <a> <b>
+    try <command>                     <command>, but a refusal is recorded
+                                      and the run goes on
 
 Probes: ``last`` (result of the previous command), ``count:<LEAF>``,
 ``gpf_count``, ``swap_out_events``, ``swap_in_events``, ``unseal_ok``,
@@ -23,8 +25,11 @@ Probes: ``last`` (result of the previous command), ``count:<LEAF>``,
 
 The report is line-delimited: one JSON record per executed command, then one
 summary object.  With fixed seeds the serialized report is byte-identical
-across runs.  A failed expectation aborts the scenario and the report carries
-the failing position plus a machine-state snapshot.
+across runs.  A refused command or failed expectation aborts the scenario, and
+the report carries the failing position plus a machine-state snapshot.  A
+refused ``try`` line does not: its record (``ok`` false, ``cmd`` the inner
+command) is kept and the run goes on.  An unknown inner command or a wrong
+argument count still aborts, so ``try`` hides no authoring error.
 """
 
 from __future__ import annotations
@@ -176,34 +181,18 @@ class ScenarioRunner:
 
     def run_text(self, text: str) -> ScenarioResult:
         events: List[dict] = []
-        ok = True
         failure: Optional[dict] = None
         for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            record = self.run_line(raw, line_no)
+            if record is None:
                 continue
-            record = {"line": line_no, "cmd": line.split()[0], "text": line}
-            try:
-                result = self._execute(line, line_no)
-                record["ok"] = True
-                if result is not None:
-                    record["result"] = result
-            except (ScenarioError, ManifestError, ModelError) as exc:
-                record["ok"] = False
-                record["error"] = str(exc)
-                events.append(record)
-                ok = False
-                failure = record
-                break
-            except (SgxError, LoadError, EnclaveFault) as exc:
-                record["ok"] = False
-                record["error"] = f"{type(exc).__name__}: {exc}"
-                events.append(record)
-                ok = False
-                failure = record
-                break
             events.append(record)
-
+            # a refusal ends the run, but for a try line: its record names
+            # its inner command, unless that is unknown or miscounted
+            if not record["ok"] and record["cmd"] == record["text"].split()[0]:
+                failure = record
+                break
+        ok = failure is None
         summary = {
             "ok": ok,
             "commands": len(events),
@@ -230,16 +219,39 @@ class ScenarioRunner:
         self.base_dir = path.parent
         return self.run_text(read_input(path, f"scenario {path}"))
 
-    def _execute(self, line: str, line_no: int) -> Optional[object]:
+    def run_line(self, raw: str, line_no: int) -> Optional[dict]:
+        """The record of one scenario line, or None for a blank one.  A refused
+        line's record has ``ok`` false and the ``error``; a ``try`` line's names
+        its inner command once that is known and its arguments counted."""
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            return None
         parts = line.split()
-        cmd, args = parts[0], parts[1:]
-        if cmd not in _ARITY:
-            raise ScenarioError(line_no, f"unknown command {cmd!r}")
-        fewest, most = _ARITY[cmd]
-        if not fewest <= len(args) <= most:
-            count = fewest if fewest == most else f"{fewest} to {most}"
-            raise ScenarioError(line_no, f"{cmd} takes {count} arguments, got {len(args)}")
+        record = {"line": line_no, "cmd": parts[0], "text": line}
+        try:
+            if parts[0] == "try" and len(parts) > 1:
+                del parts[0]
+            cmd, args = parts[0], parts[1:]
+            if cmd not in _ARITY:
+                raise ScenarioError(line_no, f"unknown command {cmd!r}")
+            fewest, most = _ARITY[cmd]
+            if not fewest <= len(args) <= most:
+                count = fewest if fewest == most else f"{fewest} to {most}"
+                raise ScenarioError(line_no, f"{cmd} takes {count} arguments, got {len(args)}")
+            record["cmd"] = cmd
+            result = self._execute(cmd, args, line_no)
+            record["ok"] = True
+            if result is not None:
+                record["result"] = result
+        except (ScenarioError, ManifestError, ModelError) as exc:
+            record["ok"] = False
+            record["error"] = str(exc)
+        except (SgxError, LoadError, EnclaveFault) as exc:
+            record["ok"] = False
+            record["error"] = f"{type(exc).__name__}: {exc}"
+        return record
 
+    def _execute(self, cmd: str, args: List[str], line_no: int) -> Optional[object]:
         if cmd == "mode":
             if self.machine is not None:
                 raise ScenarioError(line_no, "mode must precede the first create")
@@ -267,17 +279,13 @@ class ScenarioRunner:
             return None
 
         if cmd == "ecall":
+            # the pending schedule is this call's, even if the call is refused
+            pending, self._pending_inject = self._pending_inject or _Pending(), None
             name, *numbers = args + ["0"] * (5 - len(args))  # a and b default to 0
             tcs, selector, a, b = (self._int(v, line_no) for v in numbers)
             handle = self._handle(name, line_no)
-            inject = None
-            vcpu = 0
-            if self._pending_inject is not None:
-                inject = self._pending_inject.at
-                vcpu = self._pending_inject.vcpu
-                self._pending_inject = None
             self.last = self.runtime.ecall(
-                handle, tcs, selector, a, b, vcpu_index=vcpu, inject_at=inject
+                handle, tcs, selector, a, b, vcpu_index=pending.vcpu, inject_at=pending.at
             )
             return self.last
 

@@ -1,33 +1,27 @@
-"""A seeded cross-mode differential of the host runtime.
+"""A seeded cross-mode differential of the host runtime, run as scenario text.
 
-Each seed draws one sequence of runtime operations (load, ecall with and
-without interrupts, explicit swap-out and swap-in, seal and unseal, attest,
-destroy) over the standard, compute, toucher and notify fixtures, and runs
-it twice: in sgx mode with an EPC of 24, 40 or 64 granules, which pages, and
-in ccx mode, which has room.  After every operation the machine audit and
-the runtime's paging records must hold, and the two runs must give the same
-outcome for each operation.
-
-Two outcomes are not compared.  An explicit ``swap_out`` or ``swap_in``
-refused with a ``ModelError`` names the paging state of its mode, which is
-the one thing the modes do not share.  An operation on a notify enclave is
-checked for the invariants only: its handler restores frame 0 and retires
-one slot, so a nested exit, which only sgx paging makes, changes its result.
+Each seed draws a scenario of ``try`` lines (create, ecall with and without
+interrupts, swap_out, swap_in, seal, unseal, attest, destroy) over the demo
+fixtures and runs it line by line in sgx mode, with a paging EPC of 24, 40 or
+64 granules, and in ccx mode.  After every line the audit and the paging
+records must hold, and both modes must give the same record, but for a swap
+refused with a ``ModelError``, which names its mode's paging state, and a line
+on a notify enclave: its handler restores frame 0 and retires one slot, so a
+nested exit, which only sgx paging makes, changes its result.  A failing seed
+prints the ``ccxsim run`` commands that replay it.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import shlex
 
 import pytest
 
-from ccxsim import fixtures
-from ccxsim.errors import ModelError, SgxError
-from ccxsim.machine import Machine
-from ccxsim.manifest import EnclaveManifest
+from ccxsim import cli, fixtures
 from ccxsim.memory import GRANULE_SIZE
-from ccxsim.runtime import EnclaveFault, HostRuntime, LoadError
-from ccxsim.structs import KeyPolicy
+from ccxsim.scenario import ScenarioRunner
 
 from helpers import check_paging_records, small_config
 
@@ -36,49 +30,54 @@ EPC_SIZES = (24, 40, 64)
 OPS_PER_SEQUENCE = 24
 KINDS = ("standard", "compute", "toucher", "notify")
 DYN_PAGES = 12  # most pages one toucher call adds
-# Ample for every call drawn here, paging included.  A notify call whose
-# interrupt lands between its handler's EDECCSSA and its jump back loops
-# until the budget, in both modes, and the default budget is 10**6 steps.
-STEP_BUDGET = 20_000
+STEP_BUDGET = 20_000  # max_ecall_steps: ample, yet a notify handler can loop until it
 
 # Pages an explicit swap names, by enclave offset: code, scratch, both
 # save-state frames and the TCS; for the toucher also its first added pages.
 _PAGES = (fixtures.CODE_OFF, fixtures.SCRATCH_OFF, fixtures.SSA_OFF,
           fixtures.SSA_OFF + GRANULE_SIZE, fixtures.SSA_OFF + 2 * GRANULE_SIZE)
-_DYN_OFF = 0x100000
+_ADDED = (0x100000, 0x100000 + GRANULE_SIZE)
+# How a refused record's error begins, unless it is a ModelError's.
+_TYPED_ERRORS = ("scenario line ", "SgxError: ", "LoadError: ", "EnclaveFault: ")
 
 
 def _draw(rng: random.Random):
-    """One sequence of operations.  An operation names an enclave by the
-    index of the load that made it, so the same sequence runs in both modes."""
-    kinds = []
-    ops = []
+    """One scenario's lines and the fixture kinds each line acts on.  e<n> is
+    the n-th create's enclave; the scenario ends by destroying each one."""
+    kinds, lines, named = [], [], []
+
+    def emit(line, *slots):
+        lines.append(f"try {line}")
+        named.append(tuple(kinds[slot] for slot in slots))
+
     for _ in range(OPS_PER_SEQUENCE):
         if not kinds or rng.random() < 0.15:
             kinds.append(rng.choice(KINDS))
-            ops.append(("load", kinds[-1]))
+            emit(f"create e{len(kinds) - 1} {kinds[-1]}.manifest")
             continue
         slot = rng.randrange(len(kinds))
-        kind = kinds[slot]
         pick = rng.random()
         if pick < 0.5:
-            inject = None
             if rng.random() < 0.4:
-                inject = frozenset(rng.randrange(1, 200) for _ in range(rng.randint(1, 3)))
-            ops.append(("ecall", slot, _call_args(rng, kind), inject))
+                steps = {rng.randrange(1, 200) for _ in range(rng.randint(1, 3))}
+                emit(f"inject_irq vcpu=0 at={','.join(map(str, sorted(steps)))}")
+            emit(f"ecall e{slot} 0 {' '.join(map(str, _call_args(rng, kinds[slot])))}", slot)
         elif pick < 0.7:
-            pages = _PAGES + ((_DYN_OFF, _DYN_OFF + GRANULE_SIZE) if kind == "toucher" else ())
-            ops.append((rng.choice(("swap_out", "swap_in")), slot, rng.choice(pages)))
+            pages = _PAGES + (_ADDED if kinds[slot] == "toucher" else ())
+            emit(f"{rng.choice(('swap_out', 'swap_in'))} e{slot} {rng.choice(pages):#x}", slot)
         elif pick < 0.8:
-            policy = rng.choice((KeyPolicy.MRENCLAVE, KeyPolicy.MRSIGNER))
-            ops.append(("seal", slot, policy, rng.randbytes(rng.randint(1, 40))))
+            policy = rng.choice(("mrenclave", "mrsigner"))
+            emit(f"seal e{slot} {policy} {rng.randbytes(rng.randint(1, 40)).hex()}", slot)
         elif pick < 0.88:
-            ops.append(("unseal", slot))
+            emit(f"unseal e{slot}", slot)
         elif pick < 0.95:
-            ops.append(("attest", slot, rng.randrange(len(kinds))))
+            other = rng.randrange(len(kinds))
+            emit(f"attest e{slot} e{other}", slot, other)
         else:
-            ops.append(("destroy", slot))
-    return ops
+            emit(f"destroy e{slot}", slot)
+    for slot in range(len(kinds)):
+        emit(f"destroy e{slot}", slot)
+    return lines, named
 
 
 def _call_args(rng: random.Random, kind: str):
@@ -97,102 +96,62 @@ def _call_args(rng: random.Random, kind: str):
     return selector, rng.getrandbits(32), rng.getrandbits(32)
 
 
-class _Run:
-    """One mode's run of a sequence: the runtime, the handle of each load
-    (None once destroyed or if the load failed) and the last sealed blob."""
-
-    def __init__(self, config, manifests):
-        self.machine = Machine(config)
-        self.rt = HostRuntime(self.machine)
-        self.manifests = manifests
-        self.handles = []
-        self.sealed = None
-
-    def apply(self, op):
-        """The outcome of ``op``, as a value equal across modes."""
-        try:
-            return "ok", self._apply(op)
-        except (SgxError, ModelError, LoadError, EnclaveFault) as exc:
-            return type(exc).__name__, str(exc)
-
-    def _apply(self, op):
-        rt = self.rt
-        if op[0] == "load":
-            self.handles.append(None)
-            self.handles[-1] = rt.load_enclave(self.manifests[op[1]])
-            return self.handles[-1].eid
-        h = self.handles[op[1]]
-        if h is None:
-            return "absent"
-        base = h.base
-        if op[0] == "ecall":
-            selector, a, b = op[2]
-            return rt.ecall(h, 0, selector, a, b, inject_at=op[3], step_budget=STEP_BUDGET)
-        if op[0] == "swap_out":
-            return rt.swap_out(h, base + op[2])
-        if op[0] == "swap_in":
-            return rt.swap_in(h, base + op[2])
-        if op[0] == "seal":
-            self.sealed = rt.seal(h, op[2], op[3])
-            return "sealed"
-        if op[0] == "unseal":
-            return None if self.sealed is None else rt.unseal(h, self.sealed)
-        if op[0] == "attest":
-            other = self.handles[op[2]]
-            if other is None:
-                return "absent"
-            outcome = rt.attest(h, other)
-            return outcome.a_to_b, outcome.b_to_a
-        rt.destroy(h)
-        self.handles[op[1]] = None
-        return "destroyed"
-
-    def check(self):
-        self.machine.audit()
-        check_paging_records(self.rt)
-
-    def teardown(self):
-        """Destroy every live enclave: then no enclave page is valid and
-        every version slot is free."""
-        for h in self.handles:
-            if h is not None:
-                self.rt.destroy(h)
-        self.check()
-        assert not any(e.owner is not None for e in self.machine.memory.epcm.values())
+def _configs(seed: int):
+    common = dict(audit_after_leaf=False, max_ecall_steps=STEP_BUDGET)
+    return {"sgx": small_config(mode="sgx", epc_size=EPC_SIZES[seed % len(EPC_SIZES)], **common),
+            "ccx": small_config(mode="ccx", **common)}
 
 
-def _compared(op, kinds, outcomes) -> bool:
-    """Whether the outcomes of ``op`` must be equal across modes."""
-    slots = [op[1]] if op[0] != "load" else []
-    if op[0] == "attest":
-        slots.append(op[2])
-    if any(kinds[slot] == "notify" for slot in slots):
-        return False
-    if op[0] in ("swap_out", "swap_in"):
-        return not any(kind == "ModelError" for kind, _ in outcomes)
-    return True
+def _run(seed: int, directory, lines, named):
+    """Each mode's records of ``lines``, with every check made after each line."""
+    runners = [ScenarioRunner(config, base_dir=directory) for config in _configs(seed).values()]
+    records = []
+    for line_no, (line, kinds) in enumerate(zip(lines, named), start=1):
+        records.append(pair := [runner.run_line(line, line_no) for runner in runners])
+        for runner in runners:
+            runner.machine.audit()
+            check_paging_records(runner.runtime)
+        swap_refused = pair[0]["cmd"] in ("swap_out", "swap_in") and any(
+            not r["ok"] and not r["error"].startswith(_TYPED_ERRORS) for r in pair)
+        assert "notify" in kinds or swap_refused or pair[0] == pair[1], pair
+    for runner in runners:  # every enclave is destroyed, so no page has an owner
+        assert not any(e.owner is not None for e in runner.machine.memory.epcm.values())
+    return list(zip(*records))
+
+
+def _write_seed(directory, seed: int, lines):
+    """Write the scenario and both configs of ``seed`` next to the demo
+    manifests; return each mode's ``ccxsim`` arguments that replay it."""
+    scenario = directory / f"seed{seed}.scenario"
+    scenario.write_text("\n".join(lines) + "\n")
+    for mode, config in _configs(seed).items():
+        (directory / f"seed{seed}-{mode}.json").write_text(config.to_json())
+    return [["run", str(scenario), "--config", str(directory / f"seed{seed}-{mode}.json"),
+             "--json"] for mode in ("sgx", "ccx")]
 
 
 @pytest.fixture(scope="module")
-def manifests(tmp_path_factory):
+def demo_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("differential")
     fixtures.write_demo_tree(directory)
-    return {kind: EnclaveManifest.load(directory / f"{kind}.manifest") for kind in KINDS}
+    return directory
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sgx_and_ccx_give_equal_outcomes_and_keep_the_paging_records(seed, manifests):
-    rng = random.Random(seed)
-    epc = EPC_SIZES[seed % len(EPC_SIZES)]
-    ops = _draw(rng)
-    kinds = [op[1] for op in ops if op[0] == "load"]
-    sgx = _Run(small_config(mode="sgx", epc_size=epc, audit_after_leaf=False), manifests)
-    ccx = _Run(small_config(mode="ccx", audit_after_leaf=False), manifests)
-    for i, op in enumerate(ops):
-        outcomes = [run.apply(op) for run in (sgx, ccx)]
-        for run in (sgx, ccx):
-            run.check()
-        if _compared(op, kinds, outcomes):
-            assert outcomes[0] == outcomes[1], f"op {i} {op}: sgx {outcomes[0]}, ccx {outcomes[1]}"
-    for run in (sgx, ccx):
-        run.teardown()
+def test_sgx_and_ccx_give_equal_outcomes_and_keep_the_paging_records(seed, demo_dir):
+    lines, named = _draw(random.Random(seed))
+    try:
+        _run(seed, demo_dir, lines, named)
+    except Exception as exc:
+        replay = "".join(f"\n  ccxsim {shlex.join(a)}" for a in _write_seed(demo_dir, seed, lines))
+        raise AssertionError(f"seed {seed}: {exc}\nreplay (sgx, ccx):{replay}") from exc
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_drawn_seed_replays_from_its_files(seed, demo_dir, capsys):
+    lines, named = _draw(random.Random(seed))
+    modes = _run(seed, demo_dir, lines, named)
+    for argv, records in zip(_write_seed(demo_dir, seed, lines), modes):
+        assert cli.main(argv) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()[:-1]  # the summary is last
+        assert out == [json.dumps(record, sort_keys=True) for record in records]

@@ -104,6 +104,41 @@ def test_parse_error_reports_line(demo_dir):
     assert result.summary["failed_at"] == 2
 
 
+def test_a_refused_try_line_is_recorded_and_the_run_goes_on(demo_dir):
+    text = ("create a standard.manifest\ntry swap_in a 0x4000\ntry ecall ghost 0 1\n"
+            "try ecall a 0 1 5 6\n")
+    result = run_text(text, demo_dir)
+    assert result.ok and result.summary["commands"] == 4 and "failed_at" not in result.summary
+    assert result.events[1:] == [
+        {"line": 2, "cmd": "swap_in", "text": "try swap_in a 0x4000", "ok": False,
+         "error": "swap store holds no page 0x200004000 of enclave 1"},
+        {"line": 3, "cmd": "ecall", "text": "try ecall ghost 0 1", "ok": False,
+         "error": "scenario line 3: unknown enclave 'ghost'"},
+        {"line": 4, "cmd": "ecall", "text": "try ecall a 0 1 5 6", "ok": True, "result": 5},
+    ]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("try frobnicate", "unknown command 'frobnicate'"),
+    ("try ecall a", "ecall takes 3 to 5 arguments, got 1"),
+    ("try", "unknown command 'try'"),
+    ("try try ecall a 0 1", "unknown command 'try'"),
+])
+def test_try_hides_no_authoring_error(line, message, demo_dir):
+    result = run_text(f"create a standard.manifest\n{line}\necall a 0 1 5 6\n", demo_dir)
+    assert not result.ok and len(result.events) == 2
+    assert result.events[-1]["cmd"] == "try"
+    assert result.summary["failure"] == f"scenario line 2: {message}"
+
+
+def test_a_refused_ecall_takes_its_pending_interrupts(demo_dir):
+    """A pending ``inject_irq`` schedule belongs to the next ecall line, even
+    one that is refused, and never passes on to the call after it."""
+    text = ("create a standard.manifest\ninject_irq vcpu=0 at=1\ntry ecall ghost 0 1\n"
+            "ecall a 0 1 5 6\nexpect count:ERESUME == 0\n")
+    assert run_text(text, demo_dir).ok
+
+
 def test_mode_directive_and_override(demo_dir):
     text = "mode ccx\ncreate app standard.manifest\n"
     result = run_text(text, demo_dir)
@@ -121,7 +156,9 @@ def test_mode_line_and_override_leave_the_callers_config_alone(demo_dir):
         assert config.mode == "sgx"
 
 
-# Each input used to end `ccxsim run --json` in a Python traceback:
+# Each input is refused on its line, with no traceback.  Those up to
+# sigstruct_directory used to end `ccxsim run --json` in one; the rest are
+# refusals no other test reaches.
 # name -> (scenario text, line it fails at, part of the reported error).
 BAD_INPUTS = {
     "create_arity": ("create a", 1, "create takes 2 arguments, got 1"),
@@ -149,6 +186,15 @@ BAD_INPUTS = {
                           "LoadError: sigstruct: cannot read sigstruct file 'nonexist.sig'"),
     "sigstruct_directory": ("create a sig_directory.manifest", 1,
                             "LoadError: sigstruct: cannot read sigstruct file 'sigdir'"),
+    "attest_probe_first": ("expect attest_ab == 1", 1, "no attestation has run"),
+    "probe_unknown": ("expect bogus == 0", 1, "unknown probe 'bogus'"),
+    "mode_unknown": ("mode arm", 1, "unknown mode 'arm'"),
+    "inject_field": ("inject_irq cpu=0 at=1", 1, "unknown inject field 'cpu'"),
+    "inject_without_at": ("inject_irq vcpu=0", 1, "inject_irq needs at="),
+    "seal_payload": ("create a standard.manifest\nseal a mrenclave 0g", 2,
+                     "payload '0g' is not hex"),
+    "unseal_first": ("create a standard.manifest\nunseal a", 2, "nothing has been sealed"),
+    "expect_operator": ("expect last ~ 0", 1, "unknown operator '~'"),
 }
 
 
