@@ -67,8 +67,13 @@ def cmd_run(args) -> int:
     if args.json:
         sys.stdout.write(result.to_jsonl())
     else:
+        # a refused line that did not end the run is a refused try line
+        failed_at = result.summary.get("failed_at")
         for event in result.events:
-            status = "ok" if event["ok"] else "FAIL"
+            if event["ok"]:
+                status = "ok"
+            else:
+                status = "FAIL" if event["line"] == failed_at else "refused"
             extra = ""
             if "result" in event:
                 extra = f" -> {event['result']}"

@@ -109,6 +109,7 @@ from .memory import (
     PageType,
     Perms,
     SecurityState,
+    TCS_PAGE,
     software_access_refusal,
 )
 from .structs import (
@@ -464,7 +465,7 @@ def cpuid_emulate(m, leaf: int, subleaf: int) -> Tuple[int, int, int, int]:
 
 def _tcs_for_entry(m, tcs_granule: int):
     entry = m.memory.epcm_lookup(tcs_granule)
-    if entry is None or entry.page_type != PageType.TCS:
+    if entry is None or entry.page_type != TCS_PAGE:
         raise SgxError(E.PAGE_INVALID, f"granule {tcs_granule} is not a TCS page")
     if entry.blocked:
         raise SgxError(E.PAGE_INVALID, "TCS page is blocked")

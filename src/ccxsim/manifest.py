@@ -27,6 +27,10 @@ a page multiple), ``file:<relpath>`` (raw bytes, padded).  Multi-page content
 spreads across consecutive pages; ``count`` repeats a zero page, ``zero``
 only.  Numbers accept 0x-prefixed hex.  Pages and TCS entries are measured in
 file order.
+
+A page or TCS line parses to a frozen spec, and a text is parsed once: parsing
+it again reuses the specs of its first parse, unless a page reads ``file:``
+content (:meth:`EnclaveManifest.parse`).
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from .crypto import _remember
 from .errors import ModelError, SgxError, read_input
 from .memory import GRANULE_SIZE, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE, geometry_fault
@@ -79,7 +84,7 @@ def _num(text: str, name: str, bits: int = 64) -> int:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageSpec:
     vaddr: int  # enclave-relative offset
     perms: Perms
@@ -97,7 +102,7 @@ class PageSpec:
         return self.content[at : at + GRANULE_SIZE]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcsSpec:
     vaddr: int
     oentry: int
@@ -140,6 +145,11 @@ def _first_free(spans: list, start: int, end: int) -> Optional[int]:
             return start
         start = spans[i - 1][1]
     return None
+
+
+# Each text parsed before, keyed with its class and directory, as its first
+# parse; bounded as the signature memos are, oldest out first.
+_PARSED: Dict[tuple, "EnclaveManifest"] = {}
 
 
 @dataclass
@@ -199,9 +209,33 @@ class EnclaveManifest:
 
     @classmethod
     def parse(cls, text: str, base_dir: Optional[Path] = None) -> "EnclaveManifest":
+        """The manifest ``text`` describes, refused naming the line at fault.
+
+        A text is parsed once: parsing it again gives a new manifest with its
+        own ``pages`` and ``tcs`` lists, which hold the frozen specs of the
+        first parse.  A text with a page that reads ``file:`` content is
+        parsed every time, since the file can change, and a refused text is
+        never kept, so it is refused every time."""
+        key = (cls, text, base_dir)
+        first = _PARSED.get(key)
+        if first is None:
+            first, reads_files = cls._parse(text, base_dir)
+            if not reads_files:
+                _remember(_PARSED, key, first)
+        return first._copy()
+
+    def _copy(self) -> "EnclaveManifest":
+        """This manifest's fields, with lists of their own of the same specs."""
+        shell = object.__new__(type(self))
+        shell.__dict__.update(self.__dict__)
+        shell.pages, shell.tcs = list(self.pages), list(self.tcs)
+        return shell
+
+    @classmethod
+    def _parse(cls, text: str, base_dir: Optional[Path]) -> Tuple["EnclaveManifest", bool]:
+        """A validated manifest, and whether any of its pages reads a file."""
         manifest = cls(base_dir=base_dir)
-        manifest.pages = []
-        manifest.tcs = []
+        reads_files = False
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -229,6 +263,8 @@ class EnclaveManifest:
                     manifest.isv_svn = _num(rest, key, 16)
                 elif key == "page":
                     manifest.pages.append(cls._parse_page(rest, base_dir, line_no))
+                    # a parsed page line names file: only as its content source
+                    reads_files = reads_files or "content=file:" in rest
                 elif key == "tcs":
                     manifest.tcs.append(cls._parse_tcs(rest, line_no))
                 elif key == "sigstruct":
@@ -238,7 +274,7 @@ class EnclaveManifest:
             except (ValueError, ModelError) as exc:
                 raise ManifestError(line_no, str(exc)) from None
         manifest.validate()
-        return manifest
+        return manifest, reads_files
 
     @classmethod
     def load(cls, path) -> "EnclaveManifest":
@@ -290,22 +326,18 @@ class EnclaveManifest:
     @classmethod
     def _parse_tcs(cls, rest: str, line: int) -> TcsSpec:
         f = cls._fields(rest)
-        spec = TcsSpec(
-            line=line,
-            vaddr=_num(_required(f, "vaddr"), "vaddr="),
-            oentry=_num(_required(f, "oentry"), "oentry="),
-            ossa=_num(_required(f, "ossa"), "ossa="),
-            tls_base=_num(f.pop("tls", "0"), "tls="),
-            measured=_measured(f),
-        )
+        vaddr = _num(_required(f, "vaddr"), "vaddr=")
+        oentry = _num(_required(f, "oentry"), "oentry=")
+        ossa = _num(_required(f, "ossa"), "ossa=")
+        tls_base = _num(f.pop("tls", "0"), "tls=")
+        measured = _measured(f)
+        flags = set()
         for flag in f.pop("flags", "").split(","):
             flag = flag.strip()
-            if flag == "aexnotify":
-                spec.aexnotify = True
-            elif flag == "dbgoptin":
-                spec.dbgoptin = True
-            elif flag:
+            if flag and flag not in ("aexnotify", "dbgoptin"):
                 raise ValueError(f"unknown tcs flag {flag!r}")
+            flags.add(flag)
         if f:
             raise ValueError(f"unknown tcs fields {sorted(f)}")
-        return spec
+        return TcsSpec(vaddr, oentry, ossa, tls_base, aexnotify="aexnotify" in flags,
+                       dbgoptin="dbgoptin" in flags, measured=measured, line=line)

@@ -65,6 +65,16 @@ def _secs(m, eid: int) -> Secs:
     return secs
 
 
+def _building(m, eid: int, leaf: str) -> Secs:
+    """The SECS of enclave ``eid``, which ``leaf`` needs uninitialized."""
+    secs = m.enclaves.get(eid)
+    if secs is None:
+        raise SgxError(E.UNKNOWN_ENCLAVE, f"no enclave {eid}")
+    if secs.attributes.init:
+        raise SgxError(E.ALREADY_INITIALIZED, f"{leaf} needs an uninitialized enclave")
+    return secs
+
+
 def _valid_entry(m, granule: int):
     entry = m.memory.epcm_lookup(granule)
     if entry is None:
@@ -100,11 +110,12 @@ def _own_entry(m, vcpu, granule: int):
     return secs, entry
 
 
+# TCS pages carry no software-visible permissions.
+TCS_SECINFO = SecInfo(Perms.NONE, TCS_PAGE)
+
+
 def effective_secinfo(secinfo: SecInfo) -> SecInfo:
-    """TCS pages carry no software-visible permissions."""
-    if secinfo.page_type == TCS_PAGE:
-        return SecInfo(Perms.NONE, TCS_PAGE)
-    return secinfo
+    return TCS_SECINFO if secinfo.page_type == TCS_PAGE else secinfo
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +165,7 @@ def eadd(
     target_granule: int,
     source_bytes: Optional[bytes] = None,
 ) -> None:
-    secs = _secs(m, eid)
-    if secs.initialized:
-        raise SgxError(E.ALREADY_INITIALIZED, "EADD needs an uninitialized enclave")
+    secs = _building(m, eid, "EADD")
     page_type = secinfo.page_type
     if page_type != REG_PAGE and page_type != TCS_PAGE:
         raise SgxError(E.PAGE_INVALID, "EADD adds REG or TCS pages")
@@ -182,9 +191,7 @@ def eadd(
 def eextend(m, eid: int, vaddr_chunk: int) -> None:
     # One lookup a check.  The page-address index holds the valid pages of each
     # enclave under its id (the audit checks), so it finds only this one's.
-    secs = _secs(m, eid)
-    if secs.initialized:
-        raise SgxError(E.ALREADY_INITIALIZED, "EEXTEND needs an uninitialized enclave")
+    secs = _building(m, eid, "EEXTEND")
     if vaddr_chunk % EEXTEND_CHUNK:
         raise SgxError(E.MISALIGNED, f"chunk {vaddr_chunk:#x} not 256-byte aligned")
     mem = m.memory

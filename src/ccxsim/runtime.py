@@ -87,8 +87,8 @@ from .errors import AuthenticationFailure, ModelError, SgxError, read_input
 from .execution import LEAF_NUMBERS, MASK64, RunReport, ssa_frame_vaddr
 from .machine import Machine
 from .manifest import EnclaveManifest
-from .memory import GRANULE_SIZE, RESERVED_GRANULES, EpcmEntry, PageType, Perms
-from .microprograms import DEFAULT_ENCLAVE_BASE
+from .memory import GRANULE_SIZE, REG_PAGE, RESERVED_GRANULES, EpcmEntry, PageType
+from .microprograms import DEFAULT_ENCLAVE_BASE, TCS_SECINFO
 from .structs import (
     EEXTEND_CHUNK,
     EXIT_IRQ,
@@ -237,12 +237,11 @@ def _build_plan(manifest: EnclaveManifest) -> Iterator[Tuple[int, SecInfo, bytes
     """Every page the loader adds, in build order, as
     (enclave offset, secinfo, page bytes, measured)."""
     for spec in manifest.pages:
-        secinfo = SecInfo(spec.perms, PageType.REG)
+        secinfo = SecInfo(spec.perms, REG_PAGE)
         for i in range(spec.page_count):
             yield spec.vaddr + i * GRANULE_SIZE, secinfo, spec.page(i), spec.measured
-    secinfo = SecInfo(Perms.NONE, PageType.TCS)
     for spec in manifest.tcs:
-        yield spec.vaddr, secinfo, spec.build(manifest.nssa).pack(), spec.measured
+        yield spec.vaddr, TCS_SECINFO, spec.build(manifest.nssa).pack(), spec.measured
 
 
 def _image_key(manifest: EnclaveManifest) -> tuple:

@@ -52,18 +52,22 @@ def host_scratch_granules(m: Machine, n: int) -> List[int]:
 
 
 @contextmanager
-def refusing(m: Machine, name: str, code: SgxErrorCode = SgxErrorCode.PAGE_INVALID):
-    """Inside the block, the first leaf ``name`` that ``m`` dispatches is
-    refused with ``code`` before it runs, so it changes nothing: a whole-leaf
-    refusal, injected by wrapping the machine's dispatch."""
+def refusing(m: Machine, name: str, code: SgxErrorCode = SgxErrorCode.PAGE_INVALID,
+             after: int = 0):
+    """Inside the block, the first leaf ``name`` that ``m`` dispatches after
+    ``after`` of them is refused with ``code`` before it runs, so it changes
+    nothing: a whole-leaf refusal, injected by wrapping the machine's dispatch."""
     dispatch = m._dispatch
     armed = [True]
+    passed = [0]
 
     def refuse(rows, vcpu, leaf, *rest):
         row = rows.get(leaf)
         if armed and row is not None and row.name == name:
-            armed.clear()
-            raise SgxError(code, f"{name} refused by injection")
+            passed[0] += 1
+            if passed[0] > after:
+                armed.clear()
+                raise SgxError(code, f"{name} refused by injection")
         return dispatch(rows, vcpu, leaf, *rest)
 
     m._dispatch = refuse

@@ -110,6 +110,28 @@ def test_cli_run_failing_expect_exits_one(demo_dir, tmp_path, capsys):
     assert "failed at line 3" in out
 
 
+def test_cli_run_labels_a_refused_try_line_apart_from_the_line_that_ends_the_run(
+        demo_dir, tmp_path, capsys):
+    """Without --json, a refused try line is ``[refused]`` in a passing run;
+    the refusal that ends a run is ``[FAIL]``."""
+    cfg = str(write_config(tmp_path))
+    passing = tmp_path / "try.scenario"
+    passing.write_text(f"create a {demo_dir / 'standard.manifest'}\ntry ecall ghost 0 1\n"
+                       "ecall a 0 1 5 6\n")
+    assert cli.main(["run", str(passing), "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("[refused] line 2: try ecall ghost 0 1 !! "
+                        "scenario line 2: unknown enclave 'ghost'")
+    assert [line.split()[0] for line in lines] == ["[ok]", "[refused]", "[ok]", "PASS:"]
+    failing = tmp_path / "fail.scenario"
+    failing.write_text(passing.read_text() + "ecall ghost 0 1\n")
+    assert cli.main(["run", str(failing), "--config", cfg]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["[ok]", "[refused]", "[ok]", "[FAIL]", "FAIL:",
+                                                   "failed"]
+    assert lines[3] == "[FAIL] line 4: ecall ghost 0 1 !! scenario line 4: unknown enclave 'ghost'"
+
+
 def test_cli_run_with_an_oversized_page_count_fails_at_the_manifest_line(tmp_path, capsys):
     """A manifest run of 2**40 zero pages fails its scenario's create line
     with the manifest line named, as any other manifest error does."""

@@ -10,7 +10,7 @@ from ccxsim.memory import GRANULE_SIZE, PageType, Pas, Perms
 from ccxsim.runtime import AEP_GATE, LoadError
 from ccxsim.structs import Attributes, SecInfo, Tcs
 
-from helpers import BASE, build_raw_enclave, free_epc_granules, small_config
+from helpers import BASE, build_raw_enclave, free_epc_granules, free_host_granule, small_config
 
 
 def sign_for(m, eid, signer="default", prod=1, svn=1, attributes=None, enclavehash=None):
@@ -66,6 +66,22 @@ def test_ecreate_rejects_misaligned_base(machine):
     assert exc.value.code == E.BAD_GEOMETRY
 
 
+def test_ecreate_rejects_a_free_granule_outside_the_epc(machine):
+    g = free_host_granule(machine)
+    with pytest.raises(SgxError) as exc:
+        machine.leaf("ECREATE", g, 1 << 21, 1, Attributes(), BASE)
+    assert exc.value.code == E.NOT_IN_EPC
+    assert machine.memory.is_free(g)
+
+
+def test_ecreate_refuses_to_create_an_initialized_enclave(machine):
+    g = free_epc_granules(machine, 1)[0]
+    with pytest.raises(SgxError, match="cannot request INIT") as exc:
+        machine.leaf("ECREATE", g, 1 << 21, 1, Attributes(init=True), BASE)
+    assert exc.value.code == E.BAD_GEOMETRY
+    assert machine.memory.is_free(g) and not machine.enclaves
+
+
 def test_two_enclaves_get_distinct_ids_and_tables(machine):
     g1, g2 = free_epc_granules(machine, 2)
     e1 = machine.leaf("ECREATE", g1, 1 << 21, 1, Attributes(), BASE)
@@ -110,6 +126,16 @@ def test_eadd_outside_enclave_range_rejected(machine):
         machine.leaf("EADD", enc.eid, BASE + (1 << 21),
                      SecInfo(Perms.R, PageType.REG), g, b"\0" * GRANULE_SIZE)
     assert exc.value.code == E.BAD_VADDR
+
+
+def test_eadd_rejects_an_unaligned_vaddr(machine):
+    enc = build_raw_enclave(machine, init=False)
+    g = free_epc_granules(machine, 1)[0]
+    with pytest.raises(SgxError, match="not page aligned") as exc:
+        machine.leaf("EADD", enc.eid, BASE + 0x8010,
+                     SecInfo(Perms.R, PageType.REG), g, b"\0" * GRANULE_SIZE)
+    assert exc.value.code == E.BAD_VADDR
+    assert machine.memory.is_free(g)
 
 
 def test_eadd_checks_the_page_type_before_the_address(machine):

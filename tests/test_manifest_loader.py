@@ -3,11 +3,12 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccxsim import fixtures, runtime as runtime_module
+from ccxsim import fixtures, manifest as manifest_module, runtime as runtime_module
 from ccxsim.crypto import SIGNATURE_MEMO_SIZE
 from ccxsim.errors import SgxError
 from ccxsim.machine import ENCLS_TABLE, Machine
@@ -15,7 +16,7 @@ from ccxsim.manifest import EnclaveManifest, ManifestError
 from ccxsim.memory import GRANULE_SIZE, Perms
 from ccxsim.runtime import HostRuntime, LoadError
 
-from helpers import small_config
+from helpers import refusing, small_config
 from oracles import reference_geometry_refusal, reference_measurement
 
 MINIMAL = """
@@ -32,6 +33,11 @@ sigstruct test-key
 
 def minimal_text():
     return MINIMAL.format(code=(b"\x0c" + bytes(15)).hex())  # one abort op
+
+
+def _replaced(specs, i, **changes):
+    """Put a copy of the frozen spec ``specs[i]`` with ``changes`` in its place."""
+    specs[i] = replace(specs[i], **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +281,8 @@ def test_a_geometry_error_names_the_line_of_its_directive(old, new, line, messag
 
 
 @pytest.mark.parametrize("change", [
-    lambda manifest: setattr(manifest.tcs[0], "tls_base", manifest.size),
-    lambda manifest: setattr(manifest.tcs[0], "aexnotify", True),
+    lambda manifest: _replaced(manifest.tcs, 0, tls_base=manifest.size),
+    lambda manifest: _replaced(manifest.tcs, 0, aexnotify=True),
     lambda manifest: setattr(manifest, "nssa", 0),
 ], ids=["tls", "aexnotify", "nssa-0"])
 def test_the_loader_refuses_a_tcs_that_eadd_would_refuse_before_any_leaf(runtime, change):
@@ -307,6 +313,74 @@ def test_unreadable_content_file_is_reported_with_its_line(tmp_path, source):
     with pytest.raises(ManifestError, match=f"cannot read content file {source!r}") as exc:
         EnclaveManifest.load(tmp_path / "m.manifest")
     assert exc.value.line_no == 5  # the first page line
+
+
+# ---------------------------------------------------------------------------
+# The parse memo
+
+
+def test_a_spec_is_a_frozen_value():
+    manifest = EnclaveManifest.parse(minimal_text())
+    with pytest.raises(FrozenInstanceError):
+        manifest.pages[0].perms = Perms.R
+    with pytest.raises(FrozenInstanceError):
+        manifest.tcs[0].aexnotify = True
+
+
+def test_a_text_parsed_again_shares_its_specs_in_lists_of_its_own():
+    first, again = (EnclaveManifest.parse(minimal_text()) for _ in range(2))
+    assert first == again and first is not again
+    assert first.pages is not again.pages and first.tcs is not again.tcs
+    assert all(a is b for a, b in zip(first.pages + first.tcs, again.pages + again.tcs))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: setattr(m, "name", "edited"),
+    lambda m: m.pages.append(replace(m.pages[0], vaddr=0x8000)),
+    lambda m: _replaced(m.pages, 0, perms=Perms.R),
+], ids=["field", "append", "replace"])
+def test_editing_a_parsed_manifest_leaves_the_next_parse_of_its_text_unchanged(edit):
+    text = minimal_text().replace("name mini", "name edit-me")
+    edited = EnclaveManifest.parse(text)
+    untouched = EnclaveManifest.parse(text)
+    edit(edited)
+    assert edited != untouched
+    assert EnclaveManifest.parse(text) == untouched
+
+
+def test_a_refused_text_is_refused_on_every_parse_naming_its_line():
+    text = minimal_text().replace("tls=0x1000", "tls=0x1000 flags=bogus")
+    for _ in range(2):
+        with pytest.raises(ManifestError, match="manifest line 8: unknown tcs flag 'bogus'"):
+            EnclaveManifest.parse(text)
+    assert not any(key[1] == text for key in manifest_module._PARSED)
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_content_file_is_read_again_on_every_parse(mode, tmp_path):
+    """A page with file: content is never kept: a second parse of the same
+    text reads the file as it is now, and loads to a new MRENCLAVE."""
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    code = tmp_path / "code.bin"
+    text = minimal_text().replace("perms=rx content=hex:", "perms=rx content=file:code.bin #")
+    code.write_bytes(b"\x0c" + bytes(15))
+    first = EnclaveManifest.parse(text, base_dir=tmp_path)
+    code.write_bytes(b"\x0c" + bytes(14) + b"\x01")
+    again = EnclaveManifest.parse(text, base_dir=tmp_path)
+    assert first.pages[0].content[15] == 0 and again.pages[0].content[15] == 1
+    assert rt.load_enclave(first).mrenclave != rt.load_enclave(again).mrenclave
+    assert not any(key[1] == text for key in manifest_module._PARSED)
+
+
+def test_the_parse_memo_stays_at_its_bound():
+    """After 65 new texts the memo holds the last 64 of them, oldest out first."""
+    texts = [minimal_text().replace("name mini", f"name bound{i}")
+             for i in range(SIGNATURE_MEMO_SIZE + 1)]
+    for text in texts:
+        EnclaveManifest.parse(text)
+    assert len(manifest_module._PARSED) == SIGNATURE_MEMO_SIZE
+    assert [key[1] for key in manifest_module._PARSED] == texts[1:]
+    assert EnclaveManifest.parse(texts[0]).name == "bound0"
 
 
 # ---------------------------------------------------------------------------
@@ -563,19 +637,19 @@ MEMO_IMAGE = minimal_text().replace("nssa 2", "nssa 1") + \
 
 
 def _flip_first_byte(manifest):
-    spec = manifest.pages[1]
-    spec.content = bytes([spec.content[0] ^ 1]) + spec.content[1:]
+    content = manifest.pages[1].content
+    _replaced(manifest.pages, 1, content=bytes([content[0] ^ 1]) + content[1:])
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 @pytest.mark.parametrize("change", [
     _flip_first_byte,
-    lambda m: setattr(m.pages[1], "perms", Perms.R),
-    lambda m: setattr(m.pages[3], "count", 3),
-    lambda m: setattr(m.pages[1], "measured", False),
-    lambda m: setattr(m.tcs[0], "oentry", 0x10),
-    lambda m: setattr(m.tcs[0], "tls_base", 0x2000),
-    lambda m: setattr(m.tcs[0], "measured", False),
+    lambda m: _replaced(m.pages, 1, perms=Perms.R),
+    lambda m: _replaced(m.pages, 3, count=3),
+    lambda m: _replaced(m.pages, 1, measured=False),
+    lambda m: _replaced(m.tcs, 0, oentry=0x10),
+    lambda m: _replaced(m.tcs, 0, tls_base=0x2000),
+    lambda m: _replaced(m.tcs, 0, measured=False),
     lambda m: setattr(m, "nssa", 2),
     lambda m: setattr(m, "ssa_frame_size", 2),
     lambda m: setattr(m, "size", 0x200000),
@@ -622,7 +696,8 @@ def test_the_measurement_memo_stays_at_its_bound(mode):
     manifests = []
     for i in range(SIGNATURE_MEMO_SIZE + 20):
         manifest = EnclaveManifest.parse(MEMO_IMAGE)
-        manifest.pages[1].content = i.to_bytes(8, "little") + manifest.pages[1].content[8:]
+        content = i.to_bytes(8, "little") + manifest.pages[1].content[8:]
+        _replaced(manifest.pages, 1, content=content)
         manifests.append(manifest)
         rt.destroy(rt.load_enclave(manifest))
         assert len(rt._measurements) == min(i + 1, SIGNATURE_MEMO_SIZE)
@@ -710,6 +785,26 @@ def test_load_failure_identifies_failing_step(runtime):
     err = failed_load(runtime, EnclaveManifest.parse(big))
     assert "eadd page" in err.step
     assert "no evictable page" in str(err.cause)
+
+
+def test_an_ecreate_refusal_fails_the_load_at_its_step(runtime):
+    """A manifest given INIT in code passes validation; ECREATE refuses it."""
+    manifest = EnclaveManifest.parse(minimal_text())
+    manifest.attributes = manifest.attributes._replace(init=True)
+    err = failed_load(runtime, manifest)
+    assert err.step == "ecreate"
+    assert "cannot request INIT" in str(err.cause)
+    assert runtime.machine.counters["ECREATE"] == 1 and runtime.machine.counters["EADD"] == 0
+
+
+def test_an_eextend_refusal_names_the_directive_and_the_page_of_its_run(runtime):
+    """Pages 0 and 1 take 16 EEXTENDs each and the run at 0x2000 16 more for
+    its first page, so the 49th EEXTEND measures page 1 of directive 2."""
+    manifest = EnclaveManifest.parse(minimal_text())
+    with refusing(runtime.machine, "EEXTEND", after=48):
+        err = failed_load(runtime, manifest)
+    assert err.step == "eextend page[2]+1"
+    assert "EEXTEND refused by injection" in str(err.cause)
 
 
 def test_destroy_releases_everything(runtime):
