@@ -148,7 +148,9 @@ def _first_free(spans: list, start: int, end: int) -> Optional[int]:
 
 
 # Each text parsed before, keyed with its class and directory, as its first
-# parse; bounded as the signature memos are, oldest out first.
+# parse; bounded as the signature memos are, oldest out first.  A parse that
+# reads no file is a pure function of that key, and its specs are frozen, so
+# one memo serves every caller in the process.
 _PARSED: Dict[tuple, "EnclaveManifest"] = {}
 
 
