@@ -33,18 +33,20 @@ MAC_SIZE = 16
 GCM_IV_SIZE = 12
 
 SIGNATURE_MEMO_SIZE = 64
-"""Most entries each of :class:`CryptoEngine`'s two signature memos holds;
-the oldest goes first.  A host builds the same few signed enclaves again and
-again (``sgx_sign`` signs once, at build time), so a few distinct SIGSTRUCTs
-make up nearly every load: the ``enclave_churn`` benchmark loads 8.  A bound
-keeps a long run that signs ever new bodies from growing the memos."""
+"""Most entries each signature, parse or measurement memo holds; the oldest
+goes first.  A host builds the same few signed enclaves again and again
+(``sgx_sign`` signs once, at build time), so a few distinct images make up
+nearly every load: the ``enclave_churn`` benchmark loads 8.  A bound keeps a
+long run that builds ever new images from growing the memos."""
 
 
-def _remember(memo: Dict, key, value) -> None:
-    """Store ``value`` under ``key``, dropping the oldest entry past the bound."""
+def remember(memo: Dict, key, value, bound: int):
+    """Store ``value`` under ``key`` in a memo of at most ``bound`` entries,
+    dropping the oldest past it, and return ``value``."""
     memo[key] = value
-    if len(memo) > SIGNATURE_MEMO_SIZE:
+    if len(memo) > bound:
         del memo[next(iter(memo))]
+    return value
 
 
 class RunningHash:
@@ -177,7 +179,7 @@ class CryptoEngine:
         signature = self._signed.get(key)
         if signature is None:
             signature = self.secrets.signing_key(signer_label).sign(key[1])
-            _remember(self._signed, key, signature)
+            remember(self._signed, key, signature, SIGNATURE_MEMO_SIZE)
         sig.signature = signature
         return sig
 
@@ -193,7 +195,7 @@ class CryptoEngine:
             pub.verify(sig.signature, key[2])
         except (InvalidSignature, ValueError):
             return False, signer_digest
-        _remember(self._verified, key, signer_digest)
+        remember(self._verified, key, signer_digest, SIGNATURE_MEMO_SIZE)
         return True, signer_digest
 
     def mrsigner(self, signer_label: str = "default") -> bytes:

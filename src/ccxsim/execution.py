@@ -100,7 +100,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import isa, microprograms as mp
 from .isa import INSTR_SIZE, OP_ABORT, OP_GADGET, OP_HALT, OP_LOAD, OP_STORE
-from .crypto import KEY_SIZE
+from .crypto import KEY_SIZE, remember
 from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode as E
 from .memory import (
     GRANULE_SIZE,
@@ -371,14 +371,8 @@ def _compiled(mem, run: tuple, branch: Optional[tuple] = None):
     """The compiled ``run`` and ``branch``, from the machine's memo of at
     most :data:`BLOCK_MEMO_SIZE` functions keyed by what is compiled, so the
     same code compiles once wherever it lies."""
-    memo = mem.compiled
-    key = (run, branch)
-    code = memo.get(key)
-    if code is None:
-        code = memo[key] = _compile(run, branch)
-        if len(memo) > BLOCK_MEMO_SIZE:
-            del memo[next(iter(memo))]
-    return code
+    memo, key = mem.compiled, (run, branch)
+    return memo.get(key) or remember(memo, key, _compile(run, branch), BLOCK_MEMO_SIZE)
 
 
 def _decode_block(mem, granule: int, pc: int) -> tuple:
@@ -426,9 +420,7 @@ def _code_page(m, vcpu, pc: int) -> Tuple[int, dict]:
         key = (pc & ~_PAGE_MASK, mem.load(granule, 0, GRANULE_SIZE))
         blocks = memo.get(key)
         if blocks is None:
-            blocks = memo[key] = {}
-            if len(memo) > BLOCK_MEMO_SIZE:
-                del memo[next(iter(memo))]
+            blocks = remember(memo, key, {}, BLOCK_MEMO_SIZE)
         mem.decoded[granule] = blocks
     return granule, blocks
 

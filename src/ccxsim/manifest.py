@@ -28,9 +28,10 @@ spreads across consecutive pages; ``count`` repeats a zero page, ``zero``
 only.  Numbers accept 0x-prefixed hex.  Pages and TCS entries are measured in
 file order.
 
-A page or TCS line parses to a frozen spec, and a text is parsed once: parsing
-it again reuses the specs of its first parse, unless a page reads ``file:``
-content (:meth:`EnclaveManifest.parse`).
+A manifest is a frozen value, validated whenever one is made, and a text is
+parsed once: parsing it again returns the same manifest, unless a page reads
+``file:`` content (:meth:`EnclaveManifest.parse`).  A directive other than
+``page`` and ``tcs``, or a field of one line, given twice is refused.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .crypto import _remember
+from .crypto import SIGNATURE_MEMO_SIZE, remember
 from .errors import ModelError, SgxError, read_input
 from .memory import GRANULE_SIZE, Perms
 from .microprograms import DEFAULT_ENCLAVE_BASE, geometry_fault
@@ -91,7 +92,7 @@ class PageSpec:
     content: bytes  # padded to a page multiple
     measured: bool = True
     count: int = 1  # copies of the content laid end to end
-    line: int = 0  # the directive's manifest line; 0 for one built in code
+    line: int = field(default=0, compare=False)  # the directive's manifest line; 0 in code
 
     @property
     def page_count(self) -> int:
@@ -111,7 +112,7 @@ class TcsSpec:
     aexnotify: bool = False
     dbgoptin: bool = False
     measured: bool = True
-    line: int = 0
+    line: int = field(default=0, compare=False)
 
     def build(self, nssa: int) -> Tcs:
         return Tcs(
@@ -147,15 +148,34 @@ def _first_free(spans: list, start: int, end: int) -> Optional[int]:
     return None
 
 
-# Each text parsed before, keyed with its class and directory, as its first
-# parse; bounded as the signature memos are, oldest out first.  A parse that
-# reads no file is a pure function of that key, and its specs are frozen, so
-# one memo serves every caller in the process.
+# Each text parsed before, keyed with its class and directory, as its
+# manifest; bounded as the signature memos are, oldest out first.  A parse
+# that reads no file is a pure function of that key, and a manifest is
+# frozen, so one memo serves every caller in the process.
 _PARSED: Dict[tuple, "EnclaveManifest"] = {}
 
 
-@dataclass
+# The directives given at most once: the field each sets (max_page_perms the
+# ceiling in attributes) and its parser of the rest of the line.  A directive
+# given twice is refused, not overwritten.
+_ONCE = {
+    "name": ("name", lambda rest, key: rest),
+    "size": ("size", _num),
+    "ssa_frame_size": ("ssa_frame_size", _num),
+    "nssa": ("nssa", _num),
+    "attributes": ("attributes", lambda rest, key: Attributes.parse(rest)),
+    "max_page_perms": ("max_page_perms", lambda rest, key: Perms.parse(rest)),
+    "isv_prod_id": ("isv_prod_id", lambda rest, key: _num(rest, key, 16)),
+    "isv_svn": ("isv_svn", lambda rest, key: _num(rest, key, 16)),
+    "sigstruct": ("sigstruct_source", lambda rest, key: rest),
+}
+
+
+@dataclass(frozen=True)
 class EnclaveManifest:
+    """An enclave image, validated whenever one is made: a variant made with
+    :func:`dataclasses.replace` is refused as a parsed text would be."""
+
     name: str = "enclave"
     size: int = 1 << 21
     ssa_frame_size: int = 1
@@ -163,13 +183,16 @@ class EnclaveManifest:
     attributes: Attributes = Attributes()
     isv_prod_id: int = 0
     isv_svn: int = 0
-    pages: List[PageSpec] = field(default_factory=list)
-    tcs: List[TcsSpec] = field(default_factory=list)
+    pages: Tuple[PageSpec, ...] = ()
+    tcs: Tuple[TcsSpec, ...] = ()
     sigstruct_source: str = "test-key"
     base_dir: Optional[Path] = None
     size_line: int = 0  # the line of the size directive, as PageSpec.line
     ssa_frame_line: int = 0  # the line of the ssa_frame_size directive
     sigstruct_line: int = 0  # the line of the sigstruct directive
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Refuse a misfit naming the line of the directive at fault."""
@@ -206,6 +229,8 @@ class EnclaveManifest:
         source = self.sigstruct_source
         if source != "test-key" and not source.startswith(("test-key:", "file:")):
             raise ManifestError(self.sigstruct_line, f"unknown sigstruct source {source!r}")
+        if source.startswith("file:") and self.base_dir is None:
+            raise ManifestError(self.sigstruct_line, "sigstruct file needs a manifest directory")
 
     # -- parsing ---------------------------------------------------------------
 
@@ -213,31 +238,24 @@ class EnclaveManifest:
     def parse(cls, text: str, base_dir: Optional[Path] = None) -> "EnclaveManifest":
         """The manifest ``text`` describes, refused naming the line at fault.
 
-        A text is parsed once: parsing it again gives a new manifest with its
-        own ``pages`` and ``tcs`` lists, which hold the frozen specs of the
-        first parse.  A text with a page that reads ``file:`` content is
-        parsed every time, since the file can change, and a refused text is
-        never kept, so it is refused every time."""
+        A text is parsed once: parsing it again returns the same manifest.  A
+        text with a page that reads ``file:`` content is parsed every time,
+        since the file can change, and a refused text is never kept, so it is
+        refused every time."""
         key = (cls, text, base_dir)
-        first = _PARSED.get(key)
-        if first is None:
-            first, reads_files = cls._parse(text, base_dir)
+        manifest = _PARSED.get(key)
+        if manifest is None:
+            manifest, reads_files = cls._parse(text, base_dir)
             if not reads_files:
-                _remember(_PARSED, key, first)
-        return first._copy()
-
-    def _copy(self) -> "EnclaveManifest":
-        """This manifest's fields, with lists of their own of the same specs."""
-        shell = object.__new__(type(self))
-        shell.__dict__.update(self.__dict__)
-        shell.pages, shell.tcs = list(self.pages), list(self.tcs)
-        return shell
+                remember(_PARSED, key, manifest, SIGNATURE_MEMO_SIZE)
+        return manifest
 
     @classmethod
     def _parse(cls, text: str, base_dir: Optional[Path]) -> Tuple["EnclaveManifest", bool]:
         """A validated manifest, and whether any of its pages reads a file."""
-        manifest = cls(base_dir=base_dir)
-        reads_files = False
+        values: dict = {}  # each _ONCE field given, by name
+        lines: dict = {}  # each _ONCE directive given, by the line it is on
+        pages, tcs, reads_files = [], [], False
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -245,38 +263,27 @@ class EnclaveManifest:
             key, _, rest = line.partition(" ")
             rest = rest.strip()
             try:
-                if key == "name":
-                    manifest.name = rest
-                elif key == "size":
-                    manifest.size, manifest.size_line = _num(rest, key), line_no
-                elif key == "ssa_frame_size":
-                    manifest.ssa_frame_size, manifest.ssa_frame_line = _num(rest, key), line_no
-                elif key == "nssa":
-                    manifest.nssa = _num(rest, key)
-                elif key == "attributes":  # keeps the ceiling max_page_perms set
-                    manifest.attributes = Attributes.parse(rest)._replace(
-                        max_page_perms=manifest.attributes.max_page_perms)
-                elif key == "max_page_perms":
-                    manifest.attributes = manifest.attributes._replace(
-                        max_page_perms=Perms.parse(rest))
-                elif key == "isv_prod_id":
-                    manifest.isv_prod_id = _num(rest, key, 16)
-                elif key == "isv_svn":
-                    manifest.isv_svn = _num(rest, key, 16)
-                elif key == "page":
-                    manifest.pages.append(cls._parse_page(rest, base_dir, line_no))
+                if key == "page":
+                    pages.append(cls._parse_page(rest, base_dir, line_no))
                     # a parsed page line names file: only as its content source
                     reads_files = reads_files or "content=file:" in rest
                 elif key == "tcs":
-                    manifest.tcs.append(cls._parse_tcs(rest, line_no))
-                elif key == "sigstruct":
-                    manifest.sigstruct_source, manifest.sigstruct_line = rest, line_no
+                    tcs.append(cls._parse_tcs(rest, line_no))
+                elif key in lines:
+                    raise ValueError(f"{key} given twice, first on line {lines[key]}")
+                elif key in _ONCE:
+                    field_name, parse = _ONCE[key]
+                    values[field_name], lines[key] = parse(rest, key), line_no
                 else:
                     raise ValueError(f"unknown directive {key!r}")
             except (ValueError, ModelError) as exc:
                 raise ManifestError(line_no, str(exc)) from None
-        manifest.validate()
-        return manifest, reads_files
+        if "max_page_perms" in values:  # the ceiling, whichever line came first
+            values["attributes"] = values.get("attributes", Attributes())._replace(
+                max_page_perms=values.pop("max_page_perms"))
+        return cls(**values, pages=tuple(pages), tcs=tuple(tcs), base_dir=base_dir,
+                   size_line=lines.get("size", 0), ssa_frame_line=lines.get("ssa_frame_size", 0),
+                   sigstruct_line=lines.get("sigstruct", 0)), reads_files
 
     @classmethod
     def load(cls, path) -> "EnclaveManifest":
@@ -290,6 +297,8 @@ class EnclaveManifest:
             k, eq, v = token.partition("=")
             if not eq:
                 raise ValueError(f"expected key=value, got {token!r}")
+            if k in out:
+                raise ValueError(f"{k}= given twice")
             out[k] = v
         return out
 

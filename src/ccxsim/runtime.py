@@ -5,14 +5,15 @@ from manifests, dispatches calls into enclaves and outside calls back to host
 handlers, demand-pages swapped content back in, and makes room in a full EPC
 span by evicting pages through the block/track/writeback protocol.
 
-Loading: a ``test-key`` SIGSTRUCT is signed over the signer-side
+Loading: a manifest is validated when it is made, so the loader checks it
+no further.  A ``test-key`` SIGSTRUCT is signed over the signer-side
 measurement, which is computed once per image, as ``sgx_sign`` signs once
 at build time.  The first load of an image computes it in the walk that
 issues the build leaves; the runtime remembers the digest under every input
-it measured (:func:`_image_key`), for the newest
-:data:`~ccxsim.crypto.SIGNATURE_MEMO_SIZE` images, and a later load of the
-same image issues every leaf but feeds the signer-side hash nothing.  The
-memo never reads the machine, so EINIT still compares two independent
+it measured (:func:`_image_key`: the geometry and the frozen specs), for the
+newest :data:`~ccxsim.crypto.SIGNATURE_MEMO_SIZE` images, and a later load
+of the same image issues every leaf but feeds the signer-side hash nothing.
+The memo never reads the machine, so EINIT still compares two independent
 computations.
 
 Eviction reclaims a batch, as the Linux SGX driver does: one scan of the
@@ -82,7 +83,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
-from .crypto import RunningHash, _remember
+from .crypto import SIGNATURE_MEMO_SIZE, RunningHash, remember
 from .errors import AuthenticationFailure, ModelError, SgxError, read_input
 from .execution import LEAF_NUMBERS, MASK64, RunReport, ssa_frame_vaddr
 from .machine import Machine
@@ -176,9 +177,9 @@ class AttestOutcome:
 @dataclass
 class EnclaveHandle:
     """What the host keeps of a loaded enclave: its name, id, base address,
-    identities and TCS addresses.  It keeps no reference to the manifest,
-    so the manifest is freed once the caller drops it; only the runtime's
-    measurement memo keeps page contents, those of its newest images."""
+    identities and TCS addresses.  It keeps no reference to the manifest;
+    the runtime's measurement memo keeps the page and TCS specs of its
+    newest images, and the parse memo the manifests of the newest texts."""
 
     name: str
     eid: int
@@ -245,14 +246,11 @@ def _build_plan(manifest: EnclaveManifest) -> Iterator[Tuple[int, SecInfo, bytes
 
 
 def _image_key(manifest: EnclaveManifest) -> tuple:
-    """Every input of the signer-side measurement: the geometry, then one
-    entry per page directive and per TCS, each content held by reference, so
-    the key is as small as the manifest however many pages a run repeats."""
-    return (manifest.size, manifest.ssa_frame_size, manifest.nssa,
-            tuple((spec.vaddr, spec.perms, spec.content, spec.count, spec.measured)
-                  for spec in manifest.pages),
-            tuple((spec.vaddr, spec.oentry, spec.ossa, spec.tls_base, spec.aexnotify,
-                   spec.dbgoptin, spec.measured) for spec in manifest.tcs))
+    """Every input of the signer-side measurement: the geometry, then the
+    frozen page and TCS specs, which compare on every field but their line.
+    Each content is held by reference, so the key is as small as the
+    manifest however many pages a run repeats."""
+    return (manifest.size, manifest.ssa_frame_size, manifest.nssa, manifest.pages, manifest.tcs)
 
 
 def _page_name(manifest: EnclaveManifest, off: int) -> str:
@@ -434,13 +432,11 @@ class HostRuntime:
             state = self._signer_hash(manifest)
             for off, secinfo, page, measured in _build_plan(manifest):
                 state.absorb(page_measurement(off, secinfo, page, measured))
-            digest = state.final()
-            _remember(self._measurements, key, digest)
+            digest = remember(self._measurements, key, state.final(), SIGNATURE_MEMO_SIZE)
         return digest
 
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
         m = self.machine
-        manifest.validate()
         base = DEFAULT_ENCLAVE_BASE
         encls = m.encls
 
@@ -474,16 +470,14 @@ class HostRuntime:
                     signer_hash.absorb(page_measurement(off, secinfo, page, measured))
 
             step = "sigstruct"
-            if key is None:
-                if manifest.base_dir is None:
-                    raise ModelError("sigstruct file needs a manifest directory")
+            if key is None:  # validation admits a file source only with a directory
                 sig = SigStruct.from_bytes(read_input(
                     manifest.base_dir / source[5:], f"sigstruct file {source[5:]!r}", binary=True
                 ))
             else:  # test-key[:<label>], the one other form validate() admits
                 if digest is None:
-                    digest = signer_hash.final()
-                    _remember(self._measurements, key, digest)
+                    digest = remember(self._measurements, key, signer_hash.final(),
+                                      SIGNATURE_MEMO_SIZE)
                 sig = m.crypto.sign_sigstruct(
                     digest,
                     manifest.attributes.signed_view(),

@@ -291,8 +291,10 @@ class ScenarioRunner:
 
         if cmd == "inject_irq":
             pending = _Pending()
-            for token in args:
-                key, _, value = token.partition("=")
+            fields = dict(token.partition("=")[::2] for token in args)
+            if len(fields) < len(args):  # at most two tokens, so the first is repeated
+                raise ScenarioError(line_no, f"inject_irq {args[0].partition('=')[0]}= given twice")
+            for key, value in fields.items():
                 if key == "vcpu":
                     pending.vcpu = self._int(value, line_no)
                 elif key == "at":

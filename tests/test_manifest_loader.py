@@ -3,7 +3,8 @@
 import gc
 import tracemalloc
 import weakref
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,9 +36,11 @@ def minimal_text():
     return MINIMAL.format(code=(b"\x0c" + bytes(15)).hex())  # one abort op
 
 
-def _replaced(specs, i, **changes):
-    """Put a copy of the frozen spec ``specs[i]`` with ``changes`` in its place."""
-    specs[i] = replace(specs[i], **changes)
+def _replaced(manifest, kind, i, **changes):
+    """``manifest`` with ``changes`` made to its spec ``manifest.<kind>[i]``,
+    ``kind`` being ``pages`` or ``tcs``; the variant is validated."""
+    specs = getattr(manifest, kind)
+    return replace(manifest, **{kind: specs[:i] + (replace(specs[i], **changes),) + specs[i + 1:]})
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +181,13 @@ def test_interval_checks_refuse_what_a_page_walk_refuses(lines, nssa, frame):
     """Every page and TCS refusal keeps its line and message: the first
     misfit is the one a walk over every page finds."""
     text = "\n".join(["size 0x10000", f"nssa {nssa}", f"ssa_frame_size {frame}"] + lines)
-    manifest = EnclaveManifest(size=0x10000, nssa=nssa, ssa_frame_size=frame)
-    manifest.pages = [EnclaveManifest._parse_page(line[5:], None, n)
-                      for n, line in enumerate(lines, start=4) if line.startswith("page")]
-    manifest.tcs = [EnclaveManifest._parse_tcs(line[4:], n)
-                    for n, line in enumerate(lines, start=4) if line.startswith("tcs")]
-    expected = reference_geometry_refusal(manifest)
+    image = SimpleNamespace(
+        size=0x10000, nssa=nssa, ssa_frame_size=frame,
+        pages=[EnclaveManifest._parse_page(line[5:], None, n)
+               for n, line in enumerate(lines, start=4) if line.startswith("page")],
+        tcs=[EnclaveManifest._parse_tcs(line[4:], n)
+             for n, line in enumerate(lines, start=4) if line.startswith("tcs")])
+    expected = reference_geometry_refusal(image)
     if expected is None:
         EnclaveManifest.parse(text)
     else:
@@ -191,6 +195,21 @@ def test_interval_checks_refuse_what_a_page_walk_refuses(lines, nssa, frame):
             EnclaveManifest.parse(text)
         assert (exc.value.line_no, str(exc.value)) == (
             expected[0], f"manifest line {expected[0]}: {expected[1]}")
+
+
+@pytest.mark.parametrize("line, first", [
+    ("name other", 2), ("size 0x100000", 3), ("ssa_frame_size 1", 10), ("nssa 2", 4),
+    ("attributes debug", 10), ("max_page_perms rw", 10), ("isv_prod_id 1", 10),
+    ("isv_svn 1", 10), ("sigstruct test-key", 9),
+], ids=lambda value: str(value).split()[0])
+def test_a_directive_given_twice_is_refused_on_its_second_line(line, first):
+    """Appended twice to the minimal manifest, which gives some of them on
+    line ``first``: the second giving is refused, naming the first."""
+    second = 10 if first < 10 else 11
+    with pytest.raises(ManifestError) as exc:
+        EnclaveManifest.parse(minimal_text() + f"{line}\n{line}\n")
+    assert str(exc.value) == (f"manifest line {second}: {line.split()[0]} given twice, "
+                              f"first on line {first}")
 
 
 def test_the_attribute_directives_commute():
@@ -214,11 +233,11 @@ def test_measured_takes_only_yes_or_no(line, directive_end, value):
 
 
 def test_the_loader_refuses_an_unknown_sigstruct_source_before_any_leaf(runtime):
-    """A source set in code is checked by the same validation as a parsed one."""
+    """A source set in code is checked by the same validation as a parsed
+    one, when the variant is made, so no loader ever receives it."""
     manifest = EnclaveManifest.parse(minimal_text())
-    manifest.sigstruct_source = "bogus"
     with pytest.raises(ManifestError, match="manifest line 9: unknown sigstruct source 'bogus'"):
-        runtime.load_enclave(manifest)
+        runtime.load_enclave(replace(manifest, sigstruct_source="bogus"))
     assert runtime.machine.counters["ECREATE"] == 0
 
 
@@ -267,9 +286,29 @@ def test_a_zero_run_yields_its_pages_without_building_them():
     ("tcs vaddr=0x4000 ", "tcs ", 8, "missing required field vaddr="),
     ("oentry=0x0 ", "", 8, "missing required field oentry="),
     ("ossa=0x2000 ", "", 8, "missing required field ossa="),
+    # a word the grammar does not know names its line
+    ("nssa 2", "nssa 2\nfrobnicate yes", 5, "unknown directive 'frobnicate'"),
+    ("page vaddr=0x1000 perms=rw", "page vaddr=0x1000 perms=rq", 6, "bad permission char 'q'"),
+    ("nssa 2", "nssa 2\nattributes debug,turbo", 5, "unknown attribute 'turbo'"),
+    ("tls=0x1000", "tls=0x1000 aexnotify", 8, "expected key=value, got 'aexnotify'"),
+    ("page vaddr=0x1000 perms=rw", "page vaddr=0x1000 perms=rw color=red", 6,
+     "unknown page fields ['color']"),
+    ("vaddr=0x1000 perms=rw content=zero", "vaddr=0x1000 perms=rw content=ram", 6,
+     "unknown content source 'ram'"),
+    ("tls=0x1000", "tls=0x1000 stack=0x3000", 8, "unknown tcs fields ['stack']"),
+    # a file needs the manifest's directory, which a parsed text has not
+    ("vaddr=0x1000 perms=rw content=zero", "vaddr=0x1000 perms=rw content=file:data.bin", 6,
+     "file content needs a manifest directory"),
+    ("sigstruct test-key", "sigstruct file:identity.sig", 9,
+     "sigstruct file needs a manifest directory"),
+    # a field given twice is refused, not taken at its last value
+    ("vaddr=0x0 perms=rx", "vaddr=0x0 perms=r perms=rwx", 5, "perms= given twice"),
+    ("ossa=0x2000", "ossa=0x9000 ossa=0x2000", 8, "ossa= given twice"),
 ], ids=["page-past-size", "size", "ssa-frame-size-0", "tcs-save-state", "tcs-collision", "tcs-tls",
         "tcs-aexnotify", "tcs-nssa-0", "page-no-vaddr", "tcs-no-vaddr", "tcs-no-oentry",
-        "tcs-no-ossa"])
+        "tcs-no-ossa", "unknown-directive", "bad-perms", "unknown-attribute", "no-equals",
+        "unknown-page-field", "unknown-content", "unknown-tcs-field", "content-file-no-dir",
+        "sigstruct-file-no-dir", "page-field-twice", "tcs-field-twice"])
 def test_a_geometry_error_names_the_line_of_its_directive(old, new, line, message):
     text = minimal_text().replace(old, new)
     assert text != minimal_text()
@@ -281,16 +320,16 @@ def test_a_geometry_error_names_the_line_of_its_directive(old, new, line, messag
 
 
 @pytest.mark.parametrize("change", [
-    lambda manifest: _replaced(manifest.tcs, 0, tls_base=manifest.size),
-    lambda manifest: _replaced(manifest.tcs, 0, aexnotify=True),
-    lambda manifest: setattr(manifest, "nssa", 0),
+    lambda manifest: _replaced(manifest, "tcs", 0, tls_base=manifest.size),
+    lambda manifest: _replaced(manifest, "tcs", 0, aexnotify=True),
+    lambda manifest: replace(manifest, nssa=0),
 ], ids=["tls", "aexnotify", "nssa-0"])
 def test_the_loader_refuses_a_tcs_that_eadd_would_refuse_before_any_leaf(runtime, change):
-    """A TCS changed in code after parsing meets the same rule on its line."""
+    """A TCS changed in code after parsing meets the same rule on its line,
+    when the variant is made, so no loader ever receives it."""
     manifest = EnclaveManifest.parse(minimal_text())
-    change(manifest)
     with pytest.raises(ManifestError, match="manifest line 8: tcs "):
-        runtime.load_enclave(manifest)
+        runtime.load_enclave(change(manifest))
     assert runtime.machine.counters["ECREATE"] == 0
 
 
@@ -327,25 +366,32 @@ def test_a_spec_is_a_frozen_value():
         manifest.tcs[0].aexnotify = True
 
 
-def test_a_text_parsed_again_shares_its_specs_in_lists_of_its_own():
+@pytest.mark.parametrize("name", [f.name for f in fields(EnclaveManifest)])
+def test_every_manifest_field_is_frozen(name):
+    manifest = EnclaveManifest.parse(minimal_text())
+    with pytest.raises(FrozenInstanceError):
+        setattr(manifest, name, getattr(manifest, name))
+    assert isinstance(manifest.pages, tuple) and isinstance(manifest.tcs, tuple)
+
+
+def test_a_text_parsed_again_is_the_same_manifest():
     first, again = (EnclaveManifest.parse(minimal_text()) for _ in range(2))
-    assert first == again and first is not again
-    assert first.pages is not again.pages and first.tcs is not again.tcs
-    assert all(a is b for a, b in zip(first.pages + first.tcs, again.pages + again.tcs))
+    assert first is again
 
 
 @pytest.mark.parametrize("edit", [
-    lambda m: setattr(m, "name", "edited"),
-    lambda m: m.pages.append(replace(m.pages[0], vaddr=0x8000)),
-    lambda m: _replaced(m.pages, 0, perms=Perms.R),
+    lambda m: replace(m, name="edited"),
+    lambda m: replace(m, pages=m.pages + (replace(m.pages[0], vaddr=0x8000),)),
+    lambda m: _replaced(m, "pages", 0, perms=Perms.R),
 ], ids=["field", "append", "replace"])
 def test_editing_a_parsed_manifest_leaves_the_next_parse_of_its_text_unchanged(edit):
+    """A variant derived from a parsed manifest is a new manifest: the next
+    parse of the text still returns the one it parsed to."""
     text = minimal_text().replace("name mini", "name edit-me")
-    edited = EnclaveManifest.parse(text)
     untouched = EnclaveManifest.parse(text)
-    edit(edited)
+    edited = edit(untouched)
     assert edited != untouched
-    assert EnclaveManifest.parse(text) == untouched
+    assert EnclaveManifest.parse(text) is untouched
 
 
 def test_a_refused_text_is_refused_on_every_parse_naming_its_line():
@@ -544,7 +590,8 @@ def test_signer_label_selects_identity(runtime):
 
 
 def test_loaded_enclave_keeps_no_reference_to_its_manifest(runtime):
-    manifest = EnclaveManifest.parse(minimal_text())
+    """A variant no parse memo keeps is freed once the caller drops it."""
+    manifest = replace(EnclaveManifest.parse(minimal_text()), name="unkept")
     ref = weakref.ref(manifest)
     handle = runtime.load_enclave(manifest)
     del manifest
@@ -611,15 +658,16 @@ def _signing_loads(rt, monkeypatch):
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_a_second_load_of_an_image_signs_the_same_digest_and_measures_nothing(mode, monkeypatch):
     """The signer-side measurement is computed once per image: a second
-    load, from the manifest parsed again, feeds it no page, yet issues and
-    counts every build leaf the first did and signs the same digest, which
-    EINIT checks against the machine's own measurement."""
+    load, from a text whose every line a comment moves down one, feeds it
+    no page, yet issues and counts every build leaf the first did and signs
+    the same digest, which EINIT checks against the machine's own
+    measurement.  A spec's line is no input of the image."""
     rt = HostRuntime(Machine(small_config(mode=mode)))
     signed, fed = _signing_loads(rt, monkeypatch)
     leaves, feeds = [], []
-    for _ in range(2):
+    for text in (minimal_text(), "# moved\n" + minimal_text()):
         before = dict(rt.machine.counters)
-        handle = rt.load_enclave(EnclaveManifest.parse(minimal_text()))
+        handle = rt.load_enclave(EnclaveManifest.parse(text))
         assert rt.machine.enclaves[handle.eid].initialized
         leaves.append({name: n - before.get(name, 0) for name, n in rt.machine.counters.items()
                        if n != before.get(name, 0)})
@@ -638,21 +686,21 @@ MEMO_IMAGE = minimal_text().replace("nssa 2", "nssa 1") + \
 
 def _flip_first_byte(manifest):
     content = manifest.pages[1].content
-    _replaced(manifest.pages, 1, content=bytes([content[0] ^ 1]) + content[1:])
+    return _replaced(manifest, "pages", 1, content=bytes([content[0] ^ 1]) + content[1:])
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 @pytest.mark.parametrize("change", [
     _flip_first_byte,
-    lambda m: _replaced(m.pages, 1, perms=Perms.R),
-    lambda m: _replaced(m.pages, 3, count=3),
-    lambda m: _replaced(m.pages, 1, measured=False),
-    lambda m: _replaced(m.tcs, 0, oentry=0x10),
-    lambda m: _replaced(m.tcs, 0, tls_base=0x2000),
-    lambda m: _replaced(m.tcs, 0, measured=False),
-    lambda m: setattr(m, "nssa", 2),
-    lambda m: setattr(m, "ssa_frame_size", 2),
-    lambda m: setattr(m, "size", 0x200000),
+    lambda m: _replaced(m, "pages", 1, perms=Perms.R),
+    lambda m: _replaced(m, "pages", 3, count=3),
+    lambda m: _replaced(m, "pages", 1, measured=False),
+    lambda m: _replaced(m, "tcs", 0, oentry=0x10),
+    lambda m: _replaced(m, "tcs", 0, tls_base=0x2000),
+    lambda m: _replaced(m, "tcs", 0, measured=False),
+    lambda m: replace(m, nssa=2),
+    lambda m: replace(m, ssa_frame_size=2),
+    lambda m: replace(m, size=0x200000),
 ], ids=["content", "perms", "count", "measured", "tcs.oentry", "tcs.tls", "tcs.measured",
         "nssa", "ssa_frame_size", "size"])
 def test_a_change_to_any_measured_input_misses_the_memo(mode, change, monkeypatch):
@@ -662,8 +710,7 @@ def test_a_change_to_any_measured_input_misses_the_memo(mode, change, monkeypatc
     rt = HostRuntime(Machine(small_config(mode=mode)))
     first = rt.load_enclave(EnclaveManifest.parse(MEMO_IMAGE))
     signed, fed = _signing_loads(rt, monkeypatch)
-    manifest = EnclaveManifest.parse(MEMO_IMAGE)
-    change(manifest)
+    manifest = change(EnclaveManifest.parse(MEMO_IMAGE))
     handle = rt.load_enclave(manifest)
     assert len(fed) == sum(spec.page_count for spec in manifest.pages) + len(manifest.tcs)
     assert signed == [reference_measurement(manifest)] == [handle.mrenclave]
@@ -697,7 +744,7 @@ def test_the_measurement_memo_stays_at_its_bound(mode):
     for i in range(SIGNATURE_MEMO_SIZE + 20):
         manifest = EnclaveManifest.parse(MEMO_IMAGE)
         content = i.to_bytes(8, "little") + manifest.pages[1].content[8:]
-        _replaced(manifest.pages, 1, content=content)
+        manifest = _replaced(manifest, "pages", 1, content=content)
         manifests.append(manifest)
         rt.destroy(rt.load_enclave(manifest))
         assert len(rt._measurements) == min(i + 1, SIGNATURE_MEMO_SIZE)
@@ -790,8 +837,7 @@ def test_load_failure_identifies_failing_step(runtime):
 def test_an_ecreate_refusal_fails_the_load_at_its_step(runtime):
     """A manifest given INIT in code passes validation; ECREATE refuses it."""
     manifest = EnclaveManifest.parse(minimal_text())
-    manifest.attributes = manifest.attributes._replace(init=True)
-    err = failed_load(runtime, manifest)
+    err = failed_load(runtime, replace(manifest, attributes=manifest.attributes._replace(init=True)))
     assert err.step == "ecreate"
     assert "cannot request INIT" in str(err.cause)
     assert runtime.machine.counters["ECREATE"] == 1 and runtime.machine.counters["EADD"] == 0

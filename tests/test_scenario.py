@@ -191,6 +191,12 @@ BAD_INPUTS = {
     "mode_unknown": ("mode arm", 1, "unknown mode 'arm'"),
     "inject_field": ("inject_irq cpu=0 at=1", 1, "unknown inject field 'cpu'"),
     "inject_without_at": ("inject_irq vcpu=0", 1, "inject_irq needs at="),
+    # a repeated field is refused, not taken at its last value
+    "inject_at_twice": ("create a standard.manifest\ninject_irq at=1 at=5\necall a 0 1 2 3", 2,
+                        "inject_irq at= given twice"),
+    "inject_vcpu_twice": ("inject_irq vcpu=0 vcpu=1", 1, "inject_irq vcpu= given twice"),
+    "manifest_perms_twice": ("create a perms_twice.manifest", 1,
+                             "manifest line 2: perms= given twice"),
     "seal_payload": ("create a standard.manifest\nseal a mrenclave 0g", 2,
                      "payload '0g' is not hex"),
     "unseal_first": ("create a standard.manifest\nunseal a", 2, "nothing has been sealed"),
@@ -202,6 +208,8 @@ BAD_INPUTS = {
 def test_bad_input_is_reported_with_its_line(name, demo_dir, capsys):
     text, line, message = BAD_INPUTS[name]
     (demo_dir / "negative_nssa.manifest").write_text("name bad\nsize 0x100000\nnssa -1\n")
+    (demo_dir / "perms_twice.manifest").write_text(
+        "name bad\npage vaddr=0x0 perms=r perms=rwx content=zero\n")
     (demo_dir / "latin1.manifest").write_bytes("name caf\u00e9\n".encode("latin-1"))
     standard = (demo_dir / "standard.manifest").read_text().splitlines()
     unsigned = [entry for entry in standard if not entry.startswith("sigstruct")]
