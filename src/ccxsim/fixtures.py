@@ -268,7 +268,6 @@ def build_manifest_text(
     aexnotify: bool = False,
     debug: bool = True,
     provision_key: bool = False,
-    max_page_perms: Optional[str] = None,
     isv_prod_id: int = 1,
     isv_svn: int = 1,
     signer: str = "default",
@@ -293,8 +292,6 @@ def build_manifest_text(
     ]
     if attrs:
         lines.append("attributes " + ",".join(attrs))
-    if max_page_perms is not None:
-        lines.append(f"max_page_perms {max_page_perms}")
     lines += [
         f"isv_prod_id {isv_prod_id}",
         f"isv_svn {isv_svn}",

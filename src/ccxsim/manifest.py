@@ -329,9 +329,8 @@ class EnclaveManifest:
                                  f"content file {content_src[5:]!r}", binary=True)
         else:
             raise ValueError(f"unknown content source {content_src!r}")
-        if len(content) == 0 or len(content) % GRANULE_SIZE:
-            pad = GRANULE_SIZE - (len(content) % GRANULE_SIZE or GRANULE_SIZE)
-            content = content + bytes(pad)
+        # pad to whole pages; empty content is one zero page
+        content += bytes(-len(content) % GRANULE_SIZE if content else GRANULE_SIZE)
         return PageSpec(vaddr, perms, content, measured, count, line)
 
     @classmethod

@@ -19,9 +19,12 @@ Grammar (one command per line, '#' comments):
     try <command>                     <command>, but a refusal is recorded
                                       and the run goes on
 
-Probes: ``last`` (result of the previous command), ``count:<LEAF>``,
-``gpf_count``, ``swap_out_events``, ``swap_in_events``, ``unseal_ok``,
-``attest_ab``, ``attest_ba``, ``attest_mutual``.  Ops: == != >= <= > <.
+Each command is one row of ``_COMMANDS``: its arity and its runner method.
+Probes: ``last`` (result of the previous command), ``unseal_ok``,
+``attest_ab``, ``attest_ba`` and ``attest_mutual``, which the commands leave
+in ``ScenarioRunner.probes``; ``count:<LEAF>``, ``gpf_count``,
+``swap_out_events`` and ``swap_in_events``, read from ``counts()`` as the
+summary is.  Ops: == != >= <= > <.
 
 The report is line-delimited: one JSON record per executed command, then one
 summary object.  With fixed seeds the serialized report is byte-identical
@@ -35,7 +38,9 @@ argument count still aborts, so ``try`` hides no authoring error.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -43,32 +48,11 @@ from .config import Config
 from .errors import ModelError, SgxError, read_input
 from .machine import ALL_LEAF_NAMES, Machine
 from .manifest import EnclaveManifest, ManifestError
-from .runtime import EnclaveFault, HostRuntime, LoadError, SealedBlob
+from .runtime import EnclaveFault, HostRuntime, LoadError
 from .structs import KeyPolicy
 
-_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-}
-
-# Command -> (fewest, most) arguments.
-_ARITY = {
-    "mode": (1, 1),
-    "create": (2, 2),
-    "destroy": (1, 1),
-    "ecall": (3, 5),
-    "inject_irq": (1, 2),
-    "swap_out": (2, 2),
-    "swap_in": (2, 2),
-    "attest": (2, 2),
-    "seal": (3, 3),
-    "unseal": (1, 1),
-    "expect": (3, 3),
-}
+_OPS = {"==": operator.eq, "!=": operator.ne, ">=": operator.ge,
+        "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
 _POLICIES = {"mrenclave": KeyPolicy.MRENCLAVE, "mrsigner": KeyPolicy.MRSIGNER}
 
@@ -114,11 +98,10 @@ class ScenarioRunner:
         self.machine: Optional[Machine] = None
         self.runtime: Optional[HostRuntime] = None
         self.handles: Dict[str, object] = {}
-        self.last: int = 0
-        self.sealed: Optional[SealedBlob] = None
-        self.sealed_payload: Optional[bytes] = None
-        self.last_attest = None
-        self.last_unseal_ok = 0
+        # what the commands leave for probes; attest_* is None until an attest
+        self.probes: Dict[str, Optional[int]] = dict(
+            last=0, unseal_ok=0, attest_ab=None, attest_ba=None, attest_mutual=None)
+        self.sealed = None  # the last seal's (SealedBlob, payload)
         self._pending_inject: Optional[_Pending] = None
 
     # -- machine lifecycle ----------------------------------------------------
@@ -146,38 +129,36 @@ class ScenarioRunner:
         except ValueError:
             raise ScenarioError(line_no, f"{text!r} is not a number") from None
 
-    # -- probes ------------------------------------------------------------------
+    # -- counts and probes ----------------------------------------------------
+
+    def counts(self) -> dict:
+        """The run's counts so far, 0 or empty before the first create: the
+        summary carries each, and each int-valued one is a probe."""
+        m, rt = self.machine, self.runtime
+        return {
+            "counters": dict(m.counters) if m else {},
+            "cost_tally": m.cost_tally if m else {},
+            "gpf_count": len(m.memory.gpf_log) if m else 0,
+            "swap_out_events": rt.swap_out_events if rt else 0,
+            "swap_in_events": rt.swap_in_events if rt else 0,
+        }
 
     def probe(self, name: str, line_no: int) -> int:
-        m, rt = self.machine, self.runtime
-        if name == "last":
-            return self.last
-        if name == "gpf_count":
-            return len(m.memory.gpf_log) if m else 0
-        if name == "swap_out_events":
-            return rt.swap_out_events if rt else 0
-        if name == "swap_in_events":
-            return rt.swap_in_events if rt else 0
-        if name == "unseal_ok":
-            return self.last_unseal_ok
+        """A leaf counter, an int-valued count or a value a command left."""
+        counts = self.counts()
         if name.startswith("count:"):
             leaf = name.split(":", 1)[1]
             if leaf not in ALL_LEAF_NAMES:
                 raise ScenarioError(line_no, f"unknown leaf counter {leaf!r}")
-            return m.counters[leaf] if m else 0
-        if name in ("attest_ab", "attest_ba", "attest_mutual"):
-            if self.last_attest is None:
-                raise ScenarioError(line_no, "no attestation has run")
-            return int(
-                {
-                    "attest_ab": self.last_attest.a_to_b,
-                    "attest_ba": self.last_attest.b_to_a,
-                    "attest_mutual": self.last_attest.mutual,
-                }[name]
-            )
-        raise ScenarioError(line_no, f"unknown probe {name!r}")
+            return counts["counters"].get(leaf, 0)
+        values = {**counts, **self.probes}
+        if name not in values or isinstance(values[name], dict):
+            raise ScenarioError(line_no, f"unknown probe {name!r}")
+        if values[name] is None:
+            raise ScenarioError(line_no, "no attestation has run")
+        return values[name]
 
-    # -- command execution ---------------------------------------------------------
+    # -- running a scenario -------------------------------------------------------
 
     def run_text(self, text: str) -> ScenarioResult:
         events: List[dict] = []
@@ -193,15 +174,7 @@ class ScenarioRunner:
                 failure = record
                 break
         ok = failure is None
-        summary = {
-            "ok": ok,
-            "commands": len(events),
-            "counters": dict(self.machine.counters) if self.machine else {},
-            "cost_tally": self.machine.cost_tally if self.machine else {},
-            "gpf_count": len(self.machine.memory.gpf_log) if self.machine else 0,
-            "swap_out_events": self.runtime.swap_out_events if self.runtime else 0,
-            "swap_in_events": self.runtime.swap_in_events if self.runtime else 0,
-        }
+        summary = {"ok": ok, "commands": len(events), **self.counts()}
         if failure is not None:
             summary["failed_at"] = failure["line"]
             summary["failure"] = failure.get("error", "expectation failed")
@@ -232,14 +205,14 @@ class ScenarioRunner:
             if parts[0] == "try" and len(parts) > 1:
                 del parts[0]
             cmd, args = parts[0], parts[1:]
-            if cmd not in _ARITY:
+            if cmd not in _COMMANDS:
                 raise ScenarioError(line_no, f"unknown command {cmd!r}")
-            fewest, most = _ARITY[cmd]
+            fewest, most, method = _COMMANDS[cmd]
             if not fewest <= len(args) <= most:
                 count = fewest if fewest == most else f"{fewest} to {most}"
                 raise ScenarioError(line_no, f"{cmd} takes {count} arguments, got {len(args)}")
             record["cmd"] = cmd
-            result = self._execute(cmd, args, line_no)
+            result = method(self, args, line_no)
             record["ok"] = True
             if result is not None:
                 record["result"] = result
@@ -251,125 +224,129 @@ class ScenarioRunner:
             record["error"] = f"{type(exc).__name__}: {exc}"
         return record
 
-    def _execute(self, cmd: str, args: List[str], line_no: int) -> Optional[object]:
-        if cmd == "mode":
-            if self.machine is not None:
-                raise ScenarioError(line_no, "mode must precede the first create")
-            if args[0] not in ("sgx", "ccx"):
-                raise ScenarioError(line_no, f"unknown mode {args[0]!r}")
-            if not self.mode_override:
-                self.config.mode = args[0]
-            return self.config.mode if not self.mode_override else self.mode_override
+    # -- the commands: each takes its arguments and returns its record's result
 
-        if cmd == "create":
-            name, path = args
-            rt = self._ensure_machine()
-            manifest_path = self.base_dir / path
-            text = read_input(manifest_path, f"manifest {path!r}")
-            handle = rt.load_enclave(EnclaveManifest.parse(text, base_dir=manifest_path.parent))
-            self.handles[name] = handle
-            self.last = handle.eid
-            return handle.eid
+    def _mode(self, args: List[str], line_no: int) -> str:
+        if self.machine is not None:
+            raise ScenarioError(line_no, "mode must precede the first create")
+        if args[0] not in ("sgx", "ccx"):
+            raise ScenarioError(line_no, f"unknown mode {args[0]!r}")
+        if not self.mode_override:
+            self.config.mode = args[0]
+        return self.mode_override or self.config.mode
 
-        if cmd == "destroy":
-            handle = self._handle(args[0], line_no)
-            self.runtime.destroy(handle)
-            del self.handles[args[0]]
-            self.last = 0
-            return None
+    def _create(self, args: List[str], line_no: int) -> int:
+        name, path = args
+        rt = self._ensure_machine()
+        manifest_path = self.base_dir / path
+        text = read_input(manifest_path, f"manifest {path!r}")
+        handle = rt.load_enclave(EnclaveManifest.parse(text, base_dir=manifest_path.parent))
+        self.handles[name] = handle
+        self.probes["last"] = handle.eid
+        return handle.eid
 
-        if cmd == "ecall":
-            # the pending schedule is this call's, even if the call is refused
-            pending, self._pending_inject = self._pending_inject or _Pending(), None
-            name, *numbers = args + ["0"] * (5 - len(args))  # a and b default to 0
-            tcs, selector, a, b = (self._int(v, line_no) for v in numbers)
-            handle = self._handle(name, line_no)
-            self.last = self.runtime.ecall(
-                handle, tcs, selector, a, b, vcpu_index=pending.vcpu, inject_at=pending.at
-            )
-            return self.last
+    def _destroy(self, args: List[str], line_no: int) -> None:
+        self.runtime.destroy(self._handle(args[0], line_no))
+        del self.handles[args[0]]
+        self.probes["last"] = 0
 
-        if cmd == "inject_irq":
-            pending = _Pending()
-            fields = dict(token.partition("=")[::2] for token in args)
-            if len(fields) < len(args):  # at most two tokens, so the first is repeated
-                raise ScenarioError(line_no, f"inject_irq {args[0].partition('=')[0]}= given twice")
-            for key, value in fields.items():
-                if key == "vcpu":
-                    pending.vcpu = self._int(value, line_no)
-                elif key == "at":
-                    pending.at = "every" if value == "every" else {
-                        self._int(v, line_no) for v in value.split(",")}
-                    if pending.at != "every" and min(pending.at) < 1:
-                        raise ScenarioError(line_no, f"inject_irq at={min(pending.at)} "
-                                                     "can never fire: steps count from 1")
-                else:
-                    raise ScenarioError(line_no, f"unknown inject field {key!r}")
-            if pending.at is None:
-                raise ScenarioError(line_no, "inject_irq needs at=")
-            self._pending_inject = pending
-            return None
+    def _ecall(self, args: List[str], line_no: int) -> int:
+        # the pending schedule is this call's, even if the call is refused
+        pending, self._pending_inject = self._pending_inject or _Pending(), None
+        name, *numbers = args + ["0"] * (5 - len(args))  # a and b default to 0
+        tcs, selector, a, b = (self._int(v, line_no) for v in numbers)
+        handle = self._handle(name, line_no)
+        self.probes["last"] = self.runtime.ecall(
+            handle, tcs, selector, a, b, vcpu_index=pending.vcpu, inject_at=pending.at
+        )
+        return self.probes["last"]
 
-        if cmd in ("swap_out", "swap_in"):
-            handle = self._handle(args[0], line_no)
-            vaddr = handle.base + self._int(args[1], line_no)
-            if cmd == "swap_out":
-                self.runtime.swap_out(handle, vaddr)
+    def _inject_irq(self, args: List[str], line_no: int) -> None:
+        pending = _Pending()
+        fields = dict(token.partition("=")[::2] for token in args)
+        if len(fields) < len(args):  # at most two tokens, so the first is repeated
+            raise ScenarioError(line_no, f"inject_irq {args[0].partition('=')[0]}= given twice")
+        for key, value in fields.items():
+            if key == "vcpu":
+                pending.vcpu = self._int(value, line_no)
+            elif key == "at":
+                pending.at = "every" if value == "every" else {
+                    self._int(v, line_no) for v in value.split(",")}
+                if pending.at != "every" and min(pending.at) < 1:
+                    raise ScenarioError(line_no, f"inject_irq at={min(pending.at)} "
+                                                 "can never fire: steps count from 1")
             else:
-                self.runtime.swap_in(handle, vaddr)
-            self.last = 1
-            return None
+                raise ScenarioError(line_no, f"unknown inject field {key!r}")
+        if pending.at is None:
+            raise ScenarioError(line_no, "inject_irq needs at=")
+        self._pending_inject = pending
 
-        if cmd == "attest":
-            a = self._handle(args[0], line_no)
-            b = self._handle(args[1], line_no)
-            self.last_attest = self.runtime.attest(a, b)
-            self.last = int(self.last_attest.mutual)
-            return {"a_to_b": self.last_attest.a_to_b, "b_to_a": self.last_attest.b_to_a}
+    def _swap(self, args: List[str], line_no: int, direction: str) -> None:
+        handle = self._handle(args[0], line_no)
+        vaddr = handle.base + self._int(args[1], line_no)
+        getattr(self.runtime, direction)(handle, vaddr)
+        self.probes["last"] = 1
 
-        if cmd == "seal":
-            handle = self._handle(args[0], line_no)
-            if args[1] not in _POLICIES:
-                raise ScenarioError(line_no, f"unknown seal policy {args[1]!r}")
-            try:
-                payload = bytes.fromhex(args[2])
-            except ValueError:
-                raise ScenarioError(line_no, f"payload {args[2]!r} is not hex") from None
-            policy = _POLICIES[args[1]]
-            self.sealed = self.runtime.seal(handle, policy, payload)
-            self.sealed_payload = payload
-            self.last = 1
-            return None
+    def _attest(self, args: List[str], line_no: int) -> dict:
+        a = self._handle(args[0], line_no)
+        b = self._handle(args[1], line_no)
+        report = self.runtime.attest(a, b)
+        self.probes.update(attest_ab=int(report.a_to_b), attest_ba=int(report.b_to_a),
+                           attest_mutual=int(report.mutual), last=int(report.mutual))
+        return {"a_to_b": report.a_to_b, "b_to_a": report.b_to_a}
 
-        if cmd == "unseal":
-            if self.sealed is None:
-                raise ScenarioError(line_no, "nothing has been sealed")
-            handle = self._handle(args[0], line_no)
-            recovered = self.runtime.unseal(handle, self.sealed)
-            self.last_unseal_ok = int(recovered == self.sealed_payload)
-            self.last = self.last_unseal_ok
-            return self.last_unseal_ok
+    def _seal(self, args: List[str], line_no: int) -> None:
+        handle = self._handle(args[0], line_no)
+        if args[1] not in _POLICIES:
+            raise ScenarioError(line_no, f"unknown seal policy {args[1]!r}")
+        try:
+            payload = bytes.fromhex(args[2])
+        except ValueError:
+            raise ScenarioError(line_no, f"payload {args[2]!r} is not hex") from None
+        self.sealed = self.runtime.seal(handle, _POLICIES[args[1]], payload), payload
+        self.probes["last"] = 1
 
-        if cmd == "expect":
-            if args[0] == "mrenclave_eq":
-                a = self._handle(args[1], line_no)
-                b = self._handle(args[2], line_no)
-                if a.mrenclave != b.mrenclave:
-                    raise ScenarioError(
-                        line_no,
-                        f"expectation failed: mrenclave {a.mrenclave.hex()[:16]}..."
-                        f" != {b.mrenclave.hex()[:16]}...",
-                    )
-                return True
-            probe, op, value = args[0], args[1], self._int(args[2], line_no)
-            if op not in _OPS:
-                raise ScenarioError(line_no, f"unknown operator {op!r}")
-            actual = self.probe(probe, line_no)
-            if not _OPS[op](actual, value):
-                raise ScenarioError(
-                    line_no, f"expectation failed: {probe} is {actual}, wanted {op} {value}"
-                )
+    def _unseal(self, args: List[str], line_no: int) -> int:
+        if self.sealed is None:
+            raise ScenarioError(line_no, "nothing has been sealed")
+        blob, payload = self.sealed
+        recovered = self.runtime.unseal(self._handle(args[0], line_no), blob)
+        self.probes["unseal_ok"] = self.probes["last"] = int(recovered == payload)
+        return self.probes["last"]
+
+    def _expect(self, args: List[str], line_no: int) -> bool:
+        if args[0] == "mrenclave_eq":
+            a = self._handle(args[1], line_no)
+            b = self._handle(args[2], line_no)
+            if a.mrenclave != b.mrenclave:
+                raise ScenarioError(line_no, "expectation failed: mrenclave "
+                                    f"{a.mrenclave.hex()[:16]}... != {b.mrenclave.hex()[:16]}...")
             return True
+        probe, op, value = args[0], args[1], self._int(args[2], line_no)
+        if op not in _OPS:
+            raise ScenarioError(line_no, f"unknown operator {op!r}")
+        actual = self.probe(probe, line_no)
+        if not _OPS[op](actual, value):
+            raise ScenarioError(
+                line_no, f"expectation failed: {probe} is {actual}, wanted {op} {value}"
+            )
+        return True
+
+
+# Command -> (fewest, most) arguments and the runner method that runs it.
+_COMMANDS = {
+    "mode": (1, 1, ScenarioRunner._mode),
+    "create": (2, 2, ScenarioRunner._create),
+    "destroy": (1, 1, ScenarioRunner._destroy),
+    "ecall": (3, 5, ScenarioRunner._ecall),
+    "inject_irq": (1, 2, ScenarioRunner._inject_irq),
+    "swap_out": (2, 2, partial(ScenarioRunner._swap, direction="swap_out")),
+    "swap_in": (2, 2, partial(ScenarioRunner._swap, direction="swap_in")),
+    "attest": (2, 2, ScenarioRunner._attest),
+    "seal": (3, 3, ScenarioRunner._seal),
+    "unseal": (1, 1, ScenarioRunner._unseal),
+    "expect": (3, 3, ScenarioRunner._expect),
+}
 
 
 def run_scenario(

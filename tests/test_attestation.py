@@ -244,6 +244,21 @@ def test_mrenclave_sealed_blob_stays_home(attest_env):
     assert rt.unseal(a, blob) == b"only for a"
 
 
+def test_unseal_is_refused_by_egetkey_below_the_blobs_svn(attest_env, monkeypatch):
+    """A blob sealed at SVN 2 asks for a key that EGETKEY refuses in a
+    same-signer enclave at SVN 1, so unseal returns None before it tries the
+    blob (``runtime.py:798``); the enclave at SVN 2 unseals it."""
+    machine, rt, a, b, load = attest_env
+    newer = load("att_svn2", salt=b"svn 2", isv_svn=2)
+    blob = rt.seal(newer, KeyPolicy.MRSIGNER, b"for svn 2 and up")
+    assert (blob.isv_svn, machine.enclaves[a.eid].isv_svn) == (2, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(machine.crypto, "blob_unseal",
+                      lambda *args: pytest.fail("a refused key reached the blob"))
+        assert rt.unseal(a, blob) is None
+    assert rt.unseal(newer, blob) == b"for svn 2 and up"
+
+
 def test_mrsigner_sealed_blob_moves_to_sibling(attest_env):
     machine, rt, a, b, load = attest_env
     v = load("att_v2", salt=b"foreign vendor", signer="vendor-b")

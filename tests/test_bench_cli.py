@@ -231,6 +231,20 @@ def test_cli_inspect_human_lists_enclaves(demo_dir, tmp_path, capsys):
     assert "eid 1" in out and "mrenclave=" in out and "SECS" in out
 
 
+def test_cli_inspect_human_flags_a_crashed_enclave(demo_dir, tmp_path, capsys):
+    """``inspect`` lists a crashed enclave's flag (``cli.py:187``)."""
+    snap = tmp_path / "snap.json"
+    scenario = demo_dir / "stay3.scenario"
+    scenario.write_text("create app standard.manifest\n")
+    cli.main(["run", str(scenario), "--config", str(write_config(tmp_path)), "--snapshot", str(snap)])
+    doc = json.loads(snap.read_text())
+    doc["enclaves"][0]["crashed"] = True
+    snap.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["inspect", str(snap)]) == 0
+    assert "eid 1: size 0x200000 [init,debug,crashed]" in capsys.readouterr().out
+
+
 def test_cli_attest_exit_codes(demo_dir, tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = cli.main([

@@ -343,6 +343,22 @@ def test_file_content_source(tmp_path):
     assert len(m.pages[0].content) == GRANULE_SIZE
 
 
+@pytest.mark.parametrize("content", ["hex:", "file:empty.bin"])
+def test_empty_content_is_one_zero_page(tmp_path, content):
+    """Empty content pads to one zero page, as a short content pads to whole
+    pages: the directive measures and loads a page."""
+    (tmp_path / "empty.bin").write_bytes(b"")
+    (tmp_path / "m.manifest").write_text(f"name x\npage vaddr=0 content={content}\n")
+    (page,) = EnclaveManifest.load(tmp_path / "m.manifest").pages
+    assert (page.page_count, page.content) == (1, bytes(GRANULE_SIZE))
+
+
+def test_the_offset_of_an_empty_content_page_cannot_be_declared_again():
+    with pytest.raises(ManifestError) as exc:
+        EnclaveManifest.parse("name x\npage vaddr=0 content=hex:\npage vaddr=0\n")
+    assert str(exc.value) == "manifest line 3: page offset 0x0 specified twice"
+
+
 @pytest.mark.parametrize("source", ["nonexist.bin", "bindir"])
 def test_unreadable_content_file_is_reported_with_its_line(tmp_path, source):
     (tmp_path / "bindir").mkdir()
@@ -851,6 +867,17 @@ def test_an_eextend_refusal_names_the_directive_and_the_page_of_its_run(runtime)
         err = failed_load(runtime, manifest)
     assert err.step == "eextend page[2]+1"
     assert "EEXTEND refused by injection" in str(err.cause)
+
+
+def test_an_eadd_refusal_at_a_tcs_names_the_tcs(runtime, fixture_dir):
+    """A failed step names a TCS page by its place among the TCS directives
+    (``runtime.py:262``): the standard manifest adds its code, scratch and
+    two save-state pages first, so the fifth EADD is its TCS."""
+    manifest = EnclaveManifest.load(fixtures.write_standard_manifest(fixture_dir))
+    with refusing(runtime.machine, "EADD", after=4):
+        err = failed_load(runtime, manifest)
+    assert err.step == f"eadd tcs[0] at {fixtures.SSA_OFF + 2 * GRANULE_SIZE:#x}"
+    assert "EADD refused by injection" in str(err.cause)
 
 
 def test_destroy_releases_everything(runtime):

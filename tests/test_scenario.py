@@ -1,10 +1,12 @@
 """Scenario scripts and their structured reports."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from ccxsim import cli, fixtures
+from ccxsim import cli, fixtures, scenario
 from ccxsim.scenario import ScenarioRunner, run_scenario
 
 from helpers import small_config
@@ -201,6 +203,29 @@ BAD_INPUTS = {
                      "payload '0g' is not hex"),
     "unseal_first": ("create a standard.manifest\nunseal a", 2, "nothing has been sealed"),
     "expect_operator": ("expect last ~ 0", 1, "unknown operator '~'"),
+    # each command with one argument too few and one too many, as the
+    # README's grammar counts them
+    "create_too_many": ("create a standard.manifest b", 1, "create takes 2 arguments, got 3"),
+    "ecall_too_many": ("ecall a 0 1 2 3 4", 1, "ecall takes 3 to 5 arguments, got 6"),
+    "mode_too_few": ("mode", 1, "mode takes 1 arguments, got 0"),
+    "mode_too_many": ("mode sgx ccx", 1, "mode takes 1 arguments, got 2"),
+    "destroy_too_few": ("destroy", 1, "destroy takes 1 arguments, got 0"),
+    "destroy_too_many": ("destroy a b", 1, "destroy takes 1 arguments, got 2"),
+    "inject_irq_too_few": ("inject_irq", 1, "inject_irq takes 1 to 2 arguments, got 0"),
+    "inject_irq_too_many": ("inject_irq vcpu=0 at=1 at=2", 1,
+                            "inject_irq takes 1 to 2 arguments, got 3"),
+    "swap_out_too_few": ("swap_out a", 1, "swap_out takes 2 arguments, got 1"),
+    "swap_out_too_many": ("swap_out a 0 0", 1, "swap_out takes 2 arguments, got 3"),
+    "swap_in_too_few": ("swap_in a", 1, "swap_in takes 2 arguments, got 1"),
+    "swap_in_too_many": ("swap_in a 0 0", 1, "swap_in takes 2 arguments, got 3"),
+    "attest_too_few": ("attest a", 1, "attest takes 2 arguments, got 1"),
+    "attest_too_many": ("attest a b c", 1, "attest takes 2 arguments, got 3"),
+    "seal_too_few": ("seal a mrenclave", 1, "seal takes 3 arguments, got 2"),
+    "seal_too_many": ("seal a mrenclave 00 00", 1, "seal takes 3 arguments, got 4"),
+    "unseal_too_few": ("unseal", 1, "unseal takes 1 arguments, got 0"),
+    "unseal_too_many": ("unseal a b", 1, "unseal takes 1 arguments, got 2"),
+    "expect_too_few": ("expect last ==", 1, "expect takes 3 arguments, got 2"),
+    "expect_too_many": ("expect last == 0 1", 1, "expect takes 3 arguments, got 4"),
 }
 
 
@@ -222,6 +247,22 @@ def test_bad_input_is_reported_with_its_line(name, demo_dir, capsys):
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
     assert summary["failed_at"] == line
     assert message in summary["failure"]
+
+
+def test_the_readme_grammar_names_every_command_and_probe():
+    """The README's grammar block names the commands of the runner's table,
+    plus ``try``, and its probes sentence each probe the runner reads:
+    what the commands leave, each count the summary carries, and the leaf
+    counters."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario grammar", 1)[1]
+    block = section.split("```", 2)[1]
+    commands = {line.split()[0] for line in block.splitlines() if line[:1].isalpha()}
+    assert commands == set(scenario._COMMANDS) | {"try"}
+    sentence = re.search(r"Probes: (.*?)\.\s", section, re.DOTALL).group(1)
+    r = runner()
+    counts = {name for name, value in r.counts().items() if isinstance(value, int)}
+    assert set(re.findall(r"`([^`]+)`", sentence)) == set(r.probes) | counts | {"count:<LEAF>"}
 
 
 def test_an_unknown_sigstruct_source_fails_on_its_manifest_line(demo_dir):

@@ -8,7 +8,7 @@ from ccxsim.errors import SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Perms
 from ccxsim.runtime import AEP_GATE, RECLAIM_BATCH, EnclaveFault, HostRuntime, RETURN_GATE
-from ccxsim.structs import EXIT_IRQ, Pcmd, VA_SLOT_COUNT
+from ccxsim.structs import EMPTY_SLOT, EXIT_IRQ, Pcmd, VA_SLOT_COUNT, VA_SLOT_SIZE
 
 from helpers import BASE, build_raw_enclave, free_epc_granules, refusing, small_config
 
@@ -97,6 +97,19 @@ def test_ewb_without_track_rejected(swap_env):
     with pytest.raises(SgxError) as exc:
         machine.leaf("EWB", g, va, 0)
     assert exc.value.code == E.NOT_TRACKED
+
+
+def test_ewb_draws_again_a_version_that_reads_as_an_empty_slot(swap_env, monkeypatch):
+    """A filed version never reads as an empty slot: EWB draws again when
+    the random stream gives one (``microprograms.py:343``)."""
+    machine, enc, va = swap_env
+    draws = [EMPTY_SLOT]
+    real = machine.rand_bytes
+    monkeypatch.setattr(machine, "rand_bytes",
+                        lambda n: draws.pop() if draws and n == VA_SLOT_SIZE else real(n))
+    swap_out(machine, enc, 0x1000, va, 0)
+    assert not draws
+    assert machine.memory.load(va, 0, VA_SLOT_SIZE) != EMPTY_SLOT
 
 
 def test_ewb_gated_until_pre_track_threads_exit(swap_env):
@@ -806,6 +819,50 @@ def test_a_refused_writeback_leaves_the_store_and_the_slots_as_they_were(mode, f
     assert not any(e.owner == h.eid for e in machine.memory.epcm.values())
     free, total = _slots(rt)
     assert free == total
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_later_reclaim_skips_a_page_a_refused_writeback_left_blocked(mode, fixture_dir):
+    """The victim filter passes over a blocked page (``runtime.py:353``):
+    after a refused EWB, a reclaim writes other pages back, never the blocked
+    one, which EBLOCK would refuse."""
+    machine, rt, h, scratch = _standard(mode, fixture_dir)
+    code = machine.memory.find_page(h.eid, h.base)
+    with refusing(machine, "EWB"), pytest.raises(SgxError):
+        rt.swap_out(h, h.base)
+    machine.trace = []
+    rt._reclaim()
+    evicted = [record["vaddr"] for record in machine.trace if record["kind"] == "evict"]
+    assert evicted and h.base not in evicted
+    assert rt.store.keys_for(h.eid) == sorted(evicted)
+    assert machine.memory.epcm[code].blocked
+    rt.destroy(h)
+    free, total = _slots(rt)
+    assert free == total
+
+
+def test_a_reclaim_skips_an_enclave_a_core_is_inside(tmp_path):
+    """The victim filter passes over every page of an enclave that a core
+    runs in (``runtime.py:365``): a toucher call on vCPU 1 pages in a 24
+    granule EPC while a compute call on vCPU 0 is suspended inside its
+    enclave, files none of the compute enclave's pages, and the compute call
+    then ends with its result."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    rt = HostRuntime(Machine(small_config(epc_size=24)))
+    compute = rt.load_enclave(EnclaveManifest.parse(
+        fixtures.build_manifest_text(fixtures.compute_program(), name="compute")))
+    toucher = rt.load_enclave(EnclaveManifest.load(fixtures.write_toucher_manifest(tmp_path)))
+    calling = rt.call(compute, 0, 1, 30, vcpu_index=0, inject_at={5})
+    next(calling)
+    assert rt.machine.vcpus[0].cur_eid == compute.eid
+    assert rt.ecall(toucher, 0, 1, 12, vcpu_index=1) == fixtures.toucher_expected(12)
+    assert rt.swap_out_events > 0 and not rt.store.holds_any(compute.eid)
+    with pytest.raises(StopIteration) as done:
+        while True:
+            next(calling)
+    assert done.value.value == fixtures.compute_expected(30)
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])

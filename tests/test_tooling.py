@@ -6,6 +6,8 @@ recorder's verdicts (``tools/bench_record.py``) are checked here too."""
 import importlib
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -101,3 +103,24 @@ def test_bench_record_verdicts_follow_its_method(monkeypatch):
     summary = record.verdict(higher, parent, [v + 10 for v in parent])
     assert (summary["wins"], summary["losses"]) == (10, 0)
     assert summary["parent"] == {"median": 101.0, "q1": 100.0, "q3": 101.75}
+
+
+def test_the_unreached_list_names_executable_lines_each_with_a_kind(monkeypatch):
+    """Each entry of ``tests/unreached.txt`` is an executable line of
+    ``src/ccxsim`` with one of the census's kinds of reason, so the census
+    step fails on a stale list only when a line is reached, not on a typo."""
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    linecov = importlib.import_module("linecov")
+    listed = linecov.read_list(Path(__file__).parent / "unreached.txt")
+    assert listed
+    for entry in listed:
+        name, line = entry.split(":")
+        assert int(line) in linecov.executable_lines(linecov.PACKAGE / name), entry
+
+
+def test_the_census_refuses_a_listed_line_without_a_kind(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    linecov = importlib.import_module("linecov")
+    (tmp_path / "list.txt").write_text("# comment\n\ncli.py:1 guard: fine\ncli.py:2 because\n")
+    with pytest.raises(SystemExit, match="list.txt:4: cli.py:2 needs a reason"):
+        linecov.read_list(tmp_path / "list.txt")

@@ -144,6 +144,8 @@ GIVE_UPS = {
     "halt_inside": (bytes(16), (1,), {}, "halt_inside"),
     # movi x200, 5
     "bad_opcode": (bytes.fromhex("01c80000000000000500000000000000"), (1,), {}, "bad_opcode"),
+    # an opcode byte no instruction has
+    "undefined_opcode": (bytes([0xEE]) + bytes(15), (1,), {}, "bad_opcode"),
     "unknown_service": (isa.assemble([("movi", 0, 7), ("gadget",)], origin=fixtures.BASE),
                         (1,), {}, "dispatch_fault"),
 }
@@ -178,6 +180,18 @@ def test_an_aborted_call_leaves_the_enclave_serving_calls():
     with pytest.raises(EnclaveFault, match="abort"):
         rt.ecall(handle, 0, 99)
     assert rt.ecall(handle, 0, fixtures.SEL_ECHO, 7) == 7
+
+
+def test_an_outside_call_with_no_handler_ends_the_call_with_a_dispatch_fault():
+    """An outside call whose selector has no handler (``runtime.py:718``)
+    ends the call with a ``dispatch_fault`` that names the selector."""
+    rt, handle = _loaded(fixtures.standard_program())
+    del rt.ocall_handlers[fixtures.OCALL_HOSTADD]
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(handle, 0, fixtures.SEL_OCALL_ROUNDTRIP, 1, 2)
+    assert (exc.value.report.kind, exc.value.report.detail) == (
+        "dispatch_fault", f"no ocall handler {fixtures.OCALL_HOSTADD:#x}")
+    assert not rt.machine.vcpus[0].in_enclave
 
 
 # EEXIT to the async exit gate, with no AEX behind it.
