@@ -33,11 +33,12 @@ MAC_SIZE = 16
 GCM_IV_SIZE = 12
 
 SIGNATURE_MEMO_SIZE = 64
-"""Most entries each signature, parse or measurement memo holds; the oldest
-goes first.  A host builds the same few signed enclaves again and again
-(``sgx_sign`` signs once, at build time), so a few distinct images make up
-nearly every load: the ``enclave_churn`` benchmark loads 8.  A bound keeps a
-long run that builds ever new images from growing the memos."""
+"""Most entries the parse memo, the loader's SIGSTRUCT memo and the verify
+memo each hold; the oldest goes first.  A host builds the same few signed
+enclaves again and again (``sgx_sign`` signs once, at build time), so a few
+distinct images make up nearly every load: the ``enclave_churn`` benchmark
+loads 8.  A bound keeps a long run that builds ever new images from growing
+the memos."""
 
 
 def remember(memo: Dict, key, value, bound: int):
@@ -131,12 +132,12 @@ class DeviceSecrets:
 class CryptoEngine:
     """All measurement, signing, derivation, sealing, and MAC operations.
 
-    Signing and verifying a SIGSTRUCT are pure functions of their inputs
-    (ed25519 signatures are deterministic), so each keeps a bounded memo.
-    The sign memo maps a signer label and body to the signature bytes, never
-    to a mutable :class:`SigStruct`.  The verify memo holds only the exact
-    (public key, signature, body) triples that verified, so a signature that
-    fails always pays the full check.
+    Signing a SIGSTRUCT always signs: the loader signs each image once and
+    keeps the bytes.  Verifying is a pure function of its inputs, which EINIT
+    checks on every load, so it keeps a bounded memo of its own, apart from
+    anything the host keeps.  The memo holds only the exact (public key,
+    signature, body) triples that verified, so a signature that fails always
+    pays the full check.
     """
 
     def __init__(self, secrets: DeviceSecrets):
@@ -146,7 +147,6 @@ class CryptoEngine:
         self._swap_key = secrets.root_mac_key(b"page-swap")[:KEY_SIZE]
         self._swap_cipher = AESGCM(self._swap_key)
         self._kdf_key = secrets.root_mac_key(b"kdf")
-        self._signed: Dict[Tuple[str, bytes], bytes] = {}
         self._verified: Dict[Tuple[bytes, bytes, bytes], bytes] = {}
 
     # -- measurement hashing -------------------------------------------------
@@ -175,12 +175,7 @@ class CryptoEngine:
             public_key=self.secrets.public_bytes(signer_label),
             signature=b"",
         )
-        key = (signer_label, sig.body_bytes())
-        signature = self._signed.get(key)
-        if signature is None:
-            signature = self.secrets.signing_key(signer_label).sign(key[1])
-            remember(self._signed, key, signature, SIGNATURE_MEMO_SIZE)
-        sig.signature = signature
+        sig.signature = self.secrets.signing_key(signer_label).sign(sig.body_bytes())
         return sig
 
     def verify_sigstruct(self, sig: SigStruct) -> Tuple[bool, bytes]:

@@ -6,15 +6,16 @@ handlers, demand-pages swapped content back in, and makes room in a full EPC
 span by evicting pages through the block/track/writeback protocol.
 
 Loading: a manifest is validated when it is made, so the loader checks it
-no further.  A ``test-key`` SIGSTRUCT is signed over the signer-side
-measurement, which is computed once per image, as ``sgx_sign`` signs once
-at build time.  The first load of an image computes it in the walk that
-issues the build leaves; the runtime remembers the digest under every input
-it measured (:func:`_image_key`: the geometry and the frozen specs), for the
-newest :data:`~ccxsim.crypto.SIGNATURE_MEMO_SIZE` images, and a later load
-of the same image issues every leaf but feeds the signer-side hash nothing.
-The memo never reads the machine, so EINIT still compares two independent
-computations.
+no further.  The loader signs a ``test-key`` SIGSTRUCT once per image and
+identity, as ``sgx_sign`` signs once at build time.  The first load computes
+the signer-side measurement in the walk that issues the build leaves, then
+signs it; the runtime remembers the SIGSTRUCT's bytes under every input they
+depend on (:func:`_sigstruct_key`: the geometry, the frozen specs and the
+signed identity), for the newest :data:`~ccxsim.crypto.SIGNATURE_MEMO_SIZE`
+of them.  A later load of the same image issues every leaf but feeds the
+signer-side hash nothing and signs nothing.  The memo never reads the
+machine, so EINIT still compares two independent computations.  Every load,
+``file:`` or not, hands EINIT a SIGSTRUCT parsed from bytes.
 
 Eviction reclaims a batch, as the Linux SGX driver does: one scan of the
 EPCM, in the order pages became valid, takes the oldest ``RECLAIM_BATCH``
@@ -83,7 +84,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
-from .crypto import SIGNATURE_MEMO_SIZE, RunningHash, remember
+from .crypto import SIGNATURE_MEMO_SIZE, remember
 from .errors import AuthenticationFailure, ModelError, SgxError, read_input
 from .execution import LEAF_NUMBERS, MASK64, RunReport, ssa_frame_vaddr
 from .machine import Machine
@@ -178,8 +179,8 @@ class AttestOutcome:
 class EnclaveHandle:
     """What the host keeps of a loaded enclave: its name, id, base address,
     identities and TCS addresses.  It keeps no reference to the manifest;
-    the runtime's measurement memo keeps the page and TCS specs of its
-    newest images, and the parse memo the manifests of the newest texts."""
+    the runtime's SIGSTRUCT memo keeps the page and TCS specs of its newest
+    images, and the parse memo the manifests of the newest texts."""
 
     name: str
     eid: int
@@ -245,12 +246,15 @@ def _build_plan(manifest: EnclaveManifest) -> Iterator[Tuple[int, SecInfo, bytes
         yield spec.vaddr, TCS_SECINFO, spec.build(manifest.nssa).pack(), spec.measured
 
 
-def _image_key(manifest: EnclaveManifest) -> tuple:
-    """Every input of the signer-side measurement: the geometry, then the
-    frozen page and TCS specs, which compare on every field but their line.
-    Each content is held by reference, so the key is as small as the
-    manifest however many pages a run repeats."""
-    return (manifest.size, manifest.ssa_frame_size, manifest.nssa, manifest.pages, manifest.tcs)
+def _sigstruct_key(manifest: EnclaveManifest) -> tuple:
+    """Every input of a test-key SIGSTRUCT: those of the signer-side
+    measurement (the geometry, then the frozen page and TCS specs, which
+    compare on every field but their line), then the identity it signs and
+    the source, which names the signer.  Each content is held by reference,
+    so the key is as small as the manifest however many pages a run repeats."""
+    return (manifest.size, manifest.ssa_frame_size, manifest.nssa, manifest.pages, manifest.tcs,
+            manifest.attributes, manifest.isv_prod_id, manifest.isv_svn,
+            manifest.sigstruct_source)
 
 
 def _page_name(manifest: EnclaveManifest, off: int) -> str:
@@ -287,8 +291,8 @@ class HostRuntime:
         self._free_slots: Deque[Tuple[int, int]] = deque()
         # granules the host took for its own data; no enclave page goes there
         self._host_held: Set[int] = set()
-        # an image's _image_key -> its signer-side measurement, oldest first
-        self._measurements: Dict[tuple, bytes] = {}
+        # an image's _sigstruct_key -> its test-key SIGSTRUCT's bytes, oldest first
+        self._sigstructs: Dict[tuple, bytes] = {}
 
     # ------------------------------------------------------------------ alloc
 
@@ -417,24 +421,6 @@ class HostRuntime:
 
     # ------------------------------------------------------------------ loader
 
-    def _signer_hash(self, manifest: EnclaveManifest) -> RunningHash:
-        """A signer-side measurement holding the creation record; feed it
-        each page's :func:`page_measurement` in build order."""
-        state = self.machine.crypto.hash_init()
-        return state.absorb(ecreate_record(manifest.ssa_frame_size, manifest.size))
-
-    def predict_measurement(self, manifest: EnclaveManifest) -> bytes:
-        """What the build measurement will be; signer-side tooling.  An
-        image measured before, here or by a load, is not measured again."""
-        key = _image_key(manifest)
-        digest = self._measurements.get(key)
-        if digest is None:
-            state = self._signer_hash(manifest)
-            for off, secinfo, page, measured in _build_plan(manifest):
-                state.absorb(page_measurement(off, secinfo, page, measured))
-            digest = remember(self._measurements, key, state.final(), SIGNATURE_MEMO_SIZE)
-        return digest
-
     def load_enclave(self, manifest: EnclaveManifest) -> EnclaveHandle:
         m = self.machine
         base = DEFAULT_ENCLAVE_BASE
@@ -448,15 +434,16 @@ class HostRuntime:
 
         # A test-key SIGSTRUCT is signed over the signer-side measurement,
         # which grows in the same walk that builds the enclave, from the same
-        # page bytes, unless this image was measured before.  A file
-        # SIGSTRUCT was signed elsewhere and needs none.
+        # page bytes, unless this image and identity were signed before.  A
+        # file SIGSTRUCT was signed elsewhere and needs neither.
         source = manifest.sigstruct_source
-        key = digest = signer_hash = None
+        key = blob = signer_hash = None
         if not source.startswith("file:"):
-            key = _image_key(manifest)
-            digest = self._measurements.get(key)
-            if digest is None:
-                signer_hash = self._signer_hash(manifest)
+            key = _sigstruct_key(manifest)
+            blob = self._sigstructs.get(key)
+            if blob is None:
+                signer_hash = m.crypto.hash_init().absorb(
+                    ecreate_record(manifest.ssa_frame_size, manifest.size))
         try:
             for off, secinfo, page, measured in _build_plan(manifest):
                 vaddr = base + off
@@ -471,20 +458,17 @@ class HostRuntime:
 
             step = "sigstruct"
             if key is None:  # validation admits a file source only with a directory
-                sig = SigStruct.from_bytes(read_input(
-                    manifest.base_dir / source[5:], f"sigstruct file {source[5:]!r}", binary=True
-                ))
-            else:  # test-key[:<label>], the one other form validate() admits
-                if digest is None:
-                    digest = remember(self._measurements, key, signer_hash.final(),
-                                      SIGNATURE_MEMO_SIZE)
-                sig = m.crypto.sign_sigstruct(
-                    digest,
+                blob = read_input(manifest.base_dir / source[5:],
+                                  f"sigstruct file {source[5:]!r}", binary=True)
+            elif blob is None:  # test-key[:<label>], the one other form validate() admits
+                blob = remember(self._sigstructs, key, m.crypto.sign_sigstruct(
+                    signer_hash.final(),
                     manifest.attributes.signed_view(),
                     manifest.isv_prod_id,
                     manifest.isv_svn,
                     source.partition(":")[2] or "default",
-                )
+                ).to_bytes(), SIGNATURE_MEMO_SIZE)
+            sig = SigStruct.from_bytes(blob)
 
             step = "einit"
             encls(EINIT_LEAF, eid, sig)

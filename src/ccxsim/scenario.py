@@ -202,7 +202,9 @@ class ScenarioRunner:
         parts = line.split()
         record = {"line": line_no, "cmd": parts[0], "text": line}
         try:
-            if parts[0] == "try" and len(parts) > 1:
+            if parts[0] == "try":
+                if len(parts) == 1:
+                    raise ScenarioError(line_no, "try needs a command")
                 del parts[0]
             cmd, args = parts[0], parts[1:]
             if cmd not in _COMMANDS:

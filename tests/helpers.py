@@ -98,8 +98,9 @@ def check_paging_records(rt) -> None:
 
 def fold_trace(records: List[dict]) -> dict:
     """The run summary's fields that its trace records add up to: the leaf
-    records counted, and their costs summed, per leaf; the ``evict`` records;
-    and the ``eldu`` records that succeeded."""
+    records counted, and their costs summed, per leaf; and the ``ewb`` and
+    the ``eldu`` records that succeeded, a reclaim's and an explicit swap's
+    alike."""
     counters = dict.fromkeys(ALL_LEAF_NAMES, 0)
     cost_tally = dict.fromkeys(ALL_LEAF_NAMES, 0)
     for record in records:
@@ -110,7 +111,7 @@ def fold_trace(records: List[dict]) -> dict:
     return {
         "counters": counters,
         "cost_tally": cost_tally,
-        "swap_out_events": sum(r["kind"] == "evict" for r in records),
+        "swap_out_events": sum(r["kind"] == "ewb" and r["outcome"] == "ok" for r in records),
         "swap_in_events": sum(r["kind"] == "eldu" and r["outcome"] == "ok" for r in records),
     }
 

@@ -329,6 +329,10 @@ BAD_CONFIGS = [
     ({"epc_size": 0}, "epc_size"),
     ({"epc_base": 1}, "epc_base"),
     ({"granule_count": 1024, "epc_base": 1000, "epc_size": 32}, "epc_size"),
+    ({"max_ecall_steps": 0}, "max_ecall_steps"),
+    ({"max_ecall_steps": 2.5}, "max_ecall_steps"),
+    ({"max_ecall_steps": "10"}, "max_ecall_steps"),
+    ({"mode": "tdx"}, "mode"),
 ]
 
 

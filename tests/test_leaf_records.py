@@ -25,17 +25,20 @@ LEAF_KINDS = {name.lower(): name for name in ALL_LEAF_NAMES}
 def demo_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("demo")
     fixtures.write_demo_tree(d)
+    # a page swapped out by hand, which no evict record names, then paged in
+    (d / "swap_out.scenario").write_text(
+        "create a standard.manifest\nswap_out a 0x4000\necall a 0 4 0x200004000 0\n")
     return d
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 @pytest.mark.parametrize("demo", ["lifecycle", "mode_diff", "attest", "seal_unseal",
-                                  "interrupts"])
+                                  "interrupts", "swap_out"])
 def test_demo_trace_holds_one_leaf_record_per_counter_increment(demo_dir, tmp_path, capsys,
                                                                 demo, mode):
     """The trace folds to the summary: leaf records by kind to ``counters``,
-    their costs to ``cost_tally``, and evictions and successful ELDUs to the
-    swap events."""
+    their costs to ``cost_tally``, and successful EWBs and ELDUs to the swap
+    events, a hand-made swap-out's too."""
     trace = tmp_path / "trace.jsonl"
     rc = cli.main(["run", str(demo_dir / f"{demo}.scenario"), "--mode", mode, "--json",
                    "--trace", str(trace)])

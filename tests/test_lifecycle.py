@@ -306,25 +306,26 @@ def test_einit_rejects_flipped_signature(machine):
 
 
 def test_einit_refuses_a_forged_sigstruct_after_a_good_load_of_the_same_manifest(
-    runtime, tmp_path, monkeypatch
+    runtime, tmp_path
 ):
-    """The good load leaves its signature in both memos; a forged copy of it
-    still fails EINIT, and the good one is signed again untouched."""
-    manifest = EnclaveManifest.load(fixtures.write_compute_manifest(tmp_path))
+    """The good load leaves its SIGSTRUCT in the loader's memo and its
+    signature in the verify memo; a file SIGSTRUCT that holds the good
+    signature with one bit flipped still fails EINIT, and the good image
+    then loads again."""
+    path = fixtures.write_compute_manifest(tmp_path)
+    manifest = EnclaveManifest.load(path)
     good = runtime.load_enclave(manifest)
-    crypto = runtime.machine.crypto
-    sign = crypto.sign_sigstruct
-
-    def forged(*args):
-        sig = sign(*args)
-        sig.signature = bytes([sig.signature[0] ^ 1]) + sig.signature[1:]
-        return sig
-
-    monkeypatch.setattr(crypto, "sign_sigstruct", forged)
+    sig = runtime.machine.crypto.sign_sigstruct(
+        good.mrenclave, manifest.attributes.signed_view(), manifest.isv_prod_id,
+        manifest.isv_svn, manifest.sigstruct_source.partition(":")[2] or "default")
+    assert list(runtime._sigstructs.values()) == [sig.to_bytes()]
+    sig.signature = bytes([sig.signature[0] ^ 1]) + sig.signature[1:]
+    (tmp_path / "forged.sig").write_bytes(sig.to_bytes())
+    forged = tmp_path / "forged.manifest"
+    forged.write_text(path.read_text().replace(manifest.sigstruct_source, "file:forged.sig"))
     with pytest.raises(LoadError) as exc:
-        runtime.load_enclave(manifest)
+        runtime.load_enclave(EnclaveManifest.load(forged))
     assert exc.value.step == "einit" and exc.value.cause.code == E.SIG_INVALID
-    monkeypatch.undo()
     again = runtime.load_enclave(manifest)
     assert (again.mrenclave, again.mrsigner) == (good.mrenclave, good.mrsigner)
 

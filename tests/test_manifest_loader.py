@@ -592,7 +592,6 @@ def test_signed_hash_of_partly_measured_manifest_matches_oracle(mode, monkeypatc
     monkeypatch.setattr(rt.machine.crypto, "sign_sigstruct", recording_sign)
     handle = rt.load_enclave(manifest)
     assert signed == [reference_measurement(manifest)]
-    assert signed == [rt.predict_measurement(manifest)]
     assert handle.mrenclave == signed[0]
 
 
@@ -619,7 +618,7 @@ def test_loaded_enclave_keeps_no_reference_to_its_manifest(runtime):
 def test_sigstruct_from_file(runtime, tmp_path):
     manifest = EnclaveManifest.parse(minimal_text())
     sig = runtime.machine.crypto.sign_sigstruct(
-        runtime.predict_measurement(manifest),
+        reference_measurement(manifest),
         manifest.attributes.signed_view(),
         manifest.isv_prod_id,
         manifest.isv_svn,
@@ -672,26 +671,49 @@ def _signing_loads(rt, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
-def test_a_second_load_of_an_image_signs_the_same_digest_and_measures_nothing(mode, monkeypatch):
-    """The signer-side measurement is computed once per image: a second
-    load, from a text whose every line a comment moves down one, feeds it
-    no page, yet issues and counts every build leaf the first did and signs
-    the same digest, which EINIT checks against the machine's own
-    measurement.  A spec's line is no input of the image."""
+def test_a_second_load_of_an_image_measures_and_signs_nothing(mode, monkeypatch):
+    """A test-key image is signed once: a second load, from a text whose
+    every line a comment moves down one, feeds the signer-side measurement
+    no page and signs nothing, yet issues and counts every build leaf the
+    first did, and EINIT checks the remembered SIGSTRUCT against the
+    machine's own measurement.  A spec's line is no input of the image."""
     rt = HostRuntime(Machine(small_config(mode=mode)))
     signed, fed = _signing_loads(rt, monkeypatch)
-    leaves, feeds = [], []
+    leaves, feeds, handles = [], [], []
     for text in (minimal_text(), "# moved\n" + minimal_text()):
         before = dict(rt.machine.counters)
-        handle = rt.load_enclave(EnclaveManifest.parse(text))
-        assert rt.machine.enclaves[handle.eid].initialized
+        handles.append(rt.load_enclave(EnclaveManifest.parse(text)))
+        assert rt.machine.enclaves[handles[-1].eid].initialized
         leaves.append({name: n - before.get(name, 0) for name, n in rt.machine.counters.items()
                        if n != before.get(name, 0)})
         feeds.append(list(fed))
         fed.clear()
     assert feeds == [[0x0, 0x1000, 0x2000, 0x3000, 0x4000], []]
-    assert signed == [reference_measurement(EnclaveManifest.parse(minimal_text()))] * 2
+    assert signed == [reference_measurement(EnclaveManifest.parse(minimal_text()))]
     assert leaves[0] == leaves[1] == {"ECREATE": 1, "EADD": 5, "EEXTEND": 80, "EINIT": 1}
+    assert {(h.mrenclave, h.mrsigner) for h in handles} == {(signed[0], handles[0].mrsigner)}
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("change", [
+    lambda m: replace(m, isv_svn=3),
+    lambda m: replace(m, isv_prod_id=9),
+    lambda m: replace(m, attributes=m.attributes._replace(provision_key=True)),
+    lambda m: replace(m, sigstruct_source="test-key:vendor-b"),
+], ids=["isv_svn", "isv_prod_id", "attributes", "signer"])
+def test_a_change_to_the_signed_identity_misses_the_sigstruct_memo(mode, change, monkeypatch):
+    """The same image under another identity is signed afresh, over the same
+    measurement, and the enclave takes the identity its manifest names."""
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    first = rt.load_enclave(EnclaveManifest.parse(minimal_text()))
+    signed, fed = _signing_loads(rt, monkeypatch)
+    manifest = change(EnclaveManifest.parse(minimal_text()))
+    handle = rt.load_enclave(manifest)
+    secs = rt.machine.enclaves[handle.eid]
+    assert signed == [first.mrenclave] == [handle.mrenclave] and len(fed) == 5
+    assert (secs.isv_svn, secs.isv_prod_id) == (manifest.isv_svn, manifest.isv_prod_id)
+    assert secs.attributes.signed_view() == manifest.attributes.signed_view()
+    assert (handle.mrsigner == first.mrsigner) == (manifest.sigstruct_source == "test-key")
 
 
 # The memo test's image: one save-state frame per thread in two pages, so
@@ -751,10 +773,10 @@ def test_a_content_file_changed_between_two_parses_misses_the_memo(mode, tmp_pat
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
-def test_the_measurement_memo_stays_at_its_bound(mode):
+def test_the_sigstruct_memo_stays_at_its_bound(mode, monkeypatch):
     """Loads of ever new images keep at most ``SIGNATURE_MEMO_SIZE``
-    measurements, the oldest out first, and an image the memo dropped still
-    measures and loads as before."""
+    SIGSTRUCTs, the oldest out first, and an image the memo dropped is
+    measured and signed again and loads as before."""
     rt = HostRuntime(Machine(small_config(mode=mode)))
     manifests = []
     for i in range(SIGNATURE_MEMO_SIZE + 20):
@@ -763,23 +785,13 @@ def test_the_measurement_memo_stays_at_its_bound(mode):
         manifest = _replaced(manifest, "pages", 1, content=content)
         manifests.append(manifest)
         rt.destroy(rt.load_enclave(manifest))
-        assert len(rt._measurements) == min(i + 1, SIGNATURE_MEMO_SIZE)
-    assert rt.predict_measurement(manifests[0]) == reference_measurement(manifests[0])
-    assert len(rt._measurements) == SIGNATURE_MEMO_SIZE
+        assert len(rt._sigstructs) == min(i + 1, SIGNATURE_MEMO_SIZE)
+    signed, _ = _signing_loads(rt, monkeypatch)
+    rt.destroy(rt.load_enclave(manifests[-1]))
+    assert signed == []
     assert rt.load_enclave(manifests[0]).mrenclave == reference_measurement(manifests[0])
-
-
-def test_predicting_a_measurement_serves_the_next_load(runtime, monkeypatch):
-    """``predict_measurement`` and the loader share the memo both ways."""
-    manifest = EnclaveManifest.parse(minimal_text())
-    predicted = runtime.predict_measurement(manifest)
-    signed, fed = _signing_loads(runtime, monkeypatch)
-    runtime.load_enclave(EnclaveManifest.parse(minimal_text()))
-    assert fed == [] and signed == [predicted] == [reference_measurement(manifest)]
-    other = EnclaveManifest.parse(MEMO_IMAGE)
-    runtime.load_enclave(other)
-    fed.clear()
-    assert runtime.predict_measurement(other) == reference_measurement(other) and fed == []
+    assert signed == [reference_measurement(manifests[0])]
+    assert len(rt._sigstructs) == SIGNATURE_MEMO_SIZE
 
 
 def failed_load(runtime, manifest) -> LoadError:

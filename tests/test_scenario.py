@@ -123,7 +123,7 @@ def test_a_refused_try_line_is_recorded_and_the_run_goes_on(demo_dir):
 @pytest.mark.parametrize("line, message", [
     ("try frobnicate", "unknown command 'frobnicate'"),
     ("try ecall a", "ecall takes 3 to 5 arguments, got 1"),
-    ("try", "unknown command 'try'"),
+    ("try", "try needs a command"),
     ("try try ecall a 0 1", "unknown command 'try'"),
 ])
 def test_try_hides_no_authoring_error(line, message, demo_dir):
