@@ -66,25 +66,6 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _report(config: Config, iterations: int, machine: Machine, start: float) -> BenchReport:
-    """Per-leaf counts and costs of everything `machine` ran since `start`."""
-    tally = machine.cost_tally
-    per_leaf = {
-        name: {
-            "count": machine.counters[name],
-            "cost_total": tally[name],
-            "cost_per_op": machine.leaf_cost[name],
-        }
-        for name in ALL_LEAF_NAMES
-    }
-    return BenchReport(
-        config=config.to_dict(),
-        iterations=iterations,
-        per_leaf=per_leaf,
-        wall_seconds=time.monotonic() - start,
-    )
-
-
 def _bench_dynamics(m: Machine, rt: HostRuntime, handle, iterations: int) -> None:
     """EAUG/EACCEPT/EMODPE/EMODPR/EMODT/EACCEPTCOPY/EREMOVE cycles."""
     base = handle.base
@@ -205,15 +186,8 @@ def run_leaf_bench(config: Config, iterations: int = 100) -> BenchReport:
         count = machine.counters[name]
         if count < iterations:
             raise ModelError(f"bench under-exercised {name}: {count} < {iterations}")
-    return _report(config, iterations, machine, start)
+    tally = machine.cost_tally
+    per_leaf = {name: {"count": machine.counters[name], "cost_total": tally[name],
+                       "cost_per_op": machine.leaf_cost[name]} for name in ALL_LEAF_NAMES}
+    return BenchReport(config.to_dict(), iterations, per_leaf, time.monotonic() - start)
 
-
-def run_scenario_bench(config: Config, scenario_path, mode_override=None):
-    """Scenario-shaped bench: run a script, report counts and costs."""
-    from .scenario import run_scenario
-
-    start = time.monotonic()
-    result = run_scenario(scenario_path, config=config, mode_override=mode_override)
-    if not result.ok:
-        raise ModelError(f"bench scenario failed: {result.summary.get('failure')}")
-    return _report(config, 1, result.machine, start)

@@ -2,7 +2,8 @@
 
 Subcommands:
     run      execute a scenario script, report results
-    bench    leaf microbenchmarks or a scenario-shaped bench
+    compare  run a scenario in both modes, under scenario.MODE_DIFFERENCES
+    bench    leaf microbenchmarks
     inspect  report over a machine-state snapshot produced by run --snapshot
     attest   load two enclaves and run mutual local attestation
 
@@ -20,11 +21,11 @@ import sys
 from pathlib import Path
 
 from .config import Config
-from .errors import ModelError, read_input
+from .errors import ModelError, json_object, read_input
 from .machine import Machine
 from .manifest import EnclaveManifest, ManifestError
 from .runtime import HostRuntime, LoadError
-from .scenario import ScenarioRunner
+from .scenario import ScenarioRunner, compare_modes
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -92,14 +93,20 @@ def cmd_run(args) -> int:
     return EXIT_OK if result.ok else EXIT_FAILED
 
 
-def cmd_bench(args) -> int:
-    from .bench import run_leaf_bench, run_scenario_bench
+def cmd_compare(args) -> int:
+    path = Path(args.scenario)
+    differences = compare_modes(read_input(path, f"scenario {path}"), _load_config(args),
+                                path.parent)
+    print(differences[0] if differences else f"{path}: sgx and ccx agree")
+    return EXIT_FAILED if differences else EXIT_OK
 
-    config = _load_config(args)
-    if args.suite == "leaves":
-        report = run_leaf_bench(config, iterations=args.iterations)
-    else:
-        report = run_scenario_bench(config, args.suite, mode_override=args.mode)
+
+def cmd_bench(args) -> int:
+    from .bench import run_leaf_bench
+
+    if args.suite != "leaves":
+        raise ModelError(f"unknown bench suite {args.suite!r}: the suite is 'leaves'")
+    report = run_leaf_bench(_load_config(args), iterations=args.iterations)
     if args.json:
         sys.stdout.write(report.to_json() + "\n")
     else:
@@ -164,12 +171,8 @@ def _redact(snapshot: dict, show_debug_content: bool) -> dict:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        snapshot = json.loads(read_input(args.snapshot, f"snapshot {args.snapshot}"))
-    except ValueError:
-        snapshot = None
-    if not isinstance(snapshot, dict):
-        raise ModelError(f"snapshot {args.snapshot} is not a JSON object")
+    what = f"snapshot {args.snapshot}"
+    snapshot = json_object(read_input(args.snapshot, what), what)
     _check_snapshot(snapshot, args.snapshot)
     filtered = _redact(snapshot, args.debug_enclave)
     if args.json:
@@ -268,12 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--snapshot", help="write a machine state snapshot to this path")
     p_run.set_defaults(fn=cmd_run)
 
+    p_compare = sub.add_parser("compare", help="run a scenario in both modes and compare")
+    p_compare.add_argument("scenario")
+    p_compare.add_argument("--config", help="config file (default: $CCX_SIM_CONFIG)")
+    p_compare.set_defaults(fn=cmd_compare)
+
     p_bench = sub.add_parser("bench", help="run benchmarks")
     common(p_bench)
-    p_bench.add_argument(
-        "suite", nargs="?", default="leaves",
-        help="'leaves' for per-leaf microbenchmarks, or a scenario path",
-    )
+    p_bench.add_argument("suite", nargs="?", default="leaves",
+                         help="'leaves' for per-leaf microbenchmarks")
     p_bench.add_argument("--iterations", type=_positive_int, default=100)
     p_bench.set_defaults(fn=cmd_bench)
 

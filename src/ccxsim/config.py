@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional, Tuple
 
-from .errors import ModelError, read_input
+from .errors import ModelError, json_object, read_input
 from .memory import RESERVED_GRANULES
 
 # Abstract cost units per primitive a leaf pays on top of its base cost.
@@ -122,8 +122,6 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        if not isinstance(data, dict):
-            raise ModelError(f"a config is a JSON object, not {type(data).__name__}")
         cfg = cls()
         known = set(cfg.__dataclass_fields__)
         for key, value in data.items():
@@ -141,11 +139,7 @@ class Config:
 
     @classmethod
     def from_json(cls, text: str) -> "Config":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ModelError(f"config is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(json_object(text, "config"))
 
     @classmethod
     def load(cls, path: Optional[str]) -> "Config":

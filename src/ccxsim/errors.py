@@ -13,6 +13,7 @@ Three families are deliberately kept apart:
 from __future__ import annotations
 
 import enum
+import json
 from pathlib import Path
 
 
@@ -123,3 +124,24 @@ def read_input(path, what: str, binary: bool = False):
     except UnicodeDecodeError:
         reason = "not UTF-8 text"
     raise ModelError(f"cannot read {what}: {reason}")
+
+
+def json_object(text: str, what: str) -> dict:
+    """``text`` parsed as one JSON object: anything else, or a key given twice
+    in an object (not taken at its last value), is a ModelError naming `what`."""
+
+    def unique_keys(pairs) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ModelError(f"{what}: JSON key {key!r} given twice")
+            obj[key] = value
+        return obj
+
+    try:
+        data = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:
+        raise ModelError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ModelError(f"{what} is not a JSON object")
+    return data

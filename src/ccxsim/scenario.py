@@ -42,7 +42,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .config import Config
 from .errors import ModelError, SgxError, read_input
@@ -168,9 +168,7 @@ class ScenarioRunner:
             if record is None:
                 continue
             events.append(record)
-            # a refusal ends the run, but for a try line: its record names
-            # its inner command, unless that is unknown or miscounted
-            if not record["ok"] and record["cmd"] == record["text"].split()[0]:
+            if _ends_run(record):
                 failure = record
                 break
         ok = failure is None
@@ -349,6 +347,81 @@ _COMMANDS = {
     "unseal": (1, 1, ScenarioRunner._unseal),
     "expect": (3, 3, ScenarioRunner._expect),
 }
+
+
+def _ends_run(record: dict) -> bool:
+    """A refusal ends a run, but a try line's, whose record names its inner command."""
+    return not record["ok"] and record["cmd"] == record["text"].split()[0]
+
+
+class ModeDifference(NamedTuple):
+    """A difference of a line's sgx and ccx outcomes that the contract admits:
+    in each field for which ``admits(field, records, enclaves)`` holds, given
+    the two records and the SECS of each enclave the line names."""
+    admits: Callable[[str, List[dict], list], bool]
+    reason: str
+
+
+_PAGING_FIELDS = frozenset({"swap_out_events", "swap_in_events"} | {
+    f"{table}.{leaf}" for table in ("counters", "cost_tally")
+    for leaf in ("EBLOCK", "ELDU", "EPA", "ERESUME", "ETRACK", "EWB")})
+# How a refused record's error begins, unless it is a ModelError's.
+_TYPED_ERRORS = ("scenario line ", "SgxError: ", "LoadError: ", "EnclaveFault: ")
+
+MODE_DIFFERENCES = (
+    ModeDifference(
+        lambda field, records, enclaves: field in _PAGING_FIELDS,
+        "sgx pages its fixed EPC: EPA makes version arrays, EBLOCK, ETRACK and EWB write"
+        " a page back, ELDU loads it again, and ERESUME resumes a thread that faulted on it"),
+    ModeDifference(
+        lambda field, records, enclaves: records[0]["cmd"] in ("swap_out", "swap_in") and any(
+            not r["ok"] and not r["error"].startswith(_TYPED_ERRORS) for r in records),
+        "a swap refused with a ModelError names its mode's paging state: sgx may already"
+        " have written the page back, or loaded it again"),
+    ModeDifference(
+        lambda field, records, enclaves: any(s.attributes.aexnotify_allowed for s in enclaves),
+        "a line on an AEX-Notify enclave: the notify fixture's handler runs EDECCSSA before"
+        " it reads frame 0, so a nested exit, which only sgx paging makes, can overwrite"
+        " frame 0 and change the call (ROADMAP item 14's open defect)"),
+)
+
+
+def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
+                  table=MODE_DIFFERENCES) -> List[str]:
+    """Run scenario ``text`` line by line in sgx and in ccx mode, in lockstep,
+    and return each difference that no row of ``table`` admits, in a line's
+    record or in a count the line added, as ``scenario line N: <field>: sgx
+    <value>, ccx <value>``.  Both runs stop where ``run_text`` would stop
+    either.  ``after_line(runners, records)`` is called after each line."""
+    runners = [ScenarioRunner(config, base_dir, mode_override=mode) for mode in ("sgx", "ccx")]
+
+    def counts(runner) -> Dict[str, int]:  # the per-leaf tables flattened: counters.EWB
+        counts = runner.counts()
+        return {**{f"{name}.{leaf}": n for name in ("counters", "cost_tally")
+                   for leaf, n in counts.pop(name).items()}, **counts}
+
+    before = [counts(runner) for runner in runners]
+    differences: List[str] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        sgx = runners[0]
+        enclaves = [secs for token in raw.split("#", 1)[0].split() if token in sgx.handles
+                    and (secs := sgx.machine.enclaves.get(sgx.handles[token].eid))]
+        records = [runner.run_line(raw, line_no) for runner in runners]
+        if records[0] is None:
+            continue
+        if after_line is not None:
+            after_line(runners, records)
+        after = [counts(runner) for runner in runners]
+        outcomes = [{**record, **{key: n - old.get(key, 0) for key, n in new.items()}}
+                    for record, old, new in zip(records, before, after)]
+        for field in sorted(outcomes[0].keys() | outcomes[1].keys()):
+            a, b = (outcome.get(field) for outcome in outcomes)
+            if a != b and not any(row.admits(field, records, enclaves) for row in table):
+                differences.append(f"scenario line {line_no}: {field}: sgx {a!r}, ccx {b!r}")
+        if any(map(_ends_run, records)):
+            break
+        before = after
+    return differences
 
 
 def run_scenario(

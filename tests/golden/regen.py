@@ -39,7 +39,6 @@ LEAF_COST_GRANULES = (2048, 4096, 8192)
 CASES = (
     [f"run:{demo}:{mode}" for demo in DEMOS for mode in MODES]
     + [f"bench:{mode}:{name}" for mode in MODES for name in CONFIGS]
-    + [f"scenario_bench:{demo}:{mode}" for demo in DEMOS for mode in MODES]
     + ["attest", "leaf_costs"]
 )
 
@@ -73,12 +72,6 @@ def case_outputs(case: str, tmp: Path) -> Dict[str, str]:
         mode, name = rest
         outputs["bench_json"] = _cli(
             "bench", "--config", tmp / f"{name}.json", "--mode", mode, "--json"
-        )
-    elif kind == "scenario_bench":
-        demo, mode = rest
-        outputs["bench_json"] = _cli(
-            "bench", tmp / f"{demo}.scenario", "--config", tmp / "default.json",
-            "--mode", mode, "--json",
         )
     elif kind == "attest":
         outputs["attest_json"] = _cli(

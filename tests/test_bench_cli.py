@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from ccxsim import cli, fixtures
-from ccxsim.bench import run_leaf_bench, run_scenario_bench
+from ccxsim.bench import run_leaf_bench
 from ccxsim.config import MAX_GRANULE_COUNT, Config
 from ccxsim.errors import ModelError
 from ccxsim.machine import Machine
@@ -57,12 +57,16 @@ def test_every_leaf_exercised_at_least_n_times():
         assert row["count"] >= n, name
 
 
-def test_scenario_bench_in_ccx_mode_reports_zero_writebacks(demo_dir):
-    cfg = Config(granule_count=2048, mode="ccx", crypto_seed=5)
-    report = run_scenario_bench(cfg, demo_dir / "lifecycle.scenario")
-    assert report.per_leaf["EWB"]["count"] == 0
-    assert report.per_leaf["ELDU"]["count"] == 0
-    assert report.per_leaf["EENTER"]["count"] >= 1
+def test_scenario_bench_in_ccx_mode_reports_zero_writebacks(demo_dir, tmp_path, capsys):
+    """A ccx run of the lifecycle demo enters its enclave and writes no page
+    back, read from the counters of its ``run --json`` summary."""
+    cfg = tmp_path / "ccx.json"
+    cfg.write_text(Config(granule_count=2048, mode="ccx", crypto_seed=5).to_json())
+    assert cli.main(["run", str(demo_dir / "lifecycle.scenario"), "--config", str(cfg),
+                     "--json"]) == cli.EXIT_OK
+    counters = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["counters"]
+    assert counters["EWB"] == counters["ELDU"] == 0
+    assert counters["EENTER"] >= 1
 
 
 @pytest.mark.parametrize("iterations", [0, -1])

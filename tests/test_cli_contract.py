@@ -1,0 +1,254 @@
+"""The command-line contract: exit statuses, messages and the cross-mode rule.
+
+Every check calls ``cli.main`` in-process, so an exception that escapes it,
+which the installed script would print as a traceback, fails the test.  Exit
+status 0 means success, 1 a failed run or a difference between the modes,
+and 2 an input the front end cannot read.
+"""
+
+import json
+import random
+
+import pytest
+
+from ccxsim import cli, fixtures
+from ccxsim.config import Config
+from ccxsim.errors import ModelError
+from ccxsim.scenario import MODE_DIFFERENCES, compare_modes
+
+from helpers import small_config
+from test_differential import _config as differential_config, _draw
+
+DEMOS = ("lifecycle", "mode_diff", "attest", "seal_unseal", "interrupts")
+PAGING_LEAVES = ("EBLOCK", "ELDU", "EPA", "ERESUME", "ETRACK", "EWB")
+# A call that touches 24 pages, and then asks that nothing was written back:
+# with a 16-granule EPC that holds in ccx mode only.
+PAGING_PROBE = "create t toucher.manifest\necall t 0 1 24 0\nexpect swap_out_events == 0\n"
+
+
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("contract")
+    fixtures.write_demo_tree(directory)
+    return directory
+
+
+@pytest.fixture(autouse=True)
+def default_config(monkeypatch):
+    monkeypatch.delenv("CCX_SIM_CONFIG", raising=False)
+
+
+def _main(capsys, *argv):
+    """``ccxsim argv``'s exit status, stdout and stderr."""
+    status = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def _write(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return path
+
+
+# ---------------------------------------------------------------------------
+# ccxsim compare and MODE_DIFFERENCES
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_compare_finds_each_demo_equal_across_modes(demo, demo_dir, capsys):
+    """With the default config, and but for mode_diff with no row at all: the
+    other demos page in neither mode, so their runs are equal field by field."""
+    scenario = demo_dir / f"{demo}.scenario"
+    status, out, _ = _main(capsys, "compare", scenario)
+    assert (status, out) == (cli.EXIT_OK, f"{scenario}: sgx and ccx agree\n")
+    if demo != "mode_diff":
+        assert compare_modes(scenario.read_text(), Config(), demo_dir, table=()) == []
+
+
+def test_mode_diff_pages_in_sgx_and_runs_no_paging_leaf_in_ccx(demo_dir, capsys):
+    """The one-sided half of mode_diff's contract, which no row states: an
+    explicit swap_out pages in ccx too, but mode_diff has none."""
+    counters = {}
+    for mode in ("sgx", "ccx"):
+        status, out, _ = _main(capsys, "run", demo_dir / "mode_diff.scenario", "--mode", mode,
+                               "--json")
+        assert status == cli.EXIT_OK
+        counters[mode] = json.loads(out.splitlines()[-1])["summary"]["counters"]
+    assert all(counters["sgx"][leaf] > 0 for leaf in PAGING_LEAVES)
+    assert all(counters["ccx"][leaf] == 0 for leaf in PAGING_LEAVES)
+
+
+def test_compare_exits_1_with_the_first_difference_naming_its_line(demo_dir, tmp_path, capsys):
+    scenario = _write(demo_dir, "paging_probe.scenario", PAGING_PROBE)
+    config = _write(tmp_path, "tiny.json", small_config(epc_size=16).to_json())
+    status, out, err = _main(capsys, "compare", scenario, "--config", config)
+    assert status == cli.EXIT_FAILED and not err
+    assert out.startswith("scenario line 3: error: sgx 'scenario line 3: expectation failed:"
+                          " swap_out_events is ")
+    assert out.endswith(", wanted == 0', ccx None\n")
+    assert compare_modes(PAGING_PROBE.replace("24", "8"), small_config(epc_size=16), demo_dir) == []
+
+
+@pytest.mark.parametrize("kind", ["scenario-directory", "config-not-json", "config-key-twice"])
+def test_compare_of_an_unreadable_input_exits_2(kind, demo_dir, tmp_path, capsys):
+    argv = ["compare", demo_dir / "lifecycle.scenario"]
+    if kind == "scenario-directory":
+        argv[1] = tmp_path
+    else:
+        text = "{" if kind == "config-not-json" else '{"mode": "sgx", "mode": "ccx"}'
+        argv += ["--config", _write(tmp_path, "config.json", text)]
+    status, out, err = _main(capsys, *argv)
+    assert (status, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ")
+
+
+def _differential(seed):
+    return "\n".join(_draw(random.Random(seed))), differential_config(seed)
+
+
+# Each row and one case in which it admits a difference no other row does.
+WITNESSES = {
+    0: lambda demo_dir: ((demo_dir / "mode_diff.scenario").read_text(), Config()),
+    1: lambda demo_dir: _differential(30),
+    2: lambda demo_dir: _differential(9),
+}
+
+
+def test_every_row_has_a_witness():
+    assert sorted(WITNESSES) == list(range(len(MODE_DIFFERENCES)))
+
+
+@pytest.mark.parametrize("row", sorted(WITNESSES))
+def test_each_row_of_mode_differences_is_needed(row, demo_dir):
+    text, config = WITNESSES[row](demo_dir)
+    assert compare_modes(text, config, demo_dir) == []
+    without = MODE_DIFFERENCES[:row] + MODE_DIFFERENCES[row + 1:]
+    assert compare_modes(text, config, demo_dir, table=without)
+
+
+# ---------------------------------------------------------------------------
+# try lines
+
+
+TRY_SCENARIO = ("create a standard.manifest\ninject_irq vcpu=0 at=1\ntry ecall ghost 0 1\n"
+                "try swap_in a 0x4000\necall a 0 1 5 6\nexpect count:ERESUME == 0\n")
+
+
+def test_refused_try_lines_are_equal_in_both_modes_and_read_as_refused(demo_dir, capsys):
+    """An ecall of an absent enclave still takes the pending interrupt, and a
+    swap_in of a resident page is refused: both are recorded and passed
+    over, with no difference at all between the modes, and the run passes."""
+    assert compare_modes(TRY_SCENARIO, Config(), demo_dir, table=()) == []
+    status, out, _ = _main(capsys, "run", _write(demo_dir, "try.scenario", TRY_SCENARIO))
+    assert status == cli.EXIT_OK
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["[ok]", "[ok]", "[refused]", "[refused]",
+                                                   "[ok]", "[ok]", "PASS:"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("try frobnicate\n", "scenario line 1: unknown command 'frobnicate'"),
+    ("try\n", "scenario line 1: try needs a command"),
+])
+def test_a_try_line_hides_no_authoring_error(text, message, tmp_path, capsys):
+    status, out, _ = _main(capsys, "run", _write(tmp_path, "try.scenario", text))
+    assert status == cli.EXIT_FAILED
+    assert message in out
+
+
+# ---------------------------------------------------------------------------
+# A refused manifest or enclave program fails its scenario line: exit 1
+
+
+# name -> (manifest lines, what the output names)
+BAD_MANIFESTS = {
+    "wide": ("name wide\nsize 0x4000000000000000\n", "manifest line 2: size 0x4000000000000000"),
+    # movi x200, 5 at the entry point, then the two save-state pages and the TCS
+    "badreg": ("name badreg\nsize 0x10000\n"
+               "page vaddr=0 perms=rx content=hex:01c80000000000000500000000000000\n"
+               "page vaddr=0x1000 perms=rw\npage vaddr=0x2000 perms=rw\n"
+               "tcs vaddr=0x3000 oentry=0 ossa=0x1000\n", "'kind': 'bad_opcode'"),
+    "measured": ("name measured\npage vaddr=0 perms=rw measured=Yes\n",
+                 "manifest line 2: measured=Yes must be yes or no"),
+    "sigbogus": ("name sigbogus\nsigstruct bogus\n",
+                 "manifest line 2: unknown sigstruct source 'bogus'"),
+    "novaddr": ("name novaddr\npage perms=rw\n", "manifest line 2: missing required field vaddr="),
+    "nosize": ("name x\nsize\n", "manifest line 2: size needs a number"),
+    "tlsout": ("name tlsout\nsize 0x10000\npage vaddr=0 perms=rx\n"
+               "page vaddr=0x1000 perms=rw count=2\n"
+               "tcs vaddr=0x3000 oentry=0 ossa=0x1000 tls=0x10000\n",
+               "manifest line 5: tcs TLS base outside enclave"),
+    "permstwice": ("name permstwice\npage vaddr=0 perms=r perms=rwx content=zero\n",
+                   "manifest line 2: perms= given twice"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MANIFESTS))
+def test_a_refused_manifest_or_program_fails_its_line(name, tmp_path, capsys):
+    text, message = BAD_MANIFESTS[name]
+    _write(tmp_path, f"{name}.manifest", text)
+    calls = "ecall app 0 1\n" if name == "badreg" else ""
+    scenario = _write(tmp_path, f"{name}.scenario", f"create app {name}.manifest\n{calls}")
+    status, out, _ = _main(capsys, "run", scenario)
+    assert status == cli.EXIT_FAILED
+    assert message in out
+
+
+# ---------------------------------------------------------------------------
+# Unreadable inputs: exit 2, with the error named
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"mode": "sgx", "mode": "ccx"}', "mode"),
+    ('{"cost_factors": {"kdf": 1, "kdf": 2}}', "kdf"),
+])
+def test_a_config_key_given_twice_is_refused(text, key, demo_dir, tmp_path, capsys):
+    with pytest.raises(ModelError, match=f"^config: JSON key '{key}' given twice$"):
+        Config.from_json(text)
+    config = _write(tmp_path, "config.json", text)
+    status, out, err = _main(capsys, "run", demo_dir / "lifecycle.scenario", "--config", config)
+    assert (status, out, err) == (cli.EXIT_USAGE, "",
+                                  f"error: config: JSON key '{key}' given twice\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"epcm": [], "enclaves": [], "epcm": []}', "JSON key 'epcm' given twice"),
+    ('{"gpt": []}', "member 'gpt' is not an object"),
+    ('{"epcm": {}}', "member 'epcm' is not a list"),
+])
+def test_a_malformed_snapshot_is_refused(text, message, tmp_path, capsys):
+    status, out, err = _main(capsys, "inspect", _write(tmp_path, "snapshot.json", text))
+    assert (status, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_attest_with_a_manifest_that_does_not_load_exits_1(demo_dir, tmp_path, capsys):
+    bad = _write(tmp_path, "bad.manifest", "name bad\nfrobnicate yes\n")
+    status, out, err = _main(capsys, "attest", bad, demo_dir / "standard_b.manifest")
+    assert (status, out) == (cli.EXIT_FAILED, "")
+    assert err.startswith("load failed: manifest line 2: unknown directive 'frobnicate'")
+
+
+def test_bench_iterations_that_are_not_a_number_are_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--iterations", "abc"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "'abc' is not a positive integer" in capsys.readouterr().err
+
+
+def test_bench_runs_only_the_leaf_suite(demo_dir, capsys):
+    status, out, err = _main(capsys, "bench", demo_dir / "lifecycle.scenario")
+    assert (status, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: unknown bench suite")
+
+
+# ---------------------------------------------------------------------------
+# python -m ccxsim.fixtures
+
+
+def test_fixtures_main_writes_the_demo_tree(tmp_path, capsys):
+    target = tmp_path / "demo"
+    assert fixtures.main([str(target)]) == 0
+    assert capsys.readouterr().out == f"fixtures written to {target}\n"
+    assert sorted(p.stem for p in target.glob("*.scenario")) == sorted(DEMOS)

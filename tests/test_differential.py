@@ -2,13 +2,11 @@
 
 Each seed draws a scenario of ``try`` lines (create, ecall with and without
 interrupts, swap_out, swap_in, seal, unseal, attest, destroy) over the demo
-fixtures and runs it line by line in sgx mode, with a paging EPC of 24, 40 or
-64 granules, and in ccx mode.  After every line the audit and the paging
-records must hold, and both modes must give the same record, but for a swap
-refused with a ``ModelError``, which names its mode's paging state, and a line
-on a notify enclave: its handler restores frame 0 and retires one slot, so a
-nested exit, which only sgx paging makes, changes its result.  A failing seed
-prints the ``ccxsim run`` commands that replay it.
+fixtures and runs it through ``scenario.compare_modes``: line by line in sgx
+mode, with a paging EPC of 24, 40 or 64 granules, and in ccx mode.  After
+every line the audit and the paging records must hold, and the two modes may
+differ only as a row of ``MODE_DIFFERENCES`` admits.  A failing seed prints
+the ``ccxsim`` commands that replay it.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import pytest
 
 from ccxsim import cli, fixtures
 from ccxsim.memory import GRANULE_SIZE
-from ccxsim.scenario import ScenarioRunner
+from ccxsim.scenario import compare_modes
 
 from helpers import check_paging_records, small_config
 
@@ -37,18 +35,15 @@ STEP_BUDGET = 20_000  # max_ecall_steps: ample, yet a notify handler can loop un
 _PAGES = (fixtures.CODE_OFF, fixtures.SCRATCH_OFF, fixtures.SSA_OFF,
           fixtures.SSA_OFF + GRANULE_SIZE, fixtures.SSA_OFF + 2 * GRANULE_SIZE)
 _ADDED = (0x100000, 0x100000 + GRANULE_SIZE)
-# How a refused record's error begins, unless it is a ModelError's.
-_TYPED_ERRORS = ("scenario line ", "SgxError: ", "LoadError: ", "EnclaveFault: ")
 
 
 def _draw(rng: random.Random):
-    """One scenario's lines and the fixture kinds each line acts on.  e<n> is
-    the n-th create's enclave; the scenario ends by destroying each one."""
-    kinds, lines, named = [], [], []
+    """One scenario's lines.  e<n> is the n-th create's enclave, and the
+    scenario ends by destroying each one."""
+    kinds, lines = [], []
 
-    def emit(line, *slots):
+    def emit(line):
         lines.append(f"try {line}")
-        named.append(tuple(kinds[slot] for slot in slots))
 
     for _ in range(OPS_PER_SEQUENCE):
         if not kinds or rng.random() < 0.15:
@@ -61,23 +56,23 @@ def _draw(rng: random.Random):
             if rng.random() < 0.4:
                 steps = {rng.randrange(1, 200) for _ in range(rng.randint(1, 3))}
                 emit(f"inject_irq vcpu=0 at={','.join(map(str, sorted(steps)))}")
-            emit(f"ecall e{slot} 0 {' '.join(map(str, _call_args(rng, kinds[slot])))}", slot)
+            emit(f"ecall e{slot} 0 {' '.join(map(str, _call_args(rng, kinds[slot])))}")
         elif pick < 0.7:
             pages = _PAGES + (_ADDED if kinds[slot] == "toucher" else ())
-            emit(f"{rng.choice(('swap_out', 'swap_in'))} e{slot} {rng.choice(pages):#x}", slot)
+            emit(f"{rng.choice(('swap_out', 'swap_in'))} e{slot} {rng.choice(pages):#x}")
         elif pick < 0.8:
             policy = rng.choice(("mrenclave", "mrsigner"))
-            emit(f"seal e{slot} {policy} {rng.randbytes(rng.randint(1, 40)).hex()}", slot)
+            emit(f"seal e{slot} {policy} {rng.randbytes(rng.randint(1, 40)).hex()}")
         elif pick < 0.88:
-            emit(f"unseal e{slot}", slot)
+            emit(f"unseal e{slot}")
         elif pick < 0.95:
             other = rng.randrange(len(kinds))
-            emit(f"attest e{slot} e{other}", slot, other)
+            emit(f"attest e{slot} e{other}")
         else:
-            emit(f"destroy e{slot}", slot)
+            emit(f"destroy e{slot}")
     for slot in range(len(kinds)):
-        emit(f"destroy e{slot}", slot)
-    return lines, named
+        emit(f"destroy e{slot}")
+    return lines
 
 
 def _call_args(rng: random.Random, kind: str):
@@ -96,38 +91,40 @@ def _call_args(rng: random.Random, kind: str):
     return selector, rng.getrandbits(32), rng.getrandbits(32)
 
 
-def _configs(seed: int):
-    common = dict(audit_after_leaf=False, max_ecall_steps=STEP_BUDGET)
-    return {"sgx": small_config(mode="sgx", epc_size=EPC_SIZES[seed % len(EPC_SIZES)], **common),
-            "ccx": small_config(mode="ccx", **common)}
+def _config(seed: int):
+    """The seed's config; its EPC size matters only in sgx mode."""
+    return small_config(epc_size=EPC_SIZES[seed % len(EPC_SIZES)], audit_after_leaf=False,
+                        max_ecall_steps=STEP_BUDGET)
 
 
-def _run(seed: int, directory, lines, named):
+def _run(seed: int, directory, lines):
     """Each mode's records of ``lines``, with every check made after each line."""
-    runners = [ScenarioRunner(config, base_dir=directory) for config in _configs(seed).values()]
-    records = []
-    for line_no, (line, kinds) in enumerate(zip(lines, named), start=1):
-        records.append(pair := [runner.run_line(line, line_no) for runner in runners])
-        for runner in runners:
+    records, runners = [], []
+
+    def check(both, pair):
+        records.append(pair)
+        runners[:] = both
+        for runner in both:
             runner.machine.audit()
             check_paging_records(runner.runtime)
-        swap_refused = pair[0]["cmd"] in ("swap_out", "swap_in") and any(
-            not r["ok"] and not r["error"].startswith(_TYPED_ERRORS) for r in pair)
-        assert "notify" in kinds or swap_refused or pair[0] == pair[1], pair
+
+    differences = compare_modes("\n".join(lines), _config(seed), directory, after_line=check)
+    assert differences == []
     for runner in runners:  # every enclave is destroyed, so no page has an owner
         assert not any(e.owner is not None for e in runner.machine.memory.epcm.values())
     return list(zip(*records))
 
 
 def _write_seed(directory, seed: int, lines):
-    """Write the scenario and both configs of ``seed`` next to the demo
-    manifests; return each mode's ``ccxsim`` arguments that replay it."""
-    scenario = directory / f"seed{seed}.scenario"
+    """Write the scenario and the config of ``seed`` next to the demo
+    manifests; return the ``ccxsim`` arguments that compare its modes and
+    that run it in sgx and in ccx mode."""
+    scenario, config = directory / f"seed{seed}.scenario", directory / f"seed{seed}.json"
     scenario.write_text("\n".join(lines) + "\n")
-    for mode, config in _configs(seed).items():
-        (directory / f"seed{seed}-{mode}.json").write_text(config.to_json())
-    return [["run", str(scenario), "--config", str(directory / f"seed{seed}-{mode}.json"),
-             "--json"] for mode in ("sgx", "ccx")]
+    config.write_text(_config(seed).to_json())
+    return [["compare", str(scenario), "--config", str(config)]] + [
+        ["run", str(scenario), "--config", str(config), "--mode", mode, "--json"]
+        for mode in ("sgx", "ccx")]
 
 
 @pytest.fixture(scope="module")
@@ -139,19 +136,22 @@ def demo_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sgx_and_ccx_give_equal_outcomes_and_keep_the_paging_records(seed, demo_dir):
-    lines, named = _draw(random.Random(seed))
+    lines = _draw(random.Random(seed))
     try:
-        _run(seed, demo_dir, lines, named)
+        _run(seed, demo_dir, lines)
     except Exception as exc:
         replay = "".join(f"\n  ccxsim {shlex.join(a)}" for a in _write_seed(demo_dir, seed, lines))
-        raise AssertionError(f"seed {seed}: {exc}\nreplay (sgx, ccx):{replay}") from exc
+        raise AssertionError(f"seed {seed}: {exc}\nreplay (compare, sgx, ccx):{replay}") from exc
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_a_drawn_seed_replays_from_its_files(seed, demo_dir, capsys):
-    lines, named = _draw(random.Random(seed))
-    modes = _run(seed, demo_dir, lines, named)
-    for argv, records in zip(_write_seed(demo_dir, seed, lines), modes):
+    lines = _draw(random.Random(seed))
+    modes = _run(seed, demo_dir, lines)
+    compare, *runs = _write_seed(demo_dir, seed, lines)
+    assert cli.main(compare) == cli.EXIT_OK
+    capsys.readouterr()
+    for argv, records in zip(runs, modes):
         assert cli.main(argv) == cli.EXIT_OK
         out = capsys.readouterr().out.splitlines()[:-1]  # the summary is last
         assert out == [json.dumps(record, sort_keys=True) for record in records]
