@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import Config
@@ -33,14 +34,11 @@ EXIT_USAGE = 2
 
 
 def _load_config(args) -> Config:
-    path = args.config or os.environ.get("CCX_SIM_CONFIG")
-    config = Config.load(path)
-    if getattr(args, "mode", None):
-        config.mode = args.mode
-    if getattr(args, "seed", None) is not None:
-        config.crypto_seed = args.seed
-    config.validate()
-    return config
+    """The config file's, with ``--mode`` and ``--seed`` applied: a variant
+    that is validated as it is built."""
+    config = Config.load(args.config or os.environ.get("CCX_SIM_CONFIG"))
+    flags = {"mode": getattr(args, "mode", None), "crypto_seed": getattr(args, "seed", None)}
+    return replace(config, **{name: v for name, v in flags.items() if v is not None})
 
 
 def _write_trace(machine: Machine, path: str) -> None:
@@ -50,17 +48,12 @@ def _write_trace(machine: Machine, path: str) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args)
-    runner = ScenarioRunner(
-        config,
-        mode_override=args.mode,
-        trace=[] if args.trace else None,
-    )
+    runner = ScenarioRunner(_load_config(args), trace=[] if args.trace else None)
     result = runner.run_file(args.scenario)
 
-    if args.trace and result.machine is not None:
+    if args.trace:
         _write_trace(result.machine, args.trace)
-    if args.snapshot and result.machine is not None:
+    if args.snapshot:
         Path(args.snapshot).write_text(
             json.dumps(result.machine.snapshot(), sort_keys=True, indent=2)
         )

@@ -10,8 +10,9 @@ knob: a leaf's base cost and charges are columns of its ``LEAVES`` row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ModelError, json_object, read_input
 from .memory import RESERVED_GRANULES
@@ -60,7 +61,7 @@ def _check_int(name: str, value, lo: Optional[int], hi: Optional[int]) -> None:
 
 
 def _check_table(name: str, table, known: Dict[str, int]) -> None:
-    if not isinstance(table, dict):
+    if not isinstance(table, Mapping):
         raise ModelError(f"config field {name!r} must be an object, not {table!r}")
     for key, value in table.items():
         if key not in known:
@@ -68,8 +69,12 @@ def _check_table(name: str, table, known: Dict[str, int]) -> None:
         _check_int(f"{name}.{key}", value, 0, None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
+    """One platform's settings.  Every instance, ``dataclasses.replace``'s
+    included, is validated as it is built, and none changes afterwards:
+    setting a field or a ``cost_factors`` entry raises."""
+
     granule_count: int = 16384
     mode: str = "sgx"  # "sgx" (fixed EPC) or "ccx" (dynamic)
     epc_base: int = 1024
@@ -79,9 +84,12 @@ class Config:
     vcpu_count: int = 4
     max_ecall_steps: int = 1_000_000
     audit_after_leaf: bool = False
-    cost_factors: Dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_COST_FACTORS)
-    )
+    cost_factors: Mapping[str, int] = field(default_factory=DEFAULT_COST_FACTORS.copy)
+
+    def __post_init__(self) -> None:
+        self.validate()
+        # a read-only copy, which the caller's table cannot change either
+        object.__setattr__(self, "cost_factors", MappingProxyType(dict(self.cost_factors)))
 
     def validate(self) -> None:
         """Check every field's type and range; a bad one is a ModelError that
@@ -118,21 +126,17 @@ class Config:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "cost_factors": dict(self.cost_factors)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        cfg = cls()
-        known = set(cfg.__dataclass_fields__)
-        for key, value in data.items():
-            if key not in known:
+        for key in data:
+            if key not in cls.__dataclass_fields__:
                 raise ModelError(f"unknown config field {key!r}")
-            setattr(cfg, key, value)
         if "cost_factors" in data:  # a partial table merges over the defaults
             _check_table("cost_factors", data["cost_factors"], DEFAULT_COST_FACTORS)
-            cfg.cost_factors = {**DEFAULT_COST_FACTORS, **data["cost_factors"]}
-        cfg.validate()
-        return cfg
+            data = {**data, "cost_factors": {**DEFAULT_COST_FACTORS, **data["cost_factors"]}}
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

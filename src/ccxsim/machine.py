@@ -50,7 +50,6 @@ class Machine:
 
     def __init__(self, config: Optional[Config] = None):
         self.config = config or Config()
-        self.config.validate()
         self.memory = MachineMemory(self.config.granule_count, self.config.epc_span())
         self.crypto = CryptoEngine(DeviceSecrets.from_seed_int(self.config.crypto_seed))
         self.enclaves: Dict[int, Secs] = {}

@@ -2,7 +2,6 @@
 
 Grammar (one command per line, '#' comments):
 
-    mode sgx|ccx                      before the first create; CLI may override
     create <id> <manifest-path>       path relative to the scenario file
     destroy <id>
     ecall <id> <tcs> <selector> [a] [b]
@@ -68,8 +67,8 @@ class ScenarioResult:
     ok: bool
     events: List[dict]
     summary: dict
-    machine: Optional[Machine] = None
-    runtime: Optional[HostRuntime] = None
+    machine: Machine
+    runtime: HostRuntime
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(e, sort_keys=True) for e in self.events]
@@ -84,37 +83,22 @@ class _Pending:
 
 
 class ScenarioRunner:
-    def __init__(
-        self,
-        config: Config,
-        base_dir: Optional[Path] = None,
-        mode_override: Optional[str] = None,
-        trace: Optional[list] = None,
-    ):
-        self.config = replace(config)  # a copy: the mode line and override set its mode
+    """Runs a scenario on one machine, built from ``config``, whose mode is
+    the platform's: the scenario itself names none."""
+
+    def __init__(self, config: Config, base_dir: Optional[Path] = None,
+                 trace: Optional[list] = None):
         self.base_dir = Path(base_dir) if base_dir else Path(".")
-        self.mode_override = mode_override
-        self.trace = trace  # the machine's trace sink; with none it keeps no records
-        self.machine: Optional[Machine] = None
-        self.runtime: Optional[HostRuntime] = None
+        self.machine = Machine(config)
+        if trace is not None:  # the machine's trace sink; with none it keeps no records
+            self.machine.trace = trace
+        self.runtime = HostRuntime(self.machine)
         self.handles: Dict[str, object] = {}
         # what the commands leave for probes; attest_* is None until an attest
         self.probes: Dict[str, Optional[int]] = dict(
             last=0, unseal_ok=0, attest_ab=None, attest_ba=None, attest_mutual=None)
         self.sealed = None  # the last seal's (SealedBlob, payload)
         self._pending_inject: Optional[_Pending] = None
-
-    # -- machine lifecycle ----------------------------------------------------
-
-    def _ensure_machine(self) -> HostRuntime:
-        if self.runtime is None:
-            if self.mode_override:
-                self.config.mode = self.mode_override
-            self.machine = Machine(self.config)  # which validates the config
-            if self.trace is not None:
-                self.machine.trace = self.trace
-            self.runtime = HostRuntime(self.machine)
-        return self.runtime
 
     def _handle(self, name: str, line_no: int):
         try:
@@ -132,15 +116,15 @@ class ScenarioRunner:
     # -- counts and probes ----------------------------------------------------
 
     def counts(self) -> dict:
-        """The run's counts so far, 0 or empty before the first create: the
-        summary carries each, and each int-valued one is a probe."""
+        """The run's counts so far: the summary carries each, and each
+        int-valued one is a probe."""
         m, rt = self.machine, self.runtime
         return {
-            "counters": dict(m.counters) if m else {},
-            "cost_tally": m.cost_tally if m else {},
-            "gpf_count": len(m.memory.gpf_log) if m else 0,
-            "swap_out_events": rt.swap_out_events if rt else 0,
-            "swap_in_events": rt.swap_in_events if rt else 0,
+            "counters": dict(m.counters),
+            "cost_tally": m.cost_tally,
+            "gpf_count": len(m.memory.gpf_log),
+            "swap_out_events": rt.swap_out_events,
+            "swap_in_events": rt.swap_in_events,
         }
 
     def probe(self, name: str, line_no: int) -> int:
@@ -150,7 +134,7 @@ class ScenarioRunner:
             leaf = name.split(":", 1)[1]
             if leaf not in ALL_LEAF_NAMES:
                 raise ScenarioError(line_no, f"unknown leaf counter {leaf!r}")
-            return counts["counters"].get(leaf, 0)
+            return counts["counters"][leaf]
         values = {**counts, **self.probes}
         if name not in values or isinstance(values[name], dict):
             raise ScenarioError(line_no, f"unknown probe {name!r}")
@@ -176,10 +160,9 @@ class ScenarioRunner:
         if failure is not None:
             summary["failed_at"] = failure["line"]
             summary["failure"] = failure.get("error", "expectation failed")
-            if self.machine is not None:
-                snapshot = self.machine.snapshot()
-                snapshot.pop("granule_contents", None)  # keep reports readable
-                summary["state_snapshot"] = snapshot
+            snapshot = self.machine.snapshot()
+            snapshot.pop("granule_contents", None)  # keep reports readable
+            summary["state_snapshot"] = snapshot
         return ScenarioResult(
             ok=ok, events=events, summary=summary,
             machine=self.machine, runtime=self.runtime,
@@ -226,21 +209,12 @@ class ScenarioRunner:
 
     # -- the commands: each takes its arguments and returns its record's result
 
-    def _mode(self, args: List[str], line_no: int) -> str:
-        if self.machine is not None:
-            raise ScenarioError(line_no, "mode must precede the first create")
-        if args[0] not in ("sgx", "ccx"):
-            raise ScenarioError(line_no, f"unknown mode {args[0]!r}")
-        if not self.mode_override:
-            self.config.mode = args[0]
-        return self.mode_override or self.config.mode
-
     def _create(self, args: List[str], line_no: int) -> int:
         name, path = args
-        rt = self._ensure_machine()
         manifest_path = self.base_dir / path
         text = read_input(manifest_path, f"manifest {path!r}")
-        handle = rt.load_enclave(EnclaveManifest.parse(text, base_dir=manifest_path.parent))
+        manifest = EnclaveManifest.parse(text, base_dir=manifest_path.parent)
+        handle = self.runtime.load_enclave(manifest)
         self.handles[name] = handle
         self.probes["last"] = handle.eid
         return handle.eid
@@ -335,7 +309,6 @@ class ScenarioRunner:
 
 # Command -> (fewest, most) arguments and the runner method that runs it.
 _COMMANDS = {
-    "mode": (1, 1, ScenarioRunner._mode),
     "create": (2, 2, ScenarioRunner._create),
     "destroy": (1, 1, ScenarioRunner._destroy),
     "ecall": (3, 5, ScenarioRunner._ecall),
@@ -392,8 +365,10 @@ def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
     and return each difference that no row of ``table`` admits, in a line's
     record or in a count the line added, as ``scenario line N: <field>: sgx
     <value>, ccx <value>``.  Both runs stop where ``run_text`` would stop
-    either.  ``after_line(runners, records)`` is called after each line."""
-    runners = [ScenarioRunner(config, base_dir, mode_override=mode) for mode in ("sgx", "ccx")]
+    either.  ``after_line(runners, records)`` is called after each line.  A
+    ``config`` valid in one mode only is refused, as a ModelError, before
+    line 1."""
+    runners = [ScenarioRunner(replace(config, mode=mode), base_dir) for mode in ("sgx", "ccx")]
 
     def counts(runner) -> Dict[str, int]:  # the per-leaf tables flattened: counters.EWB
         counts = runner.counts()
@@ -424,10 +399,5 @@ def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
     return differences
 
 
-def run_scenario(
-    path,
-    config: Optional[Config] = None,
-    mode_override: Optional[str] = None,
-) -> ScenarioResult:
-    runner = ScenarioRunner(config or Config(), mode_override=mode_override)
-    return runner.run_file(path)
+def run_scenario(path, config: Optional[Config] = None) -> ScenarioResult:
+    return ScenarioRunner(config or Config()).run_file(path)

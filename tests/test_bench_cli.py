@@ -1,5 +1,6 @@
 """The cost-model bench and the command-line front end."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -147,7 +148,7 @@ def test_cli_run_with_an_oversized_page_count_fails_at_the_manifest_line(tmp_pat
     assert "failed at line 1: manifest line 2: run of 1099511627776 pages" in out
 
 
-def test_cli_mode_override_flips_swap_behavior(demo_dir, tmp_path, capsys):
+def test_cli_mode_flag_flips_swap_behavior(demo_dir, tmp_path, capsys):
     scenario = demo_dir / "small_diff.scenario"
     scenario.write_text(
         "create t toucher.manifest\n"
@@ -415,13 +416,28 @@ def test_config_cap_admits_its_bound():
 
 def test_a_cost_table_built_in_code_must_name_every_factor():
     """Only ``from_dict`` merges a partial table over the defaults; a
-    ``Config`` built in code with one is refused, naming the first factor
-    it lacks, before a machine reads it."""
-    partial_table = Config(cost_factors={"kdf": 1})
-    for check in (partial_table.validate, lambda: Machine(partial_table)):
-        with pytest.raises(ModelError, match="lacks factor 'gpt_per_granule'"):
-            check()
+    ``Config`` built in code with one is itself refused, naming the first
+    factor it lacks."""
+    with pytest.raises(ModelError, match="lacks factor 'gpt_per_granule'"):
+        Config(cost_factors={"kdf": 1})
     assert Machine(Config(cost_factors=dict(Config().cost_factors))).leaf_cost
+
+
+def test_a_built_config_is_frozen_and_each_variant_is_validated():
+    """Nothing changes a ``Config`` once built, not even the caller's own
+    cost table, and a variant made with ``replace`` is validated as it is
+    built: a ccx-only config has no valid sgx variant."""
+    table = dict(Config().cost_factors)
+    cfg = Config(mode="ccx", epc_size=0, cost_factors=table)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.mode = "sgx"
+    with pytest.raises(TypeError):
+        cfg.cost_factors["kdf"] = 0
+    table["kdf"] = 0
+    assert cfg.cost_factors["kdf"] == Config().cost_factors["kdf"]
+    with pytest.raises(ModelError, match="'epc_size' is 0, and sgx mode needs an EPC"):
+        dataclasses.replace(cfg, mode="sgx")
+    assert Config.from_json(cfg.to_json()) == cfg
 
 
 def test_console_entry_point_runs(demo_dir, tmp_path):

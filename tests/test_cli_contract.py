@@ -6,14 +6,19 @@ status 0 means success, 1 a failed run or a difference between the modes,
 and 2 an input the front end cannot read.
 """
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ccxsim import cli, fixtures
-from ccxsim.config import Config
+from ccxsim.config import DEFAULT_COST_FACTORS, MAX_GRANULE_COUNT, MAX_VCPU_COUNT, Config
 from ccxsim.errors import ModelError
+from ccxsim.machine import ALL_LEAF_NAMES
 from ccxsim.scenario import MODE_DIFFERENCES, compare_modes
 
 from helpers import small_config
@@ -103,6 +108,17 @@ def test_compare_of_an_unreadable_input_exits_2(kind, demo_dir, tmp_path, capsys
     assert err.startswith("error: ")
 
 
+def test_compare_of_a_config_valid_in_one_mode_only_exits_2_naming_the_field(
+        demo_dir, tmp_path, capsys):
+    """A ccx config with no EPC has no sgx variant: ``compare`` refuses it
+    before line 1, naming the field, and runs neither mode."""
+    config = _write(tmp_path, "ccx_only.json", '{"mode": "ccx", "epc_size": 0}')
+    status, out, err = _main(capsys, "compare", demo_dir / "lifecycle.scenario",
+                             "--config", config)
+    assert (status, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: config field 'epc_size' is 0, and sgx mode needs an EPC\n"
+
+
 def _differential(seed):
     return "\n".join(_draw(random.Random(seed))), differential_config(seed)
 
@@ -125,6 +141,23 @@ def test_each_row_of_mode_differences_is_needed(row, demo_dir):
     assert compare_modes(text, config, demo_dir) == []
     without = MODE_DIFFERENCES[:row] + MODE_DIFFERENCES[row + 1:]
     assert compare_modes(text, config, demo_dir, table=without)
+
+
+def test_a_run_refused_before_its_first_create_reports_the_whole_summary(tmp_path, capsys):
+    """The machine is built before line 1, so a summary has one shape: a run
+    refused before any create reports every leaf's zero count and cost and
+    a state snapshot, and --trace and --snapshot write their files."""
+    scenario = _write(tmp_path, "early.scenario", "expect last == 1\n")
+    trace, snapshot = tmp_path / "trace.jsonl", tmp_path / "snapshot.json"
+    status, out, _ = _main(capsys, "run", scenario, "--json", "--trace", trace,
+                           "--snapshot", snapshot)
+    assert status == cli.EXIT_FAILED
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    assert summary["counters"] == summary["cost_tally"] == dict.fromkeys(ALL_LEAF_NAMES, 0)
+    assert (summary["failed_at"], summary["state_snapshot"]["enclaves"]) == (1, [])
+    assert summary["state_snapshot"]["config"] == Config().to_dict()
+    assert trace.read_text() == ""
+    assert json.loads(snapshot.read_text())["config"] == Config().to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +243,103 @@ def test_a_config_key_given_twice_is_refused(text, key, demo_dir, tmp_path, caps
     status, out, err = _main(capsys, "run", demo_dir / "lifecycle.scenario", "--config", config)
     assert (status, out, err) == (cli.EXIT_USAGE, "",
                                   f"error: config: JSON key '{key}' given twice\n")
+
+
+# The config door, fuzzed from the fields of Config: each field's values,
+# then at most one mutation of the file.
+FIELD_VALUES = {
+    "granule_count": st.integers(16, MAX_GRANULE_COUNT),
+    "mode": st.sampled_from(["sgx", "ccx"]),
+    "epc_base": st.integers(0, 4096),
+    "epc_size": st.integers(0, 4096),
+    "crypto_seed": st.integers(),
+    "scheduler_seed": st.integers(),
+    "vcpu_count": st.integers(1, MAX_VCPU_COUNT),
+    "max_ecall_steps": st.integers(1, 1 << 40),
+    "audit_after_leaf": st.booleans(),
+    "cost_factors": st.fixed_dictionaries(
+        {}, optional={name: st.integers(0, 1000) for name in DEFAULT_COST_FACTORS}),
+}
+BOUNDARY_VALUES = [0, -1, 1 << 64, 1 << 40, 2.5, "0x10", True, None, [], {}]
+
+
+@st.composite
+def config_files(draw):
+    """The bytes of a config file and the key it gives twice, if any: a
+    drawn config with one field or factor set to a boundary value, a key
+    no field has, a key given twice, the text cut short, a byte that is not
+    UTF-8, or no mutation."""
+    data = draw(st.fixed_dictionaries({}, optional=FIELD_VALUES))
+    mutation = draw(st.sampled_from(["none", "boundary", "unknown", "twice", "cut", "not_utf8"]))
+    if mutation == "boundary":
+        name = draw(st.sampled_from(sorted(FIELD_VALUES) + sorted(DEFAULT_COST_FACTORS)))
+        value = draw(st.sampled_from(BOUNDARY_VALUES))
+        if name in DEFAULT_COST_FACTORS:
+            data["cost_factors"] = {**data.get("cost_factors", {}), name: value}
+        else:
+            data[name] = value
+    elif mutation == "unknown":
+        data[draw(st.sampled_from(["leaf_base_cost", "Mode", "epc"]))] = 1
+    text, twice = json.dumps(data), None
+    if mutation == "twice" and data:
+        twice = draw(st.sampled_from(sorted(data)))
+        text = f'{text[:-1]}, {json.dumps(twice)}: {json.dumps(data[twice])}}}'
+    elif mutation == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    raw = text.encode()
+    if mutation == "not_utf8":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw, twice
+
+
+def _admits(config, mode) -> bool:
+    try:
+        replace(config, mode=mode)
+    except ModelError:
+        return False
+    return True
+
+
+def test_the_config_strategy_draws_every_field():
+    assert sorted(FIELD_VALUES) == sorted(Config.__dataclass_fields__)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config_file=config_files())
+def test_the_config_door_admits_what_config_admits_and_refuses_the_rest_by_status_2(
+        config_file, demo_dir):
+    """``run`` exits 0 on a config that ``Config`` admits and 2, with one
+    line naming the error, on any other; ``compare`` exits 0 only if both
+    modes admit it.  No exception escapes, a key given twice is refused as
+    such, and an admitted config has the types of the defaults and
+    round-trips through its JSON."""
+    raw, twice = config_file
+    path = demo_dir / "fuzzed.json"
+    path.write_bytes(raw)
+    scenario = _write(demo_dir, "nothing.scenario", "expect last == 0\n")
+    try:
+        config = Config.from_json(raw.decode())
+    except (UnicodeDecodeError, ModelError):
+        config = None
+    for command, admitted in (
+            ("run", config is not None),
+            ("compare", config is not None and all(_admits(config, m) for m in ("sgx", "ccx")))):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = cli.main([command, str(scenario), "--config", str(path)])
+        assert status == (cli.EXIT_OK if admitted else cli.EXIT_USAGE)
+        if not admitted:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if twice is not None:
+        assert err.getvalue() == f"error: config: JSON key {twice!r} given twice\n"
+    if config is not None:  # of the types of the defaults
+        assert all(type(value) is type(getattr(Config(), name))
+                   for name, value in vars(config).items())
+        assert all(type(n) is int and n >= 0 for n in config.cost_factors.values())
+        assert Config.from_json(config.to_json()) == config
 
 
 @pytest.mark.parametrize("text, message", [

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ccxsim import cli, fixtures, scenario
+from ccxsim.config import Config
 from ccxsim.scenario import ScenarioRunner, run_scenario
 
 from helpers import small_config
@@ -18,14 +19,12 @@ def demo_dir(tmp_path):
     return tmp_path
 
 
-def runner(**kw):
-    return ScenarioRunner(small_config(granule_count=1024, epc_base=32, epc_size=512), **kw)
+def runner(base_dir=None):
+    return ScenarioRunner(small_config(granule_count=1024, epc_base=32, epc_size=512), base_dir)
 
 
-def run_text(text, base_dir, **kw):
-    r = runner(**kw)
-    r.base_dir = base_dir
-    return r.run_text(text)
+def run_text(text, base_dir):
+    return runner(base_dir).run_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +51,30 @@ def test_attest_scenario_passes(demo_dir):
 
 
 def test_scenario_keeps_trace_records_only_in_a_sink_it_is_given(demo_dir):
-    result = run_scenario(demo_dir / "mode_diff.scenario", mode_override="sgx")
+    result = run_scenario(demo_dir / "mode_diff.scenario", Config(mode="sgx"))
     assert result.ok and result.summary["counters"]["EWB"] > 0
     assert len(result.machine.trace) == 0
     sink = []
     traced = ScenarioRunner(small_config(), trace=sink).run_file(demo_dir / "lifecycle.scenario")
     assert traced.ok and traced.machine.trace is sink
     assert len(sink) >= sum(traced.summary["counters"].values()) > 0
+
+
+def test_a_peek_of_the_enclaves_own_tcs_page_faults_in_both_modes(demo_dir):
+    """Enclave software may not read a TCS page (``memory.py:241``): the
+    standard enclave's PEEK of its own TCS ends in a page fault, recorded by
+    the ``try`` line, alike in both modes."""
+    tcs = 0x200007000
+    text = f"create a standard.manifest\ntry ecall a 0 {fixtures.SEL_PEEK} {tcs:#x}\n"
+    assert scenario.compare_modes(text, Config(), demo_dir, table=()) == []
+    for mode in ("sgx", "ccx"):
+        sink = []
+        result = ScenarioRunner(Config(mode=mode), demo_dir, trace=sink).run_text(text)
+        assert result.ok and not result.events[1]["ok"]
+        assert result.events[1]["error"] == f"EnclaveFault: enclave fault: pagefault at {tcs:#x}"
+        faults = [record for record in sink if record["kind"] == "pagefault"]
+        assert [(f["addr"], f["why"]) for f in faults] == [
+            (tcs, "TCS pages are not software-addressable")]
 
 
 def test_failing_expect_aborts_with_position(demo_dir):
@@ -141,23 +157,6 @@ def test_a_refused_ecall_takes_its_pending_interrupts(demo_dir):
     assert run_text(text, demo_dir).ok
 
 
-def test_mode_directive_and_override(demo_dir):
-    text = "mode ccx\ncreate app standard.manifest\n"
-    result = run_text(text, demo_dir)
-    assert result.machine.config.mode == "ccx"
-    result = run_text(text, demo_dir, mode_override="sgx")
-    assert result.machine.config.mode == "sgx"
-
-
-def test_mode_line_and_override_leave_the_callers_config_alone(demo_dir):
-    config = small_config(granule_count=1024, epc_base=32, epc_size=512)
-    for kw, text in (({}, "mode ccx\n"), ({"mode_override": "ccx"}, "")):
-        r = ScenarioRunner(config, base_dir=demo_dir, **kw)
-        result = r.run_text(text + "create app standard.manifest\n")
-        assert result.ok and result.machine.config.mode == "ccx"
-        assert config.mode == "sgx"
-
-
 # Each input is refused on its line, with no traceback.  Those up to
 # sigstruct_directory used to end `ccxsim run --json` in one; the rest are
 # refusals no other test reaches.
@@ -190,7 +189,8 @@ BAD_INPUTS = {
                             "LoadError: sigstruct: cannot read sigstruct file 'sigdir'"),
     "attest_probe_first": ("expect attest_ab == 1", 1, "no attestation has run"),
     "probe_unknown": ("expect bogus == 0", 1, "unknown probe 'bogus'"),
-    "mode_unknown": ("mode arm", 1, "unknown mode 'arm'"),
+    # the mode is the config's: a scenario names no platform
+    "mode_command": ("mode ccx", 1, "unknown command 'mode'"),
     "inject_field": ("inject_irq cpu=0 at=1", 1, "unknown inject field 'cpu'"),
     "inject_without_at": ("inject_irq vcpu=0", 1, "inject_irq needs at="),
     # a repeated field is refused, not taken at its last value
@@ -207,8 +207,6 @@ BAD_INPUTS = {
     # README's grammar counts them
     "create_too_many": ("create a standard.manifest b", 1, "create takes 2 arguments, got 3"),
     "ecall_too_many": ("ecall a 0 1 2 3 4", 1, "ecall takes 3 to 5 arguments, got 6"),
-    "mode_too_few": ("mode", 1, "mode takes 1 arguments, got 0"),
-    "mode_too_many": ("mode sgx ccx", 1, "mode takes 1 arguments, got 2"),
     "destroy_too_few": ("destroy", 1, "destroy takes 1 arguments, got 0"),
     "destroy_too_many": ("destroy a b", 1, "destroy takes 1 arguments, got 2"),
     "inject_irq_too_few": ("inject_irq", 1, "inject_irq takes 1 to 2 arguments, got 0"),
@@ -276,12 +274,6 @@ def test_an_unknown_sigstruct_source_fails_on_its_manifest_line(demo_dir):
     assert result.summary["failure"] == (
         f"manifest line {len(lines) + 1}: unknown sigstruct source 'bogus'")
     assert result.summary["counters"]["ECREATE"] == 0
-
-
-def test_mode_after_create_rejected(demo_dir):
-    text = "create app standard.manifest\nmode ccx\n"
-    result = run_text(text, demo_dir)
-    assert not result.ok
 
 
 def test_ocall_roundtrip_in_scenario(demo_dir):
@@ -374,11 +366,8 @@ def test_mode_differential_functional_equivalence(demo_dir):
     )
     results = {}
     for mode in ("sgx", "ccx"):
-        r = runner(mode_override=mode)
-        r.base_dir = demo_dir
-        r.config = small_config(granule_count=2048, epc_base=32, epc_size=48,
-                                mode=mode)
-        results[mode] = r.run_text(text)
+        config = small_config(granule_count=2048, epc_base=32, epc_size=48, mode=mode)
+        results[mode] = ScenarioRunner(config, demo_dir).run_text(text)
         assert results[mode].ok
     functional = lambda res: [
         (e["cmd"], e.get("result")) for e in res.events if e["cmd"] != "expect"

@@ -841,6 +841,24 @@ def test_a_later_reclaim_skips_a_page_a_refused_writeback_left_blocked(mode, fix
     assert free == total
 
 
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_enclave_software_faults_on_a_page_a_refused_writeback_left_blocked(mode, fixture_dir):
+    """A PEEK of the page that a refused EWB left blocked is refused by the
+    software access rule (``memory.py:235``): the call ends in a page fault
+    at that address, and the page stays blocked."""
+    from ccxsim import fixtures
+
+    machine, rt, h, scratch = _standard(mode, fixture_dir)
+    with refusing(machine, "EWB"), pytest.raises(SgxError):
+        rt.swap_out(h, scratch)
+    machine.trace = []
+    with pytest.raises(EnclaveFault, match=f"pagefault at {scratch:#x}"):
+        rt.ecall(h, 0, fixtures.SEL_PEEK, scratch)
+    faults = [record for record in machine.trace if record["kind"] == "pagefault"]
+    assert [(f["addr"], f["why"]) for f in faults] == [(scratch, "page is blocked")]
+    assert machine.memory.epcm[machine.memory.find_page(h.eid, scratch)].blocked
+
+
 def test_a_reclaim_skips_an_enclave_a_core_is_inside(tmp_path):
     """The victim filter passes over every page of an enclave that a core
     runs in (``runtime.py:365``): a toucher call on vCPU 1 pages in a 24
@@ -897,7 +915,7 @@ def test_destroy_in_a_full_epc_writes_none_of_the_enclaves_pages_back(tmp_path):
 
     fixtures.write_toucher_manifest(tmp_path)
     text = "create t toucher.manifest\necall t 0 1 1024 0\ndestroy t\n"
-    results = {mode: ScenarioRunner(Config(), tmp_path, mode_override=mode).run_text(text)
+    results = {mode: ScenarioRunner(Config(mode=mode), tmp_path).run_text(text)
                for mode in ("sgx", "ccx")}
     sgx, ccx = (results[mode] for mode in ("sgx", "ccx"))
     assert sgx.ok and ccx.ok
@@ -959,7 +977,7 @@ def _both_modes(tmp_path, text):
     from ccxsim.scenario import ScenarioRunner
 
     fixtures.write_demo_tree(tmp_path)
-    return {mode: ScenarioRunner(Config(), tmp_path, mode_override=mode).run_text(text)
+    return {mode: ScenarioRunner(Config(mode=mode), tmp_path).run_text(text)
             for mode in ("sgx", "ccx")}
 
 
