@@ -33,13 +33,14 @@ leaves its page, and the pages of its batch not yet written back, blocked:
 still in the EPC, but the enclave's next access to one faults as a
 ``pagefault``, no reclaim picks it again, and only teardown removes it.
 
-Residency: a thread's pages are its TCS and the first page of each
-save-state frame it can write before it is back at cssa 0: frames 0..cssa,
-whose last the next AEX writes, or every frame for an AEX-Notify thread,
-whose handler runs at cssa and can exit again into the next.  An entry
-pages them in, and the victim filter never picks them while the thread has
-saved frames.  A filed page still belongs to its enclave: the EAUG outside
-call reloads it, so the leaf refuses it as it refuses a resident one.
+Residency: no thread page is pinned.  Right before each entry leaf, one
+step makes resident the TCS and the save-state frame that leaf and the next
+AEX use (cssa for EENTER, cssa-1 for ERESUME; every frame for an AEX-Notify
+thread, whose handler can exit into the next), and after a page-fault exit
+the faulting page.  No reclaim inside the step takes one of them, so one
+pass makes them all resident or refuses with "EPC exhausted".  A filed page
+still belongs to its enclave: the EAUG outside call reloads it, so the leaf
+refuses it as it refuses a resident one.
 
 Teardown, for ``destroy`` and for a load that fails after ECREATE, is one
 walk: EREMOVE every resident page but the SECS, then reload each filed page
@@ -57,7 +58,8 @@ Driver ABI (documented contract with fixture programs):
                 arguments; on re-entry x2 holds OCALL_RESUME and x5 the result
     gates       x10 return gate, x11 ocall gate (set by the driver on entry)
     async exit  lands on the aep gate with x1 the resume leaf, x2 the TCS and
-                x3 the aep; the driver resumes from them or reports
+                x3 the aep; the driver resumes the TCS it looks up by address,
+                as a writeback may have moved it, or reports
 
 Gate addresses live on a reserved host granule that reads as zeroes, so a
 vCPU arriving there halts and hands control back to the call.
@@ -115,9 +117,9 @@ AEP_GATE = GATE_GRANULE * GRANULE_SIZE + 0x200
 OCALL_RESUME = 0xFFFF_FFFF
 
 # Leaves the loader and the call issue by number, which skips the name lookup
-ECREATE_LEAF, EADD_LEAF, EEXTEND_LEAF, EINIT_LEAF, EREMOVE_LEAF, EENTER_LEAF, EEXIT_LEAF = (
-    LEAF_NUMBERS[name][1]
-    for name in ("ECREATE", "EADD", "EEXTEND", "EINIT", "EREMOVE", "EENTER", "EEXIT"))
+(ECREATE_LEAF, EADD_LEAF, EEXTEND_LEAF, EINIT_LEAF, EREMOVE_LEAF, EENTER_LEAF, EEXIT_LEAF,
+ ERESUME_LEAF) = (LEAF_NUMBERS[name][1] for name in (
+    "ECREATE", "EADD", "EEXTEND", "EINIT", "EREMOVE", "EENTER", "EEXIT", "ERESUME"))
 
 RECLAIM_BATCH = 4
 """Most pages one reclaim writes back.  A batch shares one victim scan and
@@ -266,14 +268,6 @@ def _page_name(manifest: EnclaveManifest, off: int) -> str:
     return f"tcs[{[spec.vaddr for spec in manifest.tcs].index(off)}]"
 
 
-def _thread_pages(secs, tcs_vaddr: int, tcs) -> List[int]:
-    """The TCS page, then the first page of each save-state frame the thread
-    can write before it is back at cssa 0: frames 0..cssa, or all nssa for an
-    AEX-Notify thread, whose handler can exit into the next."""
-    frames = tcs.nssa if tcs.aexnotify else min(tcs.cssa + 1, tcs.nssa)
-    return [tcs_vaddr] + [ssa_frame_vaddr(secs, tcs, i) for i in range(frames)]
-
-
 class HostRuntime:
     """Loader, call dispatcher, and swap manager over one machine.  Evicted
     pages wait in an in-memory :class:`SwapStore`; nothing goes to disk."""
@@ -293,6 +287,8 @@ class HostRuntime:
         self._host_held: Set[int] = set()
         # an image's _sigstruct_key -> its test-key SIGSTRUCT's bytes, oldest first
         self._sigstructs: Dict[tuple, bytes] = {}
+        # (eid, page) of the pages the residency step under way keeps from reclaim
+        self._kept: Set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------ alloc
 
@@ -352,29 +348,20 @@ class HostRuntime:
     # ------------------------------------------------------------------ victim
 
     def victim_filter(self, granule: int) -> bool:
+        """An unblocked REG or TCS page that the residency step under way
+        does not keep, of an enclave this runtime loaded (it pages them back
+        in by handle) that has not crashed and that no core runs in now."""
         m = self.machine
         entry = m.memory.epcm.get(granule)
-        if entry is None or entry.blocked:
+        if entry is None or entry.blocked or entry.page_type not in (PageType.REG, PageType.TCS):
             return False
-        if entry.page_type not in (PageType.REG, PageType.TCS):
+        if entry.owner not in self.handles or (entry.owner, entry.vaddr) in self._kept:
             return False
-        # only enclaves this runtime loaded: it pages them back in by handle
-        handle = self.handles.get(entry.owner)
-        secs = m.enclaves.get(entry.owner)
-        if handle is None or secs is None or not secs.initialized or secs.crashed:
+        secs = m.enclaves[entry.owner]
+        if secs.crashed:
             return False
-        # Never touch an enclave a core runs in now, nor the thread pages of an
-        # interrupted thread.  The runtime enters only the TCSs of a handle, so
-        # only those have saved frames.
         for vcpu in secs.cores:
             if vcpu.cur_eid == secs.eid:
-                return False
-        for tcs_vaddr in handle.tcs_vaddrs:
-            tg = m.memory.find_page(entry.owner, tcs_vaddr)
-            if tg is None:
-                continue
-            tcs = m.read_tcs(tg)
-            if tcs.cssa > 0 and entry.vaddr in _thread_pages(secs, tcs_vaddr, tcs):
                 return False
         return True
 
@@ -547,31 +534,36 @@ class HostRuntime:
         self.swap_in_events += 1
         return target
 
-    def _make_resident(self, handle: EnclaveHandle, pages: List[int]) -> List[int]:
-        """Swap in each filed page of ``pages`` until all are resident at once,
-        as a swap-in's reclaim may write back another; return those swapped in."""
-        swapped: List[int] = []
-        while any(self.store.has(handle.eid, page) for page in pages):
-            for page in pages:
-                if self.store.has(handle.eid, page):
-                    self.swap_in(handle, page)
-                    swapped.append(page)
-        return swapped
+    def _make_resident(self, handle: EnclaveHandle, pages: List[int]) -> None:
+        """Swap in each filed page of ``pages`` in one pass, keeping each
+        from every reclaim until the residency step ends."""
+        self._kept.update((handle.eid, page) for page in pages)
+        for page in pages:
+            if self.store.has(handle.eid, page):
+                self.swap_in(handle, page)
 
-    def _ensure_tcs_ready(self, handle: EnclaveHandle, tcs_vaddr: int) -> int:
-        """Page in the thread pages of the TCS and return its granule.  With
-        nothing of the enclave filed, only the entry leaf reads the TCS."""
+    def _ready_thread(self, handle: EnclaveHandle, tcs_vaddr: int, resume: bool = False,
+                      fault_pages: Tuple[int, ...] = ()) -> int:
+        """The residency step: make the TCS, the frames an EENTER or, with
+        ``resume``, an ERESUME uses, and ``fault_pages`` resident together;
+        return the TCS's granule.  With nothing of the enclave filed, that
+        is one page lookup, and only the entry leaf reads the TCS."""
         m = self.machine
         filed = self.store.holds_any(handle.eid)
-        if filed:
-            self._make_resident(handle, [tcs_vaddr])
-        tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
-        if tcs_granule is None:
-            raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
-        if filed:
-            pages = _thread_pages(m.enclaves[handle.eid], tcs_vaddr, m.read_tcs(tcs_granule))
-            if tcs_vaddr in self._make_resident(handle, pages):  # a frame's reclaim moved it
-                return m.memory.find_page(handle.eid, tcs_vaddr)
+        try:
+            if filed:
+                self._make_resident(handle, [tcs_vaddr])
+            tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
+            if tcs_granule is None:
+                raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
+            if filed:
+                secs, tcs = m.enclaves[handle.eid], m.read_tcs(tcs_granule)
+                # the next AEX writes frame cssa, or after ERESUME the cssa-1 it reads back
+                frames = range(tcs.nssa) if tcs.aexnotify else (tcs.cssa - resume,)
+                pages = [ssa_frame_vaddr(secs, tcs, i) for i in frames if 0 <= i < tcs.nssa]
+                self._make_resident(handle, pages + list(fault_pages))
+        finally:
+            self._kept.clear()
         return tcs_granule
 
     # ------------------------------------------------------------------ calls
@@ -598,9 +590,9 @@ class HostRuntime:
         return vcpu, handle.tcs_vaddrs[tcs_index]
 
     def _enter(self, handle: EnclaveHandle, vcpu, tcs_vaddr: int) -> None:
-        """The one way in: make the TCS and its save-state frames resident,
-        point x10 and x11 at the return and ocall gates, and EENTER."""
-        tcs_granule = self._ensure_tcs_ready(handle, tcs_vaddr)
+        """The one way in: the residency step, then x10 and x11 pointed at
+        the return and ocall gates, then EENTER."""
+        tcs_granule = self._ready_thread(handle, tcs_vaddr)
         vcpu.regs[10] = RETURN_GATE
         vcpu.regs[11] = OCALL_GATE
         self.machine.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
@@ -672,7 +664,7 @@ class HostRuntime:
                     # the idle TCS may have been evicted while the handler ran
                     self._enter(handle, vcpu, tcs_vaddr)
                 elif vcpu.pc == AEP_GATE and vcpu.last_exit is not None:
-                    self._handle_aex(handle, vcpu)
+                    self._handle_aex(handle, vcpu, tcs_vaddr)
                 else:
                     raise EnclaveFault(FaultReport("halt_inside", f"host halted at {vcpu.pc:#x}"))
             raise EnclaveFault(FaultReport("timeout", f"{steps} steps"))
@@ -704,10 +696,10 @@ class HostRuntime:
         vcpu.regs[2] = OCALL_RESUME
         vcpu.regs[5] = 0 if result is None else int(result) & MASK64
 
-    def _handle_aex(self, handle: EnclaveHandle, vcpu) -> None:
-        """The host trampoline: serve the exit, then resume with the leaf,
-        TCS and exit pointer the AEX left in x1-x3, or raise
-        :class:`EnclaveFault` for an exit it cannot serve."""
+    def _handle_aex(self, handle: EnclaveHandle, vcpu, tcs_vaddr: int) -> None:
+        """The host trampoline: serve the exit, then ERESUME the TCS the
+        residency step finds at ``tcs_vaddr``, not the granule in x2, which a
+        writeback may have moved; or raise :class:`EnclaveFault`."""
         secs = self.machine.enclaves.get(handle.eid)
         if secs is None or secs.crashed:
             raise EnclaveFault(FaultReport("ssa_overflow", "enclave crashed"))
@@ -715,10 +707,11 @@ class HostRuntime:
         if reason == EXIT_PAGEFAULT:  # the payload is the faulting page
             if not self.store.has(handle.eid, payload):
                 raise EnclaveFault(FaultReport("pagefault", f"at {payload:#x}", payload))
-            self.swap_in(handle, payload)
         elif reason != EXIT_IRQ:  # an injected interrupt just resumes
             raise EnclaveFault(FaultReport("gpf", f"enclave fault at {payload:#x}", payload))
-        self.machine.enclu(vcpu, *vcpu.regs[1:4])
+        fault_pages = (payload,) if reason == EXIT_PAGEFAULT else ()
+        tcs_granule = self._ready_thread(handle, tcs_vaddr, True, fault_pages)
+        self.machine.enclu(vcpu, ERESUME_LEAF, tcs_granule, AEP_GATE)
 
     # ------------------------------------------------------------------ attest
 
@@ -817,7 +810,8 @@ def _ocall_eaug(rt: HostRuntime, handle: EnclaveHandle, vaddr: int, _arg2: int) 
     """Builtin: the enclave asks the host to augment a page at `vaddr`."""
     granule = rt.take_epc_granule()
     # reload a filed page for the leaf to refuse, after the take that could evict it
-    rt._make_resident(handle, [vaddr])
+    if rt.store.has(handle.eid, vaddr):
+        rt.swap_in(handle, vaddr)
     rt.machine.leaf("EAUG", handle.eid, vaddr, granule)
     return 0
 

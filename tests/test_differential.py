@@ -6,7 +6,9 @@ fixtures and runs it through ``scenario.compare_modes``: line by line in sgx
 mode, with a paging EPC of 24, 40 or 64 granules, and in ccx mode.  After
 every line the audit and the paging records must hold, and the two modes may
 differ only as a row of ``MODE_DIFFERENCES`` admits.  A failing seed prints
-the ``ccxsim`` commands that replay it.
+the ``ccxsim`` commands that replay it.  Named seeds also run in a smaller
+EPC, each a paging livelock once, under a cap on reloads that fails a run
+that would not end.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from __future__ import annotations
 import json
 import random
 import shlex
+from typing import Optional
 
 import pytest
 
 from ccxsim import cli, fixtures
 from ccxsim.memory import GRANULE_SIZE
-from ccxsim.scenario import compare_modes
+from ccxsim.runtime import HostRuntime
+from ccxsim.scenario import ScenarioRunner, compare_modes
 
 from helpers import check_paging_records, small_config
 
@@ -29,6 +33,7 @@ OPS_PER_SEQUENCE = 24
 KINDS = ("standard", "compute", "toucher", "notify")
 DYN_PAGES = 12  # most pages one toucher call adds
 STEP_BUDGET = 20_000  # max_ecall_steps: ample, yet a notify handler can loop until it
+RELOAD_CAP = 1_000  # reloads past which a named seed's run counts as stuck; each needs < 60
 
 # Pages an explicit swap names, by enclave offset: code, scratch, both
 # save-state frames and the TCS; for the toucher also its first added pages.
@@ -91,13 +96,19 @@ def _call_args(rng: random.Random, kind: str):
     return selector, rng.getrandbits(32), rng.getrandbits(32)
 
 
-def _config(seed: int):
-    """The seed's config; its EPC size matters only in sgx mode."""
-    return small_config(epc_size=EPC_SIZES[seed % len(EPC_SIZES)], audit_after_leaf=False,
-                        max_ecall_steps=STEP_BUDGET)
+def _config(seed: int, epc_size: Optional[int] = None):
+    """The seed's config, with its own EPC size unless ``epc_size`` names
+    one; the EPC size matters only in sgx mode."""
+    return small_config(epc_size=epc_size or EPC_SIZES[seed % len(EPC_SIZES)],
+                        audit_after_leaf=False, max_ecall_steps=STEP_BUDGET)
 
 
-def _run(seed: int, directory, lines):
+def _check(runner) -> None:
+    runner.machine.audit()
+    check_paging_records(runner.runtime)
+
+
+def _run(seed: int, directory, lines, epc_size: Optional[int] = None):
     """Each mode's records of ``lines``, with every check made after each line."""
     records, runners = [], []
 
@@ -105,10 +116,10 @@ def _run(seed: int, directory, lines):
         records.append(pair)
         runners[:] = both
         for runner in both:
-            runner.machine.audit()
-            check_paging_records(runner.runtime)
+            _check(runner)
 
-    differences = compare_modes("\n".join(lines), _config(seed), directory, after_line=check)
+    differences = compare_modes("\n".join(lines), _config(seed, epc_size), directory,
+                                after_line=check)
     assert differences == []
     for runner in runners:  # every enclave is destroyed, so no page has an owner
         assert not any(e.owner is not None for e in runner.machine.memory.epcm.values())
@@ -155,3 +166,36 @@ def test_a_drawn_seed_replays_from_its_files(seed, demo_dir, capsys):
         assert cli.main(argv) == cli.EXIT_OK
         out = capsys.readouterr().out.splitlines()[:-1]  # the summary is last
         assert out == [json.dumps(record, sort_keys=True) for record in records]
+
+
+@pytest.fixture
+def reload_cap(monkeypatch):
+    """Fail a run past ``RELOAD_CAP`` page reloads, so that a paging
+    livelock ends the test instead of hanging it."""
+    reload = HostRuntime._reload
+    reloads = []
+
+    def capped(rt, eid, page):
+        reloads.append(page)
+        assert len(reloads) <= RELOAD_CAP, f"more than {RELOAD_CAP} reloads: a paging livelock"
+        return reload(rt, eid, page)
+
+    monkeypatch.setattr(HostRuntime, "_reload", capped)
+
+
+def test_seed_149_compares_equal_in_a_16_granule_epc(demo_dir, reload_cap):
+    """Two notify enclaves left interrupted once pinned their thread pages,
+    and a PEEK's code and data pages then evicted each other until the step
+    budget, while ccx mode returned at once."""
+    _run(149, demo_dir, _draw(random.Random(149)), epc_size=16)
+
+
+def test_seed_151_runs_to_its_last_line_in_a_16_granule_epc(demo_dir, reload_cap):
+    """A notify enclave's entry once reloaded its TCS and both frames in
+    turn, each reload writing back another, without end.  Modes still differ
+    here: sgx mode refuses a create, as no SECS page is written back."""
+    lines = _draw(random.Random(151))
+    runner = ScenarioRunner(_config(151, 16), demo_dir)
+    for line_no, raw in enumerate(lines, start=1):
+        assert runner.run_line(raw, line_no)["line"] == line_no
+        _check(runner)

@@ -544,10 +544,11 @@ def test_the_leaves_an_entry_issues_with_thread_pages_filed(mode, filed, leaves,
     assert rt.store.keys_for(h.eid) == ([pages["frame1"]] if filed == ["frame1"] else [])
 
 
-def test_an_interrupted_plain_thread_keeps_its_tcs_and_both_frames(fixture_dir):
-    """While a plain thread of nssa 2 is interrupted, the victim filter passes
-    over exactly its TCS and its save-state frames 0 and 1; once it resumes
-    and exits, it passes over none of the enclave's pages."""
+def test_the_victim_filter_keeps_no_page_of_an_interrupted_thread(fixture_dir):
+    """No thread page is pinned: while a plain thread of nssa 2 is
+    interrupted, the victim filter admits every page of its enclave, its TCS
+    and both save-state frames included.  While the resumed thread runs in
+    the enclave it admits none, and once the thread exits, all again."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -565,8 +566,10 @@ def test_an_interrupted_plain_thread_keeps_its_tcs_and_both_frames(fixture_dir):
     with rt.entered(h) as vcpu:
         machine.inject_interrupt(vcpu)
     frame0 = h.base + fixtures.SSA_OFF
-    assert kept() == {h.tcs_vaddrs[0], frame0, frame0 + GRANULE_SIZE}
+    assert {h.tcs_vaddrs[0], frame0, frame0 + GRANULE_SIZE} <= set(pages)
+    assert kept() == set()
     machine.leaf("ERESUME", pages[h.tcs_vaddrs[0]], AEP_GATE, vcpu=vcpu)
+    assert kept() == set(pages)
     machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
     assert kept() == set()
 
@@ -610,10 +613,26 @@ def test_a_warm_ecall_with_nothing_swapped_out_looks_its_tcs_up_once(
     assert lookups == [h.tcs_vaddrs[0]]
 
 
-def test_eviction_keeps_an_interrupted_thread_resident(fixture_dir):
-    """A runtime thread left interrupted (one saved context) keeps its TCS and
-    save-state frames resident while loads press the EPC; the enclave's other
-    pages are still evicted, and the thread resumes afterwards."""
+def _interrupted(rt, h, arg: int = 40):
+    """A compute call on ``h`` advanced to its interrupt at step 50 and then
+    to the halt at the async exit gate, where the host serves the exit."""
+    calling = rt.call(h, 0, 1, arg, inject_at={50})
+    assert next(calling).stop == "limit" and next(calling).stop == "halt"
+    assert rt.machine.vcpus[0].last_exit == (EXIT_IRQ, 0)
+    return calling
+
+
+def _finish(calling) -> int:
+    with pytest.raises(StopIteration) as done:
+        while True:
+            next(calling)
+    return done.value.value
+
+
+def test_eviction_may_write_back_an_interrupted_thread_and_its_resume_reloads_it(fixture_dir):
+    """Loads that press the EPC while a thread is interrupted write back
+    every page of its enclave, its TCS and saved frame included; the resume
+    reloads the TCS and the frame it reads back, and the call returns."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -621,29 +640,83 @@ def test_eviction_keeps_an_interrupted_thread_resident(fixture_dir):
     rt = HostRuntime(machine)
     manifest = EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "held"))
     h = rt.load_enclave(manifest)
-    with rt.entered(h) as vcpu:
-        machine.inject_interrupt(vcpu)
-    assert vcpu.last_exit == (EXIT_IRQ, 0) and not vcpu.in_enclave
-    ssa = h.base + manifest.tcs[0].ossa
-    held = [h.tcs_vaddrs[0]] + [
-        ssa + i * GRANULE_SIZE for i in range(manifest.nssa * manifest.ssa_frame_size)
-    ]
+    calling = _interrupted(rt, h)
     for _ in range(3):
         rt.load_enclave(manifest)
-    assert rt.swap_out_events > 0
-    assert rt.store.keys_for(h.eid)  # pages outside the SSA range went out
-    for vaddr in held:
-        assert machine.memory.find_page(h.eid, vaddr) is not None
-    tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
-    machine.leaf("ERESUME", tcs_g, AEP_GATE, vcpu=vcpu)
-    assert vcpu.in_enclave
-    machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
+    frame0 = h.base + fixtures.SSA_OFF
+    assert {h.tcs_vaddrs[0], frame0} <= set(rt.store.keys_for(h.eid))
+    assert _finish(calling) == fixtures.compute_expected(40)
 
 
-def test_eviction_after_an_interrupted_thread_exits_takes_the_oldest_admitted_page(fixture_dir):
-    """The pages eviction skipped while a thread was interrupted keep their
-    place; once the thread exits, the next eviction writes back the first
-    EPCM entry the filter admits, the thread's own save-state frame."""
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_resume_finds_the_tcs_a_host_wrote_back_after_the_exit(mode, fixture_dir):
+    """A host that writes back an interrupted thread's TCS and saved frame
+    between the exit and the resume: the resume reloads both and ERESUMEs
+    the TCS where it now is, not at the granule the exit left in x2."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    rt = HostRuntime(Machine(small_config(mode=mode)))
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    calling = _interrupted(rt, h)
+    rt.swap_out(h, h.tcs_vaddrs[0])
+    rt.swap_out(h, h.base + fixtures.SSA_OFF)
+    assert _finish(calling) == fixtures.compute_expected(40)
+    assert not rt.store.holds_any(h.eid)
+
+
+def test_the_residency_step_keeps_its_pages_from_the_victim_filter(fixture_dir):
+    """With the TCS and frame 0 filed, the entry reloads the TCS first; while
+    it reloads the frame, the victim filter passes over the TCS, so no
+    reclaim there could write it back.  Once the call is back, the filter
+    admits the TCS again."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    rt = HostRuntime(Machine(small_config()))
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    tcs, frame0 = h.tcs_vaddrs[0], h.base + fixtures.SSA_OFF
+    rt.swap_out(h, tcs)
+    rt.swap_out(h, frame0)
+    reloads = []
+    reload = rt._reload
+
+    def watched(eid, page):
+        tcs_granule = rt.machine.memory.find_page(h.eid, tcs)
+        reloads.append((page, None if tcs_granule is None else rt.victim_filter(tcs_granule)))
+        return reload(eid, page)
+
+    rt._reload = watched
+    assert rt.ecall(h, 0, 1, 5) == fixtures.compute_expected(5)
+    assert reloads == [(tcs, None), (frame0, False)]
+    assert rt.victim_filter(rt.machine.memory.find_page(h.eid, tcs))
+
+
+def test_an_entry_on_a_tcs_that_is_neither_resident_nor_filed_is_refused(fixture_dir):
+    """A TCS that the machine removed behind the runtime's back is neither
+    resident nor filed: the residency step refuses the entry before any leaf,
+    with or without a page of the enclave filed."""
+    from ccxsim import fixtures
+    from ccxsim.errors import ModelError
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config())
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    machine.leaf("EREMOVE", machine.memory.find_page(h.eid, h.tcs_vaddrs[0]))
+    for filed in (False, True):
+        if filed:
+            rt.swap_out(h, h.base + fixtures.SSA_OFF)
+        with pytest.raises(ModelError, match="neither resident nor swapped"):
+            rt.ecall(h, 0, 1, 5)
+        assert not machine.vcpus[0].in_enclave
+
+
+def test_eviction_after_a_core_leaves_an_enclave_takes_its_oldest_page(fixture_dir):
+    """The pages a reclaim passed over keep their place: while a core is in
+    the enclave, loads that press the EPC write back none of its pages; once
+    the core exits, the first EPCM entry the filter admits is its first
+    page, and the next reclaim writes it back."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -651,19 +724,17 @@ def test_eviction_after_an_interrupted_thread_exits_takes_the_oldest_admitted_pa
     rt = HostRuntime(machine)
     manifest = EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir, "aged"))
     h = rt.load_enclave(manifest)
-    with rt.entered(h) as vcpu:
-        machine.inject_interrupt(vcpu)
-    for _ in range(3):
-        rt.load_enclave(manifest)
-    tcs_g = machine.memory.find_page(h.eid, h.tcs_vaddrs[0])
-    machine.leaf("ERESUME", tcs_g, AEP_GATE, vcpu=vcpu)
-    machine.leaf("EEXIT", RETURN_GATE, vcpu=vcpu)
+    with rt.entered(h):
+        for _ in range(3):
+            rt.load_enclave(manifest)
+    assert rt.swap_out_events > 0 and not rt.store.holds_any(h.eid)
+    first = h.base + manifest.pages[0].vaddr
     oldest = next(g for g in machine.memory.epcm if rt.victim_filter(g))
     entry = machine.memory.epcm[oldest]
-    assert (entry.owner, entry.vaddr) == (h.eid, h.base + fixtures.SSA_OFF)
+    assert (entry.owner, entry.vaddr) == (h.eid, first)
     rt._reclaim()
     assert oldest not in machine.memory.epcm
-    assert h.base + fixtures.SSA_OFF in rt.store.keys_for(h.eid)
+    assert first in rt.store.keys_for(h.eid)
 
 
 def _reclaims(records):
@@ -861,7 +932,7 @@ def test_enclave_software_faults_on_a_page_a_refused_writeback_left_blocked(mode
 
 def test_a_reclaim_skips_an_enclave_a_core_is_inside(tmp_path):
     """The victim filter passes over every page of an enclave that a core
-    runs in (``runtime.py:365``): a toucher call on vCPU 1 pages in a 24
+    runs in (``runtime.py:364``): a toucher call on vCPU 1 pages in a 24
     granule EPC while a compute call on vCPU 0 is suspended inside its
     enclave, files none of the compute enclave's pages, and the compute call
     then ends with its result."""
@@ -966,7 +1037,7 @@ def test_a_version_array_is_written_back_and_reloaded_with_its_versions(mode, fi
 
 
 # ---------------------------------------------------------------------------
-# The residency rule: the thread pages an entry needs, and EAUG over a filed page
+# The residency step: the thread pages an entry needs, and EAUG over a filed page
 
 
 def _both_modes(tmp_path, text):
