@@ -212,9 +212,9 @@ class RunReport:
     fault: Optional[dict] = None  # what stopped a "fault" run: step, vcpu, kind, details
 
 
-class _PageAccessFault(Exception):
-    """Enclave-linear access could not be satisfied (missing, blocked,
-    pending, trimmed, or permission-denied page)."""
+class PageAccessFault(Exception):
+    """Enclave-linear access, or an ENCLU leaf's operand, could not be satisfied
+    (missing, blocked, pending, trimmed, or permission-denied page)."""
 
     def __init__(self, vaddr: int, why: str):
         self.vaddr = vaddr
@@ -228,13 +228,13 @@ class _PageAccessFault(Exception):
 def _enclave_translate(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
     page_off = addr & (GRANULE_SIZE - 1)
     if page_off + size > GRANULE_SIZE:
-        raise _PageAccessFault(addr, "access crosses a page boundary")
+        raise PageAccessFault(addr, "access crosses a page boundary")
     granule = m.memory.find_page(vcpu.cur_eid, addr)
     if granule is None:
-        raise _PageAccessFault(addr, "no page mapped")
+        raise PageAccessFault(addr, "no page mapped")
     why = software_access_refusal(m.memory.epcm_lookup(granule), kind)
     if why is not None:
-        raise _PageAccessFault(addr, why)
+        raise PageAccessFault(addr, why)
     return granule, page_off
 
 
@@ -246,9 +246,9 @@ def _resolve(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
     granule = addr // GRANULE_SIZE
     offset = addr % GRANULE_SIZE
     if offset + size > GRANULE_SIZE:
-        raise _PageAccessFault(addr, "access crosses a granule boundary")
+        raise PageAccessFault(addr, "access crosses a granule boundary")
     if not 0 <= granule < m.memory.granule_count:
-        raise _PageAccessFault(addr, "address outside physical memory")
+        raise PageAccessFault(addr, "address outside physical memory")
     return granule, offset
 
 
@@ -425,15 +425,6 @@ def _code_page(m, vcpu, pc: int) -> Tuple[int, dict]:
     return granule, blocks
 
 
-def _user_buffer(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
-    """Where a caller-supplied enclave buffer lies; the caller's page
-    permissions apply, and a buffer that cannot be reached fails the leaf."""
-    try:
-        return _enclave_translate(m, vcpu, addr, size, kind)
-    except _PageAccessFault as exc:
-        raise SgxError(E.BAD_VADDR, f"page access fault at {exc.vaddr:#x}: {exc.why}") from None
-
-
 # ---------------------------------------------------------------------------
 # CPUID emulation
 
@@ -585,11 +576,13 @@ def inject_interrupt(m, vcpu) -> None:
 #
 # A kind turns one guest register word into leaf arguments, or refuses it with
 # an SgxError, so a word the leaf cannot accept reaches the guest as a code in
-# x0 and never as a simulator error.  A kind returns one positional argument,
-# or a dict of keyword arguments where a word does not give one argument in
-# register order: a PAGEINFO gives several, a version-slot address two, the
-# page a load leaf fills one by name, and an output address, which the result
-# slot checks, none.
+# x0 and never as a simulator error.  An enclave address that does not
+# translate as the enclave's own access would raises PageAccessFault instead:
+# the leaf has not run, and the pump's AEX and ERESUME run it again.  A kind
+# returns one positional argument, or a dict of keyword arguments where a word
+# does not give one argument in register order: a PAGEINFO gives several, a
+# version-slot address two, the page a load leaf fills one by name, and an
+# output address, which the result slot checks, none.
 
 
 def _word(m, vcpu, word: int) -> int:
@@ -605,7 +598,7 @@ def _granule(m, vcpu, word: int) -> int:
 def _own_page(m, vcpu, vaddr: int) -> int:
     granule = m.memory.find_page(vcpu.cur_eid, vaddr)
     if granule is None:
-        raise SgxError(E.BAD_VADDR, f"no own page at {vaddr:#x}")
+        raise PageAccessFault(vaddr, "no page mapped")
     return granule
 
 
@@ -634,7 +627,7 @@ def _value8(m, vcpu, word: int) -> bytes:
 def _buffer(size: int, unpack=bytes):
     """An enclave buffer of ``size`` bytes at the address in the word."""
     def read(m, vcpu, addr: int):
-        granule, offset = _user_buffer(m, vcpu, addr, size, "r")
+        granule, offset = _enclave_translate(m, vcpu, addr, size, "r")
         return unpack(m.memory.load(granule, offset, size))
     return read
 
@@ -729,7 +722,7 @@ def _buffer_at(reg: int, size: int, pack=bytes):
     """Result slot: the enclave buffer of ``size`` bytes at the address in
     x``reg`` takes ``pack(result)``."""
     def prepare(m, vcpu, words):
-        granule, offset = _user_buffer(m, vcpu, words[reg - 2], size, "w")
+        granule, offset = _enclave_translate(m, vcpu, words[reg - 2], size, "w")
 
         def store(result) -> None:
             m.memory.store(granule, offset, pack(result))
@@ -911,12 +904,12 @@ def step(m, vcpu, max_steps: int) -> RunReport:
 
     Stops on halt or abort (``vcpu.pc`` stays on it), a host-mode fault, whose
     details the report keeps, or exhaustion, which may come inside a block
-    and leaves ``vcpu.pc`` on the next instruction.  A fault in enclave mode
-    becomes an asynchronous exit, and execution continues at the host's async
-    exit pointer (typically a halt gate): the trace shows the fault, then the
-    exit.  After a branch, load or store, the next block on the same page
-    chains without a fetch, and a self-loop runs its whole turns in one call
-    (see the module docstring).
+    and leaves ``vcpu.pc`` on the next instruction.  A fault in enclave mode,
+    an ENCLU leaf operand's too, becomes an asynchronous exit that saves the
+    faulting pc, and execution continues at the host's async exit pointer
+    (typically a halt gate): the trace shows the fault, then the exit.  After a
+    branch, load or store, the next block on the same page chains without a
+    fetch, and a self-loop runs its whole turns in one call (module docstring).
     """
     mem = m.memory
     executed = 0
@@ -987,11 +980,14 @@ def step(m, vcpu, max_steps: int) -> RunReport:
                             return _stopped(vcpu, executed, "dispatch_fault",
                                             code=err.code.name, detail=err.detail)
                         vcpu.regs[0] = int(err.code)
+                    except PageAccessFault:
+                        vcpu.pc = pc  # an operand faulted: the leaf runs again on resume
+                        raise
                     break
                 if op == isa.OP_ILLEGAL:  # rd holds the opcode byte, rs1 the register
                     return _stopped(vcpu, executed, "bad_opcode", op=rd, reg=rs1, pc=pc)
                 return _stopped(vcpu, executed, "bad_opcode", op=op, pc=pc)  # an undefined opcode
-        except (GranuleProtectionFault, _PageAccessFault) as exc:
+        except (GranuleProtectionFault, PageAccessFault) as exc:
             gpf = isinstance(exc, GranuleProtectionFault)
             addr = (pc if fetching else (vcpu.regs[rs1] + imm) & MASK64) if gpf else exc.vaddr
             if m.trace is not NO_TRACE or vcpu.cur_eid is None:

@@ -87,7 +87,9 @@ class Machine:
 
     def _dispatch(self, rows, vcpu: Optional[VCpu], leaf: int, args, core, words) -> Any:
         """Run one leaf; ``vcpu`` is None for ENCLS, else also ``args[0]``.
-        A trapping ``core``'s ``words`` x2..x4 give the rest of the arguments."""
+        A trapping ``core``'s ``words`` x2..x4 give the rest of the arguments;
+        if one faults, the leaf has not run: its count is taken back, it writes
+        no record, and the pump's AEX and ERESUME run it again."""
         row = rows.get(leaf)
         if row is None:
             cls = "ENCLS" if vcpu is None else "ENCLU"
@@ -106,6 +108,9 @@ class Machine:
             if self.trace is not NO_TRACE:
                 self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
                                  outcome=err.code.name, cost=self.leaf_cost[name])
+            raise
+        except execution.PageAccessFault:
+            self.counters[name] -= 1
             raise
         if self.trace is not NO_TRACE:  # every leaf comes here: skip the call too
             self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,

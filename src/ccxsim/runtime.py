@@ -37,10 +37,11 @@ Residency: no thread page is pinned.  Right before each entry leaf, one
 step makes resident the TCS and the save-state frame that leaf and the next
 AEX use (cssa for EENTER, cssa-1 for ERESUME; every frame for an AEX-Notify
 thread, whose handler can exit into the next), and after a page-fault exit
-the faulting page.  No reclaim inside the step takes one of them, so one
-pass makes them all resident or refuses with "EPC exhausted".  A filed page
-still belongs to its enclave: the EAUG outside call reloads it, so the leaf
-refuses it as it refuses a resident one.
+the faulting page.  A load's fault and an ENCLU leaf operand's are served
+alike, and ERESUME runs the load or the leaf again.  No reclaim inside the
+step takes one of them, so one pass makes them all resident or refuses with
+"EPC exhausted".  A filed page still belongs to its enclave: the EAUG
+outside call reloads it, so the leaf refuses it as it refuses a resident one.
 
 Teardown, for ``destroy`` and for a load that fails after ECREATE, is one
 walk: EREMOVE every resident page but the SECS, then reload each filed page
@@ -350,7 +351,7 @@ class HostRuntime:
     def victim_filter(self, granule: int) -> bool:
         """An unblocked REG or TCS page that the residency step under way
         does not keep, of an enclave this runtime loaded (it pages them back
-        in by handle) that has not crashed and that no core runs in now."""
+        in by handle) and that no core runs in now."""
         m = self.machine
         entry = m.memory.epcm.get(granule)
         if entry is None or entry.blocked or entry.page_type not in (PageType.REG, PageType.TCS):
@@ -358,8 +359,6 @@ class HostRuntime:
         if entry.owner not in self.handles or (entry.owner, entry.vaddr) in self._kept:
             return False
         secs = m.enclaves[entry.owner]
-        if secs.crashed:
-            return False
         for vcpu in secs.cores:
             if vcpu.cur_eid == secs.eid:
                 return False
@@ -506,11 +505,13 @@ class HostRuntime:
 
     def swap_out(self, handle: EnclaveHandle, vaddr: int) -> None:
         """Evict the page holding `vaddr`; its blob is filed under the page
-        address, where demand paging looks for it."""
+        address, where demand paging looks for it; a filed page is left alone."""
         m = self.machine
         page = vaddr & ~(GRANULE_SIZE - 1)
         g = m.memory.find_page(handle.eid, page)
         if g is None:
+            if self.store.has(handle.eid, page):
+                return
             raise ModelError(f"no resident page at {vaddr:#x}")
         if not self._free_slots:
             self._add_version_array(self.take_epc_granule())
@@ -520,7 +521,11 @@ class HostRuntime:
         self._write_back([(g, m.memory.epcm[g])], evict=False)
 
     def swap_in(self, handle: EnclaveHandle, vaddr: int) -> None:
-        self._reload(handle.eid, vaddr & ~(GRANULE_SIZE - 1))
+        """Reload the filed page at `vaddr`, asking the store first; a resident one stays."""
+        page = vaddr & ~(GRANULE_SIZE - 1)
+        if self.store.has(handle.eid, page) or self.machine.memory.find_page(
+                handle.eid, page) is None:
+            self._reload(handle.eid, page)
 
     def _reload(self, eid: int, page: int) -> int:
         """ELDU the filed ``page`` of enclave ``eid`` into a taken granule and

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ccxsim import cli, fixtures
 from ccxsim.config import DEFAULT_COST_FACTORS, MAX_GRANULE_COUNT, MAX_VCPU_COUNT, Config
 from ccxsim.errors import ModelError
-from ccxsim.machine import ALL_LEAF_NAMES
+from ccxsim.machine import ALL_LEAF_NAMES, Machine
 from ccxsim.scenario import MODE_DIFFERENCES, compare_modes
 
 from helpers import small_config
@@ -126,9 +126,18 @@ def _differential(seed):
 # Each row and one case in which it admits a difference no other row does.
 WITNESSES = {
     0: lambda demo_dir: ((demo_dir / "mode_diff.scenario").read_text(), Config()),
-    1: lambda demo_dir: _differential(30),
-    2: lambda demo_dir: _differential(9),
+    1: lambda demo_dir: _differential(9),
 }
+
+
+@pytest.mark.parametrize("factors", [{}, {"kdf": 7, "aead_page": 0, "gpt_per_granule": 3}])
+def test_a_leafs_cost_is_equal_across_modes(factors):
+    """``compare_modes`` compares leaf counts and not their costs: a cost is
+    the count times a leaf's ``leaf_cost``, which does not depend on the
+    mode, so two costs differ exactly where two counts do."""
+    config = Config.from_dict({"cost_factors": factors})
+    sgx, ccx = (Machine(replace(config, mode=mode)).leaf_cost for mode in ("sgx", "ccx"))
+    assert sgx == ccx and sorted(sgx) == ALL_LEAF_NAMES
 
 
 def test_every_row_has_a_witness():
@@ -165,13 +174,14 @@ def test_a_run_refused_before_its_first_create_reports_the_whole_summary(tmp_pat
 
 
 TRY_SCENARIO = ("create a standard.manifest\ninject_irq vcpu=0 at=1\ntry ecall ghost 0 1\n"
-                "try swap_in a 0x4000\necall a 0 1 5 6\nexpect count:ERESUME == 0\n")
+                "try swap_in a 0x100000\necall a 0 1 5 6\nexpect count:ERESUME == 0\n")
 
 
 def test_refused_try_lines_are_equal_in_both_modes_and_read_as_refused(demo_dir, capsys):
     """An ecall of an absent enclave still takes the pending interrupt, and a
-    swap_in of a resident page is refused: both are recorded and passed
-    over, with no difference at all between the modes, and the run passes."""
+    swap_in of a page the enclave never had is refused: both are recorded
+    and passed over, with no difference at all between the modes, and the
+    run passes."""
     assert compare_modes(TRY_SCENARIO, Config(), demo_dir, table=()) == []
     status, out, _ = _main(capsys, "run", _write(demo_dir, "try.scenario", TRY_SCENARIO))
     assert status == cli.EXIT_OK

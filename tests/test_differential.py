@@ -33,7 +33,7 @@ OPS_PER_SEQUENCE = 24
 KINDS = ("standard", "compute", "toucher", "notify")
 DYN_PAGES = 12  # most pages one toucher call adds
 STEP_BUDGET = 20_000  # max_ecall_steps: ample, yet a notify handler can loop until it
-RELOAD_CAP = 1_000  # reloads past which a named seed's run counts as stuck; each needs < 60
+RELOAD_CAP = 1_000  # reloads past which a named seed's run counts as stuck; each needs < 120
 
 # Pages an explicit swap names, by enclave offset: code, scratch, both
 # save-state frames and the TCS; for the toucher also its first added pages.
@@ -188,6 +188,23 @@ def test_seed_149_compares_equal_in_a_16_granule_epc(demo_dir, reload_cap):
     and a PEEK's code and data pages then evicted each other until the step
     budget, while ccx mode returned at once."""
     _run(149, demo_dir, _draw(random.Random(149)), epc_size=16)
+
+
+def test_seed_156_compares_equal_in_a_16_granule_epc(demo_dir, reload_cap):
+    """A crashed notify enclave once kept its pages from reclaim, and a code
+    page and a data page evicted each other; and a toucher's EACCEPT of a
+    page written back since its EAUG was refused in sgx mode only, where the
+    leaf faults as a load would, the host reloads the page, and it runs again."""
+    _run(156, demo_dir, _draw(random.Random(156)), epc_size=16)
+
+
+@pytest.mark.parametrize("seed", [48, 75])
+def test_a_seed_with_a_crashed_enclave_compares_equal_in_a_12_granule_epc(
+        seed, demo_dir, reload_cap):
+    """A crashed enclave's pages were kept from reclaim, so the pages left
+    to the other enclaves were too few, and a code page and a data page
+    evicted each other without end."""
+    _run(seed, demo_dir, _draw(random.Random(seed)), epc_size=12)
 
 
 def test_seed_151_runs_to_its_last_line_in_a_16_granule_epc(demo_dir, reload_cap):

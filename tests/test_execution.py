@@ -389,18 +389,25 @@ def test_encls_service_not_available_from_enclave(entered_env):
     machine.enclu(vcpu, 0x4, RETURN_GATE)
 
 
+FAULT = "page-access fault"
+
+
 def _trap(machine, vcpu, smc, leaf, *words):
-    """The code a gadget trap of ``leaf`` is refused with, or None."""
+    """The code a gadget trap of ``leaf`` is refused with, ``FAULT`` if an
+    operand faults, which the pump would turn into an AEX, or None."""
     try:
         execution.gadget_trap(machine, vcpu, execution.TrapFrame(smc, leaf, *words))
     except SgxError as err:
         return err.code
+    except execution.PageAccessFault:
+        return FAULT
     return None
 
 
 def test_enclu_mode_rule_runs_only_eenter_and_eresume_from_the_host(entered_env):
     """Every ENCLU leaf is refused with INVALID_MODE in exactly one of the two
-    modes: EENTER and ERESUME inside an enclave, every other one in the host."""
+    modes: EENTER and ERESUME inside an enclave, every other one in the host.
+    An operand that faults in the other mode is no refusal for the mode."""
     machine, enc, tcs_g = entered_env
     vcpu = machine.vcpus[0]
     host_mode = set()
@@ -423,9 +430,10 @@ def test_enclu_mode_rule_runs_only_eenter_and_eresume_from_the_host(entered_env)
 
 
 def test_a_refused_trap_is_counted_once_with_one_record_and_writes_no_output(entered_env):
-    """A trap refused for its mode, an argument or its output moves its leaf's
-    counter by one and no other, writes one record with its code, and leaves
-    its output where it was."""
+    """A trap refused for its mode or an argument moves its leaf's counter by
+    one and no other, writes one record with its code, and leaves its output
+    where it was.  One whose input or output does not translate has not run:
+    it faults, moves no counter, writes no record and no output."""
     machine, enc, tcs_g = entered_env
     vcpu = machine.vcpus[0]
     data_g = enc.granule(0x1000)
@@ -433,8 +441,8 @@ def test_a_refused_trap_is_counted_once_with_one_record_and_writes_no_output(ent
     request, key_out = BASE + 0x1000, BASE + 0x1000 + 512
     cases = [  # (inside, service, leaf, words, code, the output's granule)
         (False, ENCLU, 0x1, (request, key_out), E.INVALID_MODE, data_g),  # EGETKEY
-        (True, ENCLU, 0x1, (BASE + 0x100000, key_out), E.BAD_VADDR, data_g),  # no request
-        (True, ENCLU, 0x1, (request, BASE), E.BAD_VADDR, enc.granule(0x0)),  # r-x output
+        (True, ENCLU, 0x1, (BASE + 0x100000, key_out), FAULT, data_g),  # no request
+        (True, ENCLU, 0x1, (request, BASE), FAULT, enc.granule(0x0)),  # r-x output
         (False, ENCLS, 0x4, (OUT_OF_RANGE, 0), E.PAGE_INVALID, None),  # EDBGRD: x1
     ]
     machine.trace = []
@@ -447,10 +455,10 @@ def test_a_refused_trap_is_counted_once_with_one_record_and_writes_no_output(ent
         vcpu.regs[1] = 0x5EED
         output = None if out_g is None else machine.memory.load(out_g, 0, GRANULE_SIZE)
         assert _trap(machine, vcpu, smc, leaf, *words) == code
-        counters[name] += 1
+        records = [] if code is FAULT else [(name.lower(), code.name)]
+        counters[name] += len(records)
         assert machine.counters == counters
-        assert [(r["kind"], r["outcome"]) for r in machine.trace[before:]] == \
-            [(name.lower(), code.name)]
+        assert [(r["kind"], r["outcome"]) for r in machine.trace[before:]] == records
         if out_g is None:
             assert vcpu.regs[1] == 0x5EED
         else:
@@ -999,7 +1007,25 @@ def _refusals(machine):
     return [(r["kind"], r["outcome"]) for r in machine.trace if r["outcome"] != "ok"]
 
 
-def test_report_to_unmapped_output_buffer_is_bad_vaddr(machine, fixture_dir):
+def _faulted_on(machine, h, vcpu, report, steps, addr, why):
+    """The run's gadget, its last step, faulted on ``addr``: the leaf left no
+    record and no count, the core exited by AEX to the host's halt, and the
+    saved frame's pc is on the gadget, so ERESUME runs the leaf again."""
+    from ccxsim.structs import EXIT_PAGEFAULT, SSA_FRAME, SSA_NREGS
+
+    assert report.stop == "halt" and report.steps == steps + 1  # the halt at the gate
+    assert [r["kind"] for r in machine.trace] == ["eenter", "pagefault", "aex"]
+    assert machine.trace[1] == {"seq": 1, "kind": "pagefault", "vcpu": 0, "addr": addr,
+                                "why": why}
+    assert (machine.trace[2]["reason"], machine.trace[2]["payload"]) == ("pagefault", addr)
+    assert vcpu.last_exit == (EXIT_PAGEFAULT, addr & ~(GRANULE_SIZE - 1))
+    assert machine.counters["EREPORT"] == machine.counters["EGETKEY"] == 0
+    frame_g = machine.memory.find_page(h.eid, h.base + fixtures.SSA_OFF)
+    frame = SSA_FRAME.unpack(machine.memory.load(frame_g, 0, SSA_FRAME.size))
+    assert frame[SSA_NREGS] == h.base + (steps - 1) * isa.INSTR_SIZE
+
+
+def test_report_to_an_unmapped_output_buffer_exits_by_aex_on_that_page(machine, fixture_dir):
     _, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "r")
     from ccxsim.structs import TargetInfo
 
@@ -1017,16 +1043,13 @@ def test_report_to_unmapped_output_buffer_is_bad_vaddr(machine, fixture_dir):
         ("gadget",),
         ("halt",),
     ])
-    assert report.stop == "halt" and report.steps == 7  # the gadget is step 6
-    assert _refusals(machine) == [("ereport", "BAD_VADDR")]
-    assert machine.trace[-1]["vcpu"] == 0
-    assert vcpu.regs[0] == int(E.BAD_VADDR)
+    _faulted_on(machine, h, vcpu, report, 6, unmapped, "no page mapped")
 
 
 def test_refused_report_draws_no_randomness(fixture_dir):
-    """An EREPORT refused for its output buffer is refused before the leaf
-    draws its key id, so the next report gets the key id that a same-seed
-    machine without the refused call gets."""
+    """An EREPORT whose output buffer faults faults before the leaf draws
+    its key id, so the next report gets the key id that a same-seed machine
+    without the faulted call gets."""
     from ccxsim.structs import REPORT_SIZE, Report, TargetInfo
 
     keyids = []
@@ -1041,17 +1064,18 @@ def test_refused_report_draws_no_randomness(fixture_dir):
             return [("movi", 2, scratch + 1024), ("movi", 3, scratch + 1088),
                     ("movi", 4, out), ("movi", 1, 0x0), ("movi", 0, 0x1), ("gadget",)]
 
-        prog = report_to(h.base) if refused_first else []  # the code page is r-x
-        vcpu, report = _run_in_enclave(machine, h, prog + report_to(scratch + 1536) + [("halt",)])
-        codes = [outcome for _, outcome in _refusals(machine)]
-        assert codes == (["BAD_VADDR"] if refused_first else [])
+        if refused_first:  # the code page is r-x: the core exits by AEX to the host
+            _run_in_enclave(machine, h, report_to(h.base))
+            assert [r["kind"] for r in machine.trace] == ["eenter", "pagefault", "aex"]
+        vcpu, report = _run_in_enclave(machine, h, report_to(scratch + 1536) + [("halt",)])
+        assert _refusals(machine) == []
         assert report.stop == "halt" and vcpu.regs[0] == 0
         raw = machine.leaf("EDBGRD", scratch_g, 1536, REPORT_SIZE)
         keyids.append(Report.from_bytes(raw).keyid)
     assert keyids[0] == keyids[1]
 
 
-def test_key_to_read_only_buffer_is_bad_vaddr(machine, fixture_dir):
+def test_key_to_a_read_only_buffer_exits_by_aex_on_that_page(machine, fixture_dir):
     _, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "k")
     from ccxsim.structs import KeyName, KeyRequest
 
@@ -1066,10 +1090,37 @@ def test_key_to_read_only_buffer_is_bad_vaddr(machine, fixture_dir):
         ("gadget",),
         ("halt",),
     ])
-    assert report.stop == "halt" and report.steps == 6  # the gadget is step 5
-    assert _refusals(machine) == [("egetkey", "BAD_VADDR")]
-    assert machine.trace[-1]["vcpu"] == 0
-    assert vcpu.regs[0] == int(E.BAD_VADDR)
+    _faulted_on(machine, h, vcpu, report, 5, h.base, "missing w permission")
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_key_request_page_filed_before_a_call_is_reloaded_and_the_leaf_runs_again(
+        mode, fixture_dir):
+    """The host writes back the page of an EGETKEY's request and output just
+    before the call.  The leaf faults on it as a load would, the host reloads
+    the page and resumes, and the leaf runs again: it is counted once, and
+    its key lands in the reloaded page."""
+    machine = Machine(small_config(mode=mode))
+    rt, h = load_fixture(machine, fixture_dir, fixtures.write_standard_manifest, "f")
+    scratch = h.base + fixtures.SCRATCH_OFF
+    machine.leaf("EDBGWR", machine.memory.find_page(h.eid, scratch), 2048,
+                 KeyRequest(KeyName.REPORT).pack())
+    machine.leaf("EDBGWR", machine.memory.find_page(h.eid, h.base), 0, isa.assemble([
+        ("movi", 2, scratch + 2048), ("movi", 3, scratch + 3072),
+        ("movi", 1, 0x1), ("movi", 0, 0x1), ("gadget",),  # EGETKEY
+        ("addi", 3, 0, 0), ("addi", 2, 10, 0),
+        ("movi", 1, 0x4), ("movi", 0, 0x1), ("gadget",),  # EEXIT to the return gate
+    ], origin=h.base))
+    rt.swap_out(h, scratch)
+    machine.trace = []
+    assert rt.ecall(h, 0, 0) == 0
+    kinds = [r["kind"] for r in machine.trace]
+    assert kinds[kinds.index("pagefault"):] == [
+        "pagefault", "aex", "eldu", "eresume", "egetkey", "eexit"]
+    assert machine.counters["EGETKEY"] == 1
+    with rt.entered(h) as vcpu:
+        key = machine.leaf("EGETKEY", KeyRequest(KeyName.REPORT), vcpu=vcpu)
+    assert machine.leaf("EDBGRD", machine.memory.find_page(h.eid, scratch), 3072, 16) == key
 
 
 def _encls(machine, leaf, a1=0, a2=0, a3=0):

@@ -123,13 +123,13 @@ def test_parse_error_reports_line(demo_dir):
 
 
 def test_a_refused_try_line_is_recorded_and_the_run_goes_on(demo_dir):
-    text = ("create a standard.manifest\ntry swap_in a 0x4000\ntry ecall ghost 0 1\n"
+    text = ("create a standard.manifest\ntry swap_in a 0x100000\ntry ecall ghost 0 1\n"
             "try ecall a 0 1 5 6\n")
     result = run_text(text, demo_dir)
     assert result.ok and result.summary["commands"] == 4 and "failed_at" not in result.summary
     assert result.events[1:] == [
-        {"line": 2, "cmd": "swap_in", "text": "try swap_in a 0x4000", "ok": False,
-         "error": "swap store holds no page 0x200004000 of enclave 1"},
+        {"line": 2, "cmd": "swap_in", "text": "try swap_in a 0x100000", "ok": False,
+         "error": "swap store holds no page 0x200100000 of enclave 1"},
         {"line": 3, "cmd": "ecall", "text": "try ecall ghost 0 1", "ok": False,
          "error": "scenario line 3: unknown enclave 'ghost'"},
         {"line": 4, "cmd": "ecall", "text": "try ecall a 0 1 5 6", "ok": True, "result": 5},
@@ -177,8 +177,9 @@ BAD_INPUTS = {
                        "inject_irq at=0 can never fire: steps count from 1"),
     "inject_at_negative": ("create a standard.manifest\ninject_irq at=3,-5\necall a 0 1 2 3", 2,
                            "inject_irq at=-5 can never fire"),
-    "swap_in_resident": ("create a standard.manifest\nswap_in a 0", 2,
-                         "swap store holds no page"),
+    # a page the enclave never had; a resident page is left as it is
+    "swap_in_resident": ("create a standard.manifest\nswap_in a 0x100000", 2,
+                         "swap store holds no page 0x200100000 of enclave 1"),
     "manifest_missing": ("create a standard.manifest\ncreate b nonexist.manifest", 2,
                          "cannot read manifest 'nonexist.manifest': No such file or directory"),
     "manifest_not_utf8": ("create a latin1.manifest", 1,

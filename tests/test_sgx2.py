@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from ccxsim.errors import SgxError, SgxErrorCode as E
-from ccxsim.execution import _PageAccessFault, mem_read
+from ccxsim.execution import PageAccessFault, mem_read
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Perms
 from ccxsim.runtime import AEP_GATE, HostRuntime, RETURN_GATE
@@ -329,7 +329,7 @@ def test_acceptcopy_refuses_a_source_that_an_enclave_load_refuses(mode):
     vcpu = machine.vcpus[0]
     machine.enclu(vcpu, 0x2, enc.pages[0x4000], AEP_GATE)
     try:
-        with pytest.raises(_PageAccessFault) as fault:
+        with pytest.raises(PageAccessFault) as fault:
             mem_read(machine, vcpu, BASE + 0x1000, 8)
         with pytest.raises(SgxError) as exc:
             machine.enclu(vcpu, 0x7, g, BASE + 0x1000, SecInfo(Perms.R | Perms.W, PageType.REG))

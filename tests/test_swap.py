@@ -10,7 +10,8 @@ from ccxsim.memory import GRANULE_SIZE, PageType, Perms
 from ccxsim.runtime import AEP_GATE, RECLAIM_BATCH, EnclaveFault, HostRuntime, RETURN_GATE
 from ccxsim.structs import EMPTY_SLOT, EXIT_IRQ, Pcmd, VA_SLOT_COUNT, VA_SLOT_SIZE
 
-from helpers import BASE, build_raw_enclave, free_epc_granules, refusing, small_config
+from helpers import (BASE, build_raw_enclave, check_paging_records, free_epc_granules, refusing,
+                     small_config)
 
 
 def _swap_env(machine):
@@ -1094,14 +1095,55 @@ def test_eaug_over_a_filed_page_is_refused_as_over_a_resident_one(tmp_path):
     assert free == total > 0
 
 
-@pytest.mark.xfail(strict=True, raises=EnclaveFault, reason=(
-    "an enclave leaf whose operand page is filed is refused with BAD_VADDR, where SGX"
-    " faults, the driver reloads the page and the leaf runs again"))
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_second_swap_of_a_page_leaves_it_as_the_first_did(mode, fixture_dir):
+    """A swap_out of a filed page and a swap_in of a resident one run no
+    leaf: doing each twice gives the records and swap counts of once."""
+    traces = []
+    for times in (1, 2):
+        machine, rt, h, scratch = _standard(mode, fixture_dir)
+        machine.trace = []
+        for swap in (rt.swap_out, rt.swap_in):
+            for _ in range(times):
+                swap(h, scratch)
+        assert (rt.swap_out_events, rt.swap_in_events) == (1, 1)
+        traces.append(machine.trace)
+    assert traces[0] == traces[1]
+
+
+def test_a_crashed_enclaves_pages_are_written_back_and_its_destroy_frees_them(fixture_dir):
+    """No core runs in a crashed enclave, so reclaim takes its pages as any
+    other's; its destroy then reloads and removes each, and every version
+    slot is free once the enclaves are gone."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(epc_size=10))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_notify_manifest(fixture_dir)))
+    tcs, vcpu = machine.memory.find_page(h.eid, h.tcs_vaddrs[0]), machine.vcpus[0]
+    machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
+    machine.inject_interrupt(vcpu)
+    for _ in range(2):  # each notify re-entry keeps its frame, so the last exit finds none
+        machine.leaf("ERESUME", tcs, AEP_GATE, vcpu=vcpu)
+        machine.inject_interrupt(vcpu)
+    assert machine.enclaves[h.eid].crashed and not vcpu.in_enclave
+    other = rt.load_enclave(EnclaveManifest.load(fixtures.write_standard_manifest(fixture_dir)))
+    assert rt.store.keys_for(h.eid)
+    rt.destroy(h)
+    assert not rt.store.holds_any(h.eid) and h.eid not in machine.memory.gpts.owned
+    check_paging_records(rt)
+    rt.destroy(other)
+    free, total = _slots(rt)
+    assert free == total > 0
+
+
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_an_eaccept_of_a_page_written_back_after_its_eaug_is_retried(mode, fixture_dir):
     """A host that writes back each page right after its EAUG: the
-    toucher's EACCEPT then names a filed page.  SGX would fault, the driver
-    reload the page and the EACCEPT run again, so the call would succeed."""
+    toucher's EACCEPT then names a filed page.  As in SGX, the leaf faults,
+    the host reloads the page and the EACCEPT runs again, so the call
+    succeeds, with each EACCEPT counted once."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
     from ccxsim.runtime import OCALL_EAUG, _ocall_eaug
@@ -1117,3 +1159,5 @@ def test_an_eaccept_of_a_page_written_back_after_its_eaug_is_retried(mode, fixtu
 
     rt.register_ocall(OCALL_EAUG, eaug_then_write_back)
     assert rt.ecall(h, 0, 1, 3) == fixtures.toucher_expected(3)
+    assert machine.counters["EACCEPT"] == 3
+    assert rt.swap_out_events == rt.swap_in_events == 3
