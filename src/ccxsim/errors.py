@@ -2,9 +2,9 @@
 
 Three families are deliberately kept apart:
 
-* ``GranuleProtectionFault`` and ``SgxError`` are *simulated* outcomes.  They
-  model what the machine would report to software and are part of normal
-  operation (tests assert on them, enclave programs receive them as codes).
+* ``GranuleProtectionFault``, ``PageAccessFault`` and ``SgxError`` are
+  *simulated* outcomes, what the machine would report to software, and part
+  of normal operation (tests assert on them, programs receive them as codes).
 * ``ModelError`` means the simulator itself was driven incorrectly (out of
   range granule, invariant violation, bad dispatch plumbing).  It is a bug in
   the caller or in the model, never an architectural event.
@@ -103,6 +103,15 @@ class GranuleProtectionFault(Exception):
             f"GPF: accessor={accessor.name} pas={pas.name} "
             f"granule={granule} gpt={'sys' if gpt is None else gpt}"
         )
+
+
+class PageAccessFault(Exception):
+    """An enclave page that an access or a leaf needs is missing, blocked,
+    pending, trimmed or lacks the permission; it has not run, and runs again
+    once the host has served the fault."""
+
+    def __init__(self, vaddr: int, why: str):
+        self.vaddr, self.why = vaddr, why
 
 
 class AuthenticationFailure(Exception):

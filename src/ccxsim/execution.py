@@ -22,10 +22,10 @@ trap alike, so a leaf's number, handler, mode rule, cost and register ABI
 cannot fall out of step.
 
 The four world switches do only their architectural work: EENTER and
-ERESUME check the TCS page and switch in, EEXIT and AEX switch out, and each
-writes the vCPU alone.  A save-state frame has one layout,
-:data:`~ccxsim.structs.SSA_FRAME`, which AEX packs straight from the vCPU
-and ERESUME unpacks in place into the new register list.
+ERESUME check the TCS page and the frames they need and switch in, EEXIT and
+AEX switch out, and each writes the vCPU alone.  A save-state frame starts a
+page and has one layout, :data:`~ccxsim.structs.SSA_FRAME`, which AEX packs
+straight from the vCPU and ERESUME unpacks in place into the register list.
 
 The pump keeps no event list of its own.  Each fact of a run is one record
 in the machine's trace: the dispatch records leaves, :func:`aex` exits, and
@@ -101,7 +101,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import isa, microprograms as mp
 from .isa import INSTR_SIZE, OP_ABORT, OP_GADGET, OP_HALT, OP_LOAD, OP_STORE
 from .crypto import KEY_SIZE, remember
-from .errors import GranuleProtectionFault, ModelError, SgxError, SgxErrorCode as E
+from .errors import GranuleProtectionFault, ModelError, PageAccessFault, SgxError, SgxErrorCode as E
 from .memory import (
     GRANULE_SIZE,
     HOST,
@@ -210,15 +210,6 @@ class RunReport:
     stop: str  # halt | abort | fault | limit
     steps: int
     fault: Optional[dict] = None  # what stopped a "fault" run: step, vcpu, kind, details
-
-
-class PageAccessFault(Exception):
-    """Enclave-linear access, or an ENCLU leaf's operand, could not be satisfied
-    (missing, blocked, pending, trimmed, or permission-denied page)."""
-
-    def __init__(self, vaddr: int, why: str):
-        self.vaddr = vaddr
-        self.why = why
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +471,25 @@ def _switch_out(vcpu) -> None:
     vcpu.entry_epoch = None
 
 
+def _entry_frame(m, secs, tcs, index: int) -> int:
+    """Check that every save-state frame the entry needs is resident: frame
+    ``index``, or all for an AEX-Notify thread, whose handler can exit into
+    the next.  The first that is not faults, naming its page, before the leaf
+    changes anything; the host reloads it and retries.  Returns the granule
+    of the frame checked last, frame ``index``'s on a plain thread."""
+    for i in range(tcs.nssa) if tcs.aexnotify else (index,):
+        vaddr = ssa_frame_vaddr(secs, tcs, i)
+        granule = m.memory.find_page(secs.eid, vaddr)
+        if granule is None:
+            raise PageAccessFault(vaddr, "save-state page is not resident")
+    return granule
+
+
 def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
     secs, tcs = _tcs_for_entry(m, tcs_granule)
     if tcs.cssa >= tcs.nssa:
         raise SgxError(E.CSSA_FULL, "no free save-state slot")
+    _entry_frame(m, secs, tcs, tcs.cssa)  # the one the next AEX writes
     # Host registers flow into the enclave (unified-state emulation); x0
     # reports the current save-state index so entry code can tell a fresh
     # call from exception/notify handling.
@@ -502,6 +508,7 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
     secs, tcs = _tcs_for_entry(m, tcs_granule)
     if tcs.cssa == 0:
         raise SgxError(E.NO_SAVED_STATE, "no interrupted context to resume")
+    granule = _entry_frame(m, secs, tcs, tcs.cssa - 1)  # the one it reads back
 
     if tcs.aexnotify:
         # Re-entry lands in the enclave's notify handler at the current
@@ -511,12 +518,7 @@ def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
         vcpu.regs[0] = tcs.cssa
         return
 
-    frame_vaddr = ssa_frame_vaddr(secs, tcs, tcs.cssa - 1)
-    granule = m.memory.find_page(secs.eid, frame_vaddr)
-    if granule is None:
-        raise SgxError(E.PAGE_INVALID, "save-state page is not resident")
-    regs = list(SSA_FRAME.unpack_from(
-        m.memory.data, granule * GRANULE_SIZE + (frame_vaddr & _PAGE_MASK)))
+    regs = list(SSA_FRAME.unpack_from(m.memory.data, granule * GRANULE_SIZE))
     m.store_cssa(tcs_granule, tcs.cssa - 1)
     _switch_in(vcpu, secs, tcs, tcs_granule, aep, regs[SSA_NREGS])
     vcpu.pstate, vcpu.tpidr = regs[SSA_NREGS + 1 : SSA_NREGS + 3]

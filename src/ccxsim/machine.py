@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional
 from . import execution
 from .config import Config
 from .crypto import CryptoEngine, DeviceSecrets
-from .errors import ModelError, SgxError, SgxErrorCode as E
+from .errors import ModelError, PageAccessFault, SgxError, SgxErrorCode as E
 from .execution import LEAF_NUMBERS, NO_TRACE, SMC_ID_ENCLS, SMC_ID_ENCLU, VCpu
 from .memory import GRANULE_SIZE, HOST, MachineMemory, PageType
 from .structs import TCS_OFF_CSSA, Secs, Tcs
@@ -87,9 +87,10 @@ class Machine:
 
     def _dispatch(self, rows, vcpu: Optional[VCpu], leaf: int, args, core, words) -> Any:
         """Run one leaf; ``vcpu`` is None for ENCLS, else also ``args[0]``.
-        A trapping ``core``'s ``words`` x2..x4 give the rest of the arguments;
-        if one faults, the leaf has not run: its count is taken back, it writes
-        no record, and the pump's AEX and ERESUME run it again."""
+        A trapping ``core``'s ``words`` x2..x4 give the rest of the arguments.
+        A leaf that faults on a page has not run: its count is taken back, it
+        writes no record, and the pump's AEX and ERESUME, or a driver's retry
+        of an entry leaf, runs it again once the page is reloaded."""
         row = rows.get(leaf)
         if row is None:
             cls = "ENCLS" if vcpu is None else "ENCLU"
@@ -109,7 +110,7 @@ class Machine:
                 self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
                                  outcome=err.code.name, cost=self.leaf_cost[name])
             raise
-        except execution.PageAccessFault:
+        except PageAccessFault:
             self.counters[name] -= 1
             raise
         if self.trace is not NO_TRACE:  # every leaf comes here: skip the call too

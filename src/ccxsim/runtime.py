@@ -33,15 +33,15 @@ leaves its page, and the pages of its batch not yet written back, blocked:
 still in the EPC, but the enclave's next access to one faults as a
 ``pagefault``, no reclaim picks it again, and only teardown removes it.
 
-Residency: no thread page is pinned.  Right before each entry leaf, one
-step makes resident the TCS and the save-state frame that leaf and the next
-AEX use (cssa for EENTER, cssa-1 for ERESUME; every frame for an AEX-Notify
-thread, whose handler can exit into the next), and after a page-fault exit
-the faulting page.  A load's fault and an ENCLU leaf operand's are served
-alike, and ERESUME runs the load or the leaf again.  No reclaim inside the
-step takes one of them, so one pass makes them all resident or refuses with
-"EPC exhausted".  A filed page still belongs to its enclave: the EAUG
-outside call reloads it, so the leaf refuses it as it refuses a resident one.
+Residency: no thread page is pinned, and the runtime never reads a TCS.
+Pages come back by one path, the fault, as ``sgx_vma_fault`` serves a #PF.
+A load or an ENCLU leaf faults by AEX, and ERESUME runs it again once the
+runtime has reloaded the page.  EENTER and ERESUME fault straight to the
+runtime on a save-state page they need, and it reloads the page and issues
+the leaf again.  Until that leaf has run, no reclaim takes its TCS (found by
+address, and reloaded if filed) or a page reloaded for it, so the retries
+end.  A filed page still belongs to its enclave: the EAUG outside call
+reloads it, so the leaf refuses it as it refuses a resident one.
 
 Teardown, for ``destroy`` and for a load that fails after ECREATE, is one
 walk: EREMOVE every resident page but the SECS, then reload each filed page
@@ -88,8 +88,8 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from .crypto import SIGNATURE_MEMO_SIZE, remember
-from .errors import AuthenticationFailure, ModelError, SgxError, read_input
-from .execution import LEAF_NUMBERS, MASK64, RunReport, ssa_frame_vaddr
+from .errors import AuthenticationFailure, ModelError, PageAccessFault, SgxError, read_input
+from .execution import LEAF_NUMBERS, MASK64, RunReport
 from .machine import Machine
 from .manifest import EnclaveManifest
 from .memory import GRANULE_SIZE, REG_PAGE, RESERVED_GRANULES, EpcmEntry, PageType
@@ -231,9 +231,6 @@ class SwapStore:
     def has(self, eid: Optional[int], vaddr: int) -> bool:
         return vaddr in self._blobs.get(eid, ())
 
-    def holds_any(self, eid: Optional[int]) -> bool:
-        return eid in self._blobs
-
     def keys_for(self, eid: Optional[int]) -> List[int]:
         return sorted(self._blobs.get(eid, ()))
 
@@ -288,7 +285,7 @@ class HostRuntime:
         self._host_held: Set[int] = set()
         # an image's _sigstruct_key -> its test-key SIGSTRUCT's bytes, oldest first
         self._sigstructs: Dict[tuple, bytes] = {}
-        # (eid, page) of the pages the residency step under way keeps from reclaim
+        # (eid, page) of the pages an entry leaf under way keeps from reclaim
         self._kept: Set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------ alloc
@@ -349,9 +346,9 @@ class HostRuntime:
     # ------------------------------------------------------------------ victim
 
     def victim_filter(self, granule: int) -> bool:
-        """An unblocked REG or TCS page that the residency step under way
-        does not keep, of an enclave this runtime loaded (it pages them back
-        in by handle) and that no core runs in now."""
+        """An unblocked REG or TCS page that the entry leaf under way does
+        not keep, of an enclave this runtime loaded (it pages them back in
+        by handle) and that no core runs in now."""
         m = self.machine
         entry = m.memory.epcm.get(granule)
         if entry is None or entry.blocked or entry.page_type not in (PageType.REG, PageType.TCS):
@@ -539,37 +536,31 @@ class HostRuntime:
         self.swap_in_events += 1
         return target
 
-    def _make_resident(self, handle: EnclaveHandle, pages: List[int]) -> None:
-        """Swap in each filed page of ``pages`` in one pass, keeping each
-        from every reclaim until the residency step ends."""
-        self._kept.update((handle.eid, page) for page in pages)
-        for page in pages:
-            if self.store.has(handle.eid, page):
-                self.swap_in(handle, page)
-
-    def _ready_thread(self, handle: EnclaveHandle, tcs_vaddr: int, resume: bool = False,
-                      fault_pages: Tuple[int, ...] = ()) -> int:
-        """The residency step: make the TCS, the frames an EENTER or, with
-        ``resume``, an ERESUME uses, and ``fault_pages`` resident together;
-        return the TCS's granule.  With nothing of the enclave filed, that
-        is one page lookup, and only the entry leaf reads the TCS."""
-        m = self.machine
-        filed = self.store.holds_any(handle.eid)
+    def _issue_entry(self, handle: EnclaveHandle, vcpu, leaf: int, tcs_vaddr: int,
+                     fault_page: Optional[int] = None) -> None:
+        """Issue ``leaf``, EENTER or ERESUME, on the TCS at ``tcs_vaddr`` as a
+        driver does: reload ``fault_page`` (a page-fault exit's), then the
+        TCS, if filed; issue the leaf, and reissue it after reloading each
+        save-state page it faults on.  Until it has run, no reclaim takes the
+        TCS or a page reloaded here, so each fault names a new page."""
+        m, kept = self.machine, self._kept
+        kept.add((handle.eid, tcs_vaddr))
         try:
-            if filed:
-                self._make_resident(handle, [tcs_vaddr])
+            if fault_page is not None:
+                kept.add((handle.eid, fault_page))
+                self.swap_in(handle, fault_page)
             tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
             if tcs_granule is None:
-                raise ModelError(f"TCS at {tcs_vaddr:#x} is neither resident nor swapped")
-            if filed:
-                secs, tcs = m.enclaves[handle.eid], m.read_tcs(tcs_granule)
-                # the next AEX writes frame cssa, or after ERESUME the cssa-1 it reads back
-                frames = range(tcs.nssa) if tcs.aexnotify else (tcs.cssa - resume,)
-                pages = [ssa_frame_vaddr(secs, tcs, i) for i in frames if 0 <= i < tcs.nssa]
-                self._make_resident(handle, pages + list(fault_pages))
+                self.swap_in(handle, tcs_vaddr)
+                tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
+            while True:
+                try:
+                    return m.enclu(vcpu, leaf, tcs_granule, AEP_GATE)
+                except PageAccessFault as fault:
+                    kept.add((handle.eid, fault.vaddr))
+                    self.swap_in(handle, fault.vaddr)
         finally:
-            self._kept.clear()
-        return tcs_granule
+            kept.clear()
 
     # ------------------------------------------------------------------ calls
 
@@ -595,12 +586,10 @@ class HostRuntime:
         return vcpu, handle.tcs_vaddrs[tcs_index]
 
     def _enter(self, handle: EnclaveHandle, vcpu, tcs_vaddr: int) -> None:
-        """The one way in: the residency step, then x10 and x11 pointed at
-        the return and ocall gates, then EENTER."""
-        tcs_granule = self._ready_thread(handle, tcs_vaddr)
-        vcpu.regs[10] = RETURN_GATE
-        vcpu.regs[11] = OCALL_GATE
-        self.machine.enclu(vcpu, EENTER_LEAF, tcs_granule, AEP_GATE)
+        """The one way in: x10 and x11 pointed at the return and ocall gates,
+        then EENTER, reissued after each save-state page it faults on."""
+        vcpu.regs[10:12] = RETURN_GATE, OCALL_GATE
+        self._issue_entry(handle, vcpu, EENTER_LEAF, tcs_vaddr)
 
     @contextmanager
     def entered(self, handle: EnclaveHandle, tcs_index: int = 0, vcpu_index: int = 0):
@@ -702,9 +691,9 @@ class HostRuntime:
         vcpu.regs[5] = 0 if result is None else int(result) & MASK64
 
     def _handle_aex(self, handle: EnclaveHandle, vcpu, tcs_vaddr: int) -> None:
-        """The host trampoline: serve the exit, then ERESUME the TCS the
-        residency step finds at ``tcs_vaddr``, not the granule in x2, which a
-        writeback may have moved; or raise :class:`EnclaveFault`."""
+        """The host trampoline: serve the exit, then ERESUME the TCS found at
+        ``tcs_vaddr`` (a writeback may have moved it from the granule in x2),
+        after reloading a page-fault exit's page; or raise :class:`EnclaveFault`."""
         secs = self.machine.enclaves.get(handle.eid)
         if secs is None or secs.crashed:
             raise EnclaveFault(FaultReport("ssa_overflow", "enclave crashed"))
@@ -714,9 +703,8 @@ class HostRuntime:
                 raise EnclaveFault(FaultReport("pagefault", f"at {payload:#x}", payload))
         elif reason != EXIT_IRQ:  # an injected interrupt just resumes
             raise EnclaveFault(FaultReport("gpf", f"enclave fault at {payload:#x}", payload))
-        fault_pages = (payload,) if reason == EXIT_PAGEFAULT else ()
-        tcs_granule = self._ready_thread(handle, tcs_vaddr, True, fault_pages)
-        self.machine.enclu(vcpu, ERESUME_LEAF, tcs_granule, AEP_GATE)
+        self._issue_entry(handle, vcpu, ERESUME_LEAF, tcs_vaddr,
+                          payload if reason == EXIT_PAGEFAULT else None)
 
     # ------------------------------------------------------------------ attest
 

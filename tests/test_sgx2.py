@@ -303,43 +303,73 @@ def test_acceptcopy_initializes_from_existing_page(env):
     assert not machine.memory.epcm_lookup(g).pending
 
 
-def test_acceptcopy_source_outside_enclave_faults(env):
-    machine, enc, rt = env
+def _copy_faults(machine, enc, source: int) -> PageAccessFault:
+    """EACCEPTCOPY of ``source`` onto a new pending page faults: it is not
+    counted, and the target stays pending and empty."""
     g = augment(machine, enc)
     vcpu = machine.vcpus[0]
     machine.enclu(vcpu, 0x2, enc.pages[0x4000], AEP_GATE)
+    copies = machine.counters["EACCEPTCOPY"]
     try:
-        with pytest.raises(SgxError) as exc:
-            machine.enclu(vcpu, 0x7, g, BASE + 0x70000,
-                          SecInfo(Perms.R, PageType.REG))
-        assert exc.value.code == E.BAD_VADDR
+        with pytest.raises(PageAccessFault) as fault:
+            machine.enclu(vcpu, 0x7, g, source, SecInfo(Perms.R | Perms.W, PageType.REG))
     finally:
         machine.enclu(vcpu, 0x4, RETURN_GATE)
+    assert fault.value.vaddr == source and machine.counters["EACCEPTCOPY"] == copies
+    assert machine.memory.epcm_lookup(g).pending
+    assert machine.leaf("EDBGRD", g, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
+    machine.audit()
+    return fault.value
+
+
+def test_acceptcopy_source_outside_enclave_faults(env):
+    machine, enc, rt = env
+    assert _copy_faults(machine, enc, BASE + 0x70000).why == "no page mapped"
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_acceptcopy_refuses_a_source_that_an_enclave_load_refuses(mode):
     """The source is read by the rule enclave loads follow: a page with a
-    type change in flight faults a load and fails the copy, and the target
-    stays pending and empty."""
+    type change in flight faults a load and faults the copy alike."""
     machine = Machine(small_config(mode=mode))
     enc = dyn_enclave(machine)
     machine.leaf("EMODT", enc.granule(0x1000), PageType.TRIM)
-    g = augment(machine, enc)
     vcpu = machine.vcpus[0]
     machine.enclu(vcpu, 0x2, enc.pages[0x4000], AEP_GATE)
     try:
-        with pytest.raises(PageAccessFault) as fault:
+        with pytest.raises(PageAccessFault) as load:
             mem_read(machine, vcpu, BASE + 0x1000, 8)
-        with pytest.raises(SgxError) as exc:
-            machine.enclu(vcpu, 0x7, g, BASE + 0x1000, SecInfo(Perms.R | Perms.W, PageType.REG))
     finally:
         machine.enclu(vcpu, 0x4, RETURN_GATE)
-    assert fault.value.why == "page has a type change in flight"
-    assert exc.value.code == E.BAD_VADDR and fault.value.why in exc.value.detail
-    assert machine.memory.epcm_lookup(g).pending
-    assert machine.leaf("EDBGRD", g, 0, GRANULE_SIZE) == bytes(GRANULE_SIZE)
-    machine.audit()
+    assert load.value.why == "page has a type change in flight"
+    assert _copy_faults(machine, enc, BASE + 0x1000).why == load.value.why
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_acceptcopy_of_a_filed_source_faults_and_succeeds_once_it_is_reloaded(mode, tmp_path):
+    """A source page that was written back faults the copy, as it would a
+    load; once the page is reloaded the same copy succeeds."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_standard_manifest(tmp_path)))
+    scratch = h.base + fixtures.SCRATCH_OFF
+    assert rt.ecall(h, 0, fixtures.SEL_POKE, scratch + 64, 777) == 777
+    target = free_epc_granules(machine, 1)[0]
+    machine.leaf("EAUG", h.eid, h.base + 0x100000, target)
+    rt.swap_out(h, scratch)
+    copy = (target, scratch, SecInfo(Perms.R | Perms.W, PageType.REG))
+    with rt.entered(h) as vcpu:
+        with pytest.raises(PageAccessFault) as fault:
+            machine.leaf("EACCEPTCOPY", *copy, vcpu=vcpu)
+        assert (fault.value.vaddr, machine.counters["EACCEPTCOPY"]) == (scratch, 0)
+        assert machine.memory.epcm_lookup(target).pending
+        rt.swap_in(h, scratch)
+        machine.leaf("EACCEPTCOPY", *copy, vcpu=vcpu)
+    assert machine.counters["EACCEPTCOPY"] == 1 and not machine.memory.epcm_lookup(target).pending
+    assert machine.leaf("EDBGRD", target, 64, 8) == (777).to_bytes(8, "little")
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from ccxsim.errors import SgxError, SgxErrorCode as E
+from ccxsim.errors import ModelError, PageAccessFault, SgxError, SgxErrorCode as E
 from ccxsim.machine import Machine
 from ccxsim.memory import GRANULE_SIZE, PageType, Perms
 from ccxsim.runtime import AEP_GATE, RECLAIM_BATCH, EnclaveFault, HostRuntime, RETURN_GATE
@@ -440,16 +440,20 @@ def test_eenter_refuses_a_blocked_tcs(swap_env_both):
 
 def test_eresume_refuses_a_thread_whose_saved_frame_was_written_back(swap_env_both):
     """The frame an AEX saved to is written back while its thread is out:
-    ERESUME refuses before it switches in, and the thread keeps its state."""
+    ERESUME faults on that frame before it switches in, is not counted, and
+    the thread keeps its state."""
     machine, enc, va = swap_env_both
     tcs_g, vcpu = enc.pages[0x4000], machine.vcpus[0]
     machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
     machine.inject_interrupt(vcpu)  # frame 0, at 0x2000, holds the context
     swap_out(machine, enc, 0x2000, va, 0)
-    with pytest.raises(SgxError, match="save-state page is not resident") as exc:
+    resumes = machine.counters["ERESUME"]
+    with pytest.raises(PageAccessFault) as fault:
         machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)
-    assert exc.value.code == E.PAGE_INVALID
+    assert fault.value.vaddr == BASE + 0x2000
+    assert fault.value.why == "save-state page is not resident"
     assert vcpu.cur_eid is None and machine.read_tcs(tcs_g).cssa == 1
+    assert machine.counters["ERESUME"] == resumes
 
 
 def test_ewb_refuses_a_secs_page(swap_env_both):
@@ -525,8 +529,9 @@ def test_entry_pages_in_the_frame_the_next_aex_saves_to(machine, fixture_dir):
 ])
 def test_the_leaves_an_entry_issues_with_thread_pages_filed(mode, filed, leaves, fixture_dir):
     """An entry of a plain thread at cssa 0 reloads its filed TCS, then its
-    filed frame 0, the one its next AEX writes, and then enters; frame 1 it
-    leaves filed, and an EPC with room writes nothing back."""
+    filed frame 0, the one its next AEX writes, once EENTER faults on it (a
+    faulted leaf writes no record), and then enters; frame 1 it leaves
+    filed, and an EPC with room writes nothing back."""
     from ccxsim import fixtures
     from ccxsim.machine import ALL_LEAF_NAMES
     from ccxsim.manifest import EnclaveManifest
@@ -577,8 +582,8 @@ def test_the_victim_filter_keeps_no_page_of_an_interrupted_thread(fixture_dir):
 
 def test_an_ecall_of_an_enclave_with_nothing_swapped_out_reads_its_tcs_once(
         machine, fixture_dir, monkeypatch):
-    """Only the entry leaf reads the TCS when no page of the enclave is
-    swapped out; with one out, the runtime reads it to find the frames."""
+    """Only the entry leaf reads the TCS, whether or not a page of the
+    enclave is swapped out: the runtime never reads it to find the frames."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -592,13 +597,13 @@ def test_an_ecall_of_an_enclave_with_nothing_swapped_out_reads_its_tcs_once(
     rt.swap_out(h, h.base + fixtures.SCRATCH_OFF)
     reads.clear()
     assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
-    assert len(reads) == 2
+    assert len(reads) == 1
 
 
 def test_a_warm_ecall_with_nothing_swapped_out_looks_its_tcs_up_once(
         machine, fixture_dir, monkeypatch):
-    """The runtime asks the swap store, not memory, whether the TCS is
-    swapped out, so finding its granule is the one page lookup."""
+    """The runtime looks the TCS up once, and EENTER then looks up the frame
+    its next AEX writes: two page lookups, one for each."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
     from ccxsim.memory import MachineMemory
@@ -611,7 +616,7 @@ def test_a_warm_ecall_with_nothing_swapped_out_looks_its_tcs_up_once(
     monkeypatch.setattr(MachineMemory, "find_page",
                         lambda mem, eid, vaddr: lookups.append(vaddr) or find_page(mem, eid, vaddr))
     assert rt.ecall(h, 0, 0, 5) == fixtures.compute_expected(5)
-    assert lookups == [h.tcs_vaddrs[0]]
+    assert lookups == [h.tcs_vaddrs[0], h.base + fixtures.SSA_OFF]
 
 
 def _interrupted(rt, h, arg: int = 40):
@@ -663,14 +668,14 @@ def test_a_resume_finds_the_tcs_a_host_wrote_back_after_the_exit(mode, fixture_d
     rt.swap_out(h, h.tcs_vaddrs[0])
     rt.swap_out(h, h.base + fixtures.SSA_OFF)
     assert _finish(calling) == fixtures.compute_expected(40)
-    assert not rt.store.holds_any(h.eid)
+    assert not rt.store.keys_for(h.eid)
 
 
-def test_the_residency_step_keeps_its_pages_from_the_victim_filter(fixture_dir):
-    """With the TCS and frame 0 filed, the entry reloads the TCS first; while
-    it reloads the frame, the victim filter passes over the TCS, so no
-    reclaim there could write it back.  Once the call is back, the filter
-    admits the TCS again."""
+def test_an_entry_keeps_its_tcs_from_the_victim_filter_while_it_reloads_a_frame(fixture_dir):
+    """With the TCS and frame 0 filed, the entry reloads the TCS first, and
+    frame 0 once EENTER faults on it; while it reloads the frame, the victim
+    filter passes over the TCS, so no reclaim there could write it back.
+    Once the call is back, the filter admits the TCS again."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -695,10 +700,9 @@ def test_the_residency_step_keeps_its_pages_from_the_victim_filter(fixture_dir):
 
 def test_an_entry_on_a_tcs_that_is_neither_resident_nor_filed_is_refused(fixture_dir):
     """A TCS that the machine removed behind the runtime's back is neither
-    resident nor filed: the residency step refuses the entry before any leaf,
-    with or without a page of the enclave filed."""
+    resident nor filed: the entry ends with a ModelError that names it
+    before any leaf, with or without a page of the enclave filed."""
     from ccxsim import fixtures
-    from ccxsim.errors import ModelError
     from ccxsim.manifest import EnclaveManifest
 
     machine = Machine(small_config())
@@ -708,9 +712,102 @@ def test_an_entry_on_a_tcs_that_is_neither_resident_nor_filed_is_refused(fixture
     for filed in (False, True):
         if filed:
             rt.swap_out(h, h.base + fixtures.SSA_OFF)
-        with pytest.raises(ModelError, match="neither resident nor swapped"):
+        with pytest.raises(ModelError, match=f"swap store holds no page {h.tcs_vaddrs[0]:#x} "):
             rt.ecall(h, 0, 1, 5)
-        assert not machine.vcpus[0].in_enclave
+        assert not machine.vcpus[0].in_enclave and machine.counters["EENTER"] == 0
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("leaf", ["EENTER", "ERESUME"])
+def test_an_entry_on_a_frame_that_is_neither_resident_nor_filed_is_refused(mode, leaf,
+                                                                           fixture_dir):
+    """A save-state frame that the machine removed behind the runtime's back
+    is neither resident nor filed: the leaf faults on it, and the entry ends
+    with a ModelError that names it, with no thread inside."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    frame0 = h.base + fixtures.SSA_OFF
+    calling = _interrupted(rt, h) if leaf == "ERESUME" else None
+    machine.leaf("EREMOVE", machine.memory.find_page(h.eid, frame0))
+    counts = dict(machine.counters)
+    with pytest.raises(ModelError, match=f"swap store holds no page {frame0:#x} "):
+        if calling is None:
+            rt.ecall(h, 0, 1, 5)
+        else:
+            _finish(calling)
+    assert not any(vcpu.in_enclave for vcpu in machine.vcpus)
+    assert machine.counters == counts
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("refusal", ["TCS_BUSY", "CSSA_FULL", "NO_SAVED_STATE"])
+def test_a_refused_entry_reloads_nothing_even_with_its_frame_filed(mode, refusal, fixture_dir):
+    """EENTER and ERESUME refuse a busy TCS, a full save-state stack and a
+    thread with no saved state before they look at a frame: an AEX-Notify
+    entry needs every frame, yet with frame 1 written back the refused entry
+    reloads nothing, and the frame stays filed."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+    from ccxsim.runtime import EENTER_LEAF, ERESUME_LEAF, _StoredBlob
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_notify_manifest(fixture_dir)))
+    tcs_vaddr, frame1 = h.tcs_vaddrs[0], h.base + fixtures.SSA_OFF + GRANULE_SIZE
+    tcs, vcpu = machine.memory.find_page(h.eid, tcs_vaddr), machine.vcpus[0]
+    if refusal == "TCS_BUSY":
+        # blocked and tracked before vCPU 0 enters, frame 1 can be written
+        # back while it runs: no thread of the earlier epoch is inside
+        rt._add_version_array(rt.take_epc_granule())
+        frame = machine.memory.find_page(h.eid, frame1)
+        machine.leaf("EBLOCK", frame)
+        machine.leaf("ETRACK", h.eid)
+        machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
+        va, slot = rt._free_slots.popleft()
+        rt.store.put(h.eid, frame1, _StoredBlob(machine.leaf("EWB", frame, va, slot), va, slot))
+        vcpu = machine.vcpus[1]
+    else:
+        if refusal == "CSSA_FULL":  # two exits, the second in the notify handler
+            machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
+            machine.inject_interrupt(vcpu)
+            machine.leaf("ERESUME", tcs, AEP_GATE, vcpu=vcpu)
+            machine.inject_interrupt(vcpu)
+            assert machine.read_tcs(tcs).cssa == 2
+        rt.swap_out(h, frame1)
+    leaf = ERESUME_LEAF if refusal == "NO_SAVED_STATE" else EENTER_LEAF
+    reloads = machine.counters["ELDU"]
+    with pytest.raises(SgxError) as exc:
+        rt._issue_entry(h, vcpu, leaf, tcs_vaddr)
+    assert exc.value.code == E[refusal]
+    assert rt.store.keys_for(h.eid) == [frame1] and machine.counters["ELDU"] == reloads
+    assert not vcpu.in_enclave
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("filed", [0, 1])
+def test_an_aex_notify_eenter_faults_on_either_filed_frame(mode, filed, fixture_dir):
+    """An AEX-Notify thread's EENTER needs every frame: with either one
+    written back it faults on that frame, uncounted and with no thread
+    inside, and the runtime's entry reloads it and the call returns."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_notify_manifest(fixture_dir)))
+    frame = h.base + fixtures.SSA_OFF + filed * GRANULE_SIZE
+    rt.swap_out(h, frame)
+    tcs, vcpu = machine.memory.find_page(h.eid, h.tcs_vaddrs[0]), machine.vcpus[0]
+    with pytest.raises(PageAccessFault) as fault:
+        machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
+    assert (fault.value.vaddr, fault.value.why) == (frame, "save-state page is not resident")
+    assert machine.counters["EENTER"] == 0 and not vcpu.in_enclave
+    assert rt.ecall(h, 0, 1, 5) == fixtures.compute_expected(5)
+    assert machine.counters["EENTER"] == 1 and rt.store.keys_for(h.eid) == []
 
 
 def test_eviction_after_a_core_leaves_an_enclave_takes_its_oldest_page(fixture_dir):
@@ -728,7 +825,7 @@ def test_eviction_after_a_core_leaves_an_enclave_takes_its_oldest_page(fixture_d
     with rt.entered(h):
         for _ in range(3):
             rt.load_enclave(manifest)
-    assert rt.swap_out_events > 0 and not rt.store.holds_any(h.eid)
+    assert rt.swap_out_events > 0 and not rt.store.keys_for(h.eid)
     first = h.base + manifest.pages[0].vaddr
     oldest = next(g for g in machine.memory.epcm if rt.victim_filter(g))
     entry = machine.memory.epcm[oldest]
@@ -868,7 +965,7 @@ def test_destroy_reloads_each_filed_page_and_removes_every_page(mode, fixture_di
     rt.destroy(h)
     delta = {k: machine.counters[k] - before.get(k, 0) for k in ("ELDU", "EWB", "EREMOVE")}
     assert delta == {"ELDU": 2, "EWB": 0, "EREMOVE": pages}
-    assert not rt.store.holds_any(h.eid)
+    assert not rt.store.keys_for(h.eid)
     assert not any(e.owner == h.eid for e in machine.memory.epcm.values())
     free, total = _slots(rt)
     assert free == total == VA_SLOT_COUNT
@@ -948,7 +1045,7 @@ def test_a_reclaim_skips_an_enclave_a_core_is_inside(tmp_path):
     next(calling)
     assert rt.machine.vcpus[0].cur_eid == compute.eid
     assert rt.ecall(toucher, 0, 1, 12, vcpu_index=1) == fixtures.toucher_expected(12)
-    assert rt.swap_out_events > 0 and not rt.store.holds_any(compute.eid)
+    assert rt.swap_out_events > 0 and not rt.store.keys_for(compute.eid)
     with pytest.raises(StopIteration) as done:
         while True:
             next(calling)
@@ -971,7 +1068,7 @@ def test_a_refused_reload_keeps_the_blob_filed_and_its_slot_in_use(mode, fixture
     assert rt.store.keys_for(h.eid) == [scratch] and _slots(rt) == slots
     assert machine.memory.find_page(h.eid, scratch) is None
     assert rt.ecall(h, 0, fixtures.SEL_PEEK, scratch + 64) == 777
-    assert rt.swap_in_events == 1 and not rt.store.holds_any(h.eid)
+    assert rt.swap_in_events == 1 and not rt.store.keys_for(h.eid)
     rt.destroy(h)
     free, total = _slots(rt)
     assert free == total
@@ -1038,7 +1135,7 @@ def test_a_version_array_is_written_back_and_reloaded_with_its_versions(mode, fi
 
 
 # ---------------------------------------------------------------------------
-# The residency step: the thread pages an entry needs, and EAUG over a filed page
+# The thread pages an entry needs, and EAUG over a filed page
 
 
 def _both_modes(tmp_path, text):
@@ -1095,6 +1192,21 @@ def test_eaug_over_a_filed_page_is_refused_as_over_a_resident_one(tmp_path):
     assert free == total > 0
 
 
+def test_the_swap_store_refuses_to_file_a_page_it_already_holds():
+    """Filing one page twice would lose a blob and its version slot: the
+    store refuses the second and keeps the first."""
+    import re
+
+    from ccxsim.runtime import SwapStore, _StoredBlob
+
+    store = SwapStore()
+    first, second = (_StoredBlob(None, 5, slot) for slot in (0, 1))
+    store.put(1, BASE, first)
+    with pytest.raises(ModelError, match=re.escape(f"swap store already holds {(1, BASE)}")):
+        store.put(1, BASE, second)
+    assert store.get(1, BASE) is first and store.keys_for(1) == [BASE]
+
+
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_a_second_swap_of_a_page_leaves_it_as_the_first_did(mode, fixture_dir):
     """A swap_out of a filed page and a swap_in of a resident one run no
@@ -1131,7 +1243,7 @@ def test_a_crashed_enclaves_pages_are_written_back_and_its_destroy_frees_them(fi
     other = rt.load_enclave(EnclaveManifest.load(fixtures.write_standard_manifest(fixture_dir)))
     assert rt.store.keys_for(h.eid)
     rt.destroy(h)
-    assert not rt.store.holds_any(h.eid) and h.eid not in machine.memory.gpts.owned
+    assert not rt.store.keys_for(h.eid) and h.eid not in machine.memory.gpts.owned
     check_paging_records(rt)
     rt.destroy(other)
     free, total = _slots(rt)

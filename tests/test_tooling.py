@@ -124,3 +124,21 @@ def test_the_census_refuses_a_listed_line_without_a_kind(monkeypatch, tmp_path):
     (tmp_path / "list.txt").write_text("# comment\n\ncli.py:1 guard: fine\ncli.py:2 because\n")
     with pytest.raises(SystemExit, match="list.txt:4: cli.py:2 needs a reason"):
         linecov.read_list(tmp_path / "list.txt")
+
+
+def test_the_epc_probe_counts_equal_capped_and_other_seeds(monkeypatch, capsys, tmp_path):
+    """One line per EPC size; a seed past its wall cap is capped, and seed
+    69 at 16 granules, which fails a create in sgx mode only, is other."""
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    epc_probe = importlib.import_module("epc_probe")
+    from ccxsim import fixtures
+
+    assert epc_probe.main(["--seeds", "2", "24", "16"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "24 granules: 2 equal, 0 capped, 0 other; not equal: -",
+        "16 granules: 2 equal, 0 capped, 0 other; not equal: -"]
+    assert epc_probe.main(["--seeds", "1", "--cap", "1e-6", "24"]) == 0
+    assert capsys.readouterr().out == (
+        "24 granules: 0 equal, 1 capped, 0 other; not equal: 0 (capped)\n")
+    fixtures.write_demo_tree(tmp_path)
+    assert epc_probe.probe(69, 16, tmp_path, 5.0) == "other"
