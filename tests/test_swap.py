@@ -745,39 +745,30 @@ def test_an_entry_on_a_frame_that_is_neither_resident_nor_filed_is_refused(mode,
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 @pytest.mark.parametrize("refusal", ["TCS_BUSY", "CSSA_FULL", "NO_SAVED_STATE"])
-def test_a_refused_entry_reloads_nothing_even_with_its_frame_filed(mode, refusal, fixture_dir):
+def test_a_refused_entry_reloads_nothing_even_with_its_frame_filed(mode, refusal, fixture_dir,
+                                                                   monkeypatch):
     """EENTER and ERESUME refuse a busy TCS, a full save-state stack and a
     thread with no saved state before they look at a frame: an AEX-Notify
     entry needs every frame, yet with frame 1 written back the refused entry
     reloads nothing, and the frame stays filed."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
-    from ccxsim.runtime import EENTER_LEAF, ERESUME_LEAF, _StoredBlob
+    from ccxsim.runtime import EENTER_LEAF, ERESUME_LEAF
 
     machine = Machine(small_config(mode=mode))
     rt = HostRuntime(machine)
     h = rt.load_enclave(EnclaveManifest.load(fixtures.write_notify_manifest(fixture_dir)))
     tcs_vaddr, frame1 = h.tcs_vaddrs[0], h.base + fixtures.SSA_OFF + GRANULE_SIZE
     tcs, vcpu = machine.memory.find_page(h.eid, tcs_vaddr), machine.vcpus[0]
-    if refusal == "TCS_BUSY":
-        # blocked and tracked before vCPU 0 enters, frame 1 can be written
-        # back while it runs: no thread of the earlier epoch is inside
-        rt._add_version_array(rt.take_epc_granule())
-        frame = machine.memory.find_page(h.eid, frame1)
-        machine.leaf("EBLOCK", frame)
-        machine.leaf("ETRACK", h.eid)
+    if refusal == "CSSA_FULL":  # two exits, the second in the notify handler
         machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
-        va, slot = rt._free_slots.popleft()
-        rt.store.put(h.eid, frame1, _StoredBlob(machine.leaf("EWB", frame, va, slot), va, slot))
-        vcpu = machine.vcpus[1]
-    else:
-        if refusal == "CSSA_FULL":  # two exits, the second in the notify handler
-            machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
-            machine.inject_interrupt(vcpu)
-            machine.leaf("ERESUME", tcs, AEP_GATE, vcpu=vcpu)
-            machine.inject_interrupt(vcpu)
-            assert machine.read_tcs(tcs).cssa == 2
-        rt.swap_out(h, frame1)
+        machine.inject_interrupt(vcpu)
+        machine.leaf("ERESUME", tcs, AEP_GATE, vcpu=vcpu)
+        machine.inject_interrupt(vcpu)
+        assert machine.read_tcs(tcs).cssa == 2
+    rt.swap_out(h, frame1)
+    if refusal == "TCS_BUSY":  # as if a thread ran on the TCS from another vCPU
+        monkeypatch.setattr(machine, "tcs_busy", lambda granule: granule == tcs)
     leaf = ERESUME_LEAF if refusal == "NO_SAVED_STATE" else EENTER_LEAF
     reloads = machine.counters["ELDU"]
     with pytest.raises(SgxError) as exc:

@@ -127,18 +127,27 @@ def test_the_census_refuses_a_listed_line_without_a_kind(monkeypatch, tmp_path):
 
 
 def test_the_epc_probe_counts_equal_capped_and_other_seeds(monkeypatch, capsys, tmp_path):
-    """One line per EPC size; a seed past its wall cap is capped, and seed
-    69 at 16 granules, which fails a create in sgx mode only, is other."""
+    """One line per EPC size; a seed past its reload cap is capped, and so
+    is one past its wall cap; seed 69 at 16 granules, which fails a create
+    in sgx mode only, is other."""
     monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
     epc_probe = importlib.import_module("epc_probe")
     from ccxsim import fixtures
+    from ccxsim.runtime import HostRuntime
 
+    reload = HostRuntime._reload
     assert epc_probe.main(["--seeds", "2", "24", "16"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "24 granules: 2 equal, 0 capped, 0 other; not equal: -",
         "16 granules: 2 equal, 0 capped, 0 other; not equal: -"]
-    assert epc_probe.main(["--seeds", "1", "--cap", "1e-6", "24"]) == 0
-    assert capsys.readouterr().out == (
-        "24 granules: 0 equal, 1 capped, 0 other; not equal: 0 (capped)\n")
+    assert HostRuntime._reload is reload
     fixtures.write_demo_tree(tmp_path)
-    assert epc_probe.probe(69, 16, tmp_path, 5.0) == "other"
+    assert epc_probe.probe(69, 16, tmp_path) == "other"
+    monkeypatch.setattr(epc_probe, "RELOAD_CAP", 0)  # seed 0 reloads nothing, seed 1 does
+    assert epc_probe.main(["--seeds", "2", "16"]) == 0
+    assert capsys.readouterr().out == (
+        "16 granules: 1 equal, 1 capped, 0 other; not equal: 1 (capped)\n")
+    monkeypatch.setattr(epc_probe, "RELOAD_CAP", 1_000)
+    monkeypatch.setattr(epc_probe, "CAP", 1e-6)
+    assert epc_probe.probe(0, 24, tmp_path) == "capped"
+    assert HostRuntime._reload is reload

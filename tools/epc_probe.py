@@ -8,10 +8,14 @@ Usage, from anywhere inside the repository:
 
 Each seed's scenario is drawn by ``tests/test_differential._draw`` and run
 through ``scenario.compare_modes`` with that seed's differential config at
-the given EPC size.  After every line the audit and the paging checks run,
-as in the differential.  A seed is ``equal`` when the modes differ in nothing
-that ``MODE_DIFFERENCES`` does not admit and every check holds, ``capped``
-when it runs past its wall cap, and ``other`` otherwise.  One line per size:
+the given EPC size, by the differential's own ``_run``: after every line the
+audit and the paging checks run, and at the end no page may keep an owner.
+A seed is ``equal`` when the modes differ in nothing that ``MODE_DIFFERENCES``
+does not admit and every check holds, ``capped`` when it makes more than
+``RELOAD_CAP`` page reloads, as a paging livelock does, and ``other``
+otherwise.  The reload count decides, so the result does not depend on the
+machine's speed; a wall cap of ``CAP`` seconds per seed, far above any
+seed's time, is only a backstop.  One line per size:
 
     16 granules: 199 equal, 0 capped, 1 other; not equal: 69
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import random
 import signal
 import sys
@@ -33,59 +38,64 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from ccxsim import fixtures  # noqa: E402
-from ccxsim.scenario import compare_modes  # noqa: E402
-from test_differential import _check, _config, _draw  # noqa: E402
+from ccxsim.runtime import HostRuntime  # noqa: E402
+from test_differential import RELOAD_CAP, _draw, _run  # noqa: E402
+
+CAP = 60.0  # s per seed, a backstop: seeds 0-199 at 12 and 16 granules took at most 0.45 s
+# each on a 2-vCPU VM, with at most 188 reloads
 
 
 class _Capped(Exception):
-    """A seed ran past its wall cap."""
+    """A seed made more than ``RELOAD_CAP`` reloads or ran past ``CAP``."""
 
 
 @contextlib.contextmanager
-def _wall_cap(seconds: float):
-    """Raise :class:`_Capped` in this thread once ``seconds`` have passed."""
+def _capped():
+    """Raise :class:`_Capped` at the reload past ``RELOAD_CAP``, or in this
+    thread once ``CAP`` seconds have passed."""
+    reload, reloads = HostRuntime._reload, itertools.count(1)
+
+    def counted(rt, eid, page):
+        if next(reloads) > RELOAD_CAP:
+            raise _Capped()
+        return reload(rt, eid, page)
+
     def expire(signum, frame):
         raise _Capped()
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        HostRuntime._reload = counted
+        signal.setitimer(signal.ITIMER_REAL, CAP)
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
+        HostRuntime._reload = reload
         signal.signal(signal.SIGALRM, previous)
 
 
-def _check_both(runners, records) -> None:
-    for runner in runners:
-        _check(runner)
-
-
-def probe(seed: int, epc_size: int, directory, cap: float) -> str:
+def probe(seed: int, epc_size: int, directory) -> str:
     """``equal``, ``capped`` or ``other`` for one seed at one EPC size."""
-    lines = _draw(random.Random(seed))
     try:
-        with _wall_cap(cap):
-            differences = compare_modes("\n".join(lines), _config(seed, epc_size), directory,
-                                        after_line=_check_both)
+        with _capped():
+            _run(seed, directory, _draw(random.Random(seed)), epc_size)
     except _Capped:
         return "capped"
-    except Exception:  # a failed check or a refusal the run does not expect
+    except Exception:  # a difference, a failed check or a refusal the run does not expect
         return "other"
-    return "equal" if not differences else "other"
+    return "equal"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("epc_sizes", nargs="+", type=int, metavar="GRANULES")
     parser.add_argument("--seeds", type=int, default=200, help="probe seeds 0..N-1 (200)")
-    parser.add_argument("--cap", type=float, default=5.0, help="wall cap per seed, s (5)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         fixtures.write_demo_tree(directory)
         for size in args.epc_sizes:
-            outcomes = {seed: probe(seed, size, directory, args.cap) for seed in range(args.seeds)}
+            outcomes = {seed: probe(seed, size, directory) for seed in range(args.seeds)}
             counts = [sum(o == kind for o in outcomes.values())
                       for kind in ("equal", "capped", "other")]
             failing = [f"{seed} (capped)" if o == "capped" else str(seed)
