@@ -505,15 +505,17 @@ def eexit(m, vcpu, target: int) -> None:
 
 
 def eresume(m, vcpu, tcs_granule: int, aep: int) -> None:
+    """Resume the frame at cssa - 1.  On an AEX-Notify thread a resume of
+    frame 0 (cssa 1) delivers a notification instead: it enters the notify
+    handler at cssa 1, which restores the context itself and retires the
+    frame by EDECCSSA.  A deeper frame is the handler's own, which SGX saves
+    with no notify bit, so it resumes as a plain thread's does."""
     secs, tcs = _tcs_for_entry(m, tcs_granule)
     if tcs.cssa == 0:
         raise SgxError(E.NO_SAVED_STATE, "no interrupted context to resume")
     granule = _entry_frame(m, secs, tcs, tcs.cssa - 1)  # the one it reads back
 
-    if tcs.aexnotify:
-        # Re-entry lands in the enclave's notify handler at the current
-        # save-state index; the handler restores context itself and uses
-        # EDECCSSA to retire the slot.
+    if tcs.aexnotify and tcs.cssa == 1:
         _switch_in(vcpu, secs, tcs, tcs_granule, aep, secs.base + tcs.oentry)
         vcpu.regs[0] = tcs.cssa
         return

@@ -1,11 +1,12 @@
 """Canonical fixture enclaves: programs plus manifest builders.
 
 The programs implement the in-enclave runtime side of the driver ABI
-(selector dispatch, ocall continuations, the notify handler), and the
-manifests lay them out with a fixed page plan:
+(selector dispatch, ocall continuations, a notify handler that survives an
+interrupt at any step), and the manifests lay them out with a fixed page plan:
 
     0x0000  code: up to four rx pages, entry at offset 0
-    0x4000  scratch page (rw): ocall continuation slot and probe words
+    0x4000  scratch page (rw): ocall continuation slot, probe words and the
+            notify handler's copy of the interrupted x0, x1 and pc
     0x5000  save-state pages (rw), one frame per page, nssa of them
     after   the TCS page, then any extra data pages
 
@@ -37,6 +38,9 @@ SCRATCH_CONT = 0  # ocall continuation pc
 SCRATCH_NOTIFY_RAN = 8
 SCRATCH_NOTIFY_REASON = 16
 SCRATCH_NOTIFY_CSSA = 24
+SCRATCH_NOTIFY_X0 = 32  # the notify handler's copy of frame 0's x0, x1 and pc
+SCRATCH_NOTIFY_X1 = 40
+SCRATCH_NOTIFY_PC = 48
 
 LEAF_EEXIT = LEAF_NUMBERS["EEXIT"][1]
 LEAF_EACCEPT = LEAF_NUMBERS["EACCEPT"][1]
@@ -160,13 +164,19 @@ def compute_expected(iterations: int) -> int:
 def notify_program() -> bytes:
     """Compute loop plus a notify handler for interrupted re-entries.
 
-    Entry with x0 > 0 means the thread was interrupted and re-entered for
-    notification: the handler records what it observed on the scratch page,
-    retires the save-state slot, restores the interrupted registers from the
-    frame, and jumps back.
+    Entry with x0 > 0 is a notification (see ``execution.eresume``): the
+    handler records what it observed on the scratch page, copies frame 0's
+    x0, x1 and pc there, loads x2..x15 from frame 0 and the pc into x30,
+    retires the frame by EDECCSSA, and its three-instruction tail reloads x0
+    and x1 from the copy and jumps back.  x16..x31 are the handler's own.
+    An interrupt before EDECCSSA saves the handler's own frame, which resumes
+    plainly; one in the tail rewrites frame 0 and notifies again, and the
+    handler, finding frame 0's pc in its tail, keeps the copy it made.  So
+    the call survives an interrupt at any step.
     """
     scratch = BASE + SCRATCH_OFF
     frame0 = BASE + SSA_OFF
+    tail = ("tail0", "tail1", "tail2")
     prog = [
         ("bnz", 0, "@handler"),
         *_COMPUTE,  # main body
@@ -178,13 +188,27 @@ def notify_program() -> bytes:
         ("load", 21, 20, SSA_OFF_EXIT_REASON),
         ("store", 21, 22, SCRATCH_NOTIFY_REASON),
         ("store", 0, 22, SCRATCH_NOTIFY_CSSA),
+        # x23 := the product of pc ^ t over the tail's addresses t, zero
+        # exactly when frame 0's pc is in the tail
+        ("load", 21, 20, SSA_OFF_PC),
+        ("movi", 23, 1),
+        *(op for t in tail for op in (("movi", 24, f"@{t}"), ("xor", 24, 24, 21),
+                                      ("mul", 23, 23, 24))),
+        ("bnz", 23, "@copy"),
+        ("label", "restore"),
+        *(("load", reg, 20, reg * SSA_WORD) for reg in range(2, 16)),
+        ("load", 30, 22, SCRATCH_NOTIFY_PC),
         ("movi", 1, LEAF_EDECCSSA),
         ("movi", 0, SMC_ENCLU),
         ("gadget",),
-        # restore x3..x11 and the saved pc of the interrupted context from frame 0
-        *(("load", reg, 20, reg * SSA_WORD) for reg in range(3, 12)),
-        ("load", 30, 20, SSA_OFF_PC),
-        ("jmpr", 30),
+        ("label", tail[0]), ("load", 0, 22, SCRATCH_NOTIFY_X0),
+        ("label", tail[1]), ("load", 1, 22, SCRATCH_NOTIFY_X1),
+        ("label", tail[2]), ("jmpr", 30),
+        ("label", "copy"),
+        ("store", 21, 22, SCRATCH_NOTIFY_PC),
+        ("load", 24, 20, 0), ("store", 24, 22, SCRATCH_NOTIFY_X0),
+        ("load", 24, 20, SSA_WORD), ("store", 24, 22, SCRATCH_NOTIFY_X1),
+        ("jmp", "@restore"),
     ]
     return assemble(prog, origin=BASE + CODE_OFF)
 

@@ -89,8 +89,10 @@ class Machine:
         """Run one leaf; ``vcpu`` is None for ENCLS, else also ``args[0]``.
         A trapping ``core``'s ``words`` x2..x4 give the rest of the arguments.
         A leaf that faults on a page has not run: its count is taken back, it
-        writes no record, and the pump's AEX and ERESUME, or a driver's retry
-        of an entry leaf, runs it again once the page is reloaded."""
+        writes no leaf record, and the pump's AEX and ERESUME, or a driver's
+        retry of an entry leaf, runs it again once the page is reloaded.  A
+        driver's call records the fault as ``pagefault``; the pump records a
+        trap's."""
         row = rows.get(leaf)
         if row is None:
             cls = "ENCLS" if vcpu is None else "ENCLU"
@@ -110,8 +112,11 @@ class Machine:
                 self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,
                                  outcome=err.code.name, cost=self.leaf_cost[name])
             raise
-        except PageAccessFault:
+        except PageAccessFault as fault:
             self.counters[name] -= 1
+            if words is None and self.trace is not NO_TRACE:
+                self.trace_event("pagefault", vcpu=None if vcpu is None else vcpu.id,
+                                 leaf=name.lower(), addr=fault.vaddr, why=fault.why)
             raise
         if self.trace is not NO_TRACE:  # every leaf comes here: skip the call too
             self.trace_event(name.lower(), vcpu=None if vcpu is None else vcpu.id,

@@ -41,7 +41,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
 from .config import Config
 from .errors import ModelError, SgxError, read_input
@@ -327,39 +327,25 @@ def _ends_run(record: dict) -> bool:
     return not record["ok"] and record["cmd"] == record["text"].split()[0]
 
 
-class ModeDifference(NamedTuple):
-    """A difference of a line's sgx and ccx outcomes that the contract admits:
-    in each field for which ``admits(field, records, enclaves)`` holds, given
-    the two records and the SECS of each enclave the line names."""
-    admits: Callable[[str, List[dict], list], bool]
-    reason: str
-
-
-_PAGING_FIELDS = frozenset({"swap_out_events", "swap_in_events"} | {
-    f"counters.{leaf}" for leaf in ("EBLOCK", "ELDU", "EPA", "ERESUME", "ETRACK", "EWB")})
-
-MODE_DIFFERENCES = (
-    ModeDifference(
-        lambda field, records, enclaves: field in _PAGING_FIELDS,
-        "sgx pages its fixed EPC: EPA makes version arrays, EBLOCK, ETRACK and EWB write"
-        " a page back, ELDU loads it again, and ERESUME resumes a thread that faulted on it"),
-    ModeDifference(
-        lambda field, records, enclaves: any(s.attributes.aexnotify_allowed for s in enclaves),
-        "a line on an AEX-Notify enclave: the notify fixture's handler runs EDECCSSA before"
-        " it reads frame 0, so a nested exit, which only sgx paging makes, can overwrite"
-        " frame 0 and change the call (ROADMAP item 14's open defect)"),
-)
+# The fields of a line's outcome in which sgx and ccx may differ: sgx pages
+# its fixed EPC.  EPA makes version arrays, EBLOCK, ETRACK and EWB write a
+# page back, ELDU loads it again, and ERESUME resumes a thread that faulted
+# on it; on an AEX-Notify thread that resume enters the notify handler, which
+# retires the frame by EDECCSSA.
+MODE_DIFFERENCES = frozenset({"swap_out_events", "swap_in_events"} | {
+    f"counters.{leaf}" for leaf in ("EBLOCK", "EDECCSSA", "ELDU", "EPA", "ERESUME", "ETRACK",
+                                    "EWB")})
 
 
 def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
                   table=MODE_DIFFERENCES) -> List[str]:
     """Run scenario ``text`` line by line in sgx and in ccx mode, in lockstep,
-    and return each difference that no row of ``table`` admits, in a line's
-    record or in a count the line added, as ``scenario line N: <field>: sgx
-    <value>, ccx <value>``.  Both runs stop where ``run_text`` would stop
-    either.  ``after_line(runners, records)`` is called after each line.  A
-    ``config`` valid in one mode only is refused, as a ModelError, before
-    line 1."""
+    and return each difference in a line's record or in a count the line
+    added, in a field that ``table`` does not name, as ``scenario line N:
+    <field>: sgx <value>, ccx <value>``.  Both runs stop where ``run_text``
+    would stop either.  ``after_line(runners, records)`` is called after
+    each line.  A ``config`` valid in one mode only is refused, as a
+    ModelError, before line 1."""
     runners = [ScenarioRunner(replace(config, mode=mode), base_dir) for mode in ("sgx", "ccx")]
 
     # The leaf counters flattened (counters.EWB), without the cost tally: a
@@ -372,9 +358,6 @@ def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
     before = [counts(runner) for runner in runners]
     differences: List[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        sgx = runners[0]
-        enclaves = [secs for token in raw.split("#", 1)[0].split() if token in sgx.handles
-                    and (secs := sgx.machine.enclaves.get(sgx.handles[token].eid))]
         records = [runner.run_line(raw, line_no) for runner in runners]
         if records[0] is None:
             continue
@@ -385,7 +368,7 @@ def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
                     for record, old, new in zip(records, before, after)]
         for field in sorted(outcomes[0].keys() | outcomes[1].keys()):
             a, b = (outcome.get(field) for outcome in outcomes)
-            if a != b and not any(row.admits(field, records, enclaves) for row in table):
+            if a != b and field not in table:
                 differences.append(f"scenario line {line_no}: {field}: sgx {a!r}, ccx {b!r}")
         if any(map(_ends_run, records)):
             break

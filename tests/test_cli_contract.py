@@ -8,7 +8,6 @@ and 2 an input the front end cannot read.
 
 import io
 import json
-import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -22,7 +21,6 @@ from ccxsim.machine import ALL_LEAF_NAMES, Machine
 from ccxsim.scenario import MODE_DIFFERENCES, compare_modes
 
 from helpers import small_config
-from test_differential import _config as differential_config, _draw
 
 DEMOS = ("lifecycle", "mode_diff", "attest", "seal_unseal", "interrupts")
 PAGING_LEAVES = ("EBLOCK", "ELDU", "EPA", "ERESUME", "ETRACK", "EWB")
@@ -119,17 +117,6 @@ def test_compare_of_a_config_valid_in_one_mode_only_exits_2_naming_the_field(
     assert err == "error: config field 'epc_size' is 0, and sgx mode needs an EPC\n"
 
 
-def _differential(seed):
-    return "\n".join(_draw(random.Random(seed))), differential_config(seed)
-
-
-# Each row and one case in which it admits a difference no other row does.
-WITNESSES = {
-    0: lambda demo_dir: ((demo_dir / "mode_diff.scenario").read_text(), Config()),
-    1: lambda demo_dir: _differential(9),
-}
-
-
 @pytest.mark.parametrize("factors", [{}, {"kdf": 7, "aead_page": 0, "gpt_per_granule": 3}])
 def test_a_leafs_cost_is_equal_across_modes(factors):
     """``compare_modes`` compares leaf counts and not their costs: a cost is
@@ -140,16 +127,12 @@ def test_a_leafs_cost_is_equal_across_modes(factors):
     assert sgx == ccx and sorted(sgx) == ALL_LEAF_NAMES
 
 
-def test_every_row_has_a_witness():
-    assert sorted(WITNESSES) == list(range(len(MODE_DIFFERENCES)))
-
-
-@pytest.mark.parametrize("row", sorted(WITNESSES))
-def test_each_row_of_mode_differences_is_needed(row, demo_dir):
-    text, config = WITNESSES[row](demo_dir)
-    assert compare_modes(text, config, demo_dir) == []
-    without = MODE_DIFFERENCES[:row] + MODE_DIFFERENCES[row + 1:]
-    assert compare_modes(text, config, demo_dir, table=without)
+def test_mode_differences_is_needed_and_enough_for_mode_diff(demo_dir):
+    """Without the paging fields mode_diff differs across modes; with them,
+    in nothing."""
+    text = (demo_dir / "mode_diff.scenario").read_text()
+    assert compare_modes(text, Config(), demo_dir, table=frozenset())
+    assert compare_modes(text, Config(), demo_dir) == []
 
 
 def test_a_run_refused_before_its_first_create_reports_the_whole_summary(tmp_path, capsys):

@@ -5,10 +5,10 @@ interrupts, swap_out, swap_in, seal, unseal, attest, destroy) over the demo
 fixtures and runs it through ``scenario.compare_modes``: line by line in sgx
 mode, with a paging EPC of 24, 40 or 64 granules, and in ccx mode.  After
 every line the audit and the paging records must hold, and the two modes may
-differ only as a row of ``MODE_DIFFERENCES`` admits.  A failing seed prints
-the ``ccxsim`` commands that replay it.  Named seeds also run in a smaller
-EPC, each a paging livelock once, under a cap on reloads that fails a run
-that would not end.
+differ only in the paging fields that ``MODE_DIFFERENCES`` names.  A failing
+seed prints the ``ccxsim`` commands that replay it.  Named seeds also run in
+a smaller EPC, each a paging livelock or a wrong answer once, under a cap on
+reloads that fails a run that would not end.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ EPC_SIZES = (24, 40, 64)
 OPS_PER_SEQUENCE = 24
 KINDS = ("standard", "compute", "toucher", "notify")
 DYN_PAGES = 12  # most pages one toucher call adds
-STEP_BUDGET = 20_000  # max_ecall_steps: ample, yet a notify handler can loop until it
+STEP_BUDGET = 20_000  # max_ecall_steps: ample for every drawn call
 RELOAD_CAP = 1_000  # reloads past which a named seed's run counts as stuck; each needs < 120
 
 # Pages an explicit swap names, by enclave offset: code, scratch, both
@@ -205,6 +205,13 @@ def test_a_seed_with_a_crashed_enclave_compares_equal_in_a_12_granule_epc(
     to the other enclaves were too few, and a code page and a data page
     evicted each other without end."""
     _run(seed, demo_dir, _draw(random.Random(seed)), epc_size=12)
+
+
+def test_seed_17_compares_equal_in_a_12_granule_epc(demo_dir, reload_cap):
+    """An AEX-Notify handler once ran EDECCSSA before it read frame 0, so
+    the nested exits of sgx paging overwrote the frame, and an ecall
+    returned the previous line's result in sgx mode only."""
+    _run(17, demo_dir, _draw(random.Random(17)), epc_size=12)
 
 
 def test_seed_151_runs_to_its_last_line_in_a_16_granule_epc(demo_dir, reload_cap):

@@ -738,8 +738,8 @@ def test_host_mode_interrupt_changes_nothing(machine):
 
 
 def test_ssa_overflow_crashes_enclave(machine):
-    # Notify-style re-entries leave the save-state index pinned, so enough
-    # interrupts exhaust the slots while the thread is still inside.
+    # A notify re-entry leaves the save-state index pinned, so on a one-frame
+    # TCS the handler runs at cssa == nssa and its next exit finds no slot.
     enc = build_raw_enclave(
         machine,
         attributes=Attributes(debug=True, aexnotify_allowed=True),
@@ -747,18 +747,15 @@ def test_ssa_overflow_crashes_enclave(machine):
             (0x0000, "rx", b"\x11" * GRANULE_SIZE),
             (0x1000, "rw", b"\x22" * GRANULE_SIZE),
             (0x2000, "rw", b""),
-            (0x3000, "rw", b""),
         ],
-        tcs_specs=[{"vaddr": 0x4000, "ossa": 0x2000, "aexnotify": True}],
+        tcs_specs=[{"vaddr": 0x4000, "ossa": 0x2000, "nssa": 1, "aexnotify": True}],
     )
     tcs_g = enc.pages[0x4000]
     vcpu = machine.vcpus[0]
-    tcs = machine.read_tcs(tcs_g)
     machine.enclu(vcpu, 0x2, tcs_g, AEP_GATE)
-    for _ in range(tcs.nssa):
-        machine.inject_interrupt(vcpu)
-        machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)  # handler entry, cssa pinned
-    assert machine.read_tcs(tcs_g).cssa == tcs.nssa
+    machine.inject_interrupt(vcpu)
+    machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)  # handler entry, cssa pinned
+    assert machine.read_tcs(tcs_g).cssa == machine.read_tcs(tcs_g).nssa == 1
     machine.inject_interrupt(vcpu)  # no slot left: fatal
     assert machine.enclaves[enc.eid].crashed
     assert not vcpu.in_enclave

@@ -801,6 +801,26 @@ def test_an_aex_notify_eenter_faults_on_either_filed_frame(mode, filed, fixture_
     assert machine.counters["EENTER"] == 1 and rt.store.keys_for(h.eid) == []
 
 
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_traced_eenter_that_faults_on_a_filed_frame_records_the_fault(mode, fixture_dir):
+    """A driver's leaf that faults writes a ``pagefault`` record naming the
+    leaf, then the runtime's ELDU reloads the frame and EENTER runs."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    frame = h.base + fixtures.SSA_OFF
+    rt.swap_out(h, frame)
+    machine.trace = []
+    assert rt.ecall(h, 0, 1, 5) == fixtures.compute_expected(5)
+    kinds = [r["kind"] for r in machine.trace]
+    assert kinds == ["pagefault", "eldu", "eenter", "eexit"]
+    assert machine.trace[0] == {"seq": 0, "kind": "pagefault", "vcpu": 0, "leaf": "eenter",
+                                "addr": frame, "why": "save-state page is not resident"}
+
+
 def test_eviction_after_a_core_leaves_an_enclave_takes_its_oldest_page(fixture_dir):
     """The pages a reclaim passed over keep their place: while a core is in
     the enclave, loads that press the EPC write back none of its pages; once
@@ -1223,13 +1243,14 @@ def test_a_crashed_enclaves_pages_are_written_back_and_its_destroy_frees_them(fi
 
     machine = Machine(small_config(epc_size=10))
     rt = HostRuntime(machine)
-    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_notify_manifest(fixture_dir)))
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_notify_manifest(
+        fixture_dir, "notify_one_frame", nssa=1)))
     tcs, vcpu = machine.memory.find_page(h.eid, h.tcs_vaddrs[0]), machine.vcpus[0]
     machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
     machine.inject_interrupt(vcpu)
-    for _ in range(2):  # each notify re-entry keeps its frame, so the last exit finds none
-        machine.leaf("ERESUME", tcs, AEP_GATE, vcpu=vcpu)
-        machine.inject_interrupt(vcpu)
+    # the notify re-entry keeps frame 0, the one frame, so the next exit finds none
+    machine.leaf("ERESUME", tcs, AEP_GATE, vcpu=vcpu)
+    machine.inject_interrupt(vcpu)
     assert machine.enclaves[h.eid].crashed and not vcpu.in_enclave
     other = rt.load_enclave(EnclaveManifest.load(fixtures.write_standard_manifest(fixture_dir)))
     assert rt.store.keys_for(h.eid)

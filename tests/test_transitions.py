@@ -1,5 +1,7 @@
 """The world switches: AEX, ERESUME, EENTER and EEXIT, and the one SSA layout."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +22,8 @@ DATA_OFF = 0x10000
 u64 = st.one_of(st.integers(1 << 63, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
 
 
-def _loaded(program, **kw):
-    rt = HostRuntime(Machine(small_config()))
+def _loaded(program, mode="sgx", **kw):
+    rt = HostRuntime(Machine(small_config(mode=mode)))
     handle = rt.load_enclave(EnclaveManifest.parse(fixtures.build_manifest_text(program, **kw)))
     return rt, handle
 
@@ -222,3 +224,67 @@ def test_an_aex_of_an_earlier_call_leaves_no_record_for_the_next_entry():
     assert rt.machine.vcpus[0].last_exit is None  # the resume ended it
     _halts_at_the_aep_gate(rt, handle)
     assert rt.ecall(compute, 0, 0, 12, inject_at={5}) == fixtures.compute_expected(12)
+
+
+# ---------------------------------------------------------------------------
+# An interrupt at any step: the compute fixture is the control for the notify
+# handler, which restores what any interrupt of the call takes from it.
+
+SWEEP_ITERATIONS = 4
+
+
+@functools.cache
+def _swept(kind, mode):
+    """The one enclave of fixture ``kind`` that each sweep in ``mode`` calls."""
+    program = getattr(fixtures, f"{kind}_program")()
+    return _loaded(program, mode, aexnotify=kind == "notify")
+
+
+def _call(rt, handle, inject_at):
+    """The result and the step count of a call of ``SWEEP_ITERATIONS``."""
+    calling = rt.call(handle, 0, 1, SWEEP_ITERATIONS, inject_at=inject_at)
+    steps = 0
+    while True:
+        try:
+            steps += next(calling).steps
+        except StopIteration as done:
+            return done.value, steps
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("kind", ["compute", "notify"])
+def test_a_call_interrupted_at_any_step_or_any_two_steps_returns_its_value(kind, mode):
+    """Every step a of the call, and every pair a < b with b up to the length
+    of the call interrupted at a: the notify handler's own steps, and the
+    tail it runs after EDECCSSA, included."""
+    rt, handle = _swept(kind, mode)
+    expected = fixtures.compute_expected(SWEEP_ITERATIONS)
+    result, length = _call(rt, handle, None)
+    assert (result, length) == (expected, 33 + (kind == "notify"))
+    for a in range(1, length + 1):
+        result, length_a = _call(rt, handle, {a})
+        assert result == expected, f"interrupted at {a}"
+        for b in range(a + 1, length_a + 1):
+            assert _call(rt, handle, {a, b})[0] == expected, f"interrupted at {a} and {b}"
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_notify_call_interrupted_at_every_step_times_out(mode):
+    """Each notification runs the handler again from its start, so a host
+    that interrupts every step starves the thread until the budget; the
+    handler's own exits resume plainly, so no frame stacks up."""
+    rt, handle = _loaded(fixtures.notify_program(), mode, aexnotify=True)
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(handle, 0, 1, SWEEP_ITERATIONS, inject_at="every", step_budget=2_000)
+    assert exc.value.report.kind == "timeout"
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_an_interrupt_in_a_one_frame_notify_handler_crashes_the_enclave(mode):
+    """On a one-frame TCS the handler runs at cssa == nssa, so an exit
+    inside it finds no free frame: the enclave crashes and the call ends."""
+    rt, handle = _loaded(fixtures.notify_program(), mode, aexnotify=True, nssa=1)
+    with pytest.raises(EnclaveFault) as exc:
+        rt.ecall(handle, 0, 1, SWEEP_ITERATIONS, inject_at={10, 14})
+    assert exc.value.report.kind == "ssa_overflow"
+    assert rt.machine.enclaves[handle.eid].crashed
