@@ -10,10 +10,10 @@ Each seed's scenario is drawn by ``tests/test_differential._draw`` and run
 through ``scenario.compare_modes`` with that seed's differential config at
 the given EPC size, by the differential's own ``_run``: after every line the
 audit and the paging checks run, and at the end no page may keep an owner.
-A seed is ``equal`` when the modes differ in nothing that ``MODE_DIFFERENCES``
-does not admit and every check holds, ``capped`` when it makes more than
-``RELOAD_CAP`` page reloads, as a paging livelock does, and ``other``
-otherwise.  The reload count decides, so the result does not depend on the
+A seed is ``equal`` when the modes differ only in fields that
+``MODE_DIFFERENCES`` names and every check holds, ``capped`` when it makes
+more than ``RELOAD_CAP`` page reloads, as a paging livelock does, and
+``other`` otherwise.  The reload count decides, so the result does not depend on the
 machine's speed; a wall cap of ``CAP`` seconds per seed, far above any
 seed's time, is only a backstop.  One line per size:
 
