@@ -110,7 +110,6 @@ from .memory import (
     Perms,
     SecurityState,
     TCS_PAGE,
-    software_access_refusal,
 )
 from .structs import (
     EXIT_GPF,
@@ -216,22 +215,9 @@ class RunReport:
 # Address resolution
 
 
-def _enclave_translate(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
-    page_off = addr & (GRANULE_SIZE - 1)
-    if page_off + size > GRANULE_SIZE:
-        raise PageAccessFault(addr, "access crosses a page boundary")
-    granule = m.memory.find_page(vcpu.cur_eid, addr)
-    if granule is None:
-        raise PageAccessFault(addr, "no page mapped")
-    why = software_access_refusal(m.memory.epcm_lookup(granule), kind)
-    if why is not None:
-        raise PageAccessFault(addr, why)
-    return granule, page_off
-
-
 def _resolve(m, vcpu, addr: int, size: int, kind: str) -> Tuple[int, int]:
     if vcpu.in_enclave and m.enclaves[vcpu.cur_eid].contains(addr, size):
-        return _enclave_translate(m, vcpu, addr, size, kind)
+        return m.memory.translate(vcpu.cur_eid, addr, size, kind)
     # Physical addressing for host code, and for enclave code reaching out
     # into untrusted memory (checked against the enclave's own table).
     granule = addr // GRANULE_SIZE
@@ -443,9 +429,7 @@ def _tcs_for_entry(m, tcs_granule: int):
         raise SgxError(E.PAGE_INVALID, f"granule {tcs_granule} is not a TCS page")
     if entry.blocked:
         raise SgxError(E.PAGE_INVALID, "TCS page is blocked")
-    secs = m.enclaves.get(entry.owner)
-    if secs is None:
-        raise SgxError(E.UNKNOWN_ENCLAVE, f"no enclave {entry.owner}")
+    secs = m.enclaves[entry.owner]
     if secs.crashed:
         raise SgxError(E.ENCLAVE_CRASHED, f"enclave {secs.eid} is crashed")
     if not secs.initialized:
@@ -472,17 +456,17 @@ def _switch_out(vcpu) -> None:
 
 
 def _entry_frame(m, secs, tcs, index: int) -> int:
-    """Check that every save-state frame the entry needs is resident: frame
-    ``index``, or all for an AEX-Notify thread, whose handler can exit into
-    the next.  The first that is not faults, naming its page, before the leaf
-    changes anything; the host reloads it and retries.  Returns the granule
-    of the frame checked last, frame ``index``'s on a plain thread."""
+    """Check each save-state frame the entry needs as an enclave store to it:
+    frame ``index``, or all for an AEX-Notify thread, whose handler can exit
+    into the next.  The first that is missing, blocked, pending, mid type
+    change or not writable faults, naming its page, before the leaf changes
+    anything; the host reloads it and retries.  Returns frame ``index``'s granule."""
     for i in range(tcs.nssa) if tcs.aexnotify else (index,):
         vaddr = ssa_frame_vaddr(secs, tcs, i)
-        granule = m.memory.find_page(secs.eid, vaddr)
-        if granule is None:
-            raise PageAccessFault(vaddr, "save-state page is not resident")
-    return granule
+        granule, _ = m.memory.translate(secs.eid, vaddr, SSA_FRAME.size, "w")
+        if i == index:
+            found = granule
+    return found
 
 
 def eenter(m, vcpu, tcs_granule: int, aep: int) -> None:
@@ -631,7 +615,7 @@ def _value8(m, vcpu, word: int) -> bytes:
 def _buffer(size: int, unpack=bytes):
     """An enclave buffer of ``size`` bytes at the address in the word."""
     def read(m, vcpu, addr: int):
-        granule, offset = _enclave_translate(m, vcpu, addr, size, "r")
+        granule, offset = m.memory.translate(vcpu.cur_eid, addr, size, "r")
         return unpack(m.memory.load(granule, offset, size))
     return read
 
@@ -726,7 +710,7 @@ def _buffer_at(reg: int, size: int, pack=bytes):
     """Result slot: the enclave buffer of ``size`` bytes at the address in
     x``reg`` takes ``pack(result)``."""
     def prepare(m, vcpu, words):
-        granule, offset = _enclave_translate(m, vcpu, words[reg - 2], size, "w")
+        granule, offset = m.memory.translate(vcpu.cur_eid, words[reg - 2], size, "w")
 
         def store(result) -> None:
             m.memory.store(granule, offset, pack(result))

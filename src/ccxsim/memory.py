@@ -76,7 +76,7 @@ import mmap
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .errors import GranuleProtectionFault, ModelError
+from .errors import GranuleProtectionFault, ModelError, PageAccessFault
 
 GRANULE_SIZE = 4096
 _ZERO_GRANULE = bytes(GRANULE_SIZE)
@@ -229,8 +229,8 @@ class EpcmEntry(NamedTuple):
 
 def software_access_refusal(entry: EpcmEntry, kind: str) -> Optional[str]:
     """Why enclave software may not make a ``kind`` access ("r", "w" or "x")
-    to the page of ``entry``, or None if it may.  Enclave loads, stores and
-    fetches and EACCEPTCOPY's source all apply this one rule."""
+    to the page of ``entry``, or None if it may: the refusal step of
+    :meth:`MachineMemory.translate`."""
     if entry.blocked:
         return "page is blocked"
     if entry.pending:
@@ -239,7 +239,7 @@ def software_access_refusal(entry: EpcmEntry, kind: str) -> Optional[str]:
         return "page has a type change in flight"
     if entry.page_type != REG_PAGE:
         return f"{entry.page_type.name} pages are not software-addressable"
-    if not entry.perms & _PERM_BITS[kind]:
+    if not int(entry.perms) & _PERM_BITS[kind]:  # a flag & is a Python-level call
         return f"missing {kind} permission"
     return None
 
@@ -537,6 +537,22 @@ class MachineMemory:
 
     def find_page(self, eid: int, vaddr: int) -> Optional[int]:
         return self.vaddr_index.get((eid, vaddr & ~(GRANULE_SIZE - 1)))
+
+    def translate(self, eid: int, vaddr: int, size: int, kind: str) -> Tuple[int, int]:
+        """The granule and offset of enclave ``eid``'s ``size``-byte ``kind``
+        access at ``vaddr``, or :class:`PageAccessFault` if it crosses its
+        page, no page is mapped there or :func:`software_access_refusal`
+        refuses the page: the one rule for an enclave address."""
+        offset = vaddr & (GRANULE_SIZE - 1)
+        if offset + size > GRANULE_SIZE:
+            raise PageAccessFault(vaddr, "access crosses a page boundary")
+        granule = self.find_page(eid, vaddr)
+        if granule is None:
+            raise PageAccessFault(vaddr, "no page mapped")
+        why = software_access_refusal(self.epcm[granule], kind)
+        if why is not None:
+            raise PageAccessFault(vaddr, why)
+        return granule, offset
 
     def valid_pages(self) -> List[int]:
         """EPCM-valid granules, ascending; one enclave's are ``gpts.owned[eid]``."""

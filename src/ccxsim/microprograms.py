@@ -12,9 +12,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from .errors import AuthenticationFailure, ModelError, PageAccessFault, SgxError, SgxErrorCode as E
-from .memory import (GRANULE_SIZE, REG_PAGE, SECS_PAGE, TCS_PAGE, EpcmEntry, PageType, Perms,
-                     software_access_refusal)
+from .errors import AuthenticationFailure, ModelError, SgxError, SgxErrorCode as E
+from .memory import GRANULE_SIZE, REG_PAGE, SECS_PAGE, TCS_PAGE, EpcmEntry, PageType, Perms
 from .structs import (
     Attributes,
     EEXTEND_CHUNK,
@@ -470,13 +469,7 @@ def eacceptcopy(m, vcpu, target_granule: int, source_vaddr: int, secinfo: SecInf
         raise SgxError(E.BAD_VADDR, f"source {source_vaddr:#x} not page aligned")
 
     # The source is read as an enclave load would read it, and faults as the load would.
-    src_granule = m.memory.find_page(secs.eid, source_vaddr)
-    if src_granule is None:
-        raise PageAccessFault(source_vaddr, "no page mapped")
-    why = software_access_refusal(m.memory.epcm_lookup(src_granule), "r")
-    if why is not None:
-        raise PageAccessFault(source_vaddr, why)
-
+    src_granule, _ = m.memory.translate(secs.eid, source_vaddr, GRANULE_SIZE, "r")
     m.memory.store(target_granule, 0, m.memory.load(src_granule, 0, GRANULE_SIZE))
     m.memory.epcm_update(target_granule, entry._replace(pending=False, perms=secinfo.perms))
 

@@ -36,12 +36,14 @@ still in the EPC, but the enclave's next access to one faults as a
 Residency: no thread page is pinned, and the runtime never reads a TCS.
 Pages come back by one path, the fault, as ``sgx_vma_fault`` serves a #PF.
 A load or an ENCLU leaf faults by AEX, and ERESUME runs it again once the
-runtime has reloaded the page.  EENTER and ERESUME fault straight to the
-runtime on a save-state page they need, and it reloads the page and issues
-the leaf again.  Until that leaf has run, no reclaim takes its TCS (found by
-address, and reloaded if filed) or a page reloaded for it, so the retries
-end.  A filed page still belongs to its enclave: the EAUG outside call
-reloads it, so the leaf refuses it as it refuses a resident one.
+runtime has reloaded the page.  EENTER and ERESUME check each save-state
+frame they need as an enclave store to it, and fault straight to the
+runtime, which reloads the page with ``_reload`` and issues the leaf again;
+a page the store does not hold (a blocked frame, a removed one) ends the
+entry.  Until that leaf has run, no reclaim takes its TCS (found by address,
+and reloaded if filed) or a page reloaded for it, so the retries end.  A filed page still belongs to its
+enclave: the EAUG outside call reloads it, so the leaf refuses it as it
+refuses a resident one.
 
 Teardown, for ``destroy`` and for a load that fails after ECREATE, is one
 walk: EREMOVE every resident page but the SECS, then reload each filed page
@@ -540,25 +542,26 @@ class HostRuntime:
                      fault_page: Optional[int] = None) -> None:
         """Issue ``leaf``, EENTER or ERESUME, on the TCS at ``tcs_vaddr`` as a
         driver does: reload ``fault_page`` (a page-fault exit's), then the
-        TCS, if filed; issue the leaf, and reissue it after reloading each
-        save-state page it faults on.  Until it has run, no reclaim takes the
-        TCS or a page reloaded here, so each fault names a new page."""
+        TCS, if not resident; issue the leaf, and reissue it after reloading
+        each save-state page it faults on.  A page the store does not hold (a
+        blocked frame, a removed one) ends the entry with :meth:`_reload`'s
+        ModelError.  Until the leaf has run, no reclaim takes the TCS or a
+        page reloaded here, so each fault names a new page."""
         m, kept = self.machine, self._kept
         kept.add((handle.eid, tcs_vaddr))
         try:
             if fault_page is not None:
                 kept.add((handle.eid, fault_page))
-                self.swap_in(handle, fault_page)
+                self._reload(handle.eid, fault_page)
             tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
             if tcs_granule is None:
-                self.swap_in(handle, tcs_vaddr)
-                tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
+                tcs_granule = self._reload(handle.eid, tcs_vaddr)
             while True:
                 try:
                     return m.enclu(vcpu, leaf, tcs_granule, AEP_GATE)
                 except PageAccessFault as fault:
                     kept.add((handle.eid, fault.vaddr))
-                    self.swap_in(handle, fault.vaddr)
+                    self._reload(handle.eid, fault.vaddr)
         finally:
             kept.clear()
 

@@ -342,10 +342,11 @@ def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
     """Run scenario ``text`` line by line in sgx and in ccx mode, in lockstep,
     and return each difference in a line's record or in a count the line
     added, in a field that ``table`` does not name, as ``scenario line N:
-    <field>: sgx <value>, ccx <value>``.  Both runs stop where ``run_text``
-    would stop either.  ``after_line(runners, records)`` is called after
-    each line.  A ``config`` valid in one mode only is refused, as a
-    ModelError, before line 1."""
+    <field>: sgx <value>, ccx <value>``, a line's ``error`` first, then ``ok``,
+    then the rest by name.  Both runs stop where ``run_text`` would stop
+    either.  ``after_line(runners, records)`` is called after each line.  A
+    ``config`` valid in one mode only is refused, as a ModelError, before
+    line 1."""
     runners = [ScenarioRunner(replace(config, mode=mode), base_dir) for mode in ("sgx", "ccx")]
 
     # The leaf counters flattened (counters.EWB), without the cost tally: a
@@ -366,7 +367,8 @@ def compare_modes(text: str, config: Config, base_dir=None, after_line=None,
         after = [counts(runner) for runner in runners]
         outcomes = [{**record, **{key: n - old.get(key, 0) for key, n in new.items()}}
                     for record, old, new in zip(records, before, after)]
-        for field in sorted(outcomes[0].keys() | outcomes[1].keys()):
+        fields = outcomes[0].keys() | outcomes[1].keys()
+        for field in sorted(fields, key=lambda field: (field != "error", field != "ok", field)):
             a, b = (outcome.get(field) for outcome in outcomes)
             if a != b and field not in table:
                 differences.append(f"scenario line {line_no}: {field}: sgx {a!r}, ccx {b!r}")

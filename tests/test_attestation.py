@@ -247,7 +247,7 @@ def test_mrenclave_sealed_blob_stays_home(attest_env):
 def test_unseal_is_refused_by_egetkey_below_the_blobs_svn(attest_env, monkeypatch):
     """A blob sealed at SVN 2 asks for a key that EGETKEY refuses in a
     same-signer enclave at SVN 1, so unseal returns None before it tries the
-    blob (``runtime.py:798``); the enclave at SVN 2 unseals it."""
+    blob (``HostRuntime.unseal``); the enclave at SVN 2 unseals it."""
     machine, rt, a, b, load = attest_env
     newer = load("att_svn2", salt=b"svn 2", isv_svn=2)
     blob = rt.seal(newer, KeyPolicy.MRSIGNER, b"for svn 2 and up")

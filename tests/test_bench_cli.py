@@ -237,7 +237,7 @@ def test_cli_inspect_human_lists_enclaves(demo_dir, tmp_path, capsys):
 
 
 def test_cli_inspect_human_flags_a_crashed_enclave(demo_dir, tmp_path, capsys):
-    """``inspect`` lists a crashed enclave's flag (``cli.py:187``)."""
+    """``inspect`` lists a crashed enclave's flag (``cli.cmd_inspect``)."""
     snap = tmp_path / "snap.json"
     scenario = demo_dir / "stay3.scenario"
     scenario.write_text("create app standard.manifest\n")

@@ -15,7 +15,7 @@ from ccxsim.errors import SgxError
 from ccxsim.execution import RunReport
 from ccxsim.machine import Machine
 from ccxsim.manifest import EnclaveManifest
-from ccxsim.memory import GRANULE_SIZE, GpfRecord, Pas, Perms, SecurityState
+from ccxsim.memory import GRANULE_SIZE, GpfRecord, MachineMemory, Pas, Perms, SecurityState
 from ccxsim.runtime import AEP_GATE, RETURN_GATE, HostRuntime
 from ccxsim.structs import EXIT_IRQ, EXIT_PAGEFAULT
 
@@ -282,7 +282,8 @@ def test_code_page_reloaded_into_another_granule_still_runs(m):
 
 def test_writing_back_a_page_drops_its_translations_and_keeps_the_others(m, monkeypatch):
     """After the data page goes out and comes back into another granule, the
-    next call translates the data address again and nothing else: the code
+    next call translates the data address again and nothing else: past the
+    EENTER's check of its save-state frame, which no cache serves, the code
     page's translations were kept."""
     enc = _enclave(m, [("movi", 13, BASE + DATA), ("load", 3, 13, 0)])
     assert _call(m, enc)[1] == DATA_WORD
@@ -290,15 +291,15 @@ def test_writing_back_a_page_drops_its_translations_and_keeps_the_others(m, monk
     m.leaf("EPA", va)
     _reload_elsewhere(m, enc.eid, enc.pages[DATA], va)
     translated = []
-    translate = execution._enclave_translate
+    translate = MachineMemory.translate
 
-    def counting_translate(mach, vcpu, addr, size, kind):
+    def counting_translate(memory, eid, addr, size, kind):
         translated.append((addr, kind))
-        return translate(mach, vcpu, addr, size, kind)
+        return translate(memory, eid, addr, size, kind)
 
-    monkeypatch.setattr(execution, "_enclave_translate", counting_translate)
+    monkeypatch.setattr(MachineMemory, "translate", counting_translate)
     assert _call(m, enc)[1] == DATA_WORD
-    assert translated == [(BASE + DATA, "r")]
+    assert translated == [(BASE + 0x2000, "w"), (BASE + DATA, "r")]
 
 
 def test_destroying_an_enclave_keeps_the_translations_of_the_others(m, tmp_path, monkeypatch):

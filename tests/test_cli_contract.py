@@ -93,6 +93,24 @@ def test_compare_exits_1_with_the_first_difference_naming_its_line(demo_dir, tmp
     assert compare_modes(PAGING_PROBE.replace("24", "8"), small_config(epc_size=16), demo_dir) == []
 
 
+def test_compare_names_a_refusal_in_one_mode_before_the_counts_it_moved(demo_dir, tmp_path,
+                                                                        capsys):
+    """A create that only sgx refuses, its 6-granule EPC too small for the
+    enclave: the line's differences list ``error``, then ``ok``, then the
+    rest by name, and ``compare`` prints the refusal."""
+    scenario = _write(demo_dir, "refused.scenario", "try create c compute.manifest\n")
+    config = small_config(epc_size=6)
+    differences = compare_modes(scenario.read_text(), config, demo_dir)
+    refusal = ("scenario line 1: error: sgx 'LoadError: eadd tcs[0] at 0x7000: EPC exhausted"
+               " and no evictable page found', ccx None")
+    assert differences[:2] == [refusal, "scenario line 1: ok: sgx False, ccx True"]
+    fields = [difference.split(": ")[1] for difference in differences[2:]]
+    assert fields == sorted(fields) and "counters.EADD" in fields
+    status, out, _ = _main(capsys, "compare", scenario, "--config",
+                           _write(tmp_path, "six.json", config.to_json()))
+    assert (status, out) == (cli.EXIT_FAILED, refusal + "\n")
+
+
 @pytest.mark.parametrize("kind", ["scenario-directory", "config-not-json", "config-key-twice"])
 def test_compare_of_an_unreadable_input_exits_2(kind, demo_dir, tmp_path, capsys):
     argv = ["compare", demo_dir / "lifecycle.scenario"]

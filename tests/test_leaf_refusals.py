@@ -1,7 +1,8 @@
 """Leaf refusals that change nothing.  Each case prepares an enclave, then
 issues one leaf through ``Machine.leaf`` that must be refused; the test
 checks the refusal's code and that the EPCM holds the same entries in the
-same order as before.  Each case's id names the line of its refusal."""
+same order as before.  Each case's id is a label, the line its refusal was
+on when the case was first listed; the case's function names the refusal."""
 
 import pytest
 

@@ -883,7 +883,7 @@ def test_an_eextend_refusal_names_the_directive_and_the_page_of_its_run(runtime)
 
 def test_an_eadd_refusal_at_a_tcs_names_the_tcs(runtime, fixture_dir):
     """A failed step names a TCS page by its place among the TCS directives
-    (``runtime.py:262``): the standard manifest adds its code, scratch and
+    (``runtime._page_name``): the standard manifest adds its code, scratch and
     two save-state pages first, so the fifth EADD is its TCS."""
     manifest = EnclaveManifest.load(fixtures.write_standard_manifest(fixture_dir))
     with refusing(runtime.machine, "EADD", after=4):

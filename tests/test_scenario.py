@@ -61,9 +61,10 @@ def test_scenario_keeps_trace_records_only_in_a_sink_it_is_given(demo_dir):
 
 
 def test_a_peek_of_the_enclaves_own_tcs_page_faults_in_both_modes(demo_dir):
-    """Enclave software may not read a TCS page (``memory.py:241``): the
-    standard enclave's PEEK of its own TCS ends in a page fault, recorded by
-    the ``try`` line, alike in both modes."""
+    """Enclave software may not read a TCS page
+    (``memory.software_access_refusal``): the standard enclave's PEEK of its
+    own TCS ends in a page fault, recorded by the ``try`` line, alike in both
+    modes."""
     tcs = 0x200007000
     text = f"create a standard.manifest\ntry ecall a 0 {fixtures.SEL_PEEK} {tcs:#x}\n"
     assert scenario.compare_modes(text, Config(), demo_dir, table=()) == []

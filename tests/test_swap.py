@@ -102,7 +102,7 @@ def test_ewb_without_track_rejected(swap_env):
 
 def test_ewb_draws_again_a_version_that_reads_as_an_empty_slot(swap_env, monkeypatch):
     """A filed version never reads as an empty slot: EWB draws again when
-    the random stream gives one (``microprograms.py:343``)."""
+    the random stream gives one (``microprograms.ewb``)."""
     machine, enc, va = swap_env
     draws = [EMPTY_SLOT]
     real = machine.rand_bytes
@@ -451,7 +451,7 @@ def test_eresume_refuses_a_thread_whose_saved_frame_was_written_back(swap_env_bo
     with pytest.raises(PageAccessFault) as fault:
         machine.enclu(vcpu, 0x3, tcs_g, AEP_GATE)
     assert fault.value.vaddr == BASE + 0x2000
-    assert fault.value.why == "save-state page is not resident"
+    assert fault.value.why == "no page mapped"
     assert vcpu.cur_eid is None and machine.read_tcs(tcs_g).cssa == 1
     assert machine.counters["ERESUME"] == resumes
 
@@ -744,6 +744,44 @@ def test_an_entry_on_a_frame_that_is_neither_resident_nor_filed_is_refused(mode,
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
+@pytest.mark.parametrize("leaf", ["EENTER", "ERESUME"])
+def test_an_entry_faults_on_a_blocked_frame_and_the_runtime_gives_up(mode, leaf, fixture_dir):
+    """A save-state frame that is blocked and tracked is resident yet not
+    writable by the enclave, so EENTER (on frame cssa) and ERESUME (on frame
+    cssa - 1 of an interrupted call) fault on it as an enclave store would:
+    uncounted, with one ``pagefault`` record and no thread inside.  The
+    store holds no such page, so the runtime's entry ends with the store's
+    ModelError after that one fault, and does not reissue the leaf."""
+    from ccxsim import fixtures
+    from ccxsim.manifest import EnclaveManifest
+
+    machine = Machine(small_config(mode=mode))
+    rt = HostRuntime(machine)
+    h = rt.load_enclave(EnclaveManifest.load(fixtures.write_compute_manifest(fixture_dir)))
+    tcs, frame0 = machine.memory.find_page(h.eid, h.tcs_vaddrs[0]), h.base + fixtures.SSA_OFF
+    calling = _interrupted(rt, h) if leaf == "ERESUME" else None
+    machine.leaf("EBLOCK", machine.memory.find_page(h.eid, frame0))
+    machine.leaf("ETRACK", h.eid)
+    counts, cssa, vcpu = dict(machine.counters), machine.read_tcs(tcs).cssa, machine.vcpus[0]
+    machine.trace = []
+    with pytest.raises(PageAccessFault) as fault:
+        machine.leaf(leaf, tcs, AEP_GATE, vcpu=vcpu)
+    assert (fault.value.vaddr, fault.value.why) == (frame0, "page is blocked")
+    assert machine.trace == [{"seq": 0, "kind": "pagefault", "vcpu": 0, "leaf": leaf.lower(),
+                              "addr": frame0, "why": "page is blocked"}]
+    assert machine.counters == counts and machine.read_tcs(tcs).cssa == cssa
+    assert not any(core.in_enclave for core in machine.vcpus)
+    machine.trace = []
+    with pytest.raises(ModelError, match=f"swap store holds no page {frame0:#x} of enclave "):
+        if calling is None:
+            rt.ecall(h, 0, 1, 5)
+        else:
+            _finish(calling)
+    assert [r["kind"] for r in machine.trace] == ["pagefault"]
+    assert machine.counters == counts and not any(core.in_enclave for core in machine.vcpus)
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
 @pytest.mark.parametrize("refusal", ["TCS_BUSY", "CSSA_FULL", "NO_SAVED_STATE"])
 def test_a_refused_entry_reloads_nothing_even_with_its_frame_filed(mode, refusal, fixture_dir,
                                                                    monkeypatch):
@@ -795,7 +833,7 @@ def test_an_aex_notify_eenter_faults_on_either_filed_frame(mode, filed, fixture_
     tcs, vcpu = machine.memory.find_page(h.eid, h.tcs_vaddrs[0]), machine.vcpus[0]
     with pytest.raises(PageAccessFault) as fault:
         machine.leaf("EENTER", tcs, AEP_GATE, vcpu=vcpu)
-    assert (fault.value.vaddr, fault.value.why) == (frame, "save-state page is not resident")
+    assert (fault.value.vaddr, fault.value.why) == (frame, "no page mapped")
     assert machine.counters["EENTER"] == 0 and not vcpu.in_enclave
     assert rt.ecall(h, 0, 1, 5) == fixtures.compute_expected(5)
     assert machine.counters["EENTER"] == 1 and rt.store.keys_for(h.eid) == []
@@ -818,7 +856,7 @@ def test_a_traced_eenter_that_faults_on_a_filed_frame_records_the_fault(mode, fi
     kinds = [r["kind"] for r in machine.trace]
     assert kinds == ["pagefault", "eldu", "eenter", "eexit"]
     assert machine.trace[0] == {"seq": 0, "kind": "pagefault", "vcpu": 0, "leaf": "eenter",
-                                "addr": frame, "why": "save-state page is not resident"}
+                                "addr": frame, "why": "no page mapped"}
 
 
 def test_eviction_after_a_core_leaves_an_enclave_takes_its_oldest_page(fixture_dir):
@@ -1003,9 +1041,9 @@ def test_a_refused_writeback_leaves_the_store_and_the_slots_as_they_were(mode, f
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_a_later_reclaim_skips_a_page_a_refused_writeback_left_blocked(mode, fixture_dir):
-    """The victim filter passes over a blocked page (``runtime.py:353``):
-    after a refused EWB, a reclaim writes other pages back, never the blocked
-    one, which EBLOCK would refuse."""
+    """The victim filter passes over a blocked page
+    (``HostRuntime.victim_filter``): after a refused EWB, a reclaim writes
+    other pages back, never the blocked one, which EBLOCK would refuse."""
     machine, rt, h, scratch = _standard(mode, fixture_dir)
     code = machine.memory.find_page(h.eid, h.base)
     with refusing(machine, "EWB"), pytest.raises(SgxError):
@@ -1024,8 +1062,8 @@ def test_a_later_reclaim_skips_a_page_a_refused_writeback_left_blocked(mode, fix
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_enclave_software_faults_on_a_page_a_refused_writeback_left_blocked(mode, fixture_dir):
     """A PEEK of the page that a refused EWB left blocked is refused by the
-    software access rule (``memory.py:235``): the call ends in a page fault
-    at that address, and the page stays blocked."""
+    software access rule (``memory.software_access_refusal``): the call ends
+    in a page fault at that address, and the page stays blocked."""
     from ccxsim import fixtures
 
     machine, rt, h, scratch = _standard(mode, fixture_dir)
@@ -1041,10 +1079,10 @@ def test_enclave_software_faults_on_a_page_a_refused_writeback_left_blocked(mode
 
 def test_a_reclaim_skips_an_enclave_a_core_is_inside(tmp_path):
     """The victim filter passes over every page of an enclave that a core
-    runs in (``runtime.py:364``): a toucher call on vCPU 1 pages in a 24
-    granule EPC while a compute call on vCPU 0 is suspended inside its
-    enclave, files none of the compute enclave's pages, and the compute call
-    then ends with its result."""
+    runs in (``HostRuntime.victim_filter``): a toucher call on vCPU 1 pages
+    in a 24 granule EPC while a compute call on vCPU 0 is suspended inside
+    its enclave, files none of the compute enclave's pages, and the compute
+    call then ends with its result."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 

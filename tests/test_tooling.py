@@ -4,6 +4,7 @@ methods it wraps, must fail here, not in a traced benchmark run.  The
 recorder's verdicts (``tools/bench_record.py``) are checked here too."""
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,27 @@ def test_the_census_refuses_a_listed_line_without_a_kind(monkeypatch, tmp_path):
     (tmp_path / "list.txt").write_text("# comment\n\ncli.py:1 guard: fine\ncli.py:2 because\n")
     with pytest.raises(SystemExit, match="list.txt:4: cli.py:2 needs a reason"):
         linecov.read_list(tmp_path / "list.txt")
+
+
+def test_no_test_module_cites_a_line_of_the_package(monkeypatch):
+    """A test names the function it means, never ``<module>.py:<n>`` of
+    ``src/ccxsim``: such a line number goes stale with any edit above it,
+    and nothing else checks it.  Exempt are the census-format entries that
+    this module writes, and ``test_leaf_refusals``' case ids, which stay as
+    the labels their cases were first listed under."""
+    from test_leaf_refusals import REFUSALS
+
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    modules = {path.name for path in importlib.import_module("linecov").PACKAGE.glob("*.py")}
+    exempt = {("test_tooling.py", "cli.py:1"), ("test_tooling.py", "cli.py:2")}
+    exempt |= {("test_leaf_refusals.py", case) for case in REFUSALS}
+    cited = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            for match in re.finditer(r"\b(\w+\.py):\d+", line):
+                if match[1] in modules and (path.name, match[0]) not in exempt:
+                    cited.append(f"{path.name}:{number}: {match[0]}")
+    assert not cited
 
 
 def test_the_epc_probe_counts_equal_capped_and_other_seeds(monkeypatch, capsys, tmp_path):

@@ -185,8 +185,9 @@ def test_an_aborted_call_leaves_the_enclave_serving_calls():
 
 
 def test_an_outside_call_with_no_handler_ends_the_call_with_a_dispatch_fault():
-    """An outside call whose selector has no handler (``runtime.py:718``)
-    ends the call with a ``dispatch_fault`` that names the selector."""
+    """An outside call whose selector has no handler
+    (``HostRuntime._handle_ocall``) ends the call with a ``dispatch_fault``
+    that names the selector."""
     rt, handle = _loaded(fixtures.standard_program())
     del rt.ocall_handlers[fixtures.OCALL_HOSTADD]
     with pytest.raises(EnclaveFault) as exc:
@@ -288,3 +289,27 @@ def test_an_interrupt_in_a_one_frame_notify_handler_crashes_the_enclave(mode):
         rt.ecall(handle, 0, 1, SWEEP_ITERATIONS, inject_at={10, 14})
     assert exc.value.report.kind == "ssa_overflow"
     assert rt.machine.enclaves[handle.eid].crashed
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_a_handler_interrupted_on_a_three_frame_notify_thread_resumes_its_own_frame(mode):
+    """On a three-frame AEX-Notify thread an exit inside the handler saves
+    to frame 1, and ERESUME reads frame 1 back, not the last frame the entry
+    checks: the handler goes on where it was, and a call interrupted in its
+    body and then in the handler returns its value."""
+    rt, handle = _loaded(fixtures.notify_program(), mode, aexnotify=True, nssa=3)
+    m, vcpu = rt.machine, rt.machine.vcpus[0]
+    tcs_g = m.memory.find_page(handle.eid, handle.tcs_vaddrs[0])
+    m.enclu(vcpu, EENTER, tcs_g, AEP_GATE)
+    m.step(vcpu, 7)
+    m.inject_interrupt(vcpu)
+    m.enclu(vcpu, ERESUME, tcs_g, AEP_GATE)  # the handler, at cssa 1
+    m.step(vcpu, 3)
+    state = (list(vcpu.regs), vcpu.pc, vcpu.pstate, vcpu.tpidr)
+    m.inject_interrupt(vcpu)
+    assert m.read_tcs(tcs_g).cssa == 2
+    m.enclu(vcpu, ERESUME, tcs_g, AEP_GATE)
+    assert (vcpu.regs, vcpu.pc, vcpu.pstate, vcpu.tpidr) == state
+    assert m.read_tcs(tcs_g).cssa == 1
+    rt, handle = _loaded(fixtures.notify_program(), mode, aexnotify=True, nssa=3)
+    assert _call(rt, handle, {1, 3})[0] == fixtures.compute_expected(SWEEP_ITERATIONS)
