@@ -34,16 +34,16 @@ still in the EPC, but the enclave's next access to one faults as a
 ``pagefault``, no reclaim picks it again, and only teardown removes it.
 
 Residency: no thread page is pinned, and the runtime never reads a TCS.
-Pages come back by one path, the fault, as ``sgx_vma_fault`` serves a #PF.
-A load or an ENCLU leaf faults by AEX, and ERESUME runs it again once the
-runtime has reloaded the page.  EENTER and ERESUME check each save-state
-frame they need as an enclave store to it, and fault straight to the
-runtime, which reloads the page with ``_reload`` and issues the leaf again;
-a page the store does not hold (a blocked frame, a removed one) ends the
-entry.  Until that leaf has run, no reclaim takes its TCS (found by address,
-and reloaded if filed) or a page reloaded for it, so the retries end.  A filed page still belongs to its
-enclave: the EAUG outside call reloads it, so the leaf refuses it as it
-refuses a resident one.
+Pages come back by one path, the fault, served at one place in the entry,
+as ``sgx_vma_fault`` serves every #PF.  A load or an ENCLU leaf faults by
+AEX and ERESUME runs it again; EENTER and ERESUME check each save-state
+frame they need as an enclave store to it and fault straight to the
+runtime, which finds their TCS by address.  A filed page, frame or TCS is
+reloaded by ``swap_in``, the one ELDU, and the leaf issued again; any other
+(a blocked frame, a removed one) ends the call as a ``pagefault``.  Until
+the leaf has run, no reclaim takes its TCS or a page served for it, so the
+retries end.  A filed page still belongs to its enclave: the EAUG outside
+call reloads it, so the leaf refuses it as it refuses a resident one.
 
 Teardown, for ``destroy`` and for a load that fails after ECREATE, is one
 walk: EREMOVE every resident page but the SECS, then reload each filed page
@@ -496,8 +496,8 @@ class HostRuntime:
         for g in sorted(m.memory.gpts.owned[eid]):
             if g != secs_granule:
                 m.encls(EREMOVE_LEAF, g)
-        for page in self.store.keys_for(eid):
-            m.encls(EREMOVE_LEAF, self._reload(eid, page))
+        for page in self.store.keys_for(eid):  # none for a failed load, which has no handle
+            m.encls(EREMOVE_LEAF, self.swap_in(self.handles[eid], page))
         m.encls(EREMOVE_LEAF, secs_granule)
 
     # ------------------------------------------------------------------ swap
@@ -519,16 +519,16 @@ class HostRuntime:
                 return
         self._write_back([(g, m.memory.epcm[g])], evict=False)
 
-    def swap_in(self, handle: EnclaveHandle, vaddr: int) -> None:
-        """Reload the filed page at `vaddr`, asking the store first; a resident one stays."""
-        page = vaddr & ~(GRANULE_SIZE - 1)
-        if self.store.has(handle.eid, page) or self.machine.memory.find_page(
-                handle.eid, page) is None:
-            self._reload(handle.eid, page)
-
-    def _reload(self, eid: int, page: int) -> int:
-        """ELDU the filed ``page`` of enclave ``eid`` into a taken granule and
-        return it; only then does the blob leave the store and its slot come free."""
+    def swap_in(self, handle: EnclaveHandle, vaddr: int) -> int:
+        """The granule of the page at `vaddr`: a resident page stays where it
+        is; a filed one is ELDU'd into a taken granule, and only then does its
+        blob leave the store and its slot come free.  A page that is neither
+        raises the store's ModelError."""
+        eid, page = handle.eid, vaddr & ~(GRANULE_SIZE - 1)
+        if not self.store.has(eid, page):
+            g = self.machine.memory.find_page(eid, page)
+            if g is not None:
+                return g
         stored = self.store.get(eid, page)
         target = self.take_epc_granule()
         self.machine.leaf("ELDU", stored.blob.ciphertext, stored.blob.pcmd, stored.va_granule,
@@ -539,29 +539,31 @@ class HostRuntime:
         return target
 
     def _issue_entry(self, handle: EnclaveHandle, vcpu, leaf: int, tcs_vaddr: int,
-                     fault_page: Optional[int] = None) -> None:
+                     page: Optional[int] = None) -> None:
         """Issue ``leaf``, EENTER or ERESUME, on the TCS at ``tcs_vaddr`` as a
-        driver does: reload ``fault_page`` (a page-fault exit's), then the
-        TCS, if not resident; issue the leaf, and reissue it after reloading
-        each save-state page it faults on.  A page the store does not hold (a
-        blocked frame, a removed one) ends the entry with :meth:`_reload`'s
-        ModelError.  Until the leaf has run, no reclaim takes the TCS or a
-        page reloaded here, so each fault names a new page."""
-        m, kept = self.machine, self._kept
-        kept.add((handle.eid, tcs_vaddr))
+        driver does, serving at one place ``page`` (a page-fault exit's), the
+        TCS if not resident, and each save-state page the leaf faults on, then
+        issuing it again.  A filed page is reloaded by :meth:`swap_in`; any
+        other (a blocked frame, a removed one) ends the entry with a
+        ``pagefault`` :class:`EnclaveFault`.  Until the leaf has run, no reclaim
+        takes the TCS or a page served here, so each fault names a new page."""
+        m, kept, eid = self.machine, self._kept, handle.eid
+        kept.add((eid, tcs_vaddr))
         try:
-            if fault_page is not None:
-                kept.add((handle.eid, fault_page))
-                self._reload(handle.eid, fault_page)
-            tcs_granule = m.memory.find_page(handle.eid, tcs_vaddr)
-            if tcs_granule is None:
-                tcs_granule = self._reload(handle.eid, tcs_vaddr)
             while True:
+                if page is not None:
+                    kept.add((eid, page))
+                    if not self.store.has(eid, page):
+                        raise EnclaveFault(FaultReport("pagefault", f"at {page:#x}", page))
+                    self.swap_in(handle, page)
+                tcs_granule = m.memory.find_page(eid, tcs_vaddr)
+                if tcs_granule is None:
+                    page = tcs_vaddr
+                    continue
                 try:
                     return m.enclu(vcpu, leaf, tcs_granule, AEP_GATE)
                 except PageAccessFault as fault:
-                    kept.add((handle.eid, fault.vaddr))
-                    self._reload(handle.eid, fault.vaddr)
+                    page = fault.vaddr
         finally:
             kept.clear()
 
@@ -694,17 +696,14 @@ class HostRuntime:
         vcpu.regs[5] = 0 if result is None else int(result) & MASK64
 
     def _handle_aex(self, handle: EnclaveHandle, vcpu, tcs_vaddr: int) -> None:
-        """The host trampoline: serve the exit, then ERESUME the TCS found at
-        ``tcs_vaddr`` (a writeback may have moved it from the granule in x2),
-        after reloading a page-fault exit's page; or raise :class:`EnclaveFault`."""
+        """The host trampoline: ERESUME the TCS found at ``tcs_vaddr`` (a
+        writeback may have moved it from the granule in x2), serving a
+        page-fault exit's page first, or raise :class:`EnclaveFault`."""
         secs = self.machine.enclaves.get(handle.eid)
         if secs is None or secs.crashed:
             raise EnclaveFault(FaultReport("ssa_overflow", "enclave crashed"))
-        reason, payload = vcpu.last_exit
-        if reason == EXIT_PAGEFAULT:  # the payload is the faulting page
-            if not self.store.has(handle.eid, payload):
-                raise EnclaveFault(FaultReport("pagefault", f"at {payload:#x}", payload))
-        elif reason != EXIT_IRQ:  # an injected interrupt just resumes
+        reason, payload = vcpu.last_exit  # a page-fault exit's payload is the faulting page
+        if reason != EXIT_PAGEFAULT and reason != EXIT_IRQ:  # an interrupt just resumes
             raise EnclaveFault(FaultReport("gpf", f"enclave fault at {payload:#x}", payload))
         self._issue_entry(handle, vcpu, ERESUME_LEAF, tcs_vaddr,
                           payload if reason == EXIT_PAGEFAULT else None)

@@ -78,6 +78,12 @@ def refusing(m: Machine, name: str, code: SgxErrorCode = SgxErrorCode.PAGE_INVAL
     assert not armed, f"no {name} was dispatched"
 
 
+def reloads(rt, handle, vaddr: int) -> bool:
+    """Whether ``rt.swap_in(handle, vaddr)`` reloads a page, as it does when
+    the swap store holds it; a resident page stays and reloads nothing."""
+    return rt.store.has(handle.eid, vaddr & ~(GRANULE_SIZE - 1))
+
+
 def check_paging_records(rt) -> None:
     """Assert that a runtime's paging records agree with its machine: no
     page is both resident and filed, the free version slots and the slots

@@ -58,6 +58,16 @@ def test_every_leaf_exercised_at_least_n_times():
         assert row["count"] >= n, name
 
 
+def test_bench_refuses_a_leaf_it_issued_fewer_times_than_its_iterations(monkeypatch):
+    """With the debug round skipped, EDBGRD and EDBGWR never run, and the
+    bench ends on the first of them instead of reporting a count of 0."""
+    from ccxsim import bench
+
+    monkeypatch.setattr(bench, "_bench_debug", lambda *args: None)
+    with pytest.raises(ModelError, match=r"bench under-exercised EDBG(RD|WR): 0 < 2"):
+        run_leaf_bench(bench_config(2048), iterations=2)
+
+
 def test_scenario_bench_in_ccx_mode_reports_zero_writebacks(demo_dir, tmp_path, capsys):
     """A ccx run of the lifecycle demo enters its enclave and writes no page
     back, read from the counters of its ``run --json`` summary."""

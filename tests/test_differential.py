@@ -25,7 +25,7 @@ from ccxsim.memory import GRANULE_SIZE
 from ccxsim.runtime import HostRuntime
 from ccxsim.scenario import ScenarioRunner, compare_modes
 
-from helpers import check_paging_records, small_config
+from helpers import check_paging_records, reloads, small_config
 
 SEEDS = range(100)
 EPC_SIZES = (24, 40, 64)
@@ -170,17 +170,21 @@ def test_a_drawn_seed_replays_from_its_files(seed, demo_dir, capsys):
 
 @pytest.fixture
 def reload_cap(monkeypatch):
-    """Fail a run past ``RELOAD_CAP`` page reloads, so that a paging
-    livelock ends the test instead of hanging it."""
-    reload = HostRuntime._reload
-    reloads = []
+    """Fail a run past ``RELOAD_CAP`` page reloads, ``swap_in`` calls on a
+    filed page, so that a paging livelock ends the test instead of hanging it."""
+    swap_in = HostRuntime.swap_in
+    reloaded = []
 
-    def capped(rt, eid, page):
-        reloads.append(page)
-        assert len(reloads) <= RELOAD_CAP, f"more than {RELOAD_CAP} reloads: a paging livelock"
-        return reload(rt, eid, page)
+    def capped(rt, handle, vaddr):
+        if reloads(rt, handle, vaddr):
+            reloaded.append(vaddr)
+            assert len(reloaded) <= RELOAD_CAP, f"more than {RELOAD_CAP} reloads: a paging livelock"
+        return swap_in(rt, handle, vaddr)
 
-    monkeypatch.setattr(HostRuntime, "_reload", capped)
+    with monkeypatch.context() as patch:
+        patch.setattr(HostRuntime, "swap_in", capped)
+        yield
+    assert HostRuntime.swap_in is swap_in
 
 
 def test_seed_149_compares_equal_in_a_16_granule_epc(demo_dir, reload_cap):

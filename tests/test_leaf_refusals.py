@@ -1,8 +1,8 @@
 """Leaf refusals that change nothing.  Each case prepares an enclave, then
 issues one leaf through ``Machine.leaf`` that must be refused; the test
 checks the refusal's code and that the EPCM holds the same entries in the
-same order as before.  Each case's id is a label, the line its refusal was
-on when the case was first listed; the case's function names the refusal."""
+same order as before.  Each case's id is its function's name, which names
+the refusal."""
 
 import pytest
 
@@ -102,26 +102,26 @@ def _eadd_of_a_tcs_with_saved_state(m, enc):
     return "EADD", args, False, E.BAD_TCS_LAYOUT
 
 
-REFUSALS = {
-    "microprograms.py:309": _ewb_into_a_page_that_is_no_version_array,
-    "microprograms.py:316": _eldu_from_a_slot_out_of_range,
-    "microprograms.py:379": _eldu_into_another_enclave,
-    "microprograms.py:466": _eacceptcopy_onto_a_page_that_is_not_pending,
-    "microprograms.py:468": _eacceptcopy_asking_for_a_tcs,
-    "microprograms.py:487": _emodpe_of_a_tcs,
-    "microprograms.py:489": _emodpe_of_a_pending_page,
-    "microprograms.py:530": _egetkey_of_an_unknown_key_name,
-    "microprograms.py:546": _egetkey_under_an_unknown_policy,
-    "structs.py:166": _eadd_of_a_tcs_with_saved_state,
-}
+REFUSALS = (
+    _ewb_into_a_page_that_is_no_version_array,
+    _eldu_from_a_slot_out_of_range,
+    _eldu_into_another_enclave,
+    _eacceptcopy_onto_a_page_that_is_not_pending,
+    _eacceptcopy_asking_for_a_tcs,
+    _emodpe_of_a_tcs,
+    _emodpe_of_a_pending_page,
+    _egetkey_of_an_unknown_key_name,
+    _egetkey_under_an_unknown_policy,
+    _eadd_of_a_tcs_with_saved_state,
+)
 
 
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
-@pytest.mark.parametrize("line", sorted(REFUSALS))
-def test_a_refused_leaf_leaves_the_epcm_as_it_was(line, mode):
+@pytest.mark.parametrize("case", REFUSALS, ids=lambda case: case.__name__.lstrip("_"))
+def test_a_refused_leaf_leaves_the_epcm_as_it_was(case, mode):
     m = Machine(small_config(mode=mode))
     enc = _enclave(m)
-    name, args, inside, code = REFUSALS[line](m, enc)
+    name, args, inside, code = case(m, enc)
     vcpu = m.vcpus[0] if inside else None
     if inside:
         m.leaf("EENTER", enc.pages[0x4000], AEP_GATE, vcpu=vcpu)

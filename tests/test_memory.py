@@ -433,6 +433,34 @@ def test_audit_catches_a_page_address_index_out_of_step_with_the_epcm(machine, f
         machine.audit()
 
 
+def test_audit_catches_an_epcm_page_its_owner_table_does_not_hold(machine):
+    enc = build_raw_enclave(machine)
+    machine.audit()
+    g = enc.granule(0x0)
+    machine.memory.gpts.owned[enc.eid].discard(g)  # its owner's view loses the page
+    with pytest.raises(ModelError, match=f"granule {g} not realm in owner table {enc.eid}"):
+        machine.audit()
+
+
+def test_audit_catches_a_system_table_that_marks_a_granule_outside_the_epcm(machine):
+    build_raw_enclave(machine)
+    machine.audit()
+    pages = len(machine.memory.epcm)
+    machine.memory.gpts.set_entry(free_epc_granules(machine, 1)[0], Pas.NO_ACCESS)
+    with pytest.raises(ModelError, match=f"system table has {pages + 1} non-normal granules, "
+                                         f"expected {pages}"):
+        machine.audit()
+
+
+def test_audit_catches_a_secs_page_whose_enclave_links_another_granule(machine):
+    enc = build_raw_enclave(machine)
+    machine.audit()
+    secs = machine.enclaves[enc.eid]
+    g, secs.secs_granule = secs.secs_granule, enc.granule(0x0)
+    with pytest.raises(ModelError, match=f"SECS granule {g} owner link broken"):
+        machine.audit()
+
+
 def test_enclave_views_derive_from_system_table_and_owned_set():
     mem = fresh_memory()
     open_table(mem, 1, 16)

@@ -10,7 +10,7 @@ from ccxsim import cli, fixtures, scenario
 from ccxsim.config import Config
 from ccxsim.scenario import ScenarioRunner, run_scenario
 
-from helpers import small_config
+from helpers import reloads, small_config
 
 
 @pytest.fixture
@@ -443,6 +443,26 @@ def test_tcs_evicted_during_ocall_is_reloaded(demo_dir):
     rt.register_ocall(fixtures.OCALL_HOSTADD, evicting_handler)
     assert rt.ecall(h, 0, fixtures.SEL_OCALL_ROUNDTRIP, 20, 30) == 50
     assert rt.swap_in_events >= 1  # the TCS came back through the reload path
+
+
+def test_swap_in_is_the_one_reload(demo_dir, monkeypatch):
+    """Every page the runtime reloads, on a demand fault or in a teardown,
+    it reloads by ``HostRuntime.swap_in``: over the mode_diff demo in sgx
+    mode and then a destroy, the swap_in calls on a filed page number the
+    swap-ins and the ELDU leaves, and there are some."""
+    from ccxsim.runtime import HostRuntime
+
+    swap_in, reloaded = HostRuntime.swap_in, []
+
+    def counted(rt, handle, vaddr):
+        reloaded.append(reloads(rt, handle, vaddr))
+        return swap_in(rt, handle, vaddr)
+
+    monkeypatch.setattr(HostRuntime, "swap_in", counted)
+    text = (demo_dir / "mode_diff.scenario").read_text() + "destroy t\n"
+    result = ScenarioRunner(Config(mode="sgx"), demo_dir).run_text(text)
+    assert result.ok and not result.runtime.handles
+    assert sum(reloaded) == result.runtime.swap_in_events == result.machine.counters["ELDU"] > 0
 
 
 def test_swap_store_tamper_fails_mac(demo_dir):

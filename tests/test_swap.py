@@ -673,9 +673,9 @@ def test_a_resume_finds_the_tcs_a_host_wrote_back_after_the_exit(mode, fixture_d
 
 def test_an_entry_keeps_its_tcs_from_the_victim_filter_while_it_reloads_a_frame(fixture_dir):
     """With the TCS and frame 0 filed, the entry reloads the TCS first, and
-    frame 0 once EENTER faults on it; while it reloads the frame, the victim
-    filter passes over the TCS, so no reclaim there could write it back.
-    Once the call is back, the filter admits the TCS again."""
+    frame 0 once EENTER faults on it, each by ``swap_in``; while it reloads
+    the frame, the victim filter passes over the TCS, so no reclaim there
+    could write it back.  Once the call is back, the filter admits the TCS again."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -685,14 +685,14 @@ def test_an_entry_keeps_its_tcs_from_the_victim_filter_while_it_reloads_a_frame(
     rt.swap_out(h, tcs)
     rt.swap_out(h, frame0)
     reloads = []
-    reload = rt._reload
+    swap_in = rt.swap_in
 
-    def watched(eid, page):
+    def watched(handle, vaddr):
         tcs_granule = rt.machine.memory.find_page(h.eid, tcs)
-        reloads.append((page, None if tcs_granule is None else rt.victim_filter(tcs_granule)))
-        return reload(eid, page)
+        reloads.append((vaddr, None if tcs_granule is None else rt.victim_filter(tcs_granule)))
+        return swap_in(handle, vaddr)
 
-    rt._reload = watched
+    rt.swap_in = watched
     assert rt.ecall(h, 0, 1, 5) == fixtures.compute_expected(5)
     assert reloads == [(tcs, None), (frame0, False)]
     assert rt.victim_filter(rt.machine.memory.find_page(h.eid, tcs))
@@ -700,8 +700,8 @@ def test_an_entry_keeps_its_tcs_from_the_victim_filter_while_it_reloads_a_frame(
 
 def test_an_entry_on_a_tcs_that_is_neither_resident_nor_filed_is_refused(fixture_dir):
     """A TCS that the machine removed behind the runtime's back is neither
-    resident nor filed: the entry ends with a ModelError that names it
-    before any leaf, with or without a page of the enclave filed."""
+    resident nor filed: the entry ends with a ``pagefault`` EnclaveFault that
+    names it before any leaf, with or without a page of the enclave filed."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -712,8 +712,10 @@ def test_an_entry_on_a_tcs_that_is_neither_resident_nor_filed_is_refused(fixture
     for filed in (False, True):
         if filed:
             rt.swap_out(h, h.base + fixtures.SSA_OFF)
-        with pytest.raises(ModelError, match=f"swap store holds no page {h.tcs_vaddrs[0]:#x} "):
+        with pytest.raises(EnclaveFault) as fault:
             rt.ecall(h, 0, 1, 5)
+        assert (fault.value.report.kind, fault.value.report.vaddr) == ("pagefault",
+                                                                       h.tcs_vaddrs[0])
         assert not machine.vcpus[0].in_enclave and machine.counters["EENTER"] == 0
 
 
@@ -723,7 +725,7 @@ def test_an_entry_on_a_frame_that_is_neither_resident_nor_filed_is_refused(mode,
                                                                            fixture_dir):
     """A save-state frame that the machine removed behind the runtime's back
     is neither resident nor filed: the leaf faults on it, and the entry ends
-    with a ModelError that names it, with no thread inside."""
+    with a ``pagefault`` EnclaveFault that names it, with no thread inside."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -734,11 +736,12 @@ def test_an_entry_on_a_frame_that_is_neither_resident_nor_filed_is_refused(mode,
     calling = _interrupted(rt, h) if leaf == "ERESUME" else None
     machine.leaf("EREMOVE", machine.memory.find_page(h.eid, frame0))
     counts = dict(machine.counters)
-    with pytest.raises(ModelError, match=f"swap store holds no page {frame0:#x} "):
+    with pytest.raises(EnclaveFault) as fault:
         if calling is None:
             rt.ecall(h, 0, 1, 5)
         else:
             _finish(calling)
+    assert (fault.value.report.kind, fault.value.report.vaddr) == ("pagefault", frame0)
     assert not any(vcpu.in_enclave for vcpu in machine.vcpus)
     assert machine.counters == counts
 
@@ -750,8 +753,9 @@ def test_an_entry_faults_on_a_blocked_frame_and_the_runtime_gives_up(mode, leaf,
     writable by the enclave, so EENTER (on frame cssa) and ERESUME (on frame
     cssa - 1 of an interrupted call) fault on it as an enclave store would:
     uncounted, with one ``pagefault`` record and no thread inside.  The
-    store holds no such page, so the runtime's entry ends with the store's
-    ModelError after that one fault, and does not reissue the leaf."""
+    store holds no such page, so the runtime's entry ends with a
+    ``pagefault`` EnclaveFault after that one fault, as a load's fault on
+    it would, and does not reissue the leaf."""
     from ccxsim import fixtures
     from ccxsim.manifest import EnclaveManifest
 
@@ -772,11 +776,12 @@ def test_an_entry_faults_on_a_blocked_frame_and_the_runtime_gives_up(mode, leaf,
     assert machine.counters == counts and machine.read_tcs(tcs).cssa == cssa
     assert not any(core.in_enclave for core in machine.vcpus)
     machine.trace = []
-    with pytest.raises(ModelError, match=f"swap store holds no page {frame0:#x} of enclave "):
+    with pytest.raises(EnclaveFault, match=f"pagefault at {frame0:#x}") as fault:
         if calling is None:
             rt.ecall(h, 0, 1, 5)
         else:
             _finish(calling)
+    assert (fault.value.report.kind, fault.value.report.vaddr) == ("pagefault", frame0)
     assert [r["kind"] for r in machine.trace] == ["pagefault"]
     assert machine.counters == counts and not any(core.in_enclave for core in machine.vcpus)
 
@@ -1075,6 +1080,26 @@ def test_enclave_software_faults_on_a_page_a_refused_writeback_left_blocked(mode
     faults = [record for record in machine.trace if record["kind"] == "pagefault"]
     assert [(f["addr"], f["why"]) for f in faults] == [(scratch, "page is blocked")]
     assert machine.memory.epcm[machine.memory.find_page(h.eid, scratch)].blocked
+
+
+@pytest.mark.parametrize("mode", ["sgx", "ccx"])
+def test_an_entry_faults_on_a_frame_a_refused_writeback_left_blocked(mode, fixture_dir):
+    """A frame 0 that a refused EWB left blocked is served as a data page
+    left so is: the next call's EENTER faults on it, the store does not hold
+    it, and the call ends with a ``pagefault`` EnclaveFault that names it,
+    with no core inside and no leaf counted."""
+    from ccxsim import fixtures
+
+    machine, rt, h, _ = _standard(mode, fixture_dir)
+    frame0 = h.base + fixtures.SSA_OFF
+    with refusing(machine, "EWB"), pytest.raises(SgxError):
+        rt.swap_out(h, frame0)
+    counts = dict(machine.counters)
+    with pytest.raises(EnclaveFault, match=f"pagefault at {frame0:#x}") as fault:
+        rt.ecall(h, 0, 1, 5)
+    assert (fault.value.report.kind, fault.value.report.vaddr) == ("pagefault", frame0)
+    assert not any(vcpu.in_enclave for vcpu in machine.vcpus)
+    assert machine.counters == counts
 
 
 def test_a_reclaim_skips_an_enclave_a_core_is_inside(tmp_path):

@@ -131,14 +131,10 @@ def test_no_test_module_cites_a_line_of_the_package(monkeypatch):
     """A test names the function it means, never ``<module>.py:<n>`` of
     ``src/ccxsim``: such a line number goes stale with any edit above it,
     and nothing else checks it.  Exempt are the census-format entries that
-    this module writes, and ``test_leaf_refusals``' case ids, which stay as
-    the labels their cases were first listed under."""
-    from test_leaf_refusals import REFUSALS
-
+    this module writes."""
     monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
     modules = {path.name for path in importlib.import_module("linecov").PACKAGE.glob("*.py")}
     exempt = {("test_tooling.py", "cli.py:1"), ("test_tooling.py", "cli.py:2")}
-    exempt |= {("test_leaf_refusals.py", case) for case in REFUSALS}
     cited = []
     for path in sorted(Path(__file__).parent.rglob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), start=1):
@@ -157,12 +153,12 @@ def test_the_epc_probe_counts_equal_capped_and_other_seeds(monkeypatch, capsys, 
     from ccxsim import fixtures
     from ccxsim.runtime import HostRuntime
 
-    reload = HostRuntime._reload
+    swap_in = HostRuntime.swap_in
     assert epc_probe.main(["--seeds", "2", "24", "16"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "24 granules: 2 equal, 0 capped, 0 other; not equal: -",
         "16 granules: 2 equal, 0 capped, 0 other; not equal: -"]
-    assert HostRuntime._reload is reload
+    assert HostRuntime.swap_in is swap_in
     fixtures.write_demo_tree(tmp_path)
     assert epc_probe.probe(69, 16, tmp_path) == "other"
     monkeypatch.setattr(epc_probe, "RELOAD_CAP", 0)  # seed 0 reloads nothing, seed 1 does
@@ -172,4 +168,4 @@ def test_the_epc_probe_counts_equal_capped_and_other_seeds(monkeypatch, capsys, 
     monkeypatch.setattr(epc_probe, "RELOAD_CAP", 1_000)
     monkeypatch.setattr(epc_probe, "CAP", 1e-6)
     assert epc_probe.probe(0, 24, tmp_path) == "capped"
-    assert HostRuntime._reload is reload
+    assert HostRuntime.swap_in is swap_in

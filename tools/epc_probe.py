@@ -39,6 +39,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from ccxsim import fixtures  # noqa: E402
 from ccxsim.runtime import HostRuntime  # noqa: E402
+from helpers import reloads  # noqa: E402
 from test_differential import RELOAD_CAP, _draw, _run  # noqa: E402
 
 CAP = 60.0  # s per seed, a backstop: seeds 0-199 at 12 and 16 granules took at most 0.45 s
@@ -52,25 +53,26 @@ class _Capped(Exception):
 @contextlib.contextmanager
 def _capped():
     """Raise :class:`_Capped` at the reload past ``RELOAD_CAP``, or in this
-    thread once ``CAP`` seconds have passed."""
-    reload, reloads = HostRuntime._reload, itertools.count(1)
+    thread once ``CAP`` seconds have passed.  A reload is a ``swap_in`` of a
+    filed page; one of a resident page reloads nothing and is not counted."""
+    swap_in, count = HostRuntime.swap_in, itertools.count(1)
 
-    def counted(rt, eid, page):
-        if next(reloads) > RELOAD_CAP:
+    def counted(rt, handle, vaddr):
+        if reloads(rt, handle, vaddr) and next(count) > RELOAD_CAP:
             raise _Capped()
-        return reload(rt, eid, page)
+        return swap_in(rt, handle, vaddr)
 
     def expire(signum, frame):
         raise _Capped()
 
     previous = signal.signal(signal.SIGALRM, expire)
     try:
-        HostRuntime._reload = counted
+        HostRuntime.swap_in = counted
         signal.setitimer(signal.ITIMER_REAL, CAP)
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-        HostRuntime._reload = reload
+        HostRuntime.swap_in = swap_in
         signal.signal(signal.SIGALRM, previous)
 
 
