@@ -1,4 +1,4 @@
-"""Machine configuration: geometry, modes, seeds, and the abstract cost model.
+"""Machine configuration: geometry, mode, seed, and the abstract cost model.
 
 Configs serialize to JSON and round-trip losslessly.  All fields default, so
 an empty file (or no file) yields the standard desk-scale machine: 16384
@@ -40,13 +40,12 @@ MAX_GRANULE_COUNT = 1 << 16
 MAX_VCPU_COUNT = 64
 
 # Integer fields -> (lowest, highest) accepted value; None leaves a side open.
-# Seeds take any integer: the crypto seed is masked to 64 bits.
+# The crypto seed takes any integer: it is masked to 64 bits.
 _INT_RANGES = {
     "granule_count": (16, MAX_GRANULE_COUNT),
     "epc_base": (0, None),
     "epc_size": (0, None),
     "crypto_seed": (None, None),
-    "scheduler_seed": (None, None),
     "vcpu_count": (1, MAX_VCPU_COUNT),
     "max_ecall_steps": (1, None),
 }
@@ -80,7 +79,6 @@ class Config:
     epc_base: int = 1024
     epc_size: int = 512
     crypto_seed: int = 2024
-    scheduler_seed: int = 7
     vcpu_count: int = 4
     max_ecall_steps: int = 1_000_000
     audit_after_leaf: bool = False

@@ -57,9 +57,10 @@ count, pc and trace record is what one instruction at a time gives.
 :func:`step` makes a checked or cached fetch only where a chain of blocks
 starts: after a branch, a load or a store, the next block on the same page
 comes straight from that granule's blocks, with no translation lookup.  That
-is sound because one host thread drives a machine (the :class:`Scheduler`
-switches cores only between calls), so since the call's last checked or
-cached fetch only this vCPU's ALU ops, branches, loads and stores have run.
+is sound because one host thread drives a machine: :func:`step` runs one
+vCPU and returns before any other core or the host acts, so since the
+call's last checked or cached fetch only this vCPU's ALU ops, branches,
+loads and stores have run.
 None of them changes a translation, an EPCM entry or a protection table, so
 the fetch's translation and permission still hold.  Only a store changes
 bytes, and a store to the code granule drops that granule's blocks, so the
@@ -93,7 +94,6 @@ no handler registry.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -848,38 +848,6 @@ def gadget_trap(m, vcpu, frame: TrapFrame) -> None:
 # Instruction pump
 
 _DISPATCH_FAULTS = (E.INVALID_LEAF, E.INVALID_SERVICE, E.INVALID_MODE)
-
-
-class Scheduler:
-    """The one model of concurrent cores: a seeded step-level interleaver.
-
-    Picks a runnable vCPU at random (from the machine's scheduler seed) and
-    advances it one instruction at a time through ``Machine.step``; with a
-    fixed seed the interleaving replays exactly.  A vCPU leaves the runnable
-    set when its program stops.
-    """
-
-    def __init__(self, machine, seed: Optional[int] = None):
-        self.machine = machine
-        self.rng = random.Random(
-            machine.config.scheduler_seed if seed is None else seed
-        )
-        self.pick_trace: List[int] = []
-
-    def run(self, vcpus: List[VCpu], budget: int) -> Dict[int, RunReport]:
-        reports: Dict[int, RunReport] = {v.id: RunReport("limit", 0) for v in vcpus}
-        runnable = list(vcpus)
-        spent = 0
-        while runnable and spent < budget:
-            vcpu = self.rng.choice(runnable)
-            self.pick_trace.append(vcpu.id)
-            report = self.machine.step(vcpu, 1)
-            spent += max(report.steps, 1)
-            report.steps += reports[vcpu.id].steps
-            reports[vcpu.id] = report
-            if report.stop != "limit":
-                runnable.remove(vcpu)
-        return reports
 
 
 def _stopped(vcpu, executed: int, kind: str, **details) -> RunReport:

@@ -44,9 +44,9 @@ def _leaf_costs(config: Config) -> Dict[str, int]:
 
 class Machine:
     """One platform, which one host thread drives: a leaf, a step or an
-    interrupt delivery ends before the next begins, so nothing locks.  The
-    seeded :class:`~ccxsim.execution.Scheduler` models concurrent cores, one
-    step at a time, so every interleaving replays."""
+    interrupt delivery ends before the next begins, so nothing locks.
+    ``step`` runs one vCPU and returns before any other core or the host
+    acts, so concurrent cores are calls that their driver interleaves."""
 
     def __init__(self, config: Optional[Config] = None):
         self.config = config or Config()

@@ -147,7 +147,9 @@ class LoadError(Exception):
 
 @dataclass
 class FaultReport:
-    kind: str  # gpf | pagefault | ssa_overflow | abort | timeout | halt_inside | dispatch_fault
+    # gpf | pagefault | ssa_overflow | abort | timeout | halt_inside | bad_opcode
+    # | dispatch_fault
+    kind: str
     detail: str = ""
     vaddr: Optional[int] = None
 

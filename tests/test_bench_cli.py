@@ -339,6 +339,8 @@ BAD_CONFIGS = [
     ({"cost_factors": {"kdf": -1}}, "cost_factors.kdf"),
     # a leaf's cost is a column of its row, not a config field
     ({"leaf_base_cost": {"ECREATE": 40}}, "leaf_base_cost"),
+    # concurrent cores are calls their driver interleaves: no seed is a field
+    ({"scheduler_seed": 7}, "scheduler_seed"),
     ({"audit_after_leaf": "no"}, "audit_after_leaf"),
     ({"granule_count": MAX_GRANULE_COUNT + 1}, "granule_count"),
     ({"epc_size": 0}, "epc_size"),

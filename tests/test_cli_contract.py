@@ -264,7 +264,6 @@ FIELD_VALUES = {
     "epc_base": st.integers(0, 4096),
     "epc_size": st.integers(0, 4096),
     "crypto_seed": st.integers(),
-    "scheduler_seed": st.integers(),
     "vcpu_count": st.integers(1, MAX_VCPU_COUNT),
     "max_ecall_steps": st.integers(1, 1 << 40),
     "audit_after_leaf": st.booleans(),

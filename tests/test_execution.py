@@ -1284,7 +1284,22 @@ def test_cpuid_from_a_running_program(machine):
 
 
 # ---------------------------------------------------------------------------
-# Concurrent cores: the seeded scheduler is the one interleaver
+# Concurrent cores: a driver interleaves them one step at a time
+
+
+def _interleave(machine, vcpus, seed, budget=10_000):
+    """Step a seeded pick of the runnable cores one instruction at a time
+    until each stops or the budget is spent; returns each core's last
+    report and the picks."""
+    rng = random.Random(seed)
+    reports, picks, runnable = {}, [], list(vcpus)
+    while runnable and len(picks) < budget:
+        vcpu = rng.choice(runnable)
+        picks.append(vcpu.id)
+        reports[vcpu.id] = machine.step(vcpu, 1)
+        if reports[vcpu.id].stop != "limit":
+            runnable.remove(vcpu)
+    return reports, picks
 
 
 def _build_leaf_lanes(machine, lanes=4, pages=4):
@@ -1333,7 +1348,7 @@ def _build_leaf_lanes(machine, lanes=4, pages=4):
 @pytest.mark.parametrize("mode", ["sgx", "ccx"])
 def test_interleaved_build_leaves_equal_serial_order(mode):
     """Build leaves issued by four cores end in the serial run's state under
-    every interleaving the scheduler picks, and a seed replays its
+    every interleaving a seeded pick gives, and a seed replays its
     interleaving and its trace records exactly."""
     cfg = small_config(mode=mode, audit_after_leaf=False, vcpu_count=4)
     fresh = Machine(cfg).memory.gpts
@@ -1351,15 +1366,14 @@ def test_interleaved_build_leaves_equal_serial_order(mode):
     def interleaved(seed):
         machine = Machine(cfg)
         machine.trace = []
-        sched = execution.Scheduler(machine, seed=seed)
-        reports = sched.run(_build_leaf_lanes(machine), budget=10_000)
+        reports, pick_trace = _interleave(machine, _build_leaf_lanes(machine), seed)
         assert all(r.stop == "halt" for r in reports.values())
         machine.audit()
         assert bytes(machine.memory.gpts.system) == serial_system
         assert machine.memory.gpts.snapshot_counts() == fresh_tables
         assert machine.memory.valid_pages() == []
         assert machine.counters == serial.counters
-        return sched.pick_trace, machine.trace
+        return pick_trace, machine.trace
 
     serial_leaves = [record["kind"] for record in serial.trace]
     picks = set()
@@ -1371,7 +1385,7 @@ def test_interleaved_build_leaves_equal_serial_order(mode):
     assert len(picks) == 4
 
 
-def test_scheduler_interleaving_is_seeded_and_commutes():
+def test_a_seeded_interleaving_replays_and_disjoint_effects_commute():
     def build(machine):
         progs = []
         for lane in range(3):
@@ -1398,13 +1412,12 @@ def test_scheduler_interleaving_is_seeded_and_commutes():
         return progs
 
     def final_state(seed):
-        machine = Machine(small_config(scheduler_seed=seed, audit_after_leaf=False))
+        machine = Machine(small_config(audit_after_leaf=False))
         progs = build(machine)
-        sched = execution.Scheduler(machine)
-        reports = sched.run([v for v, _ in progs], budget=10_000)
+        reports, picks = _interleave(machine, [v for v, _ in progs], seed)
         assert all(r.stop == "halt" for r in reports.values())
         values = [machine.host_read(data, 0, 8) for _, data in progs]
-        return values, list(sched.pick_trace)
+        return values, picks
 
     v1, order1 = final_state(seed=1)
     v2, order2 = final_state(seed=1)

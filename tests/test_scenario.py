@@ -265,6 +265,17 @@ def test_the_readme_grammar_names_every_command_and_probe():
     assert set(re.findall(r"`([^`]+)`", sentence)) == set(r.probes) | counts | {"count:<LEAF>"}
 
 
+def test_the_readme_config_names_every_field_of_config():
+    """The JSON block under README's configuration heading names exactly
+    the fields of ``Config``, so it can list no deleted field, and loads as
+    the default config."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    data = json.loads(block)
+    assert set(data) == set(Config.__dataclass_fields__)
+    assert Config.from_dict(data) == Config()
+
+
 def test_an_unknown_sigstruct_source_fails_on_its_manifest_line(demo_dir):
     """The source is checked when the manifest is parsed, before any build
     leaf runs."""
